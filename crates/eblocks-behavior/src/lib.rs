@@ -22,7 +22,10 @@
 //! * [`parse`] turns source text into a [`Program`] (the paper's syntax
 //!   tree),
 //! * [`check`](check::check) validates it against a block arity,
-//! * [`Machine`] interprets it (the simulator's interpreter),
+//! * [`Compiled`] resolves its names once — ports to port indices, every
+//!   other name to a dense slot — and [`Machine`] runs the result (the
+//!   simulator's interpreter); many machines share one compilation, each
+//!   owning only its slots,
 //! * [`library`] holds the canonical behavior program of every pre-defined
 //!   compute block, generated from its [`eblocks_core::ComputeKind`],
 //! * the AST supports systematic variable renaming
@@ -32,13 +35,15 @@
 //! # Example
 //!
 //! ```
-//! use eblocks_behavior::{parse, Machine, Value};
+//! use eblocks_behavior::{parse, Compiled, Machine, Value};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let program = parse("on input { out0 = in0 && in1; }")?;
-//! let mut m = Machine::new(&program);
+//! let code = Compiled::new(&program);
+//! let mut m = Machine::new(&code);
 //! let outs = m.on_input(&[Value::Bool(true), Value::Bool(true)])?;
-//! assert_eq!(outs.get(&0), Some(&Value::Bool(true)));
+//! assert_eq!(outs.get(0), Some(Value::Bool(true)));
+//! assert_eq!(outs.get(1), None, "out1 was never driven");
 //! # Ok(())
 //! # }
 //! ```
@@ -58,7 +63,7 @@ pub mod value;
 
 pub use ast::{BinOp, Expr, Handler, HandlerKind, Program, StateDecl, Stmt, UnOp};
 pub use check::{check, CheckError};
-pub use interp::{Machine, Outputs};
+pub use interp::{Compiled, Machine, Outputs};
 pub use lexer::LexError;
 pub use optimize::optimize;
 pub use parser::{parse, parse_spanned, ParseError};

@@ -136,7 +136,7 @@ fn sop3(tt: TruthTable3) -> String {
 mod tests {
     use super::*;
     use crate::check::check;
-    use crate::interp::Machine;
+    use crate::interp::{Compiled, Machine};
     use crate::value::Value;
 
     fn all_kinds() -> Vec<ComputeKind> {
@@ -171,13 +171,14 @@ mod tests {
         for mask in 0..16u8 {
             let tt = TruthTable2::from_mask(mask).unwrap();
             let program = program_for(ComputeKind::Logic2(tt));
-            let mut m = Machine::new(&program);
+            let code = Compiled::new(&program);
+            let mut m = Machine::new(&code);
             for a in [false, true] {
                 for b in [false, true] {
                     let outs = m.on_input(&[Value::Bool(a), Value::Bool(b)]).unwrap();
                     assert_eq!(
-                        outs.get(&0),
-                        Some(&Value::Bool(tt.eval(a, b))),
+                        outs.get(0),
+                        Some(Value::Bool(tt.eval(a, b))),
                         "mask {mask:04b} inputs ({a},{b})"
                     );
                 }
@@ -190,15 +191,16 @@ mod tests {
         for mask in 0..=255u8 {
             let tt = TruthTable3::from_mask(mask);
             let program = program_for(ComputeKind::Logic3(tt));
-            let mut m = Machine::new(&program);
+            let code = Compiled::new(&program);
+            let mut m = Machine::new(&code);
             for idx in 0..8u8 {
                 let (a, b, c) = (idx & 1 == 1, (idx >> 1) & 1 == 1, (idx >> 2) & 1 == 1);
                 let outs = m
                     .on_input(&[Value::Bool(a), Value::Bool(b), Value::Bool(c)])
                     .unwrap();
                 assert_eq!(
-                    outs.get(&0),
-                    Some(&Value::Bool(tt.eval(a, b, c))),
+                    outs.get(0),
+                    Some(Value::Bool(tt.eval(a, b, c))),
                     "mask {mask:08b} idx {idx}"
                 );
             }
@@ -207,55 +209,59 @@ mod tests {
 
     #[test]
     fn splitter_duplicates_input() {
-        let mut m = Machine::new(&program_for(ComputeKind::Splitter));
+        let code = Compiled::new(&program_for(ComputeKind::Splitter));
+        let mut m = Machine::new(&code);
         let outs = m.on_input(&[Value::Bool(true)]).unwrap();
-        assert_eq!(outs.get(&0), Some(&Value::Bool(true)));
-        assert_eq!(outs.get(&1), Some(&Value::Bool(true)));
+        assert_eq!(outs.get(0), Some(Value::Bool(true)));
+        assert_eq!(outs.get(1), Some(Value::Bool(true)));
     }
 
     #[test]
     fn trip_latches_and_resets() {
-        let mut m = Machine::new(&program_for(ComputeKind::Trip));
+        let code = Compiled::new(&program_for(ComputeKind::Trip));
+        let mut m = Machine::new(&code);
         let inp = |s: bool, r: bool| [Value::Bool(s), Value::Bool(r)];
         assert_eq!(
-            m.on_input(&inp(false, false)).unwrap().get(&0),
-            Some(&Value::Bool(false))
+            m.on_input(&inp(false, false)).unwrap().get(0),
+            Some(Value::Bool(false))
         );
         assert_eq!(
-            m.on_input(&inp(true, false)).unwrap().get(&0),
-            Some(&Value::Bool(true))
+            m.on_input(&inp(true, false)).unwrap().get(0),
+            Some(Value::Bool(true))
         );
         // Set released: stays latched.
         assert_eq!(
-            m.on_input(&inp(false, false)).unwrap().get(&0),
-            Some(&Value::Bool(true))
+            m.on_input(&inp(false, false)).unwrap().get(0),
+            Some(Value::Bool(true))
         );
         // Reset edge clears.
         assert_eq!(
-            m.on_input(&inp(false, true)).unwrap().get(&0),
-            Some(&Value::Bool(false))
+            m.on_input(&inp(false, true)).unwrap().get(0),
+            Some(Value::Bool(false))
         );
     }
 
     #[test]
     fn pulse_gen_emits_timed_pulse() {
-        let mut m = Machine::new(&program_for(ComputeKind::PulseGen { ticks: 2 }));
+        let code = Compiled::new(&program_for(ComputeKind::PulseGen { ticks: 2 }));
+        let mut m = Machine::new(&code);
         let outs = m.on_input(&[Value::Bool(true)]).unwrap();
-        assert_eq!(outs.get(&0), Some(&Value::Bool(true)));
-        assert_eq!(m.on_tick().unwrap().get(&0), Some(&Value::Bool(true))); // 1 left
-        assert_eq!(m.on_tick().unwrap().get(&0), Some(&Value::Bool(false))); // expired
+        assert_eq!(outs.get(0), Some(Value::Bool(true)));
+        assert_eq!(m.on_tick().unwrap().get(0), Some(Value::Bool(true))); // 1 left
+        assert_eq!(m.on_tick().unwrap().get(0), Some(Value::Bool(false))); // expired
     }
 
     #[test]
     fn delay_propagates_settled_value() {
-        let mut m = Machine::new(&program_for(ComputeKind::Delay { ticks: 2 }));
+        let code = Compiled::new(&program_for(ComputeKind::Delay { ticks: 2 }));
+        let mut m = Machine::new(&code);
         m.on_input(&[Value::Bool(true)]).unwrap();
-        assert!(!m.on_tick().unwrap().contains_key(&0), "not yet");
-        assert_eq!(m.on_tick().unwrap().get(&0), Some(&Value::Bool(true)));
+        assert!(m.on_tick().unwrap().get(0).is_none(), "not yet");
+        assert_eq!(m.on_tick().unwrap().get(0), Some(Value::Bool(true)));
         // Bounce restarts the window.
         m.on_input(&[Value::Bool(false)]).unwrap();
         m.on_input(&[Value::Bool(true)]).unwrap();
-        assert!(!m.on_tick().unwrap().contains_key(&0));
+        assert!(m.on_tick().unwrap().get(0).is_none());
     }
 
     #[test]

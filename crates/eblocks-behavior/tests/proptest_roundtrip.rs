@@ -172,7 +172,7 @@ proptest! {
 
 mod optimizer_equivalence {
     use super::*;
-    use eblocks_behavior::{optimize, Machine, Value};
+    use eblocks_behavior::{optimize, Compiled, Machine, Value};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192).with_rng_seed(0xEB10C5))]
@@ -193,8 +193,9 @@ mod optimizer_equivalence {
                     "optimization must not break static checks"
                 );
             }
-            let mut original = Machine::new(&program);
-            let mut better = Machine::new(&optimized);
+            let (original_code, optimized_code) = (Compiled::new(&program), Compiled::new(&optimized));
+            let mut original = Machine::new(&original_code);
+            let mut better = Machine::new(&optimized_code);
             for step in &inputs {
                 let vals: Vec<Value> = step.iter().map(|&b| Value::Bool(b)).collect();
                 let a = original.on_input(&vals);
@@ -210,6 +211,50 @@ mod optimizer_equivalence {
                     (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
                     (Err(_), Err(_)) => return Ok(()),
                     (x, y) => prop_assert!(false, "divergent tick fault: {x:?} vs {y:?}"),
+                }
+            }
+        }
+    }
+}
+
+mod tick_fixpoint {
+    use super::*;
+    use eblocks_behavior::{Compiled, Machine, Value};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192).with_rng_seed(0xF1C5))]
+
+        /// A machine skips a tick that would repeat a state-preserving
+        /// tick. The same program with a tick counter prepended changes its
+        /// state on every tick, so it never skips; the two must agree on
+        /// every call, faults included.
+        #[test]
+        fn skipped_ticks_match_rerun_ticks(
+            program in program_strategy(),
+            inputs in prop::collection::vec(prop::collection::vec(any::<bool>(), 4), 1..6),
+        ) {
+            let mut counted = program.clone();
+            counted.states.push(StateDecl { name: "tick_count".into(), init: Expr::Int(0) });
+            if let Some(tick) = counted.handlers.iter_mut().find(|h| h.kind == HandlerKind::Tick) {
+                let count = Expr::binary(BinOp::Add, Expr::var("tick_count"), Expr::Int(1));
+                tick.body.insert(0, Stmt::Assign("tick_count".into(), count));
+            }
+            let (code, counted_code) = (Compiled::new(&program), Compiled::new(&counted));
+            let mut skipping = Machine::new(&code);
+            let mut rerunning = Machine::new(&counted_code);
+            for step in &inputs {
+                let vals: Vec<Value> = step.iter().map(|&b| Value::Bool(b)).collect();
+                match (skipping.on_input(&vals), rerunning.on_input(&vals)) {
+                    (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
+                    (Err(x), Err(y)) => { prop_assert_eq!(x, y); return Ok(()); }
+                    (x, y) => prop_assert!(false, "divergent fault: {x:?} vs {y:?}"),
+                }
+                for _ in 0..3 {
+                    match (skipping.on_tick(), rerunning.on_tick()) {
+                        (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
+                        (Err(x), Err(y)) => { prop_assert_eq!(x, y); return Ok(()); }
+                        (x, y) => prop_assert!(false, "divergent tick fault: {x:?} vs {y:?}"),
+                    }
                 }
             }
         }

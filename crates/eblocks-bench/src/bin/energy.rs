@@ -39,7 +39,7 @@ fn main() {
         let before_trace = before_sim.run(&stim, until).expect("healthy run");
         let before = estimate_energy(&design, &before_trace, &model, until);
 
-        let after_sim = Simulator::with_programs(&result.synthesized, result.programs)
+        let after_sim = Simulator::with_programs(&result.synthesized, &result.programs)
             .expect("synthesized designs simulate");
         let after_trace = after_sim.run(&stim, until).expect("healthy run");
         let after = estimate_energy(&result.synthesized, &after_trace, &model, until);

@@ -22,7 +22,8 @@
 //! Absolute times will differ from the paper's 2 GHz Athlon XP + Java
 //! numbers by orders of magnitude; the *shape* (exhaustive explodes past
 //! ~11–13 inner blocks, PareDown stays near-instant and near-optimal) is
-//! the reproduction target. See `EXPERIMENTS.md`.
+//! the reproduction target. The end-to-end and per-layer benchmark of the
+//! whole toolchain lives apart from these bins; see `perfbench/README.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

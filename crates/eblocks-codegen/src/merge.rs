@@ -231,7 +231,7 @@ pub fn merge_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eblocks_behavior::{Machine, Value};
+    use eblocks_behavior::{Compiled, Machine, Value};
     use eblocks_core::{ComputeKind, OutputKind, SensorKind};
 
     /// door, light -> not -> and -> led (the garage system).
@@ -256,7 +256,8 @@ mod tests {
         assert_eq!(merged.input_map.len(), 2);
         assert_eq!(merged.output_map.len(), 1);
 
-        let mut m = Machine::new(&merged.program);
+        let code = Compiled::new(&merged.program);
+        let mut m = Machine::new(&code);
         // Pin order: inv is level 1 and sorts first, so pin 0 = light,
         // pin 1 = door.
         let light_pin_first = {
@@ -269,8 +270,8 @@ mod tests {
             } else {
                 [Value::Bool(door), Value::Bool(light)]
             };
-            match m.on_input(&ins).unwrap().get(&0) {
-                Some(Value::Bool(b)) => *b,
+            match m.on_input(&ins).unwrap().get(0) {
+                Some(Value::Bool(b)) => b,
                 other => panic!("expected bool out0, got {other:?}"),
             }
         };
@@ -293,18 +294,19 @@ mod tests {
 
         let merged = merge_partition(&d, &[t, p], ProgrammableSpec::default()).unwrap();
         assert!(merged.program.uses_tick());
-        let mut m = Machine::new(&merged.program);
+        let code = Compiled::new(&merged.program);
+        let mut m = Machine::new(&code);
 
         // Press: toggle goes high, pulse fires.
         let outs = m.on_input(&[Value::Bool(true)]).unwrap();
-        assert_eq!(outs.get(&0), Some(&Value::Bool(true)));
+        assert_eq!(outs.get(0), Some(Value::Bool(true)));
         // Two ticks later the pulse expires even with no further input.
         m.on_tick().unwrap();
         let outs = m.on_tick().unwrap();
-        assert_eq!(outs.get(&0), Some(&Value::Bool(false)));
+        assert_eq!(outs.get(0), Some(Value::Bool(false)));
         // Ticks with no edge must not re-trigger (idempotent re-evaluation).
         let outs = m.on_tick().unwrap();
-        assert_eq!(outs.get(&0), Some(&Value::Bool(false)));
+        assert_eq!(outs.get(0), Some(Value::Bool(false)));
     }
 
     #[test]
@@ -396,9 +398,9 @@ mod tests {
 
         // Behavior: press-release twice; t1 toggles twice (back to off), t2
         // follows t1's rising edge once.
-        let mut m = Machine::new(&merged.program);
-        let press =
-            |m: &mut Machine, v: bool| m.on_input(&[Value::Bool(v)]).unwrap().get(&0).copied();
+        let code = Compiled::new(&merged.program);
+        let mut m = Machine::new(&code);
+        let press = |m: &mut Machine, v: bool| m.on_input(&[Value::Bool(v)]).unwrap().get(0);
         assert_eq!(
             press(&mut m, true),
             Some(Value::Bool(true)),

@@ -84,9 +84,14 @@ pub use topo::FleetTopology;
 // eblocks-core dependency.
 pub use eblocks_core::PortRef;
 
-/// SplitMix64-based seed mixing — the same fold the chaos harness uses, so
-/// every seeded decision in the fleet is a pure function of `(seed, salt,
-/// coordinates)` and never of wall-clock time or iteration order.
+/// SplitMix64-based seed mixing, so every seeded decision in the fleet is a
+/// pure function of `(seed, salt, coordinates)` and never of wall-clock time
+/// or iteration order.
+///
+/// This is not the chaos harness's fold: that one adds the golden-ratio
+/// increment to each part where this one multiplies it in. Both are pinned
+/// by committed goldens (fleet report and trace, chaos trace), so neither
+/// can change to match the other without moving them.
 pub(crate) fn mix(parts: &[u64]) -> u64 {
     let mut acc: u64 = 0x9e37_79b9_7f4a_7c15;
     for &part in parts {

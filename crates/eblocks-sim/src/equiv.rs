@@ -151,7 +151,7 @@ mod tests {
     fn equivalent_designs_pass() {
         let a = Simulator::new(&garage_predefined()).unwrap();
         let (d, programs) = garage_programmable();
-        let b = Simulator::with_programs(&d, programs).unwrap();
+        let b = Simulator::with_programs(&d, &programs).unwrap();
         let stim = Stimulus::new()
             .set(10, "light", true)
             .set(30, "door", true)
@@ -169,7 +169,7 @@ mod tests {
         let (d, _) = garage_programmable();
         let p = d.block_by_name("p0").unwrap();
         let wrong = parse("on input { out0 = in0 || !in1; }").unwrap();
-        let b = Simulator::with_programs(&d, HashMap::from([(p, wrong)])).unwrap();
+        let b = Simulator::with_programs(&d, &HashMap::from([(p, wrong)])).unwrap();
         let stim = Stimulus::new().set(10, "light", true).set(30, "door", true);
         let report = equivalence(&a, &b, &stim, 10, 0).unwrap();
         assert!(!report.is_equivalent());
@@ -183,7 +183,7 @@ mod tests {
     fn empty_stimulus_still_compares_initial_state() {
         let a = Simulator::new(&garage_predefined()).unwrap();
         let (d, programs) = garage_programmable();
-        let b = Simulator::with_programs(&d, programs).unwrap();
+        let b = Simulator::with_programs(&d, &programs).unwrap();
         let report = equivalence(&a, &b, &Stimulus::new(), 10, 0).unwrap();
         assert!(report.is_equivalent());
         assert_eq!(report.sample_times, vec![20]);

@@ -67,15 +67,25 @@
 //!
 //! All per-block state (machines, latched inputs, last-sent values,
 //! transmission counters) is stored in flat `Vec`s indexed by a compact
-//! block index computed once from topological order, so the hot path does
-//! no hashing and no per-event allocation.
+//! block index computed once from topological order.
+//!
+//! # Behavior programs
+//!
+//! [`Simulator::with_programs`] compiles every block's behavior program
+//! once, right after checking it: names resolve to port indices and dense
+//! slots (see [`eblocks_behavior::Compiled`]). Each run's engine then gives
+//! every block a [`Machine`] that borrows the shared compilation and owns
+//! only its slots, and a handler call hands back a port-indexed view of the
+//! machine's output buffer. Together with the flat tables above, the hot
+//! path does no hashing and no per-event allocation; only an event beyond
+//! the timing wheel's horizon may allocate its overflow bucket.
 
 use crate::cosim::CapturedPacket;
 use crate::error::SimError;
 use crate::fault::{FaultPlan, ResolvedFaults};
 use crate::stimulus::Stimulus;
 use crate::trace::Trace;
-use eblocks_behavior::{check, library, parse, Machine, Program, Value};
+use eblocks_behavior::{check, library, parse, Compiled, Machine, Outputs, Program, Value};
 use eblocks_core::{BlockId, BlockKind, Design};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
@@ -87,14 +97,16 @@ pub type Time = u64;
 
 /// A configured simulator for one design.
 ///
-/// Construction compiles every block's behavior program ([`library`] for
+/// Construction checks every block's behavior program ([`library`] for
 /// pre-defined blocks, caller-supplied programs for programmable blocks)
-/// and checks it against the block's arity. Each [`Simulator::run`] starts
-/// from power-on state.
+/// against the block's arity and compiles it. Each [`Simulator::run`]
+/// starts from power-on state.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     design: Design,
-    programs: HashMap<BlockId, Program>,
+    /// Compiled behavior by raw block index; `None` for sensors and
+    /// outputs, which run no program.
+    code: Vec<Option<Compiled>>,
     /// Extra latency of communication blocks (radio/X10 hop), in ticks.
     pub comm_latency: Time,
     /// Period of `on tick` events. Must be at least 1: a zero period would
@@ -113,11 +125,12 @@ impl Simulator {
     /// [`SimError::InvalidDesign`] if validation fails,
     /// [`SimError::MissingProgram`] for unprogrammed programmable blocks.
     pub fn new(design: &Design) -> Result<Self, SimError> {
-        Self::with_programs(design, HashMap::new())
+        Self::with_programs(design, &HashMap::new())
     }
 
     /// Builds a simulator supplying behavior programs for programmable
-    /// blocks (keyed by block id).
+    /// blocks (keyed by block id). Each program is checked and compiled
+    /// here, once; the simulator keeps only the compiled form.
     ///
     /// # Errors
     ///
@@ -125,37 +138,44 @@ impl Simulator {
     /// supplied program fails [`check`](fn@check) against the block's pin budget.
     pub fn with_programs(
         design: &Design,
-        programs: HashMap<BlockId, Program>,
+        programs: &HashMap<BlockId, Program>,
     ) -> Result<Self, SimError> {
         design.validate()?;
-        let mut compiled: HashMap<BlockId, Program> = HashMap::new();
+        let mut code = Vec::new();
         for id in design.blocks() {
             let block = design.block(id).expect("iterated block");
+            let built;
             let program = match block.kind() {
-                BlockKind::Compute(kind) => library::program_for(kind),
-                BlockKind::Comm(_) => parse("on input { out0 = in0; }").expect("identity parses"),
+                BlockKind::Compute(kind) => {
+                    built = library::program_for(kind);
+                    &built
+                }
+                BlockKind::Comm(_) => {
+                    built = parse("on input { out0 = in0; }").expect("identity parses");
+                    &built
+                }
                 BlockKind::Programmable(_) => {
-                    programs
-                        .get(&id)
-                        .cloned()
-                        .ok_or_else(|| SimError::MissingProgram {
-                            block: block.name().to_string(),
-                        })?
+                    programs.get(&id).ok_or_else(|| SimError::MissingProgram {
+                        block: block.name().to_string(),
+                    })?
                 }
                 BlockKind::Sensor(_) | BlockKind::Output(_) => continue,
             };
-            let errors = check(&program, block.num_inputs(), block.num_outputs());
+            let errors = check(program, block.num_inputs(), block.num_outputs());
             if let Some(error) = errors.into_iter().next() {
                 return Err(SimError::BadProgram {
                     block: block.name().to_string(),
                     error,
                 });
             }
-            compiled.insert(id, program);
+            if code.len() <= id.index() {
+                code.resize_with(id.index() + 1, || None);
+            }
+            code[id.index()] = Some(Compiled::new(program));
         }
         Ok(Self {
             design: design.clone(),
-            programs: compiled,
+            code,
             comm_latency: 3,
             tick_period: 1,
         })
@@ -181,6 +201,11 @@ impl Simulator {
     /// The design this simulator was built for.
     pub fn design(&self) -> &Design {
         &self.design
+    }
+
+    /// The compiled behavior of block `id`, if it runs a program.
+    fn code(&self, id: BlockId) -> Option<&Compiled> {
+        self.code.get(id.index())?.as_ref()
     }
 
     /// [`run`](Self::run) with injected faults (see [`crate::fault`]):
@@ -381,8 +406,9 @@ struct Sink {
 
 /// The reusable simulation engine for one [`Simulator`].
 ///
-/// Construction builds every static table (index, port layout, sink lists,
-/// compiled machines); [`reset`](Runner::reset) rewinds to power-on state
+/// Construction builds every static table (index, port layout, sink lists)
+/// and one machine per programmed block over the simulator's compiled
+/// programs; [`reset`](Runner::reset) rewinds to power-on state
 /// without reallocating, so Monte-Carlo harnesses can run many trials on
 /// one arena. Contract per trial: `reset` → `load_stimulus` → `run` once →
 /// read [`trace`](Runner::trace).
@@ -393,7 +419,7 @@ pub(crate) struct Runner<'a> {
     meta: Vec<BlockMeta>,
     /// Sink lists, indexed by output slot (`meta.out_offset + port`).
     sinks: Vec<Vec<Sink>>,
-    machines: Vec<Option<Machine>>,
+    machines: Vec<Option<Machine<'a>>>,
     /// Dense indices of tick-driven blocks, in block-id order.
     tick_blocks: Vec<usize>,
     /// `(dense, raw)` of every sensor, in raw-id order (power-on order).
@@ -483,12 +509,12 @@ impl<'a> Runner<'a> {
                 );
             }
             names.push(block.name());
-            machines.push(sim.programs.get(&id).map(Machine::new));
+            machines.push(sim.code(id).map(Machine::new));
         }
 
         let mut tick_ids: Vec<BlockId> = design
             .blocks()
-            .filter(|id| sim.programs.get(id).is_some_and(Program::uses_tick))
+            .filter(|&id| sim.code(id).is_some_and(Compiled::uses_tick))
             .collect();
         tick_ids.sort();
         let tick_blocks = tick_ids
@@ -812,14 +838,29 @@ impl<'a> Runner<'a> {
             self.apply_sense(dense, value, t);
         }
 
-        // Stage 1: sweep pending ranks in ascending order. Zero-latency
-        // transmissions only ever mark strictly higher ranks (wires point
-        // downstream in the DAG), so each block settles at most once.
+        // Stage 1. The machines leave `self` for the sweep, so a handler's
+        // output view can be emitted while it still borrows its machine.
+        let mut machines = std::mem::take(&mut self.machines);
+        let swept = self.sweep(&mut machines, t, until);
+        self.machines = machines;
+        swept
+    }
+
+    /// Stage 1 of an instant: sweep pending ranks in ascending order.
+    /// Zero-latency transmissions only ever mark strictly higher ranks
+    /// (wires point downstream in the DAG), so each block settles at most
+    /// once.
+    fn sweep(
+        &mut self,
+        machines: &mut [Option<Machine<'a>>],
+        t: Time,
+        until: Time,
+    ) -> Result<(), SimError> {
         while let Some(Reverse(block)) = self.pending.pop() {
             self.in_sweep[block] = false;
             if self.tick_now[block] {
                 self.tick_now[block] = false;
-                let outs = self.machines[block]
+                let outs = machines[block]
                     .as_mut()
                     .expect("ticked blocks have machines")
                     .on_tick()
@@ -846,7 +887,7 @@ impl<'a> Runner<'a> {
             } else if self.eval_now[block] {
                 self.eval_now[block] = false;
                 let m = self.meta[block];
-                let outs = self.machines[block]
+                let outs = machines[block]
                     .as_mut()
                     .expect("non-output blocks have machines")
                     .on_input(&self.inputs[m.in_offset..m.in_offset + m.in_len])
@@ -898,22 +939,10 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Sends the handler's written outputs, applying change detection, in
-    /// deterministic port order. Output maps are tiny, so a min-scan per
-    /// port beats building a sorted vector.
-    fn emit(&mut self, from: usize, outs: HashMap<u8, Value>, t: Time) -> Result<(), SimError> {
-        let mut last: i32 = -1;
-        loop {
-            let mut best: Option<(u8, Value)> = None;
-            for (&port, &value) in &outs {
-                if i32::from(port) > last && best.is_none_or(|(b, _)| port < b) {
-                    best = Some((port, value));
-                }
-            }
-            let Some((port, value)) = best else {
-                return Ok(());
-            };
-            last = i32::from(port);
+    /// Sends the handler's driven outputs in ascending port order,
+    /// applying change detection.
+    fn emit(&mut self, from: usize, outs: Outputs<'_>, t: Time) -> Result<(), SimError> {
+        for (port, value) in outs.iter() {
             let Value::Bool(bit) = value else {
                 return Err(SimError::NonBooleanPacket {
                     block: self.names[from].to_string(),
@@ -922,6 +951,7 @@ impl<'a> Runner<'a> {
             };
             self.transmit(from, port, bit, t);
         }
+        Ok(())
     }
 
     /// Transmits `value` on `(from, port)` if it differs from the last
@@ -1250,7 +1280,7 @@ mod tests {
         ));
 
         let program = parse("on input { out0 = !in0; }").unwrap();
-        let sim = Simulator::with_programs(&d, HashMap::from([(p, program)])).unwrap();
+        let sim = Simulator::with_programs(&d, &HashMap::from([(p, program)])).unwrap();
         let trace = sim.run(&Stimulus::new().set(10, "s", true), 50).unwrap();
         assert_eq!(trace.final_value("led"), Some(false));
     }
@@ -1266,9 +1296,58 @@ mod tests {
         // References in5 on a 1-input block.
         let program = parse("on input { out0 = in5; }").unwrap();
         assert!(matches!(
-            Simulator::with_programs(&d, HashMap::from([(p, program)])),
+            Simulator::with_programs(&d, &HashMap::from([(p, program)])),
             Err(SimError::BadProgram { .. })
         ));
+    }
+
+    /// s -> p (one input, two outputs) -> leds `a` (out0) and `b` (out1),
+    /// with `p` running `src`.
+    fn two_port_block(src: &str) -> Simulator {
+        let mut d = Design::new("two-port");
+        let s = d.add_block("s", SensorKind::Button);
+        let p = d.add_block("p", eblocks_core::ProgrammableSpec::new(1, 2));
+        let a = d.add_block("a", OutputKind::Led);
+        let b = d.add_block("b", OutputKind::Led);
+        d.connect((s, 0), (p, 0)).unwrap();
+        d.connect((p, 0), (a, 0)).unwrap();
+        d.connect((p, 1), (b, 0)).unwrap();
+        Simulator::with_programs(&d, &HashMap::from([(p, parse(src).unwrap())])).unwrap()
+    }
+
+    #[test]
+    fn non_boolean_packet_names_block_and_port() {
+        // check() does not type outputs, so an integer reaches the wire.
+        let sim = two_port_block("on input { out1 = in0; out0 = 5; }");
+        let err = sim.run(&Stimulus::new(), 10).unwrap_err();
+        assert!(
+            matches!(&err, SimError::NonBooleanPacket { block, port: 0 } if block == "p"),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "block `p` drove a non-boolean value on out0"
+        );
+    }
+
+    #[test]
+    fn taps_capture_in_ascending_port_order() {
+        // The handler writes out1 before out0, and port 1 is tapped first,
+        // but a block transmits its driven ports in ascending order.
+        let sim = two_port_block("on input { out1 = in0; out0 = !in0; }");
+        let mut node = crate::NodeRunner::new(&sim).unwrap();
+        let tap1 = node.tap_output("p", 1).unwrap();
+        let tap0 = node.tap_output("p", 0).unwrap();
+        assert_eq!(node.next_event_time(), Some(0));
+        node.step_at(0, 10).unwrap();
+        let mut captured = Vec::new();
+        node.drain_captured(&mut captured);
+        let packet = |tap, value| CapturedPacket {
+            time: 0,
+            tap,
+            value,
+        };
+        assert_eq!(captured, [packet(tap0, true), packet(tap1, false)]);
     }
 
     #[test]

@@ -23,10 +23,13 @@ impl Trace {
     }
 
     pub(crate) fn record(&mut self, output: &str, time: Time, value: bool) {
-        self.records
-            .entry(output.to_string())
-            .or_default()
-            .push((time, value));
+        // Runs pre-register every output, so the name is almost always
+        // there already: allocate a key only for a new one.
+        if let Some(history) = self.records.get_mut(output) {
+            history.push((time, value));
+        } else {
+            self.records.insert(output.to_string(), vec![(time, value)]);
+        }
     }
 
     /// The packet history of an output block, in time order.

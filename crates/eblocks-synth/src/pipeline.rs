@@ -487,7 +487,7 @@ impl<'a> Rewritten<'a> {
         self.ctx.begin(Stage::Verify)?;
         let started = Instant::now();
         let original_sim = Simulator::new(self.ctx.design)?;
-        let synth_sim = Simulator::with_programs(&self.synthesized, self.programs.clone())?;
+        let synth_sim = Simulator::with_programs(&self.synthesized, &self.programs)?;
         let stim = exercise_all_sensors(self.ctx.design, options.spacing);
         let report = equivalence(
             &original_sim,

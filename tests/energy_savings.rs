@@ -20,7 +20,7 @@ fn synthesis_never_increases_transmissions() {
             .run(&stim, until)
             .unwrap()
             .total_transmissions();
-        let after = Simulator::with_programs(&result.synthesized, result.programs)
+        let after = Simulator::with_programs(&result.synthesized, &result.programs)
             .unwrap()
             .run(&stim, until)
             .unwrap()
@@ -54,7 +54,7 @@ fn energy_totals_follow_transmissions() {
     let model = EnergyModel::default();
 
     let before_trace = Simulator::new(&design).unwrap().run(&stim, until).unwrap();
-    let after_trace = Simulator::with_programs(&result.synthesized, result.programs)
+    let after_trace = Simulator::with_programs(&result.synthesized, &result.programs)
         .unwrap()
         .run(&stim, until)
         .unwrap();

@@ -38,7 +38,7 @@ fn stuck_sensor_behaves_identically_before_and_after_synthesis() {
             Err(e) => panic!("{}: synthesis failed: {e}", entry.name),
         };
         let original = Simulator::new(&design).expect("original simulates");
-        let synthesized = Simulator::with_programs(&result.synthesized, result.programs.clone())
+        let synthesized = Simulator::with_programs(&result.synthesized, &result.programs)
             .expect("synthesized simulates");
 
         let stim = exercise_all_sensors(&design, SPACING);

@@ -74,7 +74,7 @@ fn synthesized_sleepwalk_behaves_identically() {
     let d = sleepwalk_detector();
     let result = synthesize(&d, &SynthesisOptions::default()).unwrap();
     let original = Simulator::new(&d).unwrap();
-    let merged = Simulator::with_programs(&result.synthesized, result.programs).unwrap();
+    let merged = Simulator::with_programs(&result.synthesized, &result.programs).unwrap();
     let stim = Stimulus::new()
         .set(10, "hall_light", true)
         .set(50, "hall_light", false)

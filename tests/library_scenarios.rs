@@ -20,7 +20,7 @@ fn both_ways(name: &str, stim: &Stimulus, until: u64, check: impl Fn(&Trace, &st
         },
     )
     .unwrap();
-    let synth = Simulator::with_programs(&result.synthesized, result.programs.clone()).unwrap();
+    let synth = Simulator::with_programs(&result.synthesized, &result.programs).unwrap();
     check(&synth.run(stim, until).unwrap(), "synthesized");
 }
 
