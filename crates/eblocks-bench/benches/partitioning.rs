@@ -1,5 +1,5 @@
 //! Criterion benchmarks for the partitioning algorithms, including the
-//! ablations DESIGN.md calls out (convexity / connectivity constraints).
+//! ablations of the convexity and connectivity constraints.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eblocks_gen::{generate, GeneratorConfig};

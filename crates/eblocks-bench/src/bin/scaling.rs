@@ -16,7 +16,7 @@ use eblocks_bench::{exhaustive_with_limit, fmt_time, run_partitioner};
 use eblocks_farm::{run_batch, Batch, FarmConfig, Job, JsonOptions};
 use eblocks_gen::{generate, GeneratorConfig};
 use eblocks_partition::strategy::{Anneal, PareDown};
-use eblocks_partition::{AnnealConfig, PartitionConstraints};
+use eblocks_partition::{pare_down_traced, AnnealConfig, PartitionConstraints, TraceEvent};
 use std::time::Duration;
 
 fn main() {
@@ -65,17 +65,28 @@ fn main() {
         );
     }
 
+    // Next to each wall time, a deterministic work count: the removal
+    // steps of an untimed traced run of the same design.
     println!("\nPareDown scaling (same seeds, plus the paper's 465-node point):");
-    println!("{:>6} {:>14} {:>8} {:>8}", "inner", "time", "total", "prog");
+    println!(
+        "{:>6} {:>14} {:>8} {:>8} {:>9}",
+        "inner", "time", "total", "prog", "removals"
+    );
     for inner in [6, 10, 14, 20, 25, 35, 45, 100, 200, 465] {
         let design = generate(&GeneratorConfig::new(inner), 4242 + inner as u64);
         let t = run_partitioner(&design, &constraints, &PareDown);
+        let (_, trace) = pare_down_traced(&design, &constraints);
+        let removals = trace
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Removed { .. }))
+            .count();
         println!(
-            "{:>6} {:>14} {:>8} {:>8}",
+            "{:>6} {:>14} {:>8} {:>8} {:>9}",
             inner,
             fmt_time(t.elapsed),
             t.result.inner_total(),
-            t.result.num_partitions()
+            t.result.num_partitions(),
+            removals
         );
     }
 

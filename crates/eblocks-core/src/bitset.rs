@@ -4,10 +4,18 @@
 //! manipulates millions of them, so we map inner blocks to a dense range
 //! `0..n` ([`InnerIndex`]) and represent sets as word-packed bit vectors
 //! ([`BitSet`]).
+//!
+//! [`InnerIndex::new`] is also where the design's wiring is read, once per
+//! index, into dense tables: every *signal* (a driving `(block, output
+//! port)` that touches an inner block) gets a dense id with its driver and
+//! its sinks, and every inner block lists the signals it reads and drives.
+//! The partitioners' hot paths — [`crate::CutState`], the exhaustive
+//! search's pin checks — read only these tables and positions, so they do
+//! no hashing.
 
 use crate::design::{BlockId, Design};
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A fixed-capacity set of small integers, packed into 64-bit words.
 ///
@@ -189,23 +197,109 @@ impl Iterator for Iter<'_> {
     }
 }
 
+/// Marks a signal end (or a block) that is not an inner block.
+const OUTER: u32 = u32::MAX;
+
 /// Dense numbering of a design's inner blocks, shared by all partitioning
-/// algorithms so that candidate partitions can be [`BitSet`]s.
+/// algorithms so that candidate partitions can be [`BitSet`]s, plus the
+/// design's wiring over that numbering.
 ///
 /// The numbering is the design's inner-block iteration order and is stable
 /// for an unmodified design.
+///
+/// A *signal* is a driving `(block, output port)`; it enters a partition
+/// once however many members it feeds, and leaves once however many
+/// outside blocks it feeds (§4). Every output port of an inner block is a
+/// signal, and so is every port of another block (sensor, programmable or
+/// comm) that drives an inner block. Signal ids are dense: the inner
+/// blocks' ports first, in position order, then the other drivers' ports in
+/// order of first use. Ends that are not inner blocks read as `None`.
 #[derive(Debug, Clone)]
 pub struct InnerIndex {
     ids: Vec<BlockId>,
-    positions: HashMap<BlockId, usize>,
+    /// Dense position by [`BlockId::index`], or [`OUTER`].
+    positions: Vec<u32>,
+    /// Inner block `p` reads the distinct signals
+    /// `inputs[input_start[p]..input_start[p + 1]]`, each as `(signal,
+    /// wires)`: one signal may drive several of the block's input ports.
+    input_start: Vec<u32>,
+    inputs: Vec<(u32, u32)>,
+    /// Inner block `p` drives signals `driven_start[p]..driven_start[p + 1]`,
+    /// one per output port.
+    driven_start: Vec<u32>,
+    /// Each signal's driver position, or [`OUTER`].
+    drivers: Vec<u32>,
+    /// Signal `s` feeds `sinks[sink_start[s]..sink_start[s + 1]]`, one entry
+    /// per wire: the sink's position, or [`OUTER`].
+    sink_start: Vec<u32>,
+    sinks: Vec<u32>,
 }
 
 impl InnerIndex {
-    /// Builds the index for a design.
+    /// Builds the index and its wiring tables for a design, in `O(V + E)`.
     pub fn new(design: &Design) -> Self {
         let ids: Vec<BlockId> = design.inner_blocks().collect();
-        let positions = ids.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-        Self { ids, positions }
+        let bound = design.blocks().map(|b| b.index() + 1).max().unwrap_or(0);
+        let ports = |b: BlockId| design.block(b).map_or(0, |k| u32::from(k.num_outputs()));
+
+        let mut positions = vec![OUTER; bound];
+        // The signal id of each driver's port 0, or OUTER while unassigned.
+        let mut first_signal = vec![OUTER; bound];
+        let mut drivers = Vec::new();
+        let mut driven_start = Vec::with_capacity(ids.len() + 1);
+        for (p, &b) in ids.iter().enumerate() {
+            positions[b.index()] = p as u32;
+            first_signal[b.index()] = drivers.len() as u32;
+            driven_start.push(drivers.len() as u32);
+            drivers.extend((0..ports(b)).map(|_| p as u32));
+        }
+        driven_start.push(drivers.len() as u32);
+
+        // Other drivers get their signal ids as inner blocks first read them.
+        let mut outer_drivers = Vec::new();
+        let mut input_start = Vec::with_capacity(ids.len() + 1);
+        let mut inputs: Vec<(u32, u32)> = Vec::new();
+        for &b in &ids {
+            let start = inputs.len();
+            input_start.push(start as u32);
+            for w in design.in_wires(b) {
+                let d = w.from.index();
+                if first_signal[d] == OUTER {
+                    first_signal[d] = drivers.len() as u32;
+                    drivers.extend((0..ports(w.from)).map(|_| OUTER));
+                    outer_drivers.push(w.from);
+                }
+                let signal = first_signal[d] + u32::from(w.from_port);
+                match inputs[start..].iter_mut().find(|(s, _)| *s == signal) {
+                    Some((_, wires)) => *wires += 1,
+                    None => inputs.push((signal, 1)),
+                }
+            }
+        }
+        input_start.push(inputs.len() as u32);
+
+        // Drivers in signal-id order, so each port's sinks append in turn.
+        let mut sink_start = Vec::with_capacity(drivers.len() + 1);
+        let mut sinks = Vec::new();
+        for &d in ids.iter().chain(&outer_drivers) {
+            for port in 0..ports(d) {
+                sink_start.push(sinks.len() as u32);
+                let wires = design.sinks_of(d, port as u8);
+                sinks.extend(wires.map(|w| positions[w.to.index()]));
+            }
+        }
+        sink_start.push(sinks.len() as u32);
+
+        Self {
+            ids,
+            positions,
+            input_start,
+            inputs,
+            driven_start,
+            drivers,
+            sink_start,
+            sinks,
+        }
     }
 
     /// Number of inner blocks.
@@ -230,7 +324,7 @@ impl InnerIndex {
     /// The dense position of `block`, or `None` if it is not an inner block
     /// of the indexed design.
     pub fn position(&self, block: BlockId) -> Option<usize> {
-        self.positions.get(&block).copied()
+        self.positions.get(block.index()).and_then(|&p| inner(p))
     }
 
     /// All indexed blocks in dense order.
@@ -252,12 +346,55 @@ impl InnerIndex {
     pub fn full_set(&self) -> BitSet {
         BitSet::full(self.len())
     }
+
+    /// Number of signals (dense signal ids are `0..num_signals()`).
+    pub fn num_signals(&self) -> usize {
+        self.drivers.len()
+    }
+
+    /// The distinct signals inner block `pos` reads, each with the number
+    /// of its input wires that signal drives.
+    pub fn input_signals(&self, pos: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let range = self.input_start[pos] as usize..self.input_start[pos + 1] as usize;
+        self.inputs[range]
+            .iter()
+            .map(|&(signal, wires)| (signal as usize, wires))
+    }
+
+    /// The signals inner block `pos` drives, one per output port.
+    pub fn driven_signals(&self, pos: usize) -> Range<usize> {
+        self.driven_start[pos] as usize..self.driven_start[pos + 1] as usize
+    }
+
+    /// The position of `signal`'s driver, or `None` if the driver is not
+    /// an inner block.
+    pub fn driver(&self, signal: usize) -> Option<usize> {
+        inner(self.drivers[signal])
+    }
+
+    /// The ends of `signal`'s wires, one per wire: a sink's position, or
+    /// `None` if the sink is not an inner block.
+    pub fn sinks(&self, signal: usize) -> impl Iterator<Item = Option<usize>> + '_ {
+        let range = self.sink_start[signal] as usize..self.sink_start[signal + 1] as usize;
+        self.sinks[range].iter().map(|&p| inner(p))
+    }
+
+    /// Number of wires `signal` drives.
+    pub fn num_sinks(&self, signal: usize) -> u32 {
+        self.sink_start[signal + 1] - self.sink_start[signal]
+    }
+}
+
+/// Reads a stored position, mapping [`OUTER`] to `None`.
+fn inner(p: u32) -> Option<usize> {
+    (p != OUTER).then_some(p as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kind::{ComputeKind, OutputKind, SensorKind};
+    use crate::cut::{CutCost, CutState};
+    use crate::kind::{CommKind, ComputeKind, OutputKind, ProgrammableSpec, SensorKind};
 
     #[test]
     fn insert_remove_contains() {
@@ -351,5 +488,247 @@ mod tests {
         let full = idx.full_set();
         assert_eq!(idx.resolve(&full), vec![g1, g2]);
         assert!(idx.empty_set().is_empty());
+    }
+
+    /// Checks every wiring table against the design's own wires.
+    fn assert_wiring_matches(d: &Design, idx: &InnerIndex) {
+        let sinks_of = |from: BlockId, port: u8| {
+            let mut v: Vec<Option<usize>> =
+                d.sinks_of(from, port).map(|w| idx.position(w.to)).collect();
+            v.sort();
+            v
+        };
+        let sorted_sinks = |signal: usize| {
+            let mut v: Vec<Option<usize>> = idx.sinks(signal).collect();
+            v.sort();
+            v
+        };
+        for pos in 0..idx.len() {
+            let b = idx.block(pos);
+            let driven = idx.driven_signals(pos);
+            assert_eq!(driven.len(), usize::from(d.block(b).unwrap().num_outputs()));
+            for (port, signal) in driven.enumerate() {
+                assert_eq!(idx.driver(signal), Some(pos));
+                assert_eq!(sorted_sinks(signal), sinks_of(b, port as u8));
+                assert_eq!(
+                    idx.num_sinks(signal) as usize,
+                    sinks_of(b, port as u8).len()
+                );
+            }
+            let mut read: Vec<_> = idx
+                .input_signals(pos)
+                .map(|(signal, wires)| (idx.driver(signal), sorted_sinks(signal), wires))
+                .collect();
+            let mut ports: Vec<(BlockId, u8)> =
+                d.in_wires(b).map(|w| (w.from, w.from_port)).collect();
+            ports.sort();
+            ports.dedup();
+            let mut want: Vec<_> = ports
+                .into_iter()
+                .map(|(from, port)| {
+                    let wires = d
+                        .in_wires(b)
+                        .filter(|w| (w.from, w.from_port) == (from, port));
+                    (
+                        idx.position(from),
+                        sinks_of(from, port),
+                        wires.count() as u32,
+                    )
+                })
+                .collect();
+            read.sort();
+            want.sort();
+            assert_eq!(read, want, "inputs of {}", d.block(b).unwrap().name());
+        }
+    }
+
+    fn set(idx: &InnerIndex, members: &[usize]) -> BitSet {
+        let mut s = idx.empty_set();
+        s.extend(members.iter().copied());
+        s
+    }
+
+    #[test]
+    fn removed_block_leaves_a_hole_in_the_ids() {
+        let mut d = Design::new("hole");
+        let s = d.add_block("s", SensorKind::Button);
+        let gone = d.add_block("gone", ComputeKind::Not);
+        let g1 = d.add_block("g1", ComputeKind::Not);
+        let g2 = d.add_block("g2", ComputeKind::Toggle);
+        let last = d.add_block("last", ComputeKind::Not);
+        let o = d.add_block("o", OutputKind::Led);
+        d.connect((s, 0), (gone, 0)).unwrap();
+        d.connect((s, 0), (g1, 0)).unwrap();
+        d.connect((g1, 0), (g2, 0)).unwrap();
+        d.connect((g2, 0), (o, 0)).unwrap();
+        d.connect((gone, 0), (last, 0)).unwrap();
+        d.remove_block(gone).unwrap();
+        d.remove_block(last).unwrap();
+
+        let idx = InnerIndex::new(&d);
+        assert_eq!(idx.blocks(), &[g1, g2]);
+        assert_eq!(idx.position(g1), Some(0));
+        assert_eq!(idx.position(g2), Some(1));
+        assert_eq!(idx.position(gone), None, "a hole below the last id");
+        assert_eq!(idx.position(last), None, "an id past the last block");
+        assert_wiring_matches(&d, &idx);
+        let (from_s, wires) = idx.input_signals(0).next().unwrap();
+        assert_eq!(wires, 1);
+        assert_eq!(idx.sinks(from_s).collect::<Vec<_>>(), vec![Some(0)]);
+        assert_eq!(
+            CutState::new(&idx, &idx.full_set()).cost(),
+            CutCost {
+                inputs: 1,
+                outputs: 1
+            }
+        );
+    }
+
+    #[test]
+    fn programmable_and_comm_ends_are_outside() {
+        // s -> prog -> g -> tx -> h -> o, and prog's second port -> h.
+        let mut d = Design::new("outer");
+        let s = d.add_block("s", SensorKind::Button);
+        let prog = d.add_block("prog0", ProgrammableSpec::new(2, 2));
+        let g = d.add_block("g", ComputeKind::Not);
+        let tx = d.add_block("tx", CommKind::WirelessTx);
+        let h = d.add_block("h", ComputeKind::and2());
+        let o = d.add_block("o", OutputKind::Led);
+        d.connect((s, 0), (prog, 0)).unwrap();
+        d.connect((prog, 0), (g, 0)).unwrap();
+        d.connect((g, 0), (tx, 0)).unwrap();
+        d.connect((tx, 0), (h, 0)).unwrap();
+        d.connect((prog, 1), (h, 1)).unwrap();
+        d.connect((h, 0), (o, 0)).unwrap();
+
+        let idx = InnerIndex::new(&d);
+        assert_eq!(idx.blocks(), &[g, h]);
+        assert_wiring_matches(&d, &idx);
+        let (into_g, _) = idx.input_signals(0).next().unwrap();
+        assert_eq!(idx.driver(into_g), None, "a programmable driver");
+        let out_of_g = idx.driven_signals(0).start;
+        assert_eq!(
+            idx.sinks(out_of_g).collect::<Vec<_>>(),
+            vec![None],
+            "a comm sink"
+        );
+        // h reads tx and prog's second port: two more signals.
+        assert_eq!(idx.input_signals(1).count(), 2);
+        let cut = CutState::new(&idx, &idx.full_set());
+        assert_eq!(
+            cut.cost(),
+            CutCost {
+                inputs: 3,
+                outputs: 2
+            }
+        );
+        assert!(
+            cut.is_border(0) && cut.is_border(1),
+            "no wire joins g and h"
+        );
+    }
+
+    #[test]
+    fn one_port_fans_out_to_inner_and_output_sinks() {
+        // g drives h and the LED o1; h -> k -> o2. The inner blocks are
+        // added sinks first, so their positions run against the wires.
+        let mut d = Design::new("fan");
+        let k = d.add_block("k", ComputeKind::Not);
+        let h = d.add_block("h", ComputeKind::Not);
+        let g = d.add_block("g", ComputeKind::Not);
+        let s = d.add_block("s", SensorKind::Button);
+        let o1 = d.add_block("o1", OutputKind::Led);
+        let o2 = d.add_block("o2", OutputKind::Buzzer);
+        d.connect((s, 0), (g, 0)).unwrap();
+        d.connect((g, 0), (h, 0)).unwrap();
+        d.connect((g, 0), (o1, 0)).unwrap();
+        d.connect((h, 0), (k, 0)).unwrap();
+        d.connect((k, 0), (o2, 0)).unwrap();
+
+        let idx = InnerIndex::new(&d);
+        assert_eq!(idx.blocks(), &[k, h, g]);
+        assert_wiring_matches(&d, &idx);
+        let out_of_g = idx.driven_signals(2).start;
+        let mut sinks: Vec<_> = idx.sinks(out_of_g).collect();
+        sinks.sort();
+        assert_eq!(sinks, vec![None, Some(1)]);
+
+        let mut cut = CutState::new(&idx, &idx.full_set());
+        assert_eq!(
+            cut.cost(),
+            CutCost {
+                inputs: 1,
+                outputs: 2
+            }
+        );
+        assert!(!cut.is_border(1), "h reads g and feeds k");
+        assert_eq!(cut.rank(2), -1, "s stops entering; g's signal turns input");
+        cut.remove(2);
+        assert_eq!(
+            cut.cost(),
+            CutCost {
+                inputs: 1,
+                outputs: 1
+            }
+        );
+        assert!(cut.is_border(1), "h's input now comes from outside");
+        let only_g = CutState::new(&idx, &set(&idx, &[2]));
+        assert_eq!(
+            only_g.cost(),
+            CutCost {
+                inputs: 1,
+                outputs: 1
+            },
+            "g's signal leaves once for both outside sinks"
+        );
+    }
+
+    #[test]
+    fn one_signal_on_two_inputs_counts_once() {
+        // s drives both inputs of the AND b and the input of c.
+        let mut d = Design::new("twice");
+        let s = d.add_block("s", SensorKind::Button);
+        let b = d.add_block("b", ComputeKind::and2());
+        let c = d.add_block("c", ComputeKind::Not);
+        let o1 = d.add_block("o1", OutputKind::Led);
+        let o2 = d.add_block("o2", OutputKind::Buzzer);
+        d.connect((s, 0), (b, 0)).unwrap();
+        d.connect((s, 0), (b, 1)).unwrap();
+        d.connect((s, 0), (c, 0)).unwrap();
+        d.connect((b, 0), (o1, 0)).unwrap();
+        d.connect((c, 0), (o2, 0)).unwrap();
+
+        let idx = InnerIndex::new(&d);
+        assert_wiring_matches(&d, &idx);
+        let (signal, wires) = idx.input_signals(0).next().unwrap();
+        assert_eq!(
+            idx.input_signals(0).count(),
+            1,
+            "one signal, not one per wire"
+        );
+        assert_eq!(wires, 2);
+        assert_eq!(idx.num_sinks(signal), 3);
+
+        let both = CutState::new(&idx, &idx.full_set());
+        assert_eq!(
+            both.cost(),
+            CutCost {
+                inputs: 1,
+                outputs: 2
+            }
+        );
+        // c still reads s, so b's two wires must not make s stop entering.
+        assert_eq!(both.rank(0), -1);
+        assert_eq!(both.rank(1), -1);
+        // Alone, b's two wires are all of s's member sinks.
+        let only_b = CutState::new(&idx, &set(&idx, &[0]));
+        assert_eq!(
+            only_b.cost(),
+            CutCost {
+                inputs: 1,
+                outputs: 1
+            }
+        );
+        assert_eq!(only_b.rank(0), -2);
     }
 }

@@ -9,10 +9,11 @@
 //! * [`Design`] — a directed acyclic network of blocks wired port-to-port,
 //! * [`levels`] — the primary-input–based level
 //!   assignment used by code generation (§3.3 of the paper),
-//! * [`cut_cost`] — the input/output cost of a candidate
+//! * [`cut_cost`] / [`CutState`] — the input/output cost of a candidate
 //!   partition, the quantity bounded by a programmable block's pin budget,
-//! * [`BitSet`] / [`InnerIndex`] — compact node-set machinery shared by the
-//!   partitioning algorithms,
+//!   and the incremental form PareDown pares with,
+//! * [`BitSet`] / [`InnerIndex`] — compact node-set machinery and the dense
+//!   wiring tables shared by the partitioning algorithms,
 //! * a plain-text [`netlist`] format for serializing designs.
 //!
 //! # Example
@@ -57,7 +58,7 @@ pub mod truth_table;
 
 pub use bitset::{BitSet, InnerIndex};
 pub use block::Block;
-pub use cut::{cut_cost, CutCost};
+pub use cut::{cut_cost, CutCost, CutState};
 pub use design::{BlockId, Connection, Design, EdgeId};
 pub use endpoint::PortRef;
 pub use error::DesignError;

@@ -4,11 +4,14 @@
 //! connects to a block outside of the candidate partition. The block's rank
 //! is defined as the net increase or decrease in the combined indegree and
 //! outdegree of a candidate partition if that block is removed."
+//!
+//! Both are read off an [`eblocks_core::CutState`], which keeps the counts
+//! they need over the dense wiring `InnerIndex::new` builds once per design;
+//! neither query hashes. The functions here build a fresh state per call,
+//! for one-off queries; PareDown keeps one state per candidate instead.
 
-use eblocks_core::{BitSet, BlockId, Design, InnerIndex};
+use eblocks_core::{levels, BitSet, CutState, Design, InnerIndex};
 use std::cmp::Reverse;
-use std::collections::HashMap;
-use std::collections::HashSet;
 
 /// Dense positions (per the [`InnerIndex`]) of the border blocks of
 /// `members`: blocks whose inputs all come from outside the set, or whose
@@ -16,85 +19,15 @@ use std::collections::HashSet;
 ///
 /// A nonempty candidate always has at least one border block (the
 /// topologically first member has no member predecessors).
-pub fn border_blocks(design: &Design, index: &InnerIndex, members: &BitSet) -> Vec<usize> {
-    let inside = |b: BlockId| index.position(b).is_some_and(|p| members.contains(p));
-    members
-        .iter()
-        .filter(|&pos| {
-            let block = index.block(pos);
-            let any_input_inside = design.in_wires(block).any(|w| inside(w.from));
-            let any_output_inside = design.out_wires(block).any(|w| inside(w.to));
-            !any_input_inside || !any_output_inside
-        })
-        .collect()
+pub fn border_blocks(_design: &Design, index: &InnerIndex, members: &BitSet) -> Vec<usize> {
+    let cut = CutState::new(index, members);
+    members.iter().filter(|&pos| cut.is_border(pos)).collect()
 }
 
 /// The rank of member `pos` within `members`: the exact change in
 /// `inputs + outputs` of the candidate partition if the block were removed.
-///
-/// Computed locally from the block's neighborhood in `O(deg · fanout)`,
-/// without re-walking the whole candidate.
-pub fn rank_of(design: &Design, index: &InnerIndex, members: &BitSet, pos: usize) -> i64 {
-    let b = index.block(pos);
-    let inside = |x: BlockId| index.position(x).is_some_and(|p| members.contains(p));
-    let is_b = |x: BlockId| x == b;
-
-    let mut delta: i64 = 0;
-
-    // External source ports that drove only `b`: each leaves the input set.
-    let mut external_srcs: HashSet<(BlockId, u8)> = HashSet::new();
-    for w in design.in_wires(b) {
-        if !inside(w.from) {
-            external_srcs.insert((w.from, w.from_port));
-        }
-    }
-    for (src, port) in external_srcs {
-        let feeds_other_member = design
-            .sinks_of(src, port)
-            .any(|w| inside(w.to) && !is_b(w.to));
-        if !feeds_other_member {
-            delta -= 1;
-        }
-    }
-
-    // b's output ports: one becoming a new external input per port that
-    // drives a remaining member; one leaving the output set per port that
-    // was exposed (drove a non-member).
-    let block = design.block(b).expect("indexed block");
-    for port in 0..block.num_outputs() {
-        let mut drives_member = false;
-        let mut drives_outside = false;
-        for w in design.sinks_of(b, port) {
-            if inside(w.to) && !is_b(w.to) {
-                drives_member = true;
-            } else {
-                drives_outside = true;
-            }
-        }
-        if drives_member {
-            delta += 1;
-        }
-        if drives_outside {
-            delta -= 1;
-        }
-    }
-
-    // Member ports that drove `b` and nothing outside: each becomes newly
-    // exposed.
-    let mut member_srcs: HashSet<(BlockId, u8)> = HashSet::new();
-    for w in design.in_wires(b) {
-        if inside(w.from) {
-            member_srcs.insert((w.from, w.from_port));
-        }
-    }
-    for (src, port) in member_srcs {
-        let already_exposed = design.sinks_of(src, port).any(|w| !inside(w.to));
-        if !already_exposed {
-            delta += 1;
-        }
-    }
-
-    delta
+pub fn rank_of(_design: &Design, index: &InnerIndex, members: &BitSet, pos: usize) -> i64 {
+    CutState::new(index, members).rank(pos)
 }
 
 /// The full removal-priority key for a border block: least rank first, ties
@@ -118,40 +51,34 @@ pub struct RankKey {
 }
 
 impl RankKey {
-    /// Builds the key for member `pos` of `members`.
-    pub fn new(
-        design: &Design,
-        index: &InnerIndex,
-        members: &BitSet,
-        levels: &HashMap<BlockId, usize>,
-        pos: usize,
-    ) -> Self {
-        let block = index.block(pos);
-        Self {
-            rank: rank_of(design, index, members, pos),
-            indegree: Reverse(design.indegree(block)),
-            outdegree: Reverse(design.outdegree(block)),
-            level: Reverse(levels.get(&block).copied().unwrap_or(0)),
-            position: pos,
-        }
-    }
-
-    /// Like [`RankKey::new`] but with the paper's §4.2 tie-break criteria
-    /// disabled — rank ties fall straight through to the deterministic
-    /// position order. Used by the tie-break ablation study.
-    pub fn without_tie_breaks(
-        design: &Design,
-        index: &InnerIndex,
-        members: &BitSet,
-        pos: usize,
-    ) -> Self {
-        Self {
-            rank: rank_of(design, index, members, pos),
+    /// Every inner block's key with `rank` left at 0: the parts that do not
+    /// change while a candidate is pared, computed once per run. With
+    /// `tie_breaks` off, the paper's §4.2 criteria are zeroed so rank ties
+    /// fall straight through to the position order (the tie-break
+    /// ablation).
+    pub(crate) fn unranked(design: &Design, index: &InnerIndex, tie_breaks: bool) -> Vec<RankKey> {
+        let untied = |position| RankKey {
+            rank: 0,
             indegree: Reverse(0),
             outdegree: Reverse(0),
             level: Reverse(0),
-            position: pos,
+            position,
+        };
+        if !tie_breaks {
+            return (0..index.len()).map(untied).collect();
         }
+        let level = levels(design);
+        index
+            .blocks()
+            .iter()
+            .enumerate()
+            .map(|(position, &block)| RankKey {
+                indegree: Reverse(design.indegree(block)),
+                outdegree: Reverse(design.outdegree(block)),
+                level: Reverse(level[&block]),
+                ..untied(position)
+            })
+            .collect()
     }
 }
 

@@ -40,16 +40,16 @@ impl PartitionConstraints {
     /// the caller's decision point (a fitting singleton is handled specially
     /// by every algorithm).
     pub fn fits(&self, design: &Design, index: &InnerIndex, members: &BitSet) -> bool {
-        if !self.cost_fits(cut_cost(design, index, members)) {
-            return false;
-        }
-        if self.require_convex && !eblocks_core::cut::is_convex(design, index, members) {
-            return false;
-        }
-        if self.require_connected && !is_connected(design, index, members) {
-            return false;
-        }
-        true
+        self.cost_fits(cut_cost(design, index, members))
+            && self.structure_fits(design, index, members)
+    }
+
+    /// Whether a member set meets the enabled structural constraints
+    /// (convexity, connectivity), ignoring the pin budget. Callers that
+    /// track pins themselves run this only once the pins fit.
+    pub fn structure_fits(&self, design: &Design, index: &InnerIndex, members: &BitSet) -> bool {
+        (!self.require_convex || eblocks_core::cut::is_convex(design, index, members))
+            && (!self.require_connected || is_connected(design, index, members))
     }
 }
 

@@ -24,7 +24,6 @@ use crate::constraints::PartitionConstraints;
 use crate::pare_down::pare_down;
 use crate::result::Partitioning;
 use eblocks_core::{BitSet, BlockId, Design, InnerIndex};
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Options for [`exhaustive`].
@@ -168,7 +167,7 @@ impl Search<'_> {
         for bin_idx in 0..self.bins.len() {
             self.assignment[i] = Bin(bin_idx);
             self.bins[bin_idx].insert(i);
-            if self.paper_pruning_only || self.permanent_demand_ok(bin_idx, i + 1) {
+            if self.paper_pruning_only || self.pins_fit(&self.bins[bin_idx], i + 1) {
                 self.dfs(i + 1);
             }
             self.bins[bin_idx].remove(i);
@@ -184,7 +183,7 @@ impl Search<'_> {
             members.insert(i);
             self.bins.push(members);
             self.assignment[i] = Bin(bin_idx);
-            if self.paper_pruning_only || self.permanent_demand_ok(bin_idx, i + 1) {
+            if self.paper_pruning_only || self.pins_fit(&self.bins[bin_idx], i + 1) {
                 self.dfs(i + 1);
             }
             self.bins.pop();
@@ -193,54 +192,55 @@ impl Search<'_> {
         self.assignment[i] = Unassigned;
     }
 
-    /// Sound lower bound on partition `bin_idx`'s eventual pin demand, given
-    /// that only blocks with dense position `>= next` may still join it.
-    /// Signals to/from sensors, outputs, and already-assigned blocks are
-    /// permanent.
-    fn permanent_demand_ok(&self, bin_idx: usize, next: usize) -> bool {
-        let bin = &self.bins[bin_idx];
-        let mut permanent_inputs: HashSet<(BlockId, u8)> = HashSet::new();
-        let mut permanent_outputs: HashSet<(BlockId, u8)> = HashSet::new();
-
+    /// Whether `bin`'s *permanent* pin demand fits the budget, given that
+    /// only blocks with dense position `>= next` may still join it: a sound
+    /// lower bound on its eventual demand. Signals to/from sensors,
+    /// outputs, and already-assigned blocks (every inner block below
+    /// `next`) are permanent, so at `next == n` this is the exact demand.
+    /// Reads the index's wiring and stops as soon as a count passes the
+    /// budget.
+    fn pins_fit(&self, bin: &BitSet, next: usize) -> bool {
+        let index = self.index;
+        let spec = self.constraints.spec;
+        let settled_outside = |end: Option<usize>| end.is_none_or(|p| p < next && !bin.contains(p));
+        let (mut inputs, mut outputs) = (0, 0);
         for pos in bin.iter() {
-            let block = self.index.block(pos);
-            for w in self.design.in_wires(block) {
-                match self.index.position(w.from) {
-                    // Non-inner sources (sensors, comm) can never join.
-                    None => {
-                        permanent_inputs.insert((w.from, w.from_port));
-                    }
-                    Some(p) => {
-                        if bin.contains(p) {
-                            continue; // internal signal
-                        }
-                        // Assigned elsewhere: permanent. Unassigned (p >=
-                        // next): might still join, not permanent.
-                        if p < next && self.assignment[p] != Bin(bin_idx) {
-                            permanent_inputs.insert((w.from, w.from_port));
-                        }
+            for (signal, _) in index.input_signals(pos) {
+                // An entering signal counts once, at its first member sink.
+                let first_sink = || {
+                    !index
+                        .sinks(signal)
+                        .flatten()
+                        .any(|p| p < pos && bin.contains(p))
+                };
+                if settled_outside(index.driver(signal)) && first_sink() {
+                    inputs += 1;
+                    if inputs > usize::from(spec.inputs) {
+                        return false;
                     }
                 }
             }
-            for w in self.design.out_wires(block) {
-                let permanent = match self.index.position(w.to) {
-                    None => true,
-                    Some(p) => !bin.contains(p) && p < next && self.assignment[p] != Bin(bin_idx),
-                };
-                if permanent {
-                    permanent_outputs.insert((w.from, w.from_port));
+            for signal in index.driven_signals(pos) {
+                if index.sinks(signal).any(settled_outside) {
+                    outputs += 1;
+                    if outputs > usize::from(spec.outputs) {
+                        return false;
+                    }
                 }
             }
         }
-
-        permanent_inputs.len() <= self.constraints.spec.inputs as usize
-            && permanent_outputs.len() <= self.constraints.spec.outputs as usize
+        true
     }
 
     fn consider_leaf(&mut self) {
         let open: Vec<&BitSet> = self.bins.iter().filter(|b| !b.is_empty()).collect();
         for bin in &open {
-            if bin.len() < 2 || !self.constraints.fits(self.design, self.index, bin) {
+            if bin.len() < 2
+                || !self.pins_fit(bin, self.n)
+                || !self
+                    .constraints
+                    .structure_fits(self.design, self.index, bin)
+            {
                 return;
             }
         }

@@ -9,9 +9,12 @@
 //! object-safe [`Partitioner`] strategy (see [`strategy`] and [`Registry`]
 //! for runtime selection):
 //!
-//! * [`pare_down`](fn@pare_down) — the paper's contribution: an `O(n²)` *decomposition*
+//! * [`pare_down`](fn@pare_down) — the paper's contribution: a *decomposition*
 //!   heuristic that starts from all inner blocks as one candidate partition
-//!   and pares border blocks away by rank until the candidate fits (§4.2),
+//!   and pares border blocks away by rank until the candidate fits (§4.2).
+//!   A removal step costs `O(m)` for a candidate of `m` blocks (one scan
+//!   for the least rank over incrementally kept counts); a run takes up to
+//!   `O(n²)` steps, about `n²/5` on generated designs, so `O(n³)` at worst,
 //! * [`exhaustive`](fn@exhaustive) — optimal branch search over all assignments of blocks to
 //!   partitions, with the paper's empty-partition symmetry pruning plus sound
 //!   bound pruning (§4.1),

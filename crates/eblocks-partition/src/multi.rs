@@ -5,20 +5,19 @@
 //! varying compute block costs."
 //!
 //! [`pare_down_multi`] runs the PareDown decomposition against a *catalog*
-//! of programmable block types: candidates are pared until they fit the
-//! most permissive catalog entry, and each accepted partition is then
-//! assigned the **cheapest** catalog block that accommodates it. Whether a
-//! partition is worth keeping is decided by cost, not block count: a
-//! partition is dissolved back to pre-defined blocks if replacing it would
-//! cost more than the blocks it covers (generalizing the paper's fixed
-//! "single-node partitions are invalid" rule, which is the special case of
-//! a programmable block costing more than one pre-defined block but less
-//! than two).
+//! of programmable block types: candidates are pared until *some* catalog
+//! entry accommodates them, and each accepted partition is then assigned
+//! the **cheapest** such entry. Whether a partition is worth keeping is
+//! decided by cost, not block count: a partition is dissolved back to
+//! pre-defined blocks if replacing it would cost more than the blocks it
+//! covers (generalizing the paper's fixed "single-node partitions are
+//! invalid" rule, which is the special case of a programmable block
+//! costing more than one pre-defined block but less than two).
 
-use crate::border::{border_blocks, RankKey};
 use crate::constraints::PartitionConstraints;
+use crate::pare_down::Paring;
 use crate::result::Partitioning;
-use eblocks_core::{cut_cost, levels, BlockId, Design, InnerIndex, ProgrammableSpec};
+use eblocks_core::{BlockId, CutState, Design, InnerIndex, ProgrammableSpec};
 
 /// A catalog of available programmable block types with costs.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,9 +50,9 @@ impl BlockCatalog {
         }
     }
 
-    /// The most permissive pin budget in the catalog (used as the paring
-    /// target: any candidate fitting *some* catalog entry fits this
-    /// envelope).
+    /// The most permissive pin budget in the catalog: any candidate
+    /// fitting *some* catalog entry fits this envelope (the converse holds
+    /// only when the entries nest).
     pub fn envelope(&self) -> ProgrammableSpec {
         let inputs = self
             .programmable
@@ -108,7 +107,7 @@ impl MultiPartitioning {
 /// PareDown against a block catalog.
 ///
 /// Structural constraints (`require_convex` / `require_connected`) are taken
-/// from `constraints`; the pin budget is the catalog envelope during paring,
+/// from `constraints`; the pin budget is any catalog entry during paring,
 /// and per-partition assignment picks the cheapest fitting type. Partitions
 /// that would cost more than the pre-defined blocks they replace are
 /// dissolved.
@@ -117,51 +116,36 @@ pub fn pare_down_multi(
     constraints: &PartitionConstraints,
     catalog: &BlockCatalog,
 ) -> MultiPartitioning {
-    let envelope = PartitionConstraints {
-        spec: catalog.envelope(),
-        ..*constraints
-    };
-
     let index = InnerIndex::new(design);
-    let level_map = levels(design);
+    let paring = Paring::new(design, &index, constraints, true);
     let mut remaining = index.full_set();
     let mut partitions: Vec<Vec<BlockId>> = Vec::new();
     let mut assignments: Vec<(ProgrammableSpec, f64)> = Vec::new();
     let mut uncovered: Vec<BlockId> = Vec::new();
 
     while !remaining.is_empty() {
-        let mut candidate = remaining.clone();
-        loop {
-            let fits = envelope.fits(design, &index, &candidate);
-            if fits && !candidate.is_empty() {
-                let cost = cut_cost(design, &index, &candidate);
-                let replaced = candidate.len() as f64 * catalog.predefined_cost;
-                let choice = catalog.cheapest_fitting(cost.inputs, cost.outputs);
-                match choice {
-                    Some((spec, block_cost)) if block_cost < replaced => {
-                        partitions.push(index.resolve(&candidate));
-                        assignments.push((spec, block_cost));
-                    }
-                    _ => {
-                        // Not economical (or nothing fits): stay pre-defined.
-                        uncovered.extend(index.resolve(&candidate));
-                    }
-                }
-                remaining.difference_with(&candidate);
-                break;
+        let mut candidate = CutState::new(&index, &remaining);
+        let fits = paring.pare(
+            &mut candidate,
+            |cost| {
+                catalog
+                    .cheapest_fitting(cost.inputs, cost.outputs)
+                    .is_some()
+            },
+            None,
+        );
+        remaining.difference_with(candidate.members());
+        let members = index.resolve(candidate.members());
+        let cost = candidate.cost();
+        let replaced = members.len() as f64 * catalog.predefined_cost;
+        match catalog.cheapest_fitting(cost.inputs, cost.outputs) {
+            Some((spec, block_cost)) if fits && block_cost < replaced => {
+                partitions.push(members);
+                assignments.push((spec, block_cost));
             }
-            if candidate.len() == 1 {
-                let pos = candidate.iter().next().expect("len == 1");
-                uncovered.push(index.block(pos));
-                remaining.difference_with(&candidate);
-                break;
-            }
-            let key = border_blocks(design, &index, &candidate)
-                .into_iter()
-                .map(|pos| RankKey::new(design, &index, &candidate, &level_map, pos))
-                .min()
-                .expect("nonempty candidates have border blocks");
-            candidate.remove(key.position);
+            // Not economical, or a lone block no entry fits: stay
+            // pre-defined.
+            _ => uncovered.extend(members),
         }
     }
 
@@ -310,6 +294,44 @@ mod tests {
         };
         assert_eq!(empty.envelope(), ProgrammableSpec::new(0, 0));
         assert_eq!(empty.cheapest_fitting(0, 0), None);
+    }
+
+    #[test]
+    fn non_nested_catalog_pares_until_an_entry_fits() {
+        // s1 -> a1 -> a2 -> o1 and s2 -> b1 -> o2. All three blocks need
+        // 2 in / 2 out: inside the envelope (4, 4) but in neither entry, so
+        // the candidate must be pared (b1 goes), not dissolved whole.
+        let mut d = Design::new("two-chains");
+        let s1 = d.add_block("s1", SensorKind::Button);
+        let s2 = d.add_block("s2", SensorKind::Motion);
+        let a1 = d.add_block("a1", ComputeKind::Not);
+        let a2 = d.add_block("a2", ComputeKind::Not);
+        let b1 = d.add_block("b1", ComputeKind::Not);
+        let o1 = d.add_block("o1", OutputKind::Led);
+        let o2 = d.add_block("o2", OutputKind::Buzzer);
+        d.connect((s1, 0), (a1, 0)).unwrap();
+        d.connect((a1, 0), (a2, 0)).unwrap();
+        d.connect((a2, 0), (o1, 0)).unwrap();
+        d.connect((s2, 0), (b1, 0)).unwrap();
+        d.connect((b1, 0), (o2, 0)).unwrap();
+
+        let wide_in = (ProgrammableSpec::new(4, 1), 1.2);
+        let wide_out = (ProgrammableSpec::new(1, 4), 1.2);
+        let c = PartitionConstraints::default();
+        for programmable in [vec![wide_in], vec![wide_in, wide_out]] {
+            let catalog = BlockCatalog {
+                programmable,
+                predefined_cost: 1.0,
+            };
+            let multi = pare_down_multi(&d, &c, &catalog);
+            assert_eq!(multi.partitioning.partitions(), &[vec![a1, a2]]);
+            assert_eq!(multi.partitioning.uncovered(), &[b1]);
+            assert!(
+                (multi.total_cost - 2.2).abs() < 1e-9,
+                "{}",
+                multi.total_cost
+            );
+        }
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! * every partitioning result is structurally sound (`verify`),
 //! * the optimal search is never beaten by a heuristic,
 //! * local rank computation equals full cut-cost recomputation,
+//! * the incremental cut state agrees with a fresh one after every removal,
+//!   and both with the §4 pin count taken straight from the design's wires,
 //! * netlists round-trip, and
 //! * simulation is deterministic.
 
-use eblocks::core::{cut_cost, netlist, BitSet, InnerIndex};
+use eblocks::core::{cut_cost, netlist, BitSet, BlockId, CutCost, CutState, Design, InnerIndex};
 use eblocks::gen::{generate, generate_family, Family, GeneratorConfig};
 use eblocks::partition::rank_of;
 use eblocks::partition::{
@@ -23,6 +25,56 @@ fn small_design_strategy() -> impl Strategy<Value = (usize, u64)> {
 
 fn medium_design_strategy() -> impl Strategy<Value = (usize, u64)> {
     (1usize..=40, any::<u64>())
+}
+
+/// Designs up to 90 inner blocks, so member sets span two `BitSet` words.
+const WIDE: usize = 90;
+
+/// The §4 pin demand counted directly from the design's wires: distinct
+/// `(block, port)` signals entering and leaving `members`.
+fn reference_cut_cost(design: &Design, index: &InnerIndex, members: &BitSet) -> CutCost {
+    use std::collections::HashSet;
+    let inside = |b: BlockId| index.position(b).is_some_and(|p| members.contains(p));
+    let mut entering = HashSet::new();
+    let mut leaving = HashSet::new();
+    for w in design.wires() {
+        match (inside(w.from), inside(w.to)) {
+            (false, true) => entering.insert((w.from, w.from_port)),
+            (true, false) => leaving.insert((w.from, w.from_port)),
+            _ => false,
+        };
+    }
+    CutCost {
+        inputs: entering.len(),
+        outputs: leaving.len(),
+    }
+}
+
+/// `design` rebuilt with its blocks added in the order of `keys`, so inner
+/// positions need not follow the wires as they do in generated designs.
+fn reordered(design: &Design, keys: &[u64]) -> Design {
+    let mut blocks: Vec<BlockId> = design.blocks().collect();
+    blocks.sort_by_key(|b| keys[b.index() % keys.len()]);
+    let mut out = Design::new(design.name());
+    let mut ids = std::collections::HashMap::new();
+    for b in blocks {
+        let block = design.block(b).expect("a block of the design");
+        ids.insert(b, out.add_block(block.name(), block.kind()));
+    }
+    for w in design.wires() {
+        out.connect((ids[&w.from], w.from_port), (ids[&w.to], w.to_port))
+            .expect("the same wires connect");
+    }
+    out
+}
+
+/// §4.2's border test taken from the design's wires: every input or every
+/// output of member `pos` connects outside `members`.
+fn reference_is_border(design: &Design, index: &InnerIndex, members: &BitSet, pos: usize) -> bool {
+    let inside = |b: BlockId| index.position(b).is_some_and(|p| members.contains(p));
+    let block = index.block(pos);
+    !design.in_wires(block).any(|w| inside(w.from))
+        || !design.out_wires(block).any(|w| inside(w.to))
 }
 
 proptest! {
@@ -59,21 +111,82 @@ proptest! {
     }
 
     #[test]
-    fn rank_matches_recompute((inner, seed) in (2usize..=15, any::<u64>()), member_bits in any::<u32>()) {
+    fn rank_matches_recompute(
+        (inner, seed) in (2usize..=WIDE, any::<u64>()),
+        member_bits in prop::collection::vec(any::<bool>(), WIDE),
+    ) {
         let design = generate(&GeneratorConfig::new(inner), seed);
         let index = InnerIndex::new(&design);
         let mut members = BitSet::new(index.len());
-        for i in 0..index.len() {
-            if (member_bits >> (i % 32)) & 1 == 1 || i == 0 {
+        for (i, &member) in member_bits.iter().enumerate().take(index.len()) {
+            if member || i == 0 {
                 members.insert(i);
             }
         }
-        let before = cut_cost(&design, &index, &members).total() as i64;
+        let before = cut_cost(&design, &index, &members);
+        prop_assert_eq!(before, reference_cut_cost(&design, &index, &members));
         for pos in members.iter() {
             let mut without = members.clone();
             without.remove(pos);
             let after = cut_cost(&design, &index, &without).total() as i64;
-            prop_assert_eq!(rank_of(&design, &index, &members, pos), after - before);
+            prop_assert_eq!(rank_of(&design, &index, &members, pos), after - before.total() as i64);
+        }
+    }
+
+    #[test]
+    fn cut_state_tracks_every_removal(
+        (inner, seed) in (2usize..=WIDE, any::<u64>()),
+        block_keys in prop::collection::vec(any::<u64>(), WIDE),
+        order_keys in prop::collection::vec(any::<u64>(), WIDE),
+    ) {
+        let design = reordered(&generate(&GeneratorConfig::new(inner), seed), &block_keys);
+        let index = InnerIndex::new(&design);
+        let mut order: Vec<usize> = (0..index.len()).collect();
+        order.sort_by_key(|&pos| order_keys[pos]);
+        let mut state = CutState::new(&index, &index.full_set());
+        for pos in order {
+            state.remove(pos);
+            let fresh = CutState::new(&index, state.members());
+            prop_assert_eq!(state.cost(), fresh.cost());
+            prop_assert_eq!(state.cost(), reference_cut_cost(&design, &index, state.members()));
+            for p in state.members().iter() {
+                prop_assert_eq!(state.is_border(p), fresh.is_border(p));
+                prop_assert_eq!(
+                    state.is_border(p),
+                    reference_is_border(&design, &index, state.members(), p)
+                );
+                prop_assert_eq!(state.rank(p), fresh.rank(p));
+            }
+        }
+    }
+
+    /// A synthesized netlist read back has programmable blocks driving and
+    /// reading the inner blocks left over; the wiring table must treat them
+    /// as outside ends like sensors and outputs.
+    #[test]
+    fn synthesized_netlists_cut_like_the_reference(
+        (inner, seed) in (2usize..=30, any::<u64>()),
+        member_bits in prop::collection::vec(any::<bool>(), 30),
+    ) {
+        use eblocks::synth::{synthesize, SynthesisOptions};
+        let design = generate(&GeneratorConfig::new(inner), seed);
+        let options = SynthesisOptions { verify: false, ..SynthesisOptions::default() };
+        let synthesized = synthesize(&design, &options).expect("synthesis").synthesized;
+        let back = netlist::from_netlist(&netlist::to_netlist(&synthesized)).expect("read back");
+        let index = InnerIndex::new(&back);
+        let mut members = BitSet::new(index.len());
+        for i in (0..index.len()).filter(|&i| member_bits[i]) {
+            members.insert(i);
+        }
+        let state = CutState::new(&index, &members);
+        let before = reference_cut_cost(&back, &index, &members);
+        prop_assert_eq!(state.cost(), before);
+        for pos in members.iter() {
+            prop_assert_eq!(state.is_border(pos), reference_is_border(&back, &index, &members, pos));
+            let mut without = members.clone();
+            without.remove(pos);
+            let after = reference_cut_cost(&back, &index, &without);
+            prop_assert_eq!(state.rank(pos), after.total() as i64 - before.total() as i64);
         }
     }
 
