@@ -30,8 +30,8 @@ fn main() {
     for inner in [6usize, 9, 12] {
         let (mut opt_sum, mut pd_sum, mut notb_sum, mut agg_sum) = (0usize, 0, 0, 0);
         let (mut tb_wins, mut tb_losses) = (0usize, 0usize);
-        for seed in 0..count {
-            let d = generate(&GeneratorConfig::new(inner), 7000 + seed);
+        for seed in (0..count).map(|i| 7000 + i) {
+            let d = generate(&GeneratorConfig::new(inner), seed);
             let opt = exhaustive(
                 &d,
                 &constraints,
@@ -39,6 +39,10 @@ fn main() {
                     time_limit: Some(Duration::from_secs(5)),
                     ..Default::default()
                 },
+            );
+            assert!(
+                opt.is_complete(),
+                "exhaustive search cut short on n={inner} seed {seed}"
             );
             let pd = pare_down(&d, &constraints);
             let notb = pare_down_no_tie_breaks(&d, &constraints);

@@ -29,20 +29,25 @@ fn main() {
     );
     for family in Family::ALL {
         let mut sums = [0usize; 4];
-        for seed in 0..count {
-            let d = generate_family(family, 10, 51_000 + seed);
+        for seed in (0..count).map(|i| 51_000 + i) {
+            let d = generate_family(family, 10, seed);
             sums[0] += pare_down(&d, &constraints).inner_total();
             sums[1] += pare_down_refined(&d, &constraints).inner_total();
             sums[2] += anneal(&d, &constraints, &anneal_cfg).inner_total();
-            sums[3] += exhaustive(
+            let opt = exhaustive(
                 &d,
                 &constraints,
                 ExhaustiveOptions {
                     time_limit: Some(Duration::from_secs(10)),
                     ..Default::default()
                 },
-            )
-            .inner_total();
+            );
+            assert!(
+                opt.is_complete(),
+                "exhaustive search cut short on {} seed {seed}",
+                family.name()
+            );
+            sums[3] += opt.inner_total();
         }
         let avg = |s: usize| s as f64 / count as f64;
         println!(

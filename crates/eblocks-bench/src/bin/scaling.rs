@@ -1,10 +1,15 @@
 //! Reproduces the §5.2 runtime claims:
 //!
-//! * exhaustive search is fine to ~10 inner blocks, painful at 11–13, and
-//!   hopeless beyond ("did not conclude after four hours" at 14);
+//! * the paper's exhaustive search is fine to ~10 inner blocks, painful at
+//!   11–13, and hopeless beyond ("did not conclude after four hours" at 14)
+//!   — the paper-faithful column, up to 14 blocks;
 //! * PareDown "continues to process large designs in a reasonable amount of
 //!   time", including a 465-inner-node design (80 s on the paper's 2 GHz
 //!   Athlon XP under Java; far faster here — the *shape* is the claim).
+//!
+//! Next to the paper's search runs the exact cover solver `exhaustive` uses,
+//! with its candidate-set count (its deterministic work measure) under the
+//! paper's 2-in/2-out budget and under 3-in/3-out, up to 25 blocks.
 //!
 //! Plus two north-star scaling sections beyond the paper: parallel anneal
 //! restarts, and batch-synthesis speedup (sequential vs N farm workers over
@@ -13,55 +18,63 @@
 //! Usage: `cargo run --release -p eblocks-bench --bin scaling [exh_limit_s]`
 
 use eblocks_bench::{exhaustive_with_limit, fmt_time, run_partitioner};
+use eblocks_core::{InnerIndex, ProgrammableSpec};
 use eblocks_farm::{run_batch, Batch, FarmConfig, Job, JsonOptions};
 use eblocks_gen::{generate, GeneratorConfig};
 use eblocks_partition::strategy::{Anneal, PareDown};
-use eblocks_partition::{pare_down_traced, AnnealConfig, PartitionConstraints, TraceEvent};
-use std::time::Duration;
+use eblocks_partition::{
+    candidate_sets, exhaustive, pare_down_traced, AnnealConfig, ExhaustiveOptions,
+    PartitionConstraints, TraceEvent,
+};
+use std::time::{Duration, Instant};
+
+/// The largest design the paper-faithful search runs on.
+const PAPER_FAITHFUL_MAX: usize = 14;
 
 fn main() {
     let exh_limit_s: u64 = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(10);
+    let limit = Duration::from_secs(exh_limit_s);
     let constraints = PartitionConstraints::default();
+    let wide = PartitionConstraints::with_spec(ProgrammableSpec::new(3, 3));
+    let done = |complete: bool| if complete { "yes" } else { "TIMEOUT" };
 
     println!("Exhaustive search scaling (time limit {exh_limit_s}s per design):");
     println!(
-        "{:>6} {:>14} {:>10} | {:>16} {:>10}",
-        "inner", "pruned", "complete?", "paper-faithful", "complete?"
+        "{:>6} {:>12} {:>10} {:>6} | {:>16} {:>10} | {:>9}",
+        "inner", "exact cover", "complete?", "sets", "paper-faithful", "complete?", "sets 3x3"
     );
-    for inner in [6, 8, 10, 11, 12, 13, 14] {
+    for inner in [6, 8, 10, 11, 12, 13, 14, 20, 25] {
         let design = generate(&GeneratorConfig::new(inner), 4242 + inner as u64);
-        let t = run_partitioner(
-            &design,
-            &constraints,
-            &exhaustive_with_limit(Duration::from_secs(exh_limit_s)),
-        );
+        let index = InnerIndex::new(&design);
+        let t = run_partitioner(&design, &constraints, &exhaustive_with_limit(limit));
         // Paper-faithful mode: only the §4.1 symmetry pruning, no incumbent
         // seeding — the configuration whose runtime Table 2 reports.
-        let start = std::time::Instant::now();
-        let raw = eblocks_partition::exhaustive(
-            &design,
-            &constraints,
-            eblocks_partition::ExhaustiveOptions {
-                time_limit: Some(Duration::from_secs(exh_limit_s)),
-                paper_pruning_only: true,
-                ..Default::default()
-            },
-        );
-        let raw_elapsed = start.elapsed();
+        let (paper_time, paper_done) = if inner <= PAPER_FAITHFUL_MAX {
+            let start = Instant::now();
+            let raw = exhaustive(
+                &design,
+                &constraints,
+                ExhaustiveOptions {
+                    time_limit: Some(limit),
+                    paper_pruning_only: true,
+                },
+            );
+            (fmt_time(start.elapsed()), done(raw.is_complete()))
+        } else {
+            ("--".to_string(), "--")
+        };
         println!(
-            "{:>6} {:>14} {:>10} | {:>16} {:>10}",
+            "{:>6} {:>12} {:>10} {:>6} | {:>16} {:>10} | {:>9}",
             inner,
             fmt_time(t.elapsed),
-            if t.result.is_complete() {
-                "yes"
-            } else {
-                "TIMEOUT"
-            },
-            fmt_time(raw_elapsed),
-            if raw.is_complete() { "yes" } else { "TIMEOUT" }
+            done(t.result.is_complete()),
+            candidate_sets(&design, &index, &constraints).len(),
+            paper_time,
+            paper_done,
+            candidate_sets(&design, &index, &wide).len(),
         );
     }
 

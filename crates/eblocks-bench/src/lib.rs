@@ -20,9 +20,11 @@
 //!   energy before vs after synthesis on every library design.
 //!
 //! Absolute times will differ from the paper's 2 GHz Athlon XP + Java
-//! numbers by orders of magnitude; the *shape* (exhaustive explodes past
-//! ~11–13 inner blocks, PareDown stays near-instant and near-optimal) is
-//! the reproduction target. The end-to-end and per-layer benchmark of the
+//! numbers by orders of magnitude; the *shape* (the paper's exhaustive
+//! enumeration explodes past ~11–13 inner blocks, PareDown stays
+//! near-instant and near-optimal) is the reproduction target. The
+//! `exhaustive` strategy itself is an exact cover solver that goes well past
+//! that wall; `scaling` sets the two side by side. The end-to-end and per-layer benchmark of the
 //! whole toolchain lives apart from these bins; see `perfbench/README.md`.
 
 #![forbid(unsafe_code)]
@@ -92,8 +94,8 @@ pub fn run_partitioner(
     timed(|| partitioner.partition(design, constraints))
 }
 
-/// The exhaustive strategy with a per-design time budget (it returns its
-/// incumbent on expiry).
+/// The exhaustive strategy with a per-design time budget (it returns
+/// PareDown's result, marked incomplete, on expiry).
 pub fn exhaustive_with_limit(limit: Duration) -> Exhaustive {
     Exhaustive {
         options: ExhaustiveOptions {

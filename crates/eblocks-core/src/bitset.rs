@@ -1,8 +1,9 @@
 //! Compact node-set machinery for the partitioning algorithms.
 //!
-//! Candidate partitions are sets of inner blocks; the exhaustive search
-//! manipulates millions of them, so we map inner blocks to a dense range
-//! `0..n` ([`InnerIndex`]) and represent sets as word-packed bit vectors
+//! Candidate partitions are sets of inner blocks, and the partitioners
+//! build, compare and hash many of them (the exact search memoizes on the
+//! set of blocks left), so we map inner blocks to a dense range `0..n`
+//! ([`InnerIndex`]) and represent sets as word-packed bit vectors
 //! ([`BitSet`]).
 //!
 //! [`InnerIndex::new`] is also where the design's wiring is read, once per
@@ -10,7 +11,7 @@
 //! port)` that touches an inner block) gets a dense id with its driver and
 //! its sinks, and every inner block lists the signals it reads and drives.
 //! The partitioners' hot paths — [`crate::CutState`], the exhaustive
-//! search's pin checks — read only these tables and positions, so they do
+//! search's pin counts — read only these tables and positions, so they do
 //! no hashing.
 
 use crate::design::{BlockId, Design};

@@ -62,7 +62,7 @@ pub struct JobStats {
     /// Programmable blocks (number of partitions).
     pub partitions: usize,
     /// Whether the strategy ran to completion (false: a time-limited
-    /// search returned its incumbent).
+    /// search returned a result it did not prove optimal).
     pub complete: bool,
     /// Total bytes of emitted C across the job's programmable blocks
     /// (0 in partition-only mode).

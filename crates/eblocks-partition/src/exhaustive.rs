@@ -1,265 +1,522 @@
-//! Optimal exhaustive search (§4.1).
+//! Optimal partitioning (§4.1), solved as a min-cost cover over the sets of
+//! blocks that fit a programmable block.
 //!
-//! Enumerates every assignment of inner blocks to partitions-or-uncovered,
-//! with the paper's symmetry pruning ("all empty programmable blocks in a
-//! combination are indistinguishable": a block may only open the *first*
-//! unused partition). On top of that we add sound pruning that the paper did
-//! not need at its scale:
+//! Whether a set of inner blocks can become one programmable block depends
+//! only on that set ([`PartitionConstraints::fits`]), and a small pin budget
+//! admits few such sets. Call a set of two or more blocks that fits a
+//! *candidate set*: Timed Passage, the largest Table 1 design, has 23 inner
+//! blocks, 8.4M subsets and 161 candidate sets under 2-in/2-out. A
+//! partitioning is a choice of disjoint candidate sets, and its cost is
+//! [`Partitioning::objective`]: one inner block per chosen set plus one per
+//! block left uncovered, then fewer uncovered blocks. [`exhaustive`] finds an
+//! optimal one in two steps.
 //!
-//! * **objective bound** — abandon a prefix whose already-committed cost
-//!   cannot beat the incumbent (the incumbent is seeded with the PareDown
-//!   result, so the search starts with a strong bound);
-//! * **permanent-pin bound** — abandon a prefix as soon as a partition's
-//!   *permanent* pin demand (signals from sensors or from blocks that can no
-//!   longer join the partition) exceeds the budget. Plain partial-cost
-//!   pruning would be unsound because adding a block can *reduce* a
-//!   partition's pin demand (convergence), but permanent demand only grows;
-//! * **singleton feasibility** — abandon a prefix whose single-member
-//!   partitions outnumber the blocks still unassigned.
+//! **Candidate sets, exactly.** [`candidate_sets`] decides the blocks in
+//! position order, each in or out of the set, and abandons a branch once the
+//! set's *permanent* pin demand passes the budget: the signals that cross
+//! its boundary however the undecided blocks go, because their other end is
+//! a sensor, an output, or a decided block outside the set. Deciding a block
+//! never removes a permanent crossing, so this bound only grows along a
+//! branch and the pruning drops no fitting set. Growing sets through fitting
+//! subsets only would miss some: adding a block can *lower* a set's demand,
+//! when it absorbs signals that crossed the boundary.
 //!
-//! An optional time limit makes the search usable inside sweeps; on expiry
-//! the incumbent is returned with [`Partitioning::is_complete`] `== false`.
+//! **Cover.** The search memoizes on the set `R` of blocks not yet decided
+//! and branches on the lowest block `i` of `R`: leave `i` uncovered, or give
+//! it a candidate set whose lowest member is `i` and which lies inside `R`.
+//! There is no bound against an incumbent, so a memo entry depends on its
+//! state alone.
+//!
+//! **Which optimum.** Among partitionings of equal objective the result is
+//! fixed. It is PareDown's when that is optimal. Otherwise it is the one with
+//! the least *labeling*: each block, in position order, is labeled uncovered
+//! (least) or with its partition's number, partitions numbered by their
+//! lowest member. The order of two labelings that agree outside `R` depends
+//! only on the labels of `R`'s blocks, so the least optimal labeling of `R`
+//! is the least choice for `i` followed by the least labeling of what
+//! remains. The search therefore settles ties state by state: uncovered beats
+//! any set, and of two sets the one whose labeling of `R` is less wins.
+//!
+//! **Deadline.** With [`ExhaustiveOptions::time_limit`] both steps read the
+//! clock every 1,024 steps. Once it has passed, the search returns
+//! PareDown's partitioning with [`Partitioning::is_complete`] `== false`.
+//!
+//! **Cost.** Time and memory grow with the candidate sets and the memo's
+//! states, so the pin budget sets the reach. Under 2-in/2-out, in release
+//! builds on a shared 2-core x86-64 container: Timed Passage solves in about
+//! 5 ms; generated designs of 20 inner blocks (about 80 candidate sets) in
+//! about 3 ms on average, and of 25 blocks (about 120 sets, up to 140,000
+//! memo states) in 30–50 ms, the worst of 20 designs taking 0.3–0.5 s.
+//! Under 3-in/3-out the same 25-block designs have about 1,070 candidate
+//! sets and take about 10 s, and Timed Passage has 1,064 and takes about
+//! 2 s.
+//!
+//! [`ExhaustiveOptions::paper_pruning_only`] runs the paper's own search
+//! instead, which is exponential in the number of blocks: the `scaling`
+//! bench bin shows the paper's runtime shape with it, and tests use it as an
+//! independent oracle.
 
 use crate::constraints::PartitionConstraints;
-use crate::pare_down::pare_down;
+use crate::pare_down::pare_down_indexed;
 use crate::result::Partitioning;
-use eblocks_core::{BitSet, BlockId, Design, InnerIndex};
+use eblocks_core::{BitSet, CutCost, Design, InnerIndex};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Options for [`exhaustive`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExhaustiveOptions {
-    /// Abort after this much wall-clock time, returning the incumbent.
+    /// Stop after this much wall-clock time and return PareDown's
+    /// partitioning, marked incomplete.
     pub time_limit: Option<Duration>,
-    /// Skip seeding the incumbent with PareDown (used by benchmarks that
-    /// want the raw search cost).
-    pub no_seed: bool,
-    /// Disable every pruning technique the paper did not have, keeping only
-    /// the empty-partition symmetry pruning of §4.1. Exposes the paper's
-    /// raw exponential runtime shape; results are identical (both modes are
-    /// exact), only slower. Implies `no_seed`.
+    /// Run the paper's §4.1 search instead: every assignment of blocks to
+    /// partitions or to uncovered, with only the paper's symmetry pruning
+    /// (empty partitions are indistinguishable, so a block may open only
+    /// the first unused one). It reaches the same objective, possibly with
+    /// another partitioning of that objective, in time exponential in the
+    /// number of blocks; on expiry it returns the best it found.
     pub paper_pruning_only: bool,
 }
 
-/// Runs the exhaustive search and returns an optimal partitioning (or the
-/// best found before the time limit).
+/// Returns an optimal partitioning, or PareDown's if the time limit passes
+/// first.
 pub fn exhaustive(
     design: &Design,
     constraints: &PartitionConstraints,
     options: ExhaustiveOptions,
 ) -> Partitioning {
     let index = InnerIndex::new(design);
-    let n = index.len();
+    let mut deadline = Deadline::after(options.time_limit);
+    if options.paper_pruning_only {
+        return paper_search(design, constraints, &index, deadline);
+    }
+    let seed = pare_down_indexed(design, &index, constraints);
+    let optimum = enumerate(design, &index, constraints, &mut deadline)
+        .and_then(|candidates| Cover::new(&index, &candidates, &mut deadline).solve());
+    match optimum {
+        Some(best) if best.objective() < seed.objective() => best,
+        finished => Partitioning::new(
+            seed.partitions().to_vec(),
+            seed.uncovered().to_vec(),
+            "exhaustive",
+            finished.is_some(),
+        ),
+    }
+}
 
-    let mut search = Search {
+/// Every set of two or more of `index`'s blocks that fits `constraints`: the
+/// sets an optimal partitioning chooses from. Sets come in order of their
+/// lowest member.
+pub fn candidate_sets(
+    design: &Design,
+    index: &InnerIndex,
+    constraints: &PartitionConstraints,
+) -> Vec<BitSet> {
+    enumerate(design, index, constraints, &mut Deadline::after(None))
+        .expect("a search without a deadline finishes")
+}
+
+/// Search steps between two reads of the clock.
+const POLL_EVERY: u32 = 1024;
+
+/// An optional wall-clock deadline, read every [`POLL_EVERY`] steps.
+struct Deadline {
+    at: Option<Instant>,
+    steps: u32,
+    expired: bool,
+}
+
+impl Deadline {
+    fn after(limit: Option<Duration>) -> Self {
+        Self {
+            at: limit.and_then(|d| Instant::now().checked_add(d)),
+            steps: 0,
+            expired: false,
+        }
+    }
+
+    /// Counts one step; whether the deadline had passed at the last read.
+    fn poll(&mut self) -> bool {
+        if let (Some(at), false) = (self.at, self.expired) {
+            self.steps = self.steps.wrapping_add(1);
+            self.expired = self.steps.is_multiple_of(POLL_EVERY) && Instant::now() >= at;
+        }
+        self.expired
+    }
+}
+
+/// [`candidate_sets`], or `None` once the deadline passes.
+fn enumerate(
+    design: &Design,
+    index: &InnerIndex,
+    constraints: &PartitionConstraints,
+    deadline: &mut Deadline,
+) -> Option<Vec<BitSet>> {
+    let mut enumeration = Enumeration {
+        design,
+        index,
+        constraints,
+        deadline,
+        set: index.empty_set(),
+        found: Vec::new(),
+    };
+    let nothing = CutCost {
+        inputs: 0,
+        outputs: 0,
+    };
+    enumeration.decide(0, nothing).then_some(enumeration.found)
+}
+
+struct Enumeration<'a> {
+    design: &'a Design,
+    index: &'a InnerIndex,
+    constraints: &'a PartitionConstraints,
+    deadline: &'a mut Deadline,
+    /// The blocks decided in so far.
+    set: BitSet,
+    found: Vec<BitSet>,
+}
+
+impl Enumeration<'_> {
+    /// Decides blocks `next..` in, then out of `set` (so the sets come in
+    /// order of lowest member), recording every candidate set. `demand` is
+    /// `set`'s *permanent* pin demand while blocks `next..` are undecided:
+    /// the signals whose other end is a sensor, an output, or a block below
+    /// `next` outside `set`. Returns `false` once the deadline passes.
+    fn decide(&mut self, next: usize, demand: CutCost) -> bool {
+        if self.deadline.poll() {
+            return false;
+        }
+        if next == self.index.len() {
+            // With every block decided, `demand` is the exact pin demand,
+            // and it fits.
+            if self.set.len() >= 2
+                && self
+                    .constraints
+                    .structure_fits(self.design, self.index, &self.set)
+            {
+                self.found.push(self.set.clone());
+            }
+            return true;
+        }
+        self.set.insert(next);
+        let joined = self.joined(next, demand);
+        let finished = !self.constraints.cost_fits(joined) || self.decide(next + 1, joined);
+        self.set.remove(next);
+        let left_out = self.left_out(next, demand);
+        finished && (!self.constraints.cost_fits(left_out) || self.decide(next + 1, left_out))
+    }
+
+    /// The permanent demand once member `next` joins `set`: its inputs from
+    /// settled drivers that no other member reads, and its outputs with a
+    /// settled sink outside.
+    fn joined(&self, next: usize, mut demand: CutCost) -> CutCost {
+        let (index, set) = (self.index, &self.set);
+        let settled_outside = |end: Option<usize>| end.is_none_or(|p| p < next && !set.contains(p));
+        let other_member = |end: Option<usize>| end.is_some_and(|p| p != next && set.contains(p));
+        for (signal, _) in index.input_signals(next) {
+            if settled_outside(index.driver(signal)) && !index.sinks(signal).any(other_member) {
+                demand.inputs += 1;
+            }
+        }
+        for signal in index.driven_signals(next) {
+            if index.sinks(signal).any(settled_outside) {
+                demand.outputs += 1;
+            }
+        }
+        demand
+    }
+
+    /// The permanent demand once `next` is left out of `set`: its signals
+    /// that members read now enter, and the members' signals it reads now
+    /// leave, unless they already did.
+    fn left_out(&self, next: usize, mut demand: CutCost) -> CutCost {
+        let (index, set) = (self.index, &self.set);
+        let member = |end: Option<usize>| end.is_some_and(|p| set.contains(p));
+        let settled_outside = |end: Option<usize>| end.is_none_or(|p| p < next && !set.contains(p));
+        for signal in index.driven_signals(next) {
+            if index.sinks(signal).any(member) {
+                demand.inputs += 1;
+            }
+        }
+        for (signal, _) in index.input_signals(next) {
+            if member(index.driver(signal)) && !index.sinks(signal).any(settled_outside) {
+                demand.outputs += 1;
+            }
+        }
+        demand
+    }
+}
+
+/// A state's optimal cost and the choice for its lowest block that gives
+/// the least labeling at that cost.
+#[derive(Debug, Clone, Copy)]
+struct Choice {
+    /// `(total, uncovered)`, as in [`Partitioning::objective`].
+    cost: (usize, usize),
+    /// The candidate set the lowest block joins; `None` leaves it
+    /// uncovered.
+    set: Option<usize>,
+}
+
+/// The memoized cover search over one design's candidate sets.
+struct Cover<'a> {
+    index: &'a InnerIndex,
+    /// Candidate sets in order of lowest member.
+    candidates: &'a [BitSet],
+    /// The candidates whose lowest member is block `i` are
+    /// `candidates[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    /// Every state solved so far, keyed by its undecided blocks.
+    memo: HashMap<BitSet, Choice>,
+    deadline: &'a mut Deadline,
+}
+
+impl<'a> Cover<'a> {
+    fn new(index: &'a InnerIndex, candidates: &'a [BitSet], deadline: &'a mut Deadline) -> Self {
+        let mut starts = vec![0; index.len() + 1];
+        for set in candidates {
+            let lowest = set.iter().next().expect("a candidate set is not empty");
+            starts[lowest + 1] += 1;
+        }
+        for i in 0..index.len() {
+            starts[i + 1] += starts[i];
+        }
+        Self {
+            index,
+            candidates,
+            starts,
+            memo: HashMap::new(),
+            deadline,
+        }
+    }
+
+    /// Solves the whole design and reads the optimum off the memo, or
+    /// returns `None` once the deadline passes.
+    fn solve(mut self) -> Option<Partitioning> {
+        let all = self.index.full_set();
+        self.cost(&all)?;
+        let mut labels = Labels::new(&self, &all);
+        let (mut partitions, mut uncovered): (Vec<Vec<_>>, _) = (Vec::new(), Vec::new());
+        for p in 0..self.index.len() {
+            let block = self.index.block(p);
+            match labels.of(p) {
+                0 => uncovered.push(block),
+                // Partitions are numbered by lowest member.
+                k if k > partitions.len() => partitions.push(vec![block]),
+                k => partitions[k - 1].push(block),
+            }
+        }
+        Some(Partitioning::new(partitions, uncovered, "exhaustive", true))
+    }
+
+    /// The optimal cost of deciding `rest`, memoizing the choice of every
+    /// state solved on the way; `None` once the deadline passes. Ties are
+    /// compared only after both sides returned, so every state they read
+    /// is in the memo.
+    fn cost(&mut self, rest: &BitSet) -> Option<(usize, usize)> {
+        let Some(lowest) = rest.iter().next() else {
+            return Some((0, 0));
+        };
+        if let Some(choice) = self.memo.get(rest) {
+            return Some(choice.cost);
+        }
+        if self.deadline.poll() {
+            return None;
+        }
+        let mut without = rest.clone();
+        without.remove(lowest);
+        let (total, uncovered) = self.cost(&without)?;
+        let mut best = Choice {
+            cost: (total + 1, uncovered + 1),
+            set: None,
+        };
+        let (first, end) = (self.starts[lowest], self.starts[lowest + 1]);
+        for (c, set) in (first..).zip(&self.candidates[first..end]) {
+            if !set.iter().all(|p| rest.contains(p)) {
+                continue;
+            }
+            let mut without = rest.clone();
+            without.difference_with(set);
+            let (total, uncovered) = self.cost(&without)?;
+            let cost = (total + 1, uncovered);
+            let wins = match best.set {
+                _ if cost != best.cost => cost < best.cost,
+                // Uncovered labels the lowest block least of all.
+                None => false,
+                Some(incumbent) => self.labels_less(rest, c, incumbent),
+            };
+            if wins {
+                best = Choice { cost, set: Some(c) };
+            }
+        }
+        self.memo.insert(rest.clone(), best);
+        Some(best.cost)
+    }
+
+    /// Whether giving `rest`'s lowest block candidate `a` leads to a less
+    /// labeling of `rest` than candidate `b`. Compares labels in position
+    /// order up to the first difference.
+    fn labels_less(&self, rest: &BitSet, a: usize, b: usize) -> bool {
+        let (mut left, mut right) = (Labels::new(self, rest), Labels::new(self, rest));
+        left.take(a);
+        right.take(b);
+        for p in rest.iter() {
+            let (x, y) = (left.of(p), right.of(p));
+            if x != y {
+                return x < y;
+            }
+        }
+        false
+    }
+}
+
+/// The labeling of a state that follows the memo (after any sets taken
+/// first), produced in position order: 0 for uncovered, partitions
+/// numbered from 1 by lowest member.
+struct Labels<'c, 'a> {
+    cover: &'c Cover<'a>,
+    /// The blocks not labeled yet.
+    unlabeled: BitSet,
+    /// Each block's partition number; 0 while unlabeled or uncovered.
+    labels: Vec<usize>,
+    partitions: usize,
+}
+
+impl<'c, 'a> Labels<'c, 'a> {
+    fn new(cover: &'c Cover<'a>, state: &BitSet) -> Self {
+        Self {
+            cover,
+            unlabeled: state.clone(),
+            labels: vec![0; state.capacity()],
+            partitions: 0,
+        }
+    }
+
+    /// Labels `candidate`'s blocks as the next partition.
+    fn take(&mut self, candidate: usize) {
+        self.partitions += 1;
+        let set = &self.cover.candidates[candidate];
+        for p in set.iter() {
+            self.labels[p] = self.partitions;
+        }
+        self.unlabeled.difference_with(set);
+    }
+
+    /// The label of block `p`; every block of the state below `p` must
+    /// have been asked for already.
+    fn of(&mut self, p: usize) -> usize {
+        if self.unlabeled.contains(p) {
+            // `p` is the lowest unlabeled block: the memo decides it.
+            match self.cover.memo[&self.unlabeled].set {
+                Some(c) => self.take(c),
+                None => {
+                    self.unlabeled.remove(p);
+                }
+            }
+        }
+        self.labels[p]
+    }
+}
+
+/// The paper's §4.1 search (see [`ExhaustiveOptions::paper_pruning_only`]).
+fn paper_search(
+    design: &Design,
+    constraints: &PartitionConstraints,
+    index: &InnerIndex,
+    deadline: Deadline,
+) -> Partitioning {
+    let n = index.len();
+    let mut search = PaperSearch {
         design,
         constraints,
-        index: &index,
-        n,
-        assignment: vec![Unassigned; n],
+        index,
         bins: Vec::new(),
-        uncovered: 0,
-        best: None,
-        deadline: options.time_limit.map(|d| Instant::now() + d),
-        timed_out: false,
-        nodes: 0,
-        paper_pruning_only: options.paper_pruning_only,
+        uncovered: index.empty_set(),
+        // The first leaf the search reaches: every block uncovered.
+        best: Leaf {
+            objective: (n, n),
+            bins: Vec::new(),
+            uncovered: index.full_set(),
+        },
+        deadline,
     };
-
-    if !options.no_seed && !options.paper_pruning_only {
-        let seed = pare_down(design, constraints);
-        search.best = Some(Incumbent {
-            objective: seed.objective(),
-            partitions: seed.partitions().to_vec(),
-            uncovered: seed.uncovered().to_vec(),
-        });
-    }
-
-    search.dfs(0);
-
-    let complete = !search.timed_out;
-    match search.best {
-        Some(best) => Partitioning::new(best.partitions, best.uncovered, "exhaustive", complete),
-        None => Partitioning::new(Vec::new(), index.blocks().to_vec(), "exhaustive", complete),
-    }
+    search.assign(0);
+    let best = search.best;
+    Partitioning::new(
+        best.bins.iter().map(|b| index.resolve(b)).collect(),
+        index.resolve(&best.uncovered),
+        "exhaustive",
+        !search.deadline.expired,
+    )
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    Unassigned,
-    Uncovered,
-    Bin(usize),
-}
-use Slot::{Bin, Unassigned, Uncovered};
-
-struct Incumbent {
-    objective: (usize, usize),
-    partitions: Vec<Vec<BlockId>>,
-    uncovered: Vec<BlockId>,
-}
-
-struct Search<'a> {
+struct PaperSearch<'a> {
     design: &'a Design,
     constraints: &'a PartitionConstraints,
     index: &'a InnerIndex,
-    n: usize,
-    assignment: Vec<Slot>,
+    /// The open partitions, in order of lowest member.
     bins: Vec<BitSet>,
-    uncovered: usize,
-    best: Option<Incumbent>,
-    deadline: Option<Instant>,
-    timed_out: bool,
-    nodes: u64,
-    paper_pruning_only: bool,
+    uncovered: BitSet,
+    /// The first leaf of least objective found so far.
+    best: Leaf,
+    deadline: Deadline,
 }
 
-impl Search<'_> {
-    fn dfs(&mut self, i: usize) {
-        if self.timed_out {
+/// A valid assignment of every block.
+struct Leaf {
+    objective: (usize, usize),
+    bins: Vec<BitSet>,
+    uncovered: BitSet,
+}
+
+impl PaperSearch<'_> {
+    /// Assigns blocks `i..` in turn to uncovered, to each open partition,
+    /// then to a new one.
+    fn assign(&mut self, i: usize) {
+        if self.deadline.poll() {
             return;
         }
-        self.nodes += 1;
-        if self.nodes.is_multiple_of(4096) {
-            if let Some(deadline) = self.deadline {
-                if Instant::now() >= deadline {
-                    self.timed_out = true;
-                    return;
-                }
-            }
-        }
-
-        let open_bins = self.bins.iter().filter(|b| !b.is_empty()).count();
-
-        // Objective bound: uncovered count and open partitions only grow
-        // along a branch, so `uncovered + open` bounds the final total from
-        // below. Ties on total are broken by fewer uncovered blocks; reaching
-        // total == bound requires every remaining block to join an existing
-        // partition, which pins the final uncovered count to the current one.
-        if !self.paper_pruning_only {
-            if let Some(best) = &self.best {
-                let lower_bound = self.uncovered + open_bins;
-                let improves = lower_bound < best.objective.0
-                    || (lower_bound == best.objective.0 && self.uncovered < best.objective.1);
-                if !improves {
-                    return;
-                }
-            }
-
-            // Singleton feasibility: each 1-member partition needs a mate.
-            let singletons = self.bins.iter().filter(|b| b.len() == 1).count();
-            if singletons > self.n - i {
-                return;
-            }
-        }
-
-        if i == self.n {
+        let n = self.index.len();
+        if i == n {
             self.consider_leaf();
             return;
         }
+        self.uncovered.insert(i);
+        self.assign(i + 1);
+        self.uncovered.remove(i);
 
-        // Choice 1: leave block i uncovered.
-        self.assignment[i] = Uncovered;
-        self.uncovered += 1;
-        self.dfs(i + 1);
-        self.uncovered -= 1;
-
-        // Choice 2: join each existing partition.
-        for bin_idx in 0..self.bins.len() {
-            self.assignment[i] = Bin(bin_idx);
-            self.bins[bin_idx].insert(i);
-            if self.paper_pruning_only || self.pins_fit(&self.bins[bin_idx], i + 1) {
-                self.dfs(i + 1);
-            }
-            self.bins[bin_idx].remove(i);
+        for bin in 0..self.bins.len() {
+            self.bins[bin].insert(i);
+            self.assign(i + 1);
+            self.bins[bin].remove(i);
         }
 
-        // Choice 3: open one new partition (symmetry pruning: empty
-        // partitions are indistinguishable, so only the first is tried; a
-        // valid partition needs ≥ 2 blocks, so opening more than n/2 is
-        // pointless).
-        if self.bins.len() < self.n / 2 && i + 1 < self.n {
-            let bin_idx = self.bins.len();
-            let mut members = self.index.empty_set();
-            members.insert(i);
-            self.bins.push(members);
-            self.assignment[i] = Bin(bin_idx);
-            if self.paper_pruning_only || self.pins_fit(&self.bins[bin_idx], i + 1) {
-                self.dfs(i + 1);
-            }
+        // Only the first unused partition; a partition needs two blocks,
+        // so at most n/2 are ever open.
+        if self.bins.len() < n / 2 && i + 1 < n {
+            let mut bin = self.index.empty_set();
+            bin.insert(i);
+            self.bins.push(bin);
+            self.assign(i + 1);
             self.bins.pop();
         }
-
-        self.assignment[i] = Unassigned;
-    }
-
-    /// Whether `bin`'s *permanent* pin demand fits the budget, given that
-    /// only blocks with dense position `>= next` may still join it: a sound
-    /// lower bound on its eventual demand. Signals to/from sensors,
-    /// outputs, and already-assigned blocks (every inner block below
-    /// `next`) are permanent, so at `next == n` this is the exact demand.
-    /// Reads the index's wiring and stops as soon as a count passes the
-    /// budget.
-    fn pins_fit(&self, bin: &BitSet, next: usize) -> bool {
-        let index = self.index;
-        let spec = self.constraints.spec;
-        let settled_outside = |end: Option<usize>| end.is_none_or(|p| p < next && !bin.contains(p));
-        let (mut inputs, mut outputs) = (0, 0);
-        for pos in bin.iter() {
-            for (signal, _) in index.input_signals(pos) {
-                // An entering signal counts once, at its first member sink.
-                let first_sink = || {
-                    !index
-                        .sinks(signal)
-                        .flatten()
-                        .any(|p| p < pos && bin.contains(p))
-                };
-                if settled_outside(index.driver(signal)) && first_sink() {
-                    inputs += 1;
-                    if inputs > usize::from(spec.inputs) {
-                        return false;
-                    }
-                }
-            }
-            for signal in index.driven_signals(pos) {
-                if index.sinks(signal).any(settled_outside) {
-                    outputs += 1;
-                    if outputs > usize::from(spec.outputs) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
     }
 
     fn consider_leaf(&mut self) {
-        let open: Vec<&BitSet> = self.bins.iter().filter(|b| !b.is_empty()).collect();
-        for bin in &open {
-            if bin.len() < 2
-                || !self.pins_fit(bin, self.n)
-                || !self
-                    .constraints
-                    .structure_fits(self.design, self.index, bin)
-            {
-                return;
-            }
-        }
-        let objective = (self.uncovered + open.len(), self.uncovered);
-        let better = match &self.best {
-            None => true,
-            Some(best) => objective < best.objective,
+        let uncovered = self.uncovered.len();
+        let objective = (uncovered + self.bins.len(), uncovered);
+        let valid = || {
+            self.bins
+                .iter()
+                .all(|bin| bin.len() >= 2 && self.constraints.fits(self.design, self.index, bin))
         };
-        if better {
-            let partitions = open.iter().map(|b| self.index.resolve(b)).collect();
-            let uncovered = (0..self.n)
-                .filter(|&p| self.assignment[p] == Uncovered)
-                .map(|p| self.index.block(p))
-                .collect();
-            self.best = Some(Incumbent {
+        if objective < self.best.objective && valid() {
+            self.best = Leaf {
                 objective,
-                partitions,
-                uncovered,
-            });
+                bins: self.bins.clone(),
+                uncovered: self.uncovered.clone(),
+            };
         }
     }
 }
@@ -267,9 +524,10 @@ impl Search<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pare_down::pare_down;
     use eblocks_core::{ComputeKind, Design, OutputKind, SensorKind};
 
-    fn chain(n: usize) -> Design {
+    pub(super) fn chain(n: usize) -> Design {
         let mut d = Design::new("chain");
         let s = d.add_block("s", SensorKind::Button);
         let mut prev = s;
@@ -369,7 +627,6 @@ mod tests {
 
     #[test]
     fn optimal_never_worse_than_pare_down() {
-        use crate::pare_down::pare_down;
         for n in 1..=8 {
             let d = chain(n);
             let c = PartitionConstraints::default();
@@ -385,34 +642,55 @@ mod tests {
     }
 
     #[test]
-    fn no_seed_gives_same_objective() {
-        let d = chain(6);
-        let c = PartitionConstraints::default();
-        let seeded = exhaustive(&d, &c, ExhaustiveOptions::default());
-        let raw = exhaustive(
-            &d,
-            &c,
-            ExhaustiveOptions {
-                no_seed: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(seeded.objective(), raw.objective());
+    fn chain_candidates_are_one_or_two_runs() {
+        // Under 2-in/2-out a set of a NOT chain fits iff it is at most two
+        // runs of consecutive gates: C(n, 2) one-run sets of two or more
+        // gates, plus C(n + 1, 4) two-run sets.
+        let d = chain(9);
+        let index = InnerIndex::new(&d);
+        let sets = candidate_sets(&d, &index, &PartitionConstraints::default());
+        assert_eq!(sets.len(), 36 + 210);
+        let lowest: Vec<usize> = sets.iter().map(|s| s.iter().next().unwrap()).collect();
+        assert!(lowest.is_sorted(), "in order of lowest member");
     }
 
     #[test]
     fn time_limit_returns_incumbent() {
-        let d = chain(30);
+        // A 14-gate chain has 1,456 candidate sets, so the search reads the
+        // clock before it could finish (a few milliseconds without a limit).
+        let d = chain(14);
         let c = PartitionConstraints::default();
         let r = exhaustive(
             &d,
             &c,
             ExhaustiveOptions {
-                time_limit: Some(Duration::from_millis(1)),
+                time_limit: Some(Duration::ZERO),
                 ..Default::default()
             },
         );
-        // Even when truncated, the result is valid (seeded incumbent).
+        assert!(!r.is_complete());
+        r.verify(&d, &c).unwrap();
+        let seed = pare_down(&d, &c);
+        assert_eq!(
+            (r.partitions(), r.uncovered()),
+            (seed.partitions(), seed.uncovered())
+        );
+    }
+
+    #[test]
+    fn zero_time_limit_stops_the_paper_search() {
+        // Thousands of assignments: more than one read of the clock.
+        let d = chain(8);
+        let c = PartitionConstraints::default();
+        let r = exhaustive(
+            &d,
+            &c,
+            ExhaustiveOptions {
+                time_limit: Some(Duration::ZERO),
+                paper_pruning_only: true,
+            },
+        );
+        assert!(!r.is_complete());
         r.verify(&d, &c).unwrap();
     }
 
@@ -422,37 +700,31 @@ mod tests {
         let s = d.add_block("s", SensorKind::Button);
         let o = d.add_block("o", OutputKind::Led);
         d.connect((s, 0), (o, 0)).unwrap();
-        let r = exhaustive(
-            &d,
-            &PartitionConstraints::default(),
-            ExhaustiveOptions::default(),
-        );
-        assert_eq!(r.inner_total(), 0);
-        assert!(r.is_complete());
+        for paper_pruning_only in [false, true] {
+            let r = exhaustive(
+                &d,
+                &PartitionConstraints::default(),
+                ExhaustiveOptions {
+                    paper_pruning_only,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(r.inner_total(), 0);
+            assert!(r.is_complete());
+        }
     }
 }
 
 #[cfg(test)]
 mod paper_mode_tests {
+    use super::tests::chain;
     use super::*;
-    use crate::constraints::PartitionConstraints;
-    use eblocks_core::{ComputeKind, Design, OutputKind, SensorKind};
 
     #[test]
     fn paper_pruning_mode_is_exact() {
         // Both modes must agree on the objective for a batch of shapes.
         for n in [2usize, 4, 6, 8] {
-            let mut d = Design::new("chain");
-            let s = d.add_block("s", SensorKind::Button);
-            let mut prev = s;
-            for i in 0..n {
-                let g = d.add_block(format!("g{i}"), ComputeKind::Not);
-                d.connect((prev, 0), (g, 0)).unwrap();
-                prev = g;
-            }
-            let o = d.add_block("o", OutputKind::Led);
-            d.connect((prev, 0), (o, 0)).unwrap();
-
+            let d = chain(n);
             let c = PartitionConstraints::default();
             let fast = exhaustive(&d, &c, ExhaustiveOptions::default());
             let slow = exhaustive(
@@ -464,6 +736,7 @@ mod paper_mode_tests {
                 },
             );
             assert!(slow.is_complete());
+            slow.verify(&d, &c).unwrap();
             assert_eq!(fast.objective(), slow.objective(), "n={n}");
         }
     }

@@ -15,9 +15,11 @@
 //!   A removal step costs `O(m)` for a candidate of `m` blocks (one scan
 //!   for the least rank over incrementally kept counts); a run takes up to
 //!   `O(n²)` steps, about `n²/5` on generated designs, so `O(n³)` at worst,
-//! * [`exhaustive`](fn@exhaustive) — optimal branch search over all assignments of blocks to
-//!   partitions, with the paper's empty-partition symmetry pruning plus sound
-//!   bound pruning (§4.1),
+//! * [`exhaustive`](fn@exhaustive) — the optimum (§4.1), found as a min-cost
+//!   cover over the [`candidate_sets`] (sets of two or more blocks that fit
+//!   one programmable block), which a small pin budget keeps to dozens or
+//!   hundreds; the paper's own enumeration of assignments remains as
+//!   [`ExhaustiveOptions::paper_pruning_only`],
 //! * [`aggregation`](fn@aggregation) — the greedy clustering strawman the paper describes and
 //!   discards for its lack of look-ahead (§4.2 ¶1),
 //! * [`refine`](fn@refine) — deterministic local-search repair on top of any result
@@ -69,7 +71,7 @@ pub use aggregation::aggregation;
 pub use anneal::{anneal, AnnealConfig};
 pub use border::{border_blocks, rank_of, RankKey};
 pub use constraints::PartitionConstraints;
-pub use exhaustive::{exhaustive, ExhaustiveOptions};
+pub use exhaustive::{candidate_sets, exhaustive, ExhaustiveOptions};
 pub use multi::{pare_down_multi, BlockCatalog, MultiPartitioning};
 pub use pare_down::{pare_down, pare_down_no_tie_breaks, pare_down_traced, TraceEvent};
 pub use quotient::{dissolve_cycles, quotient_is_acyclic};

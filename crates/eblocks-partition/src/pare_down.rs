@@ -68,7 +68,16 @@ pub enum TraceEvent {
 ///
 /// See the [crate-level documentation](crate) for an example.
 pub fn pare_down(design: &Design, constraints: &PartitionConstraints) -> Partitioning {
-    run(design, constraints, None, true)
+    pare_down_indexed(design, &InnerIndex::new(design), constraints)
+}
+
+/// [`pare_down`] over an index the caller already built for `design`.
+pub(crate) fn pare_down_indexed(
+    design: &Design,
+    index: &InnerIndex,
+    constraints: &PartitionConstraints,
+) -> Partitioning {
+    run(design, index, constraints, None, true)
 }
 
 /// Runs PareDown, also returning the step-by-step trace.
@@ -77,7 +86,8 @@ pub fn pare_down_traced(
     constraints: &PartitionConstraints,
 ) -> (Partitioning, Vec<TraceEvent>) {
     let mut trace = Vec::new();
-    let result = run(design, constraints, Some(&mut trace), true);
+    let index = InnerIndex::new(design);
+    let result = run(design, &index, constraints, Some(&mut trace), true);
     (result, trace)
 }
 
@@ -89,23 +99,23 @@ pub fn pare_down_no_tie_breaks(
     design: &Design,
     constraints: &PartitionConstraints,
 ) -> Partitioning {
-    run(design, constraints, None, false)
+    run(design, &InnerIndex::new(design), constraints, None, false)
 }
 
 fn run(
     design: &Design,
+    index: &InnerIndex,
     constraints: &PartitionConstraints,
     mut trace: Option<&mut Vec<TraceEvent>>,
     tie_breaks: bool,
 ) -> Partitioning {
-    let index = InnerIndex::new(design);
-    let paring = Paring::new(design, &index, constraints, tie_breaks);
+    let paring = Paring::new(design, index, constraints, tie_breaks);
     let mut remaining = index.full_set();
     let mut partitions: Vec<Vec<BlockId>> = Vec::new();
     let mut uncovered: Vec<BlockId> = Vec::new();
 
     while !remaining.is_empty() {
-        let mut candidate = CutState::new(&index, &remaining);
+        let mut candidate = CutState::new(index, &remaining);
         if let Some(t) = trace.as_deref_mut() {
             t.push(TraceEvent::CandidateStart {
                 members: index.resolve(candidate.members()),

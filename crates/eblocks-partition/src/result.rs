@@ -53,8 +53,8 @@ impl Partitioning {
         self.algorithm
     }
 
-    /// `false` when an exhaustive search hit its deadline and returned its
-    /// best-so-far; heuristics always report `true`.
+    /// `false` when an exhaustive search hit its deadline and returned a
+    /// result it did not prove optimal; heuristics always report `true`.
     pub fn is_complete(&self) -> bool {
         self.complete
     }

@@ -53,10 +53,10 @@ fn exhaustive_matches_expected_where_reported() {
 fn heuristic_never_beats_exhaustive_on_library() {
     let constraints = PartitionConstraints::default();
     for entry in eblocks_designs::all() {
-        if entry.design.inner_blocks().count() > 12 {
-            continue;
-        }
         let opt = exhaustive(&entry.design, &constraints, ExhaustiveOptions::default());
+        assert!(opt.is_complete(), "{} cut short", entry.name);
+        opt.verify(&entry.design, &constraints)
+            .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
         let heur = pare_down(&entry.design, &constraints);
         assert!(
             opt.objective() <= heur.objective(),

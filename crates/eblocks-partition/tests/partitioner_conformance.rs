@@ -10,9 +10,6 @@ use eblocks_gen::{generate, GeneratorConfig};
 use eblocks_partition::strategy::Anneal;
 use eblocks_partition::{AnnealConfig, PartitionConstraints, Partitioner, Registry};
 
-/// Strategies whose worst case is exponential get only small designs.
-const EXPENSIVE: &[&str] = &["exhaustive"];
-
 /// The suite's registry: the five built-ins, with the annealer re-registered
 /// at a light step budget (the default 20k-step, 4-restart walk is overkill
 /// for a conformance check that runs it dozens of times; the properties
@@ -33,15 +30,10 @@ fn registry() -> Registry {
 }
 
 /// The design battery: a spread of random design sizes, all seeded.
-fn battery(for_strategy: &str) -> Vec<Design> {
-    let sizes: &[usize] = if EXPENSIVE.contains(&for_strategy) {
-        &[2, 5, 8]
-    } else {
-        &[2, 5, 8, 14]
-    };
-    sizes
-        .iter()
-        .flat_map(|&inner| {
+fn battery() -> Vec<Design> {
+    [2, 5, 8, 14]
+        .into_iter()
+        .flat_map(|inner| {
             (0..2u64).map(move |seed| generate(&GeneratorConfig::new(inner), 9_000 + seed))
         })
         .collect()
@@ -61,7 +53,7 @@ fn each_strategy(mut f: impl FnMut(&str, &dyn Partitioner)) {
 fn every_strategy_produces_valid_partitionings() {
     each_strategy(|name, strategy| {
         let constraints = PartitionConstraints::default();
-        for design in battery(name) {
+        for design in battery() {
             let result = strategy.partition(&design, &constraints);
             result
                 .verify(&design, &constraints)
@@ -88,7 +80,7 @@ fn every_strategy_respects_pin_constraints() {
     each_strategy(|name, strategy| {
         for spec in specs {
             let constraints = PartitionConstraints::with_spec(spec);
-            for design in battery(name) {
+            for design in battery() {
                 let result = strategy.partition(&design, &constraints);
                 result
                     .verify(&design, &constraints)
@@ -113,7 +105,7 @@ fn every_strategy_respects_structural_constraints() {
         ..Default::default()
     };
     each_strategy(|name, strategy| {
-        for design in battery(name) {
+        for design in battery() {
             strategy
                 .partition(&design, &constraints)
                 .verify(&design, &constraints)
@@ -128,7 +120,7 @@ fn every_strategy_is_deterministic_under_fixed_seed() {
     // configuration; two identical calls must agree exactly.
     each_strategy(|name, strategy| {
         let constraints = PartitionConstraints::default();
-        for design in battery(name) {
+        for design in battery() {
             let first = strategy.partition(&design, &constraints);
             let second = strategy.partition(&design, &constraints);
             assert_eq!(first, second, "{name} on {}", design.name());

@@ -39,8 +39,9 @@ pub enum Algorithm {
     /// The paper's PareDown decomposition heuristic (§4.2) — the default.
     #[default]
     PareDown,
-    /// Optimal exhaustive search (§4.1); practical to roughly 13 inner
-    /// blocks.
+    /// Optimal exhaustive search (§4.1), as a min-cost cover over the sets
+    /// that fit; under the paper's 2-in/2-out budget it solves generated
+    /// designs of 25 inner blocks in tens of milliseconds.
     Exhaustive,
     /// The greedy aggregation strawman (§4.2 ¶1).
     Aggregation,

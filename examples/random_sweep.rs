@@ -34,6 +34,10 @@ fn main() {
                 ..Default::default()
             },
         );
+        assert!(
+            opt.is_complete(),
+            "exhaustive search cut short on seed {seed}"
+        );
         let t0 = Instant::now();
         let pd = pare_down(&design, &constraints);
         pd_time += t0.elapsed();

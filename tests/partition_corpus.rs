@@ -36,7 +36,7 @@ const TABLE2_SIZES: [usize; 17] = [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 
 /// Designs drawn per Table 2 size.
 const PER_SIZE: u64 = 10;
 /// The largest design the exhaustive search runs on.
-const EXHAUSTIVE_MAX: usize = 11;
+const EXHAUSTIVE_MAX: usize = 15;
 
 fn corpus() -> Vec<(String, Design)> {
     let mut designs = Vec::new();

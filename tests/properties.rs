@@ -2,19 +2,23 @@
 //! core invariants end to end:
 //!
 //! * every partitioning result is structurally sound (`verify`),
-//! * the optimal search is never beaten by a heuristic,
+//! * the optimal search is never beaten by a heuristic, its candidate sets
+//!   are exactly the fitting subsets, and it reaches the objective of the
+//!   paper's own enumeration,
 //! * local rank computation equals full cut-cost recomputation,
 //! * the incremental cut state agrees with a fresh one after every removal,
 //!   and both with the §4 pin count taken straight from the design's wires,
 //! * netlists round-trip, and
 //! * simulation is deterministic.
 
-use eblocks::core::{cut_cost, netlist, BitSet, BlockId, CutCost, CutState, Design, InnerIndex};
+use eblocks::core::{
+    cut_cost, netlist, BitSet, BlockId, CutCost, CutState, Design, InnerIndex, ProgrammableSpec,
+};
 use eblocks::gen::{generate, generate_family, Family, GeneratorConfig};
 use eblocks::partition::rank_of;
 use eblocks::partition::{
-    aggregation, anneal, exhaustive, pare_down, refine, AnnealConfig, ExhaustiveOptions,
-    PartitionConstraints,
+    aggregation, anneal, candidate_sets, exhaustive, pare_down, refine, AnnealConfig,
+    ExhaustiveOptions, PartitionConstraints,
 };
 use eblocks::place::{anneal_place, greedy_place, PlaceAnnealConfig, PlacementProblem, Topology};
 use proptest::prelude::*;
@@ -389,5 +393,74 @@ proptest! {
         // Whatever the plan, the run completes and yields a trace.
         let faulty = sim.run_with_faults(&stim, until, &plan).expect("faulty runs complete");
         let _ = faulty.packet_count();
+    }
+}
+
+/// `constraints` as given, convex, and connected.
+fn structural_variants(constraints: PartitionConstraints) -> [PartitionConstraints; 3] {
+    [
+        constraints,
+        PartitionConstraints {
+            require_convex: true,
+            ..constraints
+        },
+        PartitionConstraints {
+            require_connected: true,
+            ..constraints
+        },
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48).with_rng_seed(0xEB10C5))]
+
+    /// The candidate enumeration keeps exactly the subsets a brute-force
+    /// filter keeps (two or more members that fit), in order of lowest
+    /// member: its pin-bound pruning never drops a set. Budgets 1/1, 2/2,
+    /// 3/3 and 4/2, each plain, convex and connected.
+    #[test]
+    fn candidate_sets_match_brute_force((inner, seed) in small_design_strategy()) {
+        let design = generate(&GeneratorConfig::new(inner), seed);
+        let index = InnerIndex::new(&design);
+        let members = |set: &BitSet| set.iter().collect::<Vec<_>>();
+        for (inputs, outputs) in [(1, 1), (2, 2), (3, 3), (4, 2)] {
+            let budget = PartitionConstraints::with_spec(ProgrammableSpec::new(inputs, outputs));
+            for constraints in structural_variants(budget) {
+                let found: Vec<Vec<usize>> =
+                    candidate_sets(&design, &index, &constraints).iter().map(members).collect();
+                prop_assert!(found.is_sorted_by_key(|set| set[0]), "in order of lowest member");
+                let mut brute = Vec::new();
+                for mask in 0u32..1 << index.len() {
+                    let mut subset = index.empty_set();
+                    subset.extend((0..index.len()).filter(|&p| mask >> p & 1 == 1));
+                    if subset.len() >= 2 && constraints.fits(&design, &index, &subset) {
+                        brute.push(members(&subset));
+                    }
+                }
+                let mut sorted = found.clone();
+                sorted.sort();
+                brute.sort();
+                prop_assert_eq!(sorted, brute, "{:?}", constraints);
+            }
+        }
+    }
+
+    /// The cover search reaches the objective of the paper's §4.1
+    /// enumeration, plain, convex and connected.
+    #[test]
+    fn exhaustive_matches_the_paper_search((inner, seed) in (1usize..=9, any::<u64>())) {
+        let design = generate(&GeneratorConfig::new(inner), seed);
+        for constraints in structural_variants(PartitionConstraints::default()) {
+            let cover = exhaustive(&design, &constraints, ExhaustiveOptions::default());
+            let paper = exhaustive(
+                &design,
+                &constraints,
+                ExhaustiveOptions { paper_pruning_only: true, ..Default::default() },
+            );
+            prop_assert!(cover.is_complete() && paper.is_complete());
+            prop_assert!(cover.verify(&design, &constraints).is_ok());
+            prop_assert!(paper.verify(&design, &constraints).is_ok());
+            prop_assert_eq!(cover.objective(), paper.objective(), "{:?}", constraints);
+        }
     }
 }
