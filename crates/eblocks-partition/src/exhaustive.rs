@@ -678,6 +678,26 @@ mod tests {
     }
 
     #[test]
+    fn time_limit_can_expire_inside_the_cover() {
+        // A 24-gate chain's 12,926 candidate sets enumerate in milliseconds,
+        // but covering them takes far longer than the limit, so the search
+        // stops while unwinding the cover and must still return PareDown's
+        // result.
+        let d = chain(24);
+        let c = PartitionConstraints::default();
+        let r = exhaustive(
+            &d,
+            &c,
+            ExhaustiveOptions {
+                time_limit: Some(Duration::from_millis(100)),
+                ..Default::default()
+            },
+        );
+        assert!(!r.is_complete());
+        assert_eq!(r.partitions(), pare_down(&d, &c).partitions());
+    }
+
+    #[test]
     fn zero_time_limit_stops_the_paper_search() {
         // Thousands of assignments: more than one read of the clock.
         let d = chain(8);
