@@ -3,21 +3,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eblocks_gen::{generate, GeneratorConfig};
+use eblocks_partition::strategy::PareDown;
 use eblocks_place::{anneal_place, greedy_place, PlaceAnnealConfig, PlacementProblem, Topology};
-use eblocks_synth::{synthesize, SynthesisOptions};
+use eblocks_synth::Pipeline;
 use std::hint::black_box;
 
 /// A synthesized random design and a grid just big enough to host it.
 fn prepared(inner: usize) -> (eblocks_core::Design, Topology) {
     let design = generate(&GeneratorConfig::new(inner), 77);
-    let result = synthesize(
-        &design,
-        &SynthesisOptions {
-            verify: false,
-            ..Default::default()
-        },
-    )
-    .expect("synthesis succeeds on generated designs");
+    let result = Pipeline::new(&design)
+        .run(&PareDown, false)
+        .expect("synthesis succeeds on generated designs");
     let blocks = result.synthesized.num_blocks();
     let side = (blocks as f64).sqrt().ceil() as usize;
     (result.synthesized, Topology::grid(side, side + 1))

@@ -2,8 +2,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eblocks_gen::{generate, GeneratorConfig};
+use eblocks_partition::strategy::PareDown;
 use eblocks_sim::{Simulator, Stimulus};
-use eblocks_synth::{exercise_all_sensors, synthesize, SynthesisOptions};
+use eblocks_synth::{exercise_all_sensors, Pipeline};
 use std::hint::black_box;
 
 fn bench_simulation(c: &mut Criterion) {
@@ -27,14 +28,10 @@ fn bench_full_synthesis(c: &mut Criterion) {
     // without (partition + codegen + rewrite only).
     let design = eblocks_designs::podium_timer_3();
     group.bench_function("podium_timer_3_verified", |b| {
-        b.iter(|| black_box(synthesize(&design, &SynthesisOptions::default()).expect("synth")))
+        b.iter(|| black_box(Pipeline::new(&design).run(&PareDown, true).expect("synth")))
     });
-    let no_verify = SynthesisOptions {
-        verify: false,
-        ..Default::default()
-    };
     group.bench_function("podium_timer_3_unverified", |b| {
-        b.iter(|| black_box(synthesize(&design, &no_verify).expect("synth")))
+        b.iter(|| black_box(Pipeline::new(&design).run(&PareDown, false).expect("synth")))
     });
     group.finish();
 }

@@ -6,15 +6,20 @@
 //! Usage: `cargo run --release -p eblocks-bench --bin codesize`
 
 use eblocks_codegen::PIC16F628_PROGRAM_WORDS;
+use eblocks_core::Design;
 use eblocks_gen::{generate, GeneratorConfig};
-use eblocks_synth::{synthesize, SynthesisOptions};
+use eblocks_partition::strategy::PareDown;
+use eblocks_synth::{Pipeline, SynthError, SynthesisResult};
+
+/// Synthesizes `design` without verification: this is a size audit only,
+/// and equivalence is covered by the test suite.
+fn synthesize(design: &Design, optimize: bool) -> Result<SynthesisResult, SynthError> {
+    Pipeline::new(design)
+        .optimize(optimize)
+        .run(&PareDown, false)
+}
 
 fn main() {
-    let options = SynthesisOptions {
-        verify: false, // size audit only; equivalence covered by tests
-        ..Default::default()
-    };
-
     println!("Library designs (budget: {PIC16F628_PROGRAM_WORDS} instruction words):");
     println!(
         "{:<26} {:<8} {:>7} {:>12} {:>6}",
@@ -22,7 +27,7 @@ fn main() {
     );
     let mut worst = 0usize;
     for entry in eblocks_designs::all() {
-        match synthesize(&entry.design, &options) {
+        match synthesize(&entry.design, true) {
             Ok(result) => {
                 if result.size_estimates.is_empty() {
                     println!("{:<26} (no partitions)", entry.name);
@@ -46,7 +51,7 @@ fn main() {
     println!("\nRandom designs (inner = 45, 20 seeds):");
     for seed in 0..20 {
         let design = generate(&GeneratorConfig::new(45), seed);
-        if let Ok(result) = synthesize(&design, &options) {
+        if let Ok(result) = synthesize(&design, true) {
             for (_, est) in &result.size_estimates {
                 worst = worst.max(est.words);
             }
@@ -62,19 +67,9 @@ fn main() {
     let mut with_opt = 0usize;
     let mut without_opt = 0usize;
     for entry in eblocks_designs::all() {
-        let on = SynthesisOptions {
-            verify: false,
-            optimize: true,
-            ..Default::default()
-        };
-        let off = SynthesisOptions {
-            verify: false,
-            optimize: false,
-            ..Default::default()
-        };
         if let (Ok(a), Ok(b)) = (
-            synthesize(&entry.design, &on),
-            synthesize(&entry.design, &off),
+            synthesize(&entry.design, true),
+            synthesize(&entry.design, false),
         ) {
             with_opt += a.size_estimates.iter().map(|(_, e)| e.words).sum::<usize>();
             without_opt += b.size_estimates.iter().map(|(_, e)| e.words).sum::<usize>();

@@ -6,15 +6,12 @@
 //!
 //! Usage: `cargo run --release -p eblocks-bench --bin energy`
 
+use eblocks_partition::strategy::PareDown;
 use eblocks_sim::{estimate_energy, EnergyModel, Simulator, Stimulus, Time};
-use eblocks_synth::{exercise_all_sensors, synthesize, SynthesisOptions};
+use eblocks_synth::{exercise_all_sensors, Pipeline};
 
 fn main() {
     let model = EnergyModel::default();
-    let options = SynthesisOptions {
-        verify: false, // equivalence is covered by the test suite
-        ..Default::default()
-    };
 
     println!("Per-design energy, same stimulus on both networks:");
     println!(
@@ -25,7 +22,8 @@ fn main() {
     let (mut total_before, mut total_after) = (0.0f64, 0.0f64);
     for entry in eblocks_designs::all() {
         let design = entry.design;
-        let result = match synthesize(&design, &options) {
+        // No verify: equivalence is covered by the test suite.
+        let result = match Pipeline::new(&design).run(&PareDown, false) {
             Ok(r) => r,
             Err(e) => {
                 println!("{:<26} synthesis failed: {e}", entry.name);

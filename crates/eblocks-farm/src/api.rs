@@ -48,7 +48,7 @@ use crate::job::{Batch, Job, JobMode, JobSource};
 use crate::report::{BatchReport, JobReport, JobStatus, JsonOptions};
 use eblocks_lint::{DenyLevel, LintConfig};
 use eblocks_partition::Registry;
-use eblocks_synth::{Stage, StageTimings};
+use eblocks_synth::{Stage, StageStat, StageTimings};
 use serde::{Deserialize, Serialize};
 
 /// Where a request's design comes from (the wire name for
@@ -108,19 +108,6 @@ impl SynthOptions {
             (None, None) => {}
         }
     }
-
-    /// Captures every knob from `job` (all fields `Some`).
-    fn capture(job: &Job) -> Self {
-        Self {
-            mode: Some(job.mode),
-            verify: Some(job.verify),
-            optimize: Some(job.optimize),
-            inputs: Some(job.spec.inputs),
-            outputs: Some(job.spec.outputs),
-            lint: Some(job.lint.is_some()),
-            lint_deny: job.lint.map(|config| config.deny),
-        }
-    }
 }
 
 /// One job of a [`BatchRequest`]: a design source plus optional name,
@@ -164,23 +151,12 @@ impl JobSpec {
         self.options.apply(&mut job);
         job
     }
-
-    /// The spec describing `job` exactly (every option pinned).
-    pub fn from_job(job: &Job) -> Self {
-        Self {
-            name: Some(job.name.clone()),
-            source: job.source.clone(),
-            partitioner: job.partitioner.clone(),
-            options: SynthOptions::capture(job),
-        }
-    }
 }
 
 /// A batch of jobs as it would arrive over RPC — manifest format v2.
 ///
-/// [`Batch::from_json`] parses one from JSON text; [`BatchRequest::to_batch`]
-/// and [`BatchRequest::from_batch`] convert to and from the engine's
-/// [`Batch`] losslessly.
+/// [`Batch::from_json`] parses one from JSON text, and
+/// [`BatchRequest::to_batch`] converts it to the engine's [`Batch`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchRequest {
     /// Strategy for jobs that set none (the manifest's
@@ -196,14 +172,6 @@ impl BatchRequest {
         Batch {
             jobs: self.jobs.iter().map(JobSpec::to_job).collect(),
             default_partitioner: self.default_partitioner.clone(),
-        }
-    }
-
-    /// The request describing `batch` exactly.
-    pub fn from_batch(batch: &Batch) -> Self {
-        Self {
-            default_partitioner: batch.default_partitioner.clone(),
-            jobs: batch.jobs.iter().map(JobSpec::from_job).collect(),
         }
     }
 }
@@ -422,19 +390,8 @@ impl BatchResponse {
                 lint_fixes: (lint_fixes > 0).then_some(lint_fixes),
                 workers: timings.then_some(report.workers),
                 elapsed_ms: timings.then(|| ms(report.elapsed)),
-                stages: timings.then(|| {
-                    report
-                        .stage_timings()
-                        .summarize()
-                        .into_iter()
-                        .map(|stat| StageSummary {
-                            stage: stat.stage,
-                            runs: stat.runs,
-                            total_ms: ms(stat.total),
-                            max_ms: ms(stat.max),
-                        })
-                        .collect()
-                }),
+                stages: timings
+                    .then(|| ServeStats::summarize_stages(&report.stage_timings().summarize())),
             },
             results: report
                 .jobs
@@ -471,6 +428,17 @@ impl SynthRequest {
             partitioner: None,
             options: SynthOptions::default(),
         }
+    }
+
+    /// The farm [`Job`] this request describes.
+    pub fn to_job(&self) -> Job {
+        JobSpec {
+            name: None,
+            source: self.source.clone(),
+            partitioner: self.partitioner.clone(),
+            options: self.options,
+        }
+        .to_job()
     }
 }
 
@@ -541,28 +509,16 @@ pub fn synthesize_with(
                 .to_string(),
         );
     }
-    let spec = JobSpec {
-        name: None,
-        source: request.source.clone(),
-        partitioner: request.partitioner.clone(),
-        options: request.options,
-    };
-    let job = spec.to_job();
+    let job = request.to_job();
     let partitioner_name = request.partitioner.as_deref().unwrap_or("pare-down");
     let partitioner = crate::scheduler::resolve_strategy(registry, partitioner_name)?;
     let design = job.load_design()?;
 
-    // The exact pipeline invocation the batch scheduler runs, so the RPC
-    // and batch paths cannot drift.
+    // The pipeline a batch job of the same options runs.
     let mut timings = StageTimings::new();
-    let result = crate::scheduler::run_synth_pipeline(
-        &design,
-        &job,
-        job.lint,
-        partitioner.as_ref(),
-        &mut timings,
-    )
-    .map_err(|e| e.to_string())?;
+    let result = crate::scheduler::job_pipeline(&design, &job, job.lint, &mut timings)
+        .run(partitioner.as_ref(), job.verify)
+        .map_err(|e| e.to_string())?;
 
     Ok(SynthResponse {
         design: design.name().to_string(),
@@ -775,12 +731,12 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// The [`StageSummary`] rows for `timings` (merged over completed
-    /// jobs), in first-report order.
-    pub fn summarize_stages(timings: &StageTimings) -> Vec<StageSummary> {
-        timings
-            .summarize()
-            .into_iter()
+    /// One [`StageSummary`] row per stage aggregate, in the order given:
+    /// pipeline stage order for the aggregates [`StageTimings::summarize`]
+    /// and [`StageStat::accumulate`] build.
+    pub fn summarize_stages(stats: &[StageStat]) -> Vec<StageSummary> {
+        stats
+            .iter()
             .map(|stat| StageSummary {
                 stage: stat.stage,
                 runs: stat.runs,
@@ -850,13 +806,10 @@ mod tests {
         assert!(!batch.jobs[1].verify);
         assert_eq!(batch.jobs[1].partitioner.as_deref(), Some("aggregation"));
 
-        // Batch -> request -> batch is lossless.
-        let request2 = BatchRequest::from_batch(&batch);
-        assert_eq!(request2.to_batch(), batch);
         // Request JSON re-serialization is byte-stable.
-        let text = serde::json::to_string(&request2);
-        let request3: BatchRequest = serde::json::from_str(&text).unwrap();
-        assert_eq!(serde::json::to_string(&request3), text);
+        let text = serde::json::to_string(&request);
+        let back: BatchRequest = serde::json::from_str(&text).unwrap();
+        assert_eq!(serde::json::to_string(&back), text);
     }
 
     #[test]
@@ -913,8 +866,7 @@ mod tests {
 
     #[test]
     fn lint_options_round_trip_and_surface_counts() {
-        // `lint_deny` alone implies lint on; the capture/apply round
-        // trip through JobSpec is lossless.
+        // `lint_deny` alone implies lint on.
         let spec: JobSpec = serde::json::from_str(
             r#"{"source": {"library": "Ignition Illuminator"},
                 "options": {"lint_deny": "warnings"}}"#,
@@ -922,7 +874,6 @@ mod tests {
         .unwrap();
         let job = spec.to_job();
         assert_eq!(job.lint.map(|c| c.deny), Some(DenyLevel::Warnings));
-        assert_eq!(JobSpec::from_job(&job).to_job(), job);
 
         // An explicit `lint: false` wins over a stray deny level.
         let spec: JobSpec = serde::json::from_str(

@@ -37,12 +37,14 @@ pub enum JobSource {
 /// tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum JobMode {
-    /// The full pipeline: partition → merge → rewrite → (verify) → emit C.
+    /// The full pipeline ([`Pipeline::run`](eblocks_synth::Pipeline::run)):
+    /// partition → merge → rewrite → (verify) → emit C.
     #[default]
     #[serde(rename = "synth")]
     Synth,
-    /// Partition analysis only (the Tables 1–2 workload) — no merge,
-    /// rewrite, verification, or C emission.
+    /// Partition analysis only (the Tables 1–2 workload,
+    /// [`Pipeline::partition_only`](eblocks_synth::Pipeline::partition_only))
+    /// — no merge, rewrite, verification, or C emission.
     #[serde(rename = "partition")]
     Partition,
 }

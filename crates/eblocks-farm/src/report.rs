@@ -128,7 +128,7 @@ impl BatchReport {
         self.jobs.iter().filter(|j| j.status.is_ok()).count()
     }
 
-    /// Rows that failed or panicked.
+    /// Rows that failed, panicked or timed out.
     pub fn failed(&self) -> usize {
         self.jobs.len() - self.succeeded()
     }

@@ -15,12 +15,9 @@
 use crate::job::{Batch, Job, JobMode};
 use crate::report::{BatchReport, JobReport, JobStats, JobStatus};
 use eblocks_core::Design;
-use eblocks_lint::{lint_design, LintConfig, LintOutcome};
+use eblocks_lint::LintConfig;
 use eblocks_partition::{PartitionConstraints, Partitioner, Registry};
-use eblocks_synth::{
-    Observer, Pipeline, Stage, StageAbort, StageReport, StageTimings, SynthError, SynthesisResult,
-    VerifyOptions,
-};
+use eblocks_synth::{Observer, Pipeline, Stage, StageAbort, StageReport, StageTimings, SynthError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -363,7 +360,7 @@ fn run_job(job: &Job, index: usize, batch: &Batch, config: &FarmConfig) -> JobRe
             Ok(Ok(stats)) => (JobStatus::Ok, Some(stats)),
             Ok(Err(ExecError::Failed(error))) => (JobStatus::Failed(error), None),
             Ok(Err(ExecError::TimedOut(error))) => (JobStatus::TimedOut(error), None),
-            Err(payload) => (JobStatus::Panicked(panic_message(payload)), None),
+            Err(payload) => (JobStatus::Panicked(panic_message(&payload)), None),
         };
         if status.is_ok() || attempt >= config.max_retries {
             return JobReport {
@@ -379,7 +376,9 @@ fn run_job(job: &Job, index: usize, batch: &Batch, config: &FarmConfig) -> JobRe
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message a caught panic carried (`"non-string panic payload"` when
+/// it carried neither a `&str` nor a `String`).
+pub fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -404,34 +403,24 @@ pub(crate) fn resolve_strategy(
     })
 }
 
-/// Runs `design` through the full synthesis pipeline with `job`'s options
-/// (partition → merge → rewrite → verify or skip → emit C), feeding
-/// `observer`. The one pipeline invocation both the batch scheduler and
-/// the request API execute, so the two paths cannot drift.
-pub(crate) fn run_synth_pipeline(
-    design: &Design,
+/// The pipeline `job` runs on `design`: the job's pin budget, optimizer
+/// flag and `lint` stage, reporting to `observer`. Batch jobs of both
+/// modes and the request API ([`crate::api::synthesize_with`]) build
+/// theirs here.
+pub(crate) fn job_pipeline<'a>(
+    design: &'a Design,
     job: &Job,
     lint: Option<LintConfig>,
-    partitioner: &dyn Partitioner,
-    observer: &mut dyn Observer,
-) -> Result<SynthesisResult, SynthError> {
-    let mut pipeline = Pipeline::new(design)
+    observer: &'a mut dyn Observer,
+) -> Pipeline<'a> {
+    let pipeline = Pipeline::new(design)
         .constraints(PartitionConstraints::with_spec(job.spec))
-        .optimize(job.optimize);
-    if let Some(config) = lint {
-        pipeline = pipeline.lint(config);
+        .optimize(job.optimize)
+        .observe(observer);
+    match lint {
+        Some(config) => pipeline.lint(config),
+        None => pipeline,
     }
-    let rewritten = pipeline
-        .observe(observer)
-        .partition_with(partitioner)?
-        .merge()?
-        .rewrite()?;
-    let verified = if job.verify {
-        rewritten.verify(VerifyOptions::default())?
-    } else {
-        rewritten.skip_verify()
-    };
-    Ok(verified.emit_c())
 }
 
 /// How one attempt of a job's fallible body ended short of success.
@@ -443,12 +432,12 @@ enum ExecError {
     TimedOut(String),
 }
 
-/// Maps a stage-boundary abort to the attempt outcome it represents.
-fn abort_error(stage: Stage, abort: StageAbort) -> ExecError {
-    if abort.timeout {
-        ExecError::TimedOut(abort.message)
-    } else {
-        ExecError::Failed(format!("stage {stage} aborted: {}", abort.message))
+/// Maps a pipeline error to the attempt outcome it represents: a timeout
+/// abort times the attempt out, anything else fails it.
+fn exec_error(error: SynthError) -> ExecError {
+    match error {
+        SynthError::Aborted { abort, .. } if abort.timeout => ExecError::TimedOut(abort.message),
+        other => ExecError::Failed(other.to_string()),
     }
 }
 
@@ -487,12 +476,18 @@ impl<'a> StageGuard<'a> {
             _ => None,
         }
     }
+}
+
+impl Observer for StageGuard<'_> {
+    fn on_stage(&mut self, report: &StageReport) {
+        self.timings.on_stage(report);
+    }
 
     /// The gate every stage passes through: deadline first, then the
     /// injector's verdict. A `Delay` sleeps and re-checks the deadline, a
     /// `Panic` panics into the worker's per-job isolation, an `Abort`
     /// returns as-is.
-    fn check(&self, stage: Stage) -> Result<(), StageAbort> {
+    fn before_stage(&mut self, stage: Stage) -> Result<(), StageAbort> {
         if let Some(abort) = self.deadline_abort(stage) {
             return Err(abort);
         }
@@ -516,16 +511,6 @@ impl<'a> StageGuard<'a> {
     }
 }
 
-impl Observer for StageGuard<'_> {
-    fn on_stage(&mut self, report: &StageReport) {
-        self.timings.on_stage(report);
-    }
-
-    fn before_stage(&mut self, stage: Stage) -> Result<(), StageAbort> {
-        self.check(stage)
-    }
-}
-
 /// The fallible body of one attempt of one job.
 fn execute(
     job: &Job,
@@ -537,50 +522,27 @@ fn execute(
     let partitioner =
         resolve_strategy(&config.registry, partitioner_name).map_err(ExecError::Failed)?;
     let design = job.load_design().map_err(ExecError::Failed)?;
-    let lint = job.lint.or(config.lint);
     let mut guard = StageGuard::new(config, index, attempt);
-    match job.mode {
+    let pipeline = job_pipeline(&design, job, job.lint.or(config.lint), &mut guard);
+    let stats = match job.mode {
         JobMode::Partition => {
-            // Partition-only jobs run outside the pipeline, so the lint
-            // admission gate is replayed here with the same stage
-            // gating, observer report, and deny semantics.
-            let lint_outcome = run_lint_stage(&design, lint, &mut guard)?;
-            guard
-                .check(Stage::Partition)
-                .map_err(|abort| abort_error(Stage::Partition, abort))?;
-            let constraints = PartitionConstraints::with_spec(job.spec);
-            design
-                .validate()
-                .map_err(|e| ExecError::Failed(e.to_string()))?;
-            let started = Instant::now();
-            let partitioning = partitioner.partition(&design, &constraints);
-            let elapsed = started.elapsed();
-            partitioning
-                .verify(&design, &constraints)
-                .map_err(|e| ExecError::Failed(e.to_string()))?;
-            guard.on_stage(&StageReport {
-                stage: Stage::Partition,
-                elapsed,
-                detail: partitioning.to_string(),
-            });
-            Ok(JobStats {
+            let (partitioning, lint) = pipeline
+                .partition_only(partitioner.as_ref())
+                .map_err(exec_error)?;
+            JobStats {
                 inner_before: partitioning.covered() + partitioning.uncovered().len(),
                 inner_after: partitioning.inner_total(),
                 partitions: partitioning.num_partitions(),
                 complete: partitioning.is_complete(),
-                c_bytes: 0,
-                verified: false,
-                lint: lint_outcome,
-                timings: guard.timings,
-            })
+                lint,
+                ..JobStats::default()
+            }
         }
         JobMode::Synth => {
-            let result = run_synth_pipeline(&design, job, lint, partitioner.as_ref(), &mut guard)
-                .map_err(|e| match e {
-                SynthError::Aborted { stage, abort } => abort_error(stage, abort),
-                other => ExecError::Failed(other.to_string()),
-            })?;
-            Ok(JobStats {
+            let result = pipeline
+                .run(partitioner.as_ref(), job.verify)
+                .map_err(exec_error)?;
+            JobStats {
                 inner_before: result.inner_before(),
                 inner_after: result.inner_after(),
                 partitions: result.partitioning.num_partitions(),
@@ -588,40 +550,14 @@ fn execute(
                 c_bytes: result.c_sources.iter().map(|(_, c)| c.len()).sum(),
                 verified: result.report.as_ref().is_some_and(|r| r.is_equivalent()),
                 lint: result.lint,
-                timings: guard.timings,
-            })
+                ..JobStats::default()
+            }
         }
-    }
-}
-
-/// The lint admission gate replayed for partition-only jobs (synth jobs
-/// get theirs from the pipeline): gate the stage, lint, feed the
-/// observer, reject per the config's deny level.
-fn run_lint_stage(
-    design: &Design,
-    lint: Option<LintConfig>,
-    guard: &mut StageGuard<'_>,
-) -> Result<Option<LintOutcome>, ExecError> {
-    let Some(config) = lint else {
-        return Ok(None);
     };
-    guard
-        .check(Stage::Lint)
-        .map_err(|abort| abort_error(Stage::Lint, abort))?;
-    let started = Instant::now();
-    let report = lint_design(design, &config);
-    let outcome = report.outcome();
-    guard.on_stage(&StageReport {
-        stage: Stage::Lint,
-        elapsed: started.elapsed(),
-        detail: outcome.to_string(),
-    });
-    if report.rejects(config.deny) {
-        return Err(ExecError::Failed(
-            SynthError::LintRejected { report }.to_string(),
-        ));
-    }
-    Ok(Some(outcome))
+    Ok(JobStats {
+        timings: guard.timings,
+        ..stats
+    })
 }
 
 #[cfg(test)]
@@ -869,6 +805,72 @@ mod tests {
         assert_eq!(message, "job timed out before merge (limit 30ms)");
         assert_eq!(report.jobs[0].retries, 0);
         assert!(report.jobs[1].status.is_ok());
+    }
+
+    #[test]
+    fn no_stage_time_includes_an_injected_gate_delay() {
+        // A delay enacted in the lint and partition gates of both a synth
+        // job and a partition-only job: the gate is not part of any stage.
+        let delay = Duration::from_millis(100);
+        let batch = Batch::new(vec![
+            Job::library("Ignition Illuminator"),
+            Job::library("Ignition Illuminator").with_mode(JobMode::Partition),
+        ]);
+        let faults = (0..2)
+            .flat_map(|job| {
+                [Stage::Lint, Stage::Partition].map(|stage| ((job, 0, stage), Fault::Delay(delay)))
+            })
+            .collect();
+        let config = FarmConfig::with_workers(2)
+            .lint(LintConfig::default())
+            .inject(Arc::new(Script::faults(faults)));
+        let report = run_batch(&batch, &config);
+        assert!(report.all_ok(), "{}", report.render_text(false));
+        for (job, row) in batch.jobs.iter().zip(&report.jobs) {
+            let stages = &row.stats.as_ref().unwrap().timings.reports;
+            assert_eq!(stages[0].stage, Stage::Lint);
+            assert_eq!(stages[1].stage, Stage::Partition);
+            for stage in stages {
+                assert!(
+                    stage.elapsed < delay,
+                    "{:?} job: {} took {:?}",
+                    job.mode,
+                    stage.stage,
+                    stage.elapsed
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_design_fails_both_modes_with_one_message() {
+        let dir = std::env::temp_dir().join(format!("eblocks-farm-invalid-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("dangling.netlist");
+        let mut design = Design::new("dangling");
+        design.add_block("g", eblocks_core::ComputeKind::and2());
+        std::fs::write(&path, eblocks_core::netlist::to_netlist(&design)).unwrap();
+
+        let batch = Batch::new(vec![
+            Job::netlist(&path),
+            Job::netlist(&path).with_mode(JobMode::Partition),
+        ]);
+        let report = run_batch(&batch, &FarmConfig::with_workers(1));
+        std::fs::remove_dir_all(&dir).ok();
+        let messages: Vec<&str> = report
+            .jobs
+            .iter()
+            .map(|job| match &job.status {
+                JobStatus::Failed(message) => message.as_str(),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert!(
+            messages[0].starts_with("invalid input design: "),
+            "{}",
+            messages[0]
+        );
+        assert_eq!(messages[0], messages[1]);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   joined by *links*; pre-built [`grid`](Topology::grid),
 //!   [`line`](Topology::line), and [`star`](Topology::star) shapes cover
 //!   common deployments.
-//! * [`PlacementProblem`] — a design (typically the output of
-//!   `eblocks_synth::synthesize`) plus a topology, with sensors/outputs
-//!   optionally *pinned* to the sites where the physical stimulus lives.
+//! * [`PlacementProblem`] — a design (typically the synthesized network
+//!   that `eblocks_synth::Pipeline::run` returns) plus a topology, with
+//!   sensors/outputs optionally *pinned* to the sites where the physical
+//!   stimulus lives.
 //! * [`Placement`] — a block→site assignment whose
 //!   [`cost`](Placement::cost) is the total routed hop count over all
 //!   design wires.

@@ -5,13 +5,16 @@
 //! motivation from §1: fewer blocks after synthesis means a smaller
 //! deployment — fewer occupied sites and less routed wire.
 
+use eblocks_partition::strategy::PareDown;
 use eblocks_place::{anneal_place, greedy_place, PlaceAnnealConfig, PlacementProblem, Topology};
-use eblocks_synth::{synthesize, SynthesisOptions};
+use eblocks_synth::Pipeline;
 
 #[test]
 fn synthesized_podium_timer_places_on_fewer_sites() {
     let original = eblocks_designs::podium_timer_3();
-    let result = synthesize(&original, &SynthesisOptions::default()).expect("synthesis succeeds");
+    let result = Pipeline::new(&original)
+        .run(&PareDown, true)
+        .expect("synthesis succeeds");
     assert!(
         result.synthesized.num_blocks() < original.num_blocks(),
         "synthesis must shrink the network"
@@ -50,7 +53,9 @@ fn annealing_improves_or_matches_greedy_on_synthesized_designs() {
         let design = eblocks_designs::by_name(name)
             .expect("library design")
             .design;
-        let result = synthesize(&design, &SynthesisOptions::default()).expect("synthesis");
+        let result = Pipeline::new(&design)
+            .run(&PareDown, true)
+            .expect("synthesis");
         let side = (result.synthesized.num_blocks() as f64).sqrt().ceil() as usize;
         let topo = Topology::grid(side, side + 1);
         let problem = PlacementProblem::new(&result.synthesized, &topo).expect("fits");
@@ -79,7 +84,7 @@ fn pinned_sensors_anchor_the_synthesized_network() {
     d.connect((inv, 0), (both, 1)).unwrap();
     d.connect((both, 0), (led, 0)).unwrap();
 
-    let result = synthesize(&d, &SynthesisOptions::default()).expect("synthesis");
+    let result = Pipeline::new(&d).run(&PareDown, true).expect("synthesis");
     let synth = &result.synthesized;
 
     let topo = Topology::grid(4, 4);
@@ -110,7 +115,8 @@ fn pinned_sensors_anchor_the_synthesized_network() {
 #[test]
 fn every_library_design_is_placeable_after_synthesis() {
     for entry in eblocks_designs::all() {
-        let result = synthesize(&entry.design, &SynthesisOptions::default())
+        let result = Pipeline::new(&entry.design)
+            .run(&PareDown, true)
             .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
         let blocks = result.synthesized.num_blocks();
         // Smallest grid with enough capacity.

@@ -4,10 +4,11 @@
 use crate::config::ServeConfig;
 use crate::queue::WorkQueue;
 use crate::{signal, spool};
-use eblocks_farm::api::{self, BatchRequest, JobSpec, ServeStats, SynthRequest, SynthResponse};
+use eblocks_farm::api::{self, BatchRequest, ServeStats, SynthRequest, SynthResponse};
+use eblocks_farm::scheduler::panic_message;
 use eblocks_farm::{run_batch, run_batch_with_progress, BatchReport, FarmConfig, JsonOptions};
 use eblocks_lint::lint_design;
-use eblocks_synth::{StageReport, StageTimings};
+use eblocks_synth::StageStat;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -62,8 +63,10 @@ pub(crate) struct ServerState {
     /// The farm-level drain hook: set on a hardened drain, it makes
     /// running batches stop claiming new jobs.
     hard_stop: Arc<AtomicBool>,
-    /// Per-stage aggregates merged from every completed job.
-    timings: Mutex<StageTimings>,
+    /// One running aggregate per stage over every completed job, in
+    /// pipeline stage order: at most one entry per stage, however long
+    /// the daemon runs.
+    stages: Mutex<Vec<StageStat>>,
     /// Monotonic sequence for claimed-file and temp-file names, so
     /// duplicate inbox filenames never collide in flight.
     sequence: AtomicU64,
@@ -81,7 +84,7 @@ impl ServerState {
             in_flight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             hard_stop: Arc::new(AtomicBool::new(false)),
-            timings: Mutex::new(StageTimings::new()),
+            stages: Mutex::new(Vec::new()),
             sequence: AtomicU64::new(0),
         }
     }
@@ -135,7 +138,7 @@ impl ServerState {
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
-            stages: ServeStats::summarize_stages(&self.timings.lock().expect("timings lock")),
+            stages: ServeStats::summarize_stages(&self.stages.lock().expect("stage lock")),
         }
     }
 
@@ -147,17 +150,11 @@ impl ServerState {
     /// one-shot paths.
     pub(crate) fn lint_reject_detail(&self, payload: &Payload) -> Option<String> {
         let config = self.config.admission_lint?;
-        let specs: Vec<JobSpec> = match payload {
-            Payload::Batch(request) => request.jobs.clone(),
-            Payload::Synth(request) => vec![JobSpec {
-                name: None,
-                source: request.source.clone(),
-                partitioner: request.partitioner.clone(),
-                options: request.options,
-            }],
+        let jobs = match payload {
+            Payload::Batch(request) => request.to_batch().jobs,
+            Payload::Synth(request) => vec![request.to_job()],
         };
-        for spec in specs {
-            let job = spec.to_job();
+        for job in jobs {
             let Ok(design) = job.load_design() else {
                 continue;
             };
@@ -169,24 +166,29 @@ impl ServerState {
         None
     }
 
-    /// Merges a finished batch's stage timings into the daemon-wide
-    /// aggregates.
-    fn absorb_report(&self, report: &BatchReport) {
-        let merged = report.stage_timings();
-        self.timings.lock().expect("timings lock").merge(&merged);
+    /// Folds per-stage aggregates into the daemon-wide ones.
+    fn absorb(&self, stats: impl IntoIterator<Item = StageStat>) {
+        let mut stages = self.stages.lock().expect("stage lock");
+        for stat in stats {
+            StageStat::accumulate(&mut stages, stat);
+        }
     }
 
-    /// Merges a synth response's stage rows (already rounded to
+    /// Folds a finished batch's stage timings into the daemon-wide
+    /// aggregates.
+    fn absorb_report(&self, report: &BatchReport) {
+        self.absorb(report.stage_timings().summarize());
+    }
+
+    /// Folds a synth response's stage rows (already rounded to
     /// milliseconds) into the daemon-wide aggregates.
     fn absorb_synth(&self, response: &SynthResponse) {
-        let mut timings = self.timings.lock().expect("timings lock");
-        for row in &response.stages_ms {
-            timings.reports.push(StageReport {
-                stage: row.stage,
-                elapsed: Duration::from_secs_f64(row.ms / 1e3),
-                detail: row.detail.clone(),
-            });
-        }
+        self.absorb(
+            response
+                .stages_ms
+                .iter()
+                .map(|row| StageStat::once(row.stage, Duration::from_secs_f64(row.ms / 1e3))),
+        );
     }
 }
 
@@ -478,13 +480,60 @@ fn run_payload(
     }
 }
 
-/// A panic payload's message, for error replies.
-fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eblocks_farm::api::DesignSource;
+    use eblocks_farm::{Batch, Job, LintConfig};
+    use eblocks_synth::Stage;
+    use std::collections::BTreeMap;
+
+    #[test]
+    fn stage_aggregate_stays_bounded_and_sums_every_row() {
+        let state = ServerState::new(ServeConfig::new(std::env::temp_dir()));
+        // Every absorbed row as (stage, elapsed), for the reference sums.
+        let mut rows: Vec<(Stage, Duration)> = Vec::new();
+
+        let request = SynthRequest::new(DesignSource::Library("Ignition Illuminator".into()));
+        let template = api::synthesize(&request).unwrap();
+        for k in 0..300u32 {
+            let mut response = template.clone();
+            for (i, row) in response.stages_ms.iter_mut().enumerate() {
+                row.ms = f64::from(k % 17) * 0.125 + i as f64;
+                rows.push((row.stage, Duration::from_secs_f64(row.ms / 1e3)));
+            }
+            state.absorb_synth(&response);
+        }
+        let batch = Batch::new(vec![
+            Job::library("Podium Timer 3").with_lint(LintConfig::default())
+        ]);
+        let report = run_batch(&batch, &FarmConfig::with_workers(1));
+        for job in &report.jobs {
+            for row in &job.stats.as_ref().unwrap().timings.reports {
+                rows.push((row.stage, row.elapsed));
+            }
+        }
+        state.absorb_report(&report);
+
+        assert_eq!(state.stages.lock().unwrap().len(), 6, "one entry per stage");
+        let mut expected: BTreeMap<Stage, StageStat> = BTreeMap::new();
+        for (stage, elapsed) in rows {
+            let stat = expected.entry(stage).or_insert(StageStat {
+                stage,
+                runs: 0,
+                total: Duration::ZERO,
+                max: Duration::ZERO,
+            });
+            stat.runs += 1;
+            stat.total += elapsed;
+            stat.max = stat.max.max(elapsed);
+        }
+        let expected: Vec<StageStat> = expected.into_values().collect();
+        assert_eq!(expected[0].runs, 1, "lint ran in the batch job only");
+        assert_eq!(expected[1].runs, 301);
+        assert_eq!(
+            state.stats().stages,
+            ServeStats::summarize_stages(&expected)
+        );
     }
 }

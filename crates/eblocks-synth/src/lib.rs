@@ -20,8 +20,9 @@
 //! # Example
 //!
 //! The staged [`Pipeline`] lets callers pick a strategy at runtime, stop at
-//! any stage, and observe per-stage timing; [`synthesize`] remains as a
-//! one-call shim:
+//! any stage, and observe per-stage timing. [`Pipeline::run`] runs every
+//! stage in one call, and [`Pipeline::partition_only`] stops after
+//! partitioning:
 //!
 //! ```
 //! use eblocks_designs::podium_timer_3;
@@ -56,8 +57,7 @@ pub use eblocks_lint::{DenyLevel, LintConfig, LintOutcome, LintReport};
 pub use error::SynthError;
 pub use observe::{Observer, Stage, StageAbort, StageReport, StageStat, StageTimings};
 pub use pipeline::{
-    synthesize, Algorithm, Merged, Partitioned, Pipeline, Rewritten, SynthesisOptions,
-    SynthesisResult, Verified, VerifyOptions,
+    Merged, Partitioned, Pipeline, Rewritten, SynthesisResult, Verified, VerifyOptions,
 };
 pub use rewrite::rewrite_network;
 pub use stimulus::exercise_all_sensors;

@@ -120,7 +120,8 @@ pub trait Observer: Send {
     ///
     /// The default allows every stage. The farm's timeout enforcement and
     /// the chaos harness's fault injection both hang off this hook: it runs
-    /// before `partition`, `merge`, `rewrite`, and `verify`. The infallible
+    /// before `lint` (when enabled), `partition`, `merge`, `rewrite`, and
+    /// `verify`, and no stage's reported time includes it. The infallible
     /// `emit-c` stage has no abort point (its signature predates this hook
     /// and returns the final result directly), so the latest a pipeline can
     /// be cancelled is just before verification.
@@ -173,30 +174,11 @@ impl StageTimings {
     /// collected report, in pipeline stage order. Stages that never ran are
     /// omitted.
     pub fn summarize(&self) -> Vec<StageStat> {
-        [
-            Stage::Lint,
-            Stage::Partition,
-            Stage::Merge,
-            Stage::Rewrite,
-            Stage::Verify,
-            Stage::EmitC,
-        ]
-        .into_iter()
-        .filter_map(|stage| {
-            let mut stat = StageStat {
-                stage,
-                runs: 0,
-                total: Duration::ZERO,
-                max: Duration::ZERO,
-            };
-            for r in self.reports.iter().filter(|r| r.stage == stage) {
-                stat.runs += 1;
-                stat.total += r.elapsed;
-                stat.max = stat.max.max(r.elapsed);
-            }
-            (stat.runs > 0).then_some(stat)
-        })
-        .collect()
+        let mut stats = Vec::new();
+        for report in &self.reports {
+            StageStat::accumulate(&mut stats, StageStat::once(report.stage, report.elapsed));
+        }
+        stats
     }
 }
 
@@ -212,6 +194,33 @@ pub struct StageStat {
     pub total: Duration,
     /// The single slowest run.
     pub max: Duration,
+}
+
+impl StageStat {
+    /// The aggregate of a single run of `stage` that took `elapsed`.
+    pub fn once(stage: Stage, elapsed: Duration) -> Self {
+        Self {
+            stage,
+            runs: 1,
+            total: elapsed,
+            max: elapsed,
+        }
+    }
+
+    /// Folds `stat` into `stats`, a running aggregate with at most one
+    /// entry per stage, kept in pipeline stage order: runs and totals add
+    /// up, and the maximum is the larger of the two.
+    pub fn accumulate(stats: &mut Vec<StageStat>, stat: StageStat) {
+        match stats.binary_search_by_key(&stat.stage, |s| s.stage) {
+            Ok(i) => {
+                let entry = &mut stats[i];
+                entry.runs += stat.runs;
+                entry.total += stat.total;
+                entry.max = entry.max.max(stat.max);
+            }
+            Err(i) => stats.insert(i, stat),
+        }
+    }
 }
 
 impl Observer for StageTimings {
@@ -304,6 +313,37 @@ mod tests {
         assert_eq!(stats[1].runs, 1);
         assert_eq!(stats[1].total, Duration::from_millis(5));
         assert_eq!(stats[1].max, Duration::from_millis(5));
+    }
+
+    #[test]
+    fn accumulate_keeps_one_entry_per_stage_in_pipeline_order() {
+        let mut stats = Vec::new();
+        for (stage, ms) in [
+            (Stage::EmitC, 1),
+            (Stage::Partition, 4),
+            (Stage::EmitC, 3),
+            (Stage::Lint, 2),
+        ] {
+            StageStat::accumulate(
+                &mut stats,
+                StageStat::once(stage, Duration::from_millis(ms)),
+            );
+        }
+        let order: Vec<Stage> = stats.iter().map(|s| s.stage).collect();
+        assert_eq!(order, [Stage::Lint, Stage::Partition, Stage::EmitC]);
+        assert_eq!(stats[2].runs, 2);
+        assert_eq!(stats[2].total, Duration::from_millis(4));
+        assert_eq!(stats[2].max, Duration::from_millis(3));
+
+        // Folding whole aggregates adds runs and totals and keeps the max.
+        let other = stats.clone();
+        for stat in other {
+            StageStat::accumulate(&mut stats, stat);
+        }
+        assert_eq!(stats.len(), 3);
+        assert_eq!(stats[2].runs, 4);
+        assert_eq!(stats[2].total, Duration::from_millis(8));
+        assert_eq!(stats[2].max, Duration::from_millis(3));
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!     .emit_c()                     -> SynthesisResult
 //! ```
 //!
-//! Attach an [`Observer`] with [`Pipeline::observe`] for per-stage timing
-//! and progress. The classic one-call [`synthesize`] entry point survives as
-//! a thin shim over this API.
+//! [`Pipeline::run`] is that whole chain in one call, and
+//! [`Pipeline::partition_only`] is partition analysis: the lint gate and
+//! the strategy, nothing after. Attach an [`Observer`] with
+//! [`Pipeline::observe`] for per-stage timing, progress and cancellation;
+//! every stage reaches it through the same gate and report calls.
 
 use crate::error::SynthError;
 use crate::observe::{Observer, Stage, StageReport};
@@ -25,75 +27,10 @@ use eblocks_behavior::Program;
 use eblocks_codegen::{emit_c, estimate_size, merge_partition, MergedProgram, SizeEstimate};
 use eblocks_core::{BlockId, Design};
 use eblocks_lint::{lint_design, LintConfig, LintOutcome};
-use eblocks_partition::strategy;
 use eblocks_partition::{PartitionConstraints, Partitioner, Partitioning};
 use eblocks_sim::{equivalence, EquivalenceReport, Simulator, Time};
 use std::collections::HashMap;
-use std::time::Instant;
-
-/// Which partitioning algorithm drives [`synthesize`] (compatibility enum;
-/// the staged [`Pipeline`] accepts any [`Partitioner`] instead, including
-/// the `refine` and `anneal` strategies this enum predates).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Algorithm {
-    /// The paper's PareDown decomposition heuristic (§4.2) — the default.
-    #[default]
-    PareDown,
-    /// Optimal exhaustive search (§4.1), as a min-cost cover over the sets
-    /// that fit; under the paper's 2-in/2-out budget it solves generated
-    /// designs of 25 inner blocks in tens of milliseconds.
-    Exhaustive,
-    /// The greedy aggregation strawman (§4.2 ¶1).
-    Aggregation,
-}
-
-impl Algorithm {
-    /// The equivalent [`Partitioner`] strategy with default configuration.
-    pub fn partitioner(self) -> Box<dyn Partitioner> {
-        match self {
-            Self::PareDown => Box::new(strategy::PareDown),
-            Self::Exhaustive => Box::new(strategy::Exhaustive::default()),
-            Self::Aggregation => Box::new(strategy::Aggregation),
-        }
-    }
-}
-
-/// Options controlling [`synthesize`].
-#[derive(Debug, Clone, Copy)]
-pub struct SynthesisOptions {
-    /// Partition feasibility constraints (pin budget etc.).
-    pub constraints: PartitionConstraints,
-    /// Partitioning algorithm.
-    pub algorithm: Algorithm,
-    /// Co-simulate original vs synthesized network and fail on divergence.
-    pub verify: bool,
-    /// Stimulus spacing used by verification (ticks between sensor edges).
-    pub verify_spacing: Time,
-    /// Timing-skew tolerance for verification (see
-    /// [`eblocks_sim::equivalence`]); merging removes internal wire hops,
-    /// shifting pulse windows by a few ticks.
-    pub verify_tolerance: Time,
-    /// Run the behavior-tree optimizer on merged programs before emitting C
-    /// and sizing them (see [`eblocks_behavior::optimize`](fn@eblocks_behavior::optimize)).
-    pub optimize: bool,
-    /// Run the lint stage before partitioning; `None` (the default) skips
-    /// it, preserving the historical pipeline shape.
-    pub lint: Option<LintConfig>,
-}
-
-impl Default for SynthesisOptions {
-    fn default() -> Self {
-        Self {
-            constraints: PartitionConstraints::default(),
-            algorithm: Algorithm::PareDown,
-            verify: true,
-            verify_spacing: 64,
-            verify_tolerance: 8,
-            optimize: true,
-            lint: None,
-        }
-    }
-}
+use std::time::{Duration, Instant};
 
 /// Options for the [`Rewritten::verify`] stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,7 +88,8 @@ impl SynthesisResult {
 /// Shared state threaded through the pipeline stages.
 struct Ctx<'a> {
     design: &'a Design,
-    /// Constraints with convexity forced on (see [`Pipeline::partition_with`]).
+    /// The constraints the partition stage runs under (convexity forced
+    /// on for synthesis; see [`Pipeline::partition_with`]).
     constraints: PartitionConstraints,
     optimize: bool,
     observer: Option<&'a mut dyn Observer>,
@@ -171,14 +109,29 @@ impl Ctx<'_> {
         Ok(())
     }
 
-    fn report(&mut self, stage: Stage, started: Instant, detail: String) {
+    fn report(&mut self, stage: Stage, elapsed: Duration, detail: String) {
         if let Some(observer) = self.observer.as_deref_mut() {
             observer.on_stage(&StageReport {
                 stage,
-                elapsed: started.elapsed(),
+                elapsed,
                 detail,
             });
         }
+    }
+
+    /// Runs the lint stage under `config` and rejects the design at the
+    /// config's deny level.
+    fn lint_stage(&mut self, config: LintConfig) -> Result<(), SynthError> {
+        self.begin(Stage::Lint)?;
+        let started = Instant::now();
+        let report = lint_design(self.design, &config);
+        let outcome = report.outcome();
+        self.report(Stage::Lint, started.elapsed(), outcome.to_string());
+        if report.rejects(config.deny) {
+            return Err(SynthError::LintRejected { report });
+        }
+        self.lint = Some(outcome);
+        Ok(())
     }
 }
 
@@ -200,6 +153,10 @@ impl Ctx<'_> {
 ///     .verify(VerifyOptions::default())?
 ///     .emit_c();
 /// assert_eq!(result.synthesized.census().inner_total(), 3);
+///
+/// // The same chain in one call.
+/// let again = Pipeline::new(&design).run(&PareDown, true)?;
+/// assert_eq!(again.c_sources, result.c_sources);
 /// # Ok(())
 /// # }
 /// ```
@@ -251,7 +208,25 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Runs the partition stage with the given strategy.
+    /// Runs the lint stage when it is enabled, then passes the partition
+    /// stage's gate. The partition stage runs under `constraints`.
+    fn start(self, constraints: PartitionConstraints) -> Result<Ctx<'a>, SynthError> {
+        let mut ctx = Ctx {
+            design: self.design,
+            constraints,
+            optimize: self.optimize,
+            observer: self.observer,
+            lint: None,
+        };
+        if let Some(config) = self.lint {
+            ctx.lint_stage(config)?;
+        }
+        ctx.begin(Stage::Partition)?;
+        Ok(ctx)
+    }
+
+    /// Runs the lint stage (when enabled) and the partition stage with the
+    /// given strategy.
     ///
     /// Realizability: a non-convex partition has a path that leaves it and
     /// re-enters, which becomes a wire cycle between programmable blocks in
@@ -260,9 +235,9 @@ impl<'a> Pipeline<'a> {
     /// can provide equivalent functionality") implicitly requires this, so
     /// the pipeline enforces convexity regardless of the caller's setting.
     /// Pure partition *analysis* (Tables 1–2) uses the caller's constraints
-    /// as-is via `eblocks_partition` directly. Contracting several
-    /// partitions at once can still close a wire cycle even when each
-    /// partition is convex; offending partitions are dissolved (see
+    /// as-is through [`partition_only`](Self::partition_only). Contracting
+    /// several partitions at once can still close a wire cycle even when
+    /// each partition is convex; offending partitions are dissolved (see
     /// [`eblocks_partition::dissolve_cycles`]).
     ///
     /// # Errors
@@ -273,63 +248,73 @@ impl<'a> Pipeline<'a> {
     /// an inconsistent result (a strategy bug), and [`SynthError::Aborted`]
     /// when the attached observer vetoes a stage.
     pub fn partition_with(
-        mut self,
+        self,
         partitioner: &dyn Partitioner,
     ) -> Result<Partitioned<'a>, SynthError> {
-        let mut lint_outcome = None;
-        if let Some(config) = self.lint {
-            let lint_started = Instant::now();
-            if let Some(observer) = self.observer.as_deref_mut() {
-                observer
-                    .before_stage(Stage::Lint)
-                    .map_err(|abort| SynthError::Aborted {
-                        stage: Stage::Lint,
-                        abort,
-                    })?;
-            }
-            let report = lint_design(self.design, &config);
-            let outcome = report.outcome();
-            if let Some(observer) = self.observer.as_deref_mut() {
-                observer.on_stage(&StageReport {
-                    stage: Stage::Lint,
-                    elapsed: lint_started.elapsed(),
-                    detail: outcome.to_string(),
-                });
-            }
-            if report.rejects(config.deny) {
-                return Err(SynthError::LintRejected { report });
-            }
-            lint_outcome = Some(outcome);
-        }
-
-        let started = Instant::now();
-        if let Some(observer) = self.observer.as_deref_mut() {
-            observer
-                .before_stage(Stage::Partition)
-                .map_err(|abort| SynthError::Aborted {
-                    stage: Stage::Partition,
-                    abort,
-                })?;
-        }
-        self.design.validate()?;
         let constraints = PartitionConstraints {
             require_convex: true,
             ..self.constraints
         };
-        let partitioning = partitioner.partition(self.design, &constraints);
-        let partitioning = eblocks_partition::dissolve_cycles(self.design, partitioning);
-        partitioning.verify(self.design, &constraints)?;
-
-        let mut ctx = Ctx {
-            design: self.design,
-            constraints,
-            optimize: self.optimize,
-            observer: self.observer,
-            lint: lint_outcome,
-        };
+        let mut ctx = self.start(constraints)?;
+        let started = Instant::now();
+        ctx.design.validate()?;
+        let partitioning = partitioner.partition(ctx.design, &constraints);
+        let partitioning = eblocks_partition::dissolve_cycles(ctx.design, partitioning);
+        partitioning.verify(ctx.design, &constraints)?;
         // The Partitioning's Display already leads with its algorithm label.
-        ctx.report(Stage::Partition, started, partitioning.to_string());
+        ctx.report(
+            Stage::Partition,
+            started.elapsed(),
+            partitioning.to_string(),
+        );
         Ok(Partitioned { ctx, partitioning })
+    }
+
+    /// Partition analysis: runs the lint stage (when enabled) and the
+    /// partition stage under the caller's constraints as given — no forced
+    /// convexity and no cycle dissolving, so the result is the strategy's
+    /// own. The partition stage's time covers the strategy call alone.
+    ///
+    /// # Errors
+    ///
+    /// As [`partition_with`](Self::partition_with).
+    pub fn partition_only(
+        self,
+        partitioner: &dyn Partitioner,
+    ) -> Result<(Partitioning, Option<LintOutcome>), SynthError> {
+        let constraints = self.constraints;
+        let mut ctx = self.start(constraints)?;
+        ctx.design.validate()?;
+        let started = Instant::now();
+        let partitioning = partitioner.partition(ctx.design, &constraints);
+        let elapsed = started.elapsed();
+        partitioning.verify(ctx.design, &constraints)?;
+        ctx.report(Stage::Partition, elapsed, partitioning.to_string());
+        Ok((partitioning, ctx.lint))
+    }
+
+    /// Runs every stage: partition with `partitioner`, merge, rewrite,
+    /// verify under [`VerifyOptions::default`] when `verify` is set, and
+    /// emit C.
+    ///
+    /// # Errors
+    ///
+    /// The first stage's error; notably
+    /// [`SynthError::VerificationFailed`] if the synthesized network
+    /// diverges behaviorally from the original under the all-sensors
+    /// stimulus.
+    pub fn run(
+        self,
+        partitioner: &dyn Partitioner,
+        verify: bool,
+    ) -> Result<SynthesisResult, SynthError> {
+        let rewritten = self.partition_with(partitioner)?.merge()?.rewrite()?;
+        let verified = if verify {
+            rewritten.verify(VerifyOptions::default())?
+        } else {
+            rewritten.skip_verify()
+        };
+        Ok(verified.emit_c())
     }
 }
 
@@ -346,8 +331,8 @@ impl<'a> Partitioned<'a> {
         &self.partitioning
     }
 
-    /// Consumes the stage, yielding the partitioning alone — for callers
-    /// that only wanted partition analysis.
+    /// Consumes the stage, yielding the realizable partitioning alone
+    /// ([`Pipeline::partition_only`] gives the strategy's own result).
     pub fn into_partitioning(self) -> Partitioning {
         self.partitioning
     }
@@ -373,7 +358,7 @@ impl<'a> Partitioned<'a> {
         }
         self.ctx.report(
             Stage::Merge,
-            started,
+            started.elapsed(),
             format!("{} merged program(s)", merged.len()),
         );
         Ok(Merged {
@@ -431,7 +416,7 @@ impl<'a> Merged<'a> {
         }
         self.ctx.report(
             Stage::Rewrite,
-            started,
+            started.elapsed(),
             format!(
                 "{} -> {} block(s), {} programmable",
                 self.ctx.design.census().inner_total(),
@@ -502,7 +487,7 @@ impl<'a> Rewritten<'a> {
         }
         self.ctx.report(
             Stage::Verify,
-            started,
+            started.elapsed(),
             format!("equivalent at {} sample(s)", report.sample_times.len()),
         );
         Ok(Verified {
@@ -575,7 +560,7 @@ impl Verified<'_> {
         }
         self.ctx.report(
             Stage::EmitC,
-            started,
+            started.elapsed(),
             format!("{} C source(s)", c_sources.len()),
         );
         SynthesisResult {
@@ -591,48 +576,12 @@ impl Verified<'_> {
     }
 }
 
-/// Runs the full pipeline: partition → merge → rewrite → (optionally)
-/// verify → emit C.
-///
-/// This is a compatibility shim over [`Pipeline`]; new code that wants to
-/// pick a strategy at runtime, stop early, or observe stage timings should
-/// use the staged API directly.
-///
-/// # Errors
-///
-/// Any [`SynthError`]; notably [`SynthError::VerificationFailed`] if the
-/// synthesized network diverges behaviorally from the original under the
-/// all-sensors stimulus.
-pub fn synthesize(
-    design: &Design,
-    options: &SynthesisOptions,
-) -> Result<SynthesisResult, SynthError> {
-    let partitioner = options.algorithm.partitioner();
-    let mut pipeline = Pipeline::new(design)
-        .constraints(options.constraints)
-        .optimize(options.optimize);
-    if let Some(config) = options.lint {
-        pipeline = pipeline.lint(config);
-    }
-    let rewritten = pipeline
-        .partition_with(partitioner.as_ref())?
-        .merge()?
-        .rewrite()?;
-    let verified = if options.verify {
-        rewritten.verify(VerifyOptions {
-            spacing: options.verify_spacing,
-            tolerance: options.verify_tolerance,
-        })?
-    } else {
-        rewritten.skip_verify()
-    };
-    Ok(verified.emit_c())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::StageAbort;
     use eblocks_core::{ComputeKind, OutputKind, SensorKind};
+    use eblocks_partition::{strategy, Registry};
 
     fn garage() -> Design {
         let mut d = Design::new("garage");
@@ -650,7 +599,10 @@ mod tests {
 
     #[test]
     fn garage_synthesis_verified() {
-        let result = synthesize(&garage(), &SynthesisOptions::default()).unwrap();
+        let design = garage();
+        let result = Pipeline::new(&design)
+            .run(&strategy::PareDown, true)
+            .unwrap();
         assert_eq!(result.inner_before(), 2);
         assert_eq!(result.inner_after(), 1);
         assert_eq!(result.synthesized.census().programmable, 1);
@@ -661,25 +613,9 @@ mod tests {
     }
 
     #[test]
-    fn all_algorithms_produce_verified_networks() {
-        for algorithm in [
-            Algorithm::PareDown,
-            Algorithm::Exhaustive,
-            Algorithm::Aggregation,
-        ] {
-            let options = SynthesisOptions {
-                algorithm,
-                ..Default::default()
-            };
-            let result = synthesize(&garage(), &options).unwrap();
-            assert!(result.report.unwrap().is_equivalent(), "{algorithm:?}");
-        }
-    }
-
-    #[test]
     fn all_five_strategies_drive_the_pipeline() {
         let design = garage();
-        let registry = eblocks_partition::Registry::builtin();
+        let registry = Registry::builtin();
         for name in registry.names() {
             let strategy = registry.from_str(name).unwrap();
             let result = Pipeline::new(&design)
@@ -764,32 +700,148 @@ mod tests {
     }
 
     #[test]
-    fn shim_matches_staged_api() {
+    fn run_matches_the_staged_chain() {
         let design = garage();
-        let via_shim = synthesize(&design, &SynthesisOptions::default()).unwrap();
-        let via_stages = Pipeline::new(&design)
-            .partition_with(&strategy::PareDown)
-            .unwrap()
-            .merge()
-            .unwrap()
-            .rewrite()
-            .unwrap()
-            .verify(VerifyOptions::default())
-            .unwrap()
-            .emit_c();
-        assert_eq!(via_shim.partitioning, via_stages.partitioning);
-        assert_eq!(via_shim.c_sources, via_stages.c_sources);
-        assert_eq!(via_shim.size_estimates, via_stages.size_estimates);
+        let registry = Registry::builtin();
+        for name in registry.names() {
+            let strategy = registry.from_str(name).unwrap();
+            for verify in [false, true] {
+                for lint in [None, Some(LintConfig::default())] {
+                    let pipeline = || {
+                        let pipeline = Pipeline::new(&design);
+                        match lint {
+                            Some(config) => pipeline.lint(config),
+                            None => pipeline,
+                        }
+                    };
+                    let via_run = pipeline().run(strategy.as_ref(), verify).unwrap();
+                    let rewritten = pipeline()
+                        .partition_with(strategy.as_ref())
+                        .and_then(Partitioned::merge)
+                        .and_then(Merged::rewrite)
+                        .unwrap();
+                    let via_stages = if verify {
+                        rewritten.verify(VerifyOptions::default()).unwrap()
+                    } else {
+                        rewritten.skip_verify()
+                    }
+                    .emit_c();
+                    let case = format!("{name}, verify {verify}, lint {}", lint.is_some());
+                    assert_eq!(via_run.partitioning, via_stages.partitioning, "{case}");
+                    assert_eq!(via_run.c_sources, via_stages.c_sources, "{case}");
+                    assert_eq!(via_run.size_estimates, via_stages.size_estimates, "{case}");
+                    assert_eq!(via_run.report.is_some(), verify, "{case}");
+                    assert_eq!(via_stages.report.is_some(), verify, "{case}");
+                    assert_eq!(via_run.lint, via_stages.lint, "{case}");
+                    assert_eq!(via_run.lint.is_some(), lint.is_some(), "{case}");
+                }
+            }
+        }
     }
 
     #[test]
     fn no_verify_skips_report() {
-        let options = SynthesisOptions {
-            verify: false,
-            ..Default::default()
-        };
-        let result = synthesize(&garage(), &options).unwrap();
+        let design = garage();
+        let result = Pipeline::new(&design)
+            .run(&strategy::PareDown, false)
+            .unwrap();
         assert!(result.report.is_none());
+    }
+
+    #[test]
+    fn partition_only_returns_the_strategys_own_result() {
+        // a feeds c directly and through b1 -> b2, whose side inputs put
+        // {a, b1, b2, c} over the pin budget: {a, c} fits but is not
+        // convex, so synthesis must not take it.
+        let mut d = Design::new("detour");
+        let s = d.add_block("s", SensorKind::Button);
+        let s2 = d.add_block("s2", SensorKind::Button);
+        let s3 = d.add_block("s3", SensorKind::Button);
+        let a = d.add_block("a", ComputeKind::Not);
+        let b1 = d.add_block("b1", ComputeKind::and2());
+        let b2 = d.add_block("b2", ComputeKind::and2());
+        let c = d.add_block("c", ComputeKind::and2());
+        let o = d.add_block("o", OutputKind::Led);
+        d.connect((s, 0), (a, 0)).unwrap();
+        d.connect((a, 0), (b1, 0)).unwrap();
+        d.connect((s2, 0), (b1, 1)).unwrap();
+        d.connect((b1, 0), (b2, 0)).unwrap();
+        d.connect((s3, 0), (b2, 1)).unwrap();
+        d.connect((a, 0), (c, 0)).unwrap();
+        d.connect((b2, 0), (c, 1)).unwrap();
+        d.connect((c, 0), (o, 0)).unwrap();
+
+        let registry = Registry::builtin();
+        let constraints = PartitionConstraints::default();
+        for name in registry.names() {
+            let strategy = registry.from_str(name).unwrap();
+            let mut timings = crate::observe::StageTimings::new();
+            let (partitioning, lint) = Pipeline::new(&d)
+                .lint(LintConfig::default())
+                .observe(&mut timings)
+                .partition_only(strategy.as_ref())
+                .unwrap();
+            assert_eq!(
+                partitioning,
+                strategy.partition(&d, &constraints),
+                "{name}: the caller's constraints, as given"
+            );
+            assert!(lint.is_some(), "{name}");
+            let stages: Vec<Stage> = timings.reports.iter().map(|r| r.stage).collect();
+            assert_eq!(stages, [Stage::Lint, Stage::Partition], "{name}");
+        }
+
+        // PareDown takes the non-convex {a, c} as given; forced convexity
+        // leaves nothing that fits.
+        let (analysis, _) = Pipeline::new(&d)
+            .partition_only(&strategy::PareDown)
+            .unwrap();
+        assert_eq!(analysis.covered(), 2);
+        let realized = Pipeline::new(&d)
+            .partition_with(&strategy::PareDown)
+            .unwrap()
+            .into_partitioning();
+        assert_eq!(realized.covered(), 0);
+    }
+
+    #[test]
+    fn no_stage_time_includes_its_gate() {
+        /// Sleeps in every gate, far longer than any stage of `garage`.
+        struct Slow(crate::observe::StageTimings);
+        impl Observer for Slow {
+            fn on_stage(&mut self, report: &StageReport) {
+                self.0.on_stage(report);
+            }
+            fn before_stage(&mut self, _: Stage) -> Result<(), StageAbort> {
+                std::thread::sleep(Duration::from_millis(100));
+                Ok(())
+            }
+        }
+        let design = garage();
+        let mut slow = Slow(crate::observe::StageTimings::new());
+        Pipeline::new(&design)
+            .lint(LintConfig::default())
+            .observe(&mut slow)
+            .run(&strategy::PareDown, true)
+            .unwrap();
+        Pipeline::new(&design)
+            .lint(LintConfig::default())
+            .observe(&mut slow)
+            .partition_only(&strategy::PareDown)
+            .unwrap();
+        assert_eq!(
+            slow.0.reports.len(),
+            8,
+            "six stages, then lint and partition"
+        );
+        for report in &slow.0.reports {
+            assert!(
+                report.elapsed < Duration::from_millis(100),
+                "{}: {:?}",
+                report.stage,
+                report.elapsed
+            );
+        }
     }
 
     #[test]
@@ -803,15 +855,13 @@ mod tests {
         d.connect((b, 0), (t, 0)).unwrap();
         d.connect((t, 0), (p, 0)).unwrap();
         d.connect((p, 0), (o, 0)).unwrap();
-        let result = synthesize(&d, &SynthesisOptions::default()).unwrap();
+        let result = Pipeline::new(&d).run(&strategy::PareDown, true).unwrap();
         assert_eq!(result.inner_after(), 1);
         assert!(result.report.unwrap().is_equivalent());
     }
 
     #[test]
     fn observer_can_abort_any_fallible_stage() {
-        use crate::observe::StageAbort;
-
         /// Vetoes one chosen stage, allows the rest.
         struct Veto(Stage);
         impl Observer for Veto {
@@ -862,7 +912,6 @@ mod tests {
 
     #[test]
     fn timeout_aborts_are_classified() {
-        use crate::observe::StageAbort;
         let abort = StageAbort::timeout("job timed out before merge");
         assert!(abort.timeout);
         assert_eq!(abort.to_string(), "job timed out before merge");
@@ -977,7 +1026,6 @@ mod tests {
 
     #[test]
     fn lint_stage_can_be_vetoed() {
-        use crate::observe::StageAbort;
         struct VetoLint;
         impl Observer for VetoLint {
             fn on_stage(&mut self, _: &StageReport) {}
@@ -1009,27 +1057,21 @@ mod tests {
     }
 
     #[test]
-    fn shim_applies_lint_option() {
-        let options = SynthesisOptions {
-            lint: Some(LintConfig::default()),
-            verify: false,
-            ..Default::default()
-        };
-        let result = synthesize(&garage(), &options).unwrap();
-        assert_eq!(result.lint, Some(LintOutcome::default()));
-    }
-
-    #[test]
     fn invalid_design_rejected() {
         let mut d = Design::new("bad");
         d.add_block("g", ComputeKind::and2());
         assert!(matches!(
-            synthesize(&d, &SynthesisOptions::default()),
+            Pipeline::new(&d).run(&strategy::PareDown, true),
             Err(SynthError::InvalidDesign(_))
         ));
-        // The staged API rejects it at the partition stage too.
+        // It is rejected at the partition stage, with or without the
+        // stages after it.
         assert!(matches!(
             Pipeline::new(&d).partition_with(&strategy::PareDown),
+            Err(SynthError::InvalidDesign(_))
+        ));
+        assert!(matches!(
+            Pipeline::new(&d).partition_only(&strategy::PareDown),
             Err(SynthError::InvalidDesign(_))
         ));
     }
@@ -1039,23 +1081,20 @@ mod tests {
 mod optimizer_tests {
     use super::*;
     use eblocks_codegen::estimate_size;
+    use eblocks_partition::strategy::PareDown;
 
     #[test]
     fn optimizer_never_grows_programs_and_preserves_equivalence() {
         // Verification runs against the optimized programs, so a successful
         // default synthesis already proves behavior; compare sizes too.
         for entry in eblocks_designs::all() {
-            let optimized = synthesize(&entry.design, &SynthesisOptions::default())
+            let optimized = Pipeline::new(&entry.design)
+                .run(&PareDown, true)
                 .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
-            let raw = synthesize(
-                &entry.design,
-                &SynthesisOptions {
-                    optimize: false,
-                    verify: false,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let raw = Pipeline::new(&entry.design)
+                .optimize(false)
+                .run(&PareDown, false)
+                .unwrap();
             for ((name_a, a), (name_b, b)) in
                 optimized.size_estimates.iter().zip(&raw.size_estimates)
             {

@@ -8,10 +8,11 @@
 //!
 //! Run with: `cargo run --example deployment`
 
+use eblocks::partition::strategy::PareDown;
 use eblocks::place::{
     anneal_place, greedy_place, route, PlaceAnnealConfig, PlacementProblem, Topology,
 };
-use eblocks::synth::{synthesize, SynthesisOptions};
+use eblocks::synth::Pipeline;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let original = eblocks::designs::two_zone_security();
@@ -23,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 1. Synthesis shrinks the logical network.
-    let result = synthesize(&original, &SynthesisOptions::default())?;
+    let result = Pipeline::new(&original).run(&PareDown, true)?;
     let synth = &result.synthesized;
     println!(
         "synthesized: {} blocks, {} wires ({} programmable)",

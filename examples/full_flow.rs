@@ -6,8 +6,9 @@
 //! (default: "Two-Zone Security"; see `eblocks::designs::all()` for names)
 
 use eblocks::core::netlist::to_netlist;
+use eblocks::partition::strategy::PareDown;
 use eblocks::sim::Simulator;
-use eblocks::synth::{exercise_all_sensors, synthesize, SynthesisOptions};
+use eblocks::synth::{exercise_all_sensors, Pipeline};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let requested = std::env::args()
@@ -28,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n=== synthesize ===");
-    let result = synthesize(&design, &SynthesisOptions::default())?;
+    let result = Pipeline::new(&design).run(&PareDown, true)?;
     println!(
         "inner blocks: {} -> {} ({} partitions)",
         result.inner_before(),

@@ -5,8 +5,9 @@
 //! Run with: `cargo run --example intro_systems`
 
 use eblocks::designs::all_intro;
+use eblocks::partition::strategy::PareDown;
 use eblocks::sim::{Simulator, Stimulus};
-use eblocks::synth::{synthesize, SynthesisOptions};
+use eblocks::synth::Pipeline;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Scenario per system: (stimulus, the output to watch, time to read it).
@@ -50,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nsynthesis:");
     for (name, design) in all_intro() {
-        let result = synthesize(&design, &SynthesisOptions::default())?;
+        let result = Pipeline::new(&design).run(&PareDown, true)?;
         println!(
             "  {name:<26} {} blocks -> {} ({} inner -> {}, {} programmable)",
             design.num_blocks(),

@@ -34,8 +34,7 @@
 //! summary, `--timings` adds a per-stage timing breakdown from the
 //! pipeline's observer hook, and `--partitioner` selects any of the
 //! registered strategies — pass `list` (or the standalone
-//! `--list-partitioners`) to print their names (`--algorithm` survives as a
-//! deprecated alias for the original three, with a stderr warning).
+//! `--list-partitioners`) to print their names.
 //! `batch` runs every job in a farm manifest across a worker pool; the
 //! manifest is either the line-oriented v1 format or a JSON `BatchRequest`
 //! (manifest v2, detected by a leading `{`). `--jobs N` sizes the pool
@@ -259,17 +258,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--partitioner" => {
                 options.partitioner = Some(it.next().ok_or("missing partitioner")?.clone());
-            }
-            // Deprecated alias, kept for scripts written against the old
-            // 3-variant --algorithm flag.
-            "--algorithm" => {
-                eprintln!(
-                    "warning: --algorithm is deprecated and will be removed; use --partitioner"
-                );
-                options.partitioner = match it.next().ok_or("missing algorithm")?.as_str() {
-                    name @ ("pare-down" | "exhaustive" | "aggregation") => Some(name.to_string()),
-                    other => return Err(format!("unknown algorithm `{other}`")),
-                };
             }
             "--jobs" => {
                 options.jobs = Some(
@@ -1106,17 +1094,20 @@ wire both.0 -> led.0
     }
 
     #[test]
-    fn algorithm_alias_still_accepted() {
-        let dir = tempdir("alias");
+    fn algorithm_flag_is_unknown() {
+        let dir = tempdir("algorithm");
         let path = write_garage(&dir);
-        let out = run(&s(&[
+        let err = run(&s(&[
             "partition",
             path.to_str().unwrap(),
             "--algorithm",
             "exhaustive",
         ]))
-        .unwrap();
-        assert!(out.contains("exhaustive"), "{out}");
+        .unwrap_err();
+        assert!(
+            err.message.starts_with("unknown flag `--algorithm`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -65,10 +65,12 @@
 //! # }
 //! ```
 //!
-//! Each stage returns a typed intermediate, so callers can stop early (for
-//! partition analysis), skip verification, or attach an
-//! [`Observer`](synth::Observer) for per-stage timings. The one-call
-//! [`synth::synthesize`] shim remains for the common case.
+//! Each stage returns a typed intermediate, so callers can stop early,
+//! skip verification, or attach an [`Observer`](synth::Observer) for
+//! per-stage timings. [`Pipeline::run`](synth::Pipeline::run) runs every
+//! stage in one call, and
+//! [`Pipeline::partition_only`](synth::Pipeline::partition_only) is
+//! partition analysis under the caller's constraints as given.
 //!
 //! # JSON in, JSON out
 //!

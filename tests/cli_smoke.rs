@@ -78,8 +78,8 @@ fn cli_synthesizes_garage_open_at_night_and_emits_c() {
 }
 
 #[test]
-fn algorithm_alias_warns_on_stderr_but_still_works() {
-    let dir = scratch_dir("alias-warn");
+fn algorithm_flag_exits_non_zero_as_unknown() {
+    let dir = scratch_dir("algorithm-flag");
     let design = eblocks::designs::garage_open_at_night();
     let netlist_path = dir.join("garage-open-at-night.netlist");
     std::fs::write(&netlist_path, eblocks::core::netlist::to_netlist(&design)).unwrap();
@@ -89,19 +89,18 @@ fn algorithm_alias_warns_on_stderr_but_still_works() {
             "partition",
             netlist_path.to_str().unwrap(),
             "--algorithm",
-            "aggregation",
+            "exhaustive",
         ])
         .output()
         .expect("spawn eblocks-cli");
-    assert!(output.status.success(), "the alias must keep working");
+    assert!(!output.status.success(), "--algorithm is gone");
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("deprecated"), "one-line warning: {stderr}");
     assert!(
-        stderr.contains("--partitioner"),
-        "points at the replacement: {stderr}"
+        stderr.contains("unknown flag `--algorithm`"),
+        "rejected like any other unknown flag: {stderr}"
     );
 
-    // The modern spelling stays silent.
+    // --partitioner picks the strategy, silently.
     let output = Command::new(env!("CARGO_BIN_EXE_eblocks-cli"))
         .args([
             "partition",

@@ -3,14 +3,16 @@
 //! original (merged wires become variable accesses), and transmits strictly
 //! fewer whenever a partition actually internalized a wire.
 
+use eblocks::partition::strategy::PareDown;
 use eblocks::sim::{estimate_energy, EnergyModel, Simulator};
-use eblocks::synth::{exercise_all_sensors, synthesize, SynthesisOptions};
+use eblocks::synth::{exercise_all_sensors, Pipeline};
 
 #[test]
 fn synthesis_never_increases_transmissions() {
     for entry in eblocks::designs::all() {
         let design = entry.design;
-        let result = synthesize(&design, &SynthesisOptions::default())
+        let result = Pipeline::new(&design)
+            .run(&PareDown, true)
             .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
         let stim = exercise_all_sensors(&design, 64);
         let until = stim.end_time().unwrap_or(0) + 128;
@@ -48,7 +50,7 @@ fn synthesis_never_increases_transmissions() {
 #[test]
 fn energy_totals_follow_transmissions() {
     let design = eblocks::designs::podium_timer_3();
-    let result = synthesize(&design, &SynthesisOptions::default()).unwrap();
+    let result = Pipeline::new(&design).run(&PareDown, true).unwrap();
     let stim = exercise_all_sensors(&design, 64);
     let until = stim.end_time().unwrap_or(0) + 128;
     let model = EnergyModel::default();

@@ -9,8 +9,9 @@
 //! the fault machinery itself is not vacuous (the faulty trace must differ
 //! from the healthy one).
 
+use eblocks::partition::strategy::PareDown;
 use eblocks::sim::{Fault, FaultPlan, Simulator, Stimulus, Time, Trace};
-use eblocks::synth::{exercise_all_sensors, synthesize, SynthesisOptions};
+use eblocks::synth::{exercise_all_sensors, Pipeline};
 
 const SPACING: Time = 64;
 const SETTLE: Time = 16;
@@ -33,7 +34,7 @@ fn horizon(stim: &Stimulus) -> Time {
 fn stuck_sensor_behaves_identically_before_and_after_synthesis() {
     for entry in eblocks::designs::all() {
         let design = entry.design;
-        let result = match synthesize(&design, &SynthesisOptions::default()) {
+        let result = match Pipeline::new(&design).run(&PareDown, true) {
             Ok(r) => r,
             Err(e) => panic!("{}: synthesis failed: {e}", entry.name),
         };

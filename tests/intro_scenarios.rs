@@ -5,8 +5,9 @@
 use eblocks::designs::{
     all_intro, conference_room_detector, mailroom_notifier, sleepwalk_detector,
 };
+use eblocks::partition::strategy::PareDown;
 use eblocks::sim::{Simulator, Stimulus};
-use eblocks::synth::{synthesize, SynthesisOptions};
+use eblocks::synth::Pipeline;
 
 #[test]
 fn sleepwalk_detector_only_fires_in_the_dark() {
@@ -55,7 +56,8 @@ fn conference_room_sign_stretches_brief_sounds() {
 #[test]
 fn intro_systems_synthesize_with_verification() {
     for (name, design) in all_intro() {
-        let result = synthesize(&design, &SynthesisOptions::default())
+        let result = Pipeline::new(&design)
+            .run(&PareDown, true)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         if let Some(report) = &result.report {
             assert!(
@@ -72,7 +74,7 @@ fn intro_systems_synthesize_with_verification() {
 #[test]
 fn synthesized_sleepwalk_behaves_identically() {
     let d = sleepwalk_detector();
-    let result = synthesize(&d, &SynthesisOptions::default()).unwrap();
+    let result = Pipeline::new(&d).run(&PareDown, true).unwrap();
     let original = Simulator::new(&d).unwrap();
     let merged = Simulator::with_programs(&result.synthesized, &result.programs).unwrap();
     let stim = Stimulus::new()

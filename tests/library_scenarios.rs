@@ -3,8 +3,9 @@
 //! post-synthesis (the synthesized network must pass the same scenario).
 
 use eblocks::designs;
+use eblocks::partition::strategy::PareDown;
 use eblocks::sim::{Simulator, Stimulus, Trace};
-use eblocks::synth::{synthesize, SynthesisOptions};
+use eblocks::synth::Pipeline;
 
 /// Runs the scenario against the original design and the synthesized one.
 fn both_ways(name: &str, stim: &Stimulus, until: u64, check: impl Fn(&Trace, &str)) {
@@ -12,14 +13,8 @@ fn both_ways(name: &str, stim: &Stimulus, until: u64, check: impl Fn(&Trace, &st
     let original = Simulator::new(&entry.design).unwrap();
     check(&original.run(stim, until).unwrap(), "original");
 
-    let result = synthesize(
-        &entry.design,
-        &SynthesisOptions {
-            verify: false, // the scenario below is the verification
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    // No verify: the scenario below is the verification.
+    let result = Pipeline::new(&entry.design).run(&PareDown, false).unwrap();
     let synth = Simulator::with_programs(&result.synthesized, &result.programs).unwrap();
     check(&synth.run(stim, until).unwrap(), "synthesized");
 }

@@ -58,7 +58,8 @@ fn committed_netlists_parse_and_synthesize() {
         design
             .validate()
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let result = eblocks::synth::synthesize(&design, &Default::default())
+        let result = eblocks::synth::Pipeline::new(&design)
+            .run(&eblocks::partition::strategy::PareDown, true)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(result.report.is_some(), "{}", path.display());
     }

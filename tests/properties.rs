@@ -172,10 +172,12 @@ proptest! {
         (inner, seed) in (2usize..=30, any::<u64>()),
         member_bits in prop::collection::vec(any::<bool>(), 30),
     ) {
-        use eblocks::synth::{synthesize, SynthesisOptions};
+        use eblocks::{partition::strategy::PareDown, synth::Pipeline};
         let design = generate(&GeneratorConfig::new(inner), seed);
-        let options = SynthesisOptions { verify: false, ..SynthesisOptions::default() };
-        let synthesized = synthesize(&design, &options).expect("synthesis").synthesized;
+        let synthesized = Pipeline::new(&design)
+            .run(&PareDown, false)
+            .expect("synthesis")
+            .synthesized;
         let back = netlist::from_netlist(&netlist::to_netlist(&synthesized)).expect("read back");
         let index = InnerIndex::new(&back);
         let mut members = BitSet::new(index.len());
@@ -250,10 +252,10 @@ proptest! {
 
     #[test]
     fn synthesis_preserves_behavior((inner, seed) in (1usize..=14, any::<u64>())) {
-        use eblocks::synth::{synthesize, SynthesisOptions};
+        use eblocks::{partition::strategy::PareDown, synth::Pipeline};
         let design = generate(&GeneratorConfig::new(inner), seed);
-        // `verify: true` makes divergence an Err, so success IS the property.
-        let result = synthesize(&design, &SynthesisOptions::default());
+        // Verification makes divergence an Err, so success IS the property.
+        let result = Pipeline::new(&design).run(&PareDown, true);
         prop_assert!(result.is_ok(), "synthesis failed: {:?}", result.err());
     }
 }

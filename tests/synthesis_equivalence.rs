@@ -1,15 +1,18 @@
 //! End-to-end pipeline tests: every library design and a batch of random
 //! designs synthesize successfully, and the synthesized network is
 //! behaviorally equivalent to the original under the all-sensors stimulus
-//! (checked by the pipeline itself — `verify: true` fails on divergence).
+//! (checked by the pipeline itself — verification fails on divergence).
 
 use eblocks::gen::{generate, GeneratorConfig};
-use eblocks::synth::{synthesize, Algorithm, SynthesisOptions};
+use eblocks::partition::strategy::{Aggregation, Exhaustive, PareDown};
+use eblocks::partition::Partitioner;
+use eblocks::synth::Pipeline;
 
 #[test]
 fn every_library_design_synthesizes_and_verifies() {
     for entry in eblocks::designs::all() {
-        let result = synthesize(&entry.design, &SynthesisOptions::default())
+        let result = Pipeline::new(&entry.design)
+            .run(&PareDown, true)
             .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
         assert_eq!(
             (result.inner_after(), result.partitioning.num_partitions()),
@@ -40,7 +43,8 @@ fn random_designs_synthesize_and_verify_with_pare_down() {
     for inner in [3usize, 6, 10, 15, 20] {
         for seed in 0..5u64 {
             let design = generate(&GeneratorConfig::new(inner), 1000 + seed);
-            let result = synthesize(&design, &SynthesisOptions::default())
+            let result = Pipeline::new(&design)
+                .run(&PareDown, true)
                 .unwrap_or_else(|e| panic!("inner={inner} seed={seed}: {e}"));
             assert!(
                 result.inner_after() <= inner,
@@ -54,22 +58,18 @@ fn random_designs_synthesize_and_verify_with_pare_down() {
 fn random_designs_synthesize_with_all_algorithms() {
     let design = generate(&GeneratorConfig::new(9), 77);
     let mut totals = Vec::new();
-    for algorithm in [
-        Algorithm::Exhaustive,
-        Algorithm::PareDown,
-        Algorithm::Aggregation,
-    ] {
-        let options = SynthesisOptions {
-            algorithm,
-            ..Default::default()
-        };
-        let result = synthesize(&design, &options).unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
-        totals.push((algorithm, result.inner_after()));
+    let strategies: [&dyn Partitioner; 3] = [&Exhaustive::default(), &PareDown, &Aggregation];
+    for strategy in strategies {
+        let name = strategy.name();
+        let result = Pipeline::new(&design)
+            .run(strategy, true)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        totals.push((name, result.inner_after()));
     }
     // Exhaustive is optimal: no heuristic beats it.
     let exh = totals[0].1;
-    for &(alg, total) in &totals[1..] {
-        assert!(total >= exh, "{alg:?} beat the optimum: {total} < {exh}");
+    for &(name, total) in &totals[1..] {
+        assert!(total >= exh, "{name} beat the optimum: {total} < {exh}");
     }
 }
 
@@ -78,13 +78,12 @@ fn synthesized_network_can_be_resynthesized_as_noop() {
     // Programmable blocks are not inner nodes, so synthesizing a fully
     // synthesized design again must be a no-op for covered parts.
     let entry = eblocks::designs::by_name("Podium Timer 3").unwrap();
-    let first = synthesize(&entry.design, &SynthesisOptions::default()).unwrap();
+    let first = Pipeline::new(&entry.design).run(&PareDown, true).unwrap();
     // The remaining pre-defined block (n7) is alone: no partition forms.
-    let options = SynthesisOptions {
-        verify: false, // re-verification needs prog programs wired into sim
-        ..Default::default()
-    };
-    let second = synthesize(&first.synthesized, &options).unwrap();
+    // No verify: re-verification needs prog programs wired into sim.
+    let second = Pipeline::new(&first.synthesized)
+        .run(&PareDown, false)
+        .unwrap();
     assert_eq!(second.partitioning.num_partitions(), 0);
     assert_eq!(second.synthesized.census().inner, 1);
 }
@@ -99,11 +98,10 @@ fn pin_constrained_specs_also_verify() {
         ProgrammableSpec::new(3, 3),
         ProgrammableSpec::new(4, 2),
     ] {
-        let options = SynthesisOptions {
-            constraints: PartitionConstraints::with_spec(spec),
-            ..Default::default()
-        };
-        let result = synthesize(&design, &options).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let result = Pipeline::new(&design)
+            .constraints(PartitionConstraints::with_spec(spec))
+            .run(&PareDown, true)
+            .unwrap_or_else(|e| panic!("{spec}: {e}"));
         for partition in result.partitioning.partitions() {
             assert!(partition.len() >= 2, "{spec}");
         }
