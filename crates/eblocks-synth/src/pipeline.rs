@@ -700,7 +700,26 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_the_staged_chain() {
+    fn all_algorithms_produce_verified_networks() {
+        // The paper's three algorithms through the one-call `run`.
+        let strategies: [&dyn Partitioner; 3] = [
+            &strategy::PareDown,
+            &strategy::Exhaustive::default(),
+            &strategy::Aggregation,
+        ];
+        for strategy in strategies {
+            let result = Pipeline::new(&garage()).run(strategy, true).unwrap();
+            assert!(
+                result.report.unwrap().is_equivalent(),
+                "{}",
+                strategy.name()
+            );
+        }
+    }
+
+    /// `run` is the one-call shim over the staged chain.
+    #[test]
+    fn shim_matches_staged_api() {
         let design = garage();
         let registry = Registry::builtin();
         for name in registry.names() {
@@ -1054,6 +1073,15 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn shim_applies_lint_option() {
+        let result = Pipeline::new(&garage())
+            .lint(LintConfig::default())
+            .run(&strategy::PareDown, false)
+            .unwrap();
+        assert_eq!(result.lint, Some(LintOutcome::default()));
     }
 
     #[test]
