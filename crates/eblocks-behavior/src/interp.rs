@@ -27,6 +27,13 @@
 //! hands back the outputs still in the buffer instead of re-running it. An
 //! idle pulse generator or delay, and a merged program re-evaluating settled
 //! member trees, spend most ticks there.
+//!
+//! [`Machine::tick_settled`] reports that fixpoint to the caller. A whole
+//! simulation run uses it to park the block: a repeated tick would send the
+//! outputs the block already sent, which the packet protocol's change
+//! detection drops, so the run stops scheduling its ticks until an input
+//! call ends the fixpoint (see `eblocks-sim`'s execution model). A stepped
+//! co-simulation keeps ticking and lands on the fast path above instead.
 
 use crate::ast::{input_port, output_port, BinOp, Expr, HandlerKind, Program, Stmt, UnOp};
 use crate::value::{EvalError, Value};
@@ -341,6 +348,14 @@ impl<'c> Machine<'c> {
         self.code.uses_tick()
     }
 
+    /// Whether the last call was a tick that left the state unchanged. If
+    /// so, every tick until the next [`on_input`](Self::on_input) or
+    /// [`reset`](Self::reset) repeats that tick's outputs and state
+    /// exactly (see the [module documentation](self)).
+    pub fn tick_settled(&self) -> bool {
+        self.tick_settled
+    }
+
     /// Reads a state variable (for tests and probes).
     pub fn state(&self, name: &str) -> Option<Value> {
         let slot = self.code.names.iter().position(|n| n == name)?;
@@ -645,14 +660,17 @@ mod tests {
         let off = Some(Value::Bool(false));
         assert_eq!(m.on_tick().unwrap().get(0), on); // 1
         assert_eq!(m.on_tick().unwrap().get(0), off); // 0
+        assert!(!m.tick_settled(), "the tick to 0 changed the state");
         for _ in 0..3 {
             // Settled: the same outputs, the same state.
             assert_eq!(m.on_tick().unwrap().get(0), off);
             assert_eq!(m.state("n"), Some(Value::Int(0)));
+            assert!(m.tick_settled());
         }
         // An input call that leaves the state alone still ends the
         // fixpoint: its outputs replaced the tick's in the buffer.
         assert!(m.on_input(&bools(&[false])).unwrap().is_empty());
+        assert!(!m.tick_settled());
         assert_eq!(m.on_tick().unwrap().get(0), off);
         m.on_input(&bools(&[true])).unwrap();
         assert_eq!(m.on_tick().unwrap().get(0), on);

@@ -4,10 +4,101 @@
 //! generates each block's program from its [`ComputeKind`]. Combinational
 //! truth tables become sum-of-products expressions; sequential blocks use
 //! `state` variables and, for the time-driven ones, `on tick` handlers.
+//!
+//! # The shared table
+//!
+//! [`code_for`] parses, checks and compiles a kind's program once per
+//! process and hands out the result as an [`Arc<LibraryCode>`]. The
+//! simulator, lint and merge all borrow from it, so a design with
+//! thousands of compute blocks of a few dozen kinds pays for a few dozen
+//! parses. The check runs at the kind's own arity, which is every block's
+//! arity: a block's port counts come from its kind.
+//!
+//! The table is bounded. `PulseGen` and `Delay` carry a `u16` tick count,
+//! so there are 131,348 kinds; the table holds at most [`TABLE_CAPACITY`]
+//! of them and is cleared when full, before the next insert. Callers keep
+//! the `Arc`s they hold, so a clear costs later lookups a rebuild and
+//! nothing else. A caller that cycles through every tick value therefore
+//! costs speed, never unbounded memory.
 
 use crate::ast::Program;
+use crate::check::{check, CheckError};
+use crate::interp::Compiled;
 use crate::parser::parse;
 use eblocks_core::{ComputeKind, TruthTable2, TruthTable3};
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, PoisonError, RwLock};
+
+/// The most kinds [`code_for`]'s table holds at once. Far above the few
+/// dozen kinds real designs use, far below the 131,348 that exist.
+pub const TABLE_CAPACITY: usize = 1024;
+
+/// One library kind's behavior, parsed, checked and compiled once (see
+/// the [module documentation](self)).
+#[derive(Debug)]
+pub struct LibraryCode {
+    program: Program,
+    errors: Vec<CheckError>,
+    compiled: Compiled,
+}
+
+impl LibraryCode {
+    fn new(kind: ComputeKind) -> Self {
+        let program = program_for(kind);
+        let errors = check(&program, kind.num_inputs(), kind.num_outputs());
+        let compiled = Compiled::new(&program);
+        Self {
+            program,
+            errors,
+            compiled,
+        }
+    }
+
+    /// The kind's parsed program, equal to [`program_for`]'s.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// The [`check`](fn@check) verdict at the kind's arity: empty when the
+    /// program is well-formed, as every library program is.
+    pub fn check_errors(&self) -> &[CheckError] {
+        &self.errors
+    }
+
+    /// The program compiled for [`Machine`](crate::Machine)s.
+    pub fn compiled(&self) -> &Compiled {
+        &self.compiled
+    }
+}
+
+static TABLE: LazyLock<RwLock<HashMap<ComputeKind, Arc<LibraryCode>>>> =
+    LazyLock::new(RwLock::default);
+
+/// The shared, checked and compiled behavior of `kind`, built on first use
+/// (see the [module documentation](self)).
+pub fn code_for(kind: ComputeKind) -> Arc<LibraryCode> {
+    // A panic elsewhere cannot leave the table half-updated: every write
+    // is one clear or one insert.
+    let cached = TABLE
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&kind)
+        .cloned();
+    if let Some(code) = cached {
+        return code;
+    }
+    let built = Arc::new(LibraryCode::new(kind));
+    let mut table = TABLE.write().unwrap_or_else(PoisonError::into_inner);
+    if let Some(code) = table.get(&kind) {
+        // Another thread built it first; hand out the one in the table.
+        return Arc::clone(code);
+    }
+    if table.len() >= TABLE_CAPACITY {
+        table.clear();
+    }
+    table.insert(kind, Arc::clone(&built));
+    built
+}
 
 /// Returns the behavior source text for a compute kind.
 ///
@@ -272,6 +363,115 @@ mod tests {
             let max_out = p.outputs_written().into_iter().max().map_or(0, |m| m + 1);
             assert!(max_in <= kind.num_inputs(), "{kind:?}");
             assert!(max_out <= kind.num_outputs(), "{kind:?}");
+        }
+    }
+
+    /// Every kind the shared-table tests cover: all truth tables, every
+    /// sequential block, and the timed blocks at the extremes of `ticks`.
+    fn table_kinds() -> Vec<ComputeKind> {
+        let mut kinds = vec![
+            ComputeKind::Not,
+            ComputeKind::Splitter,
+            ComputeKind::Toggle,
+            ComputeKind::Trip,
+        ];
+        for ticks in [1, 10, u16::MAX] {
+            kinds.push(ComputeKind::PulseGen { ticks });
+            kinds.push(ComputeKind::Delay { ticks });
+        }
+        kinds.extend((0..16u8).map(|m| ComputeKind::Logic2(TruthTable2::from_mask(m).unwrap())));
+        kinds.extend((0..=255u8).map(|m| ComputeKind::Logic3(TruthTable3::from_mask(m))));
+        kinds
+    }
+
+    /// Runs a fixed script of input and tick calls and records each call's
+    /// outputs.
+    fn run_script(code: &Compiled, arity: u8) -> Vec<Result<Vec<(u8, Value)>, String>> {
+        let mut m = Machine::new(code);
+        (0u32..40)
+            .map(|step| {
+                let outs = if step % 3 == 2 {
+                    m.on_tick()
+                } else {
+                    let bits = step.wrapping_mul(0x9E37_79B9) >> 7;
+                    let inputs: Vec<Value> = (0..arity)
+                        .map(|k| Value::Bool((bits >> k) & 1 == 1))
+                        .collect();
+                    m.on_input(&inputs)
+                };
+                outs.map(|o| o.iter().collect()).map_err(|e| e.to_string())
+            })
+            .collect()
+    }
+
+    fn table_len() -> usize {
+        TABLE.read().unwrap_or_else(PoisonError::into_inner).len()
+    }
+
+    #[test]
+    fn shared_code_matches_a_fresh_build() {
+        for kind in table_kinds() {
+            let code = code_for(kind);
+            assert_eq!(
+                code.program(),
+                &parse(&source_for(kind)).unwrap(),
+                "{kind:?}"
+            );
+            assert!(code.check_errors().is_empty(), "{kind:?}");
+            let fresh = Compiled::new(&program_for(kind));
+            assert_eq!(
+                run_script(code.compiled(), kind.num_inputs()),
+                run_script(&fresh, kind.num_inputs()),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn table_stays_within_its_capacity() {
+        let kinds = (1..=TABLE_CAPACITY as u16 + 100).flat_map(|ticks| {
+            [
+                ComputeKind::PulseGen { ticks },
+                ComputeKind::Delay { ticks },
+            ]
+        });
+        let mut held = Vec::new();
+        for kind in kinds {
+            held.push(code_for(kind));
+            assert!(table_len() <= TABLE_CAPACITY);
+        }
+        // Entries cleared out of the table live on in their holders.
+        assert_eq!(
+            held[0].program(),
+            &program_for(ComputeKind::PulseGen { ticks: 1 })
+        );
+    }
+
+    #[test]
+    fn lookups_from_many_threads_agree() {
+        // Kinds no other test uses, so the threads race to build them.
+        let mut kinds: Vec<ComputeKind> = (40_000..40_064)
+            .map(|ticks| ComputeKind::Delay { ticks })
+            .collect();
+        kinds.extend(table_kinds());
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<Program>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        kinds
+                            .iter()
+                            .map(|&kind| code_for(kind).program().clone())
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let expected: Vec<Program> = kinds.iter().map(|&kind| program_for(kind)).collect();
+        for programs in &seen {
+            assert_eq!(programs, &expected);
         }
     }
 

@@ -117,7 +117,7 @@ pub fn merge_partition(
         let BlockKind::Compute(kind) = design.block(m).expect("validated member").kind() else {
             unreachable!("members are inner blocks");
         };
-        let mut program = library::program_for(kind);
+        let mut program = library::code_for(kind).program().clone();
 
         let rename = |name: &str| -> Option<String> {
             if let Some(port) = eblocks_behavior::ast::input_port(name) {

@@ -740,8 +740,8 @@ pub fn analyze_design(
                 facts.outputs.insert((id, 0), forwarded);
             }
             BlockKind::Compute(ck) => {
-                let program = library::program_for(ck);
-                let pf = analyze_program(&program, &incoming, kind.num_outputs());
+                let code = library::code_for(ck);
+                let pf = analyze_program(code.program(), &incoming, kind.num_outputs());
                 for (port, set) in pf.outputs.iter().enumerate() {
                     facts.outputs.insert((id, port as u8), set.clone());
                 }

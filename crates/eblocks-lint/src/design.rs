@@ -580,10 +580,19 @@ fn dataflow_pass(
             let ValueSet::Values(sent_values) = sent else {
                 continue;
             };
-            let Some(receiver) = block_program(design, programs, w.to) else {
-                continue;
+            let library_code;
+            let receiver = match design.block(w.to).expect("wire sink").kind() {
+                BlockKind::Compute(ck) => {
+                    library_code = library::code_for(ck);
+                    library_code.program()
+                }
+                BlockKind::Programmable(_) => match programs.get(&w.to) {
+                    Some(program) => program,
+                    None => continue,
+                },
+                _ => continue,
             };
-            let Some(matched) = matched_values(&receiver, w.to_port) else {
+            let Some(matched) = matched_values(receiver, w.to_port) else {
                 continue;
             };
             if sent_values.is_disjoint(&matched) {
@@ -608,21 +617,6 @@ fn dataflow_pass(
                 ));
             }
         }
-    }
-}
-
-/// The behavior program governing `id`, when one is known: the library
-/// program for `compute` blocks, the attached program for programmable
-/// blocks.
-fn block_program(
-    design: &Design,
-    programs: &BTreeMap<BlockId, Program>,
-    id: BlockId,
-) -> Option<Program> {
-    match design.block(id)?.kind() {
-        BlockKind::Compute(ck) => Some(library::program_for(ck)),
-        BlockKind::Programmable(_) => programs.get(&id).cloned(),
-        _ => None,
     }
 }
 

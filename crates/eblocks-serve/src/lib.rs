@@ -23,7 +23,9 @@
 //!   (`accepted` / `queue-full` / `lint-rejected`), streamed per-job
 //!   `progress` events while its batch runs, and exactly one final
 //!   reply, all correlated by the client's request id (the server
-//!   assigns `r0`, `r1`, … when the client sends none).
+//!   assigns `r0`, `r1`, … when the client sends none). A line longer
+//!   than [`MAX_REQUEST_LINE`] gets one `error` reply and closes the
+//!   connection.
 //!
 //! Production shape:
 //!
@@ -82,3 +84,5 @@ mod spool;
 
 pub use config::ServeConfig;
 pub use server::{serve, spawn, ServeSummary, ServerHandle};
+#[cfg(unix)]
+pub use socket::MAX_REQUEST_LINE;

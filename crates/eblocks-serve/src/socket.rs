@@ -17,6 +17,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// The longest request line a socket client may send: 4 MiB, newline not
+/// counted. A request line carries its netlists inline, and the largest
+/// shipped design is under 3 KB, so real batches sit far below it. A
+/// connection whose line grows past it gets one `error` reply and is
+/// closed, so an endless line costs the daemon at most this much buffer.
+pub const MAX_REQUEST_LINE: usize = 4 << 20;
+
 /// Serializes `envelope` as one JSON line and writes it under the
 /// writer lock. Write errors are ignored: a client that hung up stops
 /// caring about its replies, and the worker must not die with it.
@@ -96,7 +103,9 @@ pub(crate) fn listen(
 }
 
 /// One client connection: reads request lines until EOF or the drain,
-/// auto-assigning ids `r0`, `r1`, … to envelopes that carry none.
+/// auto-assigning ids `r0`, `r1`, … to envelopes that carry none. Each
+/// byte read is scanned for a newline once; a line longer than
+/// [`MAX_REQUEST_LINE`] ends the connection with one `error` reply.
 fn connection(state: &Arc<ServerState>, stream: UnixStream) {
     // A short read timeout keeps the loop responsive to the drain flag
     // even while the client is idle.
@@ -113,10 +122,28 @@ fn connection(state: &Arc<ServerState>, stream: UnixStream) {
         match reader.read(&mut buffer) {
             Ok(0) => break,
             Ok(n) => {
-                pending.extend_from_slice(&buffer[..n]);
-                while let Some(newline) = pending.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = pending.drain(..=newline).collect();
-                    handle_line(state, &writer, &line[..newline], &mut next_id);
+                for piece in buffer[..n].split_inclusive(|&b| b == b'\n') {
+                    let (text, complete) = match piece.split_last() {
+                        Some((b'\n', text)) => (text, true),
+                        _ => (piece, false),
+                    };
+                    if pending.len() + text.len() > MAX_REQUEST_LINE {
+                        send(
+                            &writer,
+                            &ReplyEnvelope {
+                                id: None,
+                                reply: ServeReply::Error(format!(
+                                    "request line longer than {MAX_REQUEST_LINE} bytes; closing the connection"
+                                )),
+                            },
+                        );
+                        return;
+                    }
+                    pending.extend_from_slice(text);
+                    if complete {
+                        handle_line(state, &writer, &pending, &mut next_id);
+                        pending.clear();
+                    }
                 }
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {

@@ -5,8 +5,8 @@
 
 use eblocks_farm::api::{Admission, BatchRequest, BatchResponse, ReplyEnvelope, ServeReply};
 use eblocks_farm::{run_batch, FarmConfig, JsonOptions};
-use eblocks_serve::{spawn, ServeConfig};
-use std::io::{BufRead, BufReader, Write};
+use eblocks_serve::{spawn, ServeConfig, MAX_REQUEST_LINE};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -177,6 +177,57 @@ fn full_queue_is_an_explicit_verdict_and_every_accepted_request_is_answered() {
     assert_eq!(summary.accepted as usize, accepted);
     assert_eq!(summary.rejected as usize, queue_full);
     assert_eq!(summary.completed as usize, accepted);
+}
+
+#[test]
+fn overlong_line_gets_one_error_reply_and_a_closed_connection() {
+    let spool = tempdir("overlong");
+    let socket = spool.join("daemon.sock");
+    let handle = spawn(
+        ServeConfig::new(&spool)
+            .socket(&socket)
+            .poll_interval(Duration::from_millis(2)),
+    )
+    .unwrap();
+
+    // Twice the cap with no newline. The daemon hangs up part way, so the
+    // sender stops at its first failed write.
+    let mut flooded = connect(&socket);
+    // A daemon that kept buffering would never answer: fail, don't hang.
+    flooded
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut sender = flooded.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 << 10];
+        for _ in 0..2 * MAX_REQUEST_LINE / chunk.len() {
+            if sender.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    // Everything the daemon sent before closing: the read ends at EOF, or
+    // at the reset a close with unread input causes, after the data.
+    let mut received = Vec::new();
+    let _ = flooded.read_to_end(&mut received);
+    flood.join().unwrap();
+    let text = String::from_utf8(received).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 1, "exactly one reply: {text:?}");
+    let reply: ReplyEnvelope = serde::json::from_str(lines[0]).unwrap();
+    assert!(
+        matches!(&reply.reply, ServeReply::Error(message) if message.contains("longer than")),
+        "{reply:?}"
+    );
+
+    // The daemon still serves a new connection.
+    let mut stream = connect(&socket);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream.write_all(b"\"stats\"\n").unwrap();
+    let stats = read_reply(&mut reader);
+    assert!(matches!(stats.reply, ServeReply::Stats(_)), "{stats:?}");
+    stream.write_all(b"\"shutdown\"\n").unwrap();
+    handle.join().unwrap();
 }
 
 #[test]

@@ -21,6 +21,19 @@
 //! documented delivery order, so this rule makes whole-fleet traces a pure
 //! function of specs and seeds.
 //!
+//! # Every grid instant ticks
+//!
+//! A stepped runner ticks each time-driven block on every multiple of the
+//! tick period, also after its machine has settled: it never parks a tick
+//! the way a whole [`Simulator::run`] does (see the simulator's execution
+//! model). The traces are the same either way. What differs is the work a
+//! driver sees: [`next_event_time`](NodeRunner::next_event_time) reports
+//! each settled tick, and the fleet engine counts every node step as an
+//! event, a figure its golden report and the benchmark's fleet reference
+//! pin. A settled tick stays cheap here: the machine hands back its last
+//! outputs without re-running the handler, and change detection sends
+//! nothing.
+//!
 //! # Example: two nodes bridged by hand
 //!
 //! ```

@@ -14,8 +14,9 @@
 //!   never transient glitches from unequal-depth reconvergent paths),
 //! * an output port transmits only when its value **changes** (the eBlocks
 //!   packet protocol),
-//! * time-driven blocks receive periodic `tick` events; only communication
-//!   blocks add real latency (a radio/X10 hop is not instantaneous).
+//! * time-driven blocks receive periodic `tick` events on the grid of
+//!   multiples of `tick_period`; only communication blocks add real
+//!   latency (a radio/X10 hop is not instantaneous).
 //!
 //! Glitch-freedom matters for synthesis: a merged programmable block
 //! evaluates its member trees in level order against latched inputs, which
@@ -69,13 +70,38 @@
 //! transmission counters) is stored in flat `Vec`s indexed by a compact
 //! block index computed once from topological order.
 //!
+//! # Parked ticks
+//!
+//! A whole run ([`Simulator::run`], [`Simulator::run_with_faults`], and the
+//! reliability and energy harnesses built on them) skips ticks whose result
+//! is already known. When a tick leaves its block's machine settled
+//! ([`Machine::tick_settled`]: the state did not change), the block is
+//! *parked*: no next tick is scheduled. When an input next reaches it at
+//! instant `t`, its next tick is scheduled at the first multiple of
+//! `tick_period` after `t` (if that is representable and within the run).
+//! Neither step changes a trace:
+//!
+//! * a settled tick reads no inputs and repeats the outputs the block
+//!   already sent, so change detection would transmit nothing;
+//! * a tick at `t` runs before a delivery at `t`, so the first grid instant
+//!   after `t` is the tick an unparked block would run next;
+//! * a parked tick takes no `seq`, so later seqs shift down but keep their
+//!   order, and no trace or captured packet carries a seq.
+//!
+//! The stepped co-simulation path ([`crate::NodeRunner`]) never parks; see
+//! [`crate::cosim`] for why.
+//!
 //! # Behavior programs
 //!
-//! [`Simulator::with_programs`] compiles every block's behavior program
-//! once, right after checking it: names resolve to port indices and dense
-//! slots (see [`eblocks_behavior::Compiled`]). Each run's engine then gives
-//! every block a [`Machine`] that borrows the shared compilation and owns
-//! only its slots, and a handler call hands back a port-indexed view of the
+//! A compute block's program comes from the process-wide library table
+//! ([`library::code_for`]): each kind is parsed, checked and compiled once
+//! per process, and every simulator borrows that one compilation. The comm
+//! relay program is compiled once per process too.
+//! [`Simulator::with_programs`] checks and compiles only the programmable
+//! blocks' programs: names resolve to port indices and dense slots (see
+//! [`eblocks_behavior::Compiled`]). Each run's engine then gives every
+//! block a [`Machine`] that borrows its compilation and owns only its
+//! slots, and a handler call hands back a port-indexed view of the
 //! machine's output buffer. Together with the flat tables above, the hot
 //! path does no hashing and no per-event allocation; only an event beyond
 //! the timing wheel's horizon may allocate its overflow bucket.
@@ -85,10 +111,12 @@ use crate::error::SimError;
 use crate::fault::{FaultPlan, ResolvedFaults};
 use crate::stimulus::Stimulus;
 use crate::trace::Trace;
-use eblocks_behavior::{check, library, parse, Compiled, Machine, Outputs, Program, Value};
+use eblocks_behavior::library::{self, LibraryCode};
+use eblocks_behavior::{check, parse, Compiled, Machine, Outputs, Program, Value};
 use eblocks_core::{BlockId, BlockKind, Design};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::sync::{Arc, LazyLock};
 
 /// Simulation time, in abstract ticks. One tick is the period of `on tick`
 /// events; eBlocks operate on human-scale timing, so finer resolution adds
@@ -106,13 +134,43 @@ pub struct Simulator {
     design: Design,
     /// Compiled behavior by raw block index; `None` for sensors and
     /// outputs, which run no program.
-    code: Vec<Option<Compiled>>,
+    code: Vec<Option<Code>>,
     /// Extra latency of communication blocks (radio/X10 hop), in ticks.
     pub comm_latency: Time,
     /// Period of `on tick` events. Must be at least 1: a zero period would
     /// reschedule ticks at the same instant forever, so [`Simulator::run`]
     /// rejects it with [`SimError::InvalidTickPeriod`].
     pub tick_period: Time,
+}
+
+/// The comm relay's behavior: forward every packet unchanged. Every comm
+/// kind has one input and one output, so one checked compilation serves
+/// every comm block in the process.
+static RELAY: LazyLock<Compiled> = LazyLock::new(|| {
+    let program = parse("on input { out0 = in0; }").expect("the relay parses");
+    assert!(check(&program, 1, 1).is_empty(), "the relay checks");
+    Compiled::new(&program)
+});
+
+/// One block's compiled behavior.
+#[derive(Debug, Clone)]
+enum Code {
+    /// A compute block's library code, shared process-wide.
+    Library(Arc<LibraryCode>),
+    /// A comm block's relay.
+    Relay(&'static Compiled),
+    /// A programmable block's program, compiled by this simulator.
+    Own(Compiled),
+}
+
+impl Code {
+    fn compiled(&self) -> &Compiled {
+        match self {
+            Code::Library(shared) => shared.compiled(),
+            Code::Relay(relay) => relay,
+            Code::Own(own) => own,
+        }
+    }
 }
 
 impl Simulator {
@@ -130,12 +188,14 @@ impl Simulator {
 
     /// Builds a simulator supplying behavior programs for programmable
     /// blocks (keyed by block id). Each program is checked and compiled
-    /// here, once; the simulator keeps only the compiled form.
+    /// here, once; the simulator keeps only the compiled form. Compute
+    /// blocks borrow their kind's code from the shared library table.
     ///
     /// # Errors
     ///
     /// As for [`Simulator::new`], plus [`SimError::BadProgram`] if a
-    /// supplied program fails [`check`](fn@check) against the block's pin budget.
+    /// block's program fails [`check`](fn@check) against the block's pin
+    /// budget.
     pub fn with_programs(
         design: &Design,
         programs: &HashMap<BlockId, Program>,
@@ -144,34 +204,35 @@ impl Simulator {
         let mut code = Vec::new();
         for id in design.blocks() {
             let block = design.block(id).expect("iterated block");
-            let built;
-            let program = match block.kind() {
+            let bad = |error| SimError::BadProgram {
+                block: block.name().to_string(),
+                error,
+            };
+            let compiled = match block.kind() {
                 BlockKind::Compute(kind) => {
-                    built = library::program_for(kind);
-                    &built
+                    let shared = library::code_for(kind);
+                    if let Some(error) = shared.check_errors().first() {
+                        return Err(bad(error.clone()));
+                    }
+                    Code::Library(shared)
                 }
-                BlockKind::Comm(_) => {
-                    built = parse("on input { out0 = in0; }").expect("identity parses");
-                    &built
-                }
+                BlockKind::Comm(_) => Code::Relay(&RELAY),
                 BlockKind::Programmable(_) => {
-                    programs.get(&id).ok_or_else(|| SimError::MissingProgram {
+                    let program = programs.get(&id).ok_or_else(|| SimError::MissingProgram {
                         block: block.name().to_string(),
-                    })?
+                    })?;
+                    let errors = check(program, block.num_inputs(), block.num_outputs());
+                    if let Some(error) = errors.into_iter().next() {
+                        return Err(bad(error));
+                    }
+                    Code::Own(Compiled::new(program))
                 }
                 BlockKind::Sensor(_) | BlockKind::Output(_) => continue,
             };
-            let errors = check(program, block.num_inputs(), block.num_outputs());
-            if let Some(error) = errors.into_iter().next() {
-                return Err(SimError::BadProgram {
-                    block: block.name().to_string(),
-                    error,
-                });
-            }
             if code.len() <= id.index() {
                 code.resize_with(id.index() + 1, || None);
             }
-            code[id.index()] = Some(Compiled::new(program));
+            code[id.index()] = Some(compiled);
         }
         Ok(Self {
             design: design.clone(),
@@ -205,7 +266,7 @@ impl Simulator {
 
     /// The compiled behavior of block `id`, if it runs a program.
     fn code(&self, id: BlockId) -> Option<&Compiled> {
-        self.code.get(id.index())?.as_ref()
+        self.code.get(id.index())?.as_ref().map(Code::compiled)
     }
 
     /// [`run`](Self::run) with injected faults (see [`crate::fault`]):
@@ -450,6 +511,9 @@ pub(crate) struct Runner<'a> {
     in_sweep: Vec<bool>,
     tick_now: Vec<bool>,
     eval_now: Vec<bool>,
+    /// Per block: its last tick settled and no next tick is scheduled
+    /// (whole runs only; see the module docs on parked ticks).
+    parked: Vec<bool>,
     /// Per output block: packets received this instant, `(port, seq, value)`.
     out_now: Vec<Vec<(u8, u64, bool)>>,
     seq: u64,
@@ -563,6 +627,7 @@ impl<'a> Runner<'a> {
             in_sweep: Vec::with_capacity(n),
             tick_now: Vec::with_capacity(n),
             eval_now: Vec::with_capacity(n),
+            parked: Vec::with_capacity(n),
             out_now: vec![Vec::new(); n],
             seq: 0,
             trace: Trace::default(),
@@ -604,6 +669,8 @@ impl<'a> Runner<'a> {
         self.tick_now.resize(n, false);
         self.eval_now.clear();
         self.eval_now.resize(n, false);
+        self.parked.clear();
+        self.parked.resize(n, false);
         for slot in &mut self.out_now {
             slot.clear();
         }
@@ -703,14 +770,14 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Runs until `until` (inclusive) and folds the transmission counters
-    /// into the trace.
+    /// Runs until `until` (inclusive), parking settled ticks, and folds
+    /// the transmission counters into the trace.
     pub(crate) fn run(&mut self, until: Time) -> Result<(), SimError> {
         while let Some(t) = self.next_event_time() {
             if t > until {
                 break;
             }
-            self.process_instant(t, until)?;
+            self.process_instant::<true>(t, until)?;
         }
         self.finalize_counts();
         Ok(())
@@ -779,9 +846,10 @@ impl<'a> Runner<'a> {
     }
 
     /// Settles exactly the instant `t` (a co-simulation step). `horizon`
-    /// bounds tick rescheduling the same way `run`'s `until` does.
+    /// bounds tick rescheduling the same way `run`'s `until` does. Steps
+    /// never park a tick.
     pub(crate) fn step_at(&mut self, t: Time, horizon: Time) -> Result<(), SimError> {
-        self.process_instant(t, horizon)
+        self.process_instant::<false>(t, horizon)
     }
 
     /// Moves tap captures accumulated since the last drain into `out`, in
@@ -791,8 +859,9 @@ impl<'a> Runner<'a> {
     }
 
     /// Settles one instant: open its calendar bucket, apply its sensor
-    /// changes, then sweep pending ranks in topological order.
-    fn process_instant(&mut self, t: Time, until: Time) -> Result<(), SimError> {
+    /// changes, then sweep pending ranks in topological order. `PARK`
+    /// parks settled ticks (whole runs only).
+    fn process_instant<const PARK: bool>(&mut self, t: Time, until: Time) -> Result<(), SimError> {
         // Open the instant's bucket. Arrivals are applied in send (`seq`)
         // order so that a packet sent earlier on the same wire latches
         // first — every packet generated *during* this instant necessarily
@@ -841,7 +910,7 @@ impl<'a> Runner<'a> {
         // Stage 1. The machines leave `self` for the sweep, so a handler's
         // output view can be emitted while it still borrows its machine.
         let mut machines = std::mem::take(&mut self.machines);
-        let swept = self.sweep(&mut machines, t, until);
+        let swept = self.sweep::<PARK>(&mut machines, t, until);
         self.machines = machines;
         swept
     }
@@ -849,8 +918,9 @@ impl<'a> Runner<'a> {
     /// Stage 1 of an instant: sweep pending ranks in ascending order.
     /// Zero-latency transmissions only ever mark strictly higher ranks
     /// (wires point downstream in the DAG), so each block settles at most
-    /// once.
-    fn sweep(
+    /// once. With `PARK`, a settled tick parks its block and an input
+    /// resumes it (see the module docs on parked ticks).
+    fn sweep<const PARK: bool>(
         &mut self,
         machines: &mut [Option<Machine<'a>>],
         t: Time,
@@ -860,20 +930,19 @@ impl<'a> Runner<'a> {
             self.in_sweep[block] = false;
             if self.tick_now[block] {
                 self.tick_now[block] = false;
-                let outs = machines[block]
+                let machine = machines[block]
                     .as_mut()
-                    .expect("ticked blocks have machines")
+                    .expect("ticked blocks have machines");
+                let outs = machine
                     .on_tick()
                     .map_err(|error| self.eval_error(block, error))?;
                 self.emit(block, outs, t)?;
-                // Reschedule; a period that would overflow Time never fires
-                // again (instead of panicking near Time::MAX).
-                if let Some(next) = crate::time::after(t, self.sim.tick_period) {
-                    if next <= until {
-                        let seq = self.seq;
-                        self.seq += 1;
-                        self.calendar.schedule(next, Queued::Tick { seq, block });
-                    }
+                if PARK && machine.tick_settled() {
+                    self.parked[block] = true;
+                } else {
+                    // A period that would overflow Time never fires again
+                    // (instead of panicking near Time::MAX).
+                    self.schedule_tick(block, crate::time::after(t, self.sim.tick_period), until);
                 }
             }
             if self.meta[block].is_output {
@@ -893,9 +962,26 @@ impl<'a> Runner<'a> {
                     .on_input(&self.inputs[m.in_offset..m.in_offset + m.in_len])
                     .map_err(|error| self.eval_error(block, error))?;
                 self.emit(block, outs, t)?;
+                if PARK && self.parked[block] {
+                    // Resume on the grid: the first multiple of the period
+                    // after `t`, the tick an unparked block would run next.
+                    self.parked[block] = false;
+                    let period = self.sim.tick_period;
+                    self.schedule_tick(block, crate::time::after(t - t % period, period), until);
+                }
             }
         }
         Ok(())
+    }
+
+    /// Schedules `block`'s next tick at `next`, unless it is unrepresentable
+    /// (`None`) or past `until`.
+    fn schedule_tick(&mut self, block: usize, next: Option<Time>, until: Time) {
+        if let Some(next) = next.filter(|&next| next <= until) {
+            let seq = self.seq;
+            self.seq += 1;
+            self.calendar.schedule(next, Queued::Tick { seq, block });
+        }
     }
 
     /// Applies one sensor change (scripted or injected): a stuck fault
