@@ -142,21 +142,16 @@ pub fn merge_partition(
         };
         program.rename_vars(rename);
 
-        for st in program.states {
-            merged.states.push(st);
+        merged.states.append(&mut program.states);
+        // Library programs pass `check`, so each has at most one handler
+        // of each kind.
+        let (mut input_body, mut tick_body) = (Vec::new(), Vec::new());
+        for handler in program.handlers {
+            match handler.kind {
+                HandlerKind::Input => input_body = handler.body,
+                HandlerKind::Tick => tick_body = handler.body,
+            }
         }
-        let input_body = program
-            .handlers
-            .iter()
-            .find(|h| h.kind == HandlerKind::Input)
-            .map(|h| h.body.clone())
-            .unwrap_or_default();
-        let tick_body = program
-            .handlers
-            .iter()
-            .find(|h| h.kind == HandlerKind::Tick)
-            .map(|h| h.body.clone())
-            .unwrap_or_default();
         any_tick |= !tick_body.is_empty();
         input_bodies.push(input_body);
         tick_bodies.push(tick_body);
