@@ -230,21 +230,21 @@ mod tests {
     use crate::interp::{Compiled, Machine};
     use crate::value::Value;
 
+    /// All truth tables, every sequential block, and the timed blocks at
+    /// small tick counts and at the extremes of `ticks`.
     fn all_kinds() -> Vec<ComputeKind> {
         let mut kinds = vec![
             ComputeKind::Not,
             ComputeKind::Splitter,
             ComputeKind::Toggle,
             ComputeKind::Trip,
-            ComputeKind::PulseGen { ticks: 3 },
-            ComputeKind::Delay { ticks: 2 },
         ];
-        for mask in 0..16u8 {
-            kinds.push(ComputeKind::Logic2(TruthTable2::from_mask(mask).unwrap()));
+        for ticks in [1, 2, 3, 10, u16::MAX] {
+            kinds.push(ComputeKind::PulseGen { ticks });
+            kinds.push(ComputeKind::Delay { ticks });
         }
-        for mask in [0u8, 1, 0x80, 0xE8, 0x96, 0xFF, 0xCA] {
-            kinds.push(ComputeKind::Logic3(TruthTable3::from_mask(mask)));
-        }
+        kinds.extend((0..16u8).map(|m| ComputeKind::Logic2(TruthTable2::from_mask(m).unwrap())));
+        kinds.extend((0..=255u8).map(|m| ComputeKind::Logic3(TruthTable3::from_mask(m))));
         kinds
     }
 
@@ -366,24 +366,6 @@ mod tests {
         }
     }
 
-    /// Every kind the shared-table tests cover: all truth tables, every
-    /// sequential block, and the timed blocks at the extremes of `ticks`.
-    fn table_kinds() -> Vec<ComputeKind> {
-        let mut kinds = vec![
-            ComputeKind::Not,
-            ComputeKind::Splitter,
-            ComputeKind::Toggle,
-            ComputeKind::Trip,
-        ];
-        for ticks in [1, 10, u16::MAX] {
-            kinds.push(ComputeKind::PulseGen { ticks });
-            kinds.push(ComputeKind::Delay { ticks });
-        }
-        kinds.extend((0..16u8).map(|m| ComputeKind::Logic2(TruthTable2::from_mask(m).unwrap())));
-        kinds.extend((0..=255u8).map(|m| ComputeKind::Logic3(TruthTable3::from_mask(m))));
-        kinds
-    }
-
     /// Runs a fixed script of input and tick calls and records each call's
     /// outputs.
     fn run_script(code: &Compiled, arity: u8) -> Vec<Result<Vec<(u8, Value)>, String>> {
@@ -410,7 +392,7 @@ mod tests {
 
     #[test]
     fn shared_code_matches_a_fresh_build() {
-        for kind in table_kinds() {
+        for kind in all_kinds() {
             let code = code_for(kind);
             assert_eq!(
                 code.program(),
@@ -453,7 +435,7 @@ mod tests {
         let mut kinds: Vec<ComputeKind> = (40_000..40_064)
             .map(|ticks| ComputeKind::Delay { ticks })
             .collect();
-        kinds.extend(table_kinds());
+        kinds.extend(all_kinds());
         let start = std::sync::Barrier::new(4);
         let seen: Vec<Vec<Program>> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..4)
