@@ -13,7 +13,7 @@
 use crate::block::Block;
 use crate::error::DesignError;
 use crate::kind::BlockKind;
-use petgraph::stable_graph::{EdgeIndex, NodeIndex, StableDiGraph};
+use petgraph::stable_graph::{NodeIndex, StableDiGraph};
 use petgraph::visit::EdgeRef;
 use petgraph::Direction;
 use std::collections::HashMap;
@@ -39,17 +39,13 @@ impl fmt::Display for BlockId {
     }
 }
 
-/// Stable identifier of a connection within a [`Design`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EdgeId(pub(crate) EdgeIndex);
-
 /// Port-level connection data carried on each graph edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Connection {
+struct Connection {
     /// Output-port index on the source block.
-    pub from_port: u8,
+    from_port: u8,
     /// Input-port index on the destination block.
-    pub to_port: u8,
+    to_port: u8,
 }
 
 /// A fully resolved wire: source block/port and destination block/port.
@@ -143,11 +139,7 @@ impl Design {
     /// * [`DesignError::PortOutOfRange`] if a port index exceeds the arity,
     /// * [`DesignError::InputAlreadyDriven`] if the input port has a driver,
     /// * [`DesignError::WouldCycle`] if the wire would close a cycle.
-    pub fn connect(
-        &mut self,
-        from: (BlockId, u8),
-        to: (BlockId, u8),
-    ) -> Result<EdgeId, DesignError> {
+    pub fn connect(&mut self, from: (BlockId, u8), to: (BlockId, u8)) -> Result<(), DesignError> {
         let (src, from_port) = from;
         let (dst, to_port) = to;
         let src_block = self.block(src).ok_or_else(|| DesignError::UnknownBlock {
@@ -185,10 +177,9 @@ impl Design {
                 to: dst_block.name().to_string(),
             });
         }
-        let e = self
-            .graph
+        self.graph
             .add_edge(src.0, dst.0, Connection { from_port, to_port });
-        Ok(EdgeId(e))
+        Ok(())
     }
 
     /// Convenience: connects output port 0 of `from` to the lowest-numbered
@@ -199,7 +190,7 @@ impl Design {
     /// As for [`Design::connect`]; additionally returns
     /// [`DesignError::InputAlreadyDriven`] naming port count if every input of
     /// `to` is taken.
-    pub fn wire(&mut self, from: BlockId, to: BlockId) -> Result<EdgeId, DesignError> {
+    pub fn wire(&mut self, from: BlockId, to: BlockId) -> Result<(), DesignError> {
         let dst_block = self.block(to).ok_or_else(|| DesignError::UnknownBlock {
             reference: format!("{to} (connection destination)"),
         })?;
@@ -212,11 +203,6 @@ impl Design {
                 port: arity,
             })?;
         self.connect((from, 0), (to, port))
-    }
-
-    /// Removes a wire. Returns `false` if the edge was already gone.
-    pub fn disconnect(&mut self, edge: EdgeId) -> bool {
-        self.graph.remove_edge(edge.0).is_some()
     }
 
     /// Looks up a block by id.

@@ -59,7 +59,7 @@ pub mod truth_table;
 pub use bitset::{BitSet, InnerIndex};
 pub use block::Block;
 pub use cut::{cut_cost, CutCost, CutState};
-pub use design::{BlockId, Connection, Design, EdgeId};
+pub use design::{BlockId, Design};
 pub use endpoint::PortRef;
 pub use error::DesignError;
 pub use kind::{BlockKind, CommKind, ComputeKind, OutputKind, ProgrammableSpec, SensorKind};

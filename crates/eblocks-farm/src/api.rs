@@ -47,7 +47,7 @@
 use crate::job::{Batch, Job, JobMode, JobSource};
 use crate::report::{BatchReport, JobReport, JobStatus, JsonOptions};
 use eblocks_lint::{DenyLevel, LintConfig};
-use eblocks_partition::Registry;
+use eblocks_partition::{Registry, DEFAULT_PARTITIONER};
 use eblocks_synth::{Stage, StageStat, StageTimings};
 use serde::{Deserialize, Serialize};
 
@@ -411,7 +411,7 @@ impl BatchResponse {
 pub struct SynthRequest {
     /// Where the design comes from.
     pub source: DesignSource,
-    /// Strategy name; `None` means `pare-down`.
+    /// Strategy name; `None` means [`DEFAULT_PARTITIONER`].
     pub partitioner: Option<String>,
     /// Pipeline knobs. `mode` must be absent or `"synth"`: a synth
     /// request always runs the full pipeline (use a [`BatchRequest`] job
@@ -510,8 +510,11 @@ pub fn synthesize_with(
         );
     }
     let job = request.to_job();
-    let partitioner_name = request.partitioner.as_deref().unwrap_or("pare-down");
-    let partitioner = crate::scheduler::resolve_strategy(registry, partitioner_name)?;
+    let partitioner_name = request
+        .partitioner
+        .as_deref()
+        .unwrap_or(DEFAULT_PARTITIONER);
+    let partitioner = registry.from_str(partitioner_name)?;
     let design = job.load_design()?;
 
     // The pipeline a batch job of the same options runs.

@@ -23,12 +23,16 @@
 //!   which an engine-level override — the CLI's `--partitioner` flag —
 //!   beats, while a per-job `partitioner=` beats both.
 //!
+//! Each `job` line reads into the [`JobSpec`] a manifest-v2 JSON job
+//! would be, and the `default` lines above it into the [`SynthOptions`]
+//! that job starts from, so both formats build their [`Batch`] the same
+//! way ([`BatchRequest::to_batch`]).
+//!
 //! Relative `netlist=` paths are resolved against the manifest file's
 //! directory by [`Batch::from_file`]; [`Batch::parse`] leaves them as-is.
 
-use crate::api::BatchRequest;
-use crate::job::{Batch, Job, JobMode, JobSource};
-use eblocks_core::ProgrammableSpec;
+use crate::api::{BatchRequest, JobSpec, SynthOptions};
+use crate::job::{Batch, JobMode, JobSource};
 use std::path::{Path, PathBuf};
 
 /// A manifest error: what went wrong, on which 1-based line, and — when it
@@ -76,26 +80,6 @@ impl std::fmt::Display for ManifestError {
 }
 
 impl std::error::Error for ManifestError {}
-
-/// Option defaults carried between `default` lines and applied to jobs.
-#[derive(Debug, Clone, Copy)]
-struct Defaults {
-    mode: JobMode,
-    verify: bool,
-    optimize: bool,
-    spec: ProgrammableSpec,
-}
-
-impl Default for Defaults {
-    fn default() -> Self {
-        Self {
-            mode: JobMode::Synth,
-            verify: true,
-            optimize: true,
-            spec: ProgrammableSpec::default(),
-        }
-    }
-}
 
 /// Splits a directive line into words, honoring double quotes (which may
 /// enclose a whole word or just the value half of a `key=value` pair). An
@@ -157,24 +141,26 @@ fn parse_mode(value: &str) -> Result<JobMode, String> {
 
 /// Applies one option `key=value` shared by `job` and `default` lines.
 /// Returns false when the key is not an option key.
-fn apply_option(d: &mut Defaults, key: &str, value: &str) -> Result<bool, String> {
+fn apply_option(options: &mut SynthOptions, key: &str, value: &str) -> Result<bool, String> {
     match key {
-        "mode" => d.mode = parse_mode(value)?,
-        "verify" => d.verify = parse_bool(key, value)?,
-        "optimize" => d.optimize = parse_bool(key, value)?,
-        "inputs" => d.spec.inputs = parse_num(key, value)?,
-        "outputs" => d.spec.outputs = parse_num(key, value)?,
+        "mode" => options.mode = Some(parse_mode(value)?),
+        "verify" => options.verify = Some(parse_bool(key, value)?),
+        "optimize" => options.optimize = Some(parse_bool(key, value)?),
+        "inputs" => options.inputs = Some(parse_num(key, value)?),
+        "outputs" => options.outputs = Some(parse_num(key, value)?),
         _ => return Ok(false),
     }
     Ok(true)
 }
 
-fn parse_job(pairs: &[(String, String)], defaults: &Defaults) -> Result<Job, String> {
+/// One `job` line as the [`JobSpec`] a manifest-v2 job would be, starting
+/// from the options the `default` lines above it set.
+fn parse_job(pairs: &[(String, String)], defaults: &SynthOptions) -> Result<JobSpec, String> {
     let mut source: Option<JobSource> = None;
     let mut name: Option<String> = None;
     let mut partitioner: Option<String> = None;
     let mut seed: Option<u64> = None;
-    let mut opts = *defaults;
+    let mut options = *defaults;
     for (key, value) in pairs {
         let mut set_source = |s: JobSource| {
             if source.is_some() {
@@ -195,7 +181,7 @@ fn parse_job(pairs: &[(String, String)], defaults: &Defaults) -> Result<Job, Str
             "name" => name = Some(value.clone()),
             "partitioner" => partitioner = Some(value.clone()),
             key => {
-                if !apply_option(&mut opts, key, value)? {
+                if !apply_option(&mut options, key, value)? {
                     return Err(format!("unknown job key `{key}`"));
                 }
             }
@@ -208,20 +194,12 @@ fn parse_job(pairs: &[(String, String)], defaults: &Defaults) -> Result<Job, Str
         (_, Some(_)) => return Err("seed= only applies to generated= jobs".into()),
         _ => {}
     }
-    let mut job = match source {
-        JobSource::Netlist(path) => Job::netlist(path),
-        JobSource::Library(name) => Job::library(name),
-        JobSource::Generated { inner, seed } => Job::generated(inner, seed),
-    };
-    if let Some(name) = name {
-        job = job.named(name);
-    }
-    job.partitioner = partitioner;
-    job.mode = opts.mode;
-    job.verify = opts.verify;
-    job.optimize = opts.optimize;
-    job.spec = opts.spec;
-    Ok(job)
+    Ok(JobSpec {
+        name,
+        source,
+        partitioner,
+        options,
+    })
 }
 
 impl Batch {
@@ -233,8 +211,11 @@ impl Batch {
     ///
     /// [`ManifestError`] with the offending 1-based line number.
     pub fn parse(text: &str) -> Result<Self, ManifestError> {
-        let mut batch = Batch::default();
-        let mut defaults = Defaults::default();
+        let mut request = BatchRequest {
+            default_partitioner: None,
+            jobs: Vec::new(),
+        };
+        let mut defaults = SynthOptions::default();
         for (i, raw) in text.lines().enumerate() {
             let err = |message: String| ManifestError::at_line(i + 1, message);
             // Comments are stripped inside tokenize (quote-aware: a `#` in
@@ -253,11 +234,13 @@ impl Batch {
                 })
                 .collect::<Result<_, _>>()?;
             match directive.as_str() {
-                "job" => batch.jobs.push(parse_job(&pairs, &defaults).map_err(err)?),
+                "job" => request
+                    .jobs
+                    .push(parse_job(&pairs, &defaults).map_err(err)?),
                 "default" => {
                     for (key, value) in &pairs {
                         if key == "partitioner" {
-                            batch.default_partitioner = Some(value.clone());
+                            request.default_partitioner = Some(value.clone());
                         } else if !apply_option(&mut defaults, key, value).map_err(err)? {
                             return Err(err(format!("unknown default key `{key}`")));
                         }
@@ -266,7 +249,7 @@ impl Batch {
                 other => return Err(err(format!("unknown directive `{other}`"))),
             }
         }
-        Ok(batch)
+        Ok(request.to_batch())
     }
 
     /// Parses a manifest-v2 JSON batch: the serialized form of
@@ -330,18 +313,18 @@ impl Batch {
 mod tests {
     use super::*;
 
+    /// Every line kind: comments, both `default` forms, all three sources.
+    const FULL_MANIFEST: &str = "# a comment\n\
+         default partitioner=anneal verify=false\n\
+         \n\
+         job netlist=\"a dir/garage.netlist\"  # trailing comment\n\
+         job library=\"Podium Timer 3\" partitioner=refine name=pt3\n\
+         default verify=true inputs=3\n\
+         job generated=20 seed=7 mode=partition optimize=false\n";
+
     #[test]
     fn full_manifest_parses() {
-        let batch = Batch::parse(
-            "# a comment\n\
-             default partitioner=anneal verify=false\n\
-             \n\
-             job netlist=\"a dir/garage.netlist\"  # trailing comment\n\
-             job library=\"Podium Timer 3\" partitioner=refine name=pt3\n\
-             default verify=true inputs=3\n\
-             job generated=20 seed=7 mode=partition optimize=false\n",
-        )
-        .unwrap();
+        let batch = Batch::parse(FULL_MANIFEST).unwrap();
         assert_eq!(batch.default_partitioner.as_deref(), Some("anneal"));
         assert_eq!(batch.jobs.len(), 3);
 
@@ -362,6 +345,26 @@ mod tests {
         assert!(j.verify, "later default line flipped it back");
         assert!(!j.optimize);
         assert_eq!(j.spec.inputs, 3, "default inputs=3 was in effect");
+    }
+
+    #[test]
+    fn full_manifest_equals_its_v2_json() {
+        let json = Batch::from_json(
+            r#"{
+                "default_partitioner": "anneal",
+                "jobs": [
+                    {"source": {"netlist": "a dir/garage.netlist"},
+                     "options": {"verify": false}},
+                    {"name": "pt3", "source": {"library": "Podium Timer 3"},
+                     "partitioner": "refine", "options": {"verify": false}},
+                    {"source": {"generated": {"inner": 20, "seed": 7}},
+                     "options": {"mode": "partition", "optimize": false,
+                                 "verify": true, "inputs": 3}}
+                ]
+            }"#,
+        )
+        .unwrap();
+        assert_eq!(json, Batch::parse(FULL_MANIFEST).unwrap());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::job::{Batch, Job, JobMode};
 use crate::report::{BatchReport, JobReport, JobStats, JobStatus};
 use eblocks_core::Design;
 use eblocks_lint::LintConfig;
-use eblocks_partition::{PartitionConstraints, Partitioner, Registry};
+use eblocks_partition::{PartitionConstraints, Registry, DEFAULT_PARTITIONER};
 use eblocks_synth::{Observer, Pipeline, Stage, StageAbort, StageReport, StageTimings, SynthError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -337,13 +337,13 @@ fn pickup_order(faults: Option<&dyn FaultInjector>, jobs: usize) -> Vec<usize> {
 }
 
 /// Resolves the job's strategy name: job > engine override > batch default
-/// > `pare-down`.
+/// > [`DEFAULT_PARTITIONER`].
 fn partitioner_name<'a>(job: &'a Job, batch: &'a Batch, config: &'a FarmConfig) -> &'a str {
     job.partitioner
         .as_deref()
         .or(config.partitioner_override.as_deref())
         .or(batch.default_partitioner.as_deref())
-        .unwrap_or("pare-down")
+        .unwrap_or(DEFAULT_PARTITIONER)
 }
 
 /// Runs one job on the calling worker thread, catching panics and
@@ -386,21 +386,6 @@ pub fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Resolves a strategy name against `registry`, with the standard
-/// "unknown partitioner" message listing what is available. Shared by the
-/// batch path here and the request API ([`crate::api::synthesize_with`]).
-pub(crate) fn resolve_strategy(
-    registry: &Registry,
-    name: &str,
-) -> Result<Box<dyn Partitioner>, String> {
-    registry.from_str(name).ok_or_else(|| {
-        format!(
-            "unknown partitioner `{name}` (available: {})",
-            registry.names().join(", ")
-        )
-    })
 }
 
 /// The pipeline `job` runs on `design`: the job's pin budget, optimizer
@@ -519,8 +504,10 @@ fn execute(
     partitioner_name: &str,
     config: &FarmConfig,
 ) -> Result<JobStats, ExecError> {
-    let partitioner =
-        resolve_strategy(&config.registry, partitioner_name).map_err(ExecError::Failed)?;
+    let partitioner = config
+        .registry
+        .from_str(partitioner_name)
+        .map_err(ExecError::Failed)?;
     let design = job.load_design().map_err(ExecError::Failed)?;
     let mut guard = StageGuard::new(config, index, attempt);
     let pipeline = job_pipeline(&design, job, job.lint.or(config.lint), &mut guard);

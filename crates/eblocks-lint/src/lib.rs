@@ -6,7 +6,8 @@
 //! reports every problem it finds in one run as structured [`Diagnostic`]s —
 //! a stable rule code (`E001`, `W120`, …), a [`Severity`], a location, a
 //! message, and an optional fix hint. The same reporting model carries
-//! `eblocks-behavior`'s [`CheckError`]s (see [`diagnose_check`]), so the
+//! `eblocks-behavior`'s [`CheckError`](eblocks_behavior::CheckError)s (see
+//! [`diagnose_check`]), so the
 //! checker and the linter speak one language.
 //!
 //! Determinism contract: for a given input and [`LintConfig`], the
@@ -56,7 +57,6 @@ pub use behavior::{diagnose_check, lint_behavior, lint_program};
 pub use design::{lint_design, lint_design_with_programs, lint_netlist};
 pub use fix::{apply_machine_fixes, fix_to_fixpoint, Applicability, Fix, TextEdit};
 
-use eblocks_behavior::CheckError;
 use eblocks_core::ProgrammableSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -695,12 +695,6 @@ pub mod rules {
     pub fn by_code(code: &str) -> Option<&'static Rule> {
         ALL.iter().find(|r| r.code == code)
     }
-}
-
-/// Converts checker errors into the shared [`Diagnostic`] model — the one
-/// reporting path `check` and `lint` both use.
-pub fn diagnose_check_error(error: &CheckError) -> Diagnostic {
-    behavior::diagnose_one(error)
 }
 
 #[cfg(test)]

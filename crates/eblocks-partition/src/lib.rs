@@ -77,4 +77,4 @@ pub use pare_down::{pare_down, pare_down_no_tie_breaks, pare_down_traced, TraceE
 pub use quotient::{dissolve_cycles, quotient_is_acyclic};
 pub use refine::{pare_down_refined, refine, RefineReport};
 pub use result::{Partitioning, VerifyError};
-pub use strategy::{Partitioner, Registry};
+pub use strategy::{Partitioner, Registry, DEFAULT_PARTITIONER};

@@ -142,6 +142,9 @@ impl Partitioner for Anneal {
     }
 }
 
+/// The strategy a job, request or command runs when it names none.
+pub const DEFAULT_PARTITIONER: &str = "pare-down";
+
 /// A boxed factory producing one configured strategy instance.
 type Factory = Box<dyn Fn() -> Box<dyn Partitioner> + Send + Sync>;
 
@@ -186,12 +189,20 @@ impl Registry {
         self.entries.push((name, Box::new(factory)));
     }
 
-    /// Instantiates the strategy registered under `name`, if any.
-    pub fn from_str(&self, name: &str) -> Option<Box<dyn Partitioner>> {
-        self.entries
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, f)| f())
+    /// Instantiates the strategy registered under `name`.
+    ///
+    /// # Errors
+    ///
+    /// ``unknown partitioner `name` (available: …)``, listing every
+    /// registered name.
+    pub fn from_str(&self, name: &str) -> Result<Box<dyn Partitioner>, String> {
+        match self.entries.iter().find(|(n, _)| *n == name) {
+            Some((_, factory)) => Ok(factory()),
+            None => Err(format!(
+                "unknown partitioner `{name}` (available: {})",
+                self.names().join(", ")
+            )),
+        }
     }
 
     /// Registered strategy names, in registration order.
@@ -236,7 +247,12 @@ mod tests {
             let p = r.from_str(name).unwrap();
             assert_eq!(p.name(), name);
         }
-        assert!(r.from_str("magic").is_none());
+        assert!(r.from_str("magic").is_err());
+        let err = r.from_str("magic").err().expect("not registered");
+        assert!(err.starts_with("unknown partitioner `magic`"), "{err}");
+        for name in r.names() {
+            assert!(err.contains(name), "names {name}: {err}");
+        }
     }
 
     #[test]

@@ -92,25 +92,6 @@ impl ServeConfig {
         self
     }
 
-    /// Turns on the admission lint gate (see
-    /// [`ServeConfig::admission_lint`]).
-    pub fn admission_lint(mut self, config: LintConfig) -> Self {
-        self.admission_lint = Some(config);
-        self
-    }
-
-    /// Sets the per-job retry budget (see [`ServeConfig::max_retries`]).
-    pub fn retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Sets the per-attempt deadline (see [`ServeConfig::job_timeout`]).
-    pub fn job_timeout(mut self, limit: Duration) -> Self {
-        self.job_timeout = Some(limit);
-        self
-    }
-
     /// The config with its edge cases clamped (workers and queue
     /// capacity at least 1).
     pub(crate) fn clamped(mut self) -> Self {

@@ -205,11 +205,29 @@ pub struct ServeSummary {
     pub completed: u64,
 }
 
+/// The socket's connection threads not yet joined, plus how many of the
+/// joined ones panicked.
+#[derive(Default)]
+pub(crate) struct Connections {
+    pub(crate) live: Vec<JoinHandle<()>>,
+    panicked: usize,
+}
+
+impl Connections {
+    /// Joins every thread that has finished, so the list holds only the
+    /// connections still open rather than every one the daemon accepted.
+    pub(crate) fn reap(&mut self) {
+        for handle in self.live.extract_if(.., |h| h.is_finished()) {
+            self.panicked += usize::from(handle.join().is_err());
+        }
+    }
+}
+
 /// A running daemon (see [`spawn`]).
 pub struct ServerHandle {
     state: Arc<ServerState>,
     threads: Vec<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    connections: Arc<Mutex<Connections>>,
 }
 
 impl ServerHandle {
@@ -250,7 +268,8 @@ impl ServerHandle {
         // The listener is joined above, so no new connections appear
         // while we drain this list.
         let connections = std::mem::take(&mut *self.connections.lock().expect("connection list"));
-        for thread in connections {
+        panicked += connections.panicked;
+        for thread in connections.live {
             panicked += usize::from(thread.join().is_err());
         }
         if panicked > 0 {
@@ -288,7 +307,7 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, String> {
     }
 
     let state = Arc::new(ServerState::new(config));
-    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+    let connections = Arc::new(Mutex::new(Connections::default()));
     let mut threads = Vec::new();
 
     for _ in 0..state.config.workers {
@@ -487,6 +506,42 @@ mod tests {
     use eblocks_farm::{Batch, Job, LintConfig};
     use eblocks_synth::Stage;
     use std::collections::BTreeMap;
+
+    #[cfg(unix)]
+    #[test]
+    fn finished_connections_are_joined_while_the_daemon_runs() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::os::unix::net::UnixStream;
+        use std::time::Instant;
+
+        let dir = std::env::temp_dir().join(format!("eblocks-serve-reap-{}", std::process::id()));
+        let socket = dir.join("daemon.sock");
+        let server = spawn(ServeConfig::new(&dir).socket(&socket)).unwrap();
+        for _ in 0..50 {
+            let mut stream = UnixStream::connect(&socket).unwrap();
+            stream.write_all(b"\"stats\"\n").unwrap();
+            let mut reply = String::new();
+            BufReader::new(&stream).read_line(&mut reply).unwrap();
+            assert!(reply.contains(r#""stats""#), "{reply}");
+        }
+        // Every client has hung up, so the list may hold at most the one
+        // connection whose end the listener has not yet reaped.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let live = server.connections.lock().unwrap().live.len();
+            if live <= 1 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{live} finished connections kept"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        server.shutdown();
+        assert_eq!(server.join().unwrap().accepted, 0, "stats is not queued");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn stage_aggregate_stays_bounded_and_sums_every_row() {

@@ -4,7 +4,7 @@
 //! between the admission verdict and the final response.
 #![cfg(unix)]
 
-use crate::server::{Payload, ServerState, Sink, Work};
+use crate::server::{Connections, Payload, ServerState, Sink, Work};
 use eblocks_farm::api::{
     Admission, AdmissionReply, ProgressEvent, ReplyEnvelope, RequestEnvelope, ServeReply,
     ServeRequest,
@@ -14,7 +14,6 @@ use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// The longest request line a socket client may send: 4 MiB, newline not
@@ -70,25 +69,26 @@ impl BatchProgress for ProgressStreamer {
 }
 
 /// The accept loop: hands each connection to its own thread until the
-/// drain begins, then removes the socket file.
+/// drain begins, then removes the socket file. Every accept and every
+/// idle poll joins the connection threads that have finished.
 pub(crate) fn listen(
     state: &Arc<ServerState>,
     listener: UnixListener,
-    connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    connections: &Mutex<Connections>,
     path: &Path,
 ) {
     loop {
-        match listener.accept() {
+        let accepted = listener.accept();
+        connections.lock().expect("connection list").reap();
+        match accepted {
             Ok((stream, _addr)) => {
                 let state = Arc::clone(state);
                 let handle = std::thread::spawn(move || connection(&state, stream));
-                connections.lock().expect("connection list").push(handle);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if state.draining() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
+                connections
+                    .lock()
+                    .expect("connection list")
+                    .live
+                    .push(handle);
             }
             Err(_) => {
                 if state.draining() {

@@ -2,97 +2,72 @@
 //! "minimize" button (Fig. 2 tool chain).
 //!
 //! ```text
-//! eblocks-cli synth <netlist> [-o OUTDIR]
-//!                   [--partitioner pare-down|exhaustive|aggregation|refine|anneal]
-//!                   [--inputs N] [--outputs N] [--no-verify] [--timings]
-//! eblocks-cli check <netlist>          # validate + report stats + lint findings
-//! eblocks-cli lint <netlist|behavior|DIR> [--json] [--deny errors|warnings]
-//!                   [--inputs N] [--outputs N] [--fix [--check]]
-//! eblocks-cli partition <netlist> [--partitioner NAME]  # print the partitioning only
-//! eblocks-cli batch <manifest> [--jobs N] [--partitioner NAME] [--json] [--timings]
-//!                   [--retries N] [--job-timeout-ms N]
-//!                   [--chaos-seed N [--chaos-trace FILE]]
-//! eblocks-cli serve <spool-dir> [--socket PATH] [--serve-workers N] [--jobs N]
-//!                   [--queue-capacity N] [--poll-ms N] [--lint] [--deny errors|warnings]
-//!                   [--retries N] [--job-timeout-ms N]
-//! eblocks-cli sim <netlist> --stimulus <script> [--until T] [--vcd FILE]
-//! eblocks-cli fleet <spec> [--nodes N] [--topology KIND] [--seed N] [--until T]
-//!                   [--json] [--trace FILE] [--chaos-seed N]
-//! eblocks-cli place <netlist> (--grid WxH | --topology FILE)
-//!                   [--pin block=COL,ROW | --pin block=SITE ...] [--iterations N]
-//! eblocks-cli --list-partitioners      # print the registered strategy names
+//! eblocks-cli synth <netlist> [-o OUTDIR] [--partitioner NAME|list] [--inputs N] [--outputs N] [--no-verify] [--lint [--deny errors|warnings]] [--json] [--timings]
+//! eblocks-cli check <netlist>
+//! eblocks-cli lint <netlist|behavior|DIR> [--json] [--deny errors|warnings] [--inputs N] [--outputs N] [--fix [--check]]
+//! eblocks-cli partition <netlist> [--partitioner NAME] [--inputs N] [--outputs N]
+//! eblocks-cli batch <manifest> [--jobs N] [--partitioner NAME] [--json] [--timings] [--retries N] [--job-timeout-ms N] [--chaos-seed N [--chaos-trace FILE]] [--lint [--deny errors|warnings]]
+//! eblocks-cli serve <spool-DIR> [--socket PATH] [--serve-workers N] [--jobs N] [--queue-capacity N] [--poll-ms N] [--lint [--deny errors|warnings]] [--retries N] [--job-timeout-ms N]
+//! eblocks-cli sim <netlist> [--stimulus FILE] [--until T] [--vcd FILE]
+//! eblocks-cli fleet <spec> [--nodes N] [--topology KIND] [--seed N] [--until T] [--json] [--trace FILE] [--chaos-seed N]
+//! eblocks-cli place <netlist> (--grid WxH | --topology FILE) [--pin block=COL,ROW|block=SITE ...] [--iterations N]
+//! eblocks-cli --list-partitioners
 //! ```
 //!
-//! The CLI is a thin argv front end over the typed request API
-//! (`eblocks::api`): `synth` builds a `SynthRequest` and `batch` runs the
-//! same `Batch`/`BatchResponse` types an RPC server would speak, so
-//! `eblocks-cli batch --json` output round-trips through `eblocks::api`.
+//! Each command takes exactly the flags on its line; any other flag is an
+//! error naming the flag and the command. `--partitioner list` or
+//! `--list-partitioners`, in any position, prints the registered strategy
+//! names.
 //!
-//! `synth` writes `<name>-synth.netlist` plus one `progN.c` per programmable
-//! block into OUTDIR (default: alongside the input); `--json` prints the
-//! full `SynthResponse` (stats + netlist + C sources) instead of the text
-//! summary, `--timings` adds a per-stage timing breakdown from the
-//! pipeline's observer hook, and `--partitioner` selects any of the
-//! registered strategies — pass `list` (or the standalone
-//! `--list-partitioners`) to print their names.
-//! `batch` runs every job in a farm manifest across a worker pool; the
-//! manifest is either the line-oriented v1 format or a JSON `BatchRequest`
-//! (manifest v2, detected by a leading `{`). `--jobs N` sizes the pool
-//! (default: all cores), `--partitioner` is the default strategy for jobs
-//! that name none, `--json` prints the machine-readable `BatchResponse`
-//! (deterministic: wall-clock fields only with `--timings`).
-//! The report always prints to stdout; if any job failed the command also
-//! writes a summary to stderr and exits non-zero. Per-job settings
-//! (`verify=`, `inputs=`, `outputs=`) live in the manifest, so `batch`
-//! rejects `--no-verify`/`--inputs`/`--outputs`. `--retries N` gives every
-//! job a retry budget and `--job-timeout-ms N` a cooperative per-attempt
-//! time limit (both surfaced in the report's `retries`/`timed-out`
-//! fields). `--chaos-seed N` runs the batch under the deterministic chaos
-//! harness (`eblocks::chaos`): the seed alone decides every injected
-//! fault, so a failing run's printed seed replays it exactly;
-//! `--chaos-trace FILE` additionally writes the run's injection trace.
-//! `lint` statically analyzes designs and behavior programs without
-//! synthesizing anything: it prints every `eblocks::lint` diagnostic
-//! (stable rule codes, deterministic order), `--json` emits the
-//! machine-readable `RunReport`, and the exit code is non-zero when the
-//! run trips the `--deny` level (`errors`, the default, or `warnings`).
-//! A directory argument lints every `*.netlist` in it — entries with any
-//! other extension are skipped, and the survivors sort byte-wise so the
-//! report order is locale-independent; behavior programs are detected by
-//! content and checked against the `--inputs`/`--outputs` pin arities
-//! (default 2/2). Diagnostics that can point at a source position render
-//! with a clickable `file:line:col` anchor. `lint --fix` applies every
-//! machine-applicable fix and re-lints until none remain, rewriting the
-//! files in place; `lint --fix --check` is the dry run — nothing is
-//! written and the exit code is non-zero while fixes are pending. `synth`
-//! and `batch` accept `--lint` (with the same `--deny`) to run the lint
-//! stage as a pipeline admission gate, and `--no-lint` to force it off.
-//! `serve` runs the long-running service mode (`eblocks::serve`): a daemon
-//! that accepts the same typed requests via a spool directory (drop JSON
-//! request files into `<spool>/inbox/`, collect responses from
-//! `<spool>/outbox/`, malformed inputs land in `<spool>/rejected/` with a
-//! structured error file) and, with `--socket PATH`, via line-delimited
-//! JSON on a Unix-domain socket. `--serve-workers` sizes the daemon's
-//! request-worker pool, `--jobs` the farm pool inside each batch request,
-//! `--queue-capacity` bounds the admission queue (socket clients get an
-//! explicit `queue-full` verdict), `--lint`/`--deny` turn on the admission
-//! lint gate, and `--retries`/`--job-timeout-ms` apply to every job the
-//! daemon runs. The daemon drains gracefully on SIGTERM/SIGINT or a
-//! `"shutdown"` request (a second signal hardens the drain) and prints the
-//! final accepted/rejected/completed counters on exit.
-//! `sim` runs a stimulus script
-//! (lines of `<time> <sensor> <0|1>`, `#` comments) and prints an ASCII
-//! waveform; `--vcd` additionally writes a VCD dump. `fleet` runs a fleet
-//! co-simulation (`eblocks::net`) from a fleet spec file — JSON or the
-//! line-oriented `key = value` format — with `--nodes`, `--topology`,
-//! `--seed`, and `--until` overriding the spec's values; `--json` prints
-//! the deterministic `FleetReport`, `--trace FILE` writes the fleet event
-//! trace, and `--chaos-seed N` runs the fleet under a seeded network storm
-//! (`eblocks::chaos::NetChaosPlan::storm`) that replays exactly from the
-//! printed seed. `place` maps the design
-//! onto a grid of deployment sites (the paper's §6 future work), honoring
-//! `--pin` anchors, and prints the per-block site assignment and total
-//! routed hops.
+//! The CLI is a thin argv front end: each command reads its flags straight
+//! into the library type it runs — `synth` a `SynthRequest`
+//! (`eblocks::api`), `batch` a `FarmConfig`, `serve` a `ServeConfig` — so
+//! `batch --json` prints the same `BatchResponse` an RPC server would send.
+//!
+//! * `synth` writes `<name>-synth.netlist` and one `progN.c` per
+//!   programmable block into OUTDIR (default: beside the input); `--json`
+//!   prints the full `SynthResponse` instead of the summary, and
+//!   `--timings` adds per-stage times.
+//! * `check` validates the design and prints its census and any lint
+//!   findings; `partition` prints the partitioning the pipeline's
+//!   partition stage produces and checks against the pin budget.
+//! * `lint` reports every `eblocks::lint` diagnostic of a netlist, a
+//!   behavior program (checked against `--inputs`/`--outputs`, default
+//!   2/2), or every `*.netlist` in a directory (sorted byte-wise), with a
+//!   `file:line:col` anchor where it has one, and exits non-zero past the
+//!   `--deny` level (`errors` by default). `--fix` applies machine-applicable
+//!   fixes in place until none remain; `--fix --check` writes nothing and
+//!   fails while fixes are pending.
+//! * `batch` runs a farm manifest — the line-oriented v1 format or a JSON
+//!   `BatchRequest` (v2, detected by a leading `{`) — on `--jobs N` workers
+//!   (default: all cores). `--partitioner` is the default for jobs that
+//!   name none; verify and the pin budget are per-job manifest keys, which
+//!   `--no-verify`, `--inputs` and `--outputs` point at. The report goes to
+//!   stdout (`--json`: deterministic unless `--timings`); a failed job also
+//!   makes the command exit non-zero with a summary on stderr.
+//!   `--retries`/`--job-timeout-ms` set each job's retry budget and
+//!   cooperative per-attempt limit. `--chaos-seed N` runs the batch under
+//!   the seeded chaos harness (`eblocks::chaos`), which the printed seed
+//!   replays exactly; `--chaos-trace FILE` writes its injection trace.
+//! * `synth`, `batch` and `serve` take `--lint` to run the lint stage as an
+//!   admission gate (off by default), with `--deny` setting its level.
+//! * `serve` runs the daemon (`eblocks::serve`): JSON requests dropped into
+//!   `<spool>/inbox/` are answered in `<spool>/outbox/` (malformed ones
+//!   land in `<spool>/rejected/` beside a structured error), and `--socket
+//!   PATH` adds line-delimited JSON on a Unix-domain socket.
+//!   `--serve-workers` sizes the request pool, `--jobs` the farm pool of
+//!   each batch, and `--queue-capacity` the admission queue. The daemon
+//!   drains on SIGTERM/SIGINT (a second signal hardens the drain) or a
+//!   `"shutdown"` request, then prints its final counters.
+//! * `sim` runs a stimulus script (`<time> <sensor> <0|1>` lines, `#`
+//!   comments) and prints an ASCII waveform; `--vcd` also writes a VCD dump.
+//! * `fleet` co-simulates a fleet spec (`eblocks::net`; JSON or `key = value`
+//!   lines), the flags overriding the spec's values; `--json` prints the
+//!   deterministic `FleetReport`, `--trace` writes the event trace, and
+//!   `--chaos-seed N` adds a seeded network storm that replays exactly.
+//! * `place` maps the design onto deployment sites (the paper's §6 future
+//!   work), honoring `--pin` anchors, and prints each block's site and the
+//!   total routed hops.
 
 use eblocks::api::{self, DesignSource, SynthRequest};
 use eblocks::chaos::{run_chaos, ChaosConfig};
@@ -102,9 +77,12 @@ use eblocks::farm::{run_batch, Batch, FarmConfig, JsonOptions};
 use eblocks::lint::{
     fix_to_fixpoint, lint_behavior, lint_design, lint_netlist, DenyLevel, LintConfig, RunReport,
 };
-use eblocks::partition::{PartitionConstraints, Partitioner, Registry};
+use eblocks::partition::{PartitionConstraints, Registry, DEFAULT_PARTITIONER};
+use eblocks::serve::ServeConfig;
+use eblocks::synth::Pipeline;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 fn main() -> ExitCode {
@@ -173,367 +151,177 @@ impl From<&str> for Failure {
     }
 }
 
-/// Parsed command line.
-struct Options {
-    command: String,
-    input: PathBuf,
-    outdir: Option<PathBuf>,
-    partitioner: Option<String>,
-    spec: ProgrammableSpec,
-    verify: bool,
-    lint: Option<bool>,
-    fix: bool,
-    check: bool,
-    deny: DenyLevel,
-    timings: bool,
-    jobs: Option<usize>,
-    json: bool,
-    retries: u32,
-    job_timeout_ms: Option<u64>,
-    chaos_seed: Option<u64>,
-    chaos_trace: Option<PathBuf>,
-    socket: Option<PathBuf>,
-    serve_workers: Option<usize>,
-    queue_capacity: Option<usize>,
-    poll_ms: Option<u64>,
-    stimulus: Option<PathBuf>,
-    until: Option<u64>,
-    vcd: Option<PathBuf>,
-    grid: Option<(usize, usize)>,
-    topology: Option<PathBuf>,
-    pins: Vec<(String, String)>,
-    iterations: u32,
-    nodes: Option<u32>,
-    seed: Option<u64>,
-    trace: Option<PathBuf>,
+/// One synopsis line per command, as in the module doc.
+const USAGE: &str = "usage:
+  eblocks-cli synth <netlist> [-o OUTDIR] [--partitioner NAME|list] [--inputs N] [--outputs N] [--no-verify] [--lint [--deny errors|warnings]] [--json] [--timings]
+  eblocks-cli check <netlist>
+  eblocks-cli lint <netlist|behavior|DIR> [--json] [--deny errors|warnings] [--inputs N] [--outputs N] [--fix [--check]]
+  eblocks-cli partition <netlist> [--partitioner NAME] [--inputs N] [--outputs N]
+  eblocks-cli batch <manifest> [--jobs N] [--partitioner NAME] [--json] [--timings] [--retries N] [--job-timeout-ms N] [--chaos-seed N [--chaos-trace FILE]] [--lint [--deny errors|warnings]]
+  eblocks-cli serve <spool-DIR> [--socket PATH] [--serve-workers N] [--jobs N] [--queue-capacity N] [--poll-ms N] [--lint [--deny errors|warnings]] [--retries N] [--job-timeout-ms N]
+  eblocks-cli sim <netlist> [--stimulus FILE] [--until T] [--vcd FILE]
+  eblocks-cli fleet <spec> [--nodes N] [--topology KIND] [--seed N] [--until T] [--json] [--trace FILE] [--chaos-seed N]
+  eblocks-cli place <netlist> (--grid WxH | --topology FILE) [--pin block=COL,ROW|block=SITE ...] [--iterations N]
+  eblocks-cli --list-partitioners";
+
+/// The words after a command's input path. Each command matches the flags
+/// it takes and hands any other to [`Flags::unknown`].
+struct Flags<'a> {
+    command: &'a str,
+    words: std::slice::Iter<'a, String>,
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut it = args.iter();
-    let command = it.next().ok_or(USAGE)?.clone();
-    if !matches!(
-        command.as_str(),
-        "synth" | "check" | "lint" | "partition" | "batch" | "serve" | "sim" | "fleet" | "place"
-    ) {
-        return Err(format!("unknown command `{command}`\n{USAGE}"));
+impl<'a> Flags<'a> {
+    /// The next word, or `None` once every word is read.
+    fn next(&mut self) -> Option<&'a str> {
+        self.words.next().map(String::as_str)
     }
-    let input = PathBuf::from(it.next().ok_or("missing input path")?);
-    let mut options = Options {
-        command,
-        input,
-        outdir: None,
-        partitioner: None,
-        spec: ProgrammableSpec::default(),
-        verify: true,
-        lint: None,
-        fix: false,
-        check: false,
-        deny: DenyLevel::default(),
-        timings: false,
-        jobs: None,
-        json: false,
-        retries: 0,
-        job_timeout_ms: None,
-        chaos_seed: None,
-        chaos_trace: None,
-        socket: None,
-        serve_workers: None,
-        queue_capacity: None,
-        poll_ms: None,
-        stimulus: None,
-        until: None,
-        vcd: None,
-        grid: None,
-        topology: None,
-        pins: Vec::new(),
-        iterations: 10_000,
-        nodes: None,
-        seed: None,
-        trace: None,
-    };
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "-o" | "--outdir" => {
-                options.outdir = Some(PathBuf::from(it.next().ok_or("missing value for -o")?));
-            }
-            "--partitioner" => {
-                options.partitioner = Some(it.next().ok_or("missing partitioner")?.clone());
-            }
-            "--jobs" => {
-                options.jobs = Some(
-                    it.next()
-                        .ok_or("missing value for --jobs")?
-                        .parse()
-                        .map_err(|_| "bad --jobs value")?,
-                );
-            }
-            "--json" => options.json = true,
-            "--retries" => {
-                options.retries = it
-                    .next()
-                    .ok_or("missing value for --retries")?
-                    .parse()
-                    .map_err(|_| "bad --retries value")?;
-            }
-            "--job-timeout-ms" => {
-                options.job_timeout_ms = Some(
-                    it.next()
-                        .ok_or("missing value for --job-timeout-ms")?
-                        .parse()
-                        .map_err(|_| "bad --job-timeout-ms value")?,
-                );
-            }
-            "--chaos-seed" => {
-                options.chaos_seed = Some(
-                    it.next()
-                        .ok_or("missing value for --chaos-seed")?
-                        .parse()
-                        .map_err(|_| "bad --chaos-seed value")?,
-                );
-            }
-            "--chaos-trace" => {
-                options.chaos_trace =
-                    Some(PathBuf::from(it.next().ok_or("missing chaos trace path")?));
-            }
-            "--socket" => {
-                options.socket = Some(PathBuf::from(it.next().ok_or("missing socket path")?));
-            }
-            "--serve-workers" => {
-                options.serve_workers = Some(
-                    it.next()
-                        .ok_or("missing value for --serve-workers")?
-                        .parse()
-                        .map_err(|_| "bad --serve-workers value")?,
-                );
-            }
-            "--queue-capacity" => {
-                options.queue_capacity = Some(
-                    it.next()
-                        .ok_or("missing value for --queue-capacity")?
-                        .parse()
-                        .map_err(|_| "bad --queue-capacity value")?,
-                );
-            }
-            "--poll-ms" => {
-                options.poll_ms = Some(
-                    it.next()
-                        .ok_or("missing value for --poll-ms")?
-                        .parse()
-                        .map_err(|_| "bad --poll-ms value")?,
-                );
-            }
-            "--inputs" => {
-                options.spec.inputs = it
-                    .next()
-                    .ok_or("missing value for --inputs")?
-                    .parse()
-                    .map_err(|_| "bad --inputs value")?;
-            }
-            "--outputs" => {
-                options.spec.outputs = it
-                    .next()
-                    .ok_or("missing value for --outputs")?
-                    .parse()
-                    .map_err(|_| "bad --outputs value")?;
-            }
-            "--no-verify" => options.verify = false,
-            "--lint" => options.lint = Some(true),
-            "--no-lint" => options.lint = Some(false),
-            "--fix" => options.fix = true,
-            "--check" => options.check = true,
-            "--deny" => {
-                let level = it.next().ok_or("missing value for --deny")?;
-                options.deny = DenyLevel::parse(level).ok_or_else(|| {
-                    format!("bad --deny value `{level}` (expected errors|warnings)")
-                })?;
-            }
-            "--timings" => options.timings = true,
-            "--stimulus" => {
-                options.stimulus = Some(PathBuf::from(it.next().ok_or("missing stimulus path")?));
-            }
-            "--until" => {
-                options.until = Some(
-                    it.next()
-                        .ok_or("missing value for --until")?
-                        .parse()
-                        .map_err(|_| "bad --until value")?,
-                );
-            }
-            "--nodes" => {
-                options.nodes = Some(
-                    it.next()
-                        .ok_or("missing value for --nodes")?
-                        .parse()
-                        .map_err(|_| "bad --nodes value")?,
-                );
-            }
-            "--seed" => {
-                options.seed = Some(
-                    it.next()
-                        .ok_or("missing value for --seed")?
-                        .parse()
-                        .map_err(|_| "bad --seed value")?,
-                );
-            }
-            "--trace" => {
-                options.trace = Some(PathBuf::from(it.next().ok_or("missing trace path")?));
-            }
-            "--vcd" => {
-                options.vcd = Some(PathBuf::from(it.next().ok_or("missing vcd path")?));
-            }
-            "--grid" => {
-                let spec = it.next().ok_or("missing value for --grid")?;
-                let (w, h) = spec
-                    .split_once(['x', 'X'])
-                    .ok_or("bad --grid value, expected WxH")?;
-                options.grid = Some((
-                    w.parse().map_err(|_| "bad --grid width")?,
-                    h.parse().map_err(|_| "bad --grid height")?,
-                ));
-            }
-            "--pin" => {
-                let spec = it.next().ok_or("missing value for --pin")?;
-                let (name, at) = spec
-                    .split_once('=')
-                    .ok_or("bad --pin value, expected block=COL,ROW or block=SITE")?;
-                options.pins.push((name.to_string(), at.to_string()));
-            }
-            "--topology" => {
-                options.topology = Some(PathBuf::from(it.next().ok_or("missing topology path")?));
-            }
-            "--iterations" => {
-                options.iterations = it
-                    .next()
-                    .ok_or("missing value for --iterations")?
-                    .parse()
-                    .map_err(|_| "bad --iterations value")?;
-            }
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
-        }
+
+    /// The value after `flag`, parsed as a `T`.
+    fn value<T: FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        let word = self
+            .next()
+            .ok_or_else(|| format!("missing value for {flag}"))?;
+        word.parse().map_err(|_| format!("bad {flag} value"))
     }
-    Ok(options)
+
+    /// A path value; `what` names it when it is missing.
+    fn path(&mut self, what: &str) -> Result<PathBuf, String> {
+        let path = self.next().ok_or_else(|| format!("missing {what} path"))?;
+        Ok(PathBuf::from(path))
+    }
+
+    /// The `--partitioner` value.
+    fn partitioner(&mut self) -> Result<String, String> {
+        let name = self.next().ok_or("missing partitioner")?;
+        Ok(name.to_string())
+    }
+
+    /// The `--deny` value.
+    fn deny(&mut self) -> Result<DenyLevel, String> {
+        let level: String = self.value("--deny")?;
+        DenyLevel::parse(&level)
+            .ok_or_else(|| format!("bad --deny value `{level}` (expected errors|warnings)"))
+    }
+
+    /// The error for a flag this command does not take.
+    fn unknown(&self, flag: &str) -> Failure {
+        format!("unknown flag `{flag}` for `{}`\n{USAGE}", self.command).into()
+    }
 }
 
-const USAGE: &str =
-    "usage: eblocks-cli <synth|check|lint|partition|batch|serve|sim|fleet|place> <netlist|manifest(.json)|fleet-spec|spool-DIR> \
-[-o OUTDIR] [--partitioner pare-down|exhaustive|aggregation|refine|anneal|list] \
-[--inputs N] [--outputs N] [--no-verify] [--lint | --no-lint] [--fix [--check]] \
-[--deny errors|warnings] [--timings] \
-[--jobs N] [--json] [--retries N] [--job-timeout-ms N] [--chaos-seed N] [--chaos-trace FILE] \
-[--socket PATH] [--serve-workers N] [--queue-capacity N] [--poll-ms N] \
-[--stimulus FILE] [--until T] [--vcd FILE] \
-[--nodes N] [--seed N] [--trace FILE] \
-[--grid WxH | --topology FILE] [--pin block=COL,ROW | block=SITE] [--iterations N] \
- | eblocks-cli --list-partitioners";
-
-/// Resolves the `--partitioner` name against the built-in registry.
-fn resolve_partitioner(name: &str) -> Result<Box<dyn Partitioner>, String> {
-    let registry = Registry::builtin();
-    registry.from_str(name).ok_or_else(|| {
-        format!(
-            "unknown partitioner `{name}` (available: {})",
-            registry.names().join(", ")
-        )
-    })
+/// The `--lint [--deny LEVEL]` admission gate `synth`, `batch` and `serve`
+/// take: `None` unless `--lint` is given, and `--deny` alone is an error.
+fn lint_gate(lint: bool, deny: Option<DenyLevel>) -> Result<Option<LintConfig>, String> {
+    if deny.is_some() && !lint {
+        return Err("--deny requires --lint".into());
+    }
+    Ok(lint.then(|| LintConfig::denying(deny.unwrap_or_default())))
 }
 
 /// The registered strategy names, one per line (`--list-partitioners`).
 fn list_partitioners() -> String {
-    let mut out = String::new();
-    for name in Registry::builtin().names() {
-        out.push_str(name);
-        out.push('\n');
-    }
-    out
+    let names = Registry::builtin().names();
+    names.iter().map(|name| format!("{name}\n")).collect()
 }
 
 fn run(args: &[String]) -> Result<String, Failure> {
-    // `--list-partitioners` stands alone: no input file required.
-    if args.iter().any(|a| a == "--list-partitioners") {
+    // `--list-partitioners` and `--partitioner list` work from any
+    // position and read no input.
+    if args.iter().any(|a| a == "--list-partitioners")
+        || args
+            .windows(2)
+            .any(|pair| pair[0] == "--partitioner" && pair[1] == "list")
+    {
         return Ok(list_partitioners());
     }
-    let options = parse_args(args)?;
-    // `--partitioner list` works from any command position.
-    if options.partitioner.as_deref() == Some("list") {
-        return Ok(list_partitioners());
-    }
-    // `batch` and `synth` go through the typed request API, which loads
-    // its own inputs.
-    if options.command == "batch" {
-        return batch_command(&options);
-    }
-    if options.command == "serve" {
-        return serve_command(&options);
-    }
-    if options.command == "synth" {
-        return Ok(synth_command(&options)?);
-    }
-    // `lint` loads its own inputs too: it accepts directories and
-    // behavior programs, not just single netlist files.
-    if options.command == "lint" {
-        return lint_command(&options);
-    }
-    // `fleet` loads a fleet spec, not a netlist.
-    if options.command == "fleet" {
-        return fleet_command(&options);
-    }
-    let text = std::fs::read_to_string(&options.input)
-        .map_err(|e| format!("cannot read {}: {e}", options.input.display()))?;
-    let design = from_netlist(&text).map_err(|e| e.to_string())?;
+    let (command, rest) = args.split_first().ok_or(USAGE)?;
+    let run_command: fn(&Path, Flags) -> Result<String, Failure> = match command.as_str() {
+        "synth" => synth_command,
+        "check" => check_command,
+        "lint" => lint_command,
+        "partition" => partition_command,
+        "batch" => batch_command,
+        "serve" => serve_command,
+        "sim" => sim_command,
+        "fleet" => fleet_command,
+        "place" => place_command,
+        other => return Err(format!("unknown command `{other}`\n{USAGE}").into()),
+    };
+    let (input, words) = rest.split_first().ok_or("missing input path")?;
+    let flags = Flags {
+        command,
+        words: words.iter(),
+    };
+    run_command(Path::new(input), flags)
+}
 
-    Ok(match options.command.as_str() {
-        "check" => check_command(&design),
-        "partition" => partition_command(&design, &options),
-        "sim" => sim_command(&design, &options),
-        "place" => place_command(&design, &options),
-        _ => unreachable!("validated in parse_args"),
-    }?)
+/// Reads a text file, naming it in the error.
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+/// Reads and parses a netlist file.
+fn read_design(path: &Path) -> Result<Design, String> {
+    from_netlist(&read(path)?).map_err(|e| e.to_string())
 }
 
 /// Runs a farm manifest across the worker pool. The report always goes to
 /// stdout; if any job failed the command also prints a summary to stderr
 /// and exits non-zero.
-fn batch_command(options: &Options) -> Result<String, Failure> {
-    // Flags that batch cannot honor are rejected, not silently ignored:
-    // per-job settings live in the manifest (`verify=`, `inputs=`,
-    // `outputs=`, per-job or via `default` lines).
-    if !options.verify {
-        return Err(
-            "--no-verify is not supported by `batch`; set `verify=false` in the manifest"
-                .to_string()
-                .into(),
-        );
+fn batch_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
+    let mut config = FarmConfig::default();
+    let mut json = false;
+    let mut timings = false;
+    let mut lint = false;
+    let mut deny = None;
+    let mut chaos_seed = None;
+    let mut chaos_trace = None;
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--jobs" => config.workers = Some(flags.value(flag)?),
+            "--partitioner" => config.partitioner_override = Some(flags.partitioner()?),
+            "--json" => json = true,
+            "--timings" => timings = true,
+            "--retries" => config.max_retries = flags.value(flag)?,
+            "--job-timeout-ms" => {
+                config.job_timeout = Some(Duration::from_millis(flags.value(flag)?));
+            }
+            "--chaos-seed" => chaos_seed = Some(flags.value(flag)?),
+            "--chaos-trace" => chaos_trace = Some(flags.path("chaos trace")?),
+            "--lint" => lint = true,
+            "--deny" => deny = Some(flags.deny()?),
+            // Per-job settings live in the manifest (`verify=`, `inputs=`,
+            // `outputs=`, per job or on `default` lines).
+            "--no-verify" => {
+                return Err(
+                    "--no-verify is not supported by `batch`; set `verify=false` in the manifest"
+                        .into(),
+                );
+            }
+            "--inputs" | "--outputs" => {
+                return Err(
+                    "--inputs/--outputs are not supported by `batch`; set `inputs=`/`outputs=` in the manifest"
+                        .into(),
+                );
+            }
+            other => return Err(flags.unknown(other)),
+        }
     }
-    if options.spec != ProgrammableSpec::default() {
-        return Err(
-            "--inputs/--outputs are not supported by `batch`; set `inputs=`/`outputs=` in the manifest"
-                .to_string()
-                .into(),
-        );
-    }
-    if options.chaos_trace.is_some() && options.chaos_seed.is_none() {
-        return Err("--chaos-trace requires --chaos-seed".to_string().into());
+    // --lint gates every job that sets no per-job lint of its own.
+    config.lint = lint_gate(lint, deny)?;
+    if chaos_trace.is_some() && chaos_seed.is_none() {
+        return Err("--chaos-trace requires --chaos-seed".into());
     }
     // v1 (line-oriented) and v2 (JSON `BatchRequest`) manifests both land
     // in the same `Batch` the typed API uses.
-    let batch = Batch::from_file(&options.input).map_err(|e| e.to_string())?;
-    let config = FarmConfig {
-        workers: options.jobs,
-        partitioner_override: options.partitioner.clone(),
-        max_retries: options.retries,
-        job_timeout: options.job_timeout_ms.map(Duration::from_millis),
-        // --lint gates every job that sets no per-job lint of its own;
-        // --no-lint is the default, so it just leaves the gate off.
-        lint: (options.lint == Some(true)).then(|| LintConfig::denying(options.deny)),
-        registry: Registry::builtin(),
-        ..FarmConfig::default()
-    };
-    let report = match options.chaos_seed {
+    let batch = Batch::from_file(input).map_err(|e| e.to_string())?;
+    let report = match chaos_seed {
         // Chaos mode: the same report pipeline, but the farm runs under
         // the seeded injector; the whole storm replays from the seed.
         Some(seed) => {
             let outcome = run_chaos(&batch, config, &ChaosConfig::from_seed(seed));
-            if let Some(path) = &options.chaos_trace {
+            if let Some(path) = &chaos_trace {
                 std::fs::write(path, outcome.trace.render_text())
                     .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             }
@@ -541,20 +329,18 @@ fn batch_command(options: &Options) -> Result<String, Failure> {
         }
         None => run_batch(&batch, &config),
     };
-    let rendered = if options.json {
-        let mut json = report.to_json(&JsonOptions {
-            timings: options.timings,
-        });
+    let rendered = if json {
+        let mut json = report.to_json(&JsonOptions { timings });
         json.push('\n');
         json
     } else {
-        report.render_text(options.timings)
+        report.render_text(timings)
     };
     if report.all_ok() {
         Ok(rendered)
     } else {
         let mut message = format!("{} of {} job(s) failed", report.failed(), report.jobs.len());
-        if let Some(seed) = options.chaos_seed {
+        if let Some(seed) = chaos_seed {
             message.push_str(&format!("; reproduce with --chaos-seed {seed}"));
         }
         Err(Failure {
@@ -567,25 +353,28 @@ fn batch_command(options: &Options) -> Result<String, Failure> {
 /// Runs the service mode until something shuts it down: SIGTERM/SIGINT,
 /// a `"shutdown"` request through either front door, or — the usual
 /// test path — a pre-spooled shutdown file.
-fn serve_command(options: &Options) -> Result<String, Failure> {
-    let mut config = eblocks::serve::ServeConfig::new(&options.input)
-        .retries(options.retries)
-        .workers(options.serve_workers.unwrap_or(1));
-    config.farm_workers = options.jobs;
-    config.job_timeout = options.job_timeout_ms.map(Duration::from_millis);
+fn serve_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
+    let mut config = ServeConfig::new(input);
+    let mut lint = false;
+    let mut deny = None;
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--socket" => config.socket = Some(flags.path("socket")?),
+            "--serve-workers" => config.workers = flags.value(flag)?,
+            "--jobs" => config.farm_workers = Some(flags.value(flag)?),
+            "--queue-capacity" => config.queue_capacity = flags.value(flag)?,
+            "--poll-ms" => config.poll_interval = Duration::from_millis(flags.value(flag)?),
+            "--lint" => lint = true,
+            "--deny" => deny = Some(flags.deny()?),
+            "--retries" => config.max_retries = flags.value(flag)?,
+            "--job-timeout-ms" => {
+                config.job_timeout = Some(Duration::from_millis(flags.value(flag)?));
+            }
+            other => return Err(flags.unknown(other)),
+        }
+    }
+    config.admission_lint = lint_gate(lint, deny)?;
     config.handle_signals = true;
-    if let Some(path) = &options.socket {
-        config = config.socket(path);
-    }
-    if let Some(capacity) = options.queue_capacity {
-        config = config.queue_capacity(capacity);
-    }
-    if let Some(ms) = options.poll_ms {
-        config = config.poll_interval(Duration::from_millis(ms));
-    }
-    if options.lint == Some(true) {
-        config = config.admission_lint(LintConfig::denying(options.deny));
-    }
     let summary = eblocks::serve::serve(config)?;
     Ok(format!(
         "serve: drained; {} accepted, {} rejected, {} completed\n",
@@ -596,45 +385,53 @@ fn serve_command(options: &Options) -> Result<String, Failure> {
 /// Runs a fleet co-simulation from a fleet spec file. CLI flags override
 /// the spec's node count, topology, seed, and horizon; `--chaos-seed`
 /// additionally runs the fleet under a seeded network storm.
-fn fleet_command(options: &Options) -> Result<String, Failure> {
+fn fleet_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
     use eblocks::chaos::{NetChaosInjector, NetChaosPlan};
     use eblocks::net::{FleetRequest, NetFaultInjector, NoFaults};
 
-    let text = std::fs::read_to_string(&options.input)
-        .map_err(|e| format!("cannot read {}: {e}", options.input.display()))?;
-    let mut spec = FleetRequest::parse(&text).map_err(|e| e.to_string())?;
-    if let Some(nodes) = options.nodes {
-        spec.nodes = nodes;
+    let mut nodes = None;
+    let mut topology = None;
+    let mut seed = None;
+    let mut until = None;
+    let mut json = false;
+    let mut trace: Option<PathBuf> = None;
+    let mut chaos_seed = None;
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--nodes" => nodes = Some(flags.value(flag)?),
+            "--topology" => topology = Some(flags.value(flag)?),
+            "--seed" => seed = Some(flags.value(flag)?),
+            "--until" => until = Some(flags.value(flag)?),
+            "--json" => json = true,
+            "--trace" => trace = Some(flags.path("trace")?),
+            "--chaos-seed" => chaos_seed = Some(flags.value(flag)?),
+            other => return Err(flags.unknown(other)),
+        }
     }
-    if let Some(kind) = options.topology.as_ref().and_then(|p| p.to_str()) {
-        spec.topology = kind.to_string();
-    }
-    if let Some(seed) = options.seed {
-        spec.seed = Some(seed);
-    }
-    if let Some(until) = options.until {
-        spec.until = Some(until);
-    }
-    let base = options
-        .input
+    let mut spec = FleetRequest::parse(&read(input)?).map_err(|e| e.to_string())?;
+    spec.nodes = nodes.unwrap_or(spec.nodes);
+    spec.topology = topology.unwrap_or(spec.topology);
+    spec.seed = seed.or(spec.seed);
+    spec.until = until.or(spec.until);
+    let base = input
         .parent()
         .map(Path::to_path_buf)
         .unwrap_or_else(|| PathBuf::from("."));
     let fleet = spec.build(&base).map_err(|e| e.to_string())?;
     let until = spec.until();
-    let faults: Box<dyn NetFaultInjector> = match options.chaos_seed {
+    let faults: Box<dyn NetFaultInjector> = match chaos_seed {
         Some(seed) => Box::new(NetChaosInjector::new(seed, NetChaosPlan::storm(until))),
         None => Box::new(NoFaults),
     };
     let outcome = fleet
-        .run_with(until, options.trace.is_some(), faults.as_ref())
+        .run_with(until, trace.is_some(), faults.as_ref())
         .map_err(|e| e.to_string())?;
-    if let Some(path) = &options.trace {
-        let trace = outcome.trace.as_deref().expect("trace was requested");
-        std::fs::write(path, trace).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    if let Some(path) = &trace {
+        let text = outcome.trace.as_deref().expect("trace was requested");
+        std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
     let report = &outcome.report;
-    if options.json {
+    if json {
         let mut json = report.to_json_pretty();
         json.push('\n');
         return Ok(json);
@@ -643,7 +440,7 @@ fn fleet_command(options: &Options) -> Result<String, Failure> {
         "fleet {}: {} node(s) on {}, seed {}, until {}\n",
         report.name, report.nodes, report.topology, report.seed, report.until
     );
-    if let Some(seed) = options.chaos_seed {
+    if let Some(seed) = chaos_seed {
         out.push_str(&format!("chaos storm: seed {seed} (replayable)\n"));
     }
     out.push_str(&format!(
@@ -665,23 +462,27 @@ fn fleet_command(options: &Options) -> Result<String, Failure> {
             node.name, node.site, node.sent, node.received, node.energy_nj
         ));
     }
-    if let Some(path) = &options.trace {
+    if let Some(path) = &trace {
         out.push_str(&format!("wrote {}\n", path.display()));
     }
     Ok(out)
 }
 
-fn check_command(design: &Design) -> Result<String, String> {
+fn check_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
+    if let Some(flag) = flags.next() {
+        return Err(flags.unknown(flag));
+    }
+    let design = read_design(input)?;
     design.validate().map_err(|e| e.to_string())?;
     let census = design.census();
     let mut out = format!(
         "{design}\nvalid: yes\ndepth: {}\ninner blocks: {}\n",
-        eblocks::core::level::depth(design),
+        eblocks::core::level::depth(&design),
         census.inner
     );
     // Validation only rejects hard errors; the lint rules also catch
     // suspicious-but-legal structure, so surface their findings here.
-    let report = lint_design(design, &LintConfig::default());
+    let report = lint_design(&design, &LintConfig::default());
     if !report.is_clean() {
         out.push_str(&render_lint_report(&report));
         out.push_str(&format!("lint: {}\n", report.outcome()));
@@ -730,18 +531,31 @@ fn render_lint_report(report: &eblocks::lint::LintReport) -> String {
 /// remain (the apply-then-relint fixpoint), rewriting the file in place;
 /// `--fix --check` is the dry run — nothing is written, and the command
 /// exits non-zero if any file still has pending fixes.
-fn lint_command(options: &Options) -> Result<String, Failure> {
-    if options.check && !options.fix {
-        return Err(
-            "--check requires --fix (it is the dry-run mode of `lint --fix`)"
-                .to_string()
-                .into(),
-        );
+fn lint_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
+    let mut config = LintConfig::default();
+    // The pin arities behavior programs are checked against.
+    let mut arity = ProgrammableSpec::default();
+    let mut json = false;
+    let mut fix = false;
+    let mut check = false;
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--json" => json = true,
+            "--deny" => config.deny = flags.deny()?,
+            "--inputs" => arity.inputs = flags.value(flag)?,
+            "--outputs" => arity.outputs = flags.value(flag)?,
+            "--fix" => fix = true,
+            "--check" => check = true,
+            other => return Err(flags.unknown(other)),
+        }
     }
-    let mut files: Vec<PathBuf> = if options.input.is_dir() {
+    if check && !fix {
+        return Err("--check requires --fix (it is the dry-run mode of `lint --fix`)".into());
+    }
+    let mut files: Vec<PathBuf> = if input.is_dir() {
         let mut found = Vec::new();
-        let entries = std::fs::read_dir(&options.input)
-            .map_err(|e| format!("cannot read {}: {e}", options.input.display()))?;
+        let entries = std::fs::read_dir(input)
+            .map_err(|e| format!("cannot read {}: {e}", input.display()))?;
         for entry in entries {
             let path = entry.map_err(|e| e.to_string())?.path();
             // Only `*.netlist` is linted; goldens, docs, and editor
@@ -751,11 +565,11 @@ fn lint_command(options: &Options) -> Result<String, Failure> {
             }
         }
         if found.is_empty() {
-            return Err(format!("no .netlist files in {}", options.input.display()).into());
+            return Err(format!("no .netlist files in {}", input.display()).into());
         }
         found
     } else {
-        vec![options.input.clone()]
+        vec![input.to_path_buf()]
     };
     files.sort_by(|a, b| {
         a.as_os_str()
@@ -763,26 +577,24 @@ fn lint_command(options: &Options) -> Result<String, Failure> {
             .cmp(b.as_os_str().as_encoded_bytes())
     });
 
-    let config = LintConfig::denying(options.deny);
     let mut run = RunReport::default();
     let mut pending: Vec<String> = Vec::new();
     let mut rewritten = 0usize;
     for file in &files {
-        let text = std::fs::read_to_string(file)
-            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
+        let text = read(file)?;
         let is_netlist = is_netlist_text(&text);
         let lint_one = |t: &str| {
             if is_netlist {
                 lint_netlist(t, &config)
             } else {
-                lint_behavior(t, options.spec.inputs, options.spec.outputs, &config)
+                lint_behavior(t, arity.inputs, arity.outputs, &config)
             }
         };
-        let report = if options.fix {
+        let report = if fix {
             let (fixed, _rounds) = fix_to_fixpoint(&text, lint_one);
             if fixed == text {
                 lint_one(&text)
-            } else if options.check {
+            } else if check {
                 pending.push(file.display().to_string());
                 lint_one(&text) // dry run: disk is untouched, report what's there
             } else {
@@ -797,7 +609,7 @@ fn lint_command(options: &Options) -> Result<String, Failure> {
         run.push(file.display().to_string(), &report);
     }
 
-    let rendered = if options.json {
+    let rendered = if json {
         let mut json = serde::json::to_string_pretty(&run);
         json.push('\n');
         json
@@ -838,7 +650,7 @@ fn lint_command(options: &Options) -> Result<String, Failure> {
         out
     };
     let mut failures: Vec<String> = Vec::new();
-    if run.rejects(options.deny) {
+    if run.rejects(config.deny) {
         failures.push(format!(
             "lint: {} across {} file(s)",
             run.outcome(),
@@ -858,11 +670,26 @@ fn lint_command(options: &Options) -> Result<String, Failure> {
     }
 }
 
-fn partition_command(design: &Design, options: &Options) -> Result<String, String> {
-    design.validate().map_err(|e| e.to_string())?;
-    let partitioner = resolve_partitioner(options.partitioner.as_deref().unwrap_or("pare-down"))?;
-    let constraints = PartitionConstraints::with_spec(options.spec);
-    let result = partitioner.partition(design, &constraints);
+/// Prints the partitioning the pipeline's partition stage produces under
+/// the `--inputs`/`--outputs` pin budget, checked against it.
+fn partition_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
+    let mut partitioner = None;
+    let mut spec = ProgrammableSpec::default();
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--partitioner" => partitioner = Some(flags.partitioner()?),
+            "--inputs" => spec.inputs = flags.value(flag)?,
+            "--outputs" => spec.outputs = flags.value(flag)?,
+            other => return Err(flags.unknown(other)),
+        }
+    }
+    let design = read_design(input)?;
+    let strategy =
+        Registry::builtin().from_str(partitioner.as_deref().unwrap_or(DEFAULT_PARTITIONER))?;
+    let (result, _) = Pipeline::new(&design)
+        .constraints(PartitionConstraints::with_spec(spec))
+        .partition_only(strategy.as_ref())
+        .map_err(|e| e.to_string())?;
     let mut out = format!("{result}\n");
     for (i, partition) in result.partitions().iter().enumerate() {
         let names: Vec<&str> = partition
@@ -882,34 +709,38 @@ fn partition_command(design: &Design, options: &Options) -> Result<String, Strin
     Ok(out)
 }
 
-/// Builds the typed [`SynthRequest`] the argv describes — the same object
-/// a synthesis RPC endpoint would accept.
-fn synth_request(options: &Options) -> SynthRequest {
-    let mut request = SynthRequest::new(DesignSource::Netlist(options.input.clone()));
-    request.partitioner = options.partitioner.clone();
-    request.options.verify = Some(options.verify);
-    if options.spec != ProgrammableSpec::default() {
-        request.options.inputs = Some(options.spec.inputs);
-        request.options.outputs = Some(options.spec.outputs);
-    }
-    if let Some(lint) = options.lint {
-        request.options.lint = Some(lint);
-        if lint {
-            request.options.lint_deny = Some(options.deny);
+/// Thin front end over [`api::synthesize`]: read the flags into the typed
+/// [`SynthRequest`] a synthesis RPC endpoint would accept, run it, write
+/// the response's artifacts to disk, render the summary.
+fn synth_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
+    let mut request = SynthRequest::new(DesignSource::Netlist(input.to_path_buf()));
+    let mut outdir: Option<PathBuf> = None;
+    let mut lint = false;
+    let mut deny = None;
+    let mut json = false;
+    let mut timings = false;
+    while let Some(flag) = flags.next() {
+        match flag {
+            "-o" | "--outdir" => outdir = Some(flags.value("-o")?),
+            "--partitioner" => request.partitioner = Some(flags.partitioner()?),
+            "--inputs" => request.options.inputs = Some(flags.value(flag)?),
+            "--outputs" => request.options.outputs = Some(flags.value(flag)?),
+            "--no-verify" => request.options.verify = Some(false),
+            "--lint" => lint = true,
+            "--deny" => deny = Some(flags.deny()?),
+            "--json" => json = true,
+            "--timings" => timings = true,
+            other => return Err(flags.unknown(other)),
         }
     }
-    request
-}
+    if let Some(gate) = lint_gate(lint, deny)? {
+        request.options.lint = Some(true);
+        request.options.lint_deny = Some(gate.deny);
+    }
+    let response = api::synthesize(&request)?;
 
-/// Thin front end over [`api::synthesize`]: build the request, run it,
-/// write the response's artifacts to disk, render the summary.
-fn synth_command(options: &Options) -> Result<String, String> {
-    let response = api::synthesize(&synth_request(options))?;
-
-    let outdir = options
-        .outdir
-        .clone()
-        .or_else(|| options.input.parent().map(Path::to_path_buf))
+    let outdir = outdir
+        .or_else(|| input.parent().map(Path::to_path_buf))
         .unwrap_or_else(|| PathBuf::from("."));
     std::fs::create_dir_all(&outdir).map_err(|e| e.to_string())?;
 
@@ -922,7 +753,7 @@ fn synth_command(options: &Options) -> Result<String, String> {
         written.push(path.display().to_string());
     }
 
-    if options.json {
+    if json {
         let mut out = serde::json::to_string_pretty(&response);
         out.push('\n');
         return Ok(out);
@@ -940,7 +771,7 @@ fn synth_command(options: &Options) -> Result<String, String> {
     if let Some(warnings) = response.lint_warnings {
         out.push_str(&format!("lint: {warnings} warning(s)\n"));
     }
-    if options.timings {
+    if timings {
         for row in &response.stages_ms {
             out.push_str(&format!(
                 "stage {:<9} {:>9.3}ms  {}\n",
@@ -950,6 +781,159 @@ fn synth_command(options: &Options) -> Result<String, String> {
     }
     for path in written {
         out.push_str(&format!("wrote {path}\n"));
+    }
+    Ok(out)
+}
+
+/// Parses a stimulus script: `<time> <sensor> <0|1|true|false>` per line.
+fn parse_stimulus(text: &str) -> Result<eblocks::sim::Stimulus, String> {
+    let mut stim = eblocks::sim::Stimulus::new();
+    for (i, raw) in text.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            continue;
+        }
+        let parts: Vec<&str> = line.split_whitespace().collect();
+        let [time, sensor, value] = parts.as_slice() else {
+            return Err(format!(
+                "stimulus line {}: expected `<time> <sensor> <0|1>`",
+                i + 1
+            ));
+        };
+        let time: u64 = time
+            .parse()
+            .map_err(|_| format!("stimulus line {}: bad time `{time}`", i + 1))?;
+        let value = match *value {
+            "0" | "false" => false,
+            "1" | "true" => true,
+            other => return Err(format!("stimulus line {}: bad value `{other}`", i + 1)),
+        };
+        stim = stim.set(time, *sensor, value);
+    }
+    Ok(stim)
+}
+
+fn sim_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
+    let mut stimulus = None;
+    let mut until = 1000;
+    let mut vcd = None;
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--stimulus" => stimulus = Some(flags.path("stimulus")?),
+            "--until" => until = flags.value(flag)?,
+            "--vcd" => vcd = Some(flags.path("vcd")?),
+            other => return Err(flags.unknown(other)),
+        }
+    }
+    let design = read_design(input)?;
+    let stim = match &stimulus {
+        Some(path) => parse_stimulus(&read(path)?)?,
+        None => eblocks::synth::exercise_all_sensors(&design, until / 16),
+    };
+    let sim = eblocks::sim::Simulator::new(&design).map_err(|e| e.to_string())?;
+    let trace = sim.run(&stim, until).map_err(|e| e.to_string())?;
+
+    let mut out = String::new();
+    out.push_str(&eblocks::sim::render_all(&trace, until, 64));
+    if let Some(path) = &vcd {
+        let vcd = eblocks::sim::to_vcd(&trace, design.name(), until);
+        std::fs::write(path, vcd).map_err(|e| e.to_string())?;
+        out.push_str(&format!("wrote {}\n", path.display()));
+    }
+    Ok(out)
+}
+
+fn place_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
+    use eblocks::place::{anneal_place, PlaceAnnealConfig, PlacementProblem, Topology};
+
+    let mut grid = None;
+    let mut topology = None;
+    let mut pins: Vec<(String, String)> = Vec::new();
+    let mut config = PlaceAnnealConfig::default();
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--grid" => {
+                let spec: String = flags.value(flag)?;
+                let (w, h) = spec
+                    .split_once(['x', 'X'])
+                    .ok_or("bad --grid value, expected WxH")?;
+                grid = Some((
+                    w.parse::<usize>().map_err(|_| "bad --grid width")?,
+                    h.parse::<usize>().map_err(|_| "bad --grid height")?,
+                ));
+            }
+            "--topology" => topology = Some(flags.path("topology")?),
+            "--pin" => {
+                let spec: String = flags.value(flag)?;
+                let (name, at) = spec
+                    .split_once('=')
+                    .ok_or("bad --pin value, expected block=COL,ROW or block=SITE")?;
+                pins.push((name.to_string(), at.to_string()));
+            }
+            "--iterations" => config.iterations = flags.value(flag)?,
+            other => return Err(flags.unknown(other)),
+        }
+    }
+    let design = read_design(input)?;
+    design.validate().map_err(|e| e.to_string())?;
+    let (topo, shape) = match (grid, &topology) {
+        (Some(_), Some(_)) => return Err("--grid and --topology are mutually exclusive".into()),
+        (Some((w, h)), None) => {
+            if w == 0 || h == 0 {
+                return Err("--grid dimensions must be positive".into());
+            }
+            (Topology::grid(w, h), format!("{w}x{h} grid"))
+        }
+        (None, Some(path)) => {
+            let topo = eblocks::place::from_text(&read(path)?).map_err(|e| e.to_string())?;
+            (topo, path.display().to_string())
+        }
+        (None, None) => return Err("place requires --grid WxH or --topology FILE".into()),
+    };
+    let mut problem = PlacementProblem::new(&design, &topo).map_err(|e| e.to_string())?;
+    for (name, at) in &pins {
+        let block = design
+            .block_by_name(name)
+            .ok_or_else(|| format!("unknown block `{name}` in --pin"))?;
+        // COL,ROW on grids; otherwise a site name.
+        let site = match at.split_once(',') {
+            Some((col, row)) => {
+                let col: usize = col.parse().map_err(|_| "bad --pin column")?;
+                let row: usize = row.parse().map_err(|_| "bad --pin row")?;
+                topo.site_at(col, row)
+                    .ok_or_else(|| format!("--pin {name}: ({col},{row}) outside the {shape}"))?
+            }
+            None => topo
+                .site_by_name(at)
+                .ok_or_else(|| format!("--pin {name}: unknown site `{at}`"))?,
+        };
+        problem.pin(block, site).map_err(|e| e.to_string())?;
+    }
+
+    let placement = anneal_place(&problem, &config).map_err(|e| e.to_string())?;
+    placement.verify(&problem).map_err(|e| e.to_string())?;
+    let cost = placement.cost(&problem).map_err(|e| e.to_string())?;
+
+    let mut out = format!(
+        "placed {} blocks on {shape}; total routed wire: {cost} hops\n",
+        design.num_blocks()
+    );
+    for block in design.blocks() {
+        let name = design
+            .block(block)
+            .expect("iterating blocks")
+            .name()
+            .to_string();
+        let site = placement.site_of(block).expect("complete placement");
+        let pinned = if pins.iter().any(|(n, _)| *n == name) {
+            "  (pinned)"
+        } else {
+            ""
+        };
+        out.push_str(&format!(
+            "  {name:<16} -> {}{pinned}\n",
+            topo.site(site).expect("valid site").name()
+        ));
     }
     Ok(out)
 }
@@ -1577,6 +1561,69 @@ wire light.0 -> ghost.0
     }
 
     #[test]
+    fn deny_requires_lint() {
+        let dir = tempdir("deny-lint");
+        let netlist = write_garage(&dir);
+        let manifest = dir.join("deny.manifest");
+        std::fs::write(&manifest, "job library=\"Carpool Alert\"\n").unwrap();
+        let spool = dir.join("spool");
+        let out = dir.join("out");
+        for args in [
+            [
+                "synth",
+                netlist.to_str().unwrap(),
+                "-o",
+                out.to_str().unwrap(),
+            ],
+            ["batch", manifest.to_str().unwrap(), "--jobs", "1"],
+            ["serve", spool.to_str().unwrap(), "--jobs", "1"],
+        ] {
+            let mut args = s(&args);
+            args.extend(s(&["--deny", "warnings"]));
+            let err = run(&args).unwrap_err();
+            assert_eq!(err.message, "--deny requires --lint", "{args:?}");
+            assert!(err.output.is_empty(), "{args:?}: {err}");
+        }
+        assert!(!out.exists(), "synth wrote nothing");
+        assert!(!spool.exists(), "the daemon never started");
+    }
+
+    #[test]
+    fn no_lint_is_an_unknown_flag() {
+        for command in ["synth", "batch", "serve"] {
+            let err = run(&s(&[command, "/nonexistent", "--no-lint"])).unwrap_err();
+            assert!(
+                err.message
+                    .starts_with(&format!("unknown flag `--no-lint` for `{command}`\nusage:")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn partition_reports_invalid_designs_like_synth() {
+        let dir = tempdir("partition-invalid");
+        let broken = write_broken(&dir);
+        let path = broken.to_str().unwrap();
+        let err = run(&s(&["partition", path])).unwrap_err();
+        assert!(err.message.starts_with("invalid input design: "), "{err}");
+        let synth = run(&s(&["synth", path, "-o", dir.to_str().unwrap()])).unwrap_err();
+        assert_eq!(err.message, synth.message);
+    }
+
+    #[test]
+    fn usage_is_the_module_doc_synopsis() {
+        let source = include_str!("eblocks-cli.rs");
+        let synopsis: Vec<&str> = USAGE.lines().skip(1).map(str::trim).collect();
+        let documented: Vec<&str> = source
+            .lines()
+            .filter_map(|line| line.strip_prefix("//! "))
+            .filter(|line| line.starts_with("eblocks-cli "))
+            .collect();
+        assert_eq!(synopsis, documented);
+    }
+
+    #[test]
     fn bad_usage_is_an_error() {
         assert!(run(&[]).is_err());
         assert!(run(&s(&["frob", "x"])).is_err());
@@ -1602,130 +1649,6 @@ wire light.0 -> ghost.0
         let err = run(&s(&["check", path.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("line 1"), "{err}");
     }
-}
-
-/// Parses a stimulus script: `<time> <sensor> <0|1|true|false>` per line.
-fn parse_stimulus(text: &str) -> Result<eblocks::sim::Stimulus, String> {
-    let mut stim = eblocks::sim::Stimulus::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        let [time, sensor, value] = parts.as_slice() else {
-            return Err(format!(
-                "stimulus line {}: expected `<time> <sensor> <0|1>`",
-                i + 1
-            ));
-        };
-        let time: u64 = time
-            .parse()
-            .map_err(|_| format!("stimulus line {}: bad time `{time}`", i + 1))?;
-        let value = match *value {
-            "0" | "false" => false,
-            "1" | "true" => true,
-            other => return Err(format!("stimulus line {}: bad value `{other}`", i + 1)),
-        };
-        stim = stim.set(time, *sensor, value);
-    }
-    Ok(stim)
-}
-
-fn sim_command(design: &Design, options: &Options) -> Result<String, String> {
-    let until = options.until.unwrap_or(1000);
-    let stim = match &options.stimulus {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            parse_stimulus(&text)?
-        }
-        None => eblocks::synth::exercise_all_sensors(design, until / 16),
-    };
-    let sim = eblocks::sim::Simulator::new(design).map_err(|e| e.to_string())?;
-    let trace = sim.run(&stim, until).map_err(|e| e.to_string())?;
-
-    let mut out = String::new();
-    out.push_str(&eblocks::sim::render_all(&trace, until, 64));
-    if let Some(path) = &options.vcd {
-        let vcd = eblocks::sim::to_vcd(&trace, design.name(), until);
-        std::fs::write(path, vcd).map_err(|e| e.to_string())?;
-        out.push_str(&format!("wrote {}\n", path.display()));
-    }
-    Ok(out)
-}
-
-fn place_command(design: &Design, options: &Options) -> Result<String, String> {
-    use eblocks::place::{anneal_place, PlaceAnnealConfig, PlacementProblem, Topology};
-
-    design.validate().map_err(|e| e.to_string())?;
-    let (topo, shape) = match (&options.grid, &options.topology) {
-        (Some(_), Some(_)) => return Err("--grid and --topology are mutually exclusive".into()),
-        (Some((w, h)), None) => {
-            let (w, h) = (*w, *h);
-            if w == 0 || h == 0 {
-                return Err("--grid dimensions must be positive".into());
-            }
-            (Topology::grid(w, h), format!("{w}x{h} grid"))
-        }
-        (None, Some(path)) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let topo = eblocks::place::from_text(&text).map_err(|e| e.to_string())?;
-            (topo, path.display().to_string())
-        }
-        (None, None) => return Err("place requires --grid WxH or --topology FILE".into()),
-    };
-    let mut problem = PlacementProblem::new(design, &topo).map_err(|e| e.to_string())?;
-    for (name, at) in &options.pins {
-        let block = design
-            .block_by_name(name)
-            .ok_or_else(|| format!("unknown block `{name}` in --pin"))?;
-        // COL,ROW on grids; otherwise a site name.
-        let site = match at.split_once(',') {
-            Some((col, row)) => {
-                let col: usize = col.parse().map_err(|_| "bad --pin column")?;
-                let row: usize = row.parse().map_err(|_| "bad --pin row")?;
-                topo.site_at(col, row)
-                    .ok_or_else(|| format!("--pin {name}: ({col},{row}) outside the {shape}"))?
-            }
-            None => topo
-                .site_by_name(at)
-                .ok_or_else(|| format!("--pin {name}: unknown site `{at}`"))?,
-        };
-        problem.pin(block, site).map_err(|e| e.to_string())?;
-    }
-
-    let config = PlaceAnnealConfig {
-        iterations: options.iterations,
-        ..Default::default()
-    };
-    let placement = anneal_place(&problem, &config).map_err(|e| e.to_string())?;
-    placement.verify(&problem).map_err(|e| e.to_string())?;
-    let cost = placement.cost(&problem).map_err(|e| e.to_string())?;
-
-    let mut out = format!(
-        "placed {} blocks on {shape}; total routed wire: {cost} hops\n",
-        design.num_blocks()
-    );
-    for block in design.blocks() {
-        let name = design
-            .block(block)
-            .expect("iterating blocks")
-            .name()
-            .to_string();
-        let site = placement.site_of(block).expect("complete placement");
-        let pinned = if options.pins.iter().any(|(n, _)| *n == name) {
-            "  (pinned)"
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "  {name:<16} -> {}{pinned}\n",
-            topo.site(site).expect("valid site").name()
-        ));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -172,3 +172,66 @@ fn cli_check_reports_flagship_as_valid() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Each command takes only its own flags: a flag it does not read fails
+/// the run, names the flag and the command, and comes before any work.
+#[test]
+fn commands_reject_flags_they_do_not_take() {
+    let dir = scratch_dir("foreign-flags");
+    let design = eblocks::designs::garage_open_at_night();
+    let netlist_path = dir.join("garage-open-at-night.netlist");
+    std::fs::write(&netlist_path, eblocks::core::netlist::to_netlist(&design)).unwrap();
+    let manifest_path = dir.join("batch.manifest");
+    std::fs::write(&manifest_path, "job library=\"Carpool Alert\"\n").unwrap();
+    let fleet_spec =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fleet-request.txt");
+    let netlist = netlist_path.to_str().unwrap();
+    let manifest = manifest_path.to_str().unwrap();
+    let spool = dir.join("spool");
+
+    let table: [(&str, &str, &[&str]); 10] = [
+        ("synth", netlist, &["--retries", "1"]),
+        ("synth", netlist, &["--job-timeout-ms", "1"]),
+        ("partition", netlist, &["--json"]),
+        ("check", netlist, &["--json"]),
+        ("lint", netlist, &["--timings"]),
+        ("batch", manifest, &["--vcd", "x"]),
+        ("serve", spool.to_str().unwrap(), &["--json"]),
+        ("sim", netlist, &["--chaos-seed", "4"]),
+        ("fleet", fleet_spec.to_str().unwrap(), &["--grid", "3x3"]),
+        ("place", netlist, &["--json"]),
+    ];
+    for (command, input, extra) in table {
+        let output = Command::new(env!("CARGO_BIN_EXE_eblocks-cli"))
+            .arg(command)
+            .arg(input)
+            .args(extra)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn eblocks-cli");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "{command} {extra:?}: {stderr}"
+        );
+        let flag = extra[0];
+        assert!(
+            stderr.starts_with(&format!(
+                "error: unknown flag `{flag}` for `{command}`\nusage:"
+            )),
+            "{command} {extra:?}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{command} {extra:?}");
+    }
+
+    // Nothing ran: synth wrote no files and serve made no spool.
+    let mut entries: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    assert_eq!(entries, ["batch.manifest", "garage-open-at-night.netlist"]);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
