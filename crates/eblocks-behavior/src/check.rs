@@ -123,13 +123,11 @@ pub fn check(program: &Program, num_inputs: u8, num_outputs: u8) -> Vec<CheckErr
                 name: st.name.clone(),
             });
         }
-        let mut refs = BTreeSet::new();
-        st.init.vars(&mut refs);
-        for r in refs {
-            if !declared.contains(r.as_str()) || r == st.name {
+        for r in reads(&st.init) {
+            if !declared.contains(r) || r == st.name {
                 errors.push(CheckError::NonConstantStateInit {
                     name: st.name.clone(),
-                    reference: r,
+                    reference: r.to_string(),
                 });
             }
         }
@@ -139,7 +137,7 @@ pub fn check(program: &Program, num_inputs: u8, num_outputs: u8) -> Vec<CheckErr
         // Defined set: states plus outputs assigned so far (outputs may be
         // read back after assignment); inputs are implicitly defined in the
         // input handler.
-        let mut defined: BTreeSet<String> = program.states.iter().map(|s| s.name.clone()).collect();
+        let mut defined: BTreeSet<&str> = program.states.iter().map(|s| s.name.as_str()).collect();
         check_body(
             &handler.body,
             &mut defined,
@@ -153,18 +151,36 @@ pub fn check(program: &Program, num_inputs: u8, num_outputs: u8) -> Vec<CheckErr
     errors
 }
 
+/// The names `e` reads, sorted and deduplicated, borrowed from `e`.
+fn reads(e: &Expr) -> BTreeSet<&str> {
+    fn walk<'p>(e: &'p Expr, into: &mut BTreeSet<&'p str>) {
+        match e {
+            Expr::Bool(_) | Expr::Int(_) => {}
+            Expr::Var(name) => {
+                into.insert(name);
+            }
+            Expr::Unary(_, x) => walk(x, into),
+            Expr::Binary(_, l, r) => {
+                walk(l, into);
+                walk(r, into);
+            }
+        }
+    }
+    let mut into = BTreeSet::new();
+    walk(e, &mut into);
+    into
+}
+
 fn check_expr(
     e: &Expr,
-    defined: &BTreeSet<String>,
+    defined: &BTreeSet<&str>,
     kind: HandlerKind,
     num_inputs: u8,
     num_outputs: u8,
     errors: &mut Vec<CheckError>,
 ) {
-    let mut refs = BTreeSet::new();
-    e.vars(&mut refs);
-    for name in refs {
-        if let Some(port) = input_port(&name) {
+    for name in reads(e) {
+        if let Some(port) = input_port(name) {
             if kind == HandlerKind::Tick {
                 errors.push(CheckError::InputReadInTick { port });
             } else if port >= num_inputs {
@@ -173,24 +189,24 @@ fn check_expr(
                     arity: num_inputs,
                 });
             }
-        } else if let Some(port) = output_port(&name) {
+        } else if let Some(port) = output_port(name) {
             if port >= num_outputs {
                 errors.push(CheckError::OutputOutOfRange {
                     port,
                     arity: num_outputs,
                 });
-            } else if !defined.contains(&name) {
-                errors.push(CheckError::PossiblyUndefined { name });
+            } else if !defined.contains(name) {
+                errors.push(CheckError::PossiblyUndefined { name: name.into() });
             }
-        } else if !defined.contains(&name) {
-            errors.push(CheckError::PossiblyUndefined { name });
+        } else if !defined.contains(name) {
+            errors.push(CheckError::PossiblyUndefined { name: name.into() });
         }
     }
 }
 
-fn check_body(
-    body: &[Stmt],
-    defined: &mut BTreeSet<String>,
+fn check_body<'p>(
+    body: &'p [Stmt],
+    defined: &mut BTreeSet<&'p str>,
     kind: HandlerKind,
     num_inputs: u8,
     num_outputs: u8,
@@ -210,7 +226,7 @@ fn check_body(
                         });
                     }
                 }
-                defined.insert(name.clone());
+                defined.insert(name);
             }
             Stmt::If(cond, then_body, else_body) => {
                 check_expr(cond, defined, kind, num_inputs, num_outputs, errors);
@@ -225,16 +241,8 @@ fn check_body(
                     num_outputs,
                     errors,
                 );
-                let mut else_defined = defined.clone();
-                check_body(
-                    else_body,
-                    &mut else_defined,
-                    kind,
-                    num_inputs,
-                    num_outputs,
-                    errors,
-                );
-                *defined = then_defined.intersection(&else_defined).cloned().collect();
+                check_body(else_body, defined, kind, num_inputs, num_outputs, errors);
+                defined.retain(|name| then_defined.contains(name));
             }
         }
     }
@@ -289,6 +297,29 @@ mod tests {
         assert!(errs.contains(&CheckError::PossiblyUndefined {
             name: "ghost".into()
         }));
+    }
+
+    #[test]
+    fn undefined_reads_are_reported_sorted_once_each() {
+        let errs = check_src(
+            "on input { out0 = zeta || alpha && zeta || in0 && mid; }",
+            1,
+            1,
+        );
+        let undefined = |name: &str| CheckError::PossiblyUndefined { name: name.into() };
+        assert_eq!(
+            errs,
+            [undefined("alpha"), undefined("mid"), undefined("zeta")]
+        );
+        let texts: Vec<String> = errs.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            texts,
+            [
+                "variable `alpha` may be read before assignment",
+                "variable `mid` may be read before assignment",
+                "variable `zeta` may be read before assignment",
+            ]
+        );
     }
 
     #[test]

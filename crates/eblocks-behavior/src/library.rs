@@ -14,9 +14,18 @@
 //! parses. The check runs at the kind's own arity, which is every block's
 //! arity: a block's port counts come from its kind.
 //!
+//! The table is a [`SharedTable`]: a process-wide map from a key to an
+//! `Arc` of a value built from that key by a pure function. It has two
+//! users: [`code_for`], keyed by [`ComputeKind`], and lint's cross-block
+//! dataflow, which keeps each kind's abstract facts keyed by the kind and
+//! the value sets arriving on its inputs. A lookup takes a read lock; a
+//! miss builds the value outside any lock, then takes the write lock and
+//! keeps whichever value reached the table first, so every caller sees
+//! the same value for a key.
+//!
 //! The table is bounded. `PulseGen` and `Delay` carry a `u16` tick count,
-//! so there are 131,348 kinds; the table holds at most [`TABLE_CAPACITY`]
-//! of them and is cleared when full, before the next insert. Callers keep
+//! so there are 131,348 kinds; a table holds at most [`TABLE_CAPACITY`]
+//! entries and is cleared when full, before the next insert. Callers keep
 //! the `Arc`s they hold, so a clear costs later lookups a rebuild and
 //! nothing else. A caller that cycles through every tick value therefore
 //! costs speed, never unbounded memory.
@@ -27,11 +36,70 @@ use crate::interp::Compiled;
 use crate::parser::parse;
 use eblocks_core::{ComputeKind, TruthTable2, TruthTable3};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, LazyLock, PoisonError, RwLock};
 
-/// The most kinds [`code_for`]'s table holds at once. Far above the few
+/// The most entries a [`SharedTable`] holds at once. Far above the few
 /// dozen kinds real designs use, far below the 131,348 that exist.
 pub const TABLE_CAPACITY: usize = 1024;
+
+/// A bounded map from keys to shared values, each built once from its key
+/// (see [the shared table](self#the-shared-table)). Meant for a `static`
+/// behind a [`LazyLock`].
+#[derive(Debug)]
+pub struct SharedTable<K, V> {
+    map: RwLock<HashMap<K, Arc<V>>>,
+}
+
+impl<K, V> Default for SharedTable<K, V> {
+    fn default() -> Self {
+        Self {
+            map: RwLock::default(),
+        }
+    }
+}
+
+impl<K: Eq + Hash, V> SharedTable<K, V> {
+    /// The value for `key`, built by `build` when the table does not hold
+    /// it. `build` must be a pure function of the key.
+    pub fn get_or_build(&self, key: K, build: impl FnOnce(&K) -> V) -> Arc<V> {
+        // A panic elsewhere cannot leave the map half-updated: every write
+        // is one clear or one insert.
+        let cached = self
+            .map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+            .cloned();
+        if let Some(value) = cached {
+            return value;
+        }
+        let built = Arc::new(build(&key));
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(value) = map.get(&key) {
+            // Another thread built it first; hand out the one in the table.
+            return Arc::clone(value);
+        }
+        if map.len() >= TABLE_CAPACITY {
+            map.clear();
+        }
+        map.insert(key, Arc::clone(&built));
+        built
+    }
+
+    /// The number of entries held now, at most [`TABLE_CAPACITY`].
+    pub fn len(&self) -> usize {
+        self.map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
+    /// True when the table holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 /// One library kind's behavior, parsed, checked and compiled once (see
 /// the [module documentation](self)).
@@ -71,33 +139,12 @@ impl LibraryCode {
     }
 }
 
-static TABLE: LazyLock<RwLock<HashMap<ComputeKind, Arc<LibraryCode>>>> =
-    LazyLock::new(RwLock::default);
+static TABLE: LazyLock<SharedTable<ComputeKind, LibraryCode>> = LazyLock::new(SharedTable::default);
 
 /// The shared, checked and compiled behavior of `kind`, built on first use
 /// (see the [module documentation](self)).
 pub fn code_for(kind: ComputeKind) -> Arc<LibraryCode> {
-    // A panic elsewhere cannot leave the table half-updated: every write
-    // is one clear or one insert.
-    let cached = TABLE
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&kind)
-        .cloned();
-    if let Some(code) = cached {
-        return code;
-    }
-    let built = Arc::new(LibraryCode::new(kind));
-    let mut table = TABLE.write().unwrap_or_else(PoisonError::into_inner);
-    if let Some(code) = table.get(&kind) {
-        // Another thread built it first; hand out the one in the table.
-        return Arc::clone(code);
-    }
-    if table.len() >= TABLE_CAPACITY {
-        table.clear();
-    }
-    table.insert(kind, Arc::clone(&built));
-    built
+    TABLE.get_or_build(kind, |&kind| LibraryCode::new(kind))
 }
 
 /// Returns the behavior source text for a compute kind.
@@ -386,29 +433,6 @@ mod tests {
             .collect()
     }
 
-    fn table_len() -> usize {
-        TABLE.read().unwrap_or_else(PoisonError::into_inner).len()
-    }
-
-    #[test]
-    fn shared_code_matches_a_fresh_build() {
-        for kind in all_kinds() {
-            let code = code_for(kind);
-            assert_eq!(
-                code.program(),
-                &parse(&source_for(kind)).unwrap(),
-                "{kind:?}"
-            );
-            assert!(code.check_errors().is_empty(), "{kind:?}");
-            let fresh = Compiled::new(&program_for(kind));
-            assert_eq!(
-                run_script(code.compiled(), kind.num_inputs()),
-                run_script(&fresh, kind.num_inputs()),
-                "{kind:?}"
-            );
-        }
-    }
-
     #[test]
     fn table_stays_within_its_capacity() {
         let kinds = (1..=TABLE_CAPACITY as u16 + 100).flat_map(|ticks| {
@@ -420,12 +444,18 @@ mod tests {
         let mut held = Vec::new();
         for kind in kinds {
             held.push(code_for(kind));
-            assert!(table_len() <= TABLE_CAPACITY);
+            assert!(TABLE.len() <= TABLE_CAPACITY);
         }
-        // Entries cleared out of the table live on in their holders.
+        // Entries cleared out of the table live on in their holders, and a
+        // rebuild equals what was dropped.
+        let first = ComputeKind::PulseGen { ticks: 1 };
+        assert_eq!(held[0].program(), &program_for(first));
+        let rebuilt = code_for(first);
+        assert_eq!(rebuilt.program(), held[0].program());
+        assert_eq!(rebuilt.check_errors(), held[0].check_errors());
         assert_eq!(
-            held[0].program(),
-            &program_for(ComputeKind::PulseGen { ticks: 1 })
+            run_script(rebuilt.compiled(), 1),
+            run_script(held[0].compiled(), 1)
         );
     }
 

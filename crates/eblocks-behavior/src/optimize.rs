@@ -34,8 +34,8 @@ enum Ty {
 
 /// Variable types plus handler context (input ports are unreadable inside
 /// `on tick` handlers, where referencing `inK` faults).
-struct Ctx {
-    env: HashMap<String, Ty>,
+struct Ctx<'a> {
+    env: &'a TypeEnv,
     inputs_ok: bool,
     /// Variables *definitely assigned* at the current program point: state
     /// declarations plus every name assigned on all paths so far in this
@@ -43,7 +43,7 @@ struct Ctx {
     /// `UndefinedVariable` (plain names and `outK` alike), so only
     /// definitely-assigned variables count as total when an expression is
     /// considered for discarding.
-    defined: HashSet<String>,
+    defined: HashSet<&'a str>,
 }
 
 type TypeEnv = HashMap<String, Ty>;
@@ -52,7 +52,7 @@ type TypeEnv = HashMap<String, Ty>;
 /// literals after checking).
 pub fn optimize(program: &Program) -> Program {
     let env = infer_types(program);
-    let state_names: HashSet<String> = program.states.iter().map(|st| st.name.clone()).collect();
+    let state_names: HashSet<&str> = program.states.iter().map(|st| st.name.as_str()).collect();
     Program {
         states: program.states.clone(),
         handlers: program
@@ -60,7 +60,7 @@ pub fn optimize(program: &Program) -> Program {
             .iter()
             .map(|h| {
                 let mut ctx = Ctx {
-                    env: env.clone(),
+                    env: &env,
                     inputs_ok: h.kind == crate::ast::HandlerKind::Input,
                     defined: state_names.clone(),
                 };
@@ -96,7 +96,7 @@ fn infer_types(program: &Program) -> TypeEnv {
             match stmt {
                 Stmt::Let(name, e) | Stmt::Assign(name, e) => {
                     let ctx = Ctx {
-                        env: env.clone(),
+                        env,
                         inputs_ok: true,
                         defined: HashSet::new(),
                     };
@@ -113,7 +113,7 @@ fn infer_types(program: &Program) -> TypeEnv {
 
     for st in &program.states {
         let ctx = Ctx {
-            env: env.clone(),
+            env: &env,
             inputs_ok: true,
             defined: HashSet::new(),
         };
@@ -201,7 +201,7 @@ fn is_total(e: &Expr, ctx: &Ctx) -> bool {
                 } else {
                     // Plain names and `outK` fault unless assigned: only a
                     // definitely-assigned variable is safe to discard.
-                    ctx.defined.contains(name)
+                    ctx.defined.contains(name.as_str())
                 }
             }
             Expr::Unary(_, x) => vars_defined(x, ctx),
@@ -211,18 +211,18 @@ fn is_total(e: &Expr, ctx: &Ctx) -> bool {
     expr_type(e, ctx).is_some() && no_faulting_ops(e) && vars_defined(e, ctx)
 }
 
-fn optimize_body(body: &[Stmt], ctx: &mut Ctx) -> Vec<Stmt> {
+fn optimize_body<'a>(body: &'a [Stmt], ctx: &mut Ctx<'a>) -> Vec<Stmt> {
     let mut out = Vec::with_capacity(body.len());
     for stmt in body {
         match stmt {
             Stmt::Let(name, e) => {
                 let e = optimize_expr_env(e, ctx);
-                ctx.defined.insert(name.clone());
+                ctx.defined.insert(name);
                 out.push(Stmt::Let(name.clone(), e));
             }
             Stmt::Assign(name, e) => {
                 let e = optimize_expr_env(e, ctx);
-                ctx.defined.insert(name.clone());
+                ctx.defined.insert(name);
                 out.push(Stmt::Assign(name.clone(), e));
             }
             Stmt::If(cond, then_body, else_body) => {
@@ -237,10 +237,9 @@ fn optimize_body(body: &[Stmt], ctx: &mut Ctx) -> Vec<Stmt> {
                         let then_body = optimize_body(then_body, ctx);
                         let after_then = std::mem::replace(&mut ctx.defined, before);
                         let else_body = optimize_body(else_body, ctx);
-                        let after_else = &ctx.defined;
                         // Either branch may run: only names assigned on
                         // both paths are definitely assigned afterwards.
-                        ctx.defined = after_then.intersection(after_else).cloned().collect();
+                        ctx.defined.retain(|name| after_then.contains(name));
                         // Dropping the branch requires the condition to be
                         // fault-free AND boolean-typed: `if (-0) {}` faults.
                         if then_body.is_empty()
@@ -266,7 +265,7 @@ fn optimize_body(body: &[Stmt], ctx: &mut Ctx) -> Vec<Stmt> {
 /// [`optimize`] for whole programs.
 pub fn optimize_expr(e: &Expr) -> Expr {
     let ctx = Ctx {
-        env: TypeEnv::new(),
+        env: &TypeEnv::new(),
         inputs_ok: true,
         defined: HashSet::new(),
     };

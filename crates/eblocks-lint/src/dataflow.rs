@@ -46,14 +46,28 @@
 //! sets plus `false` — the simulator latches undelivered inputs to
 //! `Bool(false)`, so a handler can observe the latched default before the
 //! first packet arrives. Sensors are modeled as `Any` (the environment is
-//! unconstrained), `comm` relays as pass-through, and programmable blocks
-//! without an attached program as `Any` on every output.
+//! unconstrained), `comm` relays as pass-through (`Any` when undriven), and
+//! programmable blocks without an attached program as `Any` on every
+//! output.
+//!
+//! A compute block's facts depend only on its [`ComputeKind`] and the sets
+//! arriving on its inputs, and those pairs repeat across designs far more
+//! than within one. The 9,663 generated designs of Table 2's sweep (3–45
+//! inner blocks) hold 118,886 compute blocks; a memo per design would
+//! still run 90,708 analyses, yet every block's pair is one of just 78.
+//! So the facts live in one process-wide [`SharedTable`] keyed by
+//! `(kind, input sets)`, bounded like the library's program table at
+//! [`TABLE_CAPACITY`](library::TABLE_CAPACITY) entries and cleared when
+//! full, and [`DesignFacts::programs`] shares them through an [`Arc`].
+//! Programs attached to programmable blocks belong to the caller and are
+//! analyzed once per block.
 
-use eblocks_behavior::library;
+use eblocks_behavior::library::{self, SharedTable};
 use eblocks_behavior::{BinOp, Expr, HandlerKind, Program, Stmt, UnOp};
-use eblocks_core::{BlockId, BlockKind, Design};
+use eblocks_core::{BlockId, BlockKind, ComputeKind, Design};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::{Arc, LazyLock};
 
 /// Maximum cardinality a [`ValueSet`] may reach before a join widens it
 /// to [`ValueSet::Any`]. Bounds the lattice height (and therefore the
@@ -63,7 +77,7 @@ pub const WIDENING_CAP: usize = 8;
 
 /// One concrete value a signal can carry, mirroring
 /// [`eblocks_behavior::Value`] but `Ord` so sets are canonically ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AbstractValue {
     /// A boolean packet.
     Bool(bool),
@@ -82,7 +96,7 @@ impl fmt::Display for AbstractValue {
 
 /// The set of values a signal may hold: a finite enumeration or `Any`
 /// (⊤). `Values(∅)` is ⊥ — the signal provably never carries a value.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ValueSet {
     /// No claim: the signal may hold anything (⊤).
     Any,
@@ -667,8 +681,22 @@ pub struct DesignFacts {
     pub incoming: BTreeMap<(BlockId, u8), ValueSet>,
     /// Per-block program facts, for blocks whose behavior is known (all
     /// `compute` blocks via the library; programmable blocks only when a
-    /// program was supplied).
-    pub programs: BTreeMap<BlockId, ProgramFacts>,
+    /// program was supplied). Compute blocks share theirs with every block
+    /// of the same kind under the same input sets.
+    pub programs: BTreeMap<BlockId, Arc<ProgramFacts>>,
+}
+
+/// Library kinds' facts per `(kind, input sets)`: see the module docs.
+static LIBRARY_FACTS: LazyLock<SharedTable<(ComputeKind, Vec<ValueSet>), ProgramFacts>> =
+    LazyLock::new(SharedTable::default);
+
+/// The facts of `kind`'s library program under `inputs`, analyzed once per
+/// process (see the module docs).
+fn library_facts(kind: ComputeKind, inputs: Vec<ValueSet>) -> Arc<ProgramFacts> {
+    LIBRARY_FACTS.get_or_build((kind, inputs), |(kind, inputs)| {
+        let code = library::code_for(*kind);
+        analyze_program(code.program(), inputs, kind.num_outputs())
+    })
 }
 
 /// Propagates abstract value sets through `design` in topological order.
@@ -720,28 +748,23 @@ pub fn analyze_design(
             BlockKind::Comm(_) => {
                 // Behaviorally transparent relay: forwards exactly what
                 // its driver sends (it only fires on receipt, so the
-                // latched default never crosses it).
-                let forwarded = design
-                    .in_wires(id)
-                    .filter(|w| w.to_port == 0)
-                    .map(|w| {
-                        facts
-                            .outputs
-                            .get(&(w.from, w.from_port))
-                            .cloned()
-                            .unwrap_or(ValueSet::Any)
-                    })
-                    .fold(ValueSet::bottom(), |acc, s| acc.join(&s));
-                let forwarded = if forwarded.is_bottom() {
-                    ValueSet::Any // undriven relay: no claim
-                } else {
-                    forwarded
-                };
+                // latched default never crosses it). A driver that never
+                // fires makes a relay that never fires.
+                let mut wired = false;
+                let mut forwarded = ValueSet::bottom();
+                for w in design.in_wires(id).filter(|w| w.to_port == 0) {
+                    wired = true;
+                    let from = facts
+                        .outputs
+                        .get(&(w.from, w.from_port))
+                        .unwrap_or(&ValueSet::Any);
+                    forwarded = forwarded.join(from);
+                }
+                let forwarded = if wired { forwarded } else { ValueSet::Any };
                 facts.outputs.insert((id, 0), forwarded);
             }
             BlockKind::Compute(ck) => {
-                let code = library::code_for(ck);
-                let pf = analyze_program(code.program(), &incoming, kind.num_outputs());
+                let pf = library_facts(ck, incoming);
                 for (port, set) in pf.outputs.iter().enumerate() {
                     facts.outputs.insert((id, port as u8), set.clone());
                 }
@@ -753,7 +776,7 @@ pub fn analyze_design(
                     for (port, set) in pf.outputs.iter().enumerate() {
                         facts.outputs.insert((id, port as u8), set.clone());
                     }
-                    facts.programs.insert(id, pf);
+                    facts.programs.insert(id, Arc::new(pf));
                 }
                 None => {
                     for port in 0..kind.num_outputs() {
@@ -906,13 +929,11 @@ mod tests {
 
     #[test]
     fn short_circuit_truth_tables() {
-        let env = Env::new();
         let t = |src: &str| {
             let p = parse(&format!("on input {{ out0 = {src}; }}")).unwrap();
             let facts = analyze_program(&p, &[], 1);
             facts.outputs[0].clone()
         };
-        let _ = env;
         assert_eq!(
             t("true && false").as_singleton(),
             Some(AbstractValue::Bool(false))
@@ -952,22 +973,57 @@ mod tests {
         assert_eq!(matched_values(&p, 0), None);
     }
 
-    #[test]
-    fn every_library_program_analyzes_under_any() {
-        use eblocks_core::{ComputeKind, TruthTable2, TruthTable3};
+    /// All truth tables, every sequential block, and the timed blocks at
+    /// small tick counts and at the extremes of `ticks`.
+    fn all_kinds() -> Vec<ComputeKind> {
+        use eblocks_core::{TruthTable2, TruthTable3};
         let mut kinds = vec![
             ComputeKind::Not,
+            ComputeKind::Splitter,
             ComputeKind::Toggle,
             ComputeKind::Trip,
-            ComputeKind::Splitter,
-            ComputeKind::PulseGen { ticks: 3 },
-            ComputeKind::Delay { ticks: 2 },
         ];
-        for t in 0..16 {
-            kinds.push(ComputeKind::Logic2(TruthTable2::from_mask(t).unwrap()));
+        for ticks in [1, 2, 3, 10, u16::MAX] {
+            kinds.push(ComputeKind::PulseGen { ticks });
+            kinds.push(ComputeKind::Delay { ticks });
         }
-        kinds.push(ComputeKind::Logic3(TruthTable3::from_mask(0x96)));
-        for kind in kinds {
+        kinds.extend((0..16u8).map(|m| ComputeKind::Logic2(TruthTable2::from_mask(m).unwrap())));
+        kinds.extend((0..=255u8).map(|m| ComputeKind::Logic3(TruthTable3::from_mask(m))));
+        kinds
+    }
+
+    /// Input facts for a block with `arity` inputs: the whole port uniform,
+    /// then odd sets on `in0` with the other ports unconstrained.
+    fn input_facts(arity: u8) -> Vec<Vec<ValueSet>> {
+        let all = |set: ValueSet| vec![set; arity as usize];
+        let on_in0 = |set: ValueSet| {
+            let mut inputs = all(ValueSet::Any);
+            inputs[0] = set;
+            inputs
+        };
+        let values = |vs: &[AbstractValue]| ValueSet::Values(vs.iter().copied().collect());
+        vec![
+            all(ValueSet::Any),
+            all(ValueSet::bools()),
+            all(ValueSet::just(AbstractValue::Bool(false))),
+            all(ValueSet::just(AbstractValue::Bool(true))),
+            on_in0(ValueSet::bottom()),
+            on_in0(values(&[
+                AbstractValue::Int(0),
+                AbstractValue::Int(1),
+                AbstractValue::Int(2),
+            ])),
+            on_in0(values(&[AbstractValue::Bool(true), AbstractValue::Int(3)])),
+        ]
+    }
+
+    fn fresh_facts(kind: ComputeKind, inputs: &[ValueSet]) -> ProgramFacts {
+        analyze_program(&library::program_for(kind), inputs, kind.num_outputs())
+    }
+
+    #[test]
+    fn every_library_program_analyzes_under_any() {
+        for kind in all_kinds() {
             let program = library::program_for(kind);
             let inputs = vec![ValueSet::Any; kind.num_inputs() as usize];
             let facts = analyze_program(&program, &inputs, kind.num_outputs());
@@ -977,6 +1033,70 @@ mod tests {
                     "{kind:?} out{port} must be able to fire under unconstrained inputs"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn shared_facts_match_a_fresh_analysis() {
+        for kind in all_kinds() {
+            for inputs in input_facts(kind.num_inputs()) {
+                let fresh = fresh_facts(kind, &inputs);
+                // The first lookup may build, the second must hit: both
+                // equal the fresh analysis.
+                for _ in 0..2 {
+                    let shared = library_facts(kind, inputs.clone());
+                    assert_eq!(*shared, fresh, "{kind:?} under {inputs:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn facts_table_stays_within_its_capacity() {
+        let any = || vec![ValueSet::Any];
+        let mut held = Vec::new();
+        for ticks in 1..=library::TABLE_CAPACITY as u16 + 100 {
+            held.push(library_facts(ComputeKind::PulseGen { ticks }, any()));
+            assert!(LIBRARY_FACTS.len() <= library::TABLE_CAPACITY);
+        }
+        // Entries cleared out of the table live on in their holders, and a
+        // rebuild equals what was dropped.
+        let first = ComputeKind::PulseGen { ticks: 1 };
+        assert_eq!(*held[0], fresh_facts(first, &any()));
+        assert_eq!(library_facts(first, any()), held[0]);
+    }
+
+    #[test]
+    fn facts_lookups_from_many_threads_agree() {
+        // Keys no other test uses, so the threads race to build them.
+        let mut keys: Vec<(ComputeKind, Vec<ValueSet>)> = (50_000..50_064)
+            .map(|ticks| (ComputeKind::Delay { ticks }, vec![ValueSet::bools()]))
+            .collect();
+        keys.extend(
+            all_kinds()
+                .into_iter()
+                .map(|kind| (kind, vec![ValueSet::Any; kind.num_inputs() as usize])),
+        );
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<Arc<ProgramFacts>>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        keys.iter()
+                            .map(|(kind, inputs)| library_facts(*kind, inputs.clone()))
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let expected: Vec<Arc<ProgramFacts>> = keys
+            .iter()
+            .map(|(kind, inputs)| Arc::new(fresh_facts(*kind, inputs)))
+            .collect();
+        for facts in &seen {
+            assert_eq!(facts, &expected);
         }
     }
 }

@@ -550,22 +550,19 @@ fn dataflow_pass(
         if !forward.contains(&id) {
             continue;
         }
+        let from = design.block(id).expect("iterated id").name();
         for w in design.out_wires(id) {
-            let from = design
-                .block(w.from)
-                .expect("wire source")
-                .name()
-                .to_string();
-            let to = design.block(w.to).expect("wire sink").name().to_string();
-            let wire_loc = format!("wire `{from}.{} -> {to}.{}`", w.from_port, w.to_port);
             let Some(sent) = facts.outputs.get(&(w.from, w.from_port)) else {
                 continue;
             };
+            let sink = design.block(w.to).expect("wire sink");
+            let to = sink.name();
+            let wire_loc = || format!("wire `{from}.{} -> {to}.{}`", w.from_port, w.to_port);
             if sent.is_bottom() {
                 out.push(at_block_line(
                     Diagnostic::new(
                         &rules::EDGE_NEVER_FIRES,
-                        wire_loc,
+                        wire_loc(),
                         format!(
                             "no feasible execution makes `{from}.{}` fire; this wire never carries a packet",
                             w.from_port
@@ -573,7 +570,7 @@ fn dataflow_pass(
                     )
                     .with_hint("the sender's guarding conditions can never pass"),
                     src,
-                    &from,
+                    from,
                 ));
                 continue;
             }
@@ -581,7 +578,7 @@ fn dataflow_pass(
                 continue;
             };
             let library_code;
-            let receiver = match design.block(w.to).expect("wire sink").kind() {
+            let receiver = match sink.kind() {
                 BlockKind::Compute(ck) => {
                     library_code = library::code_for(ck);
                     library_code.program()
@@ -605,7 +602,7 @@ fn dataflow_pass(
                 out.push(at_block_line(
                     Diagnostic::new(
                         &rules::PROTOCOL_MISMATCH,
-                        wire_loc,
+                        wire_loc(),
                         format!(
                             "`{from}.{}` can only send {sent_list} but `{to}` only matches {{{matched_list}}} on in{}",
                             w.from_port, w.to_port
@@ -613,7 +610,7 @@ fn dataflow_pass(
                     )
                     .with_hint("the sender and receiver disagree on the port's protocol"),
                     src,
-                    &from,
+                    from,
                 ));
             }
         }
@@ -632,7 +629,9 @@ mod tests {
     use super::*;
     use crate::{DenyLevel, Severity};
     use eblocks_behavior::parse;
-    use eblocks_core::{ComputeKind, OutputKind, ProgrammableSpec, SensorKind, TruthTable2};
+    use eblocks_core::{
+        CommKind, ComputeKind, OutputKind, ProgrammableSpec, SensorKind, TruthTable2,
+    };
 
     fn codes(report: &LintReport) -> Vec<&str> {
         report.diagnostics.iter().map(|d| d.code.as_str()).collect()
@@ -911,6 +910,36 @@ mod tests {
             .find(|d| d.code == "W213")
             .unwrap();
         assert_eq!(w.location, "wire `tx.0 -> led.0`");
+    }
+
+    #[test]
+    fn w213_crosses_a_relay_whose_driver_never_fires() {
+        // A relay forwards what its driver sends: nothing, here.
+        let mut d = Design::new("t");
+        let s = d.add_block("btn", SensorKind::Button);
+        let tx = d.add_block("tx", ProgrammableSpec::default());
+        let radio = d.add_block("radio", CommKind::WirelessTx);
+        let o = d.add_block("led", OutputKind::Led);
+        d.connect((s, 0), (tx, 0)).unwrap();
+        d.connect((tx, 0), (radio, 0)).unwrap();
+        d.connect((radio, 0), (o, 0)).unwrap();
+        let mut programs = BTreeMap::new();
+        programs.insert(
+            tx,
+            parse("on input { if (in0 && false) { out0 = true; } }").unwrap(),
+        );
+        let report = lint_design_with_programs(&d, &programs, &LintConfig::default());
+        let w213: Vec<&str> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "W213")
+            .map(|d| d.location.as_str())
+            .collect();
+        assert_eq!(
+            w213,
+            ["wire `radio.0 -> led.0`", "wire `tx.0 -> radio.0`"],
+            "{report}"
+        );
     }
 
     #[test]
