@@ -434,6 +434,25 @@ mod tests {
     }
 
     #[test]
+    fn shared_code_matches_a_fresh_build() {
+        for kind in all_kinds() {
+            let code = code_for(kind);
+            assert_eq!(
+                code.program(),
+                &parse(&source_for(kind)).unwrap(),
+                "{kind:?}"
+            );
+            assert!(code.check_errors().is_empty(), "{kind:?}");
+            let fresh = Compiled::new(&program_for(kind));
+            assert_eq!(
+                run_script(code.compiled(), kind.num_inputs()),
+                run_script(&fresh, kind.num_inputs()),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
     fn table_stays_within_its_capacity() {
         let kinds = (1..=TABLE_CAPACITY as u16 + 100).flat_map(|ticks| {
             [
