@@ -1,15 +1,19 @@
-//! Fleet co-simulation scaling: one global clock over 10/100/1000 nodes.
+//! Fleet co-simulation scaling: one global clock over 100 to 10,000 nodes.
 //!
 //! Spins up relay fleets of Night Lamp Controller nodes on a grid
 //! substrate via the declarative [`FleetRequest`] spec, runs each to the
-//! horizon twice, and reports engine events per second. The second run
-//! doubles as the determinism acceptance check: the deterministic JSON
-//! report must be byte-identical regardless of fleet size.
+//! horizon twice, and reports engine events per second and the process's
+//! peak RSS after each size, then the 10,000-node rate as a share of the
+//! 100-node one. The second run is the determinism check: its JSON report
+//! must be byte-identical to the first, or the program exits with status 1.
 //!
 //! Usage: `cargo run --release -p eblocks-bench --bin fleet_scaling [until]`
 
 use eblocks_net::{FleetRequest, FleetSource};
 use std::time::{Duration, Instant};
+
+/// Fleet sizes swept, smallest first.
+const SIZES: [u32; 4] = [100, 1000, 4000, 10_000];
 
 fn fmt_time(d: Duration) -> String {
     let s = d.as_secs_f64();
@@ -22,6 +26,24 @@ fn fmt_time(d: Duration) -> String {
     }
 }
 
+/// The process's peak resident set so far (`VmHWM` in `/proc/self/status`),
+/// or `n/a` where the platform does not report it.
+fn peak_rss() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            let kb: f64 = line["VmHWM:".len()..]
+                .trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse()
+                .ok()?;
+            Some(format!("{:.1} MB", kb / 1024.0))
+        })
+        .unwrap_or_else(|| "n/a".to_string())
+}
+
 fn main() {
     let until: u64 = std::env::args()
         .nth(1)
@@ -31,12 +53,13 @@ fn main() {
     println!("Fleet co-simulation scaling (Night Lamp Controller relay ring on a grid):");
     println!("horizon = {until} ticks, seed = 7, default link (latency 1, 8 bits/tick)");
     println!(
-        "{:>7} {:>12} {:>10} {:>8} {:>10} {:>12} {:>10}",
-        "nodes", "topology", "events", "sent", "delivered", "time", "events/s"
+        "{:>7} {:>14} {:>10} {:>8} {:>10} {:>10} {:>10} {:>10}",
+        "nodes", "topology", "events", "sent", "delivered", "time", "events/s", "peak RSS"
     );
 
-    let mut all_identical = true;
-    for nodes in [10u32, 100, 1000] {
+    let mut differing = Vec::new();
+    let mut rates = Vec::with_capacity(SIZES.len());
+    for nodes in SIZES {
         let spec = FleetRequest {
             name: Some(format!("scale-{nodes}")),
             nodes,
@@ -58,23 +81,35 @@ fn main() {
         let first = fleet.run(until).expect("fleet run");
         let elapsed = start.elapsed();
         let second = fleet.run(until).expect("fleet rerun");
-        all_identical &= first.report.to_json() == second.report.to_json();
+        if first.report.to_json() != second.report.to_json() {
+            differing.push(nodes);
+        }
 
         let report = first.report;
         let rate = report.events as f64 / elapsed.as_secs_f64();
+        rates.push(rate);
         println!(
-            "{:>7} {:>12} {:>10} {:>8} {:>10} {:>12} {:>10.0}",
+            "{:>7} {:>14} {:>10} {:>8} {:>10} {:>10} {:>10.0} {:>10}",
             nodes,
             report.topology,
             report.events,
             report.packets_sent,
             report.packets_delivered,
             fmt_time(elapsed),
-            rate
+            rate,
+            peak_rss()
         );
     }
     println!(
-        "reports byte-identical across paired runs: {}",
-        if all_identical { "yes" } else { "NO — BUG" }
+        "events/s at {} nodes over {} nodes: {:.2}",
+        SIZES[SIZES.len() - 1],
+        SIZES[0],
+        rates[rates.len() - 1] / rates[0]
     );
+    if differing.is_empty() {
+        println!("reports byte-identical across paired runs: yes");
+    } else {
+        eprintln!("error: paired runs produced different reports at {differing:?} nodes");
+        std::process::exit(1);
+    }
 }

@@ -6,6 +6,14 @@
 //! nodes, egress; see the crate docs for the full ordering contract).
 //! Nodes are [`eblocks_sim::NodeRunner`]s: the same arena a standalone
 //! simulation uses, stepped instant-by-instant.
+//!
+//! A runner's next event time moves only when it steps or receives a
+//! delivery, so the loop keeps every live node's next event time in one
+//! dense table, by rank, and the per-instant scans (the earliest instant,
+//! phase 2's due check) read that table instead of every runner. Phase 3
+//! drains only the nodes stepped at the instant, since captures appear
+//! only during a step. Phase 2 still polls every live node for a crash,
+//! so crash instants do not depend on which nodes have work.
 
 use crate::error::NetError;
 use crate::fault::{NetFaultInjector, NoFaults, PacketFate};
@@ -282,10 +290,15 @@ impl Fleet {
         }
 
         // Resolve channels: tap egress ports, pre-resolve ingress
-        // sensors, and route each channel once over the substrate.
-        let paths = substrate.path_matrix_for(self.channels.iter().map(|ch| sites[ch.src]));
+        // sensors, and route each channel once over the substrate (a
+        // search per channel that stops at its destination).
+        let paths = substrate.paths(
+            self.channels
+                .iter()
+                .map(|ch| (sites[ch.src], sites[ch.dst])),
+        );
         let mut channels = Vec::with_capacity(self.channels.len());
-        for ch in &self.channels {
+        for (ch, path) in self.channels.iter().zip(paths) {
             let label = self.render_channel(ch);
             let bad = |message: String| NetError::Channel {
                 channel: label.clone(),
@@ -297,7 +310,7 @@ impl Fleet {
             let sensor = runners[ch.dst]
                 .sensor_ref(&ch.dst_sensor)
                 .map_err(|e| bad(e.to_string()))?;
-            let path = paths.path(sites[ch.src], sites[ch.dst]).ok_or_else(|| {
+            let path = path.ok_or_else(|| {
                 bad(format!(
                     "no route from {} to {}",
                     site_names[sites[ch.src].index()],
@@ -343,17 +356,15 @@ impl Fleet {
         let mut sent_by_node = vec![0u64; n];
         let mut received_by_node = vec![0u64; n];
         let mut captured: Vec<CapturedPacket> = Vec::new();
+        // Each live node's next event time by rank, `None` once crashed
+        // (see the module docs), and the ranks stepped at this instant.
+        let mut next: Vec<Option<Time>> = runners.iter().map(NodeRunner::next_event_time).collect();
+        let mut stepped: Vec<usize> = Vec::new();
 
         loop {
-            let node_next = runners
-                .iter()
-                .zip(&crashed)
-                .filter(|(_, c)| c.is_none())
-                .filter_map(|(r, _)| r.next_event_time())
-                .min();
-            let t = match (node_next, net.next_time()) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
+            let t = match (next.iter().flatten().min(), net.next_time()) {
+                (Some(&a), Some(b)) => a.min(b),
+                (Some(&a), None) => a,
                 (None, Some(b)) => b,
                 (None, None) => break,
             };
@@ -376,6 +387,7 @@ impl Fleet {
                             if down {
                                 if crashed[dst].is_none() {
                                     crashed[dst] = Some(t);
+                                    next[dst] = None;
                                     if let Some(log) = &mut net.log {
                                         log.crash(t, node_names[dst]);
                                     }
@@ -387,6 +399,7 @@ impl Fleet {
                             } else {
                                 let sensor = net.channels[chan].sensor;
                                 runners[dst].inject(t, sensor, value);
+                                next[dst] = Some(t);
                                 received_by_node[dst] += 1;
                                 net.delivered += 1;
                                 if let Some(log) = &mut net.log {
@@ -399,18 +412,21 @@ impl Fleet {
             }
 
             // Phase 2: step nodes with work at this instant, in rank order.
+            // Every live node is polled for a crash, whether or not it has
+            // work, so crash instants do not depend on node activity.
             for i in 0..n {
                 if crashed[i].is_some() {
                     continue;
                 }
                 if faults.node_down(i, t) {
                     crashed[i] = Some(t);
+                    next[i] = None;
                     if let Some(log) = &mut net.log {
                         log.crash(t, node_names[i]);
                     }
                     continue;
                 }
-                if runners[i].next_event_time() == Some(t) {
+                if next[i] == Some(t) {
                     net.events += 1;
                     runners[i]
                         .step_at(t, until)
@@ -418,16 +434,15 @@ impl Fleet {
                             node: node_names[i].to_string(),
                             error,
                         })?;
+                    next[i] = runners[i].next_event_time();
+                    stepped.push(i);
                 }
             }
 
             // Phase 3: collect egress in (rank, capture, channel) order;
             // each packet gets the next global seq and starts its first
             // hop immediately.
-            for i in 0..n {
-                if crashed[i].is_some() {
-                    continue;
-                }
+            for i in stepped.drain(..) {
                 runners[i].drain_captured(&mut captured);
                 for p in captured.drain(..) {
                     let Some(chans) = by_tap[i].get(p.tap as usize) else {

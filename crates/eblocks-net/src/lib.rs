@@ -16,7 +16,10 @@
 //! [`eblocks_place::Topology`] — star, chain, grid, switch fabric, or any
 //! custom site graph, so placement results map onto physical nodes) and
 //! every hop models latency, serialization delay, FIFO queueing, and
-//! seeded loss ([`LinkSpec`]).
+//! seeded loss ([`LinkSpec`]). Routes are found once per run and only for
+//! the bridged channels: each channel's route is a search from its source
+//! site that stops at its destination ([`eblocks_place::Topology::paths`]),
+//! so routing costs the sites those searches visit, not a table per site.
 //!
 //! # Deterministic ordering contract
 //!

@@ -238,28 +238,33 @@ impl Topology {
     /// Hop distance between two sites along the link graph, or `None` when
     /// they are in different connected components.
     pub fn distance(&self, from: SiteId, to: SiteId) -> Option<usize> {
-        if from.0 >= self.sites.len() || to.0 >= self.sites.len() {
-            return None;
-        }
-        if from == to {
-            return Some(0);
-        }
-        // Plain BFS; topologies are tens of sites, not thousands.
-        let mut dist = vec![usize::MAX; self.sites.len()];
-        dist[from.0] = 0;
-        let mut queue = VecDeque::from([from.0]);
-        while let Some(cur) = queue.pop_front() {
-            for &next in &self.adjacency[cur] {
-                if dist[next] == usize::MAX {
-                    dist[next] = dist[cur] + 1;
-                    if next == to.0 {
-                        return Some(dist[next]);
-                    }
-                    queue.push_back(next);
-                }
-            }
-        }
-        None
+        let path = self.paths([(from, to)]).pop().flatten()?;
+        Some(path.len() - 1)
+    }
+
+    /// Shortest site-paths for a batch of `(from, to)` pairs, in pair
+    /// order. Each is exactly what [`path_matrix`](Self::path_matrix)
+    /// reconstructs for the pair: inclusive of both endpoints, a one-site
+    /// path for a same-site pair, and `None` when the sites are
+    /// disconnected or either does not exist.
+    ///
+    /// Each search stops once it discovers its destination and the batch
+    /// shares one scratch table, so the cost follows the sites the
+    /// searches visit: routing a few pairs on a huge topology builds no
+    /// per-source rows.
+    pub fn paths(
+        &self,
+        pairs: impl IntoIterator<Item = (SiteId, SiteId)>,
+    ) -> Vec<Option<Vec<SiteId>>> {
+        let n = self.sites.len();
+        let mut search = Search::new(self);
+        pairs
+            .into_iter()
+            .map(|(from, to)| {
+                (from.0 < n && to.0 < n && search.run(from.0, Some(to.0)))
+                    .then(|| search.path_to(to.0))
+            })
+            .collect()
     }
 
     /// All-pairs hop distances (`usize::MAX` marks unreachable pairs), for
@@ -288,8 +293,8 @@ impl Topology {
     /// design) do not re-run BFS per wire.
     ///
     /// Path selection matches per-query BFS exactly: neighbors are explored
-    /// in site order, so among equal-length paths the lower-numbered
-    /// corridor wins.
+    /// in the order their links were added (site order, for the built-in
+    /// shapes), so among equal-length paths the first-linked corridor wins.
     pub fn path_matrix(&self) -> PathMatrix {
         self.path_matrix_for((0..self.sites.len()).map(SiteId))
     }
@@ -332,8 +337,84 @@ impl Topology {
         if n <= 1 {
             return true;
         }
-        let m = self.distance_matrix();
-        (0..n).all(|i| m.get(SiteId(0), SiteId(i)).is_some())
+        let mut search = Search::new(self);
+        search.run(0, None);
+        search.order.len() == n
+    }
+}
+
+/// [`Search::parent`] of a site the current search has not reached.
+const UNSEEN: usize = usize::MAX;
+
+/// Breadth-first search over one topology's links, reusable across a batch
+/// of searches.
+///
+/// Neighbors are explored in adjacency order and a site's first discoverer
+/// becomes its parent, so every search from one source grows the same tree.
+/// A search that stops once its destination is discovered has already
+/// fixed that destination's whole parent chain, so its path is the full
+/// tree's path. The discovery list doubles as the queue and as the list of
+/// sites the next search resets, so a search costs the sites it visits,
+/// not the topology's size.
+struct Search<'t> {
+    adjacency: &'t [Vec<usize>],
+    /// Per site: its BFS parent, the site itself for the source, or
+    /// [`UNSEEN`].
+    parent: Vec<usize>,
+    /// Sites the current search reached, in discovery order.
+    order: Vec<usize>,
+}
+
+impl<'t> Search<'t> {
+    fn new(topology: &'t Topology) -> Self {
+        Self {
+            adjacency: &topology.adjacency,
+            parent: vec![UNSEEN; topology.sites.len()],
+            order: Vec::new(),
+        }
+    }
+
+    /// Searches from `from` until `to` is discovered, or over every
+    /// reachable site when `to` is `None`. Returns whether `to` was
+    /// reached.
+    fn run(&mut self, from: usize, to: Option<usize>) -> bool {
+        for &site in &self.order {
+            self.parent[site] = UNSEEN;
+        }
+        self.order.clear();
+        self.parent[from] = from;
+        self.order.push(from);
+        if to == Some(from) {
+            return true;
+        }
+        let adjacency = self.adjacency;
+        let mut head = 0;
+        while let Some(&cur) = self.order.get(head) {
+            head += 1;
+            for &next in &adjacency[cur] {
+                if self.parent[next] == UNSEEN {
+                    self.parent[next] = cur;
+                    self.order.push(next);
+                    if to == Some(next) {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// The current search's path from its source to `to`, which it
+    /// reached.
+    fn path_to(&self, to: usize) -> Vec<SiteId> {
+        let mut path = vec![SiteId(to)];
+        let mut at = to;
+        while self.parent[at] != at {
+            at = self.parent[at];
+            path.push(SiteId(at));
+        }
+        path.reverse();
+        path
     }
 }
 
@@ -539,6 +620,46 @@ mod tests {
         assert_eq!(p.path(a, c), None);
         assert_eq!(p.distance(a, c), None);
         assert_eq!(p.path(a, b), Some(vec![a, b]));
+    }
+
+    #[test]
+    fn pair_paths_equal_the_path_matrix() {
+        // Two islands, linked out of site order: a triangle with a tail
+        // (0-2-1-0, 1-3) and a pair (5-4); site 6 is alone.
+        let mut islands = Topology::new();
+        let s: Vec<SiteId> = (0..7)
+            .map(|i| islands.add_site(format!("s{i}"), 1))
+            .collect();
+        for (a, b) in [(0, 2), (2, 1), (1, 0), (1, 3), (5, 4)] {
+            islands.link(s[a], s[b]);
+        }
+        let shapes = [
+            Topology::grid(7, 5),
+            Topology::line(9),
+            Topology::star(6, 0),
+            Topology::full_mesh(5),
+            islands,
+        ];
+        for t in shapes {
+            let matrix = t.path_matrix();
+            let pairs: Vec<(SiteId, SiteId)> = t
+                .sites()
+                .flat_map(|a| t.sites().map(move |b| (a, b)))
+                .collect();
+            // One batch: every search after the first reuses the scratch.
+            let paths = t.paths(pairs.iter().copied());
+            assert_eq!(paths.len(), pairs.len());
+            for (&(a, b), path) in pairs.iter().zip(&paths) {
+                assert_eq!(path, &matrix.path(a, b), "{a} -> {b}");
+                let hops = path.as_ref().map(|p| p.len() - 1);
+                assert_eq!(t.distance(a, b), hops, "{a} -> {b}");
+            }
+            let outside = SiteId(t.num_sites());
+            assert_eq!(
+                t.paths([(SiteId(0), outside), (outside, SiteId(0))]),
+                [None, None]
+            );
+        }
     }
 
     #[test]

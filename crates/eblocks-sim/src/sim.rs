@@ -53,10 +53,18 @@
 //!
 //! * **Level 1 — time.** Sensor events are fully known before the run
 //!   starts and live in one sorted schedule walked by a cursor. Future
-//!   block events (ticks, latent packets) go into a 64-slot timing wheel
+//!   block events (ticks, latent packets) go into an 8-slot timing wheel
 //!   of 1-tick buckets; events beyond the wheel's horizon overflow into a
 //!   `BTreeMap` keyed by instant. The next instant is the minimum of the
 //!   sense cursor, a bounded wheel scan, and the overflow's first key.
+//!   Eight slots cover the default tick period (1) and comm latency (3).
+//!   The wheel stays that small because every slot is a buffer of its
+//!   own and a fleet keeps one runner per node: a Night Lamp Controller
+//!   [`crate::NodeRunner`] stepped through a 200-tick run holds about
+//!   4.8 KB in 46 allocations, against 11.5 KB in 102 with 64 slots.
+//!   Opening an instant takes its wheel slot and its overflow bucket
+//!   together and orders them by `seq`, so the wheel's size moves no
+//!   event.
 //! * **Level 2 — one instant.** Opening an instant drains its bucket in
 //!   send (`seq`) order, latching packet values straight into each
 //!   receiver's dense input array and marking the receiver's rank pending.
@@ -324,10 +332,13 @@ impl BlockIndex {
     }
 }
 
-/// Number of 1-tick buckets in the timing wheel. Power of two; comfortably
-/// covers the default comm latency (3) and tick period (1), so overflow is
-/// only touched by long delay faults or coarse tick periods.
-const WHEEL_SLOTS: usize = 64;
+/// Number of 1-tick buckets in the timing wheel. A power of two that covers
+/// the default tick period (1) and comm latency (3), which every simulator
+/// outside the tests runs with, so overflow is only touched by delay faults
+/// and coarse periods or latencies. Each slot is a buffer of its own and a
+/// fleet keeps one runner per node, so the wheel is kept small: see the
+/// module docs on queue design for the per-runner footprint.
+const WHEEL_SLOTS: usize = 8;
 
 /// A future event scheduled on the calendar (stage-1 only: sensor changes
 /// live in the pre-sorted sense schedule instead).
@@ -1288,6 +1299,54 @@ mod tests {
         sim.comm_latency = 500;
         let trace = sim.run(&Stimulus::new().set(10, "btn", true), 600).unwrap();
         assert_eq!(trace.history("led"), &[(500, false), (510, true)]);
+    }
+
+    #[test]
+    fn one_instant_merges_wheel_and_overflow_in_send_order() {
+        // Radio packets sent at 10, 11 and 12 are delayed to land together
+        // at `t`: the last is scheduled `WHEEL_SLOTS - 1` ticks ahead (a
+        // wheel slot), the others `WHEEL_SLOTS` and `WHEEL_SLOTS + 1` ahead
+        // (the overflow). A pulse generator's tick falls due at `t` from
+        // the wheel as well. The inverter must latch the three packets in
+        // send order and settle on the last one sent.
+        let latency: Time = 1;
+        let t = 11 + WHEEL_SLOTS as Time;
+        let mut d = Design::new("split-instant");
+        let btn = d.add_block("btn", SensorKind::Button);
+        let tx = d.add_block("tx", eblocks_core::CommKind::WirelessTx);
+        let inv = d.add_block("inv", ComputeKind::Not);
+        let led = d.add_block("led", OutputKind::Led);
+        let arm = d.add_block("arm", SensorKind::Button);
+        let pg = d.add_block("pg", ComputeKind::PulseGen { ticks: 4 });
+        let lamp = d.add_block("lamp", OutputKind::Led);
+        d.connect((btn, 0), (tx, 0)).unwrap();
+        d.connect((tx, 0), (inv, 0)).unwrap();
+        d.connect((inv, 0), (led, 0)).unwrap();
+        d.connect((arm, 0), (pg, 0)).unwrap();
+        d.connect((pg, 0), (lamp, 0)).unwrap();
+        let mut sim = Simulator::new(&d).unwrap();
+        sim.comm_latency = latency;
+        let plan: FaultPlan = (10..13)
+            .map(|sent| crate::fault::Fault::DelayPackets {
+                block: "tx".into(),
+                from: sent,
+                to: sent + 1,
+                extra: t - sent - latency,
+            })
+            .collect();
+        let stim = Stimulus::new()
+            .set(10, "btn", true)
+            .set(11, "btn", false)
+            .set(12, "btn", true)
+            .set(t - 4, "arm", true);
+        let trace = sim.run_with_faults(&stim, t + 10, &plan).unwrap();
+        // Power-on false reaches the inverter at 1; at `t` the inverter
+        // sees true (sent at 12), not the false sent at 11.
+        assert_eq!(trace.history("led"), &[(1, true), (t, false)]);
+        assert_eq!(
+            trace.history("lamp"),
+            &[(0, false), (t - 4, true), (t, false)]
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The fleet determinism contract, end to end: the golden fleet trace is
 //! pinned byte for byte, runs are byte-identical at every fleet size, and
-//! a seeded chaos storm replays from its seed alone.
+//! a seeded chaos storm replays from its seed alone and matches its
+//! golden report.
 //!
 //! To regenerate the committed goldens after an intentional engine or
 //! format change:
@@ -9,10 +10,13 @@
 //! cargo run --release --bin eblocks-cli -- \
 //!     fleet tests/golden/fleet-request.txt --json \
 //!     --trace tests/golden/fleet-trace.txt > tests/golden/fleet-report.json
+//! cargo run --release --bin eblocks-cli -- \
+//!     fleet tests/golden/fleet-request.txt --chaos-seed 3 --json \
+//!     > tests/golden/fleet-storm-report.json
 //! ```
 
 use eblocks::chaos::{NetChaosInjector, NetChaosPlan};
-use eblocks::net::{FleetRequest, FleetSource, NoFaults};
+use eblocks::net::{FleetReport, FleetRequest, FleetSource, NoFaults};
 use std::path::Path;
 use std::process::Command;
 
@@ -105,6 +109,15 @@ fn chaos_storm_replays_from_the_seed_alone() {
     let (a, b) = (storm(3), storm(3));
     assert_eq!(a.report.to_json(), b.report.to_json());
     assert_eq!(a.trace, b.trace);
+    // The CLI's `--chaos-seed 3` report over the same spec is committed.
+    let expected = std::fs::read_to_string(golden("fleet-storm-report.json"))
+        .expect("committed golden storm report");
+    assert_eq!(
+        format!("{}\n", a.report.to_json_pretty()),
+        expected,
+        "storm report drifted from tests/golden/fleet-storm-report.json"
+    );
+    assert_eq!(a.report.node_stats[2].crashed_at, Some(66));
 
     let healthy = fleet.run_traced(until).unwrap();
     assert_ne!(a.trace, healthy.trace, "the storm must leave a mark");
@@ -161,7 +174,18 @@ fn thousand_node_grid_is_byte_identical_and_storm_replayable() {
     assert_eq!(a.report.to_json(), b.report.to_json());
     assert_eq!(a.report.nodes, 1000);
     assert_eq!(a.report.topology, "grid(32x32)");
-    assert!(a.report.packets_delivered > 0);
+    // (events, sent, delivered, dropped, in flight, crashes).
+    let counts = |r: &FleetReport| {
+        (
+            r.events,
+            r.packets_sent,
+            r.packets_delivered,
+            r.packets_dropped,
+            r.packets_in_flight,
+            r.crashes,
+        )
+    };
+    assert_eq!(counts(&a.report), (70_371, 6_140, 5_744, 99, 297, 0));
 
     let storm = |seed: u64| {
         let faults = NetChaosInjector::new(seed, NetChaosPlan::storm(until));
@@ -169,6 +193,6 @@ fn thousand_node_grid_is_byte_identical_and_storm_replayable() {
     };
     let (s1, s2) = (storm(42), storm(42));
     assert_eq!(s1.to_json(), s2.to_json(), "storm replays from its seed");
-    assert!(s1.crashes > 0, "storm crash_pm over 1000 nodes must bite");
+    assert_eq!(counts(&s1), (61_190, 4_651, 3_343, 1_217, 91, 124));
     assert_ne!(s1.to_json(), a.report.to_json());
 }
