@@ -12,8 +12,7 @@
 //! dense table, by rank, and the per-instant scans (the earliest instant,
 //! phase 2's due check) read that table instead of every runner. Phase 3
 //! drains only the nodes stepped at the instant, since captures appear
-//! only during a step. Phase 2 still polls every live node for a crash,
-//! so crash instants do not depend on which nodes have work.
+//! only during a step.
 
 use crate::error::NetError;
 use crate::fault::{NetFaultInjector, NoFaults, PacketFate};
