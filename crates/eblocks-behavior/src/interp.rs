@@ -5,9 +5,9 @@
 //! Evaluation is split in two. [`Compiled::new`] walks a [`Program`] once
 //! and resolves every name: `inK` and `outK` become port indices and every
 //! other name a dense slot. A [`Machine`] borrows the compiled tree and owns
-//! only its slots — the state values, the handler's locals and its output
-//! buffer — so any number of machines share one compilation, and a handler
-//! call neither hashes a name nor allocates.
+//! only its slots — the state values, the handler's locals and its outputs,
+//! in one buffer — so any number of machines share one compilation, and a
+//! handler call neither hashes a name nor allocates.
 //!
 //! Resolution keeps the language's runtime semantics exactly:
 //!
@@ -42,6 +42,9 @@ use std::fmt;
 
 /// Index of a name in [`Compiled::names`], which is also its state slot.
 type Slot = u32;
+
+/// A run of a machine's slots.
+type Slots<'m> = &'m mut [Option<Value>];
 
 /// A variable reference with its name resolved.
 #[derive(Debug, Clone, Copy)]
@@ -252,11 +255,11 @@ impl Compiler {
 #[derive(Debug, Clone)]
 pub struct Machine<'c> {
     code: &'c Compiled,
-    state: Vec<Option<Value>>,
-    locals: Vec<Option<Value>>,
-    outputs: Vec<Option<Value>>,
+    /// One buffer for every slot: the state values (by name slot), then the
+    /// handler's locals, then its output ports.
+    slots: Vec<Option<Value>>,
     /// The last call was a tick that left the state unchanged, and its
-    /// outputs are in `outputs`.
+    /// outputs are in the output slots.
     tick_settled: bool,
 }
 
@@ -274,9 +277,7 @@ impl<'c> Machine<'c> {
     pub fn new(code: &'c Compiled) -> Self {
         let mut machine = Self {
             code,
-            state: vec![None; code.names.len()],
-            locals: vec![None; code.locals],
-            outputs: vec![None; code.outputs],
+            slots: vec![None; code.names.len() + code.locals + code.outputs],
             tick_settled: false,
         };
         machine.reset();
@@ -293,16 +294,18 @@ impl<'c> Machine<'c> {
     /// As for [`Machine::new`].
     pub fn reset(&mut self) {
         self.tick_settled = false;
-        self.state.fill(None);
+        let code = self.code;
+        let (state, _, _) = self.split();
+        state.fill(None);
         let frame = Frame {
-            names: &self.code.names,
+            names: &code.names,
             inputs: &[],
-            state: &mut self.state,
+            state,
             locals: &mut [],
             outputs: &mut [],
             changed: false,
         };
-        for (slot, init) in &self.code.inits {
+        for (slot, init) in &code.inits {
             let v = frame
                 .eval(init)
                 .expect("state initializers are literals or prior states; run check() first");
@@ -359,22 +362,31 @@ impl<'c> Machine<'c> {
     /// Reads a state variable (for tests and probes).
     pub fn state(&self, name: &str) -> Option<Value> {
         let slot = self.code.names.iter().position(|n| n == name)?;
-        self.state[slot]
+        self.slots[slot]
+    }
+
+    /// The slot buffer as its state, locals and outputs.
+    fn split(&mut self) -> (Slots<'_>, Slots<'_>, Slots<'_>) {
+        let (state, rest) = self.slots.split_at_mut(self.code.names.len());
+        let (locals, outputs) = rest.split_at_mut(self.code.locals);
+        (state, locals, outputs)
     }
 
     /// Runs one handler call and reports whether it changed the state.
     fn run(&mut self, handler: Option<&'c [Step]>, inputs: &[Value]) -> Result<bool, EvalError> {
-        self.locals.fill(None);
-        self.outputs.fill(None);
+        let code = self.code;
+        let (state, locals, outputs) = self.split();
+        locals.fill(None);
+        outputs.fill(None);
         let Some(steps) = handler else {
             return Ok(false);
         };
         let mut frame = Frame {
-            names: &self.code.names,
+            names: &code.names,
             inputs,
-            state: &mut self.state,
-            locals: &mut self.locals,
-            outputs: &mut self.outputs,
+            state,
+            locals,
+            outputs,
             changed: false,
         };
         frame.exec(steps)?;
@@ -383,7 +395,7 @@ impl<'c> Machine<'c> {
 
     fn output_view(&self) -> Outputs<'_> {
         Outputs {
-            ports: &self.outputs,
+            ports: &self.slots[self.code.names.len() + self.code.locals..],
         }
     }
 }

@@ -4,8 +4,10 @@
 //! substrate via the declarative [`FleetRequest`] spec, runs each to the
 //! horizon twice, and reports engine events per second and the process's
 //! peak RSS after each size, then the 10,000-node rate as a share of the
-//! 100-node one. The second run is the determinism check: its JSON report
-//! must be byte-identical to the first, or the program exits with status 1.
+//! 100-node one. The second run is the determinism check: its whole
+//! outcome (the report and every node's packet trace) must equal the
+//! first, or the program exits with status 1, so a node-level reordering
+//! that keeps the fleet's counts fails it too.
 //!
 //! Usage: `cargo run --release -p eblocks-bench --bin fleet_scaling [until]`
 
@@ -81,7 +83,7 @@ fn main() {
         let first = fleet.run(until).expect("fleet run");
         let elapsed = start.elapsed();
         let second = fleet.run(until).expect("fleet rerun");
-        if first.report.to_json() != second.report.to_json() {
+        if first != second {
             differing.push(nodes);
         }
 
@@ -107,9 +109,9 @@ fn main() {
         rates[rates.len() - 1] / rates[0]
     );
     if differing.is_empty() {
-        println!("reports byte-identical across paired runs: yes");
+        println!("outcomes (reports and node traces) identical across paired runs: yes");
     } else {
-        eprintln!("error: paired runs produced different reports at {differing:?} nodes");
+        eprintln!("error: paired runs produced different outcomes at {differing:?} nodes");
         std::process::exit(1);
     }
 }

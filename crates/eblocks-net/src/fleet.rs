@@ -10,9 +10,13 @@
 //! A runner's next event time moves only when it steps or receives a
 //! delivery, so the loop keeps every live node's next event time in one
 //! dense table, by rank, and the per-instant scans (the earliest instant,
-//! phase 2's due check) read that table instead of every runner. Phase 3
-//! drains only the nodes stepped at the instant, since captures appear
-//! only during a step.
+//! phase 2's due check) read that table instead of every runner. Captures
+//! appear only during a step, so phase 2 drains each node's captures right
+//! after its step into one fleet-level egress buffer, in rank order, and
+//! phase 3 walks that buffer: no runner is touched twice in an instant,
+//! and sends keep their (rank, capture, channel) order. The sends stay in
+//! phase 3 so that every crash phase 2 logs at an instant precedes the
+//! instant's sends in the trace.
 
 use crate::error::NetError;
 use crate::fault::{NetFaultInjector, NoFaults, PacketFate};
@@ -355,10 +359,11 @@ impl Fleet {
         let mut sent_by_node = vec![0u64; n];
         let mut received_by_node = vec![0u64; n];
         let mut captured: Vec<CapturedPacket> = Vec::new();
-        // Each live node's next event time by rank, `None` once crashed
-        // (see the module docs), and the ranks stepped at this instant.
+        // Each live node's next event time by rank, `None` once crashed,
+        // and the instant's captures with their sender's rank, in step
+        // order (see the module docs).
         let mut next: Vec<Option<Time>> = runners.iter().map(NodeRunner::next_event_time).collect();
-        let mut stepped: Vec<usize> = Vec::new();
+        let mut egress: Vec<(usize, CapturedPacket)> = Vec::new();
 
         loop {
             let t = match (next.iter().flatten().min(), net.next_time()) {
@@ -434,29 +439,27 @@ impl Fleet {
                             error,
                         })?;
                     next[i] = runners[i].next_event_time();
-                    stepped.push(i);
+                    runners[i].drain_captured(&mut captured);
+                    egress.extend(captured.drain(..).map(|p| (i, p)));
                 }
             }
 
-            // Phase 3: collect egress in (rank, capture, channel) order;
+            // Phase 3: send the egress in (rank, capture, channel) order;
             // each packet gets the next global seq and starts its first
             // hop immediately.
-            for i in stepped.drain(..) {
-                runners[i].drain_captured(&mut captured);
-                for p in captured.drain(..) {
-                    let Some(chans) = by_tap[i].get(p.tap as usize) else {
-                        continue;
-                    };
-                    for &chan in chans {
-                        let seq = net.next_seq;
-                        net.next_seq += 1;
-                        net.sent += 1;
-                        sent_by_node[i] += 1;
-                        if let Some(log) = &mut net.log {
-                            log.send(t, node_names[i], chan, seq, p.value);
-                        }
-                        net.hop(t, chan, 0, seq, p.value);
+            for (i, p) in egress.drain(..) {
+                let Some(chans) = by_tap[i].get(p.tap as usize) else {
+                    continue;
+                };
+                for &chan in chans {
+                    let seq = net.next_seq;
+                    net.next_seq += 1;
+                    net.sent += 1;
+                    sent_by_node[i] += 1;
+                    if let Some(log) = &mut net.log {
+                        log.send(t, node_names[i], chan, seq, p.value);
                     }
+                    net.hop(t, chan, 0, seq, p.value);
                 }
             }
         }
@@ -790,6 +793,65 @@ mod tests {
         assert_eq!(
             outcome.node_traces[2].history("lamp"),
             &[(0, false), (15, true)]
+        );
+    }
+
+    /// rx (button) -> sp (splitter); sp.0 -> inv (not) -> lamp (led);
+    /// sp.1 -> led (led): two ports that transmit at the same instant.
+    fn fork_design() -> Design {
+        let mut d = Design::new("fork");
+        let rx = d.add_block("rx", SensorKind::Button);
+        let sp = d.add_block("sp", eblocks_core::ComputeKind::Splitter);
+        let inv = d.add_block("inv", eblocks_core::ComputeKind::Not);
+        let lamp = d.add_block("lamp", OutputKind::Led);
+        let led = d.add_block("led", OutputKind::Led);
+        d.connect((rx, 0), (sp, 0)).unwrap();
+        d.connect((sp, 0), (inv, 0)).unwrap();
+        d.connect((inv, 0), (lamp, 0)).unwrap();
+        d.connect((sp, 1), (led, 0)).unwrap();
+        d
+    }
+
+    #[test]
+    fn egress_sends_in_rank_capture_channel_order() {
+        // n1 feeds three channels from two tapped ports: `sp.1` captures
+        // before `inv.0` in each instant, but `inv.0`'s first channel comes
+        // first. The lower-ranked n0 sends at the same instants (power-on
+        // and t=10). Sends go out by sender rank, then capture order, then
+        // channel order.
+        let mut fleet = Fleet::new("egress", FleetTopology::chain(3));
+        let relay = fleet.add_design(relay_design());
+        let fork = fleet.add_design(fork_design());
+        let n0 = fleet.add_node("n0", relay);
+        let n1 = fleet.add_node("n1", fork);
+        let n2 = fleet.add_node("n2", relay);
+        fleet.set_stimulus(n0, Stimulus::new().set(10, "rx", false));
+        fleet.set_stimulus(n1, Stimulus::new().set(10, "rx", true).set(20, "rx", false));
+        fleet.connect(n1, PortRef::new("inv", 0), n2, "rx").unwrap();
+        fleet.connect(n0, PortRef::new("rx", 0), n2, "rx").unwrap();
+        fleet.connect(n1, PortRef::new("sp", 1), n0, "rx").unwrap();
+        fleet.connect(n1, PortRef::new("inv", 0), n0, "rx").unwrap();
+        let trace = fleet.run_traced(40).unwrap().trace.unwrap();
+        let sends: Vec<&str> = trace.lines().filter(|l| l.contains(" send ")).collect();
+        assert_eq!(
+            sends,
+            [
+                "t=0 send n0 ch1 seq=0 v=0",
+                "t=0 send n1 ch2 seq=1 v=0",
+                "t=0 send n1 ch0 seq=2 v=1",
+                "t=0 send n1 ch3 seq=3 v=1",
+                "t=3 send n0 ch1 seq=4 v=1",
+                "t=10 send n0 ch1 seq=5 v=0",
+                "t=10 send n1 ch2 seq=6 v=1",
+                "t=10 send n1 ch0 seq=7 v=0",
+                "t=10 send n1 ch3 seq=8 v=0",
+                "t=12 send n0 ch1 seq=9 v=1",
+                "t=13 send n0 ch1 seq=10 v=0",
+                "t=20 send n1 ch2 seq=11 v=0",
+                "t=20 send n1 ch0 seq=12 v=1",
+                "t=20 send n1 ch3 seq=13 v=1",
+                "t=23 send n0 ch1 seq=14 v=1",
+            ]
         );
     }
 

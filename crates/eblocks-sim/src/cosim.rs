@@ -21,6 +21,18 @@
 //! documented delivery order, so this rule makes whole-fleet traces a pure
 //! function of specs and seeds.
 //!
+//! # One layout, many nodes
+//!
+//! Every runner over a [`Simulator`] borrows the static tables the
+//! simulator built once (block index, port offsets, sink lists, tick
+//! blocks, sensors, output blocks, compiled programs; see the simulator's
+//! module docs on tables). A `NodeRunner` owns only its node's dynamic
+//! state: a few flat per-block and per-port tables, its machines, its
+//! sense schedule, its calendar (one heap buffer), its captures and
+//! pending injections, and its trace. A fleet of a thousand nodes running
+//! one design therefore keeps one copy of the design's tables, and runners
+//! sharing a simulator never see each other's state.
+//!
 //! # Every grid instant ticks
 //!
 //! A stepped runner ticks each time-driven block on every multiple of the
@@ -121,9 +133,9 @@ pub struct CapturedPacket {
 ///
 /// The wrapped engine is the same arena [`Simulator::run`] uses, so a node
 /// inside a fleet behaves bit-for-bit like the same design simulated alone
-/// (modulo the traffic the network injects).
+/// (modulo the traffic the network injects). It borrows the simulator's
+/// static tables, so any number of nodes can share one simulator.
 pub struct NodeRunner<'a> {
-    sim: &'a Simulator,
     runner: Runner<'a>,
 }
 
@@ -147,7 +159,6 @@ impl<'a> NodeRunner<'a> {
     /// As for [`new`](NodeRunner::new).
     pub fn with_faults(sim: &'a Simulator, plan: &FaultPlan) -> Result<Self, SimError> {
         Ok(Self {
-            sim,
             runner: Runner::new(sim, plan)?,
         })
     }
@@ -171,7 +182,7 @@ impl<'a> NodeRunner<'a> {
     /// [`SimError::BadEndpoint`] if the block does not exist, is an output
     /// block (no output ports), or has no port `port`.
     pub fn tap_output(&mut self, block: &str, port: u8) -> Result<TapId, SimError> {
-        let design = self.sim.design();
+        let design = self.runner.sim().design();
         let bad = |detail: &str| SimError::BadEndpoint {
             endpoint: format!("{block}.{port}"),
             detail: detail.to_string(),
@@ -203,7 +214,7 @@ impl<'a> NodeRunner<'a> {
     ///
     /// [`SimError::UnknownSensor`] if `name` is not a primary input.
     pub fn sensor_ref(&self, name: &str) -> Result<SensorRef, SimError> {
-        let design = self.sim.design();
+        let design = self.runner.sim().design();
         let id = design
             .block_by_name(name)
             .filter(|&b| {
@@ -332,17 +343,40 @@ mod tests {
         );
     }
 
-    #[test]
-    fn stepped_node_matches_monolithic_run() {
-        // Driving a node instant-by-instant with no network traffic must
-        // reproduce `Simulator::run` exactly, counters included.
+    /// s -> pg (a 4-tick pulse generator, which ticks) -> led.
+    fn pulse_node() -> Design {
         let mut d = Design::new("m");
         let s = d.add_block("s", SensorKind::Button);
         let p = d.add_block("pg", ComputeKind::PulseGen { ticks: 4 });
         let o = d.add_block("led", OutputKind::Led);
         d.connect((s, 0), (p, 0)).unwrap();
         d.connect((p, 0), (o, 0)).unwrap();
-        let sim = Simulator::new(&d).unwrap();
+        d
+    }
+
+    /// Steps `nodes` on one clock until `until`, in slice order within an
+    /// instant, and returns every packet their taps captured.
+    fn drive(nodes: &mut [NodeRunner<'_>], until: Time) -> Vec<CapturedPacket> {
+        let mut captured = Vec::new();
+        while let Some(t) = nodes.iter().filter_map(NodeRunner::next_event_time).min() {
+            if t > until {
+                break;
+            }
+            for node in nodes.iter_mut() {
+                if node.next_event_time() == Some(t) {
+                    node.step_at(t, until).unwrap();
+                    node.drain_captured(&mut captured);
+                }
+            }
+        }
+        captured
+    }
+
+    #[test]
+    fn stepped_node_matches_monolithic_run() {
+        // Driving a node instant-by-instant with no network traffic must
+        // reproduce `Simulator::run` exactly, counters included.
+        let sim = Simulator::new(&pulse_node()).unwrap();
         let stim = Stimulus::new().pulse(10, 3, "s").pulse(30, 3, "s");
 
         let mut node = NodeRunner::new(&sim).unwrap();
@@ -354,5 +388,48 @@ mod tests {
             node.step_at(t, 60).unwrap();
         }
         assert_eq!(node.finish(), sim.run(&stim, 60).unwrap());
+
+        // Two runners over one simulator share its tables but nothing
+        // else: `a` has a tap and network injections, `b` another script.
+        // Stepped interleaved, each must match a lone runner over a
+        // simulator of its own, and `Simulator::run` with the injections
+        // written into the script (no scripted change shares their
+        // instants, so applying them after the script changes nothing).
+        let stim_b = Stimulus::new().pulse(5, 2, "s").pulse(22, 1, "s");
+        let injections = [(45, true), (47, false)];
+        let build = |sim, stim: &Stimulus, tapped: bool| {
+            let mut node = NodeRunner::new(sim).unwrap();
+            node.load_stimulus(stim).unwrap();
+            if tapped {
+                node.tap_output("pg", 0).unwrap();
+                let s = node.sensor_ref("s").unwrap();
+                for (t, value) in injections {
+                    node.inject(t, s, value);
+                }
+            }
+            node
+        };
+        let mut shared = vec![build(&sim, &stim, true), build(&sim, &stim_b, false)];
+        let shared_captures = drive(&mut shared, 60);
+        let (sim_a, sim_b) = (sim.clone(), sim.clone());
+        let mut lone_a = vec![build(&sim_a, &stim, true)];
+        let mut lone_b = vec![build(&sim_b, &stim_b, false)];
+        assert_eq!(shared_captures, drive(&mut lone_a, 60));
+        assert!(drive(&mut lone_b, 60).is_empty());
+        assert_eq!(
+            shared_captures.len(),
+            7,
+            "power-on, then a rise and a fall per press, scripted or injected"
+        );
+
+        let scripted = injections
+            .iter()
+            .fold(stim, |script, &(t, value)| script.set(t, "s", value));
+        let mut shared = shared.into_iter().map(NodeRunner::finish);
+        let (a, b) = (shared.next().unwrap(), shared.next().unwrap());
+        assert_eq!(a, lone_a.pop().unwrap().finish());
+        assert_eq!(b, lone_b.pop().unwrap().finish());
+        assert_eq!(a, sim.run(&scripted, 60).unwrap());
+        assert_eq!(b, sim.run(&stim_b, 60).unwrap());
     }
 }

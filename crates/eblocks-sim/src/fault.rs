@@ -101,8 +101,12 @@ impl FaultPlan {
 
     /// Resolves block names against a design's dense [`BlockIndex`].
     /// Unknown names are ignored — a plan written for the original network
-    /// may mention blocks that the synthesized network merged away.
+    /// may mention blocks that the synthesized network merged away. An
+    /// empty plan resolves to empty tables, which allocate nothing.
     pub(crate) fn resolve(&self, design: &Design, index: &BlockIndex) -> ResolvedFaults {
+        if self.is_empty() {
+            return ResolvedFaults::default();
+        }
         let n = index.num_blocks();
         let mut stuck = vec![None; n];
         let mut sender: Vec<Vec<SendFault>> = vec![Vec::new(); n];
@@ -167,7 +171,8 @@ pub(crate) struct SendFault {
 
 /// Name-resolved faults as dense per-block tables, consulted by the
 /// runner's hot paths without hashing. Indices are the runner's dense
-/// block indices (see `sim::BlockIndex`).
+/// block indices (see `sim::BlockIndex`); a block past the end of a table
+/// has no fault.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ResolvedFaults {
     stuck: Vec<Option<bool>>,

@@ -47,36 +47,43 @@
 //!
 //! # Queue design
 //!
-//! The pending-event set is a two-level calendar rather than a global
-//! binary heap (calendar queues amortize O(1) for exactly this regime of
-//! many same-instant, short-horizon events):
+//! The pending-event set has two levels:
 //!
 //! * **Level 1 — time.** Sensor events are fully known before the run
 //!   starts and live in one sorted schedule walked by a cursor. Future
-//!   block events (ticks, latent packets) go into an 8-slot timing wheel
-//!   of 1-tick buckets; events beyond the wheel's horizon overflow into a
-//!   `BTreeMap` keyed by instant. The next instant is the minimum of the
-//!   sense cursor, a bounded wheel scan, and the overflow's first key.
-//!   Eight slots cover the default tick period (1) and comm latency (3).
-//!   The wheel stays that small because every slot is a buffer of its
-//!   own and a fleet keeps one runner per node: a Night Lamp Controller
-//!   [`crate::NodeRunner`] stepped through a 200-tick run holds about
-//!   4.8 KB in 46 allocations, against 11.5 KB in 102 with 64 slots.
-//!   Opening an instant takes its wheel slot and its overflow bucket
-//!   together and orders them by `seq`, so the wheel's size moves no
-//!   event.
-//! * **Level 2 — one instant.** Opening an instant drains its bucket in
+//!   block events (ticks, latent packets) go into one calendar: a binary
+//!   min-heap keyed by `(instant, seq)`, in one contiguous buffer per
+//!   runner. The next instant is the minimum of the sense cursor and the
+//!   heap's top. Opening an instant pops exactly its events, already in
+//!   `seq` order, so any delay (a tick period, a comm latency, an injected
+//!   delay fault) lands on the same path, and a runner with many pending
+//!   events pays `O(log n)` per event rather than a scan.
+//! * **Level 2 — one instant.** Opening an instant applies its events in
 //!   send (`seq`) order, latching packet values straight into each
 //!   receiver's dense input array and marking the receiver's rank pending.
 //!   The instant is then settled by sweeping pending ranks in ascending
 //!   order (a min-heap of ranks); zero-latency transmissions latch and
 //!   mark strictly higher ranks, so the sweep visits every block at most
 //!   once per instant and same-instant coalescing is a natural consequence
-//!   of the latch-then-sweep split — not repeated heap peek/pop.
+//!   of the latch-then-sweep split — not repeated heap peek/pop. Packets
+//!   reaching output blocks are recorded after the sweep, by block rank
+//!   and then by `(port, seq)`.
 //!
-//! All per-block state (machines, latched inputs, last-sent values,
-//! transmission counters) is stored in flat `Vec`s indexed by a compact
-//! block index computed once from topological order.
+//! # Tables
+//!
+//! Everything fixed by the design — the block index, each block's port
+//! offsets, the sink lists, the tick-driven blocks, the sensors, the output
+//! blocks and the compiled programs — is built once per [`Simulator`] into
+//! one `Layout`, which every runner over it (each [`crate::NodeRunner`] of
+//! a fleet included) borrows. A runner owns only its dynamic state, in a
+//! few flat tables over the layout's dense block index: one entry per block
+//! (sweep flags, parking, the sensor value, the transmission counter), one
+//! per output slot (the last value sent and the tap, if any), the latched
+//! inputs, and one [`Machine`] per programmed block whose state, locals and
+//! outputs share one buffer. A Night Lamp Controller [`crate::NodeRunner`]
+//! with one tap, stepped through a 200-tick run while its captures return
+//! as injections, holds 2,152 B of heap in 15 allocations plus 376 B
+//! inline.
 //!
 //! # Parked ticks
 //!
@@ -111,10 +118,10 @@
 //! block a [`Machine`] that borrows its compilation and owns only its
 //! slots, and a handler call hands back a port-indexed view of the
 //! machine's output buffer. Together with the flat tables above, the hot
-//! path does no hashing and no per-event allocation; only an event beyond
-//! the timing wheel's horizon may allocate its overflow bucket.
+//! path does no hashing, and allocates only when a buffer outgrows every
+//! earlier instant.
 
-use crate::cosim::CapturedPacket;
+use crate::cosim::{CapturedPacket, TapId};
 use crate::error::SimError;
 use crate::fault::{FaultPlan, ResolvedFaults};
 use crate::stimulus::Stimulus;
@@ -123,7 +130,7 @@ use eblocks_behavior::library::{self, LibraryCode};
 use eblocks_behavior::{check, parse, Compiled, Machine, Outputs, Program, Value};
 use eblocks_core::{BlockId, BlockKind, Design};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::{Arc, LazyLock};
 
 /// Simulation time, in abstract ticks. One tick is the period of `on tick`
@@ -135,14 +142,13 @@ pub type Time = u64;
 ///
 /// Construction checks every block's behavior program ([`library`] for
 /// pre-defined blocks, caller-supplied programs for programmable blocks)
-/// against the block's arity and compiles it. Each [`Simulator::run`]
-/// starts from power-on state.
+/// against the block's arity, compiles it, and lays out the design's
+/// static tables once for every run. Each [`Simulator::run`] starts from
+/// power-on state.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     design: Design,
-    /// Compiled behavior by raw block index; `None` for sensors and
-    /// outputs, which run no program.
-    code: Vec<Option<Code>>,
+    layout: Layout,
     /// Extra latency of communication blocks (radio/X10 hop), in ticks.
     pub comm_latency: Time,
     /// Period of `on tick` events. Must be at least 1: a zero period would
@@ -243,8 +249,8 @@ impl Simulator {
             code[id.index()] = Some(compiled);
         }
         Ok(Self {
+            layout: Layout::new(design, code),
             design: design.clone(),
-            code,
             comm_latency: 3,
             tick_period: 1,
         })
@@ -272,9 +278,12 @@ impl Simulator {
         &self.design
     }
 
-    /// The compiled behavior of block `id`, if it runs a program.
-    fn code(&self, id: BlockId) -> Option<&Compiled> {
-        self.code.get(id.index())?.as_ref().map(Code::compiled)
+    /// The name of the block at dense index `dense`.
+    fn name(&self, dense: usize) -> &str {
+        self.design
+            .block(self.layout.index.ids[dense])
+            .expect("indexed block")
+            .name()
     }
 
     /// [`run`](Self::run) with injected faults (see [`crate::fault`]):
@@ -298,9 +307,9 @@ impl Simulator {
 
 /// Compact block indexing: dense index == topological rank.
 ///
-/// Computed once per [`Runner`]; every per-block table in the engine is a
-/// flat `Vec` indexed by it, and the stage-1 sweep order *is* the index
-/// order.
+/// Every per-block table in the engine is a flat `Vec` indexed by it, and
+/// the stage-1 sweep order *is* the index order.
+#[derive(Debug, Clone)]
 pub(crate) struct BlockIndex {
     /// Dense index (topo rank) → block id.
     ids: Vec<BlockId>,
@@ -332,141 +341,22 @@ impl BlockIndex {
     }
 }
 
-/// Number of 1-tick buckets in the timing wheel. A power of two that covers
-/// the default tick period (1) and comm latency (3), which every simulator
-/// outside the tests runs with, so overflow is only touched by delay faults
-/// and coarse periods or latencies. Each slot is a buffer of its own and a
-/// fleet keeps one runner per node, so the wheel is kept small: see the
-/// module docs on queue design for the per-runner footprint.
-const WHEEL_SLOTS: usize = 8;
-
-/// A future event scheduled on the calendar (stage-1 only: sensor changes
-/// live in the pre-sorted sense schedule instead).
-#[derive(Debug, Clone, Copy)]
-enum Queued {
-    /// A periodic tick for a time-driven block.
-    Tick { seq: u64, block: usize },
-    /// A packet arriving at an input port.
-    Deliver {
-        seq: u64,
-        to: usize,
-        port: u8,
-        value: bool,
-    },
-}
-
-impl Queued {
-    fn seq(self) -> u64 {
-        match self {
-            Queued::Tick { seq, .. } | Queued::Deliver { seq, .. } => seq,
-        }
-    }
-}
-
-/// Level 1 of the queue: a timing wheel of 1-tick buckets plus a sorted
-/// overflow for events beyond the wheel's horizon.
-///
-/// Invariant: every wheel entry's instant `t` satisfies `cur < t < cur + W`
-/// (events are only inserted with `t - cur < W`, and `cur` never decreases),
-/// so a slot can never hold two different instants at once and draining a
-/// slot needs no epoch check.
-#[derive(Debug)]
-struct Calendar {
-    wheel: Vec<Vec<Queued>>,
-    wheel_count: usize,
-    overflow: BTreeMap<Time, Vec<Queued>>,
-    cur: Time,
-}
-
-impl Calendar {
-    fn new() -> Self {
-        Self {
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            wheel_count: 0,
-            overflow: BTreeMap::new(),
-            cur: 0,
-        }
-    }
-
-    fn reset(&mut self) {
-        for slot in &mut self.wheel {
-            slot.clear();
-        }
-        self.wheel_count = 0;
-        self.overflow.clear();
-        self.cur = 0;
-    }
-
-    fn schedule(&mut self, t: Time, ev: Queued) {
-        debug_assert!(t > self.cur, "calendar events are strictly future");
-        if t - self.cur < WHEEL_SLOTS as Time {
-            self.wheel[(t as usize) & (WHEEL_SLOTS - 1)].push(ev);
-            self.wheel_count += 1;
-        } else {
-            self.overflow.entry(t).or_default().push(ev);
-        }
-    }
-
-    /// The earliest scheduled instant, if any.
-    fn next_time(&self) -> Option<Time> {
-        let mut best: Option<Time> = None;
-        if self.wheel_count > 0 {
-            for off in 1..WHEEL_SLOTS as Time {
-                let Some(t) = self.cur.checked_add(off) else {
-                    break;
-                };
-                if !self.wheel[(t as usize) & (WHEEL_SLOTS - 1)].is_empty() {
-                    best = Some(t);
-                    break;
-                }
-            }
-        }
-        match (best, self.overflow.keys().next().copied()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Advances the clock to `t` and drains every event scheduled there
-    /// (wheel slot and overflow bucket) into `out`.
-    fn advance(&mut self, t: Time, out: &mut Vec<Queued>) {
-        debug_assert!(t >= self.cur);
-        self.cur = t;
-        let slot = &mut self.wheel[(t as usize) & (WHEEL_SLOTS - 1)];
-        self.wheel_count -= slot.len();
-        out.append(slot);
-        if let Some(late) = self.overflow.remove(&t) {
-            out.extend(late);
-        }
-    }
-}
-
-/// A sensor change, fully known before the run starts (power-on
-/// announcements plus the stimulus script).
-#[derive(Debug, Clone, Copy)]
-struct SenseEv {
-    t: Time,
-    /// Raw block index — the stage-0 tie-break (before `seq`).
-    raw: usize,
-    seq: u64,
-    dense: usize,
-    value: bool,
-}
-
-/// Static per-block layout, computed once per runner.
+/// Static per-block layout.
 #[derive(Debug, Clone, Copy)]
 struct BlockMeta {
-    /// Start of this block's latched inputs in the flat `inputs` array.
+    /// Start of this block's latched inputs in a runner's flat inputs.
     in_offset: usize,
     /// Number of input ports.
     in_len: usize,
-    /// Start of this block's output slots in `last_sent` / `sinks`.
+    /// This block's first output slot (its port 0).
     out_offset: usize,
     /// Whether this is a primary-output block (records packets, never
     /// evaluates).
     is_output: bool,
-    /// Base transmission latency (`comm_latency` for communication blocks).
-    latency: Time,
+    /// Whether this is a communication block, whose transmissions take the
+    /// simulator's `comm_latency` (read when a packet is sent, so the
+    /// public field may change between runs).
+    is_comm: bool,
 }
 
 /// One wire endpoint, pre-resolved to dense indices.
@@ -476,65 +366,197 @@ struct Sink {
     port: u8,
 }
 
-/// The reusable simulation engine for one [`Simulator`].
+/// The static tables of one design, built once by
+/// [`Simulator::with_programs`] and shared by every runner over that
+/// simulator.
 ///
-/// Construction builds every static table (index, port layout, sink lists)
-/// and one machine per programmed block over the simulator's compiled
-/// programs; [`reset`](Runner::reset) rewinds to power-on state
-/// without reallocating, so Monte-Carlo harnesses can run many trials on
-/// one arena. Contract per trial: `reset` → `load_stimulus` → `run` once →
-/// read [`trace`](Runner::trace).
-pub(crate) struct Runner<'a> {
-    sim: &'a Simulator,
+/// Blocks are numbered by [`BlockIndex`] (dense index == topological rank).
+/// Each block's output ports number consecutive *output slots* from its
+/// `out_offset`, and each slot's sinks are one range of a flat sink list.
+/// A runner holds only dynamic state over these numbers (see the module
+/// docs on tables), so a fleet of a thousand nodes running one design keeps
+/// one copy of them.
+#[derive(Debug, Clone)]
+pub(crate) struct Layout {
     index: BlockIndex,
-    names: Vec<&'a str>,
-    meta: Vec<BlockMeta>,
-    /// Sink lists, indexed by output slot (`meta.out_offset + port`).
-    sinks: Vec<Vec<Sink>>,
-    machines: Vec<Option<Machine<'a>>>,
+    /// Per block, by dense index.
+    blocks: Vec<BlockMeta>,
+    /// Compiled behavior by dense index; `None` for sensors and outputs,
+    /// which run no program.
+    code: Vec<Option<Code>>,
+    /// Slot `s`'s sinks are `sinks[sink_offsets[s]..sink_offsets[s + 1]]`.
+    sink_offsets: Vec<usize>,
+    sinks: Vec<Sink>,
     /// Dense indices of tick-driven blocks, in block-id order.
     tick_blocks: Vec<usize>,
-    /// `(dense, raw)` of every sensor, in raw-id order (power-on order).
-    sensors: Vec<(usize, usize)>,
-    output_names: Vec<String>,
+    /// The power-on announcements: every sensor low at t = 0, in raw-id
+    /// order (the first entries of every sense schedule).
+    power_on: Vec<SenseEv>,
+    /// Output blocks, whose names every trace pre-registers.
+    outputs: Vec<BlockId>,
+    /// Total input ports over all blocks.
     total_inputs: usize,
-    /// The resolved stimulus script, sorted by `(t, raw, insertion order)`
-    /// with `seq` holding the insertion order. Cached so `reset` can
-    /// re-weave it into the schedule without re-resolving names or
-    /// re-sorting (Monte-Carlo sweeps run the same script every trial).
-    stim_cache: Vec<SenseEv>,
-    /// First seq available to stimulus entries (power-on announcements and
-    /// initial ticks come first); fixed by `reset`.
-    stim_seq_base: u64,
+}
+
+impl Layout {
+    /// Lays out `design`, whose compiled behavior `code_by_raw` holds by
+    /// raw block index.
+    fn new(design: &Design, mut code_by_raw: Vec<Option<Code>>) -> Self {
+        let index = BlockIndex::new(design);
+        let n = index.num_blocks();
+        let mut blocks = Vec::with_capacity(n);
+        let mut code = Vec::with_capacity(n);
+        let mut sink_offsets = vec![0];
+        let mut sinks = Vec::new();
+        let mut total_inputs = 0;
+        for &id in &index.ids {
+            let block = design.block(id).expect("indexed block");
+            blocks.push(BlockMeta {
+                in_offset: total_inputs,
+                in_len: block.num_inputs() as usize,
+                out_offset: sink_offsets.len() - 1,
+                is_output: matches!(block.kind(), BlockKind::Output(_)),
+                is_comm: matches!(block.kind(), BlockKind::Comm(_)),
+            });
+            total_inputs += block.num_inputs() as usize;
+            for port in 0..block.num_outputs() {
+                sinks.extend(design.sinks_of(id, port).map(|w| Sink {
+                    to: index.dense_of(w.to).expect("sink block is in the design"),
+                    port: w.to_port,
+                }));
+                sink_offsets.push(sinks.len());
+            }
+            code.push(code_by_raw.get_mut(id.index()).and_then(Option::take));
+        }
+
+        // `Design::blocks` and `Design::sensors` iterate in raw-id order.
+        let tick_blocks = design
+            .blocks()
+            .map(|id| index.dense_of(id).expect("block is in the design"))
+            .filter(|&dense| {
+                code[dense]
+                    .as_ref()
+                    .is_some_and(|c| c.compiled().uses_tick())
+            })
+            .collect();
+        let power_on = design
+            .sensors()
+            .map(|id| SenseEv {
+                t: 0,
+                raw: id.index(),
+                dense: index.dense_of(id).expect("sensor is in the design"),
+                value: false,
+            })
+            .collect();
+        Self {
+            index,
+            blocks,
+            code,
+            sink_offsets,
+            sinks,
+            tick_blocks,
+            power_on,
+            outputs: design.outputs().collect(),
+            total_inputs,
+        }
+    }
+
+    /// The sinks driven by output slot `slot`.
+    fn sinks_of(&self, slot: usize) -> &[Sink] {
+        &self.sinks[self.sink_offsets[slot]..self.sink_offsets[slot + 1]]
+    }
+
+    /// The number of output slots.
+    fn num_slots(&self) -> usize {
+        self.sink_offsets.len() - 1
+    }
+}
+
+/// A future block event (stage 1 only: sensor changes live in the
+/// pre-sorted sense schedule instead). The calendar holds each as
+/// `(t, seq, event)`; `seq` is unique within a run, so the event itself
+/// never decides the order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    /// A periodic tick for a time-driven block.
+    Tick { block: usize },
+    /// A packet arriving at an input port.
+    Deliver { to: usize, port: u8, value: bool },
+}
+
+/// A sensor change, fully known before the run starts (a power-on
+/// announcement or a stimulus entry).
+#[derive(Debug, Clone, Copy)]
+struct SenseEv {
+    t: Time,
+    /// Raw block index — the stage-0 tie-break.
+    raw: usize,
+    dense: usize,
+    value: bool,
+}
+
+/// One block's dynamic state in a runner.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockState {
+    /// Packets transmitted (one per driven wire per value change).
+    tx_count: u64,
+    /// Queued in the pending ranks of the instant being settled.
+    in_sweep: bool,
+    /// Its tick falls due in the instant being settled.
+    tick_now: bool,
+    /// An input arrived in the instant being settled.
+    eval_now: bool,
+    /// Its last tick settled and no next tick is scheduled (whole runs
+    /// only; see the module docs on parked ticks).
+    parked: bool,
+    /// A sensor's current value.
+    sensor_value: bool,
+}
+
+/// One output slot's state in a runner.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotState {
+    /// The value last transmitted, `None` before the first packet.
+    last_sent: Option<bool>,
+    /// The tap observing this slot's transmissions, if any. Static wiring
+    /// like the sense schedule: registrations survive
+    /// [`reset`](Runner::reset).
+    tap: Option<TapId>,
+}
+
+/// The reusable simulation engine for one [`Simulator`].
+///
+/// Construction borrows the simulator's [`Layout`] and builds one machine
+/// per programmed block over its compiled programs;
+/// [`reset`](Runner::reset) rewinds to power-on state without
+/// reallocating, so Monte-Carlo harnesses can run many trials on one arena.
+/// Contract per trial: `reset` → `load_stimulus` → `run` once → read
+/// [`trace`](Runner::trace).
+pub(crate) struct Runner<'a> {
+    sim: &'a Simulator,
+    machines: Vec<Option<Machine<'a>>>,
+    /// The power-on announcements merged with the resolved stimulus,
+    /// sorted by `(t, raw)` with an announcement first on a tie and
+    /// stimulus entries in script order. Static like the taps: `reset`
+    /// only rewinds the cursor.
+    sense_schedule: Vec<SenseEv>,
     // --- per-run state, rewound by `reset` ---
     faults: ResolvedFaults,
     inputs: Vec<Value>,
-    last_sent: Vec<Option<bool>>,
-    sensor_values: Vec<bool>,
-    tx_counts: Vec<u64>,
-    sense_schedule: Vec<SenseEv>,
+    blocks: Vec<BlockState>,
+    slots: Vec<SlotState>,
     sense_cursor: usize,
-    calendar: Calendar,
-    /// Scratch for draining one instant's calendar bucket.
-    drain: Vec<Queued>,
+    /// Future block events as `(t, seq, event)`, earliest first.
+    calendar: BinaryHeap<Reverse<(Time, u64, Event)>>,
     /// Ranks with pending work in the instant being settled.
     pending: BinaryHeap<Reverse<usize>>,
-    in_sweep: Vec<bool>,
-    tick_now: Vec<bool>,
-    eval_now: Vec<bool>,
-    /// Per block: its last tick settled and no next tick is scheduled
-    /// (whole runs only; see the module docs on parked ticks).
-    parked: Vec<bool>,
-    /// Per output block: packets received this instant, `(port, seq, value)`.
-    out_now: Vec<Vec<(u8, u64, bool)>>,
+    /// Packets reaching output blocks this instant, `(block, port, seq,
+    /// value)`.
+    out_now: Vec<(usize, u8, u64, bool)>,
     seq: u64,
     trace: Trace,
     // --- co-simulation bridging (see `crate::cosim`) ---
-    /// Per output slot: the tap observing that slot's transmissions, if
-    /// any. Static wiring like `stim_cache` — registrations survive
-    /// [`reset`](Runner::reset).
-    taps: Vec<Option<u32>>,
-    next_tap: u32,
+    next_tap: TapId,
     /// Transmissions captured at tapped slots since the last drain, in
     /// emission order.
     captured: Vec<CapturedPacket>,
@@ -544,105 +566,32 @@ pub(crate) struct Runner<'a> {
 }
 
 impl<'a> Runner<'a> {
-    /// Builds the engine's static tables and resets to power-on state with
-    /// `plan`'s faults applied.
+    /// Builds the engine over `sim`'s layout and resets to power-on state
+    /// with `plan`'s faults applied.
     pub(crate) fn new(sim: &'a Simulator, plan: &FaultPlan) -> Result<Self, SimError> {
         if sim.tick_period == 0 {
             return Err(SimError::InvalidTickPeriod);
         }
-        let design = &sim.design;
-        let index = BlockIndex::new(design);
-        let n = index.num_blocks();
-
-        let mut names = Vec::with_capacity(n);
-        let mut meta = Vec::with_capacity(n);
-        let mut machines = Vec::with_capacity(n);
-        let mut sinks: Vec<Vec<Sink>> = Vec::new();
-        let mut total_inputs = 0usize;
-        for &id in &index.ids {
-            let block = design.block(id).expect("indexed block");
-            meta.push(BlockMeta {
-                in_offset: total_inputs,
-                in_len: block.num_inputs() as usize,
-                out_offset: sinks.len(),
-                is_output: matches!(block.kind(), BlockKind::Output(_)),
-                latency: match block.kind() {
-                    BlockKind::Comm(_) => sim.comm_latency,
-                    _ => 0,
-                },
-            });
-            total_inputs += block.num_inputs() as usize;
-            for port in 0..block.num_outputs() {
-                sinks.push(
-                    design
-                        .sinks_of(id, port)
-                        .map(|w| Sink {
-                            to: index.dense_of(w.to).expect("sink block is in the design"),
-                            port: w.to_port,
-                        })
-                        .collect(),
-                );
-            }
-            names.push(block.name());
-            machines.push(sim.code(id).map(Machine::new));
-        }
-
-        let mut tick_ids: Vec<BlockId> = design
-            .blocks()
-            .filter(|&id| sim.code(id).is_some_and(Compiled::uses_tick))
-            .collect();
-        tick_ids.sort();
-        let tick_blocks = tick_ids
-            .into_iter()
-            .map(|id| index.dense_of(id).expect("tick block is in the design"))
-            .collect();
-
-        let sensors = design
-            .sensors()
-            .map(|id| {
-                (
-                    index.dense_of(id).expect("sensor is in the design"),
-                    id.index(),
-                )
-            })
-            .collect();
-        let output_names = design
-            .outputs()
-            .map(|o| design.block(o).expect("output block").name().to_string())
-            .collect();
-
-        let num_slots = sinks.len();
+        let layout = &sim.layout;
+        let n = layout.index.num_blocks();
         let mut runner = Self {
             sim,
-            index,
-            names,
-            meta,
-            sinks,
-            machines,
-            tick_blocks,
-            sensors,
-            output_names,
-            total_inputs,
-            stim_cache: Vec::new(),
-            stim_seq_base: 0,
+            machines: layout
+                .code
+                .iter()
+                .map(|code| code.as_ref().map(|c| Machine::new(c.compiled())))
+                .collect(),
+            sense_schedule: layout.power_on.clone(),
             faults: ResolvedFaults::default(),
-            inputs: Vec::with_capacity(total_inputs),
-            last_sent: Vec::with_capacity(num_slots),
-            sensor_values: Vec::with_capacity(n),
-            tx_counts: Vec::with_capacity(n),
-            sense_schedule: Vec::new(),
+            inputs: Vec::with_capacity(layout.total_inputs),
+            blocks: Vec::with_capacity(n),
+            slots: vec![SlotState::default(); layout.num_slots()],
             sense_cursor: 0,
-            calendar: Calendar::new(),
-            drain: Vec::new(),
+            calendar: BinaryHeap::new(),
             pending: BinaryHeap::new(),
-            in_sweep: Vec::with_capacity(n),
-            tick_now: Vec::with_capacity(n),
-            eval_now: Vec::with_capacity(n),
-            parked: Vec::with_capacity(n),
-            out_now: vec![Vec::new(); n],
+            out_now: Vec::new(),
             seq: 0,
             trace: Trace::default(),
-            taps: vec![None; num_slots],
             next_tap: 0,
             captured: Vec::new(),
             injected: VecDeque::new(),
@@ -652,69 +601,57 @@ impl<'a> Runner<'a> {
     }
 
     /// Rewinds to power-on state with `plan`'s faults applied, keeping
-    /// every allocation (tables, machine arenas, queue buckets) and the
-    /// loaded stimulus — a previously [`load_stimulus`](Runner::load_stimulus)ed
-    /// script is re-applied without re-resolving it.
+    /// every allocation (tables, machine arenas, queue buffers), the taps
+    /// and the loaded stimulus.
     pub(crate) fn reset(&mut self, plan: &FaultPlan) {
-        let n = self.index.num_blocks();
-        self.faults = plan.resolve(&self.sim.design, &self.index);
+        let sim = self.sim;
+        let layout = &sim.layout;
+        self.faults = plan.resolve(&sim.design, &layout.index);
         self.inputs.clear();
-        self.inputs.resize(self.total_inputs, Value::Bool(false));
-        self.last_sent.clear();
-        self.last_sent.resize(self.sinks.len(), None);
-        self.sensor_values.clear();
-        self.sensor_values.resize(n, false);
-        self.tx_counts.clear();
-        self.tx_counts.resize(n, 0);
+        self.inputs.resize(layout.total_inputs, Value::Bool(false));
+        self.blocks.clear();
+        self.blocks
+            .resize(layout.index.num_blocks(), BlockState::default());
+        for slot in &mut self.slots {
+            slot.last_sent = None;
+        }
         for machine in self.machines.iter_mut().flatten() {
             machine.reset();
         }
-        self.sense_schedule.clear();
         self.sense_cursor = 0;
-        self.calendar.reset();
-        self.drain.clear();
+        self.calendar.clear();
         self.pending.clear();
-        self.in_sweep.clear();
-        self.in_sweep.resize(n, false);
-        self.tick_now.clear();
-        self.tick_now.resize(n, false);
-        self.eval_now.clear();
-        self.eval_now.resize(n, false);
-        self.parked.clear();
-        self.parked.resize(n, false);
-        for slot in &mut self.out_now {
-            slot.clear();
-        }
+        self.out_now.clear();
         self.seq = 0;
-        self.trace = Trace::with_outputs(self.output_names.iter().cloned());
+        self.trace = Trace::with_outputs(layout.outputs.iter().map(|&id| {
+            sim.design
+                .block(id)
+                .expect("output block")
+                .name()
+                .to_string()
+        }));
         self.captured.clear();
         self.injected.clear();
-
-        // Power-on announcements take seqs 0..sensors (they are generated
-        // inside `weave_stimulus`); the first tick of each time-driven
-        // block comes next, in id order (determinism).
-        self.seq = self.sensors.len() as u64;
-        for &block in &self.tick_blocks {
-            let seq = self.seq;
-            self.seq += 1;
-            self.calendar
-                .schedule(self.sim.tick_period, Queued::Tick { seq, block });
+        // The first tick of each time-driven block, in id order
+        // (determinism).
+        for &block in &layout.tick_blocks {
+            self.schedule(sim.tick_period, Event::Tick { block });
         }
-        self.stim_seq_base = self.seq;
-        self.weave_stimulus();
     }
 
-    /// Resolves, sorts, and schedules the stimulus script, replacing any
-    /// previously loaded one. Resolution and the sort happen once, here;
-    /// later [`reset`](Runner::reset)s reuse the cached result.
+    /// Resolves and sorts the stimulus script into the sense schedule,
+    /// replacing any previously loaded one, and rewinds the schedule's
+    /// cursor. Later [`reset`](Runner::reset)s reuse the result.
     ///
     /// # Errors
     ///
     /// [`SimError::UnknownSensor`] for entries that name no primary input.
     pub(crate) fn load_stimulus(&mut self, stimulus: &Stimulus) -> Result<(), SimError> {
         let design = &self.sim.design;
-        self.stim_cache.clear();
-        for (ord, (t, name, value)) in stimulus.events().iter().enumerate() {
+        let layout = &self.sim.layout;
+        self.sense_schedule.clear();
+        self.sense_schedule.extend_from_slice(&layout.power_on);
+        for (t, name, value) in stimulus.events() {
             let id = design
                 .block_by_name(name)
                 .filter(|&b| {
@@ -723,62 +660,19 @@ impl<'a> Runner<'a> {
                         .is_some_and(|blk| blk.kind().is_primary_input())
                 })
                 .ok_or_else(|| SimError::UnknownSensor { name: name.clone() })?;
-            self.stim_cache.push(SenseEv {
+            self.sense_schedule.push(SenseEv {
                 t: *t,
                 raw: id.index(),
-                seq: ord as u64,
-                dense: self.index.dense_of(id).expect("resolved block"),
+                dense: layout.index.dense_of(id).expect("resolved block"),
                 value: *value,
             });
         }
-        self.stim_cache
-            .sort_unstable_by_key(|e| (e.t, e.raw, e.seq));
-        self.weave_stimulus();
-        Ok(())
-    }
-
-    /// Rebuilds the sense schedule: the power-on announcements (every
-    /// sensor goes low at t=0, in raw-id order, seqs 0..sensors) merged
-    /// with the cached stimulus (seqs `stim_seq_base` + insertion order).
-    /// This reproduces the old per-event heap keys exactly — the schedule
-    /// is ordered by `(t, raw, seq)`, and a power-on entry wins a
-    /// `(t, raw)` tie against a scripted t=0 value by its lower seq.
-    fn weave_stimulus(&mut self) {
+        // A stable sort: the announcements, pushed first, stay ahead of a
+        // scripted value for the same sensor at t = 0, and scripted values
+        // for one sensor and instant keep their script order.
+        self.sense_schedule.sort_by_key(|e| (e.t, e.raw));
         self.sense_cursor = 0;
-        self.seq = self.stim_seq_base + self.stim_cache.len() as u64;
-        self.sense_schedule.clear();
-        let power_on = |k: usize, &(dense, raw): &(usize, usize)| SenseEv {
-            t: 0,
-            raw,
-            seq: k as u64,
-            dense,
-            value: false,
-        };
-        let (mut i, mut j) = (0, 0);
-        while i < self.sensors.len() && j < self.stim_cache.len() {
-            let p = power_on(i, &self.sensors[i]);
-            let s = self.stim_cache[j];
-            if (p.t, p.raw) <= (s.t, s.raw) {
-                self.sense_schedule.push(p);
-                i += 1;
-            } else {
-                self.sense_schedule.push(SenseEv {
-                    seq: self.stim_seq_base + s.seq,
-                    ..s
-                });
-                j += 1;
-            }
-        }
-        while i < self.sensors.len() {
-            self.sense_schedule.push(power_on(i, &self.sensors[i]));
-            i += 1;
-        }
-        for s in &self.stim_cache[j..] {
-            self.sense_schedule.push(SenseEv {
-                seq: self.stim_seq_base + s.seq,
-                ..*s
-            });
-        }
+        Ok(())
     }
 
     /// Runs until `until` (inclusive), parking settled ticks, and folds
@@ -798,20 +692,20 @@ impl<'a> Runner<'a> {
     /// calendar event, or a network-injected sense event.
     pub(crate) fn next_event_time(&self) -> Option<Time> {
         let sense = self.sense_schedule.get(self.sense_cursor).map(|e| e.t);
+        let calendar = self.calendar.peek().map(|&Reverse((t, _, _))| t);
         let injected = self.injected.front().map(|&(t, _, _)| t);
-        [sense, self.calendar.next_time(), injected]
-            .into_iter()
-            .flatten()
-            .min()
+        [sense, calendar, injected].into_iter().flatten().min()
     }
 
     /// Folds the transmission counters into the trace. Once per run:
     /// [`run`](Runner::run) does it itself; co-simulation drivers call it
     /// when the fleet clock stops.
     pub(crate) fn finalize_counts(&mut self) {
-        for (name, &count) in self.names.iter().zip(&self.tx_counts) {
-            if count > 0 {
-                self.trace.count_transmissions(name, count);
+        let sim = self.sim;
+        for (dense, state) in self.blocks.iter().enumerate() {
+            if state.tx_count > 0 {
+                self.trace
+                    .count_transmissions(sim.name(dense), state.tx_count);
             }
         }
     }
@@ -827,21 +721,26 @@ impl<'a> Runner<'a> {
 
     // --- co-simulation hooks (used by `crate::cosim::NodeRunner`) ---
 
+    /// The simulator this runner runs.
+    pub(crate) fn sim(&self) -> &'a Simulator {
+        self.sim
+    }
+
     /// The dense index of `id`, if the block is in the design.
     pub(crate) fn dense_of_id(&self, id: BlockId) -> Option<usize> {
-        self.index.dense_of(id)
+        self.sim.layout.index.dense_of(id)
     }
 
     /// Registers a tap on output slot `(dense, port)`. Idempotent: tapping
     /// the same slot twice returns the same id.
-    pub(crate) fn register_tap(&mut self, dense: usize, port: u8) -> u32 {
-        let slot = self.meta[dense].out_offset + port as usize;
-        if let Some(id) = self.taps[slot] {
+    pub(crate) fn register_tap(&mut self, dense: usize, port: u8) -> TapId {
+        let slot = &mut self.slots[self.sim.layout.blocks[dense].out_offset + port as usize];
+        if let Some(id) = slot.tap {
             return id;
         }
         let id = self.next_tap;
         self.next_tap += 1;
-        self.taps[slot] = Some(id);
+        slot.tap = Some(id);
         id
     }
 
@@ -869,34 +768,30 @@ impl<'a> Runner<'a> {
         out.append(&mut self.captured);
     }
 
-    /// Settles one instant: open its calendar bucket, apply its sensor
-    /// changes, then sweep pending ranks in topological order. `PARK`
-    /// parks settled ticks (whole runs only).
+    /// Settles one instant: open its calendar events, apply its sensor
+    /// changes, sweep pending ranks in topological order, then record what
+    /// the output blocks received. `PARK` parks settled ticks (whole runs
+    /// only).
     fn process_instant<const PARK: bool>(&mut self, t: Time, until: Time) -> Result<(), SimError> {
-        // Open the instant's bucket. Arrivals are applied in send (`seq`)
-        // order so that a packet sent earlier on the same wire latches
-        // first — every packet generated *during* this instant necessarily
-        // carries a higher seq, so latching arrivals up front preserves
-        // the global FIFO contract.
-        let mut drain = std::mem::take(&mut self.drain);
-        self.calendar.advance(t, &mut drain);
-        drain.sort_unstable_by_key(|ev| ev.seq());
-        for &ev in &drain {
-            match ev {
-                Queued::Tick { block, .. } => {
-                    self.tick_now[block] = true;
+        // Open the instant. Its events pop in send (`seq`) order, so a
+        // packet sent earlier on the same wire latches first — every
+        // packet generated *during* this instant necessarily carries a
+        // higher seq, so latching arrivals up front preserves the global
+        // FIFO contract.
+        while let Some(&Reverse((when, seq, event))) = self.calendar.peek() {
+            debug_assert!(when >= t, "calendar events are never in the past");
+            if when != t {
+                break;
+            }
+            self.calendar.pop();
+            match event {
+                Event::Tick { block } => {
+                    self.blocks[block].tick_now = true;
                     self.mark_pending(block);
                 }
-                Queued::Deliver {
-                    seq,
-                    to,
-                    port,
-                    value,
-                } => self.latch(to, port, value, seq),
+                Event::Deliver { to, port, value } => self.latch(to, port, value, seq),
             }
         }
-        drain.clear();
-        self.drain = drain;
 
         // Stage 0: sensor changes, ordered by (block id, push order).
         while let Some(&ev) = self.sense_schedule.get(self.sense_cursor) {
@@ -923,6 +818,7 @@ impl<'a> Runner<'a> {
         let mut machines = std::mem::take(&mut self.machines);
         let swept = self.sweep::<PARK>(&mut machines, t, until);
         self.machines = machines;
+        self.record_outputs(t);
         swept
     }
 
@@ -937,47 +833,39 @@ impl<'a> Runner<'a> {
         t: Time,
         until: Time,
     ) -> Result<(), SimError> {
+        let sim = self.sim;
         while let Some(Reverse(block)) = self.pending.pop() {
-            self.in_sweep[block] = false;
-            if self.tick_now[block] {
-                self.tick_now[block] = false;
-                let machine = machines[block]
-                    .as_mut()
-                    .expect("ticked blocks have machines");
+            let state = &mut self.blocks[block];
+            state.in_sweep = false;
+            // Emitting only marks other, higher ranks, so both flags can be
+            // taken up front.
+            let tick = std::mem::take(&mut state.tick_now);
+            let eval = std::mem::take(&mut state.eval_now);
+            let machine = machines[block].as_mut().expect("swept blocks run programs");
+            if tick {
                 let outs = machine
                     .on_tick()
                     .map_err(|error| self.eval_error(block, error))?;
                 self.emit(block, outs, t)?;
                 if PARK && machine.tick_settled() {
-                    self.parked[block] = true;
+                    self.blocks[block].parked = true;
                 } else {
                     // A period that would overflow Time never fires again
                     // (instead of panicking near Time::MAX).
-                    self.schedule_tick(block, crate::time::after(t, self.sim.tick_period), until);
+                    self.schedule_tick(block, crate::time::after(t, sim.tick_period), until);
                 }
             }
-            if self.meta[block].is_output {
-                let mut records = std::mem::take(&mut self.out_now[block]);
-                records.sort_unstable_by_key(|&(port, seq, _)| (port, seq));
-                for &(_, _, value) in &records {
-                    self.trace.record(self.names[block], t, value);
-                }
-                records.clear();
-                self.out_now[block] = records;
-            } else if self.eval_now[block] {
-                self.eval_now[block] = false;
-                let m = self.meta[block];
-                let outs = machines[block]
-                    .as_mut()
-                    .expect("non-output blocks have machines")
+            if eval {
+                let m = sim.layout.blocks[block];
+                let outs = machine
                     .on_input(&self.inputs[m.in_offset..m.in_offset + m.in_len])
                     .map_err(|error| self.eval_error(block, error))?;
                 self.emit(block, outs, t)?;
-                if PARK && self.parked[block] {
+                if PARK && self.blocks[block].parked {
                     // Resume on the grid: the first multiple of the period
                     // after `t`, the tick an unparked block would run next.
-                    self.parked[block] = false;
-                    let period = self.sim.tick_period;
+                    self.blocks[block].parked = false;
+                    let period = sim.tick_period;
                     self.schedule_tick(block, crate::time::after(t - t % period, period), until);
                 }
             }
@@ -985,13 +873,33 @@ impl<'a> Runner<'a> {
         Ok(())
     }
 
+    /// Records the packets output blocks received this instant: blocks in
+    /// rank order, each block's packets by `(port, seq)`.
+    fn record_outputs(&mut self, t: Time) {
+        if self.out_now.is_empty() {
+            return;
+        }
+        let sim = self.sim;
+        self.out_now
+            .sort_unstable_by_key(|&(block, port, seq, _)| (block, port, seq));
+        for &(block, _, _, value) in &self.out_now {
+            self.trace.record(sim.name(block), t, value);
+        }
+        self.out_now.clear();
+    }
+
+    /// Puts `event` on the calendar at `t` with the next seq.
+    fn schedule(&mut self, t: Time, event: Event) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.calendar.push(Reverse((t, seq, event)));
+    }
+
     /// Schedules `block`'s next tick at `next`, unless it is unrepresentable
     /// (`None`) or past `until`.
     fn schedule_tick(&mut self, block: usize, next: Option<Time>, until: Time) {
         if let Some(next) = next.filter(|&next| next <= until) {
-            let seq = self.seq;
-            self.seq += 1;
-            self.calendar.schedule(next, Queued::Tick { seq, block });
+            self.schedule(next, Event::Tick { block });
         }
     }
 
@@ -1002,36 +910,40 @@ impl<'a> Runner<'a> {
         // A stuck sensor reports its stuck value regardless of what the
         // environment does.
         let value = self.faults.stuck_value(dense).unwrap_or(value);
-        let announced = self.last_sent[self.meta[dense].out_offset].is_some();
-        if self.sensor_values[dense] != value || !announced {
-            self.sensor_values[dense] = value;
+        let slot = self.sim.layout.blocks[dense].out_offset;
+        let announced = self.slots[slot].last_sent.is_some();
+        let state = &mut self.blocks[dense];
+        if state.sensor_value != value || !announced {
+            state.sensor_value = value;
             self.transmit(dense, 0, value, t);
         }
     }
 
-    /// Applies one arriving packet: latch the value (or queue it for
-    /// recording, for output blocks) and mark the receiver pending.
+    /// Applies one arriving packet: latch the value and mark the receiver
+    /// pending, or keep it for recording if the receiver is an output
+    /// block.
     fn latch(&mut self, to: usize, port: u8, value: bool, seq: u64) {
-        let m = self.meta[to];
+        let m = self.sim.layout.blocks[to];
         if m.is_output {
-            self.out_now[to].push((port, seq, value));
+            self.out_now.push((to, port, seq, value));
         } else {
             self.inputs[m.in_offset + port as usize] = Value::Bool(value);
-            self.eval_now[to] = true;
+            self.blocks[to].eval_now = true;
+            self.mark_pending(to);
         }
-        self.mark_pending(to);
     }
 
     fn mark_pending(&mut self, block: usize) {
-        if !self.in_sweep[block] {
-            self.in_sweep[block] = true;
+        let state = &mut self.blocks[block];
+        if !state.in_sweep {
+            state.in_sweep = true;
             self.pending.push(Reverse(block));
         }
     }
 
     fn eval_error(&self, block: usize, error: eblocks_behavior::EvalError) -> SimError {
         SimError::Eval {
-            block: self.names[block].to_string(),
+            block: self.sim.name(block).to_string(),
             error,
         }
     }
@@ -1042,7 +954,7 @@ impl<'a> Runner<'a> {
         for (port, value) in outs.iter() {
             let Value::Bool(bit) = value else {
                 return Err(SimError::NonBooleanPacket {
-                    block: self.names[from].to_string(),
+                    block: self.sim.name(from).to_string(),
                     port,
                 });
             };
@@ -1055,20 +967,24 @@ impl<'a> Runner<'a> {
     /// transmitted value (or nothing was ever sent). Wires are instant;
     /// communication blocks add `comm_latency`.
     fn transmit(&mut self, from: usize, port: u8, value: bool, t: Time) {
-        let m = self.meta[from];
+        let sim = self.sim;
+        let m = sim.layout.blocks[from];
         let slot = m.out_offset + port as usize;
-        if self.last_sent[slot] == Some(value) {
+        let state = &mut self.slots[slot];
+        if state.last_sent == Some(value) {
             return;
         }
-        self.last_sent[slot] = Some(value);
+        state.last_sent = Some(value);
+        let tap = state.tap;
+        let sinks = sim.layout.sinks_of(slot);
         // Energy accounting: the sender spends a transmission per driven
         // wire whether or not a fault loses the packet in flight.
-        self.tx_counts[from] += self.sinks[slot].len() as u64;
+        self.blocks[from].tx_count += sinks.len() as u64;
         // Co-simulation taps observe the packet exactly where the port
         // drives the wire: after change detection (the eBlocks protocol),
         // before any injected local fault decides its in-flight fate —
         // link-level loss belongs to the network layer, not the node.
-        if let Some(tap) = self.taps[slot] {
+        if let Some(tap) = tap {
             self.captured.push(CapturedPacket {
                 time: t,
                 tap,
@@ -1081,32 +997,21 @@ impl<'a> Runner<'a> {
         let Some(extra) = self.faults.send_fate(from, t) else {
             return;
         };
-        let latency = crate::time::clamp_after(extra, m.latency);
-        let sinks = std::mem::take(&mut self.sinks);
+        let base = if m.is_comm { sim.comm_latency } else { 0 };
+        let latency = crate::time::clamp_after(extra, base);
         if latency == 0 {
-            for &sink in &sinks[slot] {
+            for &sink in sinks {
                 let seq = self.seq;
                 self.seq += 1;
                 self.latch(sink.to, sink.port, value, seq);
             }
         } else if let Some(arrival) = crate::time::after(t, latency) {
-            for &sink in &sinks[slot] {
-                let seq = self.seq;
-                self.seq += 1;
-                self.calendar.schedule(
-                    arrival,
-                    Queued::Deliver {
-                        seq,
-                        to: sink.to,
-                        port: sink.port,
-                        value,
-                    },
-                );
+            for &Sink { to, port } in sinks {
+                self.schedule(arrival, Event::Deliver { to, port, value });
             }
         }
         // (A delay pushing arrival past the end of time drops the packet —
         // it could never be processed anyway.)
-        self.sinks = sinks;
     }
 }
 
@@ -1287,8 +1192,8 @@ mod tests {
 
     #[test]
     fn comm_latency_beyond_wheel_window() {
-        // A latency past the timing wheel's horizon exercises the overflow
-        // calendar: arrival time must still be exact.
+        // A latency far past the default (3 ticks) must still arrive at the
+        // exact instant.
         let mut d = Design::new("slow-radio");
         let b = d.add_block("btn", SensorKind::Button);
         let tx = d.add_block("tx", eblocks_core::CommKind::WirelessTx);
@@ -1304,49 +1209,50 @@ mod tests {
     #[test]
     fn one_instant_merges_wheel_and_overflow_in_send_order() {
         // Radio packets sent at 10, 11 and 12 are delayed to land together
-        // at `t`: the last is scheduled `WHEEL_SLOTS - 1` ticks ahead (a
-        // wheel slot), the others `WHEEL_SLOTS` and `WHEEL_SLOTS + 1` ahead
-        // (the overflow). A pulse generator's tick falls due at `t` from
-        // the wheel as well. The inverter must latch the three packets in
-        // send order and settle on the last one sent.
-        let latency: Time = 1;
-        let t = 11 + WHEEL_SLOTS as Time;
-        let mut d = Design::new("split-instant");
-        let btn = d.add_block("btn", SensorKind::Button);
-        let tx = d.add_block("tx", eblocks_core::CommKind::WirelessTx);
-        let inv = d.add_block("inv", ComputeKind::Not);
-        let led = d.add_block("led", OutputKind::Led);
-        let arm = d.add_block("arm", SensorKind::Button);
-        let pg = d.add_block("pg", ComputeKind::PulseGen { ticks: 4 });
-        let lamp = d.add_block("lamp", OutputKind::Led);
-        d.connect((btn, 0), (tx, 0)).unwrap();
-        d.connect((tx, 0), (inv, 0)).unwrap();
-        d.connect((inv, 0), (led, 0)).unwrap();
-        d.connect((arm, 0), (pg, 0)).unwrap();
-        d.connect((pg, 0), (lamp, 0)).unwrap();
-        let mut sim = Simulator::new(&d).unwrap();
-        sim.comm_latency = latency;
-        let plan: FaultPlan = (10..13)
-            .map(|sent| crate::fault::Fault::DelayPackets {
-                block: "tx".into(),
-                from: sent,
-                to: sent + 1,
-                extra: t - sent - latency,
-            })
-            .collect();
-        let stim = Stimulus::new()
-            .set(10, "btn", true)
-            .set(11, "btn", false)
-            .set(12, "btn", true)
-            .set(t - 4, "arm", true);
-        let trace = sim.run_with_faults(&stim, t + 10, &plan).unwrap();
-        // Power-on false reaches the inverter at 1; at `t` the inverter
-        // sees true (sent at 12), not the false sent at 11.
-        assert_eq!(trace.history("led"), &[(1, true), (t, false)]);
-        assert_eq!(
-            trace.history("lamp"),
-            &[(0, false), (t - 4, true), (t, false)]
-        );
+        // at `t`, where a pulse generator's tick falls due as well. The
+        // inverter must latch the three packets in send order and settle on
+        // the last one sent. At t = 19 the packets land 7 to 9 ticks after
+        // they were sent (where an 8-slot timing wheel split them from its
+        // overflow); at t = 140, more than 100 ticks after.
+        for t in [19, 140] {
+            let latency: Time = 1;
+            let mut d = Design::new("split-instant");
+            let btn = d.add_block("btn", SensorKind::Button);
+            let tx = d.add_block("tx", eblocks_core::CommKind::WirelessTx);
+            let inv = d.add_block("inv", ComputeKind::Not);
+            let led = d.add_block("led", OutputKind::Led);
+            let arm = d.add_block("arm", SensorKind::Button);
+            let pg = d.add_block("pg", ComputeKind::PulseGen { ticks: 4 });
+            let lamp = d.add_block("lamp", OutputKind::Led);
+            d.connect((btn, 0), (tx, 0)).unwrap();
+            d.connect((tx, 0), (inv, 0)).unwrap();
+            d.connect((inv, 0), (led, 0)).unwrap();
+            d.connect((arm, 0), (pg, 0)).unwrap();
+            d.connect((pg, 0), (lamp, 0)).unwrap();
+            let mut sim = Simulator::new(&d).unwrap();
+            sim.comm_latency = latency;
+            let plan: FaultPlan = (10..13)
+                .map(|sent| crate::fault::Fault::DelayPackets {
+                    block: "tx".into(),
+                    from: sent,
+                    to: sent + 1,
+                    extra: t - sent - latency,
+                })
+                .collect();
+            let stim = Stimulus::new()
+                .set(10, "btn", true)
+                .set(11, "btn", false)
+                .set(12, "btn", true)
+                .set(t - 4, "arm", true);
+            let trace = sim.run_with_faults(&stim, t + 10, &plan).unwrap();
+            // Power-on false reaches the inverter at 1; at `t` the inverter
+            // sees true (sent at 12), not the false sent at 11.
+            assert_eq!(trace.history("led"), &[(1, true), (t, false)]);
+            assert_eq!(
+                trace.history("lamp"),
+                &[(0, false), (t - 4, true), (t, false)]
+            );
+        }
     }
 
     #[test]
