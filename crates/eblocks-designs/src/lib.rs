@@ -57,169 +57,194 @@ pub struct LibraryDesign {
     pub expected: Expected,
 }
 
-/// All 15 designs, in Table 1 order.
-pub fn all() -> Vec<LibraryDesign> {
-    vec![
-        LibraryDesign {
-            name: "Ignition Illuminator",
-            design: ignition_illuminator(),
-            expected: Expected {
-                inner_original: 2,
-                exhaustive: Some((1, 1)),
-                pare_down: (1, 1),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Night Lamp Controller",
-            design: night_lamp_controller(),
-            expected: Expected {
-                inner_original: 2,
-                exhaustive: Some((1, 1)),
-                pare_down: (1, 1),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Entry Gate Detector",
-            design: entry_gate_detector(),
-            expected: Expected {
-                inner_original: 2,
-                exhaustive: Some((1, 1)),
-                pare_down: (1, 1),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Carpool Alert",
-            design: carpool_alert(),
-            expected: Expected {
-                inner_original: 2,
-                exhaustive: Some((1, 1)),
-                pare_down: (1, 1),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Cafeteria Food Alert",
-            design: cafeteria_food_alert(),
-            expected: Expected {
-                inner_original: 3,
-                exhaustive: Some((1, 1)),
-                pare_down: (1, 1),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Podium Timer 2",
-            design: podium_timer_2(),
-            expected: Expected {
-                inner_original: 3,
-                exhaustive: Some((1, 1)),
-                pare_down: (1, 1),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Any Window Open Alarm",
-            design: any_window_open_alarm(),
-            expected: Expected {
-                inner_original: 3,
-                exhaustive: Some((3, 0)),
-                pare_down: (3, 0),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Two Button Light",
-            design: two_button_light(),
-            expected: Expected {
-                inner_original: 3,
-                exhaustive: Some((2, 1)),
-                pare_down: (2, 1),
-                note: Some(
-                    "paper reports total 3 with 1 programmable, which implies a \
-                     single-block partition the paper itself forbids; we pin the \
-                     closest consistent outcome (total 2, 1 programmable)",
-                ),
-            },
-        },
-        LibraryDesign {
-            name: "Doorbell Extender 1",
-            design: doorbell_extender(5),
-            expected: Expected {
-                inner_original: 5,
-                exhaustive: Some((5, 0)),
-                pare_down: (5, 0),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Doorbell Extender 2",
-            design: doorbell_extender(6),
-            expected: Expected {
-                inner_original: 6,
-                exhaustive: Some((6, 0)),
-                pare_down: (6, 0),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Podium Timer 3",
-            design: podium_timer_3(),
-            expected: Expected {
-                inner_original: 8,
-                exhaustive: Some((3, 3)),
-                pare_down: (3, 2),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Noise At Night Detector",
-            design: noise_at_night_detector(),
-            expected: Expected {
-                inner_original: 10,
-                exhaustive: Some((6, 4)),
-                pare_down: (6, 4),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Two-Zone Security",
-            design: two_zone_security(),
-            expected: Expected {
-                inner_original: 19,
-                exhaustive: None,
-                pare_down: (10, 3),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Motion on Property Alert",
-            design: motion_on_property_alert(),
-            expected: Expected {
-                inner_original: 19,
-                exhaustive: None,
-                pare_down: (19, 0),
-                note: None,
-            },
-        },
-        LibraryDesign {
-            name: "Timed Passage",
-            design: timed_passage(),
-            expected: Expected {
-                inner_original: 23,
-                exhaustive: None,
-                pare_down: (14, 5),
-                note: None,
-            },
-        },
-    ]
+/// One Table 1 row: the design's name, how to build it, and its expected
+/// outcome.
+struct Row {
+    name: &'static str,
+    build: fn() -> Design,
+    expected: Expected,
 }
 
-/// Looks up a library design by its Table 1 name.
+impl Row {
+    fn library_design(&self) -> LibraryDesign {
+        LibraryDesign {
+            name: self.name,
+            design: (self.build)(),
+            expected: self.expected,
+        }
+    }
+}
+
+/// The 15 designs, in Table 1 order. A lookup builds only the design it
+/// finds.
+const TABLE_1: [Row; 15] = [
+    Row {
+        name: "Ignition Illuminator",
+        build: ignition_illuminator,
+        expected: Expected {
+            inner_original: 2,
+            exhaustive: Some((1, 1)),
+            pare_down: (1, 1),
+            note: None,
+        },
+    },
+    Row {
+        name: "Night Lamp Controller",
+        build: night_lamp_controller,
+        expected: Expected {
+            inner_original: 2,
+            exhaustive: Some((1, 1)),
+            pare_down: (1, 1),
+            note: None,
+        },
+    },
+    Row {
+        name: "Entry Gate Detector",
+        build: entry_gate_detector,
+        expected: Expected {
+            inner_original: 2,
+            exhaustive: Some((1, 1)),
+            pare_down: (1, 1),
+            note: None,
+        },
+    },
+    Row {
+        name: "Carpool Alert",
+        build: carpool_alert,
+        expected: Expected {
+            inner_original: 2,
+            exhaustive: Some((1, 1)),
+            pare_down: (1, 1),
+            note: None,
+        },
+    },
+    Row {
+        name: "Cafeteria Food Alert",
+        build: cafeteria_food_alert,
+        expected: Expected {
+            inner_original: 3,
+            exhaustive: Some((1, 1)),
+            pare_down: (1, 1),
+            note: None,
+        },
+    },
+    Row {
+        name: "Podium Timer 2",
+        build: podium_timer_2,
+        expected: Expected {
+            inner_original: 3,
+            exhaustive: Some((1, 1)),
+            pare_down: (1, 1),
+            note: None,
+        },
+    },
+    Row {
+        name: "Any Window Open Alarm",
+        build: any_window_open_alarm,
+        expected: Expected {
+            inner_original: 3,
+            exhaustive: Some((3, 0)),
+            pare_down: (3, 0),
+            note: None,
+        },
+    },
+    Row {
+        name: "Two Button Light",
+        build: two_button_light,
+        expected: Expected {
+            inner_original: 3,
+            exhaustive: Some((2, 1)),
+            pare_down: (2, 1),
+            note: Some(
+                "paper reports total 3 with 1 programmable, which implies a \
+                 single-block partition the paper itself forbids; we pin the \
+                 closest consistent outcome (total 2, 1 programmable)",
+            ),
+        },
+    },
+    Row {
+        name: "Doorbell Extender 1",
+        build: || doorbell_extender(5),
+        expected: Expected {
+            inner_original: 5,
+            exhaustive: Some((5, 0)),
+            pare_down: (5, 0),
+            note: None,
+        },
+    },
+    Row {
+        name: "Doorbell Extender 2",
+        build: || doorbell_extender(6),
+        expected: Expected {
+            inner_original: 6,
+            exhaustive: Some((6, 0)),
+            pare_down: (6, 0),
+            note: None,
+        },
+    },
+    Row {
+        name: "Podium Timer 3",
+        build: podium_timer_3,
+        expected: Expected {
+            inner_original: 8,
+            exhaustive: Some((3, 3)),
+            pare_down: (3, 2),
+            note: None,
+        },
+    },
+    Row {
+        name: "Noise At Night Detector",
+        build: noise_at_night_detector,
+        expected: Expected {
+            inner_original: 10,
+            exhaustive: Some((6, 4)),
+            pare_down: (6, 4),
+            note: None,
+        },
+    },
+    Row {
+        name: "Two-Zone Security",
+        build: two_zone_security,
+        expected: Expected {
+            inner_original: 19,
+            exhaustive: None,
+            pare_down: (10, 3),
+            note: None,
+        },
+    },
+    Row {
+        name: "Motion on Property Alert",
+        build: motion_on_property_alert,
+        expected: Expected {
+            inner_original: 19,
+            exhaustive: None,
+            pare_down: (19, 0),
+            note: None,
+        },
+    },
+    Row {
+        name: "Timed Passage",
+        build: timed_passage,
+        expected: Expected {
+            inner_original: 23,
+            exhaustive: None,
+            pare_down: (14, 5),
+            note: None,
+        },
+    },
+];
+
+/// All 15 designs, in Table 1 order.
+pub fn all() -> Vec<LibraryDesign> {
+    TABLE_1.iter().map(Row::library_design).collect()
+}
+
+/// Looks up a library design by its Table 1 name, building only that one.
 pub fn by_name(name: &str) -> Option<LibraryDesign> {
-    all().into_iter().find(|d| d.name == name)
+    TABLE_1
+        .iter()
+        .find(|row| row.name == name)
+        .map(Row::library_design)
 }
 
 /// Car ignition on while it is dark → illuminate the cabin lamp.
@@ -619,7 +644,15 @@ mod tests {
         let designs = all();
         assert_eq!(designs.len(), 15);
         for entry in &designs {
-            assert_eq!(by_name(entry.name).unwrap().name, entry.name);
+            let found = by_name(entry.name).unwrap();
+            assert_eq!(found.name, entry.name);
+            assert_eq!(found.expected, entry.expected, "{}", entry.name);
+            assert_eq!(
+                eblocks_core::netlist::to_netlist(&found.design),
+                eblocks_core::netlist::to_netlist(&entry.design),
+                "{}",
+                entry.name
+            );
         }
         assert!(by_name("No Such Design").is_none());
     }

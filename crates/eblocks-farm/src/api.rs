@@ -8,8 +8,9 @@
 //! same types:
 //!
 //! * **Requests**: [`BatchRequest`] (a list of [`JobSpec`]s plus a default
-//!   strategy) and [`SynthRequest`] (one design through the full
-//!   pipeline). [`DesignSource`] names where a design comes from;
+//!   strategy) and [`SynthRequest`] (one design through the full pipeline,
+//!   run as one job of the farm's attempt loop by [`synthesize_with`]).
+//!   [`DesignSource`] names where a design comes from;
 //!   [`SynthOptions`] carries the optional pipeline knobs — every field is
 //!   optional, and omitted fields keep the engine defaults.
 //! * **Responses**: [`BatchResponse`] (wrapping a
@@ -46,8 +47,9 @@
 
 use crate::job::{Batch, Job, JobMode, JobSource};
 use crate::report::{BatchReport, JobReport, JobStatus, JsonOptions};
+use crate::scheduler::{run_attempts, FarmConfig, JobOutput};
 use eblocks_lint::{DenyLevel, LintConfig};
-use eblocks_partition::{Registry, DEFAULT_PARTITIONER};
+use eblocks_partition::DEFAULT_PARTITIONER;
 use eblocks_synth::{Stage, StageStat, StageTimings};
 use serde::{Deserialize, Serialize};
 
@@ -487,21 +489,24 @@ pub struct SynthResponse {
     pub stages_ms: Vec<StageMs>,
 }
 
-/// Runs `request` through the full pipeline with the built-in strategy
-/// registry.
+/// Runs `request` through the full pipeline under [`FarmConfig::default`]
+/// (built-in strategies, one attempt, no deadline).
 ///
 /// # Errors
 ///
 /// A human-readable message: unknown strategy, unreadable/invalid design,
 /// pipeline failure, or failed equivalence verification.
 pub fn synthesize(request: &SynthRequest) -> Result<SynthResponse, String> {
-    synthesize_with(request, &Registry::builtin())
+    synthesize_with(request, &FarmConfig::default())
 }
 
-/// [`synthesize`] against a caller-supplied strategy [`Registry`].
+/// [`synthesize`] under `config`, as job 0 of the farm's attempt loop: its
+/// registry, lint default, deadline, retry budget, injected faults and
+/// panic isolation apply as to a batch job, and a timeout or a panic is
+/// the request's error.
 pub fn synthesize_with(
     request: &SynthRequest,
-    registry: &Registry,
+    config: &FarmConfig,
 ) -> Result<SynthResponse, String> {
     if request.options.mode == Some(JobMode::Partition) {
         return Err(
@@ -509,24 +514,23 @@ pub fn synthesize_with(
                 .to_string(),
         );
     }
-    let job = request.to_job();
-    let partitioner_name = request
+    let partitioner = request
         .partitioner
         .as_deref()
         .unwrap_or(DEFAULT_PARTITIONER);
-    let partitioner = registry.from_str(partitioner_name)?;
-    let design = job.load_design()?;
-
-    // The pipeline a batch job of the same options runs.
-    let mut timings = StageTimings::new();
-    let result = crate::scheduler::job_pipeline(&design, &job, job.lint, &mut timings)
-        .run(partitioner.as_ref(), job.verify)
-        .map_err(|e| e.to_string())?;
+    let (outcome, _) = run_attempts(&request.to_job(), 0, partitioner, config);
+    let run = outcome.map_err(|status| match status {
+        JobStatus::Panicked(message) => format!("job panicked: {message}"),
+        other => other.error().unwrap_or_default().to_string(),
+    })?;
+    let JobOutput::Synth(result) = run.output else {
+        unreachable!("a synth request's job runs in synth mode");
+    };
 
     Ok(SynthResponse {
-        design: design.name().to_string(),
+        design: run.design.name().to_string(),
         synthesized: result.synthesized.name().to_string(),
-        partitioner: partitioner_name.to_string(),
+        partitioner: partitioner.to_string(),
         inner_before: result.inner_before(),
         inner_after: result.inner_after(),
         partitions: result.partitioning.num_partitions(),
@@ -537,13 +541,10 @@ pub fn synthesize_with(
         netlist: eblocks_core::netlist::to_netlist(&result.synthesized),
         c_sources: result
             .c_sources
-            .iter()
-            .map(|(block, code)| CSource {
-                block: block.clone(),
-                code: code.clone(),
-            })
+            .into_iter()
+            .map(|(block, code)| CSource { block, code })
             .collect(),
-        stages_ms: stage_ms_rows(&timings),
+        stages_ms: stage_ms_rows(&run.timings),
     })
 }
 
@@ -934,6 +935,55 @@ mod tests {
         request.options.verify = Some(false);
         let response = synthesize(&request).unwrap();
         assert_eq!(response.verified_samples, None);
+    }
+
+    #[test]
+    fn synth_requests_run_through_the_attempt_loop() {
+        use crate::{Fault, FaultInjector};
+        use eblocks_synth::StageAbort;
+        use std::sync::Arc;
+        use std::time::Duration;
+
+        /// Enacts its fault before the partition stage of attempt 0 of
+        /// job 0, the coordinates a synth request runs at.
+        struct FirstAttempt(Fault);
+
+        impl FaultInjector for FirstAttempt {
+            fn before_stage(&self, job: usize, attempt: u32, stage: Stage) -> Option<Fault> {
+                ((job, attempt, stage) == (0, 0, Stage::Partition)).then(|| self.0.clone())
+            }
+        }
+
+        let request = SynthRequest::new(DesignSource::Library("Ignition Illuminator".into()));
+        let abort = || {
+            Arc::new(FirstAttempt(Fault::Abort(StageAbort::fault(
+                "injected fault",
+            ))))
+        };
+
+        // A retry budget absorbs the aborted first attempt: the response
+        // is a fault-free run's, stage times aside.
+        let config = FarmConfig::default().retries(1).inject(abort());
+        let mut response = synthesize_with(&request, &config).unwrap();
+        let mut expected = synthesize(&request).unwrap();
+        response.stages_ms.clear();
+        expected.stages_ms.clear();
+        assert_eq!(response, expected);
+
+        // Without one, the abort is the request's error.
+        let err = synthesize_with(&request, &FarmConfig::default().inject(abort())).unwrap_err();
+        assert_eq!(err, "stage partition aborted: injected fault");
+
+        // A panic inside the job comes back as the error; it does not
+        // unwind out of the call.
+        let panic = Arc::new(FirstAttempt(Fault::Panic("injected panic".into())));
+        let err = synthesize_with(&request, &FarmConfig::default().inject(panic)).unwrap_err();
+        assert_eq!(err, "job panicked: injected panic");
+
+        // A zero deadline times the request out at its first stage.
+        let config = FarmConfig::default().timeout(Duration::ZERO);
+        let err = synthesize_with(&request, &config).unwrap_err();
+        assert_eq!(err, "job timed out before partition (limit 0ns)");
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl JobStatus {
         }
     }
 
-    fn error(&self) -> Option<&str> {
+    pub(crate) fn error(&self) -> Option<&str> {
         match self {
             Self::Ok => None,
             Self::Failed(e) | Self::Panicked(e) | Self::TimedOut(e) => Some(e),

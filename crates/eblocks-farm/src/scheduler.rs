@@ -15,8 +15,8 @@
 use crate::job::{Batch, Job, JobMode};
 use crate::report::{BatchReport, JobReport, JobStats, JobStatus};
 use eblocks_core::Design;
-use eblocks_lint::LintConfig;
-use eblocks_partition::{PartitionConstraints, Registry, DEFAULT_PARTITIONER};
+use eblocks_lint::{LintConfig, LintOutcome};
+use eblocks_partition::{PartitionConstraints, Partitioning, Registry, DEFAULT_PARTITIONER};
 use eblocks_synth::{Observer, Pipeline, Stage, StageAbort, StageReport, StageTimings, SynthError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -346,31 +346,45 @@ fn partitioner_name<'a>(job: &'a Job, batch: &'a Batch, config: &'a FarmConfig) 
         .unwrap_or(DEFAULT_PARTITIONER)
 }
 
-/// Runs one job on the calling worker thread, catching panics and
-/// retrying failed attempts up to the configured budget.
+/// Runs one job on the calling worker thread and folds the final
+/// attempt's outcome into the job's batch row.
 fn run_job(job: &Job, index: usize, batch: &Batch, config: &FarmConfig) -> JobReport {
     let started = Instant::now();
     let name = partitioner_name(job, batch, config);
+    let (outcome, retries) = run_attempts(job, index, name, config);
+    let (status, stats) = match outcome {
+        Ok(run) => (JobStatus::Ok, Some(run.into_stats())),
+        Err(status) => (status, None),
+    };
+    JobReport {
+        name: job.name.clone(),
+        partitioner: name.to_string(),
+        status,
+        elapsed: started.elapsed(),
+        retries,
+        stats,
+    }
+}
+
+/// The attempt loop, the only code that runs a job (a batch row or an
+/// [`api::synthesize_with`](crate::api::synthesize_with) request): each
+/// attempt runs in panic isolation under the deadline and the injector's
+/// faults for job `index`, up to the retry budget. Returns the last
+/// attempt's run or status (never `Ok`) and the retries it took.
+pub(crate) fn run_attempts(
+    job: &Job,
+    index: usize,
+    partitioner: &str,
+    config: &FarmConfig,
+) -> (Result<JobRun, JobStatus>, u32) {
     let mut attempt: u32 = 0;
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute(job, index, attempt, name, config)
-        }));
-        let (status, stats) = match outcome {
-            Ok(Ok(stats)) => (JobStatus::Ok, Some(stats)),
-            Ok(Err(ExecError::Failed(error))) => (JobStatus::Failed(error), None),
-            Ok(Err(ExecError::TimedOut(error))) => (JobStatus::TimedOut(error), None),
-            Err(payload) => (JobStatus::Panicked(panic_message(&payload)), None),
-        };
-        if status.is_ok() || attempt >= config.max_retries {
-            return JobReport {
-                name: job.name.clone(),
-                partitioner: name.to_string(),
-                status,
-                elapsed: started.elapsed(),
-                retries: attempt,
-                stats,
-            };
+            execute(job, index, attempt, partitioner, config)
+        }))
+        .unwrap_or_else(|payload| Err(JobStatus::Panicked(panic_message(&payload))));
+        if outcome.is_ok() || attempt >= config.max_retries {
+            return (outcome, attempt);
         }
         attempt += 1;
     }
@@ -388,41 +402,54 @@ pub fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The pipeline `job` runs on `design`: the job's pin budget, optimizer
-/// flag and `lint` stage, reporting to `observer`. Batch jobs of both
-/// modes and the request API ([`crate::api::synthesize_with`]) build
-/// theirs here.
-pub(crate) fn job_pipeline<'a>(
-    design: &'a Design,
-    job: &Job,
-    lint: Option<LintConfig>,
-    observer: &'a mut dyn Observer,
-) -> Pipeline<'a> {
-    let pipeline = Pipeline::new(design)
-        .constraints(PartitionConstraints::with_spec(job.spec))
-        .optimize(job.optimize)
-        .observe(observer);
-    match lint {
-        Some(config) => pipeline.lint(config),
-        None => pipeline,
+/// What one successful attempt of a job produced: the design it loaded,
+/// the pipeline's output and the stage timings.
+pub(crate) struct JobRun {
+    pub(crate) design: Design,
+    pub(crate) output: JobOutput,
+    pub(crate) timings: StageTimings,
+}
+
+/// What a job's pipeline produced, by [`JobMode`].
+pub(crate) enum JobOutput {
+    /// The strategy's partitioning and the lint totals.
+    Partition(Partitioning, Option<LintOutcome>),
+    Synth(Box<eblocks_synth::SynthesisResult>),
+}
+
+impl JobRun {
+    /// The measurements a batch row reports for this run.
+    fn into_stats(self) -> JobStats {
+        match self.output {
+            JobOutput::Partition(partitioning, lint) => JobStats {
+                inner_before: partitioning.covered() + partitioning.uncovered().len(),
+                inner_after: partitioning.inner_total(),
+                partitions: partitioning.num_partitions(),
+                complete: partitioning.is_complete(),
+                lint,
+                timings: self.timings,
+                ..JobStats::default()
+            },
+            JobOutput::Synth(result) => JobStats {
+                inner_before: result.inner_before(),
+                inner_after: result.inner_after(),
+                partitions: result.partitioning.num_partitions(),
+                complete: result.partitioning.is_complete(),
+                c_bytes: result.c_sources.iter().map(|(_, c)| c.len()).sum(),
+                verified: result.report.as_ref().is_some_and(|r| r.is_equivalent()),
+                lint: result.lint,
+                timings: self.timings,
+            },
+        }
     }
 }
 
-/// How one attempt of a job's fallible body ended short of success.
-enum ExecError {
-    /// The attempt returned an error.
-    Failed(String),
-    /// The attempt was cancelled at a stage boundary by the per-attempt
-    /// deadline (or an injected timeout abort).
-    TimedOut(String),
-}
-
-/// Maps a pipeline error to the attempt outcome it represents: a timeout
-/// abort times the attempt out, anything else fails it.
-fn exec_error(error: SynthError) -> ExecError {
+/// The status a pipeline error ends an attempt with: a timeout abort
+/// times the attempt out, anything else fails it.
+fn attempt_status(error: SynthError) -> JobStatus {
     match error {
-        SynthError::Aborted { abort, .. } if abort.timeout => ExecError::TimedOut(abort.message),
-        other => ExecError::Failed(other.to_string()),
+        SynthError::Aborted { abort, .. } if abort.timeout => JobStatus::TimedOut(abort.message),
+        other => JobStatus::Failed(other.to_string()),
     }
 }
 
@@ -503,47 +530,38 @@ fn execute(
     attempt: u32,
     partitioner_name: &str,
     config: &FarmConfig,
-) -> Result<JobStats, ExecError> {
+) -> Result<JobRun, JobStatus> {
     let partitioner = config
         .registry
         .from_str(partitioner_name)
-        .map_err(ExecError::Failed)?;
-    let design = job.load_design().map_err(ExecError::Failed)?;
+        .map_err(JobStatus::Failed)?;
+    let design = job.load_design().map_err(JobStatus::Failed)?;
     let mut guard = StageGuard::new(config, index, attempt);
-    let pipeline = job_pipeline(&design, job, job.lint.or(config.lint), &mut guard);
-    let stats = match job.mode {
+    let pipeline = Pipeline::new(&design)
+        .constraints(PartitionConstraints::with_spec(job.spec))
+        .optimize(job.optimize)
+        .observe(&mut guard);
+    let pipeline = match job.lint.or(config.lint) {
+        Some(lint) => pipeline.lint(lint),
+        None => pipeline,
+    };
+    let output = match job.mode {
         JobMode::Partition => {
             let (partitioning, lint) = pipeline
                 .partition_only(partitioner.as_ref())
-                .map_err(exec_error)?;
-            JobStats {
-                inner_before: partitioning.covered() + partitioning.uncovered().len(),
-                inner_after: partitioning.inner_total(),
-                partitions: partitioning.num_partitions(),
-                complete: partitioning.is_complete(),
-                lint,
-                ..JobStats::default()
-            }
+                .map_err(attempt_status)?;
+            JobOutput::Partition(partitioning, lint)
         }
-        JobMode::Synth => {
-            let result = pipeline
+        JobMode::Synth => JobOutput::Synth(Box::new(
+            pipeline
                 .run(partitioner.as_ref(), job.verify)
-                .map_err(exec_error)?;
-            JobStats {
-                inner_before: result.inner_before(),
-                inner_after: result.inner_after(),
-                partitions: result.partitioning.num_partitions(),
-                complete: result.partitioning.is_complete(),
-                c_bytes: result.c_sources.iter().map(|(_, c)| c.len()).sum(),
-                verified: result.report.as_ref().is_some_and(|r| r.is_equivalent()),
-                lint: result.lint,
-                ..JobStats::default()
-            }
-        }
+                .map_err(attempt_status)?,
+        )),
     };
-    Ok(JobStats {
+    Ok(JobRun {
+        design,
+        output,
         timings: guard.timings,
-        ..stats
     })
 }
 

@@ -16,7 +16,9 @@
 //! phase 3 walks that buffer: no runner is touched twice in an instant,
 //! and sends keep their (rank, capture, channel) order. The sends stay in
 //! phase 3 so that every crash phase 2 logs at an instant precedes the
-//! instant's sends in the trace.
+//! instant's sends in the trace. The network's own calendar is one heap
+//! keyed by (instant, packet seq), as a node runner's is, so phase 1 pops
+//! an instant's events in seq order whatever order they were scheduled in.
 
 use crate::error::NetError;
 use crate::fault::{NetFaultInjector, NoFaults, PacketFate};
@@ -31,7 +33,8 @@ use eblocks_sim::{
     estimate_energy, CapturedPacket, EnergyModel, NodeRunner, SensorRef, Simulator, Stimulus,
     TapId, Time, Trace,
 };
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Handle to a design registered with [`Fleet::add_design`]. Designs are
 /// shared: any number of nodes may instantiate the same one.
@@ -345,7 +348,7 @@ impl Fleet {
             faults,
             channels,
             site_names: &site_names,
-            calendar: BTreeMap::new(),
+            calendar: BinaryHeap::new(),
             links: BTreeMap::new(),
             log: record_trace
                 .then(|| TraceLog::new(&self.name, n, self.topology.label(), self.seed, until)),
@@ -378,37 +381,38 @@ impl Fleet {
 
             // Phase 1: network events, in global packet-seq order.
             // Deliveries inject before any node steps; hops only schedule
-            // strictly-future events, so draining the bucket is safe.
-            if let Some(mut bucket) = net.calendar.remove(&t) {
-                bucket.sort_unstable_by_key(|&(seq, _)| seq);
-                for (seq, ev) in bucket {
-                    net.events += 1;
-                    match ev {
-                        NetEvent::Hop { chan, hop, value } => net.hop(t, chan, hop, seq, value),
-                        NetEvent::Deliver { chan, value } => {
-                            let dst = net.channels[chan].dst;
-                            let down = crashed[dst].is_some() || faults.node_down(dst, t);
-                            if down {
-                                if crashed[dst].is_none() {
-                                    crashed[dst] = Some(t);
-                                    next[dst] = None;
-                                    if let Some(log) = &mut net.log {
-                                        log.crash(t, node_names[dst]);
-                                    }
-                                }
-                                net.dropped += 1;
+            // strictly-future events, so the instant's events pop first.
+            while let Some(&Reverse((at, seq, ev))) = net.calendar.peek() {
+                if at > t {
+                    break;
+                }
+                net.calendar.pop();
+                net.events += 1;
+                match ev {
+                    NetEvent::Hop { chan, hop, value } => net.hop(t, chan, hop, seq, value),
+                    NetEvent::Deliver { chan, value } => {
+                        let dst = net.channels[chan].dst;
+                        let down = crashed[dst].is_some() || faults.node_down(dst, t);
+                        if down {
+                            if crashed[dst].is_none() {
+                                crashed[dst] = Some(t);
+                                next[dst] = None;
                                 if let Some(log) = &mut net.log {
-                                    log.drop(t, chan, seq, node_names[dst], "crashed");
+                                    log.crash(t, node_names[dst]);
                                 }
-                            } else {
-                                let sensor = net.channels[chan].sensor;
-                                runners[dst].inject(t, sensor, value);
-                                next[dst] = Some(t);
-                                received_by_node[dst] += 1;
-                                net.delivered += 1;
-                                if let Some(log) = &mut net.log {
-                                    log.deliver(t, node_names[dst], chan, seq, value);
-                                }
+                            }
+                            net.dropped += 1;
+                            if let Some(log) = &mut net.log {
+                                log.drop(t, chan, seq, node_names[dst], "crashed");
+                            }
+                        } else {
+                            let sensor = net.channels[chan].sensor;
+                            runners[dst].inject(t, sensor, value);
+                            next[dst] = Some(t);
+                            received_by_node[dst] += 1;
+                            net.delivered += 1;
+                            if let Some(log) = &mut net.log {
+                                log.deliver(t, node_names[dst], chan, seq, value);
                             }
                         }
                     }
@@ -529,8 +533,8 @@ struct Resolved {
 }
 
 /// A future network event; the global packet seq rides alongside in the
-/// calendar bucket and totally orders same-instant events.
-#[derive(Debug, Clone, Copy)]
+/// calendar and totally orders same-instant events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum NetEvent {
     /// Packet enters hop `hop` of its channel's path.
     Hop {
@@ -549,7 +553,10 @@ struct NetEngine<'a> {
     faults: &'a dyn NetFaultInjector,
     channels: Vec<Resolved>,
     site_names: &'a [String],
-    calendar: BTreeMap<Time, Vec<(u64, NetEvent)>>,
+    /// Future events as `(instant, seq, event)`, earliest first. A packet
+    /// has at most one pending event, so `(instant, seq)` is unique and
+    /// the event never decides the order.
+    calendar: BinaryHeap<Reverse<(Time, u64, NetEvent)>>,
     links: BTreeMap<(usize, usize), LinkState>,
     log: Option<TraceLog>,
     sent: u64,
@@ -561,11 +568,11 @@ struct NetEngine<'a> {
 
 impl NetEngine<'_> {
     fn next_time(&self) -> Option<Time> {
-        self.calendar.keys().next().copied()
+        self.calendar.peek().map(|&Reverse((at, _, _))| at)
     }
 
     fn schedule(&mut self, at: Time, seq: u64, ev: NetEvent) {
-        self.calendar.entry(at).or_default().push((seq, ev));
+        self.calendar.push(Reverse((at, seq, ev)));
     }
 
     /// Packet `seq` of `chan` attempts hop `hop` at instant `t`.
@@ -905,5 +912,44 @@ mod tests {
             Fleet::new("empty", FleetTopology::chain(1)).run(10),
             Err(NetError::EmptyFleet)
         ));
+    }
+
+    #[test]
+    fn one_instant_runs_in_seq_order_whatever_the_scheduling_order() {
+        // n0 reaches n2 over two hops, n1 over one that the injector
+        // delays by two ticks: both power-on packets land at t=4, but
+        // n1's (seq 1) entered the calendar at t=0 and n0's (seq 0) only
+        // at its second hop, t=2. The instant still runs in seq order.
+        struct DelaySeq1;
+        impl NetFaultInjector for DelaySeq1 {
+            fn packet_fate(&self, _: usize, _: usize, _: Time, seq: u64) -> PacketFate {
+                if seq == 1 {
+                    PacketFate::Delay(2)
+                } else {
+                    PacketFate::Deliver
+                }
+            }
+        }
+        let mut fleet = Fleet::new("delay", FleetTopology::chain(3));
+        let d = fleet.add_design(relay_design());
+        let n0 = fleet.add_node("n0", d);
+        let n1 = fleet.add_node("n1", d);
+        let n2 = fleet.add_node("n2", d);
+        fleet.connect(n0, PortRef::new("rx", 0), n2, "rx").unwrap();
+        fleet.connect(n1, PortRef::new("rx", 0), n2, "rx").unwrap();
+        let trace = fleet.run_with(10, true, &DelaySeq1).unwrap().trace.unwrap();
+        let lines: Vec<&str> = trace.lines().filter(|l| l.starts_with("t=")).collect();
+        assert_eq!(
+            lines,
+            [
+                "t=0 send n0 ch0 seq=0 v=0",
+                "t=0 hop ch0 seq=0 p0->p1",
+                "t=0 send n1 ch1 seq=1 v=0",
+                "t=0 hop ch1 seq=1 p1->p2",
+                "t=2 hop ch0 seq=0 p1->p2",
+                "t=4 deliver n2 ch0 seq=0 v=0",
+                "t=4 deliver n2 ch1 seq=1 v=0",
+            ]
+        );
     }
 }

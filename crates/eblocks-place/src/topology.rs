@@ -8,7 +8,7 @@
 //! sites is routed along the shortest link path, and each hop costs wire
 //! and power — the quantity placement minimizes.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies a site within its [`Topology`].
@@ -272,18 +272,10 @@ impl Topology {
     pub fn distance_matrix(&self) -> DistanceMatrix {
         let n = self.sites.len();
         let mut matrix = vec![usize::MAX; n * n];
+        let mut search = Search::new(self);
         for start in 0..n {
-            matrix[start * n + start] = 0;
-            let mut queue = VecDeque::from([start]);
-            while let Some(cur) = queue.pop_front() {
-                let d = matrix[start * n + cur];
-                for &next in &self.adjacency[cur] {
-                    if matrix[start * n + next] == usize::MAX {
-                        matrix[start * n + next] = d + 1;
-                        queue.push_back(next);
-                    }
-                }
-            }
+            search.run(start, None);
+            search.distances_into(&mut matrix[start * n..(start + 1) * n]);
         }
         DistanceMatrix { n, matrix }
     }
@@ -306,26 +298,17 @@ impl Topology {
     pub fn path_matrix_for(&self, sources: impl IntoIterator<Item = SiteId>) -> PathMatrix {
         let n = self.sites.len();
         let mut rows: BTreeMap<usize, PathRow> = BTreeMap::new();
+        let mut search = Search::new(self);
         for source in sources {
             let start = source.0;
             if start >= n || rows.contains_key(&start) {
                 continue;
             }
-            let mut parent = vec![usize::MAX; n];
+            search.run(start, None);
             let mut dist = vec![usize::MAX; n];
-            parent[start] = start; // sentinel: own parent
-            dist[start] = 0;
-            let mut queue = VecDeque::from([start]);
-            while let Some(cur) = queue.pop_front() {
-                let d = dist[cur];
-                for &next in &self.adjacency[cur] {
-                    if parent[next] == usize::MAX {
-                        parent[next] = cur;
-                        dist[next] = d + 1;
-                        queue.push_back(next);
-                    }
-                }
-            }
+            search.distances_into(&mut dist);
+            // The search's parent table is already a row's encoding.
+            let parent = search.parent.clone();
             rows.insert(start, PathRow { parent, dist });
         }
         PathMatrix { n, rows }
@@ -402,6 +385,17 @@ impl<'t> Search<'t> {
             }
         }
         false
+    }
+
+    /// Writes the current search's hop distances into `dist`, indexed by
+    /// site; sites it did not reach keep their entries. A site is
+    /// discovered after its parent, so one pass in discovery order
+    /// suffices.
+    fn distances_into(&self, dist: &mut [usize]) {
+        for &site in &self.order {
+            let parent = self.parent[site];
+            dist[site] = if parent == site { 0 } else { dist[parent] + 1 };
+        }
     }
 
     /// The current search's path from its source to `to`, which it
@@ -576,13 +570,36 @@ mod tests {
         assert!(Topology::line(3).site_at(0, 0).is_none(), "not a grid");
     }
 
+    /// Five shapes: a grid, a line, a star, a full mesh, and two islands
+    /// linked out of site order (a triangle with a tail, 0-2-1-0 and 1-3,
+    /// and a pair, 5-4) beside a lone site 6.
+    fn shapes() -> [Topology; 5] {
+        let mut islands = Topology::new();
+        let s: Vec<SiteId> = (0..7)
+            .map(|i| islands.add_site(format!("s{i}"), 1))
+            .collect();
+        for (a, b) in [(0, 2), (2, 1), (1, 0), (1, 3), (5, 4)] {
+            islands.link(s[a], s[b]);
+        }
+        [
+            Topology::grid(7, 5),
+            Topology::line(9),
+            Topology::star(6, 0),
+            Topology::full_mesh(5),
+            islands,
+        ]
+    }
+
     #[test]
     fn matrix_matches_pointwise_distance() {
-        let t = Topology::grid(3, 3);
-        let m = t.distance_matrix();
-        for a in t.sites() {
-            for b in t.sites() {
-                assert_eq!(m.get(a, b), t.distance(a, b), "{a} -> {b}");
+        for t in [Topology::grid(3, 3)].into_iter().chain(shapes()) {
+            let m = t.distance_matrix();
+            let p = t.path_matrix();
+            for a in t.sites() {
+                for b in t.sites() {
+                    assert_eq!(m.get(a, b), t.distance(a, b), "{a} -> {b}");
+                    assert_eq!(p.distance(a, b), t.distance(a, b), "{a} -> {b}");
+                }
             }
         }
     }
@@ -624,23 +641,7 @@ mod tests {
 
     #[test]
     fn pair_paths_equal_the_path_matrix() {
-        // Two islands, linked out of site order: a triangle with a tail
-        // (0-2-1-0, 1-3) and a pair (5-4); site 6 is alone.
-        let mut islands = Topology::new();
-        let s: Vec<SiteId> = (0..7)
-            .map(|i| islands.add_site(format!("s{i}"), 1))
-            .collect();
-        for (a, b) in [(0, 2), (2, 1), (1, 0), (1, 3), (5, 4)] {
-            islands.link(s[a], s[b]);
-        }
-        let shapes = [
-            Topology::grid(7, 5),
-            Topology::line(9),
-            Topology::star(6, 0),
-            Topology::full_mesh(5),
-            islands,
-        ];
-        for t in shapes {
+        for t in shapes() {
             let matrix = t.path_matrix();
             let pairs: Vec<(SiteId, SiteId)> = t
                 .sites()

@@ -33,10 +33,13 @@ pub struct ServeConfig {
     /// byte-identical to the one-shot `batch`/`synth` paths.
     pub admission_lint: Option<LintConfig>,
     /// Per-job retry budget for every request the daemon runs
-    /// ([`FarmConfig::max_retries`](eblocks_farm::FarmConfig::max_retries)).
+    /// ([`FarmConfig::max_retries`](eblocks_farm::FarmConfig::max_retries)):
+    /// each job of a batch, and each `synth` request.
     pub max_retries: u32,
     /// Cooperative per-attempt deadline for every job
-    /// ([`FarmConfig::job_timeout`](eblocks_farm::FarmConfig::job_timeout)).
+    /// ([`FarmConfig::job_timeout`](eblocks_farm::FarmConfig::job_timeout)):
+    /// each job of a batch, and each `synth` request, whose timeout comes
+    /// back as an `error` reply.
     pub job_timeout: Option<Duration>,
     /// Worker threads of the *farm pool inside one batch request*;
     /// `None` uses all cores. Reports are deterministic either way.

@@ -41,7 +41,12 @@
 //!   deterministically in the farm, keeping responses identical to the
 //!   one-shot paths.)
 //! * **Deadlines** — [`ServeConfig::job_timeout`] reuses the farm's
-//!   cooperative per-attempt deadline for every job the daemon runs.
+//!   cooperative per-attempt deadline, and [`ServeConfig::max_retries`]
+//!   its retry budget, for every job the daemon runs: each job of a
+//!   batch, and each `synth` request, which runs as one job of the same
+//!   attempt loop ([`synthesize_with`](eblocks_farm::api::synthesize_with)).
+//!   A synth request that times out, fails or panics is answered with an
+//!   `error` reply.
 //! * **Stats** — a `"stats"` request answers immediately with queue
 //!   depth, accepted/rejected/completed counters, and per-stage
 //!   wall-clock aggregates over everything the daemon has run.

@@ -48,7 +48,9 @@ pub(crate) struct Work {
 /// How a payload run ended, before delivery.
 enum RunOutcome {
     Batch(BatchReport),
-    Synth(Result<SynthResponse, String>),
+    Synth(SynthResponse),
+    /// A synth request's error, or a panic that escaped the farm.
+    Error(String),
 }
 
 /// State shared by the spool pump, the socket threads, and the workers.
@@ -402,59 +404,39 @@ fn worker_loop(state: &Arc<ServerState>) {
     }
 }
 
-/// Runs one request and delivers its final reply. The run itself sits
-/// inside `catch_unwind` — the farm already isolates job panics, but the
-/// daemon additionally guarantees that *nothing* a request does can take
-/// a worker down silently: a panic becomes an error reply and the input
-/// is still accounted for.
+/// Runs one request and delivers its final reply.
 fn execute(state: &Arc<ServerState>, work: Work) {
     let Work { payload, sink } = work;
     match sink {
         Sink::Spool { name, claimed } => {
-            let outcome = catch_unwind(AssertUnwindSafe(|| run_payload(state, payload, None)));
-            match outcome {
-                Ok(RunOutcome::Batch(report)) => {
+            match run_payload(state, payload, None) {
+                RunOutcome::Batch(report) => {
                     spool::write_response(
                         state,
                         &name,
                         &format!("{}\n", report.to_json(&JsonOptions::default())),
                     );
                 }
-                Ok(RunOutcome::Synth(Ok(response))) => {
+                RunOutcome::Synth(response) => {
                     spool::write_response(
                         state,
                         &name,
                         &format!("{}\n", serde::json::to_string_pretty(&response)),
                     );
                 }
-                Ok(RunOutcome::Synth(Err(error))) => {
-                    spool::write_error_response(state, &name, &error);
-                }
-                Err(payload) => {
-                    spool::write_error_response(
-                        state,
-                        &name,
-                        &format!("internal panic: {}", panic_message(&payload)),
-                    );
-                }
+                RunOutcome::Error(error) => spool::write_error_response(state, &name, &error),
             }
             let _ = std::fs::remove_file(&claimed);
         }
         #[cfg(unix)]
         Sink::Socket { id, writer } => {
             use eblocks_farm::api::{BatchResponse, ReplyEnvelope, ServeReply};
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                run_payload(state, payload, Some((id.as_str(), &writer)))
-            }));
-            let reply = match outcome {
-                Ok(RunOutcome::Batch(report)) => {
+            let reply = match run_payload(state, payload, Some((id.as_str(), &writer))) {
+                RunOutcome::Batch(report) => {
                     ServeReply::Batch(BatchResponse::from_report(&report, &JsonOptions::default()))
                 }
-                Ok(RunOutcome::Synth(Ok(response))) => ServeReply::Synth(response),
-                Ok(RunOutcome::Synth(Err(error))) => ServeReply::Error(error),
-                Err(payload) => {
-                    ServeReply::Error(format!("internal panic: {}", panic_message(&payload)))
-                }
+                RunOutcome::Synth(response) => ServeReply::Synth(response),
+                RunOutcome::Error(error) => ServeReply::Error(error),
             };
             crate::socket::send(
                 &writer,
@@ -467,14 +449,19 @@ fn execute(state: &Arc<ServerState>, work: Work) {
     }
 }
 
-/// Runs the payload through the farm (batches, with streamed progress
-/// when a socket is attached) or the one-shot request API (synth).
+/// Runs the payload under the daemon's farm config: a batch through the
+/// farm (streaming progress to an attached socket), a synth request as
+/// one job of its attempt loop. The run sits inside `catch_unwind` — the
+/// farm already isolates job panics, but the daemon additionally
+/// guarantees that *nothing* a request does can take a worker down
+/// silently: a panic becomes an error reply and the input is still
+/// accounted for.
 fn run_payload(
     state: &Arc<ServerState>,
     payload: Payload,
     stream: Option<(&str, &Arc<Mutex<std::os::unix::net::UnixStream>>)>,
 ) -> RunOutcome {
-    match payload {
+    let run = || match payload {
         Payload::Batch(request) => {
             let batch = request.to_batch();
             let config = state.farm_config();
@@ -489,14 +476,17 @@ fn run_payload(
             state.absorb_report(&report);
             RunOutcome::Batch(report)
         }
-        Payload::Synth(request) => {
-            let result = api::synthesize(&request);
-            if let Ok(response) = &result {
-                state.absorb_synth(response);
+        Payload::Synth(request) => match api::synthesize_with(&request, &state.farm_config()) {
+            Ok(response) => {
+                state.absorb_synth(&response);
+                RunOutcome::Synth(response)
             }
-            RunOutcome::Synth(result)
-        }
-    }
+            Err(error) => RunOutcome::Error(error),
+        },
+    };
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
+        RunOutcome::Error(format!("internal panic: {}", panic_message(&panic)))
+    })
 }
 
 #[cfg(test)]

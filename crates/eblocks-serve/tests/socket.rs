@@ -3,13 +3,15 @@
 //! client storm.
 #![cfg(unix)]
 
-use eblocks_farm::api::{Admission, BatchRequest, BatchResponse, ReplyEnvelope, ServeReply};
+use eblocks_farm::api::{
+    Admission, BatchRequest, BatchResponse, JobOutcome, ReplyEnvelope, ServeReply,
+};
 use eblocks_farm::{run_batch, FarmConfig, JsonOptions};
 use eblocks_serve::{spawn, ServeConfig, MAX_REQUEST_LINE};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("eblocks-serve-sock-{tag}-{}", std::process::id()));
@@ -115,6 +117,68 @@ fn socket_protocol_streams_progress_and_matches_the_one_shot_report() {
         (summary.accepted, summary.rejected, summary.completed),
         (1, 0, 1)
     );
+}
+
+#[test]
+fn zero_deadline_times_out_synth_requests_on_both_doors() {
+    let spool = tempdir("deadline");
+    let socket = spool.join("daemon.sock");
+    let mut config = ServeConfig::new(&spool)
+        .socket(&socket)
+        .poll_interval(Duration::from_millis(2));
+    config.job_timeout = Some(Duration::ZERO);
+    let handle = spawn(config).unwrap();
+    let timed_out = "job timed out before partition (limit 0ns)";
+    let synth = r#"{"synth": {"source": {"library": "Carpool Alert"}}}"#;
+
+    // The socket door: accepted, then an error reply naming the deadline.
+    let mut stream = connect(&socket);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let line = format!("{{\"id\": \"synth-1\", \"request\": {synth}}}\n");
+    stream.write_all(line.as_bytes()).unwrap();
+    let admission = read_reply(&mut reader);
+    assert!(
+        matches!(&admission.reply, ServeReply::Admission(v) if v.status == Admission::Accepted),
+        "{admission:?}"
+    );
+    let reply = read_reply(&mut reader);
+    assert_eq!(reply.id.as_deref(), Some("synth-1"));
+    assert_eq!(reply.reply, ServeReply::Error(timed_out.to_string()));
+
+    // The spool door answers the same request with the same error.
+    let staging = spool.join(".staging-synth");
+    std::fs::write(&staging, synth).unwrap();
+    std::fs::rename(&staging, spool.join("inbox/synth.json")).unwrap();
+    let outbox = spool.join("outbox/synth.json");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let answer = loop {
+        if let Ok(text) = std::fs::read_to_string(&outbox) {
+            break text;
+        }
+        assert!(Instant::now() < deadline, "no answer in the outbox");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    assert_eq!(answer, format!("{{\"error\":\"{timed_out}\"}}\n"));
+
+    // A batch on the same daemon still reports timed-out rows.
+    let line = format!("{{\"id\": \"batch-1\", \"request\": {{\"batch\": {BATCH_REQUEST}}}}}\n");
+    stream.write_all(line.as_bytes()).unwrap();
+    let response = loop {
+        match read_reply(&mut reader).reply {
+            ServeReply::Batch(response) => break response,
+            ServeReply::Admission(_) | ServeReply::Progress(_) => {}
+            other => panic!("unexpected reply {other:?}"),
+        }
+    };
+    assert_eq!(response.batch.failed, 2);
+    for row in &response.results {
+        assert_eq!(row.status, JobOutcome::TimedOut, "{row:?}");
+        assert_eq!(row.error.as_deref(), Some(timed_out));
+    }
+
+    stream.write_all(b"\"shutdown\"\n").unwrap();
+    let summary = handle.join().unwrap();
+    assert_eq!((summary.accepted, summary.completed), (3, 3));
 }
 
 #[test]

@@ -56,9 +56,11 @@
 //!   land in `<spool>/rejected/` beside a structured error), and `--socket
 //!   PATH` adds line-delimited JSON on a Unix-domain socket.
 //!   `--serve-workers` sizes the request pool, `--jobs` the farm pool of
-//!   each batch, and `--queue-capacity` the admission queue. The daemon
-//!   drains on SIGTERM/SIGINT (a second signal hardens the drain) or a
-//!   `"shutdown"` request, then prints its final counters.
+//!   each batch, and `--queue-capacity` the admission queue;
+//!   `--retries`/`--job-timeout-ms` apply to every job it runs, each
+//!   `synth` request included. The daemon drains on SIGTERM/SIGINT (a
+//!   second signal hardens the drain) or a `"shutdown"` request, then
+//!   prints its final counters.
 //! * `sim` runs a stimulus script (`<time> <sensor> <0|1>` lines, `#`
 //!   comments) and prints an ASCII waveform; `--vcd` also writes a VCD dump.
 //! * `fleet` co-simulates a fleet spec (`eblocks::net`; JSON or `key = value`
