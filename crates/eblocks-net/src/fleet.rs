@@ -16,9 +16,24 @@
 //! phase 3 walks that buffer: no runner is touched twice in an instant,
 //! and sends keep their (rank, capture, channel) order. The sends stay in
 //! phase 3 so that every crash phase 2 logs at an instant precedes the
-//! instant's sends in the trace. The network's own calendar is one heap
-//! keyed by (instant, packet seq), as a node runner's is, so phase 1 pops
-//! an instant's events in seq order whatever order they were scheduled in.
+//! instant's sends in the trace.
+//!
+//! Node runners park settled ticks (see [`eblocks_sim::cosim`]), so a
+//! node whose time-driven blocks have all settled reports only its next
+//! input and is not stepped on the instants between. The loop still visits
+//! every grid instant of a live node's tick period
+//! ([`NodeRunner::tick_period`]) up to the horizon, and phase 2 counts such
+//! a node once per grid instant whether it stepped or stayed parked. So
+//! [`FleetReport::events`] counts what it would if every grid instant
+//! ticked, and every live node is polled for a crash on the same instants.
+//!
+//! The network's calendar keeps one bucket of `(seq, event)` per instant;
+//! phase 1 sorts the instant's bucket by packet seq when it opens, so an
+//! instant's events run in seq order whatever order they were scheduled
+//! in. When a channel is routed, each hop of its path is resolved to a
+//! half-link id, so a hop indexes its link's FIFO state in a flat table
+//! instead of looking up a site pair; the report lists the links packets
+//! entered or were lost on, by site pair.
 
 use crate::error::NetError;
 use crate::fault::{NetFaultInjector, NoFaults, PacketFate};
@@ -33,8 +48,7 @@ use eblocks_sim::{
     estimate_energy, CapturedPacket, EnergyModel, NodeRunner, SensorRef, Simulator, Stimulus,
     TapId, Time, Trace,
 };
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, HashMap};
 
 /// Handle to a design registered with [`Fleet::add_design`]. Designs are
 /// shared: any number of nodes may instantiate the same one.
@@ -297,13 +311,17 @@ impl Fleet {
 
         // Resolve channels: tap egress ports, pre-resolve ingress
         // sensors, and route each channel once over the substrate (a
-        // search per channel that stops at its destination).
+        // search per channel that stops at its destination), naming each
+        // hop by its half-link's id.
         let paths = substrate.paths(
             self.channels
                 .iter()
                 .map(|ch| (sites[ch.src], sites[ch.dst])),
         );
         let mut channels = Vec::with_capacity(self.channels.len());
+        let mut link_ids: HashMap<(usize, usize), u32> = HashMap::new();
+        let mut link_ends: Vec<(usize, usize)> = Vec::new();
+        let mut hop_links: Vec<u32> = Vec::new();
         for (ch, path) in self.channels.iter().zip(paths) {
             let label = self.render_channel(ch);
             let bad = |message: String| NetError::Channel {
@@ -323,13 +341,25 @@ impl Fleet {
                     site_names[sites[ch.dst].index()]
                 ))
             })?;
+            let first_hop = hop_links.len();
+            for pair in path.windows(2) {
+                let ends = (pair[0].index(), pair[1].index());
+                let id = *link_ids.entry(ends).or_insert_with(|| {
+                    link_ends.push(ends);
+                    u32::try_from(link_ends.len() - 1).expect("fewer than 2^32 half-links")
+                });
+                hop_links.push(id);
+            }
             channels.push(Resolved {
                 tap,
                 sensor,
                 dst: ch.dst,
-                path,
+                site: path[0].index(),
+                first_hop,
+                hops: hop_links.len() - first_hop,
             });
         }
+        drop(link_ids);
         // Per node: tap id → channel indices, in channel order.
         let mut by_tap: Vec<Vec<Vec<usize>>> = vec![Vec::new(); n];
         for (ci, (resolved, ch)) in channels.iter().zip(&self.channels).enumerate() {
@@ -348,8 +378,10 @@ impl Fleet {
             faults,
             channels,
             site_names: &site_names,
-            calendar: BinaryHeap::new(),
-            links: BTreeMap::new(),
+            calendar: BTreeMap::new(),
+            links: vec![LinkState::default(); link_ends.len()],
+            link_ends,
+            hop_links,
             log: record_trace
                 .then(|| TraceLog::new(&self.name, n, self.topology.label(), self.seed, until)),
             sent: 0,
@@ -363,17 +395,40 @@ impl Fleet {
         let mut received_by_node = vec![0u64; n];
         let mut captured: Vec<CapturedPacket> = Vec::new();
         // Each live node's next event time by rank, `None` once crashed,
-        // and the instant's captures with their sender's rank, in step
-        // order (see the module docs).
+        // its tick grid, and the instant's captures with their sender's
+        // rank, in step order (see the module docs).
         let mut next: Vec<Option<Time>> = runners.iter().map(NodeRunner::next_event_time).collect();
+        let mut grids: Vec<Grid> = Vec::new();
+        let grid_of: Vec<Option<usize>> = runners
+            .iter()
+            .map(|runner| {
+                let period = runner.tick_period()?;
+                let at = grids
+                    .iter()
+                    .position(|g| g.period == period)
+                    .unwrap_or_else(|| {
+                        grids.push(Grid {
+                            period,
+                            next: Some(period),
+                            live: 0,
+                        });
+                        grids.len() - 1
+                    });
+                grids[at].live += 1;
+                Some(at)
+            })
+            .collect();
         let mut egress: Vec<(usize, CapturedPacket)> = Vec::new();
 
         loop {
-            let t = match (next.iter().flatten().min(), net.next_time()) {
-                (Some(&a), Some(b)) => a.min(b),
-                (Some(&a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
+            let nodes = next.iter().flatten().min().copied();
+            let grid = grids
+                .iter()
+                .filter(|g| g.live > 0)
+                .filter_map(|g| g.next)
+                .min();
+            let Some(t) = [nodes, grid, net.next_time()].into_iter().flatten().min() else {
+                break;
             };
             if t > until {
                 break;
@@ -381,12 +436,10 @@ impl Fleet {
 
             // Phase 1: network events, in global packet-seq order.
             // Deliveries inject before any node steps; hops only schedule
-            // strictly-future events, so the instant's events pop first.
-            while let Some(&Reverse((at, seq, ev))) = net.calendar.peek() {
-                if at > t {
-                    break;
-                }
-                net.calendar.pop();
+            // strictly-future events, so draining the bucket is safe.
+            let mut bucket = net.calendar.remove(&t).unwrap_or_default();
+            bucket.sort_unstable_by_key(|&(seq, _)| seq);
+            for (seq, ev) in bucket {
                 net.events += 1;
                 match ev {
                     NetEvent::Hop { chan, hop, value } => net.hop(t, chan, hop, seq, value),
@@ -397,6 +450,9 @@ impl Fleet {
                             if crashed[dst].is_none() {
                                 crashed[dst] = Some(t);
                                 next[dst] = None;
+                                if let Some(g) = grid_of[dst] {
+                                    grids[g].live -= 1;
+                                }
                                 if let Some(log) = &mut net.log {
                                     log.crash(t, node_names[dst]);
                                 }
@@ -421,7 +477,9 @@ impl Fleet {
 
             // Phase 2: step nodes with work at this instant, in rank order.
             // Every live node is polled for a crash, whether or not it has
-            // work, so crash instants do not depend on node activity.
+            // work, so crash instants do not depend on node activity. A
+            // node on its tick grid counts an event whether it steps or
+            // its ticks stay parked.
             for i in 0..n {
                 if crashed[i].is_some() {
                     continue;
@@ -429,6 +487,9 @@ impl Fleet {
                 if faults.node_down(i, t) {
                     crashed[i] = Some(t);
                     next[i] = None;
+                    if let Some(g) = grid_of[i] {
+                        grids[g].live -= 1;
+                    }
                     if let Some(log) = &mut net.log {
                         log.crash(t, node_names[i]);
                     }
@@ -445,6 +506,8 @@ impl Fleet {
                     next[i] = runners[i].next_event_time();
                     runners[i].drain_captured(&mut captured);
                     egress.extend(captured.drain(..).map(|p| (i, p)));
+                } else if grid_of[i].is_some_and(|g| grids[g].next == Some(t)) {
+                    net.events += 1;
                 }
             }
 
@@ -464,6 +527,12 @@ impl Fleet {
                         log.send(t, node_names[i], chan, seq, p.value);
                     }
                     net.hop(t, chan, 0, seq, p.value);
+                }
+            }
+
+            for g in &mut grids {
+                if g.next == Some(t) {
+                    g.next = sim_time::after(t, g.period);
                 }
             }
         }
@@ -487,16 +556,24 @@ impl Fleet {
             });
             node_traces.push(trace);
         }
-        let link_stats = net
-            .links
-            .iter()
-            .map(|(&(a, b), s)| LinkStats {
-                link: format!("{}->{}", site_names[a], site_names[b]),
-                packets: s.packets,
-                dropped: s.dropped,
-                busy_ticks: s.busy_ticks,
-                wait_ticks: s.wait_ticks,
-                max_wait: s.max_wait,
+        // The half-links a packet entered or was lost on, by site pair.
+        let mut touched: Vec<usize> = (0..net.links.len())
+            .filter(|&l| net.links[l].packets + net.links[l].dropped > 0)
+            .collect();
+        touched.sort_unstable_by_key(|&l| net.link_ends[l]);
+        let link_stats = touched
+            .into_iter()
+            .map(|l| {
+                let (a, b) = net.link_ends[l];
+                let s = &net.links[l];
+                LinkStats {
+                    link: format!("{}->{}", site_names[a], site_names[b]),
+                    packets: s.packets,
+                    dropped: s.dropped,
+                    busy_ticks: s.busy_ticks,
+                    wait_ticks: s.wait_ticks,
+                    max_wait: s.max_wait,
+                }
             })
             .collect();
         let report = FleetReport {
@@ -528,12 +605,27 @@ struct Resolved {
     tap: TapId,
     sensor: SensorRef,
     dst: usize,
-    /// The routed site path, inclusive of both endpoints.
-    path: Vec<eblocks_place::SiteId>,
+    /// The source site.
+    site: usize,
+    /// Hop `h` crosses half-link `hop_links[first_hop + h]`.
+    first_hop: usize,
+    /// Half-links on the routed path; 0 when both ends share a site.
+    hops: usize,
+}
+
+/// The nodes sharing one tick period, and their next grid instant.
+#[derive(Debug)]
+struct Grid {
+    period: Time,
+    /// The first multiple of `period` the loop has not yet passed; `None`
+    /// past the end of time.
+    next: Option<Time>,
+    /// Live nodes on this grid.
+    live: usize,
 }
 
 /// A future network event; the global packet seq rides alongside in the
-/// calendar and totally orders same-instant events.
+/// calendar bucket and totally orders same-instant events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum NetEvent {
     /// Packet enters hop `hop` of its channel's path.
@@ -553,11 +645,15 @@ struct NetEngine<'a> {
     faults: &'a dyn NetFaultInjector,
     channels: Vec<Resolved>,
     site_names: &'a [String],
-    /// Future events as `(instant, seq, event)`, earliest first. A packet
-    /// has at most one pending event, so `(instant, seq)` is unique and
-    /// the event never decides the order.
-    calendar: BinaryHeap<Reverse<(Time, u64, NetEvent)>>,
-    links: BTreeMap<(usize, usize), LinkState>,
+    /// Future events by instant, each bucket in scheduling order; phase 1
+    /// sorts a bucket by seq when its instant opens.
+    calendar: BTreeMap<Time, Vec<(u64, NetEvent)>>,
+    /// Half-link state by link id.
+    links: Vec<LinkState>,
+    /// Each link id's `(from, to)` sites.
+    link_ends: Vec<(usize, usize)>,
+    /// Every channel's link ids in path order (see [`Resolved`]).
+    hop_links: Vec<u32>,
     log: Option<TraceLog>,
     sent: u64,
     delivered: u64,
@@ -568,17 +664,17 @@ struct NetEngine<'a> {
 
 impl NetEngine<'_> {
     fn next_time(&self) -> Option<Time> {
-        self.calendar.peek().map(|&Reverse((at, _, _))| at)
+        self.calendar.keys().next().copied()
     }
 
     fn schedule(&mut self, at: Time, seq: u64, ev: NetEvent) {
-        self.calendar.push(Reverse((at, seq, ev)));
+        self.calendar.entry(at).or_default().push((seq, ev));
     }
 
     /// Packet `seq` of `chan` attempts hop `hop` at instant `t`.
     fn hop(&mut self, t: Time, chan: usize, hop: usize, seq: u64, value: bool) {
-        let path = &self.channels[chan].path;
-        if path.len() == 1 {
+        let channel = &self.channels[chan];
+        if channel.hops == 0 {
             // Source and destination share a site; travel still costs one
             // tick so a delivery never lands in the instant that sent it.
             match sim_time::after(t, 1) {
@@ -586,24 +682,20 @@ impl NetEngine<'_> {
                 None => {
                     self.dropped += 1;
                     if let Some(log) = &mut self.log {
-                        log.drop(
-                            t,
-                            chan,
-                            seq,
-                            &self.site_names[path[0].index()],
-                            "end-of-time",
-                        );
+                        log.drop(t, chan, seq, &self.site_names[channel.site], "end-of-time");
                     }
                 }
             }
             return;
         }
-        let (a, b) = (path[hop].index(), path[hop + 1].index());
+        let last = hop + 1 == channel.hops;
+        let link = self.hop_links[channel.first_hop + hop] as usize;
+        let (a, b) = self.link_ends[link];
         // Injected faults decide first: a downed link refuses the packet
         // at its ingress …
         let extra = match self.faults.packet_fate(a, b, t, seq) {
             PacketFate::Drop => {
-                self.drop_on_link(t, chan, seq, a, b, "fault");
+                self.drop_on_link(t, chan, seq, link, "fault");
                 return;
             }
             PacketFate::Delay(d) => d,
@@ -615,11 +707,11 @@ impl NetEngine<'_> {
             && mix(&[self.seed, SALT_LOSS, a as u64, b as u64, seq]) % 1000
                 < u64::from(self.spec.loss_pm)
         {
-            self.drop_on_link(t, chan, seq, a, b, "loss");
+            self.drop_on_link(t, chan, seq, link, "loss");
             return;
         }
         let ser = self.spec.serialization_delay();
-        let state = self.links.entry((a, b)).or_default();
+        let state = &mut self.links[link];
         let start = t.max(state.busy_until);
         let wait = start - t;
         state.busy_until = sim_time::clamp_after(start, ser);
@@ -638,7 +730,7 @@ impl NetEngine<'_> {
             .map(|x| x.max(sim_time::clamp_after(t, 1)));
         match arrival {
             Some(at) if at > t => {
-                let next = if hop + 2 == path.len() {
+                let next = if last {
                     NetEvent::Deliver { chan, value }
                 } else {
                     NetEvent::Hop {
@@ -651,14 +743,15 @@ impl NetEngine<'_> {
             }
             // Unrepresentable arrival: the packet falls off the end of
             // time (it could never be processed anyway).
-            _ => self.drop_on_link(t, chan, seq, a, b, "end-of-time"),
+            _ => self.drop_on_link(t, chan, seq, link, "end-of-time"),
         }
     }
 
-    fn drop_on_link(&mut self, t: Time, chan: usize, seq: u64, a: usize, b: usize, cause: &str) {
-        self.links.entry((a, b)).or_default().dropped += 1;
+    fn drop_on_link(&mut self, t: Time, chan: usize, seq: u64, link: usize, cause: &str) {
+        self.links[link].dropped += 1;
         self.dropped += 1;
         if let Some(log) = &mut self.log {
+            let (a, b) = self.link_ends[link];
             let at = format!("{}->{}", self.site_names[a], self.site_names[b]);
             log.drop(t, chan, seq, &at, cause);
         }
@@ -884,6 +977,62 @@ mod tests {
         assert!(trace.contains("cause=crashed"));
         // Node 1 froze at its crash: only the power-on packet made it.
         assert_eq!(outcome.node_traces[1].history("lamp"), &[(0, false)]);
+    }
+
+    /// s (button) -> pg (a 3-tick pulse generator, which ticks) -> led.
+    fn pulse_design() -> Design {
+        let mut d = Design::new("pulse");
+        let s = d.add_block("s", SensorKind::Button);
+        let pg = d.add_block("pg", eblocks_core::ComputeKind::PulseGen { ticks: 3 });
+        let led = d.add_block("led", OutputKind::Led);
+        d.connect((s, 0), (pg, 0)).unwrap();
+        d.connect((pg, 0), (led, 0)).unwrap();
+        d
+    }
+
+    #[test]
+    fn settled_ticks_still_count_and_crash_on_their_grid_instants() {
+        // n0 is pressed at 10 and relays its pulse to n1. From about 16 on
+        // both pulse generators stay settled and the network is quiet, so
+        // neither node has work but its tick grid. Each still counts one
+        // event per grid instant, and a crash due at a quiet grid instant
+        // lands on it.
+        struct CrashAt(usize, Time);
+        impl NetFaultInjector for CrashAt {
+            fn node_down(&self, node: usize, t: Time) -> bool {
+                node == self.0 && t >= self.1
+            }
+        }
+        let mut fleet = Fleet::new("settled", FleetTopology::chain(2));
+        let d = fleet.add_design(pulse_design());
+        let a = fleet.add_node("n0", d);
+        let b = fleet.add_node("n1", d);
+        fleet.set_stimulus(a, Stimulus::new().set(10, "s", true));
+        fleet.connect(a, PortRef::new("pg", 0), b, "s").unwrap();
+
+        let healthy = fleet.run_traced(60).unwrap();
+        let last_traffic = healthy
+            .trace
+            .as_deref()
+            .unwrap()
+            .lines()
+            .filter_map(|line| {
+                line.strip_prefix("t=")?
+                    .split(' ')
+                    .next()?
+                    .parse::<Time>()
+                    .ok()
+            });
+        assert_eq!(last_traffic.max(), Some(15));
+        // Three deliveries, and each node on every instant of 0..=60 (the
+        // power-on step at 0, then the grid).
+        assert_eq!(healthy.report.events, 3 + 2 * 61);
+
+        let crashed = fleet.run_with(60, true, &CrashAt(1, 37)).unwrap();
+        assert_eq!(crashed.report.node_stats[1].crashed_at, Some(37));
+        // n1 counts 0..=36 only.
+        assert_eq!(crashed.report.events, 3 + 61 + 37);
+        assert!(crashed.trace.unwrap().contains("t=37 crash n1"));
     }
 
     #[test]

@@ -20,8 +20,11 @@ pub struct FleetReport {
     pub seed: u64,
     /// The run horizon, inclusive.
     pub until: u64,
-    /// Engine events processed: node instants stepped plus network
-    /// calendar events.
+    /// Engine events: network calendar events plus node instants. A node
+    /// with time-driven blocks counts every grid instant of its tick
+    /// period until it crashes, whether its ticks ran or stayed parked,
+    /// plus every other instant it stepped; any other node counts the
+    /// instants it stepped.
     pub events: u64,
     /// Packets sent into the network (per egress channel).
     pub packets_sent: u64,

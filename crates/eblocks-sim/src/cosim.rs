@@ -33,18 +33,19 @@
 //! one design therefore keeps one copy of the design's tables, and runners
 //! sharing a simulator never see each other's state.
 //!
-//! # Every grid instant ticks
+//! # Parked ticks
 //!
-//! A stepped runner ticks each time-driven block on every multiple of the
-//! tick period, also after its machine has settled: it never parks a tick
-//! the way a whole [`Simulator::run`] does (see the simulator's execution
-//! model). The traces are the same either way. What differs is the work a
-//! driver sees: [`next_event_time`](NodeRunner::next_event_time) reports
-//! each settled tick, and the fleet engine counts every node step as an
-//! event, a figure its golden report and the benchmark's fleet reference
-//! pin. A settled tick stays cheap here: the machine hands back its last
-//! outputs without re-running the handler, and change detection sends
-//! nothing.
+//! A stepped runner parks a settled tick exactly as a whole
+//! [`Simulator::run`] does (see the simulator's module docs on parked
+//! ticks): [`step_at`](NodeRunner::step_at) and `run` settle an instant
+//! through the same code, so the traces agree. A parked block's grid
+//! instants are not pending work: [`next_event_time`](NodeRunner::next_event_time)
+//! reports the earliest scripted or injected sensor change, packet in
+//! flight, or unparked tick, and a node whose ticks are all parked reports
+//! only its next input. A caller that counts grid instants (the fleet
+//! engine counts one event per node per grid instant, a figure its golden
+//! reports and the benchmark's fleet reference pin) reads the grid from
+//! [`tick_period`](NodeRunner::tick_period) instead.
 //!
 //! # Example: two nodes bridged by hand
 //!
@@ -230,9 +231,18 @@ impl<'a> NodeRunner<'a> {
         ))
     }
 
-    /// The earliest instant at which this node has pending work, if any.
+    /// The earliest instant at which this node has pending work, if any:
+    /// a sensor change, a packet in flight, or a tick that is not parked
+    /// (see the module docs on parked ticks).
     pub fn next_event_time(&self) -> Option<Time> {
         self.runner.next_event_time()
+    }
+
+    /// The simulator's tick period if the design has time-driven blocks,
+    /// `None` otherwise. Those blocks tick on its multiples from one
+    /// period on, except while parked.
+    pub fn tick_period(&self) -> Option<Time> {
+        self.runner.tick_period()
     }
 
     /// Delivers a network packet: `sensor` changes to `value` at `t`.
@@ -244,8 +254,9 @@ impl<'a> NodeRunner<'a> {
         self.runner.inject_sense(t, sensor.0, value);
     }
 
-    /// Settles exactly the instant `t`. `horizon` bounds periodic tick
-    /// rescheduling, like `until` in [`Simulator::run`].
+    /// Settles exactly the instant `t`, parking settled ticks. `horizon`
+    /// bounds periodic tick rescheduling, like `until` in
+    /// [`Simulator::run`].
     ///
     /// # Errors
     ///

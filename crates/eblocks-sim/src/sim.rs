@@ -81,20 +81,22 @@
 //! per output slot (the last value sent and the tap, if any), the latched
 //! inputs, and one [`Machine`] per programmed block whose state, locals and
 //! outputs share one buffer. A Night Lamp Controller [`crate::NodeRunner`]
-//! with one tap, stepped through a 200-tick run while its captures return
-//! as injections, holds 2,152 B of heap in 15 allocations plus 376 B
-//! inline.
+//! with one tap, stepped to t = 200 through five light pulses while its
+//! captures return as injections, holds 1,912 B of heap in 15 allocations
+//! plus 376 B inline; an empty one-output [`Trace`] is 52 B in two.
 //!
 //! # Parked ticks
 //!
-//! A whole run ([`Simulator::run`], [`Simulator::run_with_faults`], and the
-//! reliability and energy harnesses built on them) skips ticks whose result
-//! is already known. When a tick leaves its block's machine settled
-//! ([`Machine::tick_settled`]: the state did not change), the block is
-//! *parked*: no next tick is scheduled. When an input next reaches it at
-//! instant `t`, its next tick is scheduled at the first multiple of
-//! `tick_period` after `t` (if that is representable and within the run).
-//! Neither step changes a trace:
+//! Every run — a whole one ([`Simulator::run`],
+//! [`Simulator::run_with_faults`], and the reliability and energy harnesses
+//! built on them) or a stepped one ([`crate::NodeRunner::step_at`], a
+//! fleet's nodes) — settles an instant through the same code, which skips
+//! ticks whose result is already known. When a tick leaves its block's
+//! machine settled ([`Machine::tick_settled`]: the state did not change),
+//! the block is *parked*: no next tick is scheduled. When an input next
+//! reaches it at instant `t`, its next tick is scheduled at the first
+//! multiple of `tick_period` after `t` (if that is representable and within
+//! the run or the step's horizon). Neither step changes a trace:
 //!
 //! * a settled tick reads no inputs and repeats the outputs the block
 //!   already sent, so change detection would transmit nothing;
@@ -103,8 +105,9 @@
 //! * a parked tick takes no `seq`, so later seqs shift down but keep their
 //!   order, and no trace or captured packet carries a seq.
 //!
-//! The stepped co-simulation path ([`crate::NodeRunner`]) never parks; see
-//! [`crate::cosim`] for why.
+//! A parked block's grid instants are not pending work, so a runner's next
+//! event time skips them; [`crate::cosim`] says how a stepping loop that
+//! counts grid instants still sees them.
 //!
 //! # Behavior programs
 //!
@@ -506,8 +509,8 @@ struct BlockState {
     tick_now: bool,
     /// An input arrived in the instant being settled.
     eval_now: bool,
-    /// Its last tick settled and no next tick is scheduled (whole runs
-    /// only; see the module docs on parked ticks).
+    /// Its last tick settled and no next tick is scheduled (see the
+    /// module docs on parked ticks).
     parked: bool,
     /// A sensor's current value.
     sensor_value: bool,
@@ -591,7 +594,13 @@ impl<'a> Runner<'a> {
             pending: BinaryHeap::new(),
             out_now: Vec::new(),
             seq: 0,
-            trace: Trace::default(),
+            trace: Trace::with_outputs(layout.outputs.iter().map(|&id| {
+                sim.design
+                    .block(id)
+                    .expect("output block")
+                    .name()
+                    .to_string()
+            })),
             next_tap: 0,
             captured: Vec::new(),
             injected: VecDeque::new(),
@@ -601,8 +610,8 @@ impl<'a> Runner<'a> {
     }
 
     /// Rewinds to power-on state with `plan`'s faults applied, keeping
-    /// every allocation (tables, machine arenas, queue buffers), the taps
-    /// and the loaded stimulus.
+    /// every allocation (tables, machine arenas, queue buffers, the trace's
+    /// output names), the taps and the loaded stimulus.
     pub(crate) fn reset(&mut self, plan: &FaultPlan) {
         let sim = self.sim;
         let layout = &sim.layout;
@@ -623,13 +632,7 @@ impl<'a> Runner<'a> {
         self.pending.clear();
         self.out_now.clear();
         self.seq = 0;
-        self.trace = Trace::with_outputs(layout.outputs.iter().map(|&id| {
-            sim.design
-                .block(id)
-                .expect("output block")
-                .name()
-                .to_string()
-        }));
+        self.trace.clear();
         self.captured.clear();
         self.injected.clear();
         // The first tick of each time-driven block, in id order
@@ -682,14 +685,15 @@ impl<'a> Runner<'a> {
             if t > until {
                 break;
             }
-            self.process_instant::<true>(t, until)?;
+            self.process_instant(t, until)?;
         }
         self.finalize_counts();
         Ok(())
     }
 
     /// The earliest instant with pending work — a scripted sense event, a
-    /// calendar event, or a network-injected sense event.
+    /// calendar event (a packet in flight or an unparked tick), or a
+    /// network-injected sense event.
     pub(crate) fn next_event_time(&self) -> Option<Time> {
         let sense = self.sense_schedule.get(self.sense_cursor).map(|e| e.t);
         let calendar = self.calendar.peek().map(|&Reverse((t, _, _))| t);
@@ -755,11 +759,16 @@ impl<'a> Runner<'a> {
         self.injected.push_back((t, dense, value));
     }
 
-    /// Settles exactly the instant `t` (a co-simulation step). `horizon`
-    /// bounds tick rescheduling the same way `run`'s `until` does. Steps
-    /// never park a tick.
+    /// Settles exactly the instant `t` (a co-simulation step), parking
+    /// settled ticks as [`run`](Runner::run) does. `horizon` bounds tick
+    /// rescheduling the same way `run`'s `until` does.
     pub(crate) fn step_at(&mut self, t: Time, horizon: Time) -> Result<(), SimError> {
-        self.process_instant::<false>(t, horizon)
+        self.process_instant(t, horizon)
+    }
+
+    /// The tick period, if the design has time-driven blocks.
+    pub(crate) fn tick_period(&self) -> Option<Time> {
+        (!self.sim.layout.tick_blocks.is_empty()).then_some(self.sim.tick_period)
     }
 
     /// Moves tap captures accumulated since the last drain into `out`, in
@@ -770,9 +779,8 @@ impl<'a> Runner<'a> {
 
     /// Settles one instant: open its calendar events, apply its sensor
     /// changes, sweep pending ranks in topological order, then record what
-    /// the output blocks received. `PARK` parks settled ticks (whole runs
-    /// only).
-    fn process_instant<const PARK: bool>(&mut self, t: Time, until: Time) -> Result<(), SimError> {
+    /// the output blocks received.
+    fn process_instant(&mut self, t: Time, until: Time) -> Result<(), SimError> {
         // Open the instant. Its events pop in send (`seq`) order, so a
         // packet sent earlier on the same wire latches first — every
         // packet generated *during* this instant necessarily carries a
@@ -816,7 +824,7 @@ impl<'a> Runner<'a> {
         // Stage 1. The machines leave `self` for the sweep, so a handler's
         // output view can be emitted while it still borrows its machine.
         let mut machines = std::mem::take(&mut self.machines);
-        let swept = self.sweep::<PARK>(&mut machines, t, until);
+        let swept = self.sweep(&mut machines, t, until);
         self.machines = machines;
         self.record_outputs(t);
         swept
@@ -825,9 +833,9 @@ impl<'a> Runner<'a> {
     /// Stage 1 of an instant: sweep pending ranks in ascending order.
     /// Zero-latency transmissions only ever mark strictly higher ranks
     /// (wires point downstream in the DAG), so each block settles at most
-    /// once. With `PARK`, a settled tick parks its block and an input
-    /// resumes it (see the module docs on parked ticks).
-    fn sweep<const PARK: bool>(
+    /// once. A settled tick parks its block and an input resumes it (see
+    /// the module docs on parked ticks).
+    fn sweep(
         &mut self,
         machines: &mut [Option<Machine<'a>>],
         t: Time,
@@ -847,7 +855,7 @@ impl<'a> Runner<'a> {
                     .on_tick()
                     .map_err(|error| self.eval_error(block, error))?;
                 self.emit(block, outs, t)?;
-                if PARK && machine.tick_settled() {
+                if machine.tick_settled() {
                     self.blocks[block].parked = true;
                 } else {
                     // A period that would overflow Time never fires again
@@ -861,7 +869,7 @@ impl<'a> Runner<'a> {
                     .on_input(&self.inputs[m.in_offset..m.in_offset + m.in_len])
                     .map_err(|error| self.eval_error(block, error))?;
                 self.emit(block, outs, t)?;
-                if PARK && self.blocks[block].parked {
+                if self.blocks[block].parked {
                     // Resume on the grid: the first multiple of the period
                     // after `t`, the tick an unparked block would run next.
                     self.blocks[block].parked = false;

@@ -1,7 +1,10 @@
-//! The fleet determinism contract, end to end: the golden fleet trace is
+//! The fleet determinism contract, end to end: the golden fleet traces are
 //! pinned byte for byte, runs are byte-identical at every fleet size, and
 //! a seeded chaos storm replays from its seed alone and matches its
-//! golden report.
+//! golden report. The parked golden fleet (`fleet-parked-request.txt`)
+//! leaves its nodes' ticks parked for long stretches, so its report's
+//! event count and its storm's crash instants pin how the engine counts
+//! and polls grid instants a node does not step.
 //!
 //! To regenerate the committed goldens after an intentional engine or
 //! format change:
@@ -13,6 +16,13 @@
 //! cargo run --release --bin eblocks-cli -- \
 //!     fleet tests/golden/fleet-request.txt --chaos-seed 3 --json \
 //!     > tests/golden/fleet-storm-report.json
+//! cargo run --release --bin eblocks-cli -- \
+//!     fleet tests/golden/fleet-parked-request.txt --json \
+//!     --trace tests/golden/fleet-parked-trace.txt \
+//!     > tests/golden/fleet-parked-report.json
+//! cargo run --release --bin eblocks-cli -- \
+//!     fleet tests/golden/fleet-parked-request.txt --chaos-seed 17 --json \
+//!     > tests/golden/fleet-parked-storm-report.json
 //! ```
 
 use eblocks::chaos::{NetChaosInjector, NetChaosPlan};
@@ -26,8 +36,8 @@ fn golden(name: &str) -> std::path::PathBuf {
         .join(name)
 }
 
-/// One CLI fleet run over the golden spec: (stdout, trace file bytes).
-fn fleet_run(tag: &str) -> (Vec<u8>, Vec<u8>) {
+/// One CLI fleet run over a golden spec: (stdout, trace file bytes).
+fn fleet_run(request: &str, tag: &str) -> (Vec<u8>, Vec<u8>) {
     let trace_path = std::env::temp_dir().join(format!(
         "eblocks-fleet-golden-{tag}-{}.txt",
         std::process::id()
@@ -35,7 +45,7 @@ fn fleet_run(tag: &str) -> (Vec<u8>, Vec<u8>) {
     let output = Command::new(env!("CARGO_BIN_EXE_eblocks-cli"))
         .args([
             "fleet",
-            golden("fleet-request.txt").to_str().unwrap(),
+            golden(request).to_str().unwrap(),
             "--json",
             "--trace",
             trace_path.to_str().unwrap(),
@@ -58,7 +68,7 @@ fn fleet_trace_matches_the_committed_golden() {
     let expected_trace = std::fs::read(golden("fleet-trace.txt")).expect("committed golden trace");
     let expected_report =
         std::fs::read(golden("fleet-report.json")).expect("committed golden report");
-    let (report_a, trace_a) = fleet_run("a");
+    let (report_a, trace_a) = fleet_run("fleet-request.txt", "a");
     assert!(
         trace_a == expected_trace,
         "trace drifted from tests/golden/fleet-trace.txt \
@@ -72,7 +82,7 @@ fn fleet_trace_matches_the_committed_golden() {
     );
 
     // Two consecutive runs: byte-identical report and trace.
-    let (report_b, trace_b) = fleet_run("b");
+    let (report_b, trace_b) = fleet_run("fleet-request.txt", "b");
     assert_eq!(trace_a, trace_b, "trace drifted between runs");
     assert_eq!(report_a, report_b, "report drifted between runs");
 }
@@ -122,6 +132,54 @@ fn chaos_storm_replays_from_the_seed_alone() {
     let healthy = fleet.run_traced(until).unwrap();
     assert_ne!(a.trace, healthy.trace, "the storm must leave a mark");
     assert_ne!(a.trace, storm(4).trace, "another seed, another storm");
+}
+
+#[test]
+fn parked_fleet_matches_its_goldens() {
+    // Between pulses every node's delay block settles and its ticks park,
+    // so most grid instants have no traffic and no node steps. The report
+    // still counts each node on every grid instant, and the storm's
+    // crashes, due at two such instants, land on them.
+    let read = |name: &str| std::fs::read(golden(name)).expect("committed golden");
+    let (report, trace) = fleet_run("fleet-parked-request.txt", "parked");
+    assert!(
+        trace == read("fleet-parked-trace.txt"),
+        "trace drifted from tests/golden/fleet-parked-trace.txt\ngot:\n{}",
+        String::from_utf8_lossy(&trace),
+    );
+    assert!(
+        report == read("fleet-parked-report.json"),
+        "report drifted from tests/golden/fleet-parked-report.json\ngot:\n{}",
+        String::from_utf8_lossy(&report),
+    );
+
+    let text = std::fs::read_to_string(golden("fleet-parked-request.txt")).unwrap();
+    let spec = FleetRequest::parse(&text).unwrap();
+    let fleet = spec.build(&golden("")).unwrap();
+    let until = spec.until();
+    let faults = NetChaosInjector::new(17, NetChaosPlan::storm(until));
+    let storm = fleet.run_with(until, true, &faults).unwrap();
+    assert_eq!(
+        format!("{}\n", storm.report.to_json_pretty()).into_bytes(),
+        read("fleet-parked-storm-report.json"),
+        "storm report drifted from tests/golden/fleet-parked-storm-report.json"
+    );
+    let crashed: Vec<_> = storm
+        .report
+        .node_stats
+        .iter()
+        .filter_map(|node| Some((node.name.as_str(), node.crashed_at?)))
+        .collect();
+    assert_eq!(crashed, [("n1", 281), ("n2", 105)]);
+    let storm_trace = storm.trace.expect("trace recorded");
+    for at in [105, 281] {
+        let prefix = format!("t={at} ");
+        let lines: Vec<&str> = storm_trace
+            .lines()
+            .filter(|line| line.starts_with(&prefix))
+            .collect();
+        assert_eq!(lines.len(), 1, "only the crash happens at {at}: {lines:?}");
+    }
 }
 
 #[test]

@@ -1,11 +1,17 @@
-//! Parked ticks against a runner that never parks.
+//! Parked ticks against an oracle recorded from a runner that never parked.
 //!
-//! A whole simulation run stops ticking a block whose machine has settled
-//! and resumes it on the tick grid when an input next reaches it; a stepped
-//! [`NodeRunner`] ticks on every grid instant. Both must produce the same
-//! trace — every output history and every transmission count — on
-//! generated designs and their synthesized networks, across tick periods,
-//! comm latencies and packet faults.
+//! Whole runs and stepped [`NodeRunner`] runs stop ticking a block whose
+//! machine has settled and resume it on the tick grid when an input next
+//! reaches it. Parking must not change a trace — any output history or
+//! transmission count — on generated designs and their synthesized
+//! networks, across tick periods, comm latencies and packet faults.
+//!
+//! `tests/golden/parked-ticks.txt` holds, for every pinned case and each of
+//! its 36 configurations, a digest of the trace a stepped runner that ticked
+//! on every grid instant produced. Both runs must reproduce it. The trace
+//! is rendered through its public queries ([`Trace::outputs`],
+//! [`Trace::history`], [`Trace::transmissions_by_block`]), so the digests
+//! do not depend on how a trace stores or prints itself.
 
 use eblocks::behavior::{library, Program};
 use eblocks::core::{BlockId, BlockKind, Design};
@@ -15,8 +21,10 @@ use eblocks::sim::{Fault, FaultPlan, NodeRunner, Simulator, Stimulus, Time, Trac
 use eblocks::synth::{exercise_all_sensors, Pipeline, SynthError};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::fmt::Write;
+use std::sync::LazyLock;
 
-/// Steps `sim` instant by instant to `until` without ever parking a tick.
+/// Steps `sim` instant by instant to `until`.
 fn stepped(sim: &Simulator, stim: &Stimulus, until: Time, plan: &FaultPlan) -> Trace {
     let mut node = NodeRunner::with_faults(sim, plan).expect("runner builds");
     node.load_stimulus(stim).expect("stimulus resolves");
@@ -28,6 +36,49 @@ fn stepped(sim: &Simulator, stim: &Stimulus, until: Time, plan: &FaultPlan) -> T
     }
     node.finish()
 }
+
+/// Each output's history, then each block's transmission count.
+fn render(trace: &Trace) -> String {
+    let mut text = String::new();
+    for output in trace.outputs() {
+        text.push_str(output);
+        for &(t, value) in trace.history(output) {
+            write!(text, " {t}:{}", u8::from(value)).expect("writes to a string");
+        }
+        text.push('\n');
+    }
+    for (block, count) in trace.transmissions_by_block() {
+        writeln!(text, "{block} sent {count}").expect("writes to a string");
+    }
+    text
+}
+
+/// FNV-1a over the rendered trace.
+fn digest(trace: &Trace) -> u64 {
+    render(trace)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The recorded digests, by the case's inputs as the golden writes them.
+static ORACLE: LazyLock<HashMap<String, Vec<u64>>> = LazyLock::new(|| {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/parked-ticks.txt");
+    let text = std::fs::read_to_string(path).expect("committed golden");
+    text.lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| {
+            let fields: Vec<&str> = line.split(' ').collect();
+            let (key, digests) = fields.split_at(6);
+            let digests = digests
+                .iter()
+                .map(|d| u64::from_str_radix(d, 16).expect("hex digest"))
+                .collect();
+            (key.join(" "), digests)
+        })
+        .collect()
+});
 
 /// Names of the blocks that run an `on tick` handler, in id order.
 fn tick_driven(design: &Design, programs: &HashMap<BlockId, Program>) -> Vec<String> {
@@ -109,6 +160,10 @@ proptest! {
         let stim = exercise_all_sensors(&design, 24);
         let until = stim.end_time().unwrap_or(0) + 96;
         let window = (start, start + span);
+        let key = format!("{inner} {seed} {pick} {start} {span} {extra}");
+        let recorded = ORACLE.get(&key);
+        prop_assert!(recorded.is_some(), "no recorded digests for case `{}`", key);
+        let mut recorded = recorded.expect("checked above").iter();
         for (network, programs) in networks {
             let base = Simulator::with_programs(network, programs).expect("network simulates");
             for plan in fault_plans(network, programs, pick, window, extra) {
@@ -117,17 +172,19 @@ proptest! {
                         let mut sim = base.clone();
                         sim.tick_period = tick_period;
                         sim.comm_latency = comm_latency;
-                        let parked = sim.run_with_faults(&stim, until, &plan).expect("run");
-                        let never_parked = stepped(&sim, &stim, until, &plan);
-                        prop_assert_eq!(
-                            &parked,
-                            &never_parked,
+                        let whole = sim.run_with_faults(&stim, until, &plan).expect("run");
+                        let steps = stepped(&sim, &stim, until, &plan);
+                        let expected = *recorded.next().expect("36 digests per case");
+                        let config = format!(
                             "{} period {} latency {} plan {:?}",
                             network.name(),
                             tick_period,
                             comm_latency,
                             plan
                         );
+                        prop_assert_eq!(digest(&whole), expected, "whole run, {}", &config);
+                        prop_assert_eq!(digest(&steps), expected, "stepped run, {}", &config);
+                        prop_assert_eq!(&whole, &steps, "{}", &config);
                     }
                 }
             }
