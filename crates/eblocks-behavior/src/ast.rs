@@ -1,11 +1,25 @@
 //! Abstract syntax tree — the paper's "syntax tree" representation of a
 //! block's behavior, plus the transformations code generation needs:
 //! systematic variable renaming and variable-use analysis.
+//!
+//! # The operator table
+//!
+//! [`UnOp`] and [`BinOp`] are the one definition of the language's
+//! operators: how each is spelled and binds, the [`Ty`]pes it takes and
+//! yields, and what it computes from operand values already evaluated
+//! ([`UnOp::apply`], [`BinOp::apply`]). Arithmetic is checked: overflow and
+//! division by zero are faults. `==` and `!=` compare two values of one
+//! type, and the orderings compare integers only. Every consumer reads
+//! this table: the interpreter, the optimizer's folding and typing, lint's
+//! abstract interpreter and the C emitter. Only the short-circuit of `&&`
+//! and `||`, which decides whether the right operand is evaluated at all,
+//! lives in each evaluator.
 
+use crate::value::{EvalError, Ty, Value};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Unary operators.
+/// Unary operators (see [the operator table](self#the-operator-table)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Logical negation `!`.
@@ -14,8 +28,46 @@ pub enum UnOp {
     Neg,
 }
 
+impl UnOp {
+    /// Source-syntax spelling (also valid C).
+    pub fn symbol(self) -> &'static str {
+        match self {
+            Self::Not => "!",
+            Self::Neg => "-",
+        }
+    }
+
+    /// The type the operand must have, which is also the result's.
+    pub fn ty(self) -> Ty {
+        match self {
+            Self::Not => Ty::Bool,
+            Self::Neg => Ty::Int,
+        }
+    }
+
+    /// Applies the operator to an evaluated operand.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::TypeMismatch`] when the operand is not of type
+    /// [`ty`](Self::ty), and [`EvalError::Overflow`] for `-i64::MIN`.
+    // Inlined: the interpreter calls it for every unary operator node.
+    #[inline]
+    pub fn apply(self, v: Value) -> Result<Value, EvalError> {
+        match self {
+            Self::Not => Ok(Value::Bool(!v.as_bool()?)),
+            Self::Neg => v
+                .as_int()?
+                .checked_neg()
+                .map(Value::Int)
+                .ok_or(EvalError::Overflow),
+        }
+    }
+}
+
 /// Binary operators, in increasing precedence groups:
-/// `||` < `&&` < `== !=` < `< <= > >=` < `+ -` < `* / %`.
+/// `||` < `&&` < `== !=` < `< <= > >=` < `+ -` < `* / %` (see [the
+/// operator table](self#the-operator-table)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Logical or.
@@ -77,6 +129,78 @@ impl BinOp {
             Self::Rem => "%",
         }
     }
+
+    /// The type both operands must have; `None` for `==` and `!=`, which
+    /// take either type as long as both operands share it.
+    pub fn operand(self) -> Option<Ty> {
+        match self {
+            Self::Or | Self::And => Some(Ty::Bool),
+            Self::Eq | Self::Ne => None,
+            _ => Some(Ty::Int),
+        }
+    }
+
+    /// The type of the result.
+    pub fn result(self) -> Ty {
+        match self {
+            Self::Add | Self::Sub | Self::Mul | Self::Div | Self::Rem => Ty::Int,
+            _ => Ty::Bool,
+        }
+    }
+
+    /// The result's type for operands of types `l` and `r`, or `None` when
+    /// the operator faults on them.
+    pub fn result_type(self, l: Ty, r: Ty) -> Option<Ty> {
+        (l == r && self.operand().is_none_or(|t| t == l)).then_some(self.result())
+    }
+
+    /// Applies the operator to evaluated operands. `&&` and `||` take both
+    /// operands here; an evaluator short-circuits them before calling this.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::TypeMismatch`] for operands that
+    /// [`result_type`](Self::result_type) rejects,
+    /// [`EvalError::DivisionByZero`] for `/` or `%` by zero, and
+    /// [`EvalError::Overflow`] for a result outside `i64`.
+    // Inlined: the interpreter calls it for every strict operator node.
+    #[inline]
+    pub fn apply(self, l: Value, r: Value) -> Result<Value, EvalError> {
+        let int = |v: Option<i64>| v.map(Value::Int).ok_or(EvalError::Overflow);
+        match self {
+            Self::Or => Ok(Value::Bool(l.as_bool()? | r.as_bool()?)),
+            Self::And => Ok(Value::Bool(l.as_bool()? & r.as_bool()?)),
+            Self::Eq | Self::Ne => {
+                if l.ty() != r.ty() {
+                    return Err(EvalError::TypeMismatch {
+                        expected: l.type_name(),
+                        found: r.type_name(),
+                    });
+                }
+                let equal = l == r;
+                Ok(Value::Bool(if self == Self::Eq { equal } else { !equal }))
+            }
+            Self::Lt => Ok(Value::Bool(l.as_int()? < r.as_int()?)),
+            Self::Le => Ok(Value::Bool(l.as_int()? <= r.as_int()?)),
+            Self::Gt => Ok(Value::Bool(l.as_int()? > r.as_int()?)),
+            Self::Ge => Ok(Value::Bool(l.as_int()? >= r.as_int()?)),
+            Self::Add => int(l.as_int()?.checked_add(r.as_int()?)),
+            Self::Sub => int(l.as_int()?.checked_sub(r.as_int()?)),
+            Self::Mul => int(l.as_int()?.checked_mul(r.as_int()?)),
+            Self::Div | Self::Rem => {
+                let d = r.as_int()?;
+                if d == 0 {
+                    return Err(EvalError::DivisionByZero);
+                }
+                let n = l.as_int()?;
+                int(if self == Self::Div {
+                    n.checked_div(d)
+                } else {
+                    n.checked_rem(d)
+                })
+            }
+        }
+    }
 }
 
 /// Expressions.
@@ -108,6 +232,15 @@ impl Expr {
     /// Convenience constructor for a unary operation.
     pub fn unary(op: UnOp, operand: Expr) -> Self {
         Self::Unary(op, Box::new(operand))
+    }
+
+    /// The value of a literal; `None` for any other expression.
+    pub fn literal(&self) -> Option<Value> {
+        match self {
+            Self::Bool(b) => Some(Value::Bool(*b)),
+            Self::Int(v) => Some(Value::Int(*v)),
+            _ => None,
+        }
     }
 
     /// Collects every variable name read by this expression.
@@ -148,10 +281,7 @@ impl Expr {
             Self::Int(v) => write!(f, "{v}"),
             Self::Var(name) => f.write_str(name),
             Self::Unary(op, e) => {
-                f.write_str(match op {
-                    UnOp::Not => "!",
-                    UnOp::Neg => "-",
-                })?;
+                f.write_str(op.symbol())?;
                 // Unary binds tighter than any binary operator.
                 e.fmt_prec(f, 7)
             }
@@ -178,6 +308,16 @@ impl Expr {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.fmt_prec(f, 0)
+    }
+}
+
+impl From<Value> for Expr {
+    /// The literal for `v`.
+    fn from(v: Value) -> Self {
+        match v {
+            Value::Bool(b) => Self::Bool(b),
+            Value::Int(i) => Self::Int(i),
+        }
     }
 }
 
@@ -274,6 +414,29 @@ pub struct Handler {
     pub kind: HandlerKind,
     /// Body statements.
     pub body: Vec<Stmt>,
+}
+
+impl Handler {
+    /// Every name a `let` in the body binds, nested branches included.
+    pub fn locals(&self) -> BTreeSet<&str> {
+        fn walk<'a>(body: &'a [Stmt], into: &mut BTreeSet<&'a str>) {
+            for stmt in body {
+                match stmt {
+                    Stmt::Let(name, _) => {
+                        into.insert(name);
+                    }
+                    Stmt::Assign(..) => {}
+                    Stmt::If(_, then_body, else_body) => {
+                        walk(then_body, into);
+                        walk(else_body, into);
+                    }
+                }
+            }
+        }
+        let mut locals = BTreeSet::new();
+        walk(&self.body, &mut locals);
+        locals
+    }
 }
 
 /// A persistent variable declaration: `state name = literal;`.
@@ -484,6 +647,63 @@ mod tests {
         assert_eq!(e.to_string(), "!(a && b)");
         let e = Expr::unary(UnOp::Neg, Expr::Int(5));
         assert_eq!(e.to_string(), "-5");
+    }
+
+    #[test]
+    fn operator_types_predict_apply() {
+        let values = [
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Int(7),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+        ];
+        for op in [UnOp::Not, UnOp::Neg] {
+            for v in values {
+                let ty = (v.ty() == op.ty()).then_some(op.ty());
+                match op.apply(v) {
+                    Ok(out) => assert_eq!(ty, Some(out.ty()), "{}{v}", op.symbol()),
+                    Err(EvalError::TypeMismatch { .. }) => assert_eq!(ty, None),
+                    Err(e) => assert_eq!(
+                        (op, v, e),
+                        (UnOp::Neg, Value::Int(i64::MIN), EvalError::Overflow)
+                    ),
+                }
+            }
+        }
+        use BinOp::*;
+        for op in [Or, And, Eq, Ne, Lt, Le, Gt, Ge, Add, Sub, Mul, Div, Rem] {
+            for l in values {
+                for r in values {
+                    let ty = op.result_type(l.ty(), r.ty());
+                    match op.apply(l, r) {
+                        Ok(out) => assert_eq!(ty, Some(out.ty()), "{l} {} {r}", op.symbol()),
+                        Err(EvalError::TypeMismatch { .. }) => assert_eq!(ty, None),
+                        // Only arithmetic faults on values its types admit.
+                        // `/` and `%` look at the divisor first, so
+                        // `true / 0` is a division by zero.
+                        Err(_) => assert_eq!(op.result(), Ty::Int, "{l} {} {r}", op.symbol()),
+                    }
+                }
+            }
+        }
+        // `&&` and `||` check both operands: short-circuiting is the
+        // evaluator's business.
+        assert!(And.apply(Value::Bool(false), Value::Int(1)).is_err());
+        assert_eq!(
+            Ne.apply(Value::Int(2), Value::Int(3)),
+            Ok(Value::Bool(true))
+        );
+        assert_eq!(
+            Div.apply(Value::Int(i64::MIN), Value::Int(-1)),
+            Err(EvalError::Overflow)
+        );
+        assert_eq!(
+            Rem.apply(Value::Bool(true), Value::Int(0)),
+            Err(EvalError::DivisionByZero)
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! call ends the fixpoint (see `eblocks-sim`'s execution model). A stepped
 //! co-simulation keeps ticking and lands on the fast path above instead.
 
-use crate::ast::{input_port, output_port, BinOp, Expr, HandlerKind, Program, Stmt, UnOp};
+use crate::ast::{input_port, output_port, BinOp, Expr, Handler, HandlerKind, Program, Stmt, UnOp};
 use crate::value::{EvalError, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -103,8 +103,9 @@ impl Compiled {
         let mut c = Compiler::default();
         // Bind locals first, so every read and write of a name some `let`
         // binds knows to look for the local.
-        for handler in &program.handlers {
-            c.bind_lets(&handler.body);
+        for name in program.handlers.iter().flat_map(Handler::locals) {
+            let next = c.locals.len() as u32;
+            c.locals.entry(name.to_string()).or_insert(next);
         }
         let inits = program
             .states
@@ -148,22 +149,6 @@ impl Compiler {
         self.names.push(name.to_string());
         self.slots.insert(name.to_string(), slot);
         slot
-    }
-
-    fn bind_lets(&mut self, body: &[Stmt]) {
-        for stmt in body {
-            match stmt {
-                Stmt::Let(name, _) => {
-                    let next = self.locals.len() as u32;
-                    self.locals.entry(name.clone()).or_insert(next);
-                }
-                Stmt::Assign(..) => {}
-                Stmt::If(_, then_body, else_body) => {
-                    self.bind_lets(then_body);
-                    self.bind_lets(else_body);
-                }
-            }
-        }
     }
 
     /// A plain name: its state slot, shadowed by a local if a `let` binds it.
@@ -516,96 +501,20 @@ impl Frame<'_> {
         match node {
             Node::Const(v) => Ok(*v),
             Node::Var(var) => self.read(*var),
-            Node::Unary(op, inner) => {
-                let v = self.eval(inner)?;
-                match op {
-                    UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
-                    UnOp::Neg => v
-                        .as_int()?
-                        .checked_neg()
-                        .map(Value::Int)
-                        .ok_or(EvalError::Overflow),
-                }
-            }
-            Node::Binary(op, lhs, rhs) => {
-                // && and || short-circuit, like the Java-like source language.
-                match op {
-                    BinOp::And => {
-                        return Ok(Value::Bool(
-                            self.eval(lhs)?.as_bool()? && self.eval(rhs)?.as_bool()?,
-                        ))
-                    }
-                    BinOp::Or => {
-                        return Ok(Value::Bool(
-                            self.eval(lhs)?.as_bool()? || self.eval(rhs)?.as_bool()?,
-                        ))
-                    }
-                    _ => {}
-                }
-                let l = self.eval(lhs)?;
-                let r = self.eval(rhs)?;
-                binary(*op, l, r)
-            }
+            Node::Unary(op, inner) => op.apply(self.eval(inner)?),
+            // && and || short-circuit, like the Java-like source language:
+            // the right operand runs only when the left one does not
+            // decide the result, which is then `BinOp::apply` of the two.
+            // Written out, not called: the call measured slower on the
+            // library's sum-of-products programs.
+            Node::Binary(BinOp::And, lhs, rhs) => Ok(Value::Bool(
+                self.eval(lhs)?.as_bool()? && self.eval(rhs)?.as_bool()?,
+            )),
+            Node::Binary(BinOp::Or, lhs, rhs) => Ok(Value::Bool(
+                self.eval(lhs)?.as_bool()? || self.eval(rhs)?.as_bool()?,
+            )),
+            Node::Binary(op, lhs, rhs) => op.apply(self.eval(lhs)?, self.eval(rhs)?),
         }
-    }
-}
-
-/// Applies a strict (non-short-circuiting) binary operator.
-fn binary(op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
-    match op {
-        BinOp::Eq | BinOp::Ne => {
-            let equal = match (l, r) {
-                (Value::Bool(a), Value::Bool(b)) => a == b,
-                (Value::Int(a), Value::Int(b)) => a == b,
-                _ => {
-                    return Err(EvalError::TypeMismatch {
-                        expected: l.type_name(),
-                        found: r.type_name(),
-                    })
-                }
-            };
-            Ok(Value::Bool(if op == BinOp::Eq { equal } else { !equal }))
-        }
-        BinOp::Lt => Ok(Value::Bool(l.as_int()? < r.as_int()?)),
-        BinOp::Le => Ok(Value::Bool(l.as_int()? <= r.as_int()?)),
-        BinOp::Gt => Ok(Value::Bool(l.as_int()? > r.as_int()?)),
-        BinOp::Ge => Ok(Value::Bool(l.as_int()? >= r.as_int()?)),
-        BinOp::Add => l
-            .as_int()?
-            .checked_add(r.as_int()?)
-            .map(Value::Int)
-            .ok_or(EvalError::Overflow),
-        BinOp::Sub => l
-            .as_int()?
-            .checked_sub(r.as_int()?)
-            .map(Value::Int)
-            .ok_or(EvalError::Overflow),
-        BinOp::Mul => l
-            .as_int()?
-            .checked_mul(r.as_int()?)
-            .map(Value::Int)
-            .ok_or(EvalError::Overflow),
-        BinOp::Div => {
-            let d = r.as_int()?;
-            if d == 0 {
-                return Err(EvalError::DivisionByZero);
-            }
-            l.as_int()?
-                .checked_div(d)
-                .map(Value::Int)
-                .ok_or(EvalError::Overflow)
-        }
-        BinOp::Rem => {
-            let d = r.as_int()?;
-            if d == 0 {
-                return Err(EvalError::DivisionByZero);
-            }
-            l.as_int()?
-                .checked_rem(d)
-                .map(Value::Int)
-                .ok_or(EvalError::Overflow)
-        }
-        BinOp::And | BinOp::Or => unreachable!("short-circuit operators are evaluated lazily"),
     }
 }
 

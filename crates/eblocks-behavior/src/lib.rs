@@ -19,6 +19,11 @@
 //! }
 //! ```
 //!
+//! * [`UnOp`] and [`BinOp`] are the one definition of the language's
+//!   operators ([the operator table](ast#the-operator-table)): their
+//!   [`Ty`]pes and what they compute from values. The interpreter, the
+//!   [`optimize()`] pass, lint's abstract interpreter and the C emitter all
+//!   read it,
 //! * [`parse`] turns source text into a [`Program`] (the paper's syntax
 //!   tree),
 //! * [`check`](check::check) validates it against a block arity,
@@ -68,4 +73,4 @@ pub use lexer::LexError;
 pub use optimize::optimize;
 pub use parser::{parse, parse_spanned, ParseError};
 pub use span::{HandlerSpans, ProgramSpans, Span, StmtSpans};
-pub use value::{EvalError, Value};
+pub use value::{EvalError, Ty, Value};

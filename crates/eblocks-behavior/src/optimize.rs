@@ -5,14 +5,15 @@
 //! renaming, branches on constants. This pass shrinks them before C
 //! emission:
 //!
-//! * constant folding (checked: a fold that would overflow or divide by
-//!   zero is left in place so runtime faults are preserved),
+//! * constant folding through the [operator table](crate::ast#the-operator-table)
+//!   (a fold the table faults on — overflow, division by zero, a type
+//!   mismatch — is left in place so runtime faults are preserved),
 //! * algebraic identities (`x && true → x`, `x || true → true`,
 //!   `x + 0 → x`, `!!x → x`, …) — applied only when the discarded operand
 //!   is provably *total* (cannot fault): it contains no division/remainder
-//!   **and** type-checks against the program's inferred variable types
-//!   (the language is dynamically typed, so `1 && false` faults at run
-//!   time and must not fold away),
+//!   **and** type-checks, by the table's operand and result types, against
+//!   the program's inferred variable types (the language is dynamically
+//!   typed, so `1 && false` faults at run time and must not fold away),
 //! * branch elimination for `if` on a constant condition.
 //!
 //! The pass is semantics-preserving: an optimized program produces the same
@@ -21,16 +22,8 @@
 //! `tests/proptest_roundtrip.rs`).
 
 use crate::ast::{input_port, output_port, BinOp, Expr, Handler, Program, Stmt, UnOp};
+use crate::value::Ty;
 use std::collections::{HashMap, HashSet};
-
-/// Conservative static type of a variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ty {
-    Bool,
-    Int,
-    /// Conflicting or unknowable — treated as "could fault anywhere".
-    Unknown,
-}
 
 /// Variable types plus handler context (input ports are unreadable inside
 /// `on tick` handlers, where referencing `inK` faults).
@@ -46,7 +39,9 @@ struct Ctx<'a> {
     defined: HashSet<&'a str>,
 }
 
-type TypeEnv = HashMap<String, Ty>;
+/// Each variable's conservative static type: `None` when conflicting or
+/// unknowable, treated as "could fault anywhere".
+type TypeEnv = HashMap<String, Option<Ty>>;
 
 /// Optimizes a whole program (handlers only; state initializers are already
 /// literals after checking).
@@ -74,18 +69,18 @@ pub fn optimize(program: &Program) -> Program {
 }
 
 /// Infers variable types from state initializers and assignments; variables
-/// assigned both types become [`Ty::Unknown`]. Ports are boolean (packets
+/// assigned both types become unknown (`None`). Ports are boolean (packets
 /// carry booleans).
 fn infer_types(program: &Program) -> TypeEnv {
     let mut env = TypeEnv::new();
 
-    fn note(env: &mut TypeEnv, name: &str, ty: Ty) {
+    fn note(env: &mut TypeEnv, name: &str, ty: Option<Ty>) {
         match env.get(name) {
             None => {
                 env.insert(name.to_string(), ty);
             }
             Some(&existing) if existing != ty => {
-                env.insert(name.to_string(), Ty::Unknown);
+                env.insert(name.to_string(), None);
             }
             _ => {}
         }
@@ -100,7 +95,7 @@ fn infer_types(program: &Program) -> TypeEnv {
                         inputs_ok: true,
                         defined: HashSet::new(),
                     };
-                    let ty = expr_type(e, &ctx).unwrap_or(Ty::Unknown);
+                    let ty = expr_type(e, &ctx);
                     note(env, name, ty);
                 }
                 Stmt::If(_, a, b) => {
@@ -117,7 +112,7 @@ fn infer_types(program: &Program) -> TypeEnv {
             inputs_ok: true,
             defined: HashSet::new(),
         };
-        let ty = expr_type(&st.init, &ctx).unwrap_or(Ty::Unknown);
+        let ty = expr_type(&st.init, &ctx);
         env.insert(st.name.clone(), ty);
     }
     // Two passes let forward references (nets assigned later) resolve.
@@ -143,26 +138,10 @@ fn expr_type(e: &Expr, ctx: &Ctx) -> Option<Ty> {
             if output_port(name).is_some() {
                 return Some(Ty::Bool);
             }
-            match ctx.env.get(name) {
-                Some(Ty::Unknown) | None => None,
-                Some(&t) => Some(t),
-            }
+            ctx.env.get(name).copied().flatten()
         }
-        Expr::Unary(UnOp::Not, x) => (expr_type(x, ctx)? == Ty::Bool).then_some(Ty::Bool),
-        Expr::Unary(UnOp::Neg, x) => (expr_type(x, ctx)? == Ty::Int).then_some(Ty::Int),
-        Expr::Binary(op, l, r) => {
-            let (lt, rt) = (expr_type(l, ctx)?, expr_type(r, ctx)?);
-            match op {
-                BinOp::And | BinOp::Or => (lt == Ty::Bool && rt == Ty::Bool).then_some(Ty::Bool),
-                BinOp::Eq | BinOp::Ne => (lt == rt).then_some(Ty::Bool),
-                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    (lt == Ty::Int && rt == Ty::Int).then_some(Ty::Bool)
-                }
-                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
-                    (lt == Ty::Int && rt == Ty::Int).then_some(Ty::Int)
-                }
-            }
-        }
+        Expr::Unary(op, x) => (expr_type(x, ctx)? == op.ty()).then_some(op.ty()),
+        Expr::Binary(op, l, r) => op.result_type(expr_type(l, ctx)?, expr_type(r, ctx)?),
     }
 }
 
@@ -177,7 +156,7 @@ fn is_total(e: &Expr, ctx: &Ctx) -> bool {
             Expr::Bool(_) | Expr::Int(_) | Expr::Var(_) => true,
             Expr::Unary(UnOp::Neg, inner) => {
                 // Negating a non-literal could overflow on i64::MIN.
-                matches!(inner.as_ref(), Expr::Int(v) if v.checked_neg().is_some())
+                inner.literal().is_some_and(|v| UnOp::Neg.apply(v).is_ok())
             }
             Expr::Unary(UnOp::Not, inner) => no_faulting_ops(inner),
             Expr::Binary(op, l, r) => {
@@ -260,35 +239,18 @@ fn optimize_body<'a>(body: &'a [Stmt], ctx: &mut Ctx<'a>) -> Vec<Stmt> {
     out
 }
 
-/// Bottom-up expression optimization with an empty environment — suitable
-/// for expressions whose variables are all ports (tests, tools). Prefer
-/// [`optimize`] for whole programs.
-pub fn optimize_expr(e: &Expr) -> Expr {
-    let ctx = Ctx {
-        env: &TypeEnv::new(),
-        inputs_ok: true,
-        defined: HashSet::new(),
-    };
-    optimize_expr_env(e, &ctx)
-}
-
 fn optimize_expr_env(e: &Expr, ctx: &Ctx) -> Expr {
     match e {
         Expr::Bool(_) | Expr::Int(_) | Expr::Var(_) => e.clone(),
         Expr::Unary(op, inner) => {
             let inner = optimize_expr_env(inner, ctx);
-            match (op, &inner) {
-                (UnOp::Not, Expr::Bool(b)) => Expr::Bool(!b),
+            if let Some(v) = inner.literal().and_then(|v| op.apply(v).ok()) {
+                return v.into();
+            }
+            match &inner {
                 // Double negation only cancels when the inner operand is
                 // correctly typed; `!!5` and `--false` must keep faulting.
-                (UnOp::Not, Expr::Unary(UnOp::Not, x)) if expr_type(x, ctx) == Some(Ty::Bool) => {
-                    x.as_ref().clone()
-                }
-                (UnOp::Neg, Expr::Int(v)) => match v.checked_neg() {
-                    Some(n) => Expr::Int(n),
-                    None => Expr::unary(UnOp::Neg, inner),
-                },
-                (UnOp::Neg, Expr::Unary(UnOp::Neg, x)) if expr_type(x, ctx) == Some(Ty::Int) => {
+                Expr::Unary(twice, x) if twice == op && expr_type(x, ctx) == Some(op.ty()) => {
                     x.as_ref().clone()
                 }
                 _ => Expr::unary(*op, inner),
@@ -304,36 +266,9 @@ fn optimize_expr_env(e: &Expr, ctx: &Ctx) -> Expr {
 
 fn fold_binary(op: BinOp, l: Expr, r: Expr, ctx: &Ctx) -> Expr {
     use BinOp::*;
-    // Literal-literal folding (checked).
-    if let (Expr::Int(a), Expr::Int(b)) = (&l, &r) {
-        let folded = match op {
-            Add => a.checked_add(*b).map(Expr::Int),
-            Sub => a.checked_sub(*b).map(Expr::Int),
-            Mul => a.checked_mul(*b).map(Expr::Int),
-            Div if *b != 0 => a.checked_div(*b).map(Expr::Int),
-            Rem if *b != 0 => a.checked_rem(*b).map(Expr::Int),
-            Eq => Some(Expr::Bool(a == b)),
-            Ne => Some(Expr::Bool(a != b)),
-            Lt => Some(Expr::Bool(a < b)),
-            Le => Some(Expr::Bool(a <= b)),
-            Gt => Some(Expr::Bool(a > b)),
-            Ge => Some(Expr::Bool(a >= b)),
-            _ => None,
-        };
-        if let Some(folded) = folded {
-            return folded;
-        }
-    }
-    if let (Expr::Bool(a), Expr::Bool(b)) = (&l, &r) {
-        let folded = match op {
-            And => Some(*a && *b),
-            Or => Some(*a || *b),
-            Eq => Some(a == b),
-            Ne => Some(a != b),
-            _ => None,
-        };
-        if let Some(folded) = folded {
-            return Expr::Bool(folded);
+    if let (Some(a), Some(b)) = (l.literal(), r.literal()) {
+        if let Ok(v) = op.apply(a, b) {
+            return v.into();
         }
     }
 

@@ -6,7 +6,10 @@ use std::fmt;
 /// A runtime value: the language is dynamically typed over booleans and
 /// 64-bit integers. Packets on eBlock wires carry booleans; integers exist
 /// for internal counters (pulse lengths, delays).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// Values order booleans before integers, each by its own order, so sets
+/// of them (lint's value sets) list in one canonical order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// Boolean value.
     Bool(bool),
@@ -14,7 +17,25 @@ pub enum Value {
     Int(i64),
 }
 
+/// The language's two types: what a [`Value`] holds, and what each
+/// operator takes and yields (see [`BinOp::result_type`](crate::BinOp::result_type)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Ty {
+    /// `true` or `false`.
+    Bool,
+    /// A 64-bit signed integer.
+    Int,
+}
+
 impl Value {
+    /// The value's type.
+    pub fn ty(self) -> Ty {
+        match self {
+            Self::Bool(_) => Ty::Bool,
+            Self::Int(_) => Ty::Int,
+        }
+    }
+
     /// The value as a boolean.
     ///
     /// # Errors

@@ -14,8 +14,8 @@
 //! each writing the output pin values to transmit (the firmware applies the
 //! change-detection transmit rule).
 
-use eblocks_behavior::{BinOp, Expr, HandlerKind, Program, Stmt, UnOp};
-use std::collections::{BTreeMap, BTreeSet};
+use eblocks_behavior::{Expr, HandlerKind, Program, Stmt, Ty};
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Emits freestanding C for a behavior program (typically a merged
@@ -34,7 +34,7 @@ pub fn emit_c(name: &str, program: &Program, num_inputs: u8, num_outputs: u8) ->
     out.push_str("typedef uint8_t eb_bool;\n\n");
 
     for st in &program.states {
-        let ty = c_type(types.get(&st.name).copied().unwrap_or(VarType::Bool));
+        let ty = c_type(types.get(&st.name).copied().unwrap_or(Ty::Bool));
         let _ = writeln!(out, "static {ty} {} = {};", st.name, emit_expr(&st.init));
     }
     if !program.states.is_empty() {
@@ -56,9 +56,8 @@ pub fn emit_c(name: &str, program: &Program, num_inputs: u8, num_outputs: u8) ->
         if let Some(handler) = program.handler(kind) {
             // Handler-local `let` variables, declared up front (C89-friendly
             // for ancient PIC toolchains).
-            let locals = collect_locals(&handler.body);
-            for local in &locals {
-                let ty = c_type(types.get(local).copied().unwrap_or(VarType::Bool));
+            for local in handler.locals() {
+                let ty = c_type(types.get(local).copied().unwrap_or(Ty::Bool));
                 let _ = writeln!(out, "    {ty} {local};");
             }
             for stmt in &handler.body {
@@ -70,24 +69,18 @@ pub fn emit_c(name: &str, program: &Program, num_inputs: u8, num_outputs: u8) ->
     out
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VarType {
-    Bool,
-    Int,
-}
-
-fn c_type(t: VarType) -> &'static str {
+fn c_type(t: Ty) -> &'static str {
     match t {
-        VarType::Bool => "eb_bool",
-        VarType::Int => "int16_t",
+        Ty::Bool => "eb_bool",
+        Ty::Int => "int16_t",
     }
 }
 
 /// Infers variable types from initializers and assignments: anything ever
 /// assigned an integer-typed expression is `int16_t`, everything else is
 /// `eb_bool`.
-fn infer_types(program: &Program) -> BTreeMap<String, VarType> {
-    let mut types: BTreeMap<String, VarType> = BTreeMap::new();
+fn infer_types(program: &Program) -> BTreeMap<String, Ty> {
+    let mut types: BTreeMap<String, Ty> = BTreeMap::new();
     for st in &program.states {
         types.insert(st.name.clone(), expr_type(&st.init, &types));
     }
@@ -100,15 +93,15 @@ fn infer_types(program: &Program) -> BTreeMap<String, VarType> {
     types
 }
 
-fn infer_body(body: &[Stmt], types: &mut BTreeMap<String, VarType>) {
+fn infer_body(body: &[Stmt], types: &mut BTreeMap<String, Ty>) {
     for stmt in body {
         match stmt {
             Stmt::Let(name, e) | Stmt::Assign(name, e) => {
                 let t = expr_type(e, types);
                 // Int is sticky: a variable that ever holds an int is int.
                 let entry = types.entry(name.clone()).or_insert(t);
-                if t == VarType::Int {
-                    *entry = VarType::Int;
+                if t == Ty::Int {
+                    *entry = Ty::Int;
                 }
             }
             Stmt::If(_, a, b) => {
@@ -119,45 +112,16 @@ fn infer_body(body: &[Stmt], types: &mut BTreeMap<String, VarType>) {
     }
 }
 
-fn expr_type(e: &Expr, types: &BTreeMap<String, VarType>) -> VarType {
+/// The type an expression yields, by the operator table's result types;
+/// a variable of no known type is boolean.
+fn expr_type(e: &Expr, types: &BTreeMap<String, Ty>) -> Ty {
     match e {
-        Expr::Bool(_) => VarType::Bool,
-        Expr::Int(_) => VarType::Int,
-        Expr::Var(name) => types.get(name).copied().unwrap_or(VarType::Bool),
-        Expr::Unary(UnOp::Not, _) => VarType::Bool,
-        Expr::Unary(UnOp::Neg, _) => VarType::Int,
-        Expr::Binary(op, _, _) => match op {
-            BinOp::And
-            | BinOp::Or
-            | BinOp::Eq
-            | BinOp::Ne
-            | BinOp::Lt
-            | BinOp::Le
-            | BinOp::Gt
-            | BinOp::Ge => VarType::Bool,
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => VarType::Int,
-        },
+        Expr::Bool(_) => Ty::Bool,
+        Expr::Int(_) => Ty::Int,
+        Expr::Var(name) => types.get(name).copied().unwrap_or(Ty::Bool),
+        Expr::Unary(op, _) => op.ty(),
+        Expr::Binary(op, _, _) => op.result(),
     }
-}
-
-fn collect_locals(body: &[Stmt]) -> BTreeSet<String> {
-    let mut locals = BTreeSet::new();
-    fn walk(body: &[Stmt], locals: &mut BTreeSet<String>) {
-        for stmt in body {
-            match stmt {
-                Stmt::Let(name, _) => {
-                    locals.insert(name.clone());
-                }
-                Stmt::If(_, a, b) => {
-                    walk(a, locals);
-                    walk(b, locals);
-                }
-                Stmt::Assign(..) => {}
-            }
-        }
-    }
-    walk(body, &mut locals);
-    locals
 }
 
 fn emit_stmt(out: &mut String, stmt: &Stmt, indent: usize) {

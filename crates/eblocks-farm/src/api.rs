@@ -197,6 +197,18 @@ pub enum JobOutcome {
     TimedOut,
 }
 
+impl JobOutcome {
+    /// The outcome `status` reports, with its error message.
+    fn of(status: &JobStatus) -> (Self, Option<String>) {
+        match status {
+            JobStatus::Ok => (Self::Ok, None),
+            JobStatus::Failed(e) => (Self::Failed, Some(e.clone())),
+            JobStatus::Panicked(e) => (Self::Panicked, Some(e.clone())),
+            JobStatus::TimedOut(e) => (Self::TimedOut, Some(e.clone())),
+        }
+    }
+}
+
 /// One pipeline stage's wall-clock time in a response (`stages_ms`
 /// arrays). Only present when timings were requested.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -265,12 +277,7 @@ pub struct JobResponse {
 
 impl JobResponse {
     fn from_report(report: &JobReport, timings: bool) -> Self {
-        let (status, error) = match &report.status {
-            JobStatus::Ok => (JobOutcome::Ok, None),
-            JobStatus::Failed(e) => (JobOutcome::Failed, Some(e.clone())),
-            JobStatus::Panicked(e) => (JobOutcome::Panicked, Some(e.clone())),
-            JobStatus::TimedOut(e) => (JobOutcome::TimedOut, Some(e.clone())),
-        };
+        let (status, error) = JobOutcome::of(&report.status);
         let stats = report.stats.as_ref();
         Self {
             name: report.name.clone(),
@@ -392,8 +399,7 @@ impl BatchResponse {
                 lint_fixes: (lint_fixes > 0).then_some(lint_fixes),
                 workers: timings.then_some(report.workers),
                 elapsed_ms: timings.then(|| ms(report.elapsed)),
-                stages: timings
-                    .then(|| ServeStats::summarize_stages(&report.stage_timings().summarize())),
+                stages: timings.then(|| ServeStats::summarize_stages(&report.stage_stats())),
             },
             results: report
                 .jobs
@@ -699,12 +705,7 @@ impl ProgressEvent {
 
     /// The `finished` event for `report` at `index`.
     pub fn finished(index: usize, report: &JobReport) -> Self {
-        let (status, error) = match &report.status {
-            JobStatus::Ok => (JobOutcome::Ok, None),
-            JobStatus::Failed(e) => (JobOutcome::Failed, Some(e.clone())),
-            JobStatus::Panicked(e) => (JobOutcome::Panicked, Some(e.clone())),
-            JobStatus::TimedOut(e) => (JobOutcome::TimedOut, Some(e.clone())),
-        };
+        let (status, error) = JobOutcome::of(&report.status);
         Self {
             job: index,
             name: report.name.clone(),

@@ -9,7 +9,7 @@
 
 use crate::api::BatchResponse;
 use eblocks_lint::LintOutcome;
-use eblocks_synth::StageTimings;
+use eblocks_synth::{StageStat, StageTimings};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -138,17 +138,16 @@ impl BatchReport {
         self.failed() == 0
     }
 
-    /// Every successful job's stage timings merged into one accumulator
-    /// (see [`StageTimings::merge`]); summarize with
-    /// [`StageTimings::summarize`] for per-stage totals and maxima.
-    pub fn stage_timings(&self) -> StageTimings {
-        let mut merged = StageTimings::new();
+    /// Per-stage aggregates (run count, total and max elapsed) over every
+    /// successful job's stage timings, in pipeline stage order.
+    pub fn stage_stats(&self) -> Vec<StageStat> {
+        let mut stats = Vec::new();
         for job in &self.jobs {
-            if let Some(stats) = &job.stats {
-                merged.merge(&stats.timings);
+            for report in job.stats.iter().flat_map(|s| &s.timings.reports) {
+                StageStat::accumulate(&mut stats, StageStat::once(report.stage, report.elapsed));
             }
         }
-        merged
+        stats
     }
 
     /// Renders the report as compact JSON via the derive path: the typed
@@ -232,7 +231,7 @@ impl BatchReport {
         }
         if with_timings {
             out.push_str("stage totals over all jobs:\n");
-            for stat in self.stage_timings().summarize() {
+            for stat in self.stage_stats() {
                 let _ = writeln!(
                     out,
                     "  {:<9} {:>10}ms total, {:>9}ms max, {:>4} run(s)",
@@ -310,7 +309,17 @@ mod tests {
         assert_eq!(r.succeeded(), 1);
         assert_eq!(r.failed(), 1);
         assert!(!r.all_ok());
-        assert_eq!(r.stage_timings().reports.len(), 1);
+        let partition = |runs, ms| StageStat {
+            stage: Stage::Partition,
+            runs,
+            total: Duration::from_millis(ms),
+            max: Duration::from_millis(2),
+        };
+        assert_eq!(r.stage_stats(), [partition(1, 2)]);
+        // Stage rows fold across jobs; failed jobs have none.
+        let mut twice = r.clone();
+        twice.jobs.push(r.jobs[0].clone());
+        assert_eq!(twice.stage_stats(), [partition(2, 4)]);
     }
 
     #[test]

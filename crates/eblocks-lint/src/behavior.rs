@@ -373,12 +373,10 @@ fn handler_rules(
     // W122: let bindings never read anywhere in the handler.
     let mut reads = BTreeSet::new();
     let mut writes = BTreeSet::new();
-    let mut lets = BTreeSet::new();
     for s in &handler.body {
         s.vars(&mut reads, &mut writes);
-        collect_lets(std::slice::from_ref(s), &mut lets);
     }
-    for name in &lets {
+    for name in handler.locals() {
         if !reads.contains(name) {
             let mut d = Diagnostic::new(
                 &rules::UNUSED_LOCAL,
@@ -422,21 +420,6 @@ fn handler_rules(
             d = d.at(hs.span.line, hs.span.col);
         }
         out.push(d);
-    }
-}
-
-fn collect_lets(body: &[Stmt], into: &mut BTreeSet<String>) {
-    for stmt in body {
-        match stmt {
-            Stmt::Let(name, _) => {
-                into.insert(name.clone());
-            }
-            Stmt::If(_, then_body, else_body) => {
-                collect_lets(then_body, into);
-                collect_lets(else_body, into);
-            }
-            Stmt::Assign(..) => {}
-        }
     }
 }
 

@@ -5,7 +5,7 @@
 //!
 //! Every signal — a state variable, an input port, an output port — is
 //! approximated by a [`ValueSet`]: either the *finite set* of concrete
-//! [`AbstractValue`]s it may hold, or [`ValueSet::Any`] (⊤, no claim).
+//! [`Value`]s it may hold, or [`ValueSet::Any`] (⊤, no claim).
 //! The empty set is ⊥: the signal provably never carries a value (an
 //! output port that is never written, a branch that never runs).
 //!
@@ -19,6 +19,11 @@
 //! would exceed [`WIDENING_CAP`] collapses to `Any`. The cap bounds the
 //! lattice height — any chain from ⊥ to ⊤ has at most `WIDENING_CAP + 2`
 //! elements — which is what makes the fixpoint below terminate.
+//!
+//! [`eval`] lifts the behavior language's [operator
+//! table](eblocks_behavior::ast#the-operator-table) to these sets: it
+//! applies each operator to every combination of members, so it computes
+//! what the interpreter computes by construction.
 //!
 //! # The fixpoint
 //!
@@ -63,7 +68,7 @@
 //! analyzed once per block.
 
 use eblocks_behavior::library::{self, SharedTable};
-use eblocks_behavior::{BinOp, Expr, HandlerKind, Program, Stmt, UnOp};
+use eblocks_behavior::{BinOp, EvalError, Expr, HandlerKind, Program, Stmt, Ty, Value};
 use eblocks_core::{BlockId, BlockKind, ComputeKind, Design};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -75,25 +80,6 @@ use std::sync::{Arc, LazyLock};
 /// collapsing unbounded counters immediately.
 pub const WIDENING_CAP: usize = 8;
 
-/// One concrete value a signal can carry, mirroring
-/// [`eblocks_behavior::Value`] but `Ord` so sets are canonically ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AbstractValue {
-    /// A boolean packet.
-    Bool(bool),
-    /// An integer packet.
-    Int(i64),
-}
-
-impl fmt::Display for AbstractValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Bool(b) => write!(f, "{b}"),
-            Self::Int(i) => write!(f, "{i}"),
-        }
-    }
-}
-
 /// The set of values a signal may hold: a finite enumeration or `Any`
 /// (⊤). `Values(∅)` is ⊥ — the signal provably never carries a value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -101,7 +87,7 @@ pub enum ValueSet {
     /// No claim: the signal may hold anything (⊤).
     Any,
     /// Exactly these values are possible (∅ = ⊥, provably none).
-    Values(BTreeSet<AbstractValue>),
+    Values(BTreeSet<Value>),
 }
 
 impl ValueSet {
@@ -113,7 +99,7 @@ impl ValueSet {
 
     /// The singleton set `{v}`.
     #[must_use]
-    pub fn just(v: AbstractValue) -> Self {
+    pub fn just(v: Value) -> Self {
         Self::Values(std::iter::once(v).collect())
     }
 
@@ -121,10 +107,32 @@ impl ValueSet {
     #[must_use]
     pub fn bools() -> Self {
         Self::Values(
-            [AbstractValue::Bool(false), AbstractValue::Bool(true)]
+            [Value::Bool(false), Value::Bool(true)]
                 .into_iter()
                 .collect(),
         )
+    }
+
+    /// Every value of type `ty` the domain can name: `{false, true}`, or
+    /// `Any` for the integers.
+    fn of_type(ty: Ty) -> Self {
+        match ty {
+            Ty::Bool => Self::bools(),
+            Ty::Int => Self::Any,
+        }
+    }
+
+    /// The values among `results`, widened past [`WIDENING_CAP`]; a fault
+    /// contributes no value.
+    fn of_results(results: impl IntoIterator<Item = Result<Value, EvalError>>) -> Self {
+        let mut out = Self::bottom();
+        for v in results.into_iter().flatten() {
+            out.insert(v);
+            if out == Self::Any {
+                break;
+            }
+        }
+        out
     }
 
     /// True for ⊥ (the empty enumeration).
@@ -135,7 +143,7 @@ impl ValueSet {
 
     /// If the set is exactly one value, that value.
     #[must_use]
-    pub fn as_singleton(&self) -> Option<AbstractValue> {
+    pub fn as_singleton(&self) -> Option<Value> {
         match self {
             Self::Values(s) if s.len() == 1 => s.iter().next().copied(),
             _ => None,
@@ -149,7 +157,7 @@ impl ValueSet {
         match (self, other) {
             (Self::Any, _) | (_, Self::Any) => Self::Any,
             (Self::Values(a), Self::Values(b)) => {
-                let union: BTreeSet<AbstractValue> = a.union(b).copied().collect();
+                let union: BTreeSet<Value> = a.union(b).copied().collect();
                 if union.len() > WIDENING_CAP {
                     Self::Any
                 } else {
@@ -167,13 +175,13 @@ impl ValueSet {
         match self {
             Self::Any => (true, true),
             Self::Values(s) => (
-                s.contains(&AbstractValue::Bool(true)),
-                s.contains(&AbstractValue::Bool(false)),
+                s.contains(&Value::Bool(true)),
+                s.contains(&Value::Bool(false)),
             ),
         }
     }
 
-    fn insert(&mut self, v: AbstractValue) {
+    fn insert(&mut self, v: Value) {
         if let Self::Values(s) = self {
             s.insert(v);
             if s.len() > WIDENING_CAP {
@@ -437,152 +445,57 @@ fn join_env(env: &mut Env, other: &Env) {
     }
 }
 
-/// Abstract evaluation of an expression. Mirrors the interpreter's
-/// semantics value-for-value: checked arithmetic (overflow and division
-/// by zero are runtime errors, so offending pairs are skipped),
-/// short-circuit `&&`/`||` over boolean members only, `==`/`!=` defined
-/// on same-type pairs, ordered comparisons on integers. Reads of unbound
-/// variables evaluate to `Any` (the checker reports them; the abstraction
-/// just stays sound).
+/// Abstract evaluation of an expression: each operator of the [operator
+/// table](eblocks_behavior::ast#the-operator-table) applied to every
+/// combination of its operands' members, a faulting combination
+/// contributing nothing. An unconstrained operand makes the result any
+/// value of the operator's result type. `&&`/`||` keep the interpreter's
+/// short-circuit: the right side counts only where the left one's truth
+/// values let it run. Reads of unbound variables evaluate to `Any` (the
+/// checker reports them; the abstraction just stays sound).
 #[must_use]
 pub fn eval(expr: &Expr, env: &Env) -> ValueSet {
     match expr {
-        Expr::Bool(b) => ValueSet::just(AbstractValue::Bool(*b)),
-        Expr::Int(i) => ValueSet::just(AbstractValue::Int(*i)),
+        Expr::Bool(b) => ValueSet::just(Value::Bool(*b)),
+        Expr::Int(i) => ValueSet::just(Value::Int(*i)),
         Expr::Var(name) => env.get(name).cloned().unwrap_or(ValueSet::Any),
-        Expr::Unary(op, e) => {
-            let v = eval(e, env);
-            match op {
-                UnOp::Not => match v {
-                    ValueSet::Any => ValueSet::bools(),
-                    ValueSet::Values(s) => {
-                        let mut out = ValueSet::bottom();
-                        for m in s {
-                            if let AbstractValue::Bool(b) = m {
-                                out.insert(AbstractValue::Bool(!b));
-                            }
-                        }
-                        out
-                    }
-                },
-                UnOp::Neg => match v {
-                    ValueSet::Any => ValueSet::Any,
-                    ValueSet::Values(s) => {
-                        let mut out = ValueSet::bottom();
-                        for m in s {
-                            if let AbstractValue::Int(i) = m {
-                                if let Some(n) = i.checked_neg() {
-                                    out.insert(AbstractValue::Int(n));
-                                }
-                            }
-                        }
-                        out
-                    }
-                },
-            }
-        }
-        Expr::Binary(op, l, r) => eval_binary(*op, l, r, env),
+        Expr::Unary(op, e) => match eval(e, env) {
+            ValueSet::Any => ValueSet::of_type(op.ty()),
+            ValueSet::Values(s) => ValueSet::of_results(s.into_iter().map(|v| op.apply(v))),
+        },
+        Expr::Binary(op @ (BinOp::And | BinOp::Or), l, r) => short_circuit(*op, l, r, env),
+        Expr::Binary(op, l, r) => match (eval(l, env), eval(r, env)) {
+            (ValueSet::Values(ls), ValueSet::Values(rs)) => ValueSet::of_results(
+                ls.iter()
+                    .flat_map(|&a| rs.iter().map(move |&b| op.apply(a, b))),
+            ),
+            _ => ValueSet::of_type(op.result()),
+        },
     }
 }
 
-fn eval_binary(op: BinOp, l: &Expr, r: &Expr, env: &Env) -> ValueSet {
-    // Short-circuit operators branch on the left side's truth values.
-    if matches!(op, BinOp::And | BinOp::Or) {
-        let (lt, lf) = eval(l, env).truth();
-        let mut out = ValueSet::bottom();
-        let needs_rhs = match op {
-            BinOp::And => lt,
-            _ => lf,
-        };
-        match op {
-            BinOp::And => {
-                if lf {
-                    out.insert(AbstractValue::Bool(false));
-                }
-            }
-            _ => {
-                if lt {
-                    out.insert(AbstractValue::Bool(true));
-                }
-            }
-        }
-        if needs_rhs {
-            let (rt, rf) = eval(r, env).truth();
-            if rt {
-                out.insert(AbstractValue::Bool(true));
-            }
-            if rf {
-                out.insert(AbstractValue::Bool(false));
-            }
-        }
-        return out;
-    }
-
-    let lv = eval(l, env);
-    let rv = eval(r, env);
-    let (ValueSet::Values(ls), ValueSet::Values(rs)) = (&lv, &rv) else {
-        // One side is unconstrained: comparisons may go either way,
-        // arithmetic may produce anything.
-        return match op {
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                ValueSet::bools()
-            }
-            _ => ValueSet::Any,
-        };
+/// `&&` or `||`, branching on the left side's truth values: a left side
+/// of `false` decides `&&` and one of `true` decides `||`; any other truth
+/// value passes the right side's truth values through.
+fn short_circuit(op: BinOp, l: &Expr, r: &Expr, env: &Env) -> ValueSet {
+    let decider = op == BinOp::Or;
+    let (may_true, may_false) = eval(l, env).truth();
+    let (decides, passes) = if decider {
+        (may_true, may_false)
+    } else {
+        (may_false, may_true)
     };
-
     let mut out = ValueSet::bottom();
-    for a in ls {
-        for b in rs {
-            let result = match (op, a, b) {
-                (BinOp::Eq, AbstractValue::Bool(x), AbstractValue::Bool(y)) => {
-                    Some(AbstractValue::Bool(x == y))
-                }
-                (BinOp::Eq, AbstractValue::Int(x), AbstractValue::Int(y)) => {
-                    Some(AbstractValue::Bool(x == y))
-                }
-                (BinOp::Ne, AbstractValue::Bool(x), AbstractValue::Bool(y)) => {
-                    Some(AbstractValue::Bool(x != y))
-                }
-                (BinOp::Ne, AbstractValue::Int(x), AbstractValue::Int(y)) => {
-                    Some(AbstractValue::Bool(x != y))
-                }
-                (BinOp::Lt, AbstractValue::Int(x), AbstractValue::Int(y)) => {
-                    Some(AbstractValue::Bool(x < y))
-                }
-                (BinOp::Le, AbstractValue::Int(x), AbstractValue::Int(y)) => {
-                    Some(AbstractValue::Bool(x <= y))
-                }
-                (BinOp::Gt, AbstractValue::Int(x), AbstractValue::Int(y)) => {
-                    Some(AbstractValue::Bool(x > y))
-                }
-                (BinOp::Ge, AbstractValue::Int(x), AbstractValue::Int(y)) => {
-                    Some(AbstractValue::Bool(x >= y))
-                }
-                (BinOp::Add, AbstractValue::Int(x), AbstractValue::Int(y)) => {
-                    x.checked_add(*y).map(AbstractValue::Int)
-                }
-                (BinOp::Sub, AbstractValue::Int(x), AbstractValue::Int(y)) => {
-                    x.checked_sub(*y).map(AbstractValue::Int)
-                }
-                (BinOp::Mul, AbstractValue::Int(x), AbstractValue::Int(y)) => {
-                    x.checked_mul(*y).map(AbstractValue::Int)
-                }
-                (BinOp::Div, AbstractValue::Int(x), AbstractValue::Int(y)) => {
-                    x.checked_div(*y).map(AbstractValue::Int)
-                }
-                (BinOp::Rem, AbstractValue::Int(x), AbstractValue::Int(y)) => {
-                    x.checked_rem(*y).map(AbstractValue::Int)
-                }
-                // Type-mismatched pairs are runtime errors: skipped.
-                _ => None,
-            };
-            if let Some(v) = result {
-                out.insert(v);
-                if out == ValueSet::Any {
-                    return out;
-                }
-            }
+    if decides {
+        out.insert(Value::Bool(decider));
+    }
+    if passes {
+        let (rt, rf) = eval(r, env).truth();
+        if rt {
+            out.insert(Value::Bool(true));
+        }
+        if rf {
+            out.insert(Value::Bool(false));
         }
     }
     out
@@ -595,7 +508,7 @@ fn eval_binary(op: BinOp, l: &Expr, r: &Expr, env: &Env) -> ValueSet {
 /// comparison, re-assignment source) or never read at all: no claim can
 /// be made then.
 #[must_use]
-pub fn matched_values(program: &Program, port: u8) -> Option<BTreeSet<AbstractValue>> {
+pub fn matched_values(program: &Program, port: u8) -> Option<BTreeSet<Value>> {
     let name = format!("in{port}");
     let mut matched = BTreeSet::new();
     let mut reads = 0usize;
@@ -614,7 +527,7 @@ pub fn matched_values(program: &Program, port: u8) -> Option<BTreeSet<AbstractVa
 fn match_stmt(
     stmt: &Stmt,
     name: &str,
-    matched: &mut BTreeSet<AbstractValue>,
+    matched: &mut BTreeSet<Value>,
     reads: &mut usize,
     opaque: &mut bool,
 ) {
@@ -632,7 +545,7 @@ fn match_stmt(
 fn match_expr(
     expr: &Expr,
     name: &str,
-    matched: &mut BTreeSet<AbstractValue>,
+    matched: &mut BTreeSet<Value>,
     reads: &mut usize,
     opaque: &mut bool,
 ) {
@@ -640,12 +553,7 @@ fn match_expr(
     // other appearance of the port makes the whole port opaque.
     if let Expr::Binary(BinOp::Eq, l, r) = expr {
         let lit = match (l.as_ref(), r.as_ref()) {
-            (Expr::Var(v), Expr::Int(i)) | (Expr::Int(i), Expr::Var(v)) if v == name => {
-                Some(AbstractValue::Int(*i))
-            }
-            (Expr::Var(v), Expr::Bool(b)) | (Expr::Bool(b), Expr::Var(v)) if v == name => {
-                Some(AbstractValue::Bool(*b))
-            }
+            (Expr::Var(v), e) | (e, Expr::Var(v)) if v == name => e.literal(),
             _ => None,
         };
         if let Some(v) = lit {
@@ -722,7 +630,7 @@ pub fn analyze_design(
         let mut incoming = Vec::with_capacity(num_inputs as usize);
         for port in 0..num_inputs {
             let mut wired = false;
-            let mut set = ValueSet::just(AbstractValue::Bool(false));
+            let mut set = ValueSet::just(Value::Bool(false));
             for w in design.in_wires(id) {
                 if w.to_port == port {
                     wired = true;
@@ -826,11 +734,11 @@ mod tests {
     fn join_widens_past_the_cap() {
         let mut s = ValueSet::bottom();
         for i in 0..WIDENING_CAP as i64 {
-            s.insert(AbstractValue::Int(i));
+            s.insert(Value::Int(i));
         }
         assert_eq!(s.as_singleton(), None);
         assert!(!s.is_bottom());
-        let one_more = ValueSet::just(AbstractValue::Int(99));
+        let one_more = ValueSet::just(Value::Int(99));
         assert_eq!(s.join(&one_more), ValueSet::Any);
         assert_eq!(ValueSet::Any.join(&ValueSet::bottom()), ValueSet::Any);
     }
@@ -838,9 +746,9 @@ mod tests {
     #[test]
     fn display_is_canonical() {
         let mut s = ValueSet::bottom();
-        s.insert(AbstractValue::Int(2));
-        s.insert(AbstractValue::Bool(true));
-        s.insert(AbstractValue::Int(0));
+        s.insert(Value::Int(2));
+        s.insert(Value::Bool(true));
+        s.insert(Value::Int(0));
         assert_eq!(s.to_string(), "{true, 0, 2}");
         assert_eq!(ValueSet::Any.to_string(), "any");
         assert_eq!(ValueSet::bottom().to_string(), "{}");
@@ -850,10 +758,7 @@ mod tests {
     fn constant_program_has_singleton_output() {
         let p = parse("on input { out0 = false; }").unwrap();
         let facts = analyze_program(&p, &any_inputs(2), 1);
-        assert_eq!(
-            facts.outputs[0].as_singleton(),
-            Some(AbstractValue::Bool(false))
-        );
+        assert_eq!(facts.outputs[0].as_singleton(), Some(Value::Bool(false)));
     }
 
     #[test]
@@ -873,16 +778,10 @@ mod tests {
         let toggle = "state q = false; state prev = false;\n\
                       on input { if (in0 && !prev) { q = !q; } prev = in0; out0 = q; }";
         let p = parse(toggle).unwrap();
-        let frozen = analyze_program(&p, &[ValueSet::just(AbstractValue::Bool(false))], 1);
-        assert_eq!(
-            frozen.states["q"].as_singleton(),
-            Some(AbstractValue::Bool(false))
-        );
+        let frozen = analyze_program(&p, &[ValueSet::just(Value::Bool(false))], 1);
+        assert_eq!(frozen.states["q"].as_singleton(), Some(Value::Bool(false)));
         assert!(frozen.conds[0].always_false());
-        assert_eq!(
-            frozen.outputs[0].as_singleton(),
-            Some(AbstractValue::Bool(false))
-        );
+        assert_eq!(frozen.outputs[0].as_singleton(), Some(Value::Bool(false)));
 
         // Under a live input the toggle truly toggles: both values reach
         // the state and the output, and the condition stays undecided.
@@ -903,9 +802,7 @@ mod tests {
     fn branch_join_accumulates_both_arms() {
         let p = parse("on input { if (in0) { out0 = 1; } else { out0 = 2; } }").unwrap();
         let facts = analyze_program(&p, &[ValueSet::bools()], 1);
-        let expect: BTreeSet<AbstractValue> = [AbstractValue::Int(1), AbstractValue::Int(2)]
-            .into_iter()
-            .collect();
+        let expect: BTreeSet<Value> = [Value::Int(1), Value::Int(2)].into_iter().collect();
         assert_eq!(facts.outputs[0], ValueSet::Values(expect));
     }
 
@@ -919,7 +816,7 @@ mod tests {
         ))
         .unwrap();
         let facts = analyze_program(&p, &[ValueSet::bools()], 1);
-        assert_eq!(facts.outputs[0].as_singleton(), Some(AbstractValue::Int(2)));
+        assert_eq!(facts.outputs[0].as_singleton(), Some(Value::Int(2)));
 
         // Division by zero likewise vanishes.
         let p = parse("on input { out0 = 1 / 0; }").unwrap();
@@ -934,21 +831,15 @@ mod tests {
             let facts = analyze_program(&p, &[], 1);
             facts.outputs[0].clone()
         };
-        assert_eq!(
-            t("true && false").as_singleton(),
-            Some(AbstractValue::Bool(false))
-        );
-        assert_eq!(
-            t("true || false").as_singleton(),
-            Some(AbstractValue::Bool(true))
-        );
+        assert_eq!(t("true && false").as_singleton(), Some(Value::Bool(false)));
+        assert_eq!(t("true || false").as_singleton(), Some(Value::Bool(true)));
         assert_eq!(
             t("false && (1 / 0 == 0)").as_singleton(),
-            Some(AbstractValue::Bool(false))
+            Some(Value::Bool(false))
         );
         assert_eq!(
             t("true || (1 / 0 == 0)").as_singleton(),
-            Some(AbstractValue::Bool(true))
+            Some(Value::Bool(true))
         );
         // Mixed-type equality is a runtime error pair: no value.
         assert!(t("1 == true").is_bottom());
@@ -960,9 +851,7 @@ mod tests {
             parse("on input { if (in0 == 2) { out0 = true; } if (3 == in0) { out0 = false; } }")
                 .unwrap();
         let m = matched_values(&p, 0).unwrap();
-        let expect: BTreeSet<AbstractValue> = [AbstractValue::Int(2), AbstractValue::Int(3)]
-            .into_iter()
-            .collect();
+        let expect: BTreeSet<Value> = [Value::Int(2), Value::Int(3)].into_iter().collect();
         assert_eq!(m, expect);
 
         // A raw truth read makes the port opaque.
@@ -1001,19 +890,15 @@ mod tests {
             inputs[0] = set;
             inputs
         };
-        let values = |vs: &[AbstractValue]| ValueSet::Values(vs.iter().copied().collect());
+        let values = |vs: &[Value]| ValueSet::Values(vs.iter().copied().collect());
         vec![
             all(ValueSet::Any),
             all(ValueSet::bools()),
-            all(ValueSet::just(AbstractValue::Bool(false))),
-            all(ValueSet::just(AbstractValue::Bool(true))),
+            all(ValueSet::just(Value::Bool(false))),
+            all(ValueSet::just(Value::Bool(true))),
             on_in0(ValueSet::bottom()),
-            on_in0(values(&[
-                AbstractValue::Int(0),
-                AbstractValue::Int(1),
-                AbstractValue::Int(2),
-            ])),
-            on_in0(values(&[AbstractValue::Bool(true), AbstractValue::Int(3)])),
+            on_in0(values(&[Value::Int(0), Value::Int(1), Value::Int(2)])),
+            on_in0(values(&[Value::Bool(true), Value::Int(3)])),
         ]
     }
 

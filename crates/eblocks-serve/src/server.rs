@@ -179,7 +179,7 @@ impl ServerState {
     /// Folds a finished batch's stage timings into the daemon-wide
     /// aggregates.
     fn absorb_report(&self, report: &BatchReport) {
-        self.absorb(report.stage_timings().summarize());
+        self.absorb(report.stage_stats());
     }
 
     /// Folds a synth response's stage rows (already rounded to

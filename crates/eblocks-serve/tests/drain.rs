@@ -1,7 +1,8 @@
 //! Graceful-drain determinism: a pinned-seed storm of valid and
 //! corrupted requests followed immediately by a shutdown must produce
 //! the same outbox/rejected file set — byte for byte — no matter how
-//! many daemon workers race over the queue.
+//! many daemon workers race over the queue. A hardened drain cancels the
+//! jobs a running batch has not claimed yet, and still answers it.
 
 use eblocks_serve::{spawn, ServeConfig};
 use std::collections::BTreeMap;
@@ -80,4 +81,101 @@ fn drained_spool_is_byte_identical_across_worker_counts() {
         assert_eq!(got.1, baseline.1, "rejected differs at {workers} workers");
     }
     assert!(baseline.0.len() >= 5, "4 responses + 1 shutdown ack");
+}
+
+/// Connects to `path`, retrying while the daemon finishes binding.
+#[cfg(unix)]
+fn connect(path: &Path) -> std::os::unix::net::UnixStream {
+    for _ in 0..500 {
+        if let Ok(stream) = std::os::unix::net::UnixStream::connect(path) {
+            return stream;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("daemon never bound {}", path.display());
+}
+
+#[cfg(unix)]
+#[test]
+fn hardened_drain_cancels_unclaimed_jobs_and_answers_the_batch() {
+    use eblocks_farm::api::{Admission, JobOutcome, ReplyEnvelope, ServeReply};
+    use std::io::{BufRead, BufReader, Write};
+
+    let spool = tempdir("hardened");
+    let socket = spool.join("daemon.sock");
+    let mut config = ServeConfig::new(&spool)
+        .socket(&socket)
+        .poll_interval(Duration::from_millis(2));
+    // One farm worker claims the batch's jobs one at a time, in order.
+    config.farm_workers = Some(1);
+    let handle = spawn(config).unwrap();
+
+    // Far more jobs than run between the first progress event and the
+    // stop flag, so the drain finds some never claimed.
+    let names: Vec<String> = (0..200).map(|k| format!("j{k:03}")).collect();
+    let jobs: Vec<String> = names
+        .iter()
+        .map(|name| format!(r#"{{"name": "{name}", "source": {{"library": "Carpool Alert"}}}}"#))
+        .collect();
+    let line = format!(
+        "{{\"id\": \"hard\", \"request\": {{\"batch\": {{\"jobs\": [{}]}}}}}}\n",
+        jobs.join(", ")
+    );
+    let mut stream = connect(&socket);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream.write_all(line.as_bytes()).unwrap();
+    let mut next = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        serde::json::from_str::<ReplyEnvelope>(&line)
+            .unwrap_or_else(|e| panic!("bad reply line {line:?}: {e}"))
+            .reply
+    };
+
+    let ServeReply::Admission(verdict) = next() else {
+        panic!("expected the admission verdict first");
+    };
+    assert_eq!(verdict.status, Admission::Accepted);
+    let mut hardened = false;
+    let response = loop {
+        match next() {
+            ServeReply::Progress(_) if !hardened => {
+                handle.shutdown_now();
+                hardened = true;
+            }
+            ServeReply::Progress(_) => {}
+            ServeReply::Batch(response) => break response,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    };
+    assert!(hardened, "a progress event precedes the batch reply");
+
+    // One row per job in submission order: the claimed prefix ran, the
+    // rest were cancelled.
+    let rows: Vec<&str> = response.results.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(rows, names);
+    let ran = response
+        .results
+        .iter()
+        .take_while(|r| r.status == JobOutcome::Ok)
+        .count();
+    assert!(ran >= 1, "job 0 was claimed before its progress event");
+    let cancelled = &response.results[ran..];
+    assert!(
+        !cancelled.is_empty(),
+        "every job ran: the stop flag was never read"
+    );
+    for row in cancelled {
+        assert_eq!(row.status, JobOutcome::Failed, "{}", row.name);
+        assert_eq!(
+            row.error.as_deref(),
+            Some("cancelled: batch drain requested")
+        );
+    }
+
+    let summary = handle.join().expect("no daemon thread panicked");
+    assert_eq!(
+        (summary.accepted, summary.rejected, summary.completed),
+        (1, 0, 1)
+    );
 }

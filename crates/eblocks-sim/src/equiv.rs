@@ -10,7 +10,6 @@
 
 use crate::sim::{Simulator, Time};
 use crate::stimulus::Stimulus;
-use crate::trace::Trace;
 use crate::SimError;
 use std::collections::BTreeSet;
 
@@ -79,27 +78,15 @@ pub fn equivalence(
         .map(str::to_string)
         .collect();
 
-    let settled = |trace: &Trace, name: &str, t: Time| trace.value_at(name, t).or(Some(false));
-
-    let near_transition = |trace: &Trace, name: &str, t: Time| {
-        trace
-            .history(name)
-            .iter()
-            .any(|&(tt, _)| tt.abs_diff(t) <= tolerance)
-    };
-
     let mut mismatches = Vec::new();
     for name in &outputs {
-        for &t in &sample_times {
-            let lv = settled(&lt, name, t);
-            let rv = settled(&rt, name, t);
-            if lv != rv
-                && !(tolerance > 0
-                    && (near_transition(&lt, name, t) || near_transition(&rt, name, t)))
-            {
-                mismatches.push((name.clone(), t, lv, rv));
-            }
-        }
+        compare(
+            lt.history(name),
+            rt.history(name),
+            &sample_times,
+            tolerance,
+            |t, lv, rv| mismatches.push((name.clone(), t, Some(lv), Some(rv))),
+        );
     }
 
     Ok(EquivalenceReport {
@@ -107,6 +94,61 @@ pub fn equivalence(
         sample_times,
         mismatches,
     })
+}
+
+/// One output's history read at ascending sample instants.
+struct Walk<'h> {
+    history: &'h [(Time, bool)],
+    /// Entries at or before the last sample instant.
+    shown: usize,
+    /// Entries more than `tolerance` before the last sample instant.
+    passed: usize,
+}
+
+impl Walk<'_> {
+    /// The value shown at `t` (idle low before the first packet), and
+    /// whether the history changes within `tolerance` of `t`. Instants
+    /// must not decrease from one call to the next.
+    fn sample(&mut self, t: Time, tolerance: Time) -> (bool, bool) {
+        let h = self.history;
+        while self.shown < h.len() && h[self.shown].0 <= t {
+            self.shown += 1;
+        }
+        while self.passed < h.len() && h[self.passed].0 < t.saturating_sub(tolerance) {
+            self.passed += 1;
+        }
+        let value = self.shown > 0 && h[self.shown - 1].1;
+        let near = h
+            .get(self.passed)
+            .is_some_and(|&(tt, _)| tt <= t.saturating_add(tolerance));
+        (value, near)
+    }
+}
+
+/// Compares two histories of one output at the ascending instants
+/// `samples`, reporting each disagreement as `(instant, left, right)` to
+/// `mismatch`, except where `tolerance > 0` and either history changes
+/// within `tolerance` of the instant. One pass over each history.
+fn compare(
+    left: &[(Time, bool)],
+    right: &[(Time, bool)],
+    samples: &[Time],
+    tolerance: Time,
+    mut mismatch: impl FnMut(Time, bool, bool),
+) {
+    let walk = |history| Walk {
+        history,
+        shown: 0,
+        passed: 0,
+    };
+    let (mut l, mut r) = (walk(left), walk(right));
+    for &t in samples {
+        let (lv, l_near) = l.sample(t, tolerance);
+        let (rv, r_near) = r.sample(t, tolerance);
+        if lv != rv && !(tolerance > 0 && (l_near || r_near)) {
+            mismatch(t, lv, rv);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -177,6 +219,60 @@ mod tests {
             .mismatches
             .iter()
             .all(|(name, _, _, _)| name == "led"));
+    }
+
+    #[test]
+    fn walk_matches_the_per_sample_definition() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // The reference definition: every sample scans both histories
+        // from their start.
+        let value_at = |h: &[(Time, bool)], t: Time| {
+            h.iter()
+                .take_while(|&&(tt, _)| tt <= t)
+                .last()
+                .is_some_and(|&(_, v)| v)
+        };
+        let near =
+            |h: &[(Time, bool)], t: Time, tol: Time| h.iter().any(|&(tt, _)| tt.abs_diff(t) <= tol);
+        let mut rng = StdRng::seed_from_u64(0xE0);
+        let history = |rng: &mut StdRng| {
+            let mut t = 0;
+            (0..rng.random_range(0..12usize))
+                .map(|_| {
+                    // Steps of 0 put two packets on one instant.
+                    t += rng.random_range(0..6u64);
+                    (t, rng.random())
+                })
+                .collect::<Vec<_>>()
+        };
+        for _ in 0..2000 {
+            let left = history(&mut rng);
+            let right = history(&mut rng);
+            let mut samples: Vec<Time> = (0..rng.random_range(1..10usize))
+                .map(|_| rng.random_range(0..50u64))
+                .collect();
+            samples.sort_unstable();
+            samples.dedup();
+            let tolerance = rng.random_range(0..4u64);
+            let expected: Vec<(Time, bool, bool)> = samples
+                .iter()
+                .map(|&t| (t, value_at(&left, t), value_at(&right, t)))
+                .filter(|&(t, lv, rv)| {
+                    lv != rv
+                        && !(tolerance > 0
+                            && (near(&left, t, tolerance) || near(&right, t, tolerance)))
+                })
+                .collect();
+            let mut got = Vec::new();
+            compare(&left, &right, &samples, tolerance, |t, lv, rv| {
+                got.push((t, lv, rv))
+            });
+            assert_eq!(
+                got, expected,
+                "{left:?} vs {right:?} at {samples:?} ±{tolerance}"
+            );
+        }
     }
 
     #[test]

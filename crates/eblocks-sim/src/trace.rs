@@ -86,11 +86,9 @@ impl Trace {
     /// The value an output displayed at `time` (the last packet at or before
     /// it), or `None` before its first packet.
     pub fn value_at(&self, output: &str, time: Time) -> Option<bool> {
-        self.history(output)
-            .iter()
-            .take_while(|&&(t, _)| t <= time)
-            .last()
-            .map(|&(_, v)| v)
+        let history = self.history(output);
+        let shown = history.partition_point(|&(t, _)| t <= time);
+        shown.checked_sub(1).map(|at| history[at].1)
     }
 
     /// Output names known to this trace, in name order.

@@ -160,16 +160,6 @@ impl StageTimings {
         self.reports.iter().map(|r| r.elapsed).sum()
     }
 
-    /// Appends every report from `other`, preserving order.
-    ///
-    /// A multi-run aggregator (the farm's batch report, a sweep harness)
-    /// collects one `StageTimings` per run and folds them into one with
-    /// this; [`summarize`](Self::summarize) then reports per-stage totals
-    /// and maxima across all merged runs.
-    pub fn merge(&mut self, other: &StageTimings) {
-        self.reports.extend_from_slice(&other.reports);
-    }
-
     /// Per-stage aggregates (run count, total and max elapsed) over every
     /// collected report, in pipeline stage order. Stages that never ran are
     /// omitted.
@@ -182,8 +172,8 @@ impl StageTimings {
     }
 }
 
-/// Aggregate timing for one stage across every run merged into a
-/// [`StageTimings`].
+/// Aggregate timing for one stage across runs (see
+/// [`StageTimings::summarize`] and [`StageStat::accumulate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageStat {
     /// The stage being summarized.
@@ -288,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_concatenates_and_summarize_aggregates() {
+    fn summarize_aggregates_per_stage() {
         let report = |stage, ms| StageReport {
             stage,
             elapsed: Duration::from_millis(ms),
@@ -297,11 +287,8 @@ mod tests {
         let mut a = StageTimings::new();
         a.on_stage(&report(Stage::Partition, 2));
         a.on_stage(&report(Stage::Merge, 5));
-        let mut b = StageTimings::new();
-        b.on_stage(&report(Stage::Partition, 6));
-        a.merge(&b);
-        a.merge(&StageTimings::new()); // merging empty is a no-op
-        assert_eq!(a.reports.len(), 3);
+        a.on_stage(&report(Stage::Partition, 6));
+        assert!(StageTimings::new().summarize().is_empty());
 
         let stats = a.summarize();
         assert_eq!(stats.len(), 2, "verify/rewrite/emit-c never ran");

@@ -8,9 +8,12 @@
 //! * local rank computation equals full cut-cost recomputation,
 //! * the incremental cut state agrees with a fresh one after every removal,
 //!   and both with the §4 pin count taken straight from the design's wires,
-//! * netlists round-trip, and
-//! * simulation is deterministic.
+//! * netlists round-trip,
+//! * simulation is deterministic, and
+//! * lint's abstract evaluation of an expression over single values is
+//!   what the interpreter computes, faults included.
 
+use eblocks::behavior::Expr;
 use eblocks::core::{
     cut_cost, netlist, BitSet, BlockId, CutCost, CutState, Design, InnerIndex, ProgrammableSpec,
 };
@@ -399,6 +402,65 @@ proptest! {
 }
 
 /// `constraints` as given, convex, and connected.
+/// Literals of either type, integers at the edges of overflow included.
+fn literal_strategy() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        any::<bool>().prop_map(Expr::Bool),
+        (-3i64..=3).prop_map(Expr::Int),
+        prop_oneof![Just(i64::MAX), Just(i64::MIN), Just(i64::MAX / 2 + 1)].prop_map(Expr::Int),
+    ]
+}
+
+/// The states the generated expressions read: `s0` and `s1` boolean, `s2`
+/// and `s3` any literal.
+fn states_strategy() -> impl Strategy<Value = Vec<Expr>> {
+    (
+        any::<bool>(),
+        any::<bool>(),
+        literal_strategy(),
+        literal_strategy(),
+    )
+        .prop_map(|(a, b, c, d)| vec![Expr::Bool(a), Expr::Bool(b), c, d])
+}
+
+/// Expressions over literals and the states `s0`…`s3`: every operator, so
+/// overflow, division by zero and type mismatches all occur, with booleans
+/// and `&&`/`||` weighted up so that short-circuits decide often.
+fn expr_strategy() -> impl Strategy<Value = Expr> {
+    use eblocks::behavior::{BinOp::*, UnOp};
+    let var = |k: usize| Expr::var(format!("s{k}"));
+    let leaf = prop_oneof![
+        any::<bool>().prop_map(Expr::Bool),
+        literal_strategy(),
+        (0..2usize).prop_map(var),
+        (0..4usize).prop_map(var),
+    ];
+    leaf.prop_recursive(4, 24, 2, |inner| {
+        let logic = prop_oneof![Just(Or), Just(And)];
+        let any_op = prop_oneof![
+            Just(Or),
+            Just(And),
+            Just(Eq),
+            Just(Ne),
+            Just(Lt),
+            Just(Le),
+            Just(Gt),
+            Just(Ge),
+            Just(Add),
+            Just(Sub),
+            Just(Mul),
+            Just(Div),
+            Just(Rem),
+        ];
+        prop_oneof![
+            (prop_oneof![Just(UnOp::Not), Just(UnOp::Neg)], inner.clone())
+                .prop_map(|(op, e)| Expr::unary(op, e)),
+            (logic, inner.clone(), inner.clone()).prop_map(|(op, l, r)| Expr::binary(op, l, r)),
+            (any_op, inner.clone(), inner).prop_map(|(op, l, r)| Expr::binary(op, l, r)),
+        ]
+    })
+}
+
 fn structural_variants(constraints: PartitionConstraints) -> [PartitionConstraints; 3] {
     [
         constraints,
@@ -464,5 +526,43 @@ proptest! {
             prop_assert!(paper.verify(&design, &constraints).is_ok());
             prop_assert_eq!(cover.objective(), paper.objective(), "{:?}", constraints);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512).with_rng_seed(0xEB10C5))]
+
+    /// Over singleton value sets, lint's `dataflow::eval` is the
+    /// interpreter: `{v}` when a machine evaluates the expression to `v`,
+    /// ⊥ when the machine faults.
+    #[test]
+    fn dataflow_eval_agrees_with_the_machine(
+        inits in states_strategy(),
+        expr in expr_strategy(),
+    ) {
+        use eblocks::behavior::{Compiled, Handler, HandlerKind, Machine, Program, StateDecl, Stmt};
+        use eblocks::lint::dataflow::{eval, ValueSet};
+        let states: Vec<StateDecl> = inits
+            .into_iter()
+            .enumerate()
+            .map(|(k, init)| StateDecl { name: format!("s{k}"), init })
+            .collect();
+        let env = states
+            .iter()
+            .map(|st| (st.name.clone(), ValueSet::just(st.init.literal().expect("a literal"))))
+            .collect();
+        let program = Program {
+            states,
+            handlers: vec![Handler {
+                kind: HandlerKind::Input,
+                body: vec![Stmt::Assign("out0".into(), expr.clone())],
+            }],
+        };
+        let code = Compiled::new(&program);
+        let expected = match Machine::new(&code).on_input(&[]) {
+            Ok(outputs) => ValueSet::just(outputs.get(0).expect("out0 is assigned")),
+            Err(_) => ValueSet::bottom(),
+        };
+        prop_assert_eq!(eval(&expr, &env), expected, "{}", expr);
     }
 }
