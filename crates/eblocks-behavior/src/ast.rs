@@ -188,11 +188,10 @@ impl BinOp {
             Self::Sub => int(l.as_int()?.checked_sub(r.as_int()?)),
             Self::Mul => int(l.as_int()?.checked_mul(r.as_int()?)),
             Self::Div | Self::Rem => {
-                let d = r.as_int()?;
+                let (n, d) = (l.as_int()?, r.as_int()?);
                 if d == 0 {
                     return Err(EvalError::DivisionByZero);
                 }
-                let n = l.as_int()?;
                 int(if self == Self::Div {
                     n.checked_div(d)
                 } else {
@@ -682,9 +681,7 @@ mod tests {
                         Ok(out) => assert_eq!(ty, Some(out.ty()), "{l} {} {r}", op.symbol()),
                         Err(EvalError::TypeMismatch { .. }) => assert_eq!(ty, None),
                         // Only arithmetic faults on values its types admit.
-                        // `/` and `%` look at the divisor first, so
-                        // `true / 0` is a division by zero.
-                        Err(_) => assert_eq!(op.result(), Ty::Int, "{l} {} {r}", op.symbol()),
+                        Err(_) => assert_eq!(ty, Some(Ty::Int), "{l} {} {r}", op.symbol()),
                     }
                 }
             }
@@ -700,10 +697,16 @@ mod tests {
             Div.apply(Value::Int(i64::MIN), Value::Int(-1)),
             Err(EvalError::Overflow)
         );
-        assert_eq!(
-            Rem.apply(Value::Bool(true), Value::Int(0)),
-            Err(EvalError::DivisionByZero)
-        );
+        // Both operands are typed before the divisor is looked at.
+        for op in [Div, Rem] {
+            assert_eq!(
+                op.apply(Value::Bool(true), Value::Int(0)),
+                Err(EvalError::TypeMismatch {
+                    expected: "int",
+                    found: "bool"
+                })
+            );
+        }
     }
 
     #[test]

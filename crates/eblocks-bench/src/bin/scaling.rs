@@ -19,7 +19,7 @@
 
 use eblocks_bench::{exhaustive_with_limit, fmt_time, run_partitioner};
 use eblocks_core::{InnerIndex, ProgrammableSpec};
-use eblocks_farm::{run_batch, Batch, FarmConfig, Job, JsonOptions};
+use eblocks_farm::{run_batch, BatchRequest, DesignSource, FarmConfig, JobSpec, JsonOptions};
 use eblocks_gen::{generate, GeneratorConfig};
 use eblocks_partition::strategy::{Anneal, PareDown};
 use eblocks_partition::{
@@ -137,12 +137,13 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     println!("detected cores: {cores} (speedups below are relative to 1 worker on this machine)");
     println!("{:>8} {:>14} {:>9}", "workers", "time", "speedup");
-    let batch = Batch::new(
-        eblocks_designs::all()
+    let batch = BatchRequest {
+        default_partitioner: None,
+        jobs: eblocks_designs::all()
             .iter()
-            .map(|entry| Job::library(entry.name))
+            .map(|entry| JobSpec::new(DesignSource::Library(entry.name.into())))
             .collect(),
-    );
+    };
     let deterministic = JsonOptions::default();
     let mut baseline: Option<(Duration, String)> = None;
     let mut identical = true;

@@ -31,7 +31,7 @@
 #![warn(missing_docs)]
 
 use eblocks_core::Design;
-use eblocks_farm::{run_batch, Batch, FarmConfig, Job, JobMode};
+use eblocks_farm::{run_batch, BatchRequest, DesignSource, FarmConfig, JobMode, JobSpec};
 use eblocks_partition::strategy::Exhaustive;
 use eblocks_partition::{
     ExhaustiveOptions, PartitionConstraints, Partitioner, Partitioning, Registry,
@@ -179,10 +179,10 @@ impl SweepRow {
 }
 
 /// Runs the Table 2 sweep on the farm engine: every (design, algorithm)
-/// measurement is one partition-mode [`Job`] and each size row is a
-/// [`Batch`] drained by `workers` threads. `scale` multiplies the paper's
-/// per-size design counts (1.0 = full paper scale); `per_design_limit`
-/// bounds each exhaustive run. Per-design times come from the farm's
+/// measurement is one partition-mode [`JobSpec`] and each size row is a
+/// [`BatchRequest`] drained by `workers` threads. `scale` multiplies the
+/// paper's per-size design counts (1.0 = full paper scale);
+/// `per_design_limit` bounds each exhaustive run. Per-design times come from the farm's
 /// partition-stage timings, so they measure the algorithm, not the pool.
 pub fn table2_sweep(
     counts: &[(usize, usize)],
@@ -207,13 +207,20 @@ pub fn table2_sweep(
         for i in 0..count {
             // Seed derived from (size, index) so rows are independent.
             let seed = (inner as u64) << 32 | i as u64;
-            let job = Job::generated(inner, seed).with_mode(JobMode::Partition);
+            let mut job = JobSpec::new(DesignSource::Generated { inner, seed });
+            job.options.mode = Some(JobMode::Partition);
             if inner <= EXHAUSTIVE_CUTOFF {
-                jobs.push(job.clone().with_partitioner("exhaustive-limited"));
+                job.partitioner = Some("exhaustive-limited".into());
+                jobs.push(job.clone());
             }
-            jobs.push(job.with_partitioner("pare-down"));
+            job.partitioner = Some("pare-down".into());
+            jobs.push(job);
         }
-        let report = run_batch(&Batch::new(jobs), &config);
+        let batch = BatchRequest {
+            default_partitioner: None,
+            jobs,
+        };
+        let report = run_batch(&batch, &config);
         let mut exh = Averages::default();
         let mut pd = Averages::default();
         for job in &report.jobs {

@@ -2,7 +2,7 @@
 //!
 //! The farm's first two chaos surfaces live inside the engine (scheduling
 //! and stage faults); this one attacks the boundary: the manifest and
-//! JSON bytes [`Batch::from_file`](eblocks_farm::Batch::from_file)
+//! JSON bytes [`BatchRequest::from_file`](eblocks_farm::BatchRequest::from_file)
 //! parses. [`corrupt`] applies a seeded burst of truncations, bit flips,
 //! insertions, deletions, and splices to a valid input, producing the
 //! malformed variants the parsers must reject *as errors* — never

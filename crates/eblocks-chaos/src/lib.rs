@@ -25,12 +25,13 @@
 //!
 //! ```
 //! use eblocks_chaos::{run_chaos, ChaosConfig};
-//! use eblocks_farm::{Batch, FarmConfig, Job};
+//! use eblocks_farm::{BatchRequest, FarmConfig};
 //!
-//! let batch = Batch::new(vec![
-//!     Job::library("Ignition Illuminator"),
-//!     Job::library("Carpool Alert"),
-//! ]);
+//! let batch = BatchRequest::parse(
+//!     "job library=\"Ignition Illuminator\"\n\
+//!      job library=\"Carpool Alert\"\n",
+//! )
+//! .unwrap();
 //! let chaos = ChaosConfig::from_seed(42);
 //! let once = run_chaos(&batch, FarmConfig::with_workers(2).retries(3), &chaos);
 //! let again = run_chaos(&batch, FarmConfig::with_workers(1).retries(3), &chaos);
@@ -53,7 +54,7 @@ pub use net::{NetChaosInjector, NetChaosPlan};
 pub use plan::{ChaosPlan, FaultKind, ForcedFault};
 pub use trace::{ChaosTrace, TraceEvent, TraceFault};
 
-use eblocks_farm::{run_batch_with_progress, Batch, BatchProgress, BatchReport, FarmConfig};
+use eblocks_farm::{run_batch_with_progress, BatchProgress, BatchReport, BatchRequest, FarmConfig};
 use std::sync::Arc;
 
 /// Everything needed to run — and later replay — one chaos experiment.
@@ -106,14 +107,14 @@ impl BatchProgress for Quiet {}
 /// `chaos` into `config` (replacing any injector already there) and runs
 /// the farm. Retry and timeout policies come from `config`
 /// ([`FarmConfig::retries`], [`FarmConfig::timeout`]).
-pub fn run_chaos(batch: &Batch, config: FarmConfig, chaos: &ChaosConfig) -> ChaosOutcome {
+pub fn run_chaos(batch: &BatchRequest, config: FarmConfig, chaos: &ChaosConfig) -> ChaosOutcome {
     run_chaos_with_progress(batch, config, chaos, &Quiet)
 }
 
 /// [`run_chaos`] with a [`BatchProgress`] listener streaming job
 /// started/finished callbacks while the storm runs.
 pub fn run_chaos_with_progress(
-    batch: &Batch,
+    batch: &BatchRequest,
     mut config: FarmConfig,
     chaos: &ChaosConfig,
     progress: &dyn BatchProgress,

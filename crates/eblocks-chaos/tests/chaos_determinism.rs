@@ -4,21 +4,22 @@
 //! alone replays a failure, and no storm ever loses or duplicates a job.
 
 use eblocks_chaos::{run_chaos, ChaosConfig, ChaosPlan, ForcedFault};
-use eblocks_farm::{Batch, FarmConfig, Job, JobMode, JsonOptions};
+use eblocks_farm::{BatchRequest, FarmConfig, JobSpec, JsonOptions};
 use eblocks_synth::Stage;
 
 /// The seed sweep CI smokes (mirrored in the workflow's chaos step).
 const SEEDS: [u64; 8] = [1, 7, 42, 1337, 2026, 0x0eb0_c500, 0xdead_beef, u64::MAX];
 
-fn storm_batch() -> Batch {
-    Batch::new(vec![
-        Job::library("Ignition Illuminator"),
-        Job::library("Podium Timer 3").with_partitioner("refine"),
-        Job::library("Carpool Alert").with_verify(false),
-        Job::generated(8, 11),
-        Job::generated(12, 5).with_mode(JobMode::Partition),
-        Job::library("Night Lamp Controller"),
-    ])
+fn storm_batch() -> BatchRequest {
+    BatchRequest::parse(
+        "job library=\"Ignition Illuminator\"\n\
+         job library=\"Podium Timer 3\" partitioner=refine\n\
+         job library=\"Carpool Alert\" verify=false\n\
+         job generated=8 seed=11\n\
+         job generated=12 seed=5 mode=partition\n\
+         job library=\"Night Lamp Controller\"\n",
+    )
+    .unwrap()
 }
 
 fn deterministic_json(config: FarmConfig, chaos: &ChaosConfig) -> (String, String) {
@@ -85,7 +86,11 @@ fn the_seed_alone_replays_a_run() {
 
 #[test]
 fn no_storm_loses_or_duplicates_a_job() {
-    let submitted: Vec<String> = storm_batch().jobs.iter().map(|j| j.name.clone()).collect();
+    let submitted: Vec<String> = storm_batch()
+        .jobs
+        .iter()
+        .map(JobSpec::display_name)
+        .collect();
     for seed in SEEDS {
         let outcome = run_chaos(
             &storm_batch(),

@@ -1,9 +1,10 @@
 //! The input-bytes fault surface: seeded corruptions of valid manifest
-//! and JSON inputs pushed through `Batch::from_file` (and the text-level
-//! parsers) must come back as `Ok` or a `ManifestError` — never a panic.
+//! and JSON inputs pushed through `BatchRequest::from_file` (and the
+//! text-level parsers) must come back as `Ok` or a `ManifestError` —
+//! never a panic.
 
 use eblocks_chaos::corrupt::corrupt;
-use eblocks_farm::Batch;
+use eblocks_farm::BatchRequest;
 use std::path::PathBuf;
 
 const VALID_MANIFEST: &str = "\
@@ -40,12 +41,12 @@ fn corrupted_files_error_but_never_panic() {
             std::fs::write(&path, &bytes).expect("write corrupted input");
             // Ok (the corruption happened to stay well-formed) and Err
             // are both fine; only a panic would fail the test.
-            let _ = Batch::from_file(&path);
+            let _ = BatchRequest::from_file(&path);
             // The text-level parsers get the same bytes where they form
             // a string at all.
             if let Ok(text) = std::str::from_utf8(&bytes) {
-                let _ = Batch::parse(text);
-                let _ = Batch::from_json(text);
+                let _ = BatchRequest::parse(text);
+                let _ = BatchRequest::from_json(text);
             }
             let _ = label;
         }
@@ -57,8 +58,8 @@ fn corrupted_files_error_but_never_panic() {
 fn uncorrupted_substrates_still_parse() {
     // Guard the fuzz substrate itself: if the valid inputs rot, the
     // corruption test would be fuzzing noise against noise.
-    let batch = Batch::parse(VALID_MANIFEST).expect("valid v1 manifest");
+    let batch = BatchRequest::parse(VALID_MANIFEST).expect("valid v1 manifest");
     assert_eq!(batch.jobs.len(), 3);
-    let batch = Batch::from_json(VALID_JSON).expect("valid v2 manifest");
+    let batch = BatchRequest::from_json(VALID_JSON).expect("valid v2 manifest");
     assert_eq!(batch.jobs.len(), 2);
 }

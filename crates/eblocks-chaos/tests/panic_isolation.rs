@@ -4,7 +4,7 @@
 //! fault-free run.
 
 use eblocks_chaos::{run_chaos, ChaosConfig, ChaosPlan, ForcedFault};
-use eblocks_farm::{Batch, FarmConfig, Job, JobMode, JsonOptions};
+use eblocks_farm::{BatchRequest, FarmConfig, JsonOptions};
 use eblocks_synth::Stage;
 use serde::{json, Value};
 
@@ -12,12 +12,11 @@ const JOBS: usize = 15;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Fifteen quick partition-mode jobs over generated designs.
-fn batch() -> Batch {
-    Batch::new(
-        (0..JOBS)
-            .map(|i| Job::generated(4 + i % 5, i as u64).with_mode(JobMode::Partition))
-            .collect(),
-    )
+fn batch() -> BatchRequest {
+    let manifest: String = (0..JOBS)
+        .map(|i| format!("job generated={} seed={i} mode=partition\n", 4 + i % 5))
+        .collect();
+    BatchRequest::parse(&manifest).unwrap()
 }
 
 /// The report as a parsed JSON value (deterministic rendering).

@@ -4,15 +4,16 @@
 //!
 //! Everything here is derive-serialized through the vendored `serde`'s
 //! [`Value`](serde::Value) tree, so a batch can arrive as JSON (manifest
-//! format v2, [`Batch::from_json`]) and a report leaves as JSON through the
-//! same types:
+//! format v2, [`BatchRequest::from_json`]) and a report leaves as JSON
+//! through the same types:
 //!
-//! * **Requests**: [`BatchRequest`] (a list of [`JobSpec`]s plus a default
-//!   strategy) and [`SynthRequest`] (one design through the full pipeline,
-//!   run as one job of the farm's attempt loop by [`synthesize_with`]).
-//!   [`DesignSource`] names where a design comes from;
-//!   [`SynthOptions`] carries the optional pipeline knobs — every field is
-//!   optional, and omitted fields keep the engine defaults.
+//! * **Requests** are the farm's only job model: [`BatchRequest`] (a list
+//!   of [`JobSpec`]s plus a default strategy) runs as is through
+//!   [`run_batch`](crate::run_batch), and [`SynthRequest`] (one design
+//!   through the full pipeline) runs as one job of the farm's attempt loop
+//!   by [`synthesize_with`]. [`DesignSource`] names where a design comes
+//!   from; [`SynthOptions`] carries the optional pipeline knobs — every
+//!   field is optional, and omitted fields keep the engine defaults.
 //! * **Responses**: [`BatchResponse`] (wrapping a
 //!   [`BatchReport`]) and [`SynthResponse`] (stats
 //!   plus the synthesized netlist text and C sources). Wall-clock fields
@@ -21,8 +22,7 @@
 //!
 //! # Example
 //!
-//! A request round-trips from JSON through the same types `run_batch`
-//! consumes:
+//! A request parsed from JSON is what `run_batch` consumes:
 //!
 //! ```
 //! use eblocks_farm::api::BatchRequest;
@@ -39,28 +39,119 @@
 //!         ]
 //!     }"#,
 //! ).unwrap();
-//! let report = run_batch(&request.to_batch(), &FarmConfig::with_workers(2));
+//! let report = run_batch(&request, &FarmConfig::with_workers(2));
 //! let response = BatchResponse::from_report(&report, &JsonOptions::default());
 //! assert_eq!(response.batch.succeeded, 2);
 //! println!("{}", serde::json::to_string(&response));
 //! ```
 
-use crate::job::{Batch, Job, JobMode, JobSource};
 use crate::report::{BatchReport, JobReport, JobStatus, JsonOptions};
 use crate::scheduler::{run_attempts, FarmConfig, JobOutput};
-use eblocks_lint::{DenyLevel, LintConfig};
+use eblocks_core::Design;
+use eblocks_lint::DenyLevel;
 use eblocks_partition::DEFAULT_PARTITIONER;
 use eblocks_synth::{Stage, StageStat, StageTimings};
 use serde::{Deserialize, Serialize};
+use std::path::PathBuf;
 
-/// Where a request's design comes from (the wire name for
-/// [`JobSource`]): `{"netlist": "path"}`, `{"library": "Name"}`, or
-/// `{"generated": {"inner": N, "seed": S}}`.
-pub use crate::job::JobSource as DesignSource;
+/// The largest `inner` a [`DesignSource::Generated`] may ask for: about
+/// twice the paper's largest design (465 inner blocks; Table 2 stops at
+/// 45). The generator allocates per inner block up front, so a request
+/// from outside must not pick the size unchecked.
+pub const MAX_GENERATED_INNER: usize = 1_000;
+
+/// Where a job's design comes from: `{"netlist": "path"}`,
+/// `{"library": "Name"}`, or `{"generated": {"inner": 20, "seed": 7}}`
+/// (`seed` defaults to 0).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum DesignSource {
+    /// A netlist file on disk (parsed with
+    /// [`eblocks_core::netlist::from_netlist`]).
+    #[serde(rename = "netlist")]
+    Netlist(PathBuf),
+    /// A Table-1 library design, looked up by name via
+    /// [`eblocks_designs::by_name`].
+    #[serde(rename = "library")]
+    Library(String),
+    /// A seeded random design from [`eblocks_gen::generate`].
+    #[serde(rename = "generated")]
+    Generated {
+        /// Target inner-block count, at most [`MAX_GENERATED_INNER`].
+        inner: usize,
+        /// Generator seed (same seed ⇒ same design).
+        #[serde(default)]
+        seed: u64,
+    },
+}
+
+impl DesignSource {
+    /// Loads the design: reads and parses a netlist file, looks up a
+    /// library design, or runs the seeded generator. Public so front ends
+    /// like the service mode's admission lint gate can inspect a design
+    /// before committing the farm to running it.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message: unreadable or invalid netlist file,
+    /// unknown library design, or a generated size over
+    /// [`MAX_GENERATED_INNER`].
+    pub fn load(&self) -> Result<Design, String> {
+        match self {
+            Self::Netlist(path) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+                eblocks_core::netlist::from_netlist(&text).map_err(|e| e.to_string())
+            }
+            Self::Library(name) => eblocks_designs::by_name(name)
+                .map(|entry| entry.design)
+                .ok_or_else(|| format!("unknown library design `{name}`")),
+            Self::Generated { inner, .. } if *inner > MAX_GENERATED_INNER => Err(format!(
+                "generated design of {inner} inner blocks is over the limit of {MAX_GENERATED_INNER}"
+            )),
+            Self::Generated { inner, seed } => Ok(eblocks_gen::generate(
+                &eblocks_gen::GeneratorConfig::new(*inner),
+                *seed,
+            )),
+        }
+    }
+
+    /// The name a job over this source gets when it sets none: the file
+    /// stem of the path as written, the library name, or
+    /// `gen<inner>-<seed>`.
+    pub fn default_name(&self) -> String {
+        match self {
+            Self::Netlist(path) => path
+                .file_stem()
+                .map(|s| s.to_string_lossy().into_owned())
+                .unwrap_or_else(|| path.display().to_string()),
+            Self::Library(name) => name.clone(),
+            Self::Generated { inner, seed } => format!("gen{inner}-{seed}"),
+        }
+    }
+}
+
+/// How far a job runs the synthesis pipeline.
+///
+/// Serializes as `"synth"` / `"partition"`, matching the manifest `mode=`
+/// tokens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum JobMode {
+    /// The full pipeline ([`Pipeline::run`](eblocks_synth::Pipeline::run)):
+    /// partition → merge → rewrite → (verify) → emit C.
+    #[default]
+    #[serde(rename = "synth")]
+    Synth,
+    /// Partition analysis only (the Tables 1–2 workload,
+    /// [`Pipeline::partition_only`](eblocks_synth::Pipeline::partition_only))
+    /// — no merge, rewrite, verification, or C emission.
+    #[serde(rename = "partition")]
+    Partition,
+}
 
 /// Optional pipeline knobs for one job. Every field is an `Option`;
 /// omitted fields keep the engine defaults (synth mode, verify on,
-/// optimize on, the paper's 2-in/2-out pin budget).
+/// optimize on, the paper's 2-in/2-out pin budget, the farm's lint
+/// setting), which the farm's attempt loop resolves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SynthOptions {
     /// Full pipeline (`"synth"`, default) or partition analysis only
@@ -74,8 +165,9 @@ pub struct SynthOptions {
     pub inputs: Option<u8>,
     /// Programmable-block output pins (default 2).
     pub outputs: Option<u8>,
-    /// Run the lint stage before synthesis (default: the farm's
-    /// engine-level setting, usually off).
+    /// Run the lint stage before synthesis. `false` turns it off whatever
+    /// the farm's setting; unset (with no `lint_deny`) keeps the farm's
+    /// [`FarmConfig::lint`], usually off.
     pub lint: Option<bool>,
     /// Which severities reject the design when lint runs:
     /// `"errors"` (default) or `"warnings"`. Implies `lint: true`
@@ -83,41 +175,12 @@ pub struct SynthOptions {
     pub lint_deny: Option<DenyLevel>,
 }
 
-impl SynthOptions {
-    /// Applies the set fields onto `job`, leaving the rest untouched.
-    fn apply(&self, job: &mut Job) {
-        if let Some(mode) = self.mode {
-            job.mode = mode;
-        }
-        if let Some(verify) = self.verify {
-            job.verify = verify;
-        }
-        if let Some(optimize) = self.optimize {
-            job.optimize = optimize;
-        }
-        if let Some(inputs) = self.inputs {
-            job.spec.inputs = inputs;
-        }
-        if let Some(outputs) = self.outputs {
-            job.spec.outputs = outputs;
-        }
-        match (self.lint, self.lint_deny) {
-            (Some(false), _) => job.lint = None,
-            (Some(true), deny) => {
-                job.lint = Some(LintConfig::denying(deny.unwrap_or_default()));
-            }
-            (None, Some(deny)) => job.lint = Some(LintConfig::denying(deny)),
-            (None, None) => {}
-        }
-    }
-}
-
 /// One job of a [`BatchRequest`]: a design source plus optional name,
 /// strategy, and pipeline options.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JobSpec {
-    /// Display name; defaults to the source's natural name (file stem,
-    /// library name, `gen<inner>-<seed>`).
+    /// Display name; defaults to the source's natural name
+    /// ([`DesignSource::default_name`]).
     pub name: Option<String>,
     /// Where the design comes from.
     pub source: DesignSource,
@@ -139,42 +202,37 @@ impl JobSpec {
         }
     }
 
-    /// The farm [`Job`] this spec describes.
-    pub fn to_job(&self) -> Job {
-        let mut job = match &self.source {
-            JobSource::Netlist(path) => Job::netlist(path.clone()),
-            JobSource::Library(name) => Job::library(name.clone()),
-            JobSource::Generated { inner, seed } => Job::generated(*inner, *seed),
-        };
-        if let Some(name) = &self.name {
-            job = job.named(name.clone());
-        }
-        job.partitioner = self.partitioner.clone();
-        self.options.apply(&mut job);
-        job
+    /// The name the job's report row carries: its own, or the source's
+    /// default.
+    pub fn display_name(&self) -> String {
+        self.name
+            .clone()
+            .unwrap_or_else(|| self.source.default_name())
     }
 }
 
-/// A batch of jobs as it would arrive over RPC — manifest format v2.
+/// A batch of jobs as it would arrive over RPC — manifest format v2, and
+/// what [`run_batch`](crate::run_batch) runs.
 ///
-/// [`Batch::from_json`] parses one from JSON text, and
-/// [`BatchRequest::to_batch`] converts it to the engine's [`Batch`].
+/// [`BatchRequest::from_json`] parses one from JSON text,
+/// [`BatchRequest::parse`] from a line manifest (v1), and
+/// [`BatchRequest::from_file`] from either.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchRequest {
     /// Strategy for jobs that set none (the manifest's
-    /// `default partitioner=…`); the engine-level override still wins.
+    /// `default partitioner=…`). The engine-level override in
+    /// [`FarmConfig`] takes precedence over this, a per-job `partitioner`
+    /// over both; the built-in fallback is `pare-down`.
     pub default_partitioner: Option<String>,
-    /// The jobs, in submission order.
+    /// The jobs, in submission order (report rows keep this order).
     pub jobs: Vec<JobSpec>,
 }
 
 impl BatchRequest {
-    /// The engine [`Batch`] this request describes.
-    pub fn to_batch(&self) -> Batch {
-        Batch {
-            jobs: self.jobs.iter().map(JobSpec::to_job).collect(),
-            default_partitioner: self.default_partitioner.clone(),
-        }
+    /// A copy of the request. `run_batch` takes the request itself; this
+    /// stays because the benchmark's serve check (`perfbench/`) calls it.
+    pub fn to_batch(&self) -> Self {
+        self.clone()
     }
 }
 
@@ -437,17 +495,6 @@ impl SynthRequest {
             options: SynthOptions::default(),
         }
     }
-
-    /// The farm [`Job`] this request describes.
-    pub fn to_job(&self) -> Job {
-        JobSpec {
-            name: None,
-            source: self.source.clone(),
-            partitioner: self.partitioner.clone(),
-            options: self.options,
-        }
-        .to_job()
-    }
 }
 
 /// One emitted C program of a [`SynthResponse`].
@@ -524,7 +571,7 @@ pub fn synthesize_with(
         .partitioner
         .as_deref()
         .unwrap_or(DEFAULT_PARTITIONER);
-    let (outcome, _) = run_attempts(&request.to_job(), 0, partitioner, config);
+    let (outcome, _) = run_attempts(&request.source, &request.options, 0, partitioner, config);
     let run = outcome.map_err(|status| match status {
         JobStatus::Panicked(message) => format!("job panicked: {message}"),
         other => other.error().unwrap_or_default().to_string(),
@@ -693,10 +740,10 @@ pub struct ProgressEvent {
 
 impl ProgressEvent {
     /// The `started` event for `job` at `index`.
-    pub fn started(index: usize, job: &Job) -> Self {
+    pub fn started(index: usize, job: &JobSpec) -> Self {
         Self {
             job: index,
-            name: job.name.clone(),
+            name: job.display_name(),
             event: ProgressKind::Started,
             status: None,
             error: None,
@@ -798,18 +845,91 @@ mod tests {
     }
 
     #[test]
+    fn default_names_follow_the_source() {
+        let name = |source: DesignSource| JobSpec::new(source).display_name();
+        assert_eq!(
+            name(DesignSource::Netlist("/tmp/deep/garage.netlist".into())),
+            "garage"
+        );
+        assert_eq!(
+            name(DesignSource::Library("Podium Timer 3".into())),
+            "Podium Timer 3"
+        );
+        assert_eq!(
+            name(DesignSource::Generated { inner: 20, seed: 7 }),
+            "gen20-7"
+        );
+        let named = JobSpec {
+            name: Some("pt3".into()),
+            ..JobSpec::new(DesignSource::Library("Podium Timer 3".into()))
+        };
+        assert_eq!(named.display_name(), "pt3");
+    }
+
+    #[test]
+    fn sources_load() {
+        assert!(DesignSource::Library("Podium Timer 3".into())
+            .load()
+            .is_ok());
+        assert!(DesignSource::Library("No Such Design".into())
+            .load()
+            .unwrap_err()
+            .contains("unknown library design"));
+        assert!(DesignSource::Netlist("/nonexistent/x.netlist".into())
+            .load()
+            .unwrap_err()
+            .contains("cannot read"));
+        let d = DesignSource::Generated { inner: 8, seed: 42 }
+            .load()
+            .unwrap();
+        let same = eblocks_gen::generate(&eblocks_gen::GeneratorConfig::new(8), 42);
+        assert_eq!(
+            eblocks_core::netlist::to_netlist(&d),
+            eblocks_core::netlist::to_netlist(&same),
+            "generated source is seed-deterministic"
+        );
+    }
+
+    #[test]
+    fn oversized_generated_sources_are_refused() {
+        // 2^40 inner blocks would ask the generator for terabytes up front.
+        let source = DesignSource::Generated {
+            inner: 1 << 40,
+            seed: 0,
+        };
+        let expected = "generated design of 1099511627776 inner blocks is over the limit of 1000";
+        assert_eq!(source.load().unwrap_err(), expected);
+        assert_eq!(
+            synthesize(&SynthRequest::new(source.clone())).unwrap_err(),
+            expected
+        );
+        let batch = BatchRequest {
+            default_partitioner: None,
+            jobs: vec![JobSpec::new(source)],
+        };
+        let report = run_batch(&batch, &FarmConfig::with_workers(1));
+        assert_eq!(report.jobs[0].status, JobStatus::Failed(expected.into()));
+
+        // The limit itself still loads.
+        let at_limit = DesignSource::Generated {
+            inner: MAX_GENERATED_INNER,
+            seed: 0,
+        };
+        assert!(at_limit.load().is_ok());
+    }
+
+    #[test]
     fn requests_parse_and_convert() {
         let request: BatchRequest = serde::json::from_str(request_json()).unwrap();
         assert_eq!(request.default_partitioner.as_deref(), Some("refine"));
         assert_eq!(request.jobs.len(), 2);
-        let batch = request.to_batch();
-        assert_eq!(batch.jobs[0].name, "Ignition Illuminator");
-        assert_eq!(batch.jobs[0].mode, JobMode::Synth);
-        assert!(batch.jobs[0].verify, "unset options keep engine defaults");
-        assert_eq!(batch.jobs[1].name, "g10");
-        assert_eq!(batch.jobs[1].mode, JobMode::Partition);
-        assert!(!batch.jobs[1].verify);
-        assert_eq!(batch.jobs[1].partitioner.as_deref(), Some("aggregation"));
+        let jobs = &request.jobs;
+        assert_eq!(jobs[0].display_name(), "Ignition Illuminator");
+        assert_eq!(jobs[0].options, SynthOptions::default());
+        assert_eq!(jobs[1].display_name(), "g10");
+        assert_eq!(jobs[1].options.mode, Some(JobMode::Partition));
+        assert_eq!(jobs[1].options.verify, Some(false));
+        assert_eq!(jobs[1].partitioner.as_deref(), Some("aggregation"));
 
         // Request JSON re-serialization is byte-stable.
         let text = serde::json::to_string(&request);
@@ -839,7 +959,7 @@ mod tests {
     #[test]
     fn response_round_trips_through_json() {
         let request: BatchRequest = serde::json::from_str(request_json()).unwrap();
-        let report = run_batch(&request.to_batch(), &FarmConfig::with_workers(2));
+        let report = run_batch(&request, &FarmConfig::with_workers(2));
         assert!(report.all_ok(), "{}", report.render_text(false));
 
         for options in [JsonOptions::default(), JsonOptions { timings: true }] {
@@ -871,34 +991,36 @@ mod tests {
 
     #[test]
     fn lint_options_round_trip_and_surface_counts() {
-        // `lint_deny` alone implies lint on.
-        let spec: JobSpec = serde::json::from_str(
-            r#"{"source": {"library": "Ignition Illuminator"},
-                "options": {"lint_deny": "warnings"}}"#,
-        )
-        .unwrap();
-        let job = spec.to_job();
-        assert_eq!(job.lint.map(|c| c.deny), Some(DenyLevel::Warnings));
-
-        // An explicit `lint: false` wins over a stray deny level.
-        let spec: JobSpec = serde::json::from_str(
-            r#"{"source": {"library": "Ignition Illuminator"},
-                "options": {"lint": false, "lint_deny": "warnings"}}"#,
-        )
-        .unwrap();
-        assert_eq!(spec.to_job().lint, None);
-
-        // A linted clean job omits the count fields entirely, so
-        // committed goldens are untouched by turning lint on.
         let request: BatchRequest = serde::json::from_str(
             r#"{"default_partitioner": null, "jobs": [
                 {"source": {"library": "Ignition Illuminator"},
-                 "options": {"lint": true}}
+                 "options": {"lint": true}},
+                {"source": {"library": "Ignition Illuminator"},
+                 "options": {"lint_deny": "warnings"}},
+                {"source": {"library": "Ignition Illuminator"},
+                 "options": {"lint": false, "lint_deny": "warnings"}},
+                {"source": {"library": "Ignition Illuminator"}}
             ]}"#,
         )
         .unwrap();
-        let report = run_batch(&request.to_batch(), &FarmConfig::with_workers(1));
+        let text = serde::json::to_string(&request);
+        assert_eq!(
+            serde::json::from_str::<BatchRequest>(&text).unwrap(),
+            request
+        );
+        let report = run_batch(&request, &FarmConfig::with_workers(1));
         assert!(report.all_ok(), "{}", report.render_text(false));
+        let lint: Vec<_> = report
+            .jobs
+            .iter()
+            .map(|job| job.stats.as_ref().unwrap().lint.map(|l| l.is_clean()))
+            .collect();
+        // `lint_deny` alone implies lint on; an explicit `lint: false`
+        // wins over a stray deny level; unset follows the farm (off).
+        assert_eq!(lint, [Some(true), Some(true), None, None]);
+
+        // A linted clean job omits the count fields entirely, so
+        // committed goldens are untouched by turning lint on.
         let response = BatchResponse::from_report(&report, &JsonOptions::default());
         assert_eq!(response.results[0].lint_errors, None);
         assert_eq!(response.results[0].lint_warnings, None);
@@ -1014,7 +1136,7 @@ mod tests {
 
         // Replies round-trip the same way, including the nested
         // BatchResponse payload.
-        let report = run_batch(&request.to_batch(), &FarmConfig::with_workers(1));
+        let report = run_batch(request, &FarmConfig::with_workers(1));
         let reply = ReplyEnvelope {
             id: Some("r1".into()),
             reply: ServeReply::Batch(BatchResponse::from_report(&report, &JsonOptions::default())),
@@ -1077,14 +1199,14 @@ mod tests {
 
     #[test]
     fn progress_events_mirror_job_reports() {
-        let job = Job::library("Ignition Illuminator");
+        let job = JobSpec::new(DesignSource::Library("Ignition Illuminator".into()));
         let event = ProgressEvent::started(3, &job);
         assert_eq!(event.event, ProgressKind::Started);
         assert_eq!(event.name, "Ignition Illuminator");
         assert_eq!(event.status, None);
 
         let report = JobReport {
-            name: job.name.clone(),
+            name: event.name.clone(),
             partitioner: "pare-down".into(),
             status: JobStatus::TimedOut("too slow".into()),
             elapsed: std::time::Duration::ZERO,

@@ -2,25 +2,27 @@
 //! [`Pipeline`](eblocks_synth::Pipeline).
 //!
 //! The paper's workflow synthesizes one design at a time; this crate scales
-//! that to production batches. A [`Batch`] of [`Job`]s (each job = a design
-//! source × a partitioning strategy × pipeline options) runs across a
-//! scoped-thread worker pool and comes back as one [`BatchReport`] with
-//! per-job status, partition statistics, stage timings, and emitted-C
+//! that to production batches. A [`BatchRequest`] of [`JobSpec`]s (each job
+//! = a design source × a partitioning strategy × pipeline options) runs
+//! across a scoped-thread worker pool and comes back as one [`BatchReport`]
+//! with per-job status, partition statistics, stage timings, and emitted-C
 //! sizes, plus batch-level aggregates.
 //!
-//! * jobs come from netlist files, the Table-1 design library, or the
-//!   seeded generator ([`JobSource`]), and batches parse from a
-//!   line-oriented manifest file ([`Batch::parse`]) or a typed JSON
-//!   request — manifest format v2, the serialized [`api::BatchRequest`]
-//!   ([`Batch::from_json`]; [`Batch::from_file`] sniffs the format);
+//! * the request types in [`api`] are the only job model: jobs come from
+//!   netlist files, the Table-1 design library, or the seeded generator
+//!   ([`DesignSource`]), and batches parse from a line-oriented manifest
+//!   file ([`BatchRequest::parse`]) or a typed JSON request — manifest
+//!   format v2 ([`BatchRequest::from_json`]; [`BatchRequest::from_file`]
+//!   sniffs the format);
 //! * the scheduler is a shared queue drained greedily by `--jobs N` workers
 //!   ([`run_batch`], [`FarmConfig`]); job panics are isolated per worker;
 //!   [`run_batch_with_progress`] streams job started/finished callbacks to
 //!   a [`BatchProgress`] listener while the batch runs;
-//! * a lint admission gate ([`FarmConfig::lint`] engine-wide,
-//!   [`Job::lint`] per job) statically analyzes each design before it
-//!   runs and records per-job [`LintOutcome`] counts in [`JobStats`]; a
-//!   rejecting deny level fails the job instead of synthesizing garbage;
+//! * a lint admission gate ([`FarmConfig::lint`] engine-wide, a job's
+//!   `lint`/`lint_deny` [`api::SynthOptions`] per job) statically analyzes
+//!   each design before it runs and records per-job [`LintOutcome`] counts
+//!   in [`JobStats`]; a rejecting deny level fails the job instead of
+//!   synthesizing garbage;
 //! * resilience policies live on [`FarmConfig`]: a per-job retry budget
 //!   (`max_retries`, surfaced as [`JobReport::retries`]) and a cooperative
 //!   per-attempt timeout (`job_timeout`, surfaced as
@@ -38,12 +40,13 @@
 //! # Example
 //!
 //! ```
-//! use eblocks_farm::{run_batch, Batch, FarmConfig, Job};
+//! use eblocks_farm::{run_batch, BatchRequest, FarmConfig};
 //!
-//! let batch = Batch::new(vec![
-//!     Job::library("Ignition Illuminator"),
-//!     Job::library("Carpool Alert").with_partitioner("refine"),
-//! ]);
+//! let batch = BatchRequest::parse(
+//!     "job library=\"Ignition Illuminator\"\n\
+//!      job library=\"Carpool Alert\" partitioner=refine\n",
+//! )
+//! .unwrap();
 //! let report = run_batch(&batch, &FarmConfig::with_workers(2));
 //! assert!(report.all_ok());
 //! assert_eq!(report.jobs.len(), 2);
@@ -53,13 +56,12 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod job;
 pub mod manifest;
 pub mod report;
 pub mod scheduler;
 
+pub use api::{BatchRequest, DesignSource, JobMode, JobSpec};
 pub use eblocks_lint::{DenyLevel, LintConfig, LintOutcome};
-pub use job::{Batch, Job, JobMode, JobSource};
 pub use manifest::ManifestError;
 pub use report::{BatchReport, JobReport, JobStats, JobStatus, JsonOptions};
 pub use scheduler::{

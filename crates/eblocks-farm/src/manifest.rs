@@ -19,28 +19,28 @@
 //!   spaces go in double quotes.
 //! * `default` lines set option defaults for the job lines **after** them
 //!   (same keys, minus the source keys). `default partitioner=…` is special:
-//!   it becomes the batch-level fallback ([`Batch::default_partitioner`]),
-//!   which an engine-level override — the CLI's `--partitioner` flag —
-//!   beats, while a per-job `partitioner=` beats both.
+//!   it becomes the batch-level fallback
+//!   ([`BatchRequest::default_partitioner`]), which an engine-level
+//!   override — the CLI's `--partitioner` flag — beats, while a per-job
+//!   `partitioner=` beats both.
 //!
 //! Each `job` line reads into the [`JobSpec`] a manifest-v2 JSON job
 //! would be, and the `default` lines above it into the [`SynthOptions`]
-//! that job starts from, so both formats build their [`Batch`] the same
-//! way ([`BatchRequest::to_batch`]).
+//! that job starts from, so both formats fill the one [`BatchRequest`].
 //!
 //! Relative `netlist=` paths are resolved against the manifest file's
-//! directory by [`Batch::from_file`]; [`Batch::parse`] leaves them as-is.
+//! directory by [`BatchRequest::from_file`]; [`BatchRequest::parse`]
+//! leaves them as-is.
 
-use crate::api::{BatchRequest, JobSpec, SynthOptions};
-use crate::job::{Batch, JobMode, JobSource};
+use crate::api::{BatchRequest, DesignSource, JobMode, JobSpec, SynthOptions};
 use std::path::{Path, PathBuf};
 
 /// A manifest error: what went wrong, on which 1-based line, and — when it
-/// came through [`Batch::from_file`] — in which file.
+/// came through [`BatchRequest::from_file`] — in which file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestError {
-    /// The manifest file, when known ([`Batch::from_file`] fills this in;
-    /// the text-level parsers leave it `None`).
+    /// The manifest file, when known ([`BatchRequest::from_file`] fills
+    /// this in; the text-level parsers leave it `None`).
     pub path: Option<PathBuf>,
     /// 1-based line the error was found on; 0 when no line applies (an
     /// unreadable file, a JSON shape error).
@@ -156,13 +156,13 @@ fn apply_option(options: &mut SynthOptions, key: &str, value: &str) -> Result<bo
 /// One `job` line as the [`JobSpec`] a manifest-v2 job would be, starting
 /// from the options the `default` lines above it set.
 fn parse_job(pairs: &[(String, String)], defaults: &SynthOptions) -> Result<JobSpec, String> {
-    let mut source: Option<JobSource> = None;
+    let mut source: Option<DesignSource> = None;
     let mut name: Option<String> = None;
     let mut partitioner: Option<String> = None;
     let mut seed: Option<u64> = None;
     let mut options = *defaults;
     for (key, value) in pairs {
-        let mut set_source = |s: JobSource| {
+        let mut set_source = |s: DesignSource| {
             if source.is_some() {
                 Err("more than one of netlist=/library=/generated=".to_string())
             } else {
@@ -171,9 +171,9 @@ fn parse_job(pairs: &[(String, String)], defaults: &SynthOptions) -> Result<JobS
             }
         };
         match key.as_str() {
-            "netlist" => set_source(JobSource::Netlist(value.into()))?,
-            "library" => set_source(JobSource::Library(value.clone()))?,
-            "generated" => set_source(JobSource::Generated {
+            "netlist" => set_source(DesignSource::Netlist(value.into()))?,
+            "library" => set_source(DesignSource::Library(value.clone()))?,
+            "generated" => set_source(DesignSource::Generated {
                 inner: parse_num(key, value)?,
                 seed: 0,
             })?,
@@ -189,8 +189,8 @@ fn parse_job(pairs: &[(String, String)], defaults: &SynthOptions) -> Result<JobS
     }
     let mut source = source.ok_or("job needs one of netlist=/library=/generated=")?;
     match (&mut source, seed) {
-        (JobSource::Generated { seed, .. }, Some(s)) => *seed = s,
-        (JobSource::Generated { .. }, None) => {}
+        (DesignSource::Generated { seed, .. }, Some(s)) => *seed = s,
+        (DesignSource::Generated { .. }, None) => {}
         (_, Some(_)) => return Err("seed= only applies to generated= jobs".into()),
         _ => {}
     }
@@ -202,10 +202,10 @@ fn parse_job(pairs: &[(String, String)], defaults: &SynthOptions) -> Result<JobS
     })
 }
 
-impl Batch {
+impl BatchRequest {
     /// Parses a manifest. Relative `netlist=` paths are kept as written;
-    /// use [`Batch::from_file`] to resolve them against the manifest's
-    /// directory.
+    /// use [`BatchRequest::from_file`] to resolve them against the
+    /// manifest's directory.
     ///
     /// # Errors
     ///
@@ -249,14 +249,14 @@ impl Batch {
                 other => return Err(err(format!("unknown directive `{other}`"))),
             }
         }
-        Ok(request.to_batch())
+        Ok(request)
     }
 
     /// Parses a manifest-v2 JSON batch: the serialized form of
     /// [`BatchRequest`] (see [`crate::api`]).
     ///
     /// Relative `netlist` paths are kept as written, as in
-    /// [`Batch::parse`]; [`Batch::from_file`] resolves them.
+    /// [`BatchRequest::parse`]; [`BatchRequest::from_file`] resolves them.
     ///
     /// # Errors
     ///
@@ -264,19 +264,18 @@ impl Batch {
     /// with the value path for shape errors, e.g.
     /// `jobs[0].source: unknown variant`).
     pub fn from_json(text: &str) -> Result<Self, ManifestError> {
-        match serde::json::from_str::<BatchRequest>(text) {
-            Ok(request) => Ok(request.to_batch()),
-            Err(serde::json::Error::Syntax(e)) => Err(ManifestError::at_line(
-                e.line,
-                format!("column {}: {}", e.column, e.message),
-            )),
-            Err(serde::json::Error::Data(e)) => Err(ManifestError::at_line(0, e.to_string())),
-        }
+        serde::json::from_str(text).map_err(|e| match e {
+            serde::json::Error::Syntax(e) => {
+                ManifestError::at_line(e.line, format!("column {}: {}", e.column, e.message))
+            }
+            serde::json::Error::Data(e) => ManifestError::at_line(0, e.to_string()),
+        })
     }
 
     /// Reads and parses a manifest file — line-oriented (v1) or JSON (v2,
     /// detected by a leading `{`) — resolving relative `netlist` paths
-    /// against the file's directory.
+    /// against the file's directory. A job so resolved keeps the name of
+    /// the path as written.
     ///
     /// # Errors
     ///
@@ -295,17 +294,20 @@ impl Batch {
         } else {
             Self::parse(text)
         };
-        let mut batch = parsed.map_err(|e| e.with_path(path))?;
+        let mut request = parsed.map_err(|e| e.with_path(path))?;
         if let Some(base) = path.parent() {
-            for job in &mut batch.jobs {
-                if let JobSource::Netlist(p) = &mut job.source {
-                    if p.is_relative() {
-                        *p = base.join(&*p);
-                    }
+            for job in &mut request.jobs {
+                let DesignSource::Netlist(p) = &job.source else {
+                    continue;
+                };
+                if p.is_relative() {
+                    let resolved = DesignSource::Netlist(base.join(p));
+                    job.name.get_or_insert_with(|| job.source.default_name());
+                    job.source = resolved;
                 }
             }
         }
-        Ok(batch)
+        Ok(request)
     }
 }
 
@@ -324,32 +326,43 @@ mod tests {
 
     #[test]
     fn full_manifest_parses() {
-        let batch = Batch::parse(FULL_MANIFEST).unwrap();
+        let batch = BatchRequest::parse(FULL_MANIFEST).unwrap();
         assert_eq!(batch.default_partitioner.as_deref(), Some("anneal"));
         assert_eq!(batch.jobs.len(), 3);
 
         let j = &batch.jobs[0];
-        assert_eq!(j.name, "garage");
-        assert_eq!(j.source, JobSource::Netlist("a dir/garage.netlist".into()));
+        assert_eq!(j.display_name(), "garage");
+        assert_eq!(
+            j.source,
+            DesignSource::Netlist("a dir/garage.netlist".into())
+        );
         assert_eq!(j.partitioner, None, "batch default applies at run time");
-        assert!(!j.verify, "default verify=false was in effect");
+        assert_eq!(
+            j.options.verify,
+            Some(false),
+            "default verify=false was in effect"
+        );
 
         let j = &batch.jobs[1];
-        assert_eq!(j.name, "pt3");
-        assert_eq!(j.source, JobSource::Library("Podium Timer 3".into()));
+        assert_eq!(j.display_name(), "pt3");
+        assert_eq!(j.source, DesignSource::Library("Podium Timer 3".into()));
         assert_eq!(j.partitioner.as_deref(), Some("refine"));
 
         let j = &batch.jobs[2];
-        assert_eq!(j.source, JobSource::Generated { inner: 20, seed: 7 });
-        assert_eq!(j.mode, JobMode::Partition);
-        assert!(j.verify, "later default line flipped it back");
-        assert!(!j.optimize);
-        assert_eq!(j.spec.inputs, 3, "default inputs=3 was in effect");
+        assert_eq!(j.source, DesignSource::Generated { inner: 20, seed: 7 });
+        assert_eq!(j.options.mode, Some(JobMode::Partition));
+        assert_eq!(
+            j.options.verify,
+            Some(true),
+            "later default line flipped it back"
+        );
+        assert_eq!(j.options.optimize, Some(false));
+        assert_eq!(j.options.inputs, Some(3), "default inputs=3 was in effect");
     }
 
     #[test]
     fn full_manifest_equals_its_v2_json() {
-        let json = Batch::from_json(
+        let json = BatchRequest::from_json(
             r#"{
                 "default_partitioner": "anneal",
                 "jobs": [
@@ -364,13 +377,13 @@ mod tests {
             }"#,
         )
         .unwrap();
-        assert_eq!(json, Batch::parse(FULL_MANIFEST).unwrap());
+        assert_eq!(json, BatchRequest::parse(FULL_MANIFEST).unwrap());
     }
 
     #[test]
     fn errors_carry_line_numbers() {
         let check = |text: &str, line: usize, needle: &str| {
-            let e = Batch::parse(text).unwrap_err();
+            let e = BatchRequest::parse(text).unwrap_err();
             assert_eq!(e.line, line, "{e}");
             assert!(e.message.contains(needle), "{e}");
             assert!(e.to_string().contains(&format!("line {line}")));
@@ -395,20 +408,23 @@ mod tests {
         let manifest = dir.join("batch.manifest");
         std::fs::write(
             &manifest,
-            "job netlist=rel.netlist\njob netlist=/abs.netlist\n",
+            "job netlist=rel.netlist\njob netlist=/abs.netlist\njob netlist=sub/..\n",
         )
         .unwrap();
-        let batch = Batch::from_file(&manifest).unwrap();
+        let batch = BatchRequest::from_file(&manifest).unwrap();
         assert_eq!(
             batch.jobs[0].source,
-            JobSource::Netlist(dir.join("rel.netlist"))
+            DesignSource::Netlist(dir.join("rel.netlist"))
         );
         assert_eq!(
             batch.jobs[1].source,
-            JobSource::Netlist("/abs.netlist".into())
+            DesignSource::Netlist("/abs.netlist".into())
         );
+        // Rows are named after the path as written.
+        let names: Vec<String> = batch.jobs.iter().map(JobSpec::display_name).collect();
+        assert_eq!(names, ["rel", "abs", "sub/.."]);
         let missing = dir.join("missing.manifest");
-        let err = Batch::from_file(&missing).unwrap_err();
+        let err = BatchRequest::from_file(&missing).unwrap_err();
         assert_eq!(err.path.as_deref(), Some(missing.as_path()));
         assert!(err.to_string().contains("cannot read"), "{err}");
         assert!(
@@ -424,7 +440,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let manifest = dir.join("broken.manifest");
         std::fs::write(&manifest, "job netlist=a\nfrob x=1\n").unwrap();
-        let err = Batch::from_file(&manifest).unwrap_err();
+        let err = BatchRequest::from_file(&manifest).unwrap_err();
         assert_eq!(err.line, 2);
         assert_eq!(err.path.as_deref(), Some(manifest.as_path()));
         let text = err.to_string();
@@ -433,7 +449,7 @@ mod tests {
             "path and line: {text}"
         );
         // Text-level parsing leaves the path empty.
-        let err = Batch::parse("frob x=1\n").unwrap_err();
+        let err = BatchRequest::parse("frob x=1\n").unwrap_err();
         assert_eq!(err.path, None);
         assert_eq!(err.to_string(), "manifest line 1: unknown directive `frob`");
         std::fs::remove_dir_all(&dir).ok();
@@ -441,7 +457,7 @@ mod tests {
 
     #[test]
     fn json_manifests_parse_as_v2() {
-        let batch = Batch::from_json(
+        let batch = BatchRequest::from_json(
             r#"{
                 "default_partitioner": "anneal",
                 "jobs": [
@@ -457,17 +473,20 @@ mod tests {
         assert_eq!(batch.jobs[0].partitioner.as_deref(), Some("refine"));
         assert_eq!(
             batch.jobs[1].source,
-            JobSource::Generated { inner: 20, seed: 7 }
+            DesignSource::Generated { inner: 20, seed: 7 }
         );
-        assert_eq!(batch.jobs[1].mode, JobMode::Partition);
-        assert!(!batch.jobs[1].optimize);
-        assert!(batch.jobs[1].verify, "unset options keep defaults");
+        assert_eq!(batch.jobs[1].options.mode, Some(JobMode::Partition));
+        assert_eq!(batch.jobs[1].options.optimize, Some(false));
+        assert_eq!(
+            batch.jobs[1].options.verify, None,
+            "unset options stay unset"
+        );
 
         // Syntax errors carry the JSON line; shape errors carry the path
         // into the value tree.
-        let err = Batch::from_json("{\n  \"jobs\": [,]\n}").unwrap_err();
+        let err = BatchRequest::from_json("{\n  \"jobs\": [,]\n}").unwrap_err();
         assert_eq!(err.line, 2, "{err}");
-        let err = Batch::from_json(r#"{"jobs": [{"source": {"library": 3}}]}"#).unwrap_err();
+        let err = BatchRequest::from_json(r#"{"jobs": [{"source": {"library": 3}}]}"#).unwrap_err();
         assert!(err.message.contains("jobs[0].source.library"), "{err}");
     }
 
@@ -482,45 +501,54 @@ mod tests {
             r#"  {"jobs": [{"source": {"netlist": "rel.netlist"}}]}"#,
         )
         .unwrap();
-        let batch = Batch::from_file(&manifest).unwrap();
+        let batch = BatchRequest::from_file(&manifest).unwrap();
         assert_eq!(
             batch.jobs[0].source,
-            JobSource::Netlist(dir.join("rel.netlist")),
+            DesignSource::Netlist(dir.join("rel.netlist")),
             "v2 manifests get the same relative-path resolution as v1"
         );
         std::fs::write(&manifest, r#"{"jobs": [{"sauce": 1}]}"#).unwrap();
-        let err = Batch::from_file(&manifest).unwrap_err();
+        let err = BatchRequest::from_file(&manifest).unwrap_err();
         assert!(err.to_string().contains("batch.json"), "{err}");
         assert!(err.message.contains("unknown field `sauce`"), "{err}");
         // A UTF-8 BOM (Windows tooling) must not defeat the sniffing.
         std::fs::write(&manifest, "\u{feff}{\"jobs\": []}").unwrap();
-        let batch = Batch::from_file(&manifest).unwrap();
+        let batch = BatchRequest::from_file(&manifest).unwrap();
         assert!(batch.jobs.is_empty(), "BOM-prefixed JSON parses as v2");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn quoting_edge_cases() {
-        let batch = Batch::parse("job library=\"A B\" name=\"\"\n").unwrap();
-        assert_eq!(batch.jobs[0].source, JobSource::Library("A B".into()));
-        assert_eq!(batch.jobs[0].name, "", "explicit empty name is kept");
+        let batch = BatchRequest::parse("job library=\"A B\" name=\"\"\n").unwrap();
+        assert_eq!(batch.jobs[0].source, DesignSource::Library("A B".into()));
+        assert_eq!(
+            batch.jobs[0].display_name(),
+            "",
+            "explicit empty name is kept"
+        );
     }
 
     #[test]
     fn hash_in_quoted_value_is_literal() {
-        let batch =
-            Batch::parse("job netlist=\"dir/garage#1.netlist\" name=\"a#b\"  # real comment\n")
-                .unwrap();
+        let batch = BatchRequest::parse(
+            "job netlist=\"dir/garage#1.netlist\" name=\"a#b\"  # real comment\n",
+        )
+        .unwrap();
         assert_eq!(
             batch.jobs[0].source,
-            JobSource::Netlist("dir/garage#1.netlist".into())
+            DesignSource::Netlist("dir/garage#1.netlist".into())
         );
-        assert_eq!(batch.jobs[0].name, "a#b");
+        assert_eq!(batch.jobs[0].display_name(), "a#b");
         // Unquoted `#` still starts a comment mid-line.
-        let batch = Batch::parse("job library=X partitioner=refine # verify=false\n").unwrap();
-        assert!(batch.jobs[0].verify, "commented-out key was ignored");
+        let batch =
+            BatchRequest::parse("job library=X partitioner=refine # verify=false\n").unwrap();
+        assert_eq!(
+            batch.jobs[0].options.verify, None,
+            "commented-out key was ignored"
+        );
         // A quote opened after a real comment marker is not an error.
-        assert!(Batch::parse("# just \"a comment\n")
+        assert!(BatchRequest::parse("# just \"a comment\n")
             .unwrap()
             .jobs
             .is_empty());

@@ -12,9 +12,9 @@
 //! the worker, reported as [`JobStatus::Panicked`], and the worker moves on
 //! — one poisoned job cannot take down the batch.
 
-use crate::job::{Batch, Job, JobMode};
+use crate::api::{BatchRequest, DesignSource, JobMode, JobSpec, SynthOptions};
 use crate::report::{BatchReport, JobReport, JobStats, JobStatus};
-use eblocks_core::Design;
+use eblocks_core::{Design, ProgrammableSpec};
 use eblocks_lint::{LintConfig, LintOutcome};
 use eblocks_partition::{PartitionConstraints, Partitioning, Registry, DEFAULT_PARTITIONER};
 use eblocks_synth::{Observer, Pipeline, Stage, StageAbort, StageReport, StageTimings, SynthError};
@@ -108,9 +108,11 @@ pub struct FarmConfig {
     /// this configured limit, never measured time, keeping reports
     /// deterministic. Default `None` (no limit).
     pub job_timeout: Option<Duration>,
-    /// Lint stage default for jobs that set none (a per-job
-    /// [`Job::lint`] still wins). `None` (the default) leaves lint off,
-    /// so existing batches and their committed goldens are untouched.
+    /// Lint stage default, the full config (deny level, fan-out and pin
+    /// budgets), for jobs whose options set neither `lint` nor
+    /// `lint_deny`; see [`SynthOptions::lint`] for what those select.
+    /// `None` (the default) leaves lint off, so existing batches and their
+    /// committed goldens are untouched.
     pub lint: Option<LintConfig>,
     /// The fault-injection hook, shared by every worker. Default `None`
     /// (no injection); the chaos harness installs its seeded injector
@@ -219,7 +221,7 @@ impl FarmConfig {
 pub trait BatchProgress: Sync {
     /// A worker claimed `job` (index `index` in submission order) and is
     /// about to run it.
-    fn job_started(&self, index: usize, job: &Job) {
+    fn job_started(&self, index: usize, job: &JobSpec) {
         let _ = (index, job);
     }
 
@@ -241,14 +243,14 @@ impl BatchProgress for Silent {}
 /// Job execution is deterministic (all built-in strategies are), so the
 /// per-job results are identical for any worker count; only wall-clock
 /// fields differ.
-pub fn run_batch(batch: &Batch, config: &FarmConfig) -> BatchReport {
+pub fn run_batch(batch: &BatchRequest, config: &FarmConfig) -> BatchReport {
     run_batch_with_progress(batch, config, &Silent)
 }
 
 /// [`run_batch`] with a [`BatchProgress`] listener receiving job
 /// started/finished callbacks as workers process the queue.
 pub fn run_batch_with_progress(
-    batch: &Batch,
+    batch: &BatchRequest,
     config: &FarmConfig,
     progress: &dyn BatchProgress,
 ) -> BatchReport {
@@ -303,7 +305,7 @@ pub fn run_batch_with_progress(
                 debug_assert!(config.stop.is_some(), "every claimed job reports");
                 let job = &batch.jobs[index];
                 JobReport {
-                    name: job.name.clone(),
+                    name: job.display_name(),
                     partitioner: partitioner_name(job, batch, config).to_string(),
                     status: JobStatus::Failed("cancelled: batch drain requested".to_string()),
                     elapsed: Duration::ZERO,
@@ -338,7 +340,11 @@ fn pickup_order(faults: Option<&dyn FaultInjector>, jobs: usize) -> Vec<usize> {
 
 /// Resolves the job's strategy name: job > engine override > batch default
 /// > [`DEFAULT_PARTITIONER`].
-fn partitioner_name<'a>(job: &'a Job, batch: &'a Batch, config: &'a FarmConfig) -> &'a str {
+fn partitioner_name<'a>(
+    job: &'a JobSpec,
+    batch: &'a BatchRequest,
+    config: &'a FarmConfig,
+) -> &'a str {
     job.partitioner
         .as_deref()
         .or(config.partitioner_override.as_deref())
@@ -348,16 +354,16 @@ fn partitioner_name<'a>(job: &'a Job, batch: &'a Batch, config: &'a FarmConfig) 
 
 /// Runs one job on the calling worker thread and folds the final
 /// attempt's outcome into the job's batch row.
-fn run_job(job: &Job, index: usize, batch: &Batch, config: &FarmConfig) -> JobReport {
+fn run_job(job: &JobSpec, index: usize, batch: &BatchRequest, config: &FarmConfig) -> JobReport {
     let started = Instant::now();
     let name = partitioner_name(job, batch, config);
-    let (outcome, retries) = run_attempts(job, index, name, config);
+    let (outcome, retries) = run_attempts(&job.source, &job.options, index, name, config);
     let (status, stats) = match outcome {
         Ok(run) => (JobStatus::Ok, Some(run.into_stats())),
         Err(status) => (status, None),
     };
     JobReport {
-        name: job.name.clone(),
+        name: job.display_name(),
         partitioner: name.to_string(),
         status,
         elapsed: started.elapsed(),
@@ -367,12 +373,14 @@ fn run_job(job: &Job, index: usize, batch: &Batch, config: &FarmConfig) -> JobRe
 }
 
 /// The attempt loop, the only code that runs a job (a batch row or an
-/// [`api::synthesize_with`](crate::api::synthesize_with) request): each
-/// attempt runs in panic isolation under the deadline and the injector's
-/// faults for job `index`, up to the retry budget. Returns the last
-/// attempt's run or status (never `Ok`) and the retries it took.
+/// [`api::synthesize_with`](crate::api::synthesize_with) request) from its
+/// source and options: each attempt runs in panic isolation under the
+/// deadline and the injector's faults for job `index`, up to the retry
+/// budget. Returns the last attempt's run or status (never `Ok`) and the
+/// retries it took.
 pub(crate) fn run_attempts(
-    job: &Job,
+    source: &DesignSource,
+    options: &SynthOptions,
     index: usize,
     partitioner: &str,
     config: &FarmConfig,
@@ -380,7 +388,7 @@ pub(crate) fn run_attempts(
     let mut attempt: u32 = 0;
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute(job, index, attempt, partitioner, config)
+            execute(source, options, index, attempt, partitioner, config)
         }))
         .unwrap_or_else(|payload| Err(JobStatus::Panicked(panic_message(&payload))));
         if outcome.is_ok() || attempt >= config.max_retries {
@@ -523,9 +531,12 @@ impl Observer for StageGuard<'_> {
     }
 }
 
-/// The fallible body of one attempt of one job.
+/// The fallible body of one attempt of one job. Options the job leaves
+/// unset take the engine defaults here: synth mode, verify and optimize
+/// on, the paper's 2-in/2-out pins, and the farm's lint setting.
 fn execute(
-    job: &Job,
+    source: &DesignSource,
+    options: &SynthOptions,
     index: usize,
     attempt: u32,
     partitioner_name: &str,
@@ -535,17 +546,29 @@ fn execute(
         .registry
         .from_str(partitioner_name)
         .map_err(JobStatus::Failed)?;
-    let design = job.load_design().map_err(JobStatus::Failed)?;
+    let design = source.load().map_err(JobStatus::Failed)?;
+    let pins = ProgrammableSpec::default();
+    let spec = ProgrammableSpec::new(
+        options.inputs.unwrap_or(pins.inputs),
+        options.outputs.unwrap_or(pins.outputs),
+    );
+    let lint = match (options.lint, options.lint_deny) {
+        (Some(false), _) => None,
+        (Some(true), deny) | (None, deny @ Some(_)) => {
+            Some(LintConfig::denying(deny.unwrap_or_default()))
+        }
+        (None, None) => config.lint,
+    };
     let mut guard = StageGuard::new(config, index, attempt);
     let pipeline = Pipeline::new(&design)
-        .constraints(PartitionConstraints::with_spec(job.spec))
-        .optimize(job.optimize)
+        .constraints(PartitionConstraints::with_spec(spec))
+        .optimize(options.optimize.unwrap_or(true))
         .observe(&mut guard);
-    let pipeline = match job.lint.or(config.lint) {
+    let pipeline = match lint {
         Some(lint) => pipeline.lint(lint),
         None => pipeline,
     };
-    let output = match job.mode {
+    let output = match options.mode.unwrap_or_default() {
         JobMode::Partition => {
             let (partitioning, lint) = pipeline
                 .partition_only(partitioner.as_ref())
@@ -554,7 +577,7 @@ fn execute(
         }
         JobMode::Synth => JobOutput::Synth(Box::new(
             pipeline
-                .run(partitioner.as_ref(), job.verify)
+                .run(partitioner.as_ref(), options.verify.unwrap_or(true))
                 .map_err(attempt_status)?,
         )),
     };
@@ -568,17 +591,16 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::Job;
     use crate::report::JsonOptions;
-    use eblocks_core::Design;
     use eblocks_partition::{Partitioner, Partitioning};
 
-    fn library_batch() -> Batch {
-        Batch::new(vec![
-            Job::library("Ignition Illuminator"),
-            Job::library("Podium Timer 3").with_partitioner("refine"),
-            Job::generated(10, 3).with_mode(JobMode::Partition),
-        ])
+    fn library_batch() -> BatchRequest {
+        BatchRequest::parse(
+            "job library=\"Ignition Illuminator\"\n\
+             job library=\"Podium Timer 3\" partitioner=refine\n\
+             job generated=10 seed=3 mode=partition\n",
+        )
+        .unwrap()
     }
 
     #[test]
@@ -611,25 +633,31 @@ mod tests {
             assert_eq!(stats.timings.reports[0].stage, Stage::Lint);
         }
 
-        // A per-job zero fan-out budget under deny-warnings rejects the
-        // job; its sibling without the override stays lint-free.
+        // A farm-level zero fan-out budget under deny-warnings rejects
+        // the job that sets no lint option; its sibling's `"lint": false`
+        // turns lint off for it whatever the farm default.
         let strict = LintConfig {
             deny: eblocks_lint::DenyLevel::Warnings,
             max_fanout: 0,
             ..LintConfig::default()
         };
-        let batch = Batch::new(vec![
-            Job::library("Ignition Illuminator").with_lint(strict),
-            Job::library("Ignition Illuminator"),
-        ]);
-        let report = run_batch(&batch, &FarmConfig::with_workers(1));
+        let batch = BatchRequest::from_json(
+            r#"{"jobs": [
+                {"source": {"library": "Ignition Illuminator"}},
+                {"source": {"library": "Ignition Illuminator"},
+                 "options": {"lint": false}}
+            ]}"#,
+        )
+        .unwrap();
+        let report = run_batch(&batch, &FarmConfig::with_workers(1).lint(strict));
         let JobStatus::Failed(message) = &report.jobs[0].status else {
             panic!("{:?}", report.jobs[0].status);
         };
         assert!(message.contains("lint rejected the design"), "{message}");
         assert!(message.contains("W008"), "{message}");
+        assert!(report.jobs[1].status.is_ok(), "{:?}", report.jobs[1].status);
         let stats = report.jobs[1].stats.as_ref().unwrap();
-        assert_eq!(stats.lint, None, "lint is off unless configured");
+        assert_eq!(stats.lint, None, "`lint: false` beats the farm default");
     }
 
     /// A scripted injector: an optional pickup order plus faults pinned
@@ -817,10 +845,11 @@ mod tests {
         // A delay enacted in the lint and partition gates of both a synth
         // job and a partition-only job: the gate is not part of any stage.
         let delay = Duration::from_millis(100);
-        let batch = Batch::new(vec![
-            Job::library("Ignition Illuminator"),
-            Job::library("Ignition Illuminator").with_mode(JobMode::Partition),
-        ]);
+        let batch = BatchRequest::parse(
+            "job library=\"Ignition Illuminator\"\n\
+             job library=\"Ignition Illuminator\" mode=partition\n",
+        )
+        .unwrap();
         let faults = (0..2)
             .flat_map(|job| {
                 [Stage::Lint, Stage::Partition].map(|stage| ((job, 0, stage), Fault::Delay(delay)))
@@ -839,7 +868,7 @@ mod tests {
                 assert!(
                     stage.elapsed < delay,
                     "{:?} job: {} took {:?}",
-                    job.mode,
+                    job.options.mode,
                     stage.stage,
                     stage.elapsed
                 );
@@ -856,10 +885,13 @@ mod tests {
         design.add_block("g", eblocks_core::ComputeKind::and2());
         std::fs::write(&path, eblocks_core::netlist::to_netlist(&design)).unwrap();
 
-        let batch = Batch::new(vec![
-            Job::netlist(&path),
-            Job::netlist(&path).with_mode(JobMode::Partition),
-        ]);
+        let synth = JobSpec::new(DesignSource::Netlist(path.clone()));
+        let mut partition = synth.clone();
+        partition.options.mode = Some(JobMode::Partition);
+        let batch = BatchRequest {
+            default_partitioner: None,
+            jobs: vec![synth, partition],
+        };
         let report = run_batch(&batch, &FarmConfig::with_workers(1));
         std::fs::remove_dir_all(&dir).ok();
         let messages: Vec<&str> = report
@@ -935,18 +967,23 @@ mod tests {
             },
         );
         assert_eq!(report.workers, 3);
-        let empty = run_batch(&Batch::default(), &FarmConfig::with_workers(8));
+        let empty = BatchRequest {
+            default_partitioner: None,
+            jobs: Vec::new(),
+        };
+        let empty = run_batch(&empty, &FarmConfig::with_workers(8));
         assert_eq!(empty.jobs.len(), 0);
         assert!(empty.all_ok());
     }
 
     #[test]
     fn partitioner_resolution_precedence() {
-        let mut batch = Batch::new(vec![
-            Job::library("Ignition Illuminator"),
-            Job::library("Carpool Alert").with_partitioner("aggregation"),
-        ]);
-        batch.default_partitioner = Some("refine".into());
+        let batch = BatchRequest::parse(
+            "default partitioner=refine\n\
+             job library=\"Ignition Illuminator\"\n\
+             job library=\"Carpool Alert\" partitioner=aggregation\n",
+        )
+        .unwrap();
 
         // Batch default applies when nothing else is set.
         let report = run_batch(&batch, &FarmConfig::with_workers(1));
@@ -966,11 +1003,12 @@ mod tests {
 
     #[test]
     fn failures_are_reported_not_fatal() {
-        let batch = Batch::new(vec![
-            Job::netlist("/nonexistent/x.netlist"),
-            Job::library("Ignition Illuminator").with_partitioner("magic"),
-            Job::library("Ignition Illuminator"),
-        ]);
+        let batch = BatchRequest::parse(
+            "job netlist=/nonexistent/x.netlist\n\
+             job library=\"Ignition Illuminator\" partitioner=magic\n\
+             job library=\"Ignition Illuminator\"\n",
+        )
+        .unwrap();
         let report = run_batch(&batch, &FarmConfig::with_workers(2));
         assert_eq!(report.succeeded(), 1);
         assert_eq!(report.failed(), 2);
@@ -996,8 +1034,11 @@ mod tests {
     }
 
     impl BatchProgress for Recorder {
-        fn job_started(&self, index: usize, job: &Job) {
-            self.started.lock().unwrap().push((index, job.name.clone()));
+        fn job_started(&self, index: usize, job: &JobSpec) {
+            self.started
+                .lock()
+                .unwrap()
+                .push((index, job.display_name()));
         }
 
         fn job_finished(&self, index: usize, report: &JobReport) {
@@ -1047,7 +1088,7 @@ mod tests {
         struct Grenade;
 
         impl BatchProgress for Grenade {
-            fn job_started(&self, _: usize, _: &Job) {
+            fn job_started(&self, _: usize, _: &JobSpec) {
                 panic!("listener bug on start");
             }
 
@@ -1066,9 +1107,9 @@ mod tests {
     fn progress_listener_hears_panicked_jobs_too() {
         let mut config = FarmConfig::with_workers(1);
         config.registry.register("poison", || Box::new(Poison));
-        let batch = Batch::new(vec![
-            Job::library("Ignition Illuminator").with_partitioner("poison")
-        ]);
+        let batch =
+            BatchRequest::parse("job library=\"Ignition Illuminator\" partitioner=poison\n")
+                .unwrap();
         let recorder = Recorder::default();
         run_batch_with_progress(&batch, &config, &recorder);
         let finished = recorder.finished.into_inner().unwrap();
@@ -1092,11 +1133,12 @@ mod tests {
     fn poisoned_job_does_not_take_down_the_batch() {
         let mut config = FarmConfig::with_workers(2);
         config.registry.register("poison", || Box::new(Poison));
-        let batch = Batch::new(vec![
-            Job::library("Ignition Illuminator"),
-            Job::library("Carpool Alert").with_partitioner("poison"),
-            Job::library("Night Lamp Controller"),
-        ]);
+        let batch = BatchRequest::parse(
+            "job library=\"Ignition Illuminator\"\n\
+             job library=\"Carpool Alert\" partitioner=poison\n\
+             job library=\"Night Lamp Controller\"\n",
+        )
+        .unwrap();
         let report = run_batch(&batch, &config);
         assert_eq!(report.succeeded(), 2);
         let JobStatus::Panicked(message) = &report.jobs[1].status else {

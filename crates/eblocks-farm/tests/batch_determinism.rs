@@ -5,8 +5,8 @@
 //! contract at every worker count.
 
 use eblocks_farm::{
-    run_batch, run_batch_with_progress, Batch, BatchProgress, FarmConfig, Job, JobReport,
-    JobStatus, JsonOptions,
+    run_batch, run_batch_with_progress, BatchProgress, BatchRequest, FarmConfig, JobReport,
+    JobSpec, JobStatus, JsonOptions,
 };
 use std::sync::Mutex;
 
@@ -23,7 +23,7 @@ job library=\"No Such Design\"                     # deliberate failure
 
 #[test]
 fn same_manifest_same_bytes_for_1_and_8_workers() {
-    let batch = Batch::parse(MANIFEST).unwrap();
+    let batch = BatchRequest::parse(MANIFEST).unwrap();
     let sequential = run_batch(&batch, &FarmConfig::with_workers(1));
     let parallel = run_batch(&batch, &FarmConfig::with_workers(8));
 
@@ -63,7 +63,7 @@ fn poisoned_job_is_isolated() {
         }
     }
 
-    let batch = Batch::parse(
+    let batch = BatchRequest::parse(
         "job library=\"Ignition Illuminator\"\n\
          job library=\"Carpool Alert\" partitioner=poison\n\
          job library=\"Night Lamp Controller\"\n",
@@ -97,7 +97,7 @@ struct Recorder {
 }
 
 impl BatchProgress for Recorder {
-    fn job_started(&self, index: usize, _job: &Job) {
+    fn job_started(&self, index: usize, _job: &JobSpec) {
         self.events.lock().unwrap().push(Event::Started(index));
     }
     fn job_finished(&self, index: usize, report: &JobReport) {
@@ -113,7 +113,7 @@ fn progress_events_respect_the_ordering_contract() {
     // At every worker count: each job starts exactly once, finishes
     // exactly once, starts strictly before it finishes, and the status a
     // listener hears is exactly the row the final report holds.
-    let batch = Batch::parse(MANIFEST).unwrap();
+    let batch = BatchRequest::parse(MANIFEST).unwrap();
     for workers in [1, 2, 8] {
         let recorder = Recorder::default();
         let report = run_batch_with_progress(&batch, &FarmConfig::with_workers(workers), &recorder);
@@ -178,7 +178,7 @@ fn panicking_listener_never_corrupts_the_report() {
     // deterministic report by a single byte, at any worker count.
     struct Grenade;
     impl BatchProgress for Grenade {
-        fn job_started(&self, _: usize, _: &Job) {
+        fn job_started(&self, _: usize, _: &JobSpec) {
             panic!("listener panic on start");
         }
         fn job_finished(&self, _: usize, _: &JobReport) {
@@ -186,7 +186,7 @@ fn panicking_listener_never_corrupts_the_report() {
         }
     }
 
-    let batch = Batch::parse(MANIFEST).unwrap();
+    let batch = BatchRequest::parse(MANIFEST).unwrap();
     let options = JsonOptions::default();
     let baseline = run_batch(&batch, &FarmConfig::with_workers(1)).to_json(&options);
     for workers in [1, 8] {

@@ -1,9 +1,9 @@
-//! Manifest parsers under fire: `Batch::parse` and `Batch::from_json`
-//! must return `Ok` or `Err` on *any* input — arbitrary text, and
-//! targeted mutations of valid manifests — and never panic. The seeds
-//! are pinned, so every CI run replays the same case set.
+//! Manifest parsers under fire: `BatchRequest::parse` and
+//! `BatchRequest::from_json` must return `Ok` or `Err` on *any* input —
+//! arbitrary text, and targeted mutations of valid manifests — and never
+//! panic. The seeds are pinned, so every CI run replays the same case set.
 
-use eblocks_farm::Batch;
+use eblocks_farm::BatchRequest;
 use proptest::prelude::*;
 
 /// A valid v1 (line-oriented) manifest used as a mutation substrate.
@@ -62,8 +62,8 @@ fn mutate(text: &str, op: u8, position: usize, spice: usize) -> String {
 
 /// Both parsers over one input; only a panic can fail the calling test.
 fn feed(text: &str) {
-    let _ = Batch::parse(text);
-    let _ = Batch::from_json(text);
+    let _ = BatchRequest::parse(text);
+    let _ = BatchRequest::from_json(text);
 }
 
 proptest! {
@@ -102,6 +102,6 @@ proptest! {
 fn fuzz_substrates_are_valid() {
     // Guard the substrates: mutation fuzzing of an already-broken input
     // would only ever exercise the error path.
-    assert_eq!(Batch::parse(VALID_MANIFEST).unwrap().jobs.len(), 3);
-    assert_eq!(Batch::from_json(VALID_JSON).unwrap().jobs.len(), 2);
+    assert_eq!(BatchRequest::parse(VALID_MANIFEST).unwrap().jobs.len(), 3);
+    assert_eq!(BatchRequest::from_json(VALID_JSON).unwrap().jobs.len(), 2);
 }

@@ -607,19 +607,15 @@ fn library_facts(kind: ComputeKind, inputs: Vec<ValueSet>) -> Arc<ProgramFacts> 
     })
 }
 
-/// Propagates abstract value sets through `design` in topological order.
-/// `programs` optionally attaches behavior programs to programmable
-/// blocks. Returns `None` when the wire graph is cyclic (the structural
-/// rules report that; there is no topological order to walk).
+/// Propagates abstract value sets through `design` in topological order
+/// ([`Design::topo_order`]; [`Design::connect`] keeps every design
+/// acyclic). `programs` optionally attaches behavior programs to
+/// programmable blocks.
 #[must_use]
-pub fn analyze_design(
-    design: &Design,
-    programs: &BTreeMap<BlockId, Program>,
-) -> Option<DesignFacts> {
-    let order = topo_order(design)?;
+pub fn analyze_design(design: &Design, programs: &BTreeMap<BlockId, Program>) -> DesignFacts {
     let mut facts = DesignFacts::default();
 
-    for id in order {
+    for id in design.topo_order() {
         let block = design.block(id).expect("ordered id");
         let kind = block.kind();
         let num_inputs = kind.num_inputs();
@@ -694,31 +690,7 @@ pub fn analyze_design(
             },
         }
     }
-    Some(facts)
-}
-
-/// Kahn's algorithm over the wire graph; `None` if a cycle remains.
-fn topo_order(design: &Design) -> Option<Vec<BlockId>> {
-    let ids: Vec<BlockId> = design.blocks().collect();
-    let mut indegree: BTreeMap<BlockId, usize> = ids.iter().map(|&id| (id, 0)).collect();
-    for id in &ids {
-        for w in design.out_wires(*id) {
-            *indegree.get_mut(&w.to).expect("wire target exists") += 1;
-        }
-    }
-    let mut ready: Vec<BlockId> = ids.iter().copied().filter(|id| indegree[id] == 0).collect();
-    let mut order = Vec::with_capacity(ids.len());
-    while let Some(id) = ready.pop() {
-        order.push(id);
-        for w in design.out_wires(id) {
-            let d = indegree.get_mut(&w.to).expect("wire target exists");
-            *d -= 1;
-            if *d == 0 {
-                ready.push(w.to);
-            }
-        }
-    }
-    (order.len() == ids.len()).then_some(order)
+    facts
 }
 
 #[cfg(test)]

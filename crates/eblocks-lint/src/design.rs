@@ -138,9 +138,8 @@ fn lint_impl(
     let forward = reach(design, design.sensors().collect(), Direction::Forward);
     reachability(design, src, &forward, config, &mut out);
     budgets(design, src, config, &mut out);
-    if let Some(facts) = analyze_design(design, programs) {
-        dataflow_pass(design, programs, &facts, &forward, src, &mut out);
-    }
+    let facts = analyze_design(design, programs);
+    dataflow_pass(design, programs, &facts, &forward, src, &mut out);
     LintReport::new(out)
 }
 

@@ -4,7 +4,7 @@
 use crate::config::ServeConfig;
 use crate::queue::WorkQueue;
 use crate::{signal, spool};
-use eblocks_farm::api::{self, BatchRequest, ServeStats, SynthRequest, SynthResponse};
+use eblocks_farm::api::{self, BatchRequest, JobSpec, ServeStats, SynthRequest, SynthResponse};
 use eblocks_farm::scheduler::panic_message;
 use eblocks_farm::{run_batch, run_batch_with_progress, BatchReport, FarmConfig, JsonOptions};
 use eblocks_lint::lint_design;
@@ -152,17 +152,22 @@ impl ServerState {
     /// one-shot paths.
     pub(crate) fn lint_reject_detail(&self, payload: &Payload) -> Option<String> {
         let config = self.config.admission_lint?;
+        let synth;
         let jobs = match payload {
-            Payload::Batch(request) => request.to_batch().jobs,
-            Payload::Synth(request) => vec![request.to_job()],
+            Payload::Batch(request) => &request.jobs[..],
+            Payload::Synth(request) => {
+                synth = JobSpec::new(request.source.clone());
+                std::slice::from_ref(&synth)
+            }
         };
         for job in jobs {
-            let Ok(design) = job.load_design() else {
+            let Ok(design) = job.source.load() else {
                 continue;
             };
             let report = lint_design(&design, &config);
             if report.rejects(config.deny) {
-                return Some(format!("job `{}`: {}", job.name, report.outcome()));
+                let name = job.display_name();
+                return Some(format!("job `{name}`: {}", report.outcome()));
             }
         }
         None
@@ -463,15 +468,14 @@ fn run_payload(
 ) -> RunOutcome {
     let run = || match payload {
         Payload::Batch(request) => {
-            let batch = request.to_batch();
             let config = state.farm_config();
             let report = match stream {
                 #[cfg(unix)]
                 Some((id, writer)) => {
                     let streamer = crate::socket::ProgressStreamer::new(id, writer);
-                    run_batch_with_progress(&batch, &config, &streamer)
+                    run_batch_with_progress(&request, &config, &streamer)
                 }
-                _ => run_batch(&batch, &config),
+                _ => run_batch(&request, &config),
             };
             state.absorb_report(&report);
             RunOutcome::Batch(report)
@@ -493,7 +497,7 @@ fn run_payload(
 mod tests {
     use super::*;
     use eblocks_farm::api::DesignSource;
-    use eblocks_farm::{Batch, Job, LintConfig};
+    use eblocks_farm::LintConfig;
     use eblocks_synth::Stage;
     use std::collections::BTreeMap;
 
@@ -549,10 +553,9 @@ mod tests {
             }
             state.absorb_synth(&response);
         }
-        let batch = Batch::new(vec![
-            Job::library("Podium Timer 3").with_lint(LintConfig::default())
-        ]);
-        let report = run_batch(&batch, &FarmConfig::with_workers(1));
+        let batch = BatchRequest::parse("job library=\"Podium Timer 3\"\n").unwrap();
+        let config = FarmConfig::with_workers(1).lint(LintConfig::default());
+        let report = run_batch(&batch, &config);
         for job in &report.jobs {
             for row in &job.stats.as_ref().unwrap().timings.reports {
                 rows.push((row.stage, row.elapsed));

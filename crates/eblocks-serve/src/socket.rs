@@ -9,7 +9,7 @@ use eblocks_farm::api::{
     Admission, AdmissionReply, ProgressEvent, ReplyEnvelope, RequestEnvelope, ServeReply,
     ServeRequest,
 };
-use eblocks_farm::{BatchProgress, Job, JobReport};
+use eblocks_farm::{BatchProgress, JobReport, JobSpec};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
@@ -59,7 +59,7 @@ impl ProgressStreamer {
 }
 
 impl BatchProgress for ProgressStreamer {
-    fn job_started(&self, index: usize, job: &Job) {
+    fn job_started(&self, index: usize, job: &JobSpec) {
         self.emit(ProgressEvent::started(index, job));
     }
 

@@ -83,7 +83,7 @@ fn socket_protocol_streams_progress_and_matches_the_one_shot_report() {
 
     // The embedded BatchResponse is byte-identical to the one-shot path.
     let request: BatchRequest = serde::json::from_str(BATCH_REQUEST).unwrap();
-    let report = run_batch(&request.to_batch(), &FarmConfig::default());
+    let report = run_batch(&request, &FarmConfig::default());
     let expected = BatchResponse::from_report(&report, &JsonOptions::default());
     assert_eq!(
         serde::json::to_string(&response),

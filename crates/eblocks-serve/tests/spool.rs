@@ -77,7 +77,7 @@ fn round_trips_batch_and_synth_requests_through_the_spool() {
     // same request through `run_batch` + `to_json`.
     let got = wait_for(&spool.join("outbox/batch.json"));
     let request: BatchRequest = serde::json::from_str(BATCH_REQUEST).unwrap();
-    let report = run_batch(&request.to_batch(), &FarmConfig::default());
+    let report = run_batch(&request, &FarmConfig::default());
     let expected = format!("{}\n", report.to_json(&JsonOptions::default()));
     assert_eq!(String::from_utf8(got).unwrap(), expected);
 

@@ -5,17 +5,15 @@
 //!
 //! Run with: `cargo run --example batch`
 
-use eblocks::api::{BatchRequest, BatchResponse};
-use eblocks::farm::{
-    run_batch_with_progress, BatchProgress, FarmConfig, Job, JobReport, JsonOptions,
-};
+use eblocks::api::{BatchRequest, BatchResponse, JobSpec};
+use eblocks::farm::{run_batch_with_progress, BatchProgress, FarmConfig, JobReport, JsonOptions};
 
 /// A progress listener printing one line per job event as workers report.
 struct PrintProgress;
 
 impl BatchProgress for PrintProgress {
-    fn job_started(&self, index: usize, job: &Job) {
-        println!("[{index}] started  {}", job.name);
+    fn job_started(&self, index: usize, job: &JobSpec) {
+        println!("[{index}] started  {}", job.display_name());
     }
 
     fn job_finished(&self, index: usize, report: &JobReport) {
@@ -48,11 +46,7 @@ fn main() {
     )
     .expect("well-formed request");
 
-    let report = run_batch_with_progress(
-        &request.to_batch(),
-        &FarmConfig::with_workers(2),
-        &PrintProgress,
-    );
+    let report = run_batch_with_progress(&request, &FarmConfig::with_workers(2), &PrintProgress);
 
     // The human-readable report, with per-stage totals from the merged
     // pipeline observers.

@@ -75,7 +75,7 @@ use eblocks::api::{self, DesignSource, SynthRequest};
 use eblocks::chaos::{run_chaos, ChaosConfig};
 use eblocks::core::netlist::from_netlist;
 use eblocks::core::{Design, ProgrammableSpec};
-use eblocks::farm::{run_batch, Batch, FarmConfig, JsonOptions};
+use eblocks::farm::{run_batch, BatchRequest, FarmConfig, JsonOptions};
 use eblocks::lint::{
     fix_to_fixpoint, lint_behavior, lint_design, lint_netlist, DenyLevel, LintConfig, RunReport,
 };
@@ -310,14 +310,15 @@ fn batch_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
             other => return Err(flags.unknown(other)),
         }
     }
-    // --lint gates every job that sets no per-job lint of its own.
+    // --lint gates every job whose options set neither `lint` nor
+    // `lint_deny`.
     config.lint = lint_gate(lint, deny)?;
     if chaos_trace.is_some() && chaos_seed.is_none() {
         return Err("--chaos-trace requires --chaos-seed".into());
     }
-    // v1 (line-oriented) and v2 (JSON `BatchRequest`) manifests both land
-    // in the same `Batch` the typed API uses.
-    let batch = Batch::from_file(input).map_err(|e| e.to_string())?;
+    // v1 (line-oriented) and v2 (JSON) manifests both fill the one
+    // `BatchRequest` the typed API uses.
+    let batch = BatchRequest::from_file(input).map_err(|e| e.to_string())?;
     let report = match chaos_seed {
         // Chaos mode: the same report pipeline, but the farm runs under
         // the seeded injector; the whole storm replays from the seed.

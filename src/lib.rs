@@ -86,7 +86,7 @@
 //! let request: BatchRequest = serde::json::from_str(
 //!     r#"{"jobs": [{"source": {"library": "Carpool Alert"}}]}"#,
 //! ).unwrap();
-//! let report = run_batch(&request.to_batch(), &FarmConfig::with_workers(1));
+//! let report = run_batch(&request, &FarmConfig::with_workers(1));
 //! let response = BatchResponse::from_report(&report, &JsonOptions::default());
 //! assert_eq!(response.batch.succeeded, 1);
 //! let json = serde::json::to_string(&response); // deterministic bytes

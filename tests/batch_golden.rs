@@ -1,10 +1,12 @@
 //! The golden batch report: `eblocks-cli batch --json` on the checked-in
-//! manifest-v2 request must reproduce `tests/golden/batch-report.json`
-//! byte for byte.
+//! manifest-v2 request (`batch-request.json`) and on its line-format v1
+//! twin (`batch-request.manifest`) must each reproduce
+//! `tests/golden/batch-report.json` byte for byte.
 //!
 //! This pins the whole derive-serialization path — JSON request in
-//! (`Batch::from_json` via the CLI), typed `BatchResponse` out — against
-//! format drift. To regenerate after an intentional format change:
+//! (`BatchRequest::from_json` via the CLI), typed `BatchResponse` out —
+//! against format drift, and that both manifest formats fill the one
+//! `BatchRequest`. To regenerate after an intentional format change:
 //!
 //! ```text
 //! cargo run --release --bin eblocks-cli -- \
@@ -21,9 +23,10 @@ fn golden(name: &str) -> std::path::PathBuf {
         .join(name)
 }
 
-#[test]
-fn batch_json_report_matches_the_committed_golden() {
-    let request = golden("batch-request.json");
+/// Runs `batch --json` on the golden request `name` and diffs the report
+/// against the committed golden.
+fn assert_matches_the_golden_report(name: &str) {
+    let request = golden(name);
     let expected = std::fs::read(golden("batch-report.json")).expect("committed golden report");
 
     let output = Command::new(env!("CARGO_BIN_EXE_eblocks-cli"))
@@ -32,18 +35,28 @@ fn batch_json_report_matches_the_committed_golden() {
         .expect("spawn eblocks-cli");
     assert!(
         output.status.success(),
-        "batch failed\nstdout: {}\nstderr: {}",
+        "batch {name} failed\nstdout: {}\nstderr: {}",
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr)
     );
     assert!(
         output.stdout == expected,
-        "report drifted from tests/golden/batch-report.json \
+        "report for {name} drifted from tests/golden/batch-report.json \
          (regenerate deliberately if the format changed)\n\
          got:      {}\nexpected: {}",
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&expected),
     );
+}
+
+#[test]
+fn batch_json_report_matches_the_committed_golden() {
+    assert_matches_the_golden_report("batch-request.json");
+}
+
+#[test]
+fn v1_manifest_twin_matches_the_committed_golden() {
+    assert_matches_the_golden_report("batch-request.manifest");
 }
 
 #[test]
@@ -65,9 +78,15 @@ fn golden_report_is_worker_count_invariant() {
 fn golden_request_parses_as_manifest_v2() {
     // The same file the CLI consumes parses through the library API.
     let text = std::fs::read_to_string(golden("batch-request.json")).unwrap();
-    let batch = eblocks::farm::Batch::from_json(&text).unwrap();
+    let batch = eblocks::api::BatchRequest::from_json(&text).unwrap();
     assert_eq!(batch.jobs.len(), 4);
     assert_eq!(batch.default_partitioner.as_deref(), Some("pare-down"));
-    assert_eq!(batch.jobs[3].name, "g12");
-    assert_eq!(batch.jobs[3].mode, eblocks::farm::JobMode::Partition);
+    assert_eq!(batch.jobs[3].display_name(), "g12");
+    assert_eq!(
+        batch.jobs[3].options.mode,
+        Some(eblocks::farm::JobMode::Partition)
+    );
+    // The v1 twin parses to the same request.
+    let text = std::fs::read_to_string(golden("batch-request.manifest")).unwrap();
+    assert_eq!(eblocks::api::BatchRequest::parse(&text).unwrap(), batch);
 }

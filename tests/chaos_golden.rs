@@ -90,7 +90,7 @@ fn golden_trace_replays_through_the_library_api() {
     // committed trace: the contract lives in the library, the CLI is a
     // front end.
     let text = std::fs::read_to_string(golden("batch-request.json")).unwrap();
-    let batch = eblocks::farm::Batch::from_json(&text).unwrap();
+    let batch = eblocks::api::BatchRequest::from_json(&text).unwrap();
     let outcome = eblocks::chaos::run_chaos(
         &batch,
         eblocks::farm::FarmConfig::default().retries(3),

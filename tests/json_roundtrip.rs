@@ -4,8 +4,7 @@
 //!   re-serialization is byte-identical (the determinism contract the
 //!   golden batch report relies on);
 //! * arbitrary `BatchRequest`s and `BatchResponse`s survive
-//!   struct → JSON → struct with byte-identical re-serialization, and
-//!   requests convert losslessly to and from the engine's `Batch`;
+//!   struct → JSON → struct with byte-identical re-serialization;
 //! * arbitrary service-mode envelopes (`RequestEnvelope` in,
 //!   `ReplyEnvelope` out) survive the same trip, and unknown keys are
 //!   rejected at every envelope level.

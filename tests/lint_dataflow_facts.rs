@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 /// Checks every compute block of `design`; returns how many it checked.
 fn check_design(label: &str, design: &Design) -> usize {
-    let facts = analyze_design(design, &BTreeMap::new()).expect("acyclic design");
+    let facts = analyze_design(design, &BTreeMap::new());
     let mut checked = 0;
     for id in design.blocks() {
         let BlockKind::Compute(kind) = design.block(id).unwrap().kind() else {
