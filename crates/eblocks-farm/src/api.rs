@@ -991,17 +991,28 @@ mod tests {
 
     #[test]
     fn lint_options_round_trip_and_surface_counts() {
-        let request: BatchRequest = serde::json::from_str(
-            r#"{"default_partitioner": null, "jobs": [
-                {"source": {"library": "Ignition Illuminator"},
-                 "options": {"lint": true}},
-                {"source": {"library": "Ignition Illuminator"},
-                 "options": {"lint_deny": "warnings"}},
-                {"source": {"library": "Ignition Illuminator"},
-                 "options": {"lint": false, "lint_deny": "warnings"}},
-                {"source": {"library": "Ignition Illuminator"}}
-            ]}"#,
-        )
+        // The cross-block fixture lints to warnings only, so a job's deny
+        // level alone decides whether it passes the gate.
+        let netlist = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/lint-crossblock.netlist"
+        );
+        let job = |options: &str| {
+            format!(
+                r#"{{"source": {{"netlist": "{netlist}"}},
+                    "options": {{"mode": "partition"{options}}}}}"#
+            )
+        };
+        let jobs = [
+            job(r#", "lint": true"#),
+            job(r#", "lint_deny": "warnings""#),
+            job(r#", "lint": false, "lint_deny": "warnings""#),
+            job(""),
+        ];
+        let request: BatchRequest = serde::json::from_str(&format!(
+            r#"{{"default_partitioner": null, "jobs": [{}]}}"#,
+            jobs.join(", ")
+        ))
         .unwrap();
         let text = serde::json::to_string(&request);
         assert_eq!(
@@ -1009,18 +1020,41 @@ mod tests {
             request
         );
         let report = run_batch(&request, &FarmConfig::with_workers(1));
-        assert!(report.all_ok(), "{}", report.render_text(false));
-        let lint: Vec<_> = report
-            .jobs
-            .iter()
-            .map(|job| job.stats.as_ref().unwrap().lint.map(|l| l.is_clean()))
-            .collect();
-        // `lint_deny` alone implies lint on; an explicit `lint: false`
-        // wins over a stray deny level; unset follows the farm (off).
-        assert_eq!(lint, [Some(true), Some(true), None, None]);
+        let lint = |i: usize| {
+            let job = &report.jobs[i];
+            assert!(job.status.is_ok(), "{}: {:?}", job.name, job.status);
+            job.stats.as_ref().unwrap().lint
+        };
+
+        // `lint: true` denies errors: the warnings are counted, not fatal.
+        let outcome = lint(0).expect("lint ran");
+        assert_eq!(outcome.errors, 0);
+        assert!(outcome.warnings > 0, "{outcome}");
+        let response = BatchResponse::from_report(&report, &JsonOptions::default());
+        assert_eq!(response.results[0].lint_errors, None);
+        assert_eq!(response.results[0].lint_warnings, Some(outcome.warnings));
+
+        // `lint_deny` alone implies lint on, at its own level.
+        let JobStatus::Failed(message) = &report.jobs[1].status else {
+            panic!("{:?}", report.jobs[1].status);
+        };
+        assert!(message.contains("lint rejected the design"), "{message}");
+
+        // An explicit `lint: false` wins over a stray deny level; unset
+        // follows the farm (off).
+        assert_eq!(lint(2), None);
+        assert_eq!(lint(3), None);
 
         // A linted clean job omits the count fields entirely, so
         // committed goldens are untouched by turning lint on.
+        let request: BatchRequest = serde::json::from_str(
+            r#"{"jobs": [{"source": {"library": "Ignition Illuminator"},
+                          "options": {"lint": true}}]}"#,
+        )
+        .unwrap();
+        let report = run_batch(&request, &FarmConfig::with_workers(1));
+        assert!(report.all_ok(), "{}", report.render_text(false));
+        assert!(report.jobs[0].stats.as_ref().unwrap().lint.is_some());
         let response = BatchResponse::from_report(&report, &JsonOptions::default());
         assert_eq!(response.results[0].lint_errors, None);
         assert_eq!(response.results[0].lint_warnings, None);

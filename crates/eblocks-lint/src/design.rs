@@ -151,22 +151,10 @@ fn at_block_line(d: Diagnostic, src: Option<&Src<'_>>, name: &str) -> Diagnostic
     }
 }
 
-/// E001/E002/E003: per-port wiring completeness plus a defensive cycle
-/// check (unreachable through the construction API, but deserialized or
-/// future-format designs may carry one).
+/// E001/E002: per-port wiring completeness. A built design is acyclic
+/// (`Design::connect` refuses the closing wire), so E003 comes only from
+/// a netlist's parse error, through [`diagnose_design_error`].
 fn connectivity(design: &Design, src: Option<&Src<'_>>, out: &mut Vec<Diagnostic>) {
-    if matches!(design.validate(), Err(DesignError::WouldCycle { .. })) {
-        out.push(
-            Diagnostic::new(
-                &rules::COMBINATIONAL_CYCLE,
-                "design",
-                "the wire graph contains a cycle",
-            )
-            .with_hint("break the feedback loop; eBlock networks are acyclic"),
-        );
-        // Reachability walks below assume an acyclic graph; stop here.
-        return;
-    }
     for id in design.blocks() {
         let block = design.block(id).expect("iterated id");
         let name = block.name();
