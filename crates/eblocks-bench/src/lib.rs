@@ -31,7 +31,9 @@
 #![warn(missing_docs)]
 
 use eblocks_core::Design;
-use eblocks_farm::{run_batch, BatchRequest, DesignSource, FarmConfig, JobMode, JobSpec};
+use eblocks_farm::{
+    run_batch, BatchRequest, DesignSource, FarmConfig, JobMode, JobOutcome, JobSpec,
+};
 use eblocks_partition::strategy::Exhaustive;
 use eblocks_partition::{
     ExhaustiveOptions, PartitionConstraints, Partitioner, Partitioning, Registry,
@@ -223,22 +225,25 @@ pub fn table2_sweep(
         let report = run_batch(&batch, &config);
         let mut exh = Averages::default();
         let mut pd = Averages::default();
-        for job in &report.jobs {
-            let stats = job
-                .stats
-                .as_ref()
-                .unwrap_or_else(|| panic!("{}: {:?}", job.name, job.status));
-            let elapsed = stats
-                .timings
-                .get(Stage::Partition)
-                .map(|r| r.elapsed)
-                .unwrap_or_default();
+        for job in &report.results {
+            assert_eq!(job.status, JobOutcome::Ok, "{}: {:?}", job.name, job.error);
+            let partition_ms = job
+                .stages_ms
+                .iter()
+                .flatten()
+                .find(|row| row.stage == Stage::Partition)
+                .map_or(0.0, |row| row.ms);
             let avg = if job.partitioner == "exhaustive-limited" {
                 &mut exh
             } else {
                 &mut pd
             };
-            avg.fold(stats.inner_after, stats.partitions, stats.complete, elapsed);
+            avg.fold(
+                job.inner_after.unwrap_or_default(),
+                job.partitions.unwrap_or_default(),
+                job.complete.unwrap_or_default(),
+                Duration::from_secs_f64(partition_ms / 1e3),
+            );
         }
         progress(inner, count);
         rows.push(SweepRow {

@@ -16,7 +16,9 @@
 //!
 //! Every decision is a pure function of the seed and the injection
 //! point's coordinates — never of timing or worker identity — so a run's
-//! [`BatchReport`] and [`ChaosTrace`] are byte-identical across repeats
+//! deterministic report
+//! ([`BatchResponse::from_report`](eblocks_farm::BatchResponse::from_report))
+//! and [`ChaosTrace`] are byte-identical across repeats
 //! *and across worker counts*, and the seed alone replays them. That is
 //! the harness's contract: a failing CI run prints its seed, and
 //! `eblocks-cli batch --chaos-seed N` reproduces the failure exactly.
@@ -54,7 +56,7 @@ pub use net::{NetChaosInjector, NetChaosPlan};
 pub use plan::{ChaosPlan, FaultKind, ForcedFault};
 pub use trace::{ChaosTrace, TraceEvent, TraceFault};
 
-use eblocks_farm::{run_batch_with_progress, BatchProgress, BatchReport, BatchRequest, FarmConfig};
+use eblocks_farm::{run_batch, BatchRequest, BatchResponse, FarmConfig};
 use std::sync::Arc;
 
 /// Everything needed to run — and later replay — one chaos experiment.
@@ -93,35 +95,23 @@ impl ChaosConfig {
 pub struct ChaosOutcome {
     /// The farm's report, exactly as a fault-free run would shape it
     /// (failed jobs carry the injected fault messages).
-    pub report: BatchReport,
+    pub report: BatchResponse,
     /// Every fault fired, replayable from its seed.
     pub trace: ChaosTrace,
 }
-
-/// The default listener: hears nothing.
-struct Quiet;
-
-impl BatchProgress for Quiet {}
 
 /// Runs `batch` under fault injection: installs a [`ChaosInjector`] for
 /// `chaos` into `config` (replacing any injector already there) and runs
 /// the farm. Retry and timeout policies come from `config`
 /// ([`FarmConfig::retries`], [`FarmConfig::timeout`]).
-pub fn run_chaos(batch: &BatchRequest, config: FarmConfig, chaos: &ChaosConfig) -> ChaosOutcome {
-    run_chaos_with_progress(batch, config, chaos, &Quiet)
-}
-
-/// [`run_chaos`] with a [`BatchProgress`] listener streaming job
-/// started/finished callbacks while the storm runs.
-pub fn run_chaos_with_progress(
+pub fn run_chaos(
     batch: &BatchRequest,
     mut config: FarmConfig,
     chaos: &ChaosConfig,
-    progress: &dyn BatchProgress,
 ) -> ChaosOutcome {
     let injector = Arc::new(ChaosInjector::new(chaos.seed, chaos.plan.clone()));
     config.faults = Some(Arc::clone(&injector) as Arc<dyn eblocks_farm::FaultInjector>);
-    let report = run_batch_with_progress(batch, &config, progress);
+    let report = run_batch(batch, &config);
     let trace = injector.trace(batch.jobs.len());
     ChaosOutcome { report, trace }
 }

@@ -70,12 +70,12 @@ fn the_seed_alone_replays_a_run() {
             &ChaosConfig::from_seed(seed),
         );
         // Chaos fault messages are deterministic, so the full status
-        // (variant + message) must replay, not just ok-vs-failed.
+        // (outcome + message) must replay, not just ok-vs-failed.
         let statuses = |o: &eblocks_chaos::ChaosOutcome| -> Vec<(String, String)> {
             o.report
-                .jobs
+                .results
                 .iter()
-                .map(|j| (j.name.clone(), format!("{:?}", j.status)))
+                .map(|j| (j.name.clone(), format!("{:?}: {:?}", j.status, j.error)))
                 .collect()
         };
         assert_eq!(statuses(&original), statuses(&replayed), "seed {seed}");
@@ -97,7 +97,12 @@ fn no_storm_loses_or_duplicates_a_job() {
             FarmConfig::with_workers(4).retries(2),
             &ChaosConfig::from_seed(seed),
         );
-        let reported: Vec<String> = outcome.report.jobs.iter().map(|j| j.name.clone()).collect();
+        let reported: Vec<String> = outcome
+            .report
+            .results
+            .iter()
+            .map(|j| j.name.clone())
+            .collect();
         assert_eq!(reported, submitted, "seed {seed}: rows in submission order");
         // The trace's pickup order is a permutation of the batch.
         let mut order = outcome.trace.order.clone();
@@ -128,8 +133,8 @@ fn the_storm_actually_storms() {
             &ChaosConfig::from_seed(seed),
         );
         events += outcome.trace.events.len();
-        retries += outcome.report.jobs.iter().map(|j| j.retries).sum::<u32>();
-        failures += outcome.report.failed();
+        retries += outcome.report.batch.retries.unwrap_or(0);
+        failures += outcome.report.batch.failed;
     }
     assert!(events > 0, "no faults fired across the whole sweep");
     assert!(retries > 0, "no retries consumed across the whole sweep");
@@ -160,7 +165,7 @@ fn pinned_faults_compose_with_the_storm_contract() {
         outcome.report.all_ok(),
         "transient fault must be retried away"
     );
-    assert_eq!(outcome.report.jobs[3].retries, 1);
+    assert_eq!(outcome.report.results[3].retries, Some(1));
     assert_eq!(outcome.trace.events.len(), 1);
     assert_eq!(outcome.trace.events[0].job, 3);
 }

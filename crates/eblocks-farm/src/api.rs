@@ -14,11 +14,12 @@
 //!   by [`synthesize_with`]. [`DesignSource`] names where a design comes
 //!   from; [`SynthOptions`] carries the optional pipeline knobs — every
 //!   field is optional, and omitted fields keep the engine defaults.
-//! * **Responses**: [`BatchResponse`] (wrapping a
-//!   [`BatchReport`]) and [`SynthResponse`] (stats
-//!   plus the synthesized netlist text and C sources). Wall-clock fields
-//!   are `Option`s populated only when timings were requested, so the
-//!   deterministic report is byte-identical across worker counts.
+//! * **Responses** are the farm's only result model: [`BatchResponse`]
+//!   (what `run_batch` returns, one [`JobResponse`] row per job) and
+//!   [`SynthResponse`] (stats plus the synthesized netlist text and C
+//!   sources). `run_batch` fills every field, wall-clock ones included;
+//!   [`BatchResponse::from_report`] is the deterministic view that clears
+//!   them, byte-identical across worker counts.
 //!
 //! # Example
 //!
@@ -40,25 +41,55 @@
 //!     }"#,
 //! ).unwrap();
 //! let report = run_batch(&request, &FarmConfig::with_workers(2));
+//! assert_eq!(report.batch.workers, Some(2));
 //! let response = BatchResponse::from_report(&report, &JsonOptions::default());
 //! assert_eq!(response.batch.succeeded, 2);
+//! assert_eq!(response.batch.workers, None);
 //! println!("{}", serde::json::to_string(&response));
 //! ```
 
-use crate::report::{BatchReport, JobReport, JobStatus, JsonOptions};
 use crate::scheduler::{run_attempts, FarmConfig, JobOutput};
 use eblocks_core::Design;
 use eblocks_lint::DenyLevel;
 use eblocks_partition::DEFAULT_PARTITIONER;
-use eblocks_synth::{Stage, StageStat, StageTimings};
+use eblocks_synth::{Stage, StageTimings};
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// The largest `inner` a [`DesignSource::Generated`] may ask for: about
 /// twice the paper's largest design (465 inner blocks; Table 2 stops at
 /// 45). The generator allocates per inner block up front, so a request
 /// from outside must not pick the size unchecked.
 pub const MAX_GENERATED_INNER: usize = 1_000;
+
+/// The most bytes the farm and the daemon take from one input: a job's
+/// netlist file, a spooled request file, or a socket request line. It is
+/// 4 MiB; every shipped netlist is under 3 KB, so real inputs sit far
+/// below it, and a path like `/dev/zero` costs at most this much memory.
+pub const MAX_INPUT_BYTES: usize = 4 << 20;
+
+/// Reads the file at `path`, refusing one longer than [`MAX_INPUT_BYTES`]
+/// after reading at most one byte past the limit.
+///
+/// # Errors
+///
+/// The I/O error, or a [`FileTooLarge`](std::io::ErrorKind::FileTooLarge)
+/// one whose message names the limit.
+pub fn read_input(path: &Path) -> std::io::Result<Vec<u8>> {
+    use std::io::Read;
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)?
+        .take(MAX_INPUT_BYTES as u64 + 1)
+        .read_to_end(&mut bytes)?;
+    if bytes.len() > MAX_INPUT_BYTES {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::FileTooLarge,
+            format!("file is over the limit of {MAX_INPUT_BYTES} bytes"),
+        ));
+    }
+    Ok(bytes)
+}
 
 /// Where a job's design comes from: `{"netlist": "path"}`,
 /// `{"library": "Name"}`, or `{"generated": {"inner": 20, "seed": 7}}`
@@ -92,14 +123,17 @@ impl DesignSource {
     ///
     /// # Errors
     ///
-    /// A human-readable message: unreadable or invalid netlist file,
-    /// unknown library design, or a generated size over
-    /// [`MAX_GENERATED_INNER`].
+    /// A human-readable message: unreadable, oversized (over
+    /// [`MAX_INPUT_BYTES`]) or invalid netlist file, unknown library
+    /// design, or a generated size over [`MAX_GENERATED_INNER`].
     pub fn load(&self) -> Result<Design, String> {
         match self {
             Self::Netlist(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+                let cannot_read = |e: &dyn std::fmt::Display| {
+                    format!("cannot read {}: {e}", path.display())
+                };
+                let bytes = read_input(path).map_err(|e| cannot_read(&e))?;
+                let text = String::from_utf8(bytes).map_err(|e| cannot_read(&e))?;
                 eblocks_core::netlist::from_netlist(&text).map_err(|e| e.to_string())
             }
             Self::Library(name) => eblocks_designs::by_name(name)
@@ -255,20 +289,8 @@ pub enum JobOutcome {
     TimedOut,
 }
 
-impl JobOutcome {
-    /// The outcome `status` reports, with its error message.
-    fn of(status: &JobStatus) -> (Self, Option<String>) {
-        match status {
-            JobStatus::Ok => (Self::Ok, None),
-            JobStatus::Failed(e) => (Self::Failed, Some(e.clone())),
-            JobStatus::Panicked(e) => (Self::Panicked, Some(e.clone())),
-            JobStatus::TimedOut(e) => (Self::TimedOut, Some(e.clone())),
-        }
-    }
-}
-
 /// One pipeline stage's wall-clock time in a response (`stages_ms`
-/// arrays). Only present when timings were requested.
+/// arrays).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageMs {
     /// Which stage.
@@ -279,20 +301,49 @@ pub struct StageMs {
     pub detail: String,
 }
 
-/// Per-stage aggregate over a whole batch (runs, total and slowest run).
+/// Per-stage aggregate over many [`StageMs`] rows (runs, total and
+/// slowest run): a batch's `stages` and the daemon's `stats`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageSummary {
     /// Which stage.
     pub stage: Stage,
     /// How many jobs ran this stage.
     pub runs: usize,
-    /// Milliseconds summed over all runs.
+    /// Milliseconds summed over all runs, rounded to 3 decimals.
     pub total_ms: f64,
     /// The single slowest run, in milliseconds.
     pub max_ms: f64,
 }
 
-/// One row of a [`BatchResponse`].
+impl StageSummary {
+    /// Folds `rows` into `stages`, a running aggregate with at most one
+    /// entry per stage, kept in pipeline stage order: each row adds a run
+    /// and its milliseconds, and the maximum is the slowest row.
+    pub fn fold<'a>(stages: &mut Vec<StageSummary>, rows: impl IntoIterator<Item = &'a StageMs>) {
+        for row in rows {
+            match stages.binary_search_by_key(&row.stage, |s| s.stage) {
+                Ok(i) => {
+                    let entry = &mut stages[i];
+                    entry.runs += 1;
+                    entry.total_ms = round_ms(entry.total_ms + row.ms);
+                    entry.max_ms = entry.max_ms.max(row.ms);
+                }
+                Err(i) => stages.insert(
+                    i,
+                    StageSummary {
+                        stage: row.stage,
+                        runs: 1,
+                        total_ms: row.ms,
+                        max_ms: row.ms,
+                    },
+                ),
+            }
+        }
+    }
+}
+
+/// One row of a [`BatchResponse`]: how one job ended and what it
+/// measured.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobResponse {
     /// The job's display name.
@@ -327,42 +378,40 @@ pub struct JobResponse {
     /// Lint findings carrying a machine-applicable fix; omitted when
     /// lint was off or none were fixable.
     pub lint_fixes: Option<usize>,
-    /// Per-stage wall-clock times; only with timings.
+    /// Per-stage wall-clock times of a successful job; cleared by the
+    /// deterministic view.
     pub stages_ms: Option<Vec<StageMs>>,
-    /// Whole-job wall-clock milliseconds; only with timings.
+    /// Whole-job wall-clock milliseconds (load and pipeline, summed over
+    /// every attempt); cleared by the deterministic view.
     pub elapsed_ms: Option<f64>,
 }
 
 impl JobResponse {
-    fn from_report(report: &JobReport, timings: bool) -> Self {
-        let (status, error) = JobOutcome::of(&report.status);
-        let stats = report.stats.as_ref();
+    /// A row for the job `name` that ran `partitioner` and ended with
+    /// `status` and `error`, every measurement unset.
+    pub(crate) fn new(
+        name: String,
+        partitioner: String,
+        status: JobOutcome,
+        error: Option<String>,
+    ) -> Self {
         Self {
-            name: report.name.clone(),
-            partitioner: report.partitioner.clone(),
+            name,
+            partitioner,
             status,
             error,
-            retries: (report.retries > 0).then_some(report.retries),
-            inner_before: stats.map(|s| s.inner_before),
-            inner_after: stats.map(|s| s.inner_after),
-            partitions: stats.map(|s| s.partitions),
-            complete: stats.map(|s| s.complete),
-            verified: stats.map(|s| s.verified),
-            c_bytes: stats.map(|s| s.c_bytes),
-            lint_errors: stats
-                .and_then(|s| s.lint)
-                .map(|l| l.errors)
-                .filter(|&n| n > 0),
-            lint_warnings: stats
-                .and_then(|s| s.lint)
-                .map(|l| l.warnings)
-                .filter(|&n| n > 0),
-            lint_fixes: stats
-                .and_then(|s| s.lint)
-                .map(|l| l.fix_count())
-                .filter(|&n| n > 0),
-            stages_ms: stats.filter(|_| timings).map(|s| stage_ms_rows(&s.timings)),
-            elapsed_ms: timings.then(|| ms(report.elapsed)),
+            retries: None,
+            inner_before: None,
+            inner_after: None,
+            partitions: None,
+            complete: None,
+            verified: None,
+            c_bytes: None,
+            lint_errors: None,
+            lint_warnings: None,
+            lint_fixes: None,
+            stages_ms: None,
+            elapsed_ms: None,
         }
     }
 }
@@ -394,20 +443,23 @@ pub struct BatchSummary {
     pub lint_warnings: Option<usize>,
     /// Sum of per-job machine-fixable lint findings; omitted when zero.
     pub lint_fixes: Option<usize>,
-    /// Workers the pool used; only with timings.
+    /// Workers the pool used; cleared by the deterministic view.
     pub workers: Option<usize>,
-    /// Batch wall-clock milliseconds; only with timings.
+    /// Batch wall-clock milliseconds; cleared by the deterministic view.
     pub elapsed_ms: Option<f64>,
-    /// Per-stage aggregates over all jobs; only with timings.
+    /// Per-stage aggregates over every row's `stages_ms`; cleared by the
+    /// deterministic view.
     pub stages: Option<Vec<StageSummary>>,
 }
 
-/// A whole batch run as it would leave over RPC: aggregates plus one
-/// [`JobResponse`] per job, in submission order.
+/// A whole batch run: aggregates plus one [`JobResponse`] per job, in
+/// submission order. [`run_batch`](crate::run_batch) returns it with
+/// every field filled in.
 ///
-/// With timings off (the default) every field is deterministic, so the
-/// serialized response is byte-identical across worker counts and runs —
-/// the property the CLI's golden-report test pins.
+/// Its deterministic view ([`BatchResponse::from_report`] with timings
+/// off, what `to_json` prints by default) is byte-identical across
+/// worker counts and runs — the property the CLI's golden-report test
+/// pins.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchResponse {
     /// Batch-level aggregates.
@@ -417,53 +469,41 @@ pub struct BatchResponse {
 }
 
 impl BatchResponse {
-    /// A response view of `report`. `options.timings` populates the
-    /// wall-clock fields (and makes the output nondeterministic).
-    pub fn from_report(report: &BatchReport, options: &JsonOptions) -> Self {
-        let timings = options.timings;
-        let sum = |f: fn(&crate::report::JobStats) -> usize| -> usize {
-            report
-                .jobs
-                .iter()
-                .filter_map(|j| j.stats.as_ref())
-                .map(f)
-                .sum()
+    /// The response over `results`, rows in submission order, from a pool
+    /// of `workers` that took `elapsed`: the rows' sums, counts and folded
+    /// stage rows make the summary.
+    pub(crate) fn new(results: Vec<JobResponse>, workers: usize, elapsed: Duration) -> Self {
+        let sum = |field: fn(&JobResponse) -> Option<usize>| -> usize {
+            results.iter().filter_map(field).sum()
         };
-        let retries: u32 = report.jobs.iter().map(|j| j.retries).sum();
-        let lint_sum = |f: fn(&eblocks_lint::LintOutcome) -> usize| -> usize {
-            report
-                .jobs
-                .iter()
-                .filter_map(|j| j.stats.as_ref())
-                .filter_map(|s| s.lint.as_ref())
-                .map(f)
-                .sum()
-        };
-        let lint_errors = lint_sum(|l| l.errors);
-        let lint_warnings = lint_sum(|l| l.warnings);
-        let lint_fixes = lint_sum(|l| l.fix_count());
+        let nonzero = |n: usize| (n > 0).then_some(n);
+        let succeeded = results
+            .iter()
+            .filter(|row| row.status == JobOutcome::Ok)
+            .count();
+        let retries: u32 = results.iter().filter_map(|row| row.retries).sum();
+        let mut stages = Vec::new();
+        for row in &results {
+            StageSummary::fold(&mut stages, row.stages_ms.iter().flatten());
+        }
         Self {
             batch: BatchSummary {
-                jobs: report.jobs.len(),
-                succeeded: report.succeeded(),
-                failed: report.failed(),
+                jobs: results.len(),
+                succeeded,
+                failed: results.len() - succeeded,
                 retries: (retries > 0).then_some(retries),
-                inner_before: sum(|s| s.inner_before),
-                inner_after: sum(|s| s.inner_after),
-                partitions: sum(|s| s.partitions),
-                c_bytes: sum(|s| s.c_bytes),
-                lint_errors: (lint_errors > 0).then_some(lint_errors),
-                lint_warnings: (lint_warnings > 0).then_some(lint_warnings),
-                lint_fixes: (lint_fixes > 0).then_some(lint_fixes),
-                workers: timings.then_some(report.workers),
-                elapsed_ms: timings.then(|| ms(report.elapsed)),
-                stages: timings.then(|| ServeStats::summarize_stages(&report.stage_stats())),
+                inner_before: sum(|row| row.inner_before),
+                inner_after: sum(|row| row.inner_after),
+                partitions: sum(|row| row.partitions),
+                c_bytes: sum(|row| row.c_bytes),
+                lint_errors: nonzero(sum(|row| row.lint_errors)),
+                lint_warnings: nonzero(sum(|row| row.lint_warnings)),
+                lint_fixes: nonzero(sum(|row| row.lint_fixes)),
+                workers: Some(workers),
+                elapsed_ms: Some(ms(elapsed)),
+                stages: Some(stages),
             },
-            results: report
-                .jobs
-                .iter()
-                .map(|job| JobResponse::from_report(job, timings))
-                .collect(),
+            results,
         }
     }
 }
@@ -572,9 +612,9 @@ pub fn synthesize_with(
         .as_deref()
         .unwrap_or(DEFAULT_PARTITIONER);
     let (outcome, _) = run_attempts(&request.source, &request.options, 0, partitioner, config);
-    let run = outcome.map_err(|status| match status {
-        JobStatus::Panicked(message) => format!("job panicked: {message}"),
-        other => other.error().unwrap_or_default().to_string(),
+    let run = outcome.map_err(|(status, message)| match status {
+        JobOutcome::Panicked => format!("job panicked: {message}"),
+        _ => message,
     })?;
     let JobOutput::Synth(result) = run.output else {
         unreachable!("a synth request's job runs in synth mode");
@@ -750,15 +790,15 @@ impl ProgressEvent {
         }
     }
 
-    /// The `finished` event for `report` at `index`.
-    pub fn finished(index: usize, report: &JobReport) -> Self {
-        let (status, error) = JobOutcome::of(&report.status);
+    /// The `finished` event for the job at `index`, whose batch row is
+    /// `row`.
+    pub fn finished(index: usize, row: &JobResponse) -> Self {
         Self {
             job: index,
-            name: report.name.clone(),
+            name: row.name.clone(),
             event: ProgressKind::Finished,
-            status: Some(status),
-            error,
+            status: Some(row.status),
+            error: row.error.clone(),
         }
     }
 }
@@ -778,25 +818,9 @@ pub struct ServeStats {
     /// Accepted requests fully answered since startup.
     pub completed: u64,
     /// Per-stage wall-clock aggregates over every job the daemon has
-    /// completed (wall-clock, so not deterministic).
+    /// completed, batch rows and synth requests alike (wall-clock, so not
+    /// deterministic).
     pub stages: Vec<StageSummary>,
-}
-
-impl ServeStats {
-    /// One [`StageSummary`] row per stage aggregate, in the order given:
-    /// pipeline stage order for the aggregates [`StageTimings::summarize`]
-    /// and [`StageStat::accumulate`] build.
-    pub fn summarize_stages(stats: &[StageStat]) -> Vec<StageSummary> {
-        stats
-            .iter()
-            .map(|stat| StageSummary {
-                stage: stat.stage,
-                runs: stat.runs,
-                total_ms: ms(stat.total),
-                max_ms: ms(stat.max),
-            })
-            .collect()
-    }
 }
 
 /// The structured error file the spool front end writes next to a
@@ -810,11 +834,16 @@ pub struct ErrorReply {
 
 /// Milliseconds rounded to 3 decimals (the precision the old hand-rolled
 /// emitter printed).
-fn ms(d: std::time::Duration) -> f64 {
-    (d.as_secs_f64() * 1e6).round() / 1e3
+pub(crate) fn ms(d: Duration) -> f64 {
+    round_ms(d.as_secs_f64() * 1e3)
 }
 
-fn stage_ms_rows(timings: &StageTimings) -> Vec<StageMs> {
+/// `ms` rounded to 3 decimals, so sums of rounded rows stay rounded.
+fn round_ms(ms: f64) -> f64 {
+    (ms * 1e3).round() / 1e3
+}
+
+pub(crate) fn stage_ms_rows(timings: &StageTimings) -> Vec<StageMs> {
     timings
         .reports
         .iter()
@@ -829,7 +858,7 @@ fn stage_ms_rows(timings: &StageTimings) -> Vec<StageMs> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_batch, FarmConfig};
+    use crate::{run_batch, FarmConfig, JsonOptions};
 
     fn request_json() -> &'static str {
         r#"{
@@ -891,6 +920,36 @@ mod tests {
     }
 
     #[test]
+    fn oversized_netlists_are_refused() {
+        let dir =
+            std::env::temp_dir().join(format!("eblocks-farm-oversized-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("big.netlist");
+        std::fs::write(&path, vec![b'#'; MAX_INPUT_BYTES + 1]).unwrap();
+        let source = DesignSource::Netlist(path.clone());
+        let expected = format!(
+            "cannot read {}: file is over the limit of 4194304 bytes",
+            path.display()
+        );
+        assert_eq!(source.load().unwrap_err(), expected);
+        let batch = BatchRequest {
+            default_partitioner: None,
+            jobs: vec![JobSpec::new(source)],
+        };
+        let report = run_batch(&batch, &FarmConfig::with_workers(1));
+        let row = &report.results[0];
+        assert_eq!(
+            (row.status, row.error.as_deref()),
+            (JobOutcome::Failed, Some(&*expected))
+        );
+
+        // At the limit the file loads: one comment line, an empty design.
+        std::fs::write(&path, vec![b'#'; MAX_INPUT_BYTES]).unwrap();
+        assert!(DesignSource::Netlist(path).load().is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn oversized_generated_sources_are_refused() {
         // 2^40 inner blocks would ask the generator for terabytes up front.
         let source = DesignSource::Generated {
@@ -908,7 +967,11 @@ mod tests {
             jobs: vec![JobSpec::new(source)],
         };
         let report = run_batch(&batch, &FarmConfig::with_workers(1));
-        assert_eq!(report.jobs[0].status, JobStatus::Failed(expected.into()));
+        let row = &report.results[0];
+        assert_eq!(
+            (row.status, row.error.as_deref()),
+            (JobOutcome::Failed, Some(expected))
+        );
 
         // The limit itself still loads.
         let at_limit = DesignSource::Generated {
@@ -1020,30 +1083,31 @@ mod tests {
             request
         );
         let report = run_batch(&request, &FarmConfig::with_workers(1));
-        let lint = |i: usize| {
-            let job = &report.jobs[i];
-            assert!(job.status.is_ok(), "{}: {:?}", job.name, job.status);
-            job.stats.as_ref().unwrap().lint
+        // Whether the successful job `i` ran the lint stage.
+        let linted = |i: usize| {
+            let job = &report.results[i];
+            assert_eq!(job.status, JobOutcome::Ok, "{}: {:?}", job.name, job.error);
+            job.stages_ms
+                .iter()
+                .flatten()
+                .any(|s| s.stage == Stage::Lint)
         };
 
         // `lint: true` denies errors: the warnings are counted, not fatal.
-        let outcome = lint(0).expect("lint ran");
-        assert_eq!(outcome.errors, 0);
-        assert!(outcome.warnings > 0, "{outcome}");
-        let response = BatchResponse::from_report(&report, &JsonOptions::default());
-        assert_eq!(response.results[0].lint_errors, None);
-        assert_eq!(response.results[0].lint_warnings, Some(outcome.warnings));
+        assert!(linted(0));
+        assert_eq!(report.results[0].lint_errors, None);
+        assert!(report.results[0].lint_warnings.unwrap() > 0);
 
         // `lint_deny` alone implies lint on, at its own level.
-        let JobStatus::Failed(message) = &report.jobs[1].status else {
-            panic!("{:?}", report.jobs[1].status);
-        };
+        let row = &report.results[1];
+        assert_eq!(row.status, JobOutcome::Failed);
+        let message = row.error.as_deref().unwrap();
         assert!(message.contains("lint rejected the design"), "{message}");
 
         // An explicit `lint: false` wins over a stray deny level; unset
         // follows the farm (off).
-        assert_eq!(lint(2), None);
-        assert_eq!(lint(3), None);
+        assert!(!linted(2));
+        assert!(!linted(3));
 
         // A linted clean job omits the count fields entirely, so
         // committed goldens are untouched by turning lint on.
@@ -1054,12 +1118,15 @@ mod tests {
         .unwrap();
         let report = run_batch(&request, &FarmConfig::with_workers(1));
         assert!(report.all_ok(), "{}", report.render_text(false));
-        assert!(report.jobs[0].stats.as_ref().unwrap().lint.is_some());
-        let response = BatchResponse::from_report(&report, &JsonOptions::default());
-        assert_eq!(response.results[0].lint_errors, None);
-        assert_eq!(response.results[0].lint_warnings, None);
-        assert_eq!(response.batch.lint_errors, None);
-        let text = serde::json::to_string(&response);
+        let row = &report.results[0];
+        assert!(row
+            .stages_ms
+            .iter()
+            .flatten()
+            .any(|s| s.stage == Stage::Lint));
+        assert_eq!((row.lint_errors, row.lint_warnings), (None, None));
+        assert_eq!(report.batch.lint_errors, None);
+        let text = report.to_json(&JsonOptions::default());
         assert!(!text.contains("lint"), "clean report layout: {text}");
     }
 
@@ -1239,21 +1306,59 @@ mod tests {
         assert_eq!(event.name, "Ignition Illuminator");
         assert_eq!(event.status, None);
 
-        let report = JobReport {
-            name: event.name.clone(),
-            partitioner: "pare-down".into(),
-            status: JobStatus::TimedOut("too slow".into()),
-            elapsed: std::time::Duration::ZERO,
-            retries: 2,
-            stats: None,
+        let row = JobResponse {
+            retries: Some(2),
+            ..JobResponse::new(
+                event.name.clone(),
+                "pare-down".into(),
+                JobOutcome::TimedOut,
+                Some("too slow".into()),
+            )
         };
-        let event = ProgressEvent::finished(3, &report);
+        let event = ProgressEvent::finished(3, &row);
         assert_eq!(event.status, Some(JobOutcome::TimedOut));
         assert_eq!(event.error.as_deref(), Some("too slow"));
         let text = serde::json::to_string(&event);
         assert!(text.contains(r#""event":"finished""#), "{text}");
         let back: ProgressEvent = serde::json::from_str(&text).unwrap();
         assert_eq!(back, event);
+    }
+
+    #[test]
+    fn stage_fold_keeps_one_entry_per_stage_in_pipeline_order() {
+        let row = |stage, ms| StageMs {
+            stage,
+            ms,
+            detail: String::new(),
+        };
+        let mut stages = Vec::new();
+        StageSummary::fold(
+            &mut stages,
+            &[
+                row(Stage::EmitC, 1.0),
+                row(Stage::Partition, 4.0),
+                row(Stage::EmitC, 3.0),
+                row(Stage::Lint, 2.0),
+            ],
+        );
+        let order: Vec<Stage> = stages.iter().map(|s| s.stage).collect();
+        assert_eq!(order, [Stage::Lint, Stage::Partition, Stage::EmitC]);
+        let emit = &stages[2];
+        assert_eq!((emit.runs, emit.total_ms, emit.max_ms), (2, 4.0, 3.0));
+
+        // Folding more rows adds runs and totals and keeps the max; totals
+        // stay rounded to 3 decimals (0.1 + 0.2 is 0.3 here).
+        StageSummary::fold(
+            &mut stages,
+            &[row(Stage::Verify, 0.1), row(Stage::Verify, 0.2)],
+        );
+        let order: Vec<Stage> = stages.iter().map(|s| s.stage).collect();
+        assert_eq!(
+            order,
+            [Stage::Lint, Stage::Partition, Stage::Verify, Stage::EmitC]
+        );
+        let verify = &stages[2];
+        assert_eq!((verify.runs, verify.total_ms, verify.max_ms), (2, 0.3, 0.2));
     }
 
     #[test]

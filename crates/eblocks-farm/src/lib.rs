@@ -4,37 +4,36 @@
 //! The paper's workflow synthesizes one design at a time; this crate scales
 //! that to production batches. A [`BatchRequest`] of [`JobSpec`]s (each job
 //! = a design source × a partitioning strategy × pipeline options) runs
-//! across a scoped-thread worker pool and comes back as one [`BatchReport`]
-//! with per-job status, partition statistics, stage timings, and emitted-C
-//! sizes, plus batch-level aggregates.
+//! across a scoped-thread worker pool and comes back as one
+//! [`BatchResponse`]: one [`JobResponse`] row per job (status, partition
+//! statistics, stage timings, emitted-C sizes) plus batch-level aggregates.
 //!
-//! * the request types in [`api`] are the only job model: jobs come from
-//!   netlist files, the Table-1 design library, or the seeded generator
-//!   ([`DesignSource`]), and batches parse from a line-oriented manifest
-//!   file ([`BatchRequest::parse`]) or a typed JSON request — manifest
-//!   format v2 ([`BatchRequest::from_json`]; [`BatchRequest::from_file`]
-//!   sniffs the format);
+//! * the [`api`] types are the only job model and the only result model:
+//!   jobs come from netlist files, the Table-1 design library, or the
+//!   seeded generator ([`DesignSource`]), and batches parse from a
+//!   line-oriented manifest file ([`BatchRequest::parse`]) or a typed JSON
+//!   request — manifest format v2 ([`BatchRequest::from_json`];
+//!   [`BatchRequest::from_file`] sniffs the format);
 //! * the scheduler is a shared queue drained greedily by `--jobs N` workers
 //!   ([`run_batch`], [`FarmConfig`]); job panics are isolated per worker;
 //!   [`run_batch_with_progress`] streams job started/finished callbacks to
 //!   a [`BatchProgress`] listener while the batch runs;
 //! * a lint admission gate ([`FarmConfig::lint`] engine-wide, a job's
 //!   `lint`/`lint_deny` [`api::SynthOptions`] per job) statically analyzes
-//!   each design before it runs and records per-job [`LintOutcome`] counts
-//!   in [`JobStats`]; a rejecting deny level fails the job instead of
-//!   synthesizing garbage;
+//!   each design before it runs and counts its findings in the job's row;
+//!   a rejecting deny level fails the job instead of synthesizing garbage;
 //! * resilience policies live on [`FarmConfig`]: a per-job retry budget
-//!   (`max_retries`, surfaced as [`JobReport::retries`]) and a cooperative
-//!   per-attempt timeout (`job_timeout`, surfaced as
-//!   [`JobStatus::TimedOut`]); the [`FaultInjector`] seam lets a harness
+//!   (`max_retries`, surfaced as [`JobResponse::retries`]) and a
+//!   cooperative per-attempt timeout (`job_timeout`, surfaced as
+//!   [`JobOutcome::TimedOut`]); the [`FaultInjector`] seam lets a harness
 //!   (see `eblocks-chaos`) perturb pickup order and inject delays, panics,
 //!   and aborts at stage boundaries;
-//! * reports serialize through the derive path: [`BatchReport`] wraps into
-//!   the typed [`api::BatchResponse`] and out through `serde::json`, and
-//!   the deterministic (timings-off) output is byte-identical for any
+//! * [`BatchResponse::from_report`] is the deterministic view: with
+//!   [`JsonOptions::timings`] off it clears the wall-clock fields, so the
+//!   JSON (`to_json`, through `serde::json`) is byte-identical for any
 //!   worker count;
-//! * [`api`] is the request/response surface an RPC service mode would
-//!   speak — [`api::BatchRequest`]/[`api::SynthRequest`] in,
+//! * [`api`] is the request/response surface the service mode speaks —
+//!   [`api::BatchRequest`]/[`api::SynthRequest`] in,
 //!   [`api::BatchResponse`]/[`api::SynthResponse`] out.
 //!
 //! # Example
@@ -49,7 +48,7 @@
 //! .unwrap();
 //! let report = run_batch(&batch, &FarmConfig::with_workers(2));
 //! assert!(report.all_ok());
-//! assert_eq!(report.jobs.len(), 2);
+//! assert_eq!(report.results.len(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,10 +59,12 @@ pub mod manifest;
 pub mod report;
 pub mod scheduler;
 
-pub use api::{BatchRequest, DesignSource, JobMode, JobSpec};
+pub use api::{
+    BatchRequest, BatchResponse, DesignSource, JobMode, JobOutcome, JobResponse, JobSpec,
+};
 pub use eblocks_lint::{DenyLevel, LintConfig, LintOutcome};
 pub use manifest::ManifestError;
-pub use report::{BatchReport, JobReport, JobStats, JobStatus, JsonOptions};
+pub use report::JsonOptions;
 pub use scheduler::{
     run_batch, run_batch_with_progress, BatchProgress, FarmConfig, Fault, FaultInjector,
 };

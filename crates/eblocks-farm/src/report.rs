@@ -1,180 +1,75 @@
-//! Per-job and batch-level results, with text and JSON rendering.
+//! The batch result's deterministic view and its text and JSON renderings.
 //!
-//! JSON rendering goes through the typed response API: [`BatchReport`]
-//! wraps into a derive-serialized [`BatchResponse`]
-//! and out through `serde::json` (PR 5 replaced the hand-rolled emitter).
-//! Output is deterministic by default — wall-clock fields are opt-in via
-//! [`JsonOptions::timings`] — so the same batch serializes to identical
-//! bytes regardless of worker count.
+//! [`run_batch`](crate::run_batch) returns a [`BatchResponse`] with every
+//! field filled in, wall-clock ones included.
+//! [`BatchResponse::from_report`] is the one deterministic view: unless
+//! [`JsonOptions::timings`] is set it clears the wall-clock fields, so the
+//! same batch serializes to identical bytes regardless of worker count.
 
-use crate::api::BatchResponse;
+use crate::api::{BatchResponse, JobOutcome};
 use eblocks_lint::LintOutcome;
-use eblocks_synth::{StageStat, StageTimings};
 use std::fmt::Write as _;
-use std::time::Duration;
 
-/// How one job ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobStatus {
-    /// The job completed; its measurements are in [`JobReport::stats`].
-    Ok,
-    /// The job returned an error (bad source, unknown strategy, failed
-    /// verification, …).
-    Failed(String),
-    /// The job panicked; the worker caught it and carried on.
-    Panicked(String),
-    /// The job exceeded the configured per-attempt time budget
-    /// ([`FarmConfig::job_timeout`](crate::FarmConfig::job_timeout)) and
-    /// was cancelled at a stage boundary.
-    TimedOut(String),
-}
-
-impl JobStatus {
-    /// True for [`JobStatus::Ok`].
-    pub fn is_ok(&self) -> bool {
-        matches!(self, Self::Ok)
-    }
-
-    fn label(&self) -> &'static str {
-        match self {
-            Self::Ok => "ok",
-            Self::Failed(_) => "failed",
-            Self::Panicked(_) => "panicked",
-            Self::TimedOut(_) => "timed-out",
-        }
-    }
-
-    pub(crate) fn error(&self) -> Option<&str> {
-        match self {
-            Self::Ok => None,
-            Self::Failed(e) | Self::Panicked(e) | Self::TimedOut(e) => Some(e),
-        }
-    }
-}
-
-/// Measurements from one successfully completed job.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct JobStats {
-    /// Inner blocks in the original design.
-    pub inner_before: usize,
-    /// Inner blocks after partitioning (pre-defined + programmable).
-    pub inner_after: usize,
-    /// Programmable blocks (number of partitions).
-    pub partitions: usize,
-    /// Whether the strategy ran to completion (false: a time-limited
-    /// search returned a result it did not prove optimal).
-    pub complete: bool,
-    /// Total bytes of emitted C across the job's programmable blocks
-    /// (0 in partition-only mode).
-    pub c_bytes: usize,
-    /// Whether equivalence verification ran and passed.
-    pub verified: bool,
-    /// Lint diagnostic counts, when the job ran the lint stage (`None`
-    /// when lint was off). An `Ok` row can only carry counts the job's
-    /// deny level admitted.
-    pub lint: Option<LintOutcome>,
-    /// Per-stage wall-clock timings from the pipeline observer.
-    pub timings: StageTimings,
-}
-
-/// One row of the batch report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobReport {
-    /// The job's display name.
-    pub name: String,
-    /// The strategy that actually ran (after default resolution).
-    pub partitioner: String,
-    /// How the job ended (the outcome of the final attempt).
-    pub status: JobStatus,
-    /// Whole-job wall-clock time (load + pipeline, summed over every
-    /// attempt), as seen by the worker.
-    pub elapsed: Duration,
-    /// Retry attempts the job consumed beyond the first try (0 when the
-    /// first attempt settled it; at most
-    /// [`FarmConfig::max_retries`](crate::FarmConfig::max_retries)).
-    pub retries: u32,
-    /// Measurements, when the job succeeded.
-    pub stats: Option<JobStats>,
-}
-
-/// Everything one [`run_batch`](crate::run_batch) call produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchReport {
-    /// Per-job rows, in batch submission order (independent of which
-    /// worker ran what when).
-    pub jobs: Vec<JobReport>,
-    /// Workers the pool actually used.
-    pub workers: usize,
-    /// Batch wall-clock time.
-    pub elapsed: Duration,
-}
-
-/// What the JSON rendering includes.
+/// What the deterministic view keeps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JsonOptions {
-    /// Include wall-clock fields (per-job elapsed and stage timings, batch
-    /// elapsed, worker count). Off by default so that reports are
-    /// byte-identical across worker counts and runs.
+    /// Keep the wall-clock fields (worker count, batch and per-job
+    /// elapsed, stage aggregates and per-job stage rows). Off by default
+    /// so that reports are byte-identical across worker counts and runs.
     pub timings: bool,
 }
 
-fn ms(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e3)
-}
-
-impl BatchReport {
-    /// Rows that completed successfully.
-    pub fn succeeded(&self) -> usize {
-        self.jobs.iter().filter(|j| j.status.is_ok()).count()
-    }
-
-    /// Rows that failed, panicked or timed out.
-    pub fn failed(&self) -> usize {
-        self.jobs.len() - self.succeeded()
+impl BatchResponse {
+    /// `report` as the JSON output shows it: unchanged with
+    /// `options.timings`, and otherwise with `workers`, `elapsed_ms`,
+    /// `stages` and each row's `stages_ms` and `elapsed_ms` cleared.
+    pub fn from_report(report: &BatchResponse, options: &JsonOptions) -> Self {
+        let mut view = report.clone();
+        if !options.timings {
+            view.batch.workers = None;
+            view.batch.elapsed_ms = None;
+            view.batch.stages = None;
+            for row in &mut view.results {
+                row.stages_ms = None;
+                row.elapsed_ms = None;
+            }
+        }
+        view
     }
 
     /// True when every job completed successfully.
     pub fn all_ok(&self) -> bool {
-        self.failed() == 0
+        self.batch.failed == 0
     }
 
-    /// Per-stage aggregates (run count, total and max elapsed) over every
-    /// successful job's stage timings, in pipeline stage order.
-    pub fn stage_stats(&self) -> Vec<StageStat> {
-        let mut stats = Vec::new();
-        for job in &self.jobs {
-            for report in job.stats.iter().flat_map(|s| &s.timings.reports) {
-                StageStat::accumulate(&mut stats, StageStat::once(report.stage, report.elapsed));
-            }
-        }
-        stats
-    }
-
-    /// Renders the report as compact JSON via the derive path: the typed
-    /// [`BatchResponse`] view serialized with `serde::json` (see
-    /// [`JsonOptions`]).
+    /// The [`from_report`](Self::from_report) view as compact JSON.
     pub fn to_json(&self, options: &JsonOptions) -> String {
-        serde::json::to_string(&BatchResponse::from_report(self, options))
+        serde::json::to_string(&Self::from_report(self, options))
     }
 
     /// [`to_json`](Self::to_json) with 2-space-indent pretty printing.
     pub fn to_json_pretty(&self, options: &JsonOptions) -> String {
-        serde::json::to_string_pretty(&BatchResponse::from_report(self, options))
+        serde::json::to_string_pretty(&Self::from_report(self, options))
     }
 
-    /// Renders the report as fixed-width text. `with_timings` appends the
-    /// per-stage totals/max table from the merged observers.
+    /// Renders the report as fixed-width text. The first line ends with
+    /// the worker count and elapsed time when the response has them;
+    /// `with_timings` appends the per-stage totals/max table.
     pub fn render_text(&self, with_timings: bool) -> String {
+        let batch = &self.batch;
         let mut out = format!(
-            "batch: {} job(s), {} ok, {} failed, {} worker(s), {}\n",
-            self.jobs.len(),
-            self.succeeded(),
-            self.failed(),
-            self.workers,
-            fmt_elapsed(self.elapsed),
+            "batch: {} job(s), {} ok, {} failed",
+            batch.jobs, batch.succeeded, batch.failed
         );
+        if let Some(workers) = batch.workers {
+            let _ = write!(out, ", {workers} worker(s)");
+        }
+        if let Some(ms) = batch.elapsed_ms {
+            let _ = write!(out, ", {}", fmt_elapsed(ms));
+        }
+        out.push('\n');
         let name_w = self
-            .jobs
+            .results
             .iter()
             .map(|j| j.name.len())
             .max()
@@ -185,59 +80,61 @@ impl BatchReport {
             "  {:<name_w$}  {:<12} {:<8} {:>6} {:>6} {:>5} {:>9}",
             "name", "partitioner", "status", "inner", "total", "prog", "c-bytes"
         );
-        for job in &self.jobs {
-            let retries = if job.retries > 0 {
-                format!(
-                    "  [{} retr{}]",
-                    job.retries,
-                    if job.retries == 1 { "y" } else { "ies" }
-                )
-            } else {
-                String::new()
+        for job in &self.results {
+            let retries = match job.retries {
+                Some(n) if n > 0 => format!("  [{n} retr{}]", if n == 1 { "y" } else { "ies" }),
+                _ => String::new(),
             };
-            match (&job.status, &job.stats) {
-                (JobStatus::Ok, Some(stats)) => {
-                    let lint = match stats.lint {
-                        Some(outcome) if !outcome.is_clean() => format!("  [lint: {outcome}]"),
-                        _ => String::new(),
-                    };
-                    let _ = writeln!(
-                        out,
-                        "  {:<name_w$}  {:<12} {:<8} {:>6} {:>6} {:>5} {:>9}{}{}{}",
-                        job.name,
-                        job.partitioner,
-                        "ok",
-                        stats.inner_before,
-                        stats.inner_after,
-                        stats.partitions,
-                        stats.c_bytes,
-                        if stats.complete { "" } else { "  (timeout)" },
-                        lint,
-                        retries,
-                    );
-                }
-                (status, _) => {
-                    let _ = writeln!(
-                        out,
-                        "  {:<name_w$}  {:<12} {:<8} {}{}",
-                        job.name,
-                        job.partitioner,
-                        status.label(),
-                        status.error().unwrap_or(""),
-                        retries,
-                    );
-                }
+            if job.status == JobOutcome::Ok {
+                let lint = LintOutcome {
+                    errors: job.lint_errors.unwrap_or(0),
+                    warnings: job.lint_warnings.unwrap_or(0),
+                    fixes: None,
+                };
+                let lint = if lint.is_clean() {
+                    String::new()
+                } else {
+                    format!("  [lint: {lint}]")
+                };
+                let _ = writeln!(
+                    out,
+                    "  {:<name_w$}  {:<12} {:<8} {:>6} {:>6} {:>5} {:>9}{}{}{}",
+                    job.name,
+                    job.partitioner,
+                    "ok",
+                    job.inner_before.unwrap_or(0),
+                    job.inner_after.unwrap_or(0),
+                    job.partitions.unwrap_or(0),
+                    job.c_bytes.unwrap_or(0),
+                    if job.complete.unwrap_or(true) {
+                        ""
+                    } else {
+                        "  (timeout)"
+                    },
+                    lint,
+                    retries,
+                );
+            } else {
+                let _ = writeln!(
+                    out,
+                    "  {:<name_w$}  {:<12} {:<8} {}{}",
+                    job.name,
+                    job.partitioner,
+                    label(job.status),
+                    job.error.as_deref().unwrap_or(""),
+                    retries,
+                );
             }
         }
         if with_timings {
             out.push_str("stage totals over all jobs:\n");
-            for stat in self.stage_stats() {
+            for stat in batch.stages.iter().flatten() {
                 let _ = writeln!(
                     out,
-                    "  {:<9} {:>10}ms total, {:>9}ms max, {:>4} run(s)",
+                    "  {:<9} {:>10.3}ms total, {:>9.3}ms max, {:>4} run(s)",
                     stat.stage.to_string(),
-                    ms(stat.total),
-                    ms(stat.max),
+                    stat.total_ms,
+                    stat.max_ms,
                     stat.runs,
                 );
             }
@@ -246,80 +143,84 @@ impl BatchReport {
     }
 }
 
-fn fmt_elapsed(d: Duration) -> String {
-    if d.as_secs_f64() >= 1.0 {
-        format!("{:.2}s", d.as_secs_f64())
+/// The status column's word for `status`, as JSON spells it.
+fn label(status: JobOutcome) -> &'static str {
+    match status {
+        JobOutcome::Ok => "ok",
+        JobOutcome::Failed => "failed",
+        JobOutcome::Panicked => "panicked",
+        JobOutcome::TimedOut => "timed-out",
+    }
+}
+
+fn fmt_elapsed(ms: f64) -> String {
+    if ms >= 1e3 {
+        format!("{:.2}s", ms / 1e3)
     } else {
-        format!("{:.2}ms", d.as_secs_f64() * 1e3)
+        format!("{ms:.2}ms")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eblocks_synth::{Stage, StageReport};
+    use crate::api::{JobResponse, StageMs, StageSummary};
+    use eblocks_synth::Stage;
+    use std::time::Duration;
 
-    fn sample() -> BatchReport {
-        let mut timings = StageTimings::new();
-        timings.reports.push(StageReport {
-            stage: Stage::Partition,
-            elapsed: Duration::from_millis(2),
-            detail: "1 partition".into(),
-        });
-        BatchReport {
-            jobs: vec![
-                JobReport {
-                    name: "garage".into(),
-                    partitioner: "pare-down".into(),
-                    status: JobStatus::Ok,
-                    elapsed: Duration::from_millis(5),
-                    retries: 0,
-                    stats: Some(JobStats {
-                        inner_before: 2,
-                        inner_after: 1,
-                        partitions: 1,
-                        complete: true,
-                        c_bytes: 512,
-                        verified: true,
-                        lint: Some(LintOutcome {
-                            errors: 0,
-                            warnings: 2,
-                            fixes: None,
-                        }),
-                        timings,
-                    }),
-                },
-                JobReport {
-                    name: "broken \"job\"".into(),
-                    partitioner: "anneal".into(),
-                    status: JobStatus::Failed("cannot read x".into()),
-                    elapsed: Duration::from_millis(1),
-                    retries: 2,
-                    stats: None,
-                },
-            ],
-            workers: 4,
-            elapsed: Duration::from_millis(6),
-        }
+    fn sample() -> BatchResponse {
+        let ok = JobResponse {
+            inner_before: Some(2),
+            inner_after: Some(1),
+            partitions: Some(1),
+            complete: Some(true),
+            verified: Some(true),
+            c_bytes: Some(512),
+            lint_warnings: Some(2),
+            stages_ms: Some(vec![StageMs {
+                stage: Stage::Partition,
+                ms: 2.0,
+                detail: "1 partition".into(),
+            }]),
+            elapsed_ms: Some(5.0),
+            ..JobResponse::new("garage".into(), "pare-down".into(), JobOutcome::Ok, None)
+        };
+        let failed = JobResponse {
+            retries: Some(2),
+            elapsed_ms: Some(1.0),
+            ..JobResponse::new(
+                "broken \"job\"".into(),
+                "anneal".into(),
+                JobOutcome::Failed,
+                Some("cannot read x".into()),
+            )
+        };
+        BatchResponse::new(vec![ok, failed], 4, Duration::from_millis(6))
     }
 
     #[test]
     fn aggregates_count() {
         let r = sample();
-        assert_eq!(r.succeeded(), 1);
-        assert_eq!(r.failed(), 1);
+        let batch = &r.batch;
+        assert_eq!((batch.jobs, batch.succeeded, batch.failed), (2, 1, 1));
         assert!(!r.all_ok());
-        let partition = |runs, ms| StageStat {
+        assert_eq!(batch.retries, Some(2));
+        assert_eq!((batch.inner_before, batch.inner_after), (2, 1));
+        assert_eq!((batch.partitions, batch.c_bytes), (1, 512));
+        assert_eq!((batch.lint_errors, batch.lint_warnings), (None, Some(2)));
+        assert_eq!((batch.workers, batch.elapsed_ms), (Some(4), Some(6.0)));
+        let partition = |runs, total_ms| StageSummary {
             stage: Stage::Partition,
             runs,
-            total: Duration::from_millis(ms),
-            max: Duration::from_millis(2),
+            total_ms,
+            max_ms: 2.0,
         };
-        assert_eq!(r.stage_stats(), [partition(1, 2)]);
+        assert_eq!(batch.stages, Some(vec![partition(1, 2.0)]));
         // Stage rows fold across jobs; failed jobs have none.
-        let mut twice = r.clone();
-        twice.jobs.push(r.jobs[0].clone());
-        assert_eq!(twice.stage_stats(), [partition(2, 4)]);
+        let mut rows = r.results.clone();
+        rows.push(r.results[0].clone());
+        let twice = BatchResponse::new(rows, 4, Duration::ZERO);
+        assert_eq!(twice.batch.stages, Some(vec![partition(2, 4.0)]));
     }
 
     #[test]
@@ -333,6 +234,7 @@ mod tests {
         assert!(json.contains(r#""retries":2"#), "{json}");
         assert!(!json.contains("elapsed_ms"), "no wall-clock: {json}");
         assert!(!json.contains("workers"), "no pool shape: {json}");
+        assert!(!json.contains("stages"), "no stage rows: {json}");
 
         let timed = r.to_json(&JsonOptions { timings: true });
         assert!(timed.contains("elapsed_ms"), "{timed}");
@@ -346,14 +248,27 @@ mod tests {
     fn text_report_lists_rows() {
         let r = sample();
         let text = r.render_text(true);
-        assert!(text.contains("2 job(s), 1 ok, 1 failed"), "{text}");
+        assert!(
+            text.starts_with("batch: 2 job(s), 1 ok, 1 failed, 4 worker(s), 6.00ms\n"),
+            "{text}"
+        );
         assert!(text.contains("garage"), "{text}");
         assert!(text.contains("cannot read x"), "{text}");
         assert!(text.contains("[2 retries]"), "{text}");
         assert!(text.contains("[lint: 0 error(s), 2 warning(s)]"), "{text}");
-        assert!(text.contains("stage totals"), "{text}");
-        assert!(text.contains("partition"), "{text}");
+        assert!(
+            text.ends_with("stage totals over all jobs:\n  partition      2.000ms total,     2.000ms max,    1 run(s)\n"),
+            "{text}"
+        );
         let no_t = r.render_text(false);
         assert!(!no_t.contains("stage totals"), "{no_t}");
+        // The deterministic view has no clock to print.
+        let view = BatchResponse::from_report(&r, &JsonOptions::default());
+        assert!(
+            view.render_text(false)
+                .starts_with("batch: 2 job(s), 1 ok, 1 failed\n"),
+            "{}",
+            view.render_text(false)
+        );
     }
 }

@@ -9,11 +9,13 @@
 //! finished what when.
 //!
 //! A panicking job (a buggy strategy, a pathological design) is caught on
-//! the worker, reported as [`JobStatus::Panicked`], and the worker moves on
-//! — one poisoned job cannot take down the batch.
+//! the worker, reported as [`JobOutcome::Panicked`], and the worker moves
+//! on — one poisoned job cannot take down the batch.
 
-use crate::api::{BatchRequest, DesignSource, JobMode, JobSpec, SynthOptions};
-use crate::report::{BatchReport, JobReport, JobStats, JobStatus};
+use crate::api::{
+    ms, stage_ms_rows, BatchRequest, BatchResponse, DesignSource, JobMode, JobOutcome, JobResponse,
+    JobSpec, SynthOptions,
+};
 use eblocks_core::{Design, ProgrammableSpec};
 use eblocks_lint::{LintConfig, LintOutcome};
 use eblocks_partition::{PartitionConstraints, Partitioning, Registry, DEFAULT_PARTITIONER};
@@ -36,11 +38,11 @@ pub enum Fault {
     /// attempt out.
     Delay(Duration),
     /// Panic with the given message, exercising the worker's per-job
-    /// panic isolation ([`JobStatus::Panicked`]).
+    /// panic isolation ([`JobOutcome::Panicked`]).
     Panic(String),
     /// Abort the stage with the given [`StageAbort`]; `timeout` aborts
-    /// surface as [`JobStatus::TimedOut`], the rest as
-    /// [`JobStatus::Failed`].
+    /// surface as [`JobOutcome::TimedOut`], the rest as
+    /// [`JobOutcome::Failed`].
     Abort(StageAbort),
 }
 
@@ -96,7 +98,7 @@ pub struct FarmConfig {
     /// Retry budget per job: a job whose attempt fails, panics, or times
     /// out is re-run on the same worker up to this many more times, and
     /// the attempts actually consumed are surfaced as
-    /// [`JobReport::retries`]. Default 0 (one attempt, no retries).
+    /// [`JobResponse::retries`]. Default 0 (one attempt, no retries).
     /// Deterministic failures (an unknown strategy, a bad netlist) burn
     /// their whole budget and still fail; the knob exists for injected
     /// and transient faults.
@@ -104,7 +106,7 @@ pub struct FarmConfig {
     /// Per-attempt time budget. Enforcement is cooperative: the deadline
     /// is checked at every pipeline stage boundary, so a job is cancelled
     /// *between* stages (work inside a stage always runs to completion)
-    /// and reported as [`JobStatus::TimedOut`]. The timeout message quotes
+    /// and reported as [`JobOutcome::TimedOut`]. The timeout message quotes
     /// this configured limit, never measured time, keeping reports
     /// deterministic. Default `None` (no limit).
     pub job_timeout: Option<Duration>,
@@ -121,8 +123,8 @@ pub struct FarmConfig {
     /// Cooperative drain flag — the hook a service mode uses to cut a
     /// running batch short. When the flag is set, workers stop claiming
     /// new jobs; jobs already claimed run to completion, and every
-    /// never-claimed job is reported as
-    /// [`JobStatus::Failed`]`("cancelled: batch drain requested")`. The
+    /// never-claimed job is reported as [`JobOutcome::Failed`] with the
+    /// error `"cancelled: batch drain requested"`. The
     /// report still has one row per job in submission order. Default
     /// `None` (batches always run to completion). Note that a
     /// mid-batch drain makes the report depend on scheduling, so it
@@ -154,8 +156,9 @@ impl FarmConfig {
     ///
     /// The pool always runs at least one worker: a requested count of 0
     /// is clamped to 1 rather than rejected, so `with_workers(0)` behaves
-    /// exactly like `with_workers(1)` (and [`BatchReport::workers`]
-    /// reports the clamped count actually used).
+    /// exactly like `with_workers(1)` (and the response's
+    /// [`workers`](crate::api::BatchSummary::workers) reports the clamped
+    /// count actually used).
     pub fn with_workers(workers: usize) -> Self {
         Self {
             workers: Some(workers),
@@ -209,10 +212,11 @@ impl FarmConfig {
 /// while the batch is still running.
 ///
 /// Callbacks fire **on the worker thread that ran the job** (hence the
-/// `Sync` bound), and a finished job's [`JobReport`] carries its full
-/// [`StageTimings`], so a listener can stream per-stage breakdowns without
-/// waiting for the final [`BatchReport`]. Job indices refer to submission
-/// order; jobs on different workers start and finish interleaved.
+/// `Sync` bound), and a finished job's [`JobResponse`] row carries its
+/// stage rows (`stages_ms`), so a listener can stream per-stage breakdowns
+/// without waiting for the final [`BatchResponse`]. Job indices refer to
+/// submission order; jobs on different workers start and finish
+/// interleaved.
 ///
 /// Both methods default to no-ops, so listeners implement only what they
 /// need. A panicking callback is caught and discarded — the farm's
@@ -225,10 +229,10 @@ pub trait BatchProgress: Sync {
         let _ = (index, job);
     }
 
-    /// The job at `index` finished (ok, failed, or panicked); `report` is
-    /// exactly the row the final [`BatchReport`] will hold.
-    fn job_finished(&self, index: usize, report: &JobReport) {
-        let _ = (index, report);
+    /// The job at `index` finished (ok, failed, or panicked); `row` is
+    /// exactly the row the final [`BatchResponse`] will hold.
+    fn job_finished(&self, index: usize, row: &JobResponse) {
+        let _ = (index, row);
     }
 }
 
@@ -238,12 +242,13 @@ struct Silent;
 impl BatchProgress for Silent {}
 
 /// Runs every job in `batch` across the configured worker pool and
-/// aggregates the per-job outcomes into a [`BatchReport`].
+/// aggregates the per-job rows into a [`BatchResponse`], every field
+/// filled in.
 ///
 /// Job execution is deterministic (all built-in strategies are), so the
 /// per-job results are identical for any worker count; only wall-clock
-/// fields differ.
-pub fn run_batch(batch: &BatchRequest, config: &FarmConfig) -> BatchReport {
+/// fields differ, and [`BatchResponse::from_report`] clears those.
+pub fn run_batch(batch: &BatchRequest, config: &FarmConfig) -> BatchResponse {
     run_batch_with_progress(batch, config, &Silent)
 }
 
@@ -253,11 +258,11 @@ pub fn run_batch_with_progress(
     batch: &BatchRequest,
     config: &FarmConfig,
     progress: &dyn BatchProgress,
-) -> BatchReport {
+) -> BatchResponse {
     let started = Instant::now();
     let workers = config.effective_workers(batch.jobs.len());
     let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<JobReport>>> = Mutex::new(vec![None; batch.jobs.len()]);
+    let slots: Mutex<Vec<Option<JobResponse>>> = Mutex::new(vec![None; batch.jobs.len()]);
     let faults = config.faults.as_deref();
     let order = pickup_order(faults, batch.jobs.len());
 
@@ -285,9 +290,9 @@ pub fn run_batch_with_progress(
                 // run_job's catch) so a buggy hook cannot abort the
                 // scoped pool and lose the batch's results.
                 let _ = catch_unwind(AssertUnwindSafe(|| progress.job_started(index, job)));
-                let report = run_job(job, index, batch, config);
-                let _ = catch_unwind(AssertUnwindSafe(|| progress.job_finished(index, &report)));
-                slots.lock().expect("farm result lock")[index] = Some(report);
+                let row = run_job(job, index, batch, config);
+                let _ = catch_unwind(AssertUnwindSafe(|| progress.job_finished(index, &row)));
+                slots.lock().expect("farm result lock")[index] = Some(row);
             });
         }
     });
@@ -295,7 +300,7 @@ pub fn run_batch_with_progress(
     // Without a drain every slot is filled (claimed jobs always report);
     // under a drain the never-claimed jobs get a cancellation row so the
     // report still has one row per job in submission order.
-    let jobs = slots
+    let results = slots
         .into_inner()
         .expect("farm result lock")
         .into_iter()
@@ -304,22 +309,19 @@ pub fn run_batch_with_progress(
             slot.unwrap_or_else(|| {
                 debug_assert!(config.stop.is_some(), "every claimed job reports");
                 let job = &batch.jobs[index];
-                JobReport {
-                    name: job.display_name(),
-                    partitioner: partitioner_name(job, batch, config).to_string(),
-                    status: JobStatus::Failed("cancelled: batch drain requested".to_string()),
-                    elapsed: Duration::ZERO,
-                    retries: 0,
-                    stats: None,
+                JobResponse {
+                    elapsed_ms: Some(0.0),
+                    ..JobResponse::new(
+                        job.display_name(),
+                        partitioner_name(job, batch, config).to_string(),
+                        JobOutcome::Failed,
+                        Some("cancelled: batch drain requested".to_string()),
+                    )
                 }
             })
         })
         .collect();
-    BatchReport {
-        jobs,
-        workers,
-        elapsed: started.elapsed(),
-    }
+    BatchResponse::new(results, workers, started.elapsed())
 }
 
 /// The pickup order workers drain the queue in: the injector's
@@ -354,21 +356,20 @@ fn partitioner_name<'a>(
 
 /// Runs one job on the calling worker thread and folds the final
 /// attempt's outcome into the job's batch row.
-fn run_job(job: &JobSpec, index: usize, batch: &BatchRequest, config: &FarmConfig) -> JobReport {
+fn run_job(job: &JobSpec, index: usize, batch: &BatchRequest, config: &FarmConfig) -> JobResponse {
     let started = Instant::now();
-    let name = partitioner_name(job, batch, config);
-    let (outcome, retries) = run_attempts(&job.source, &job.options, index, name, config);
-    let (status, stats) = match outcome {
-        Ok(run) => (JobStatus::Ok, Some(run.into_stats())),
-        Err(status) => (status, None),
+    let partitioner = partitioner_name(job, batch, config);
+    let (outcome, retries) = run_attempts(&job.source, &job.options, index, partitioner, config);
+    let row =
+        |status, error| JobResponse::new(job.display_name(), partitioner.into(), status, error);
+    let row = match outcome {
+        Ok(run) => run.into_row(row(JobOutcome::Ok, None)),
+        Err((status, error)) => row(status, Some(error)),
     };
-    JobReport {
-        name: job.display_name(),
-        partitioner: name.to_string(),
-        status,
-        elapsed: started.elapsed(),
-        retries,
-        stats,
+    JobResponse {
+        retries: (retries > 0).then_some(retries),
+        elapsed_ms: Some(ms(started.elapsed())),
+        ..row
     }
 }
 
@@ -376,21 +377,21 @@ fn run_job(job: &JobSpec, index: usize, batch: &BatchRequest, config: &FarmConfi
 /// [`api::synthesize_with`](crate::api::synthesize_with) request) from its
 /// source and options: each attempt runs in panic isolation under the
 /// deadline and the injector's faults for job `index`, up to the retry
-/// budget. Returns the last attempt's run or status (never `Ok`) and the
-/// retries it took.
+/// budget. Returns the last attempt's run, or how it ended (never
+/// [`JobOutcome::Ok`]) with its error message, and the retries it took.
 pub(crate) fn run_attempts(
     source: &DesignSource,
     options: &SynthOptions,
     index: usize,
     partitioner: &str,
     config: &FarmConfig,
-) -> (Result<JobRun, JobStatus>, u32) {
+) -> (Result<JobRun, (JobOutcome, String)>, u32) {
     let mut attempt: u32 = 0;
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             execute(source, options, index, attempt, partitioner, config)
         }))
-        .unwrap_or_else(|payload| Err(JobStatus::Panicked(panic_message(&payload))));
+        .unwrap_or_else(|payload| Err((JobOutcome::Panicked, panic_message(&payload))));
         if outcome.is_ok() || attempt >= config.max_retries {
             return (outcome, attempt);
         }
@@ -426,39 +427,47 @@ pub(crate) enum JobOutput {
 }
 
 impl JobRun {
-    /// The measurements a batch row reports for this run.
-    fn into_stats(self) -> JobStats {
-        match self.output {
-            JobOutput::Partition(partitioning, lint) => JobStats {
-                inner_before: partitioning.covered() + partitioning.uncovered().len(),
-                inner_after: partitioning.inner_total(),
-                partitions: partitioning.num_partitions(),
-                complete: partitioning.is_complete(),
-                lint,
-                timings: self.timings,
-                ..JobStats::default()
-            },
-            JobOutput::Synth(result) => JobStats {
-                inner_before: result.inner_before(),
-                inner_after: result.inner_after(),
-                partitions: result.partitioning.num_partitions(),
-                complete: result.partitioning.is_complete(),
-                c_bytes: result.c_sources.iter().map(|(_, c)| c.len()).sum(),
-                verified: result.report.as_ref().is_some_and(|r| r.is_equivalent()),
-                lint: result.lint,
-                timings: self.timings,
-            },
+    /// `row` with this run's measurements and stage rows filled in.
+    fn into_row(self, row: JobResponse) -> JobResponse {
+        let (partitioning, c_bytes, verified, lint) = match &self.output {
+            JobOutput::Partition(partitioning, lint) => (partitioning, 0, false, *lint),
+            JobOutput::Synth(result) => (
+                &result.partitioning,
+                result.c_sources.iter().map(|(_, c)| c.len()).sum(),
+                result.report.as_ref().is_some_and(|r| r.is_equivalent()),
+                result.lint,
+            ),
+        };
+        let nonzero =
+            |count: fn(&LintOutcome) -> usize| lint.as_ref().map(count).filter(|&n| n > 0);
+        JobResponse {
+            inner_before: Some(partitioning.covered() + partitioning.uncovered().len()),
+            inner_after: Some(partitioning.inner_total()),
+            partitions: Some(partitioning.num_partitions()),
+            complete: Some(partitioning.is_complete()),
+            verified: Some(verified),
+            c_bytes: Some(c_bytes),
+            lint_errors: nonzero(|l| l.errors),
+            lint_warnings: nonzero(|l| l.warnings),
+            lint_fixes: nonzero(LintOutcome::fix_count),
+            stages_ms: Some(stage_ms_rows(&self.timings)),
+            ..row
         }
     }
 }
 
-/// The status a pipeline error ends an attempt with: a timeout abort
-/// times the attempt out, anything else fails it.
-fn attempt_status(error: SynthError) -> JobStatus {
+/// How a pipeline error ends an attempt: a timeout abort times the
+/// attempt out, anything else fails it.
+fn attempt_status(error: SynthError) -> (JobOutcome, String) {
     match error {
-        SynthError::Aborted { abort, .. } if abort.timeout => JobStatus::TimedOut(abort.message),
-        other => JobStatus::Failed(other.to_string()),
+        SynthError::Aborted { abort, .. } if abort.timeout => (JobOutcome::TimedOut, abort.message),
+        other => (JobOutcome::Failed, other.to_string()),
     }
+}
+
+/// A failed attempt's outcome with `message`.
+fn failed(message: String) -> (JobOutcome, String) {
+    (JobOutcome::Failed, message)
 }
 
 /// The per-attempt pipeline observer: collects stage timings, enforces
@@ -541,12 +550,9 @@ fn execute(
     attempt: u32,
     partitioner_name: &str,
     config: &FarmConfig,
-) -> Result<JobRun, JobStatus> {
-    let partitioner = config
-        .registry
-        .from_str(partitioner_name)
-        .map_err(JobStatus::Failed)?;
-    let design = source.load().map_err(JobStatus::Failed)?;
+) -> Result<JobRun, (JobOutcome, String)> {
+    let partitioner = config.registry.from_str(partitioner_name).map_err(failed)?;
+    let design = source.load().map_err(failed)?;
     let pins = ProgrammableSpec::default();
     let spec = ProgrammableSpec::new(
         options.inputs.unwrap_or(pins.inputs),
@@ -594,6 +600,14 @@ mod tests {
     use crate::report::JsonOptions;
     use eblocks_partition::{Partitioner, Partitioning};
 
+    /// The error of `row`, which must have ended with `status`.
+    fn error(row: &JobResponse, status: JobOutcome) -> &str {
+        assert_eq!(row.status, status, "{row:?}");
+        row.error
+            .as_deref()
+            .expect("an unsuccessful row has an error")
+    }
+
     fn library_batch() -> BatchRequest {
         BatchRequest::parse(
             "job library=\"Ignition Illuminator\"\n\
@@ -606,19 +620,19 @@ mod tests {
     #[test]
     fn batch_runs_and_aggregates() {
         let report = run_batch(&library_batch(), &FarmConfig::with_workers(2));
-        assert_eq!(report.jobs.len(), 3);
+        assert_eq!(report.results.len(), 3);
         assert!(report.all_ok(), "{}", report.render_text(false));
-        assert_eq!(report.workers, 2);
-        let stats = report.jobs[0].stats.as_ref().unwrap();
-        assert_eq!(stats.inner_before, 2);
-        assert_eq!(stats.inner_after, 1);
-        assert!(stats.verified);
-        assert!(stats.c_bytes > 0);
-        assert_eq!(report.jobs[1].partitioner, "refine");
-        let part = report.jobs[2].stats.as_ref().unwrap();
-        assert_eq!(part.c_bytes, 0, "partition mode emits no C");
-        assert!(!part.verified);
-        assert_eq!(part.timings.reports.len(), 1, "only the partition stage");
+        assert_eq!(report.batch.workers, Some(2));
+        let row = &report.results[0];
+        assert_eq!((row.inner_before, row.inner_after), (Some(2), Some(1)));
+        assert_eq!(row.verified, Some(true));
+        assert!(row.c_bytes.unwrap() > 0);
+        assert_eq!(report.results[1].partitioner, "refine");
+        let part = &report.results[2];
+        assert_eq!(part.c_bytes, Some(0), "partition mode emits no C");
+        assert_eq!(part.verified, Some(false));
+        let stages = part.stages_ms.as_ref().unwrap();
+        assert_eq!(stages.len(), 1, "only the partition stage");
     }
 
     #[test]
@@ -627,10 +641,9 @@ mod tests {
         let config = FarmConfig::with_workers(2).lint(LintConfig::default());
         let report = run_batch(&library_batch(), &config);
         assert!(report.all_ok(), "{}", report.render_text(false));
-        for job in &report.jobs {
-            let stats = job.stats.as_ref().unwrap();
-            assert!(stats.lint.is_some(), "{}: lint outcome recorded", job.name);
-            assert_eq!(stats.timings.reports[0].stage, Stage::Lint);
+        for job in &report.results {
+            let stages = job.stages_ms.as_ref().unwrap();
+            assert_eq!(stages[0].stage, Stage::Lint, "{}: lint ran first", job.name);
         }
 
         // A farm-level zero fan-out budget under deny-warnings rejects
@@ -650,14 +663,18 @@ mod tests {
         )
         .unwrap();
         let report = run_batch(&batch, &FarmConfig::with_workers(1).lint(strict));
-        let JobStatus::Failed(message) = &report.jobs[0].status else {
-            panic!("{:?}", report.jobs[0].status);
-        };
+        let message = error(&report.results[0], JobOutcome::Failed);
         assert!(message.contains("lint rejected the design"), "{message}");
         assert!(message.contains("W008"), "{message}");
-        assert!(report.jobs[1].status.is_ok(), "{:?}", report.jobs[1].status);
-        let stats = report.jobs[1].stats.as_ref().unwrap();
-        assert_eq!(stats.lint, None, "`lint: false` beats the farm default");
+        let row = &report.results[1];
+        assert_eq!(row.status, JobOutcome::Ok, "{row:?}");
+        assert!(
+            row.stages_ms
+                .iter()
+                .flatten()
+                .all(|s| s.stage != Stage::Lint),
+            "`lint: false` beats the farm default"
+        );
     }
 
     /// A scripted injector: an optional pickup order plus faults pinned
@@ -694,7 +711,7 @@ mod tests {
         // with_workers(0) is documented to behave exactly like
         // with_workers(1): the pool always has at least one worker.
         let report = run_batch(&library_batch(), &FarmConfig::with_workers(0));
-        assert_eq!(report.workers, 1);
+        assert_eq!(report.batch.workers, Some(1));
         assert!(report.all_ok(), "{}", report.render_text(false));
         let baseline = run_batch(&library_batch(), &FarmConfig::with_workers(1));
         assert_eq!(
@@ -712,31 +729,28 @@ mod tests {
         // strategy name.
         let flag = Arc::new(AtomicBool::new(true));
         let report = run_batch(&library_batch(), &FarmConfig::with_workers(2).stop_on(flag));
-        assert_eq!(report.jobs.len(), 3);
-        assert_eq!(report.succeeded(), 0);
-        for job in &report.jobs {
-            let JobStatus::Failed(message) = &job.status else {
-                panic!("{:?}", job.status);
-            };
+        assert_eq!(report.results.len(), 3);
+        assert_eq!(report.batch.succeeded, 0);
+        for job in &report.results {
+            let message = error(job, JobOutcome::Failed);
             assert_eq!(message, "cancelled: batch drain requested");
         }
-        assert_eq!(report.jobs[1].partitioner, "refine");
+        assert_eq!(report.results[1].partitioner, "refine");
 
         // A flag set from a progress hook after the first job finishes
         // (one worker, so scheduling is sequential) lets that job keep
         // its real report and cancels the rest deterministically.
         struct StopAfterFirst(Arc<AtomicBool>);
         impl BatchProgress for StopAfterFirst {
-            fn job_finished(&self, _: usize, _: &JobReport) {
+            fn job_finished(&self, _: usize, _: &JobResponse) {
                 self.0.store(true, Ordering::Relaxed);
             }
         }
         let flag = Arc::new(AtomicBool::new(false));
         let config = FarmConfig::with_workers(1).stop_on(flag.clone());
         let report = run_batch_with_progress(&library_batch(), &config, &StopAfterFirst(flag));
-        assert!(report.jobs[0].status.is_ok(), "{:?}", report.jobs[0].status);
-        assert_eq!(report.succeeded(), 1);
-        assert_eq!(report.failed(), 2);
+        assert_eq!(report.results[0].status, JobOutcome::Ok);
+        assert_eq!((report.batch.succeeded, report.batch.failed), (1, 2));
     }
 
     #[test]
@@ -753,9 +767,8 @@ mod tests {
             .inject(Arc::new(script));
         let report = run_batch(&library_batch(), &config);
         assert!(report.all_ok(), "{}", report.render_text(false));
-        assert_eq!(report.jobs[0].retries, 1);
-        assert_eq!(report.jobs[1].retries, 0);
-        assert_eq!(report.jobs[2].retries, 0);
+        let retries: Vec<Option<u32>> = report.results.iter().map(|j| j.retries).collect();
+        assert_eq!(retries, [Some(1), None, None]);
         let json = report.to_json(&JsonOptions::default());
         assert!(json.contains(r#""retries":1"#), "{json}");
 
@@ -766,11 +779,9 @@ mod tests {
         )]);
         let config = FarmConfig::with_workers(2).inject(Arc::new(script));
         let report = run_batch(&library_batch(), &config);
-        let JobStatus::Panicked(message) = &report.jobs[0].status else {
-            panic!("{:?}", report.jobs[0].status);
-        };
+        let message = error(&report.results[0], JobOutcome::Panicked);
         assert_eq!(message, "injected panic");
-        assert_eq!(report.jobs[0].retries, 0);
+        assert_eq!(report.results[0].retries, None);
     }
 
     #[test]
@@ -792,13 +803,11 @@ mod tests {
             .retries(2)
             .inject(Arc::new(script));
         let report = run_batch(&library_batch(), &config);
-        assert_eq!(report.jobs.len(), 3);
-        assert_eq!(report.succeeded(), 2);
-        let JobStatus::Failed(message) = &report.jobs[1].status else {
-            panic!("{:?}", report.jobs[1].status);
-        };
+        assert_eq!(report.results.len(), 3);
+        assert_eq!(report.batch.succeeded, 2);
+        let message = error(&report.results[1], JobOutcome::Failed);
         assert_eq!(message, "stage partition aborted: injected fault");
-        assert_eq!(report.jobs[1].retries, 2);
+        assert_eq!(report.results[1].retries, Some(2));
     }
 
     #[test]
@@ -809,14 +818,11 @@ mod tests {
         )]);
         let config = FarmConfig::with_workers(1).inject(Arc::new(script));
         let report = run_batch(&library_batch(), &config);
-        let JobStatus::TimedOut(message) = &report.jobs[0].status else {
-            panic!("{:?}", report.jobs[0].status);
-        };
+        let message = error(&report.results[0], JobOutcome::TimedOut);
         assert_eq!(message, "injected timeout before merge");
         let json = report.to_json(&JsonOptions::default());
         assert!(json.contains(r#""status":"timed-out""#), "{json}");
-        assert!(report.jobs[1].status.is_ok());
-        assert!(report.jobs[2].status.is_ok());
+        assert_eq!(report.batch.succeeded, 2);
     }
 
     #[test]
@@ -832,12 +838,10 @@ mod tests {
             .timeout(Duration::from_millis(30))
             .inject(Arc::new(script));
         let report = run_batch(&library_batch(), &config);
-        let JobStatus::TimedOut(message) = &report.jobs[0].status else {
-            panic!("{:?}", report.jobs[0].status);
-        };
+        let message = error(&report.results[0], JobOutcome::TimedOut);
         assert_eq!(message, "job timed out before merge (limit 30ms)");
-        assert_eq!(report.jobs[0].retries, 0);
-        assert!(report.jobs[1].status.is_ok());
+        assert_eq!(report.results[0].retries, None);
+        assert_eq!(report.results[1].status, JobOutcome::Ok);
     }
 
     #[test]
@@ -845,6 +849,7 @@ mod tests {
         // A delay enacted in the lint and partition gates of both a synth
         // job and a partition-only job: the gate is not part of any stage.
         let delay = Duration::from_millis(100);
+        let delay_ms = ms(delay);
         let batch = BatchRequest::parse(
             "job library=\"Ignition Illuminator\"\n\
              job library=\"Ignition Illuminator\" mode=partition\n",
@@ -860,17 +865,17 @@ mod tests {
             .inject(Arc::new(Script::faults(faults)));
         let report = run_batch(&batch, &config);
         assert!(report.all_ok(), "{}", report.render_text(false));
-        for (job, row) in batch.jobs.iter().zip(&report.jobs) {
-            let stages = &row.stats.as_ref().unwrap().timings.reports;
+        for (job, row) in batch.jobs.iter().zip(&report.results) {
+            let stages = row.stages_ms.as_ref().unwrap();
             assert_eq!(stages[0].stage, Stage::Lint);
             assert_eq!(stages[1].stage, Stage::Partition);
             for stage in stages {
                 assert!(
-                    stage.elapsed < delay,
-                    "{:?} job: {} took {:?}",
+                    stage.ms < delay_ms,
+                    "{:?} job: {} took {}ms",
                     job.options.mode,
                     stage.stage,
-                    stage.elapsed
+                    stage.ms
                 );
             }
         }
@@ -895,12 +900,9 @@ mod tests {
         let report = run_batch(&batch, &FarmConfig::with_workers(1));
         std::fs::remove_dir_all(&dir).ok();
         let messages: Vec<&str> = report
-            .jobs
+            .results
             .iter()
-            .map(|job| match &job.status {
-                JobStatus::Failed(message) => message.as_str(),
-                other => panic!("{other:?}"),
-            })
+            .map(|job| error(job, JobOutcome::Failed))
             .collect();
         assert!(
             messages[0].starts_with("invalid input design: "),
@@ -966,13 +968,13 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(report.workers, 3);
+        assert_eq!(report.batch.workers, Some(3));
         let empty = BatchRequest {
             default_partitioner: None,
             jobs: Vec::new(),
         };
         let empty = run_batch(&empty, &FarmConfig::with_workers(8));
-        assert_eq!(empty.jobs.len(), 0);
+        assert_eq!(empty.results.len(), 0);
         assert!(empty.all_ok());
     }
 
@@ -987,8 +989,8 @@ mod tests {
 
         // Batch default applies when nothing else is set.
         let report = run_batch(&batch, &FarmConfig::with_workers(1));
-        assert_eq!(report.jobs[0].partitioner, "refine");
-        assert_eq!(report.jobs[1].partitioner, "aggregation");
+        assert_eq!(report.results[0].partitioner, "refine");
+        assert_eq!(report.results[1].partitioner, "aggregation");
 
         // The engine override beats the batch default, not the per-job pick.
         let config = FarmConfig {
@@ -997,8 +999,8 @@ mod tests {
             ..Default::default()
         };
         let report = run_batch(&batch, &config);
-        assert_eq!(report.jobs[0].partitioner, "anneal");
-        assert_eq!(report.jobs[1].partitioner, "aggregation");
+        assert_eq!(report.results[0].partitioner, "anneal");
+        assert_eq!(report.results[1].partitioner, "aggregation");
     }
 
     #[test]
@@ -1010,27 +1012,22 @@ mod tests {
         )
         .unwrap();
         let report = run_batch(&batch, &FarmConfig::with_workers(2));
-        assert_eq!(report.succeeded(), 1);
-        assert_eq!(report.failed(), 2);
-        let JobStatus::Failed(e) = &report.jobs[0].status else {
-            panic!("{:?}", report.jobs[0].status);
-        };
+        assert_eq!((report.batch.succeeded, report.batch.failed), (1, 2));
+        let e = error(&report.results[0], JobOutcome::Failed);
         assert!(e.contains("cannot read"), "{e}");
-        let JobStatus::Failed(e) = &report.jobs[1].status else {
-            panic!("{:?}", report.jobs[1].status);
-        };
+        let e = error(&report.results[1], JobOutcome::Failed);
         assert!(
             e.contains("unknown partitioner `magic`") && e.contains("pare-down"),
             "lists the registered names: {e}"
         );
-        assert!(report.jobs[2].status.is_ok());
+        assert_eq!(report.results[2].status, JobOutcome::Ok);
     }
 
     /// A listener recording every callback, guarded for cross-thread use.
     #[derive(Default)]
     struct Recorder {
         started: Mutex<Vec<(usize, String)>>,
-        finished: Mutex<Vec<(usize, JobReport)>>,
+        finished: Mutex<Vec<(usize, JobResponse)>>,
     }
 
     impl BatchProgress for Recorder {
@@ -1041,8 +1038,8 @@ mod tests {
                 .push((index, job.display_name()));
         }
 
-        fn job_finished(&self, index: usize, report: &JobReport) {
-            self.finished.lock().unwrap().push((index, report.clone()));
+        fn job_finished(&self, index: usize, row: &JobResponse) {
+            self.finished.lock().unwrap().push((index, row.clone()));
         }
     }
 
@@ -1068,19 +1065,12 @@ mod tests {
         assert_eq!(finished.len(), 3);
         for (index, row) in &finished {
             assert_eq!(
-                *row, report.jobs[*index],
+                *row, report.results[*index],
                 "streamed rows match the final report"
             );
         }
         // The streamed rows carry the per-job stage timings already.
-        assert!(!finished[0]
-            .1
-            .stats
-            .as_ref()
-            .unwrap()
-            .timings
-            .reports
-            .is_empty());
+        assert!(!finished[0].1.stages_ms.as_ref().unwrap().is_empty());
     }
 
     #[test]
@@ -1092,14 +1082,14 @@ mod tests {
                 panic!("listener bug on start");
             }
 
-            fn job_finished(&self, _: usize, _: &JobReport) {
+            fn job_finished(&self, _: usize, _: &JobResponse) {
                 panic!("listener bug on finish");
             }
         }
 
         let report =
             run_batch_with_progress(&library_batch(), &FarmConfig::with_workers(2), &Grenade);
-        assert_eq!(report.jobs.len(), 3);
+        assert_eq!(report.results.len(), 3);
         assert!(report.all_ok(), "{}", report.render_text(false));
     }
 
@@ -1113,7 +1103,7 @@ mod tests {
         let recorder = Recorder::default();
         run_batch_with_progress(&batch, &config, &recorder);
         let finished = recorder.finished.into_inner().unwrap();
-        assert!(matches!(finished[0].1.status, JobStatus::Panicked(_)));
+        assert_eq!(finished[0].1.status, JobOutcome::Panicked);
     }
 
     /// A strategy that always panics, for poisoned-job isolation tests.
@@ -1140,13 +1130,9 @@ mod tests {
         )
         .unwrap();
         let report = run_batch(&batch, &config);
-        assert_eq!(report.succeeded(), 2);
-        let JobStatus::Panicked(message) = &report.jobs[1].status else {
-            panic!("expected a panic report, got {:?}", report.jobs[1].status);
-        };
+        assert_eq!(report.batch.succeeded, 2);
+        let message = error(&report.results[1], JobOutcome::Panicked);
         assert!(message.contains("poisoned strategy"), "{message}");
-        assert!(report.jobs[0].status.is_ok());
-        assert!(report.jobs[2].status.is_ok());
         let json = report.to_json(&JsonOptions::default());
         assert!(json.contains(r#""status":"panicked""#), "{json}");
     }

@@ -1,12 +1,12 @@
 //! Batch determinism: the same manifest must produce a byte-identical
-//! (timings-off) `BatchReport` regardless of worker count, a poisoned
+//! (timings-off) `BatchResponse` regardless of worker count, a poisoned
 //! job must be reported as failed without taking down the batch, and
 //! `BatchProgress` notifications must respect the scheduler's ordering
 //! contract at every worker count.
 
 use eblocks_farm::{
-    run_batch, run_batch_with_progress, BatchProgress, BatchRequest, FarmConfig, JobReport,
-    JobSpec, JobStatus, JsonOptions,
+    run_batch, run_batch_with_progress, BatchProgress, BatchRequest, FarmConfig, JobOutcome,
+    JobResponse, JobSpec, JsonOptions,
 };
 use std::sync::Mutex;
 
@@ -27,10 +27,10 @@ fn same_manifest_same_bytes_for_1_and_8_workers() {
     let sequential = run_batch(&batch, &FarmConfig::with_workers(1));
     let parallel = run_batch(&batch, &FarmConfig::with_workers(8));
 
-    assert_eq!(sequential.workers, 1);
-    assert_eq!(parallel.workers, batch.jobs.len().min(8));
-    assert_eq!(sequential.succeeded(), batch.jobs.len() - 1);
-    assert_eq!(sequential.failed(), 1);
+    assert_eq!(sequential.batch.workers, Some(1));
+    assert_eq!(parallel.batch.workers, Some(batch.jobs.len().min(8)));
+    assert_eq!(sequential.batch.succeeded, batch.jobs.len() - 1);
+    assert_eq!(sequential.batch.failed, 1);
 
     let options = JsonOptions::default(); // timings off: deterministic
     assert_eq!(
@@ -73,14 +73,19 @@ fn poisoned_job_is_isolated() {
     config.registry.register("poison", || Box::new(Poison));
 
     let report = run_batch(&batch, &config);
-    assert_eq!(report.jobs.len(), 3, "the batch ran to completion");
-    assert_eq!(report.succeeded(), 2);
-    assert!(matches!(
-        &report.jobs[1].status,
-        JobStatus::Panicked(message) if message.contains("injected failure")
-    ));
-    assert!(report.jobs[0].status.is_ok());
-    assert!(report.jobs[2].status.is_ok());
+    assert_eq!(report.results.len(), 3, "the batch ran to completion");
+    assert_eq!(report.batch.succeeded, 2);
+    let poisoned = &report.results[1];
+    assert_eq!(poisoned.status, JobOutcome::Panicked);
+    assert!(poisoned
+        .error
+        .as_deref()
+        .is_some_and(|message| message.contains("injected failure")));
+}
+
+/// How `row` ended, status and error, as one comparable string.
+fn outcome(row: &JobResponse) -> String {
+    format!("{:?}: {:?}", row.status, row.error)
 }
 
 /// One progress notification, in arrival order.
@@ -100,11 +105,11 @@ impl BatchProgress for Recorder {
     fn job_started(&self, index: usize, _job: &JobSpec) {
         self.events.lock().unwrap().push(Event::Started(index));
     }
-    fn job_finished(&self, index: usize, report: &JobReport) {
+    fn job_finished(&self, index: usize, row: &JobResponse) {
         self.events
             .lock()
             .unwrap()
-            .push(Event::Finished(index, format!("{:?}", report.status)));
+            .push(Event::Finished(index, outcome(row)));
     }
 }
 
@@ -155,7 +160,7 @@ fn progress_events_respect_the_ordering_contract() {
             };
             assert_eq!(
                 heard,
-                &format!("{:?}", report.jobs[index].status),
+                &outcome(&report.results[index]),
                 "{workers} workers: listener heard a different status than the report"
             );
         }
@@ -181,7 +186,7 @@ fn panicking_listener_never_corrupts_the_report() {
         fn job_started(&self, _: usize, _: &JobSpec) {
             panic!("listener panic on start");
         }
-        fn job_finished(&self, _: usize, _: &JobReport) {
+        fn job_finished(&self, _: usize, _: &JobResponse) {
             panic!("listener panic on finish");
         }
     }

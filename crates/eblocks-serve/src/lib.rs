@@ -24,8 +24,8 @@
 //!   `progress` events while its batch runs, and exactly one final
 //!   reply, all correlated by the client's request id (the server
 //!   assigns `r0`, `r1`, … when the client sends none). A line longer
-//!   than [`MAX_REQUEST_LINE`] gets one `error` reply and closes the
-//!   connection.
+//!   than [`MAX_INPUT_BYTES`](eblocks_farm::api::MAX_INPUT_BYTES) gets
+//!   one `error` reply and closes the connection.
 //!
 //! Production shape:
 //!
@@ -89,5 +89,3 @@ mod spool;
 
 pub use config::ServeConfig;
 pub use server::{serve, spawn, ServeSummary, ServerHandle};
-#[cfg(unix)]
-pub use socket::MAX_REQUEST_LINE;

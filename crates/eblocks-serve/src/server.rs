@@ -4,17 +4,17 @@
 use crate::config::ServeConfig;
 use crate::queue::WorkQueue;
 use crate::{signal, spool};
-use eblocks_farm::api::{self, BatchRequest, JobSpec, ServeStats, SynthRequest, SynthResponse};
+use eblocks_farm::api::{
+    self, BatchRequest, JobSpec, ServeStats, StageMs, StageSummary, SynthRequest, SynthResponse,
+};
 use eblocks_farm::scheduler::panic_message;
-use eblocks_farm::{run_batch, run_batch_with_progress, BatchReport, FarmConfig, JsonOptions};
+use eblocks_farm::{run_batch, run_batch_with_progress, BatchResponse, FarmConfig, JsonOptions};
 use eblocks_lint::lint_design;
-use eblocks_synth::StageStat;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A payload request admitted to the work queue.
 pub(crate) enum Payload {
@@ -47,7 +47,7 @@ pub(crate) struct Work {
 
 /// How a payload run ended, before delivery.
 enum RunOutcome {
-    Batch(BatchReport),
+    Batch(BatchResponse),
     Synth(SynthResponse),
     /// A synth request's error, or a panic that escaped the farm.
     Error(String),
@@ -68,7 +68,7 @@ pub(crate) struct ServerState {
     /// One running aggregate per stage over every completed job, in
     /// pipeline stage order: at most one entry per stage, however long
     /// the daemon runs.
-    stages: Mutex<Vec<StageStat>>,
+    stages: Mutex<Vec<StageSummary>>,
     /// Monotonic sequence for claimed-file and temp-file names, so
     /// duplicate inbox filenames never collide in flight.
     sequence: AtomicU64,
@@ -140,7 +140,7 @@ impl ServerState {
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
-            stages: ServeStats::summarize_stages(&self.stages.lock().expect("stage lock")),
+            stages: self.stages.lock().expect("stage lock").clone(),
         }
     }
 
@@ -173,29 +173,10 @@ impl ServerState {
         None
     }
 
-    /// Folds per-stage aggregates into the daemon-wide ones.
-    fn absorb(&self, stats: impl IntoIterator<Item = StageStat>) {
-        let mut stages = self.stages.lock().expect("stage lock");
-        for stat in stats {
-            StageStat::accumulate(&mut stages, stat);
-        }
-    }
-
-    /// Folds a finished batch's stage timings into the daemon-wide
-    /// aggregates.
-    fn absorb_report(&self, report: &BatchReport) {
-        self.absorb(report.stage_stats());
-    }
-
-    /// Folds a synth response's stage rows (already rounded to
-    /// milliseconds) into the daemon-wide aggregates.
-    fn absorb_synth(&self, response: &SynthResponse) {
-        self.absorb(
-            response
-                .stages_ms
-                .iter()
-                .map(|row| StageStat::once(row.stage, Duration::from_secs_f64(row.ms / 1e3))),
-        );
+    /// Folds stage rows, a batch's or a synth response's, into the
+    /// daemon-wide aggregates.
+    fn absorb<'a>(&self, rows: impl IntoIterator<Item = &'a StageMs>) {
+        StageSummary::fold(&mut self.stages.lock().expect("stage lock"), rows);
     }
 }
 
@@ -435,7 +416,7 @@ fn execute(state: &Arc<ServerState>, work: Work) {
         }
         #[cfg(unix)]
         Sink::Socket { id, writer } => {
-            use eblocks_farm::api::{BatchResponse, ReplyEnvelope, ServeReply};
+            use eblocks_farm::api::{ReplyEnvelope, ServeReply};
             let reply = match run_payload(state, payload, Some((id.as_str(), &writer))) {
                 RunOutcome::Batch(report) => {
                     ServeReply::Batch(BatchResponse::from_report(&report, &JsonOptions::default()))
@@ -477,12 +458,17 @@ fn run_payload(
                 }
                 _ => run_batch(&request, &config),
             };
-            state.absorb_report(&report);
+            state.absorb(
+                report
+                    .results
+                    .iter()
+                    .flat_map(|row| row.stages_ms.iter().flatten()),
+            );
             RunOutcome::Batch(report)
         }
         Payload::Synth(request) => match api::synthesize_with(&request, &state.farm_config()) {
             Ok(response) => {
-                state.absorb_synth(&response);
+                state.absorb(&response.stages_ms);
                 RunOutcome::Synth(response)
             }
             Err(error) => RunOutcome::Error(error),
@@ -500,6 +486,7 @@ mod tests {
     use eblocks_farm::LintConfig;
     use eblocks_synth::Stage;
     use std::collections::BTreeMap;
+    use std::time::Duration;
 
     #[cfg(unix)]
     #[test]
@@ -540,8 +527,8 @@ mod tests {
     #[test]
     fn stage_aggregate_stays_bounded_and_sums_every_row() {
         let state = ServerState::new(ServeConfig::new(std::env::temp_dir()));
-        // Every absorbed row as (stage, elapsed), for the reference sums.
-        let mut rows: Vec<(Stage, Duration)> = Vec::new();
+        // Every absorbed row as (stage, ms), for the reference sums.
+        let mut rows: Vec<(Stage, f64)> = Vec::new();
 
         let request = SynthRequest::new(DesignSource::Library("Ignition Illuminator".into()));
         let template = api::synthesize(&request).unwrap();
@@ -549,39 +536,44 @@ mod tests {
             let mut response = template.clone();
             for (i, row) in response.stages_ms.iter_mut().enumerate() {
                 row.ms = f64::from(k % 17) * 0.125 + i as f64;
-                rows.push((row.stage, Duration::from_secs_f64(row.ms / 1e3)));
+                rows.push((row.stage, row.ms));
             }
-            state.absorb_synth(&response);
+            state.absorb(&response.stages_ms);
         }
         let batch = BatchRequest::parse("job library=\"Podium Timer 3\"\n").unwrap();
         let config = FarmConfig::with_workers(1).lint(LintConfig::default());
         let report = run_batch(&batch, &config);
-        for job in &report.jobs {
-            for row in &job.stats.as_ref().unwrap().timings.reports {
-                rows.push((row.stage, row.elapsed));
-            }
-        }
-        state.absorb_report(&report);
+        let batch_rows = report
+            .results
+            .iter()
+            .flat_map(|job| job.stages_ms.iter().flatten());
+        rows.extend(batch_rows.clone().map(|row| (row.stage, row.ms)));
+        state.absorb(batch_rows);
 
         assert_eq!(state.stages.lock().unwrap().len(), 6, "one entry per stage");
-        let mut expected: BTreeMap<Stage, StageStat> = BTreeMap::new();
-        for (stage, elapsed) in rows {
-            let stat = expected.entry(stage).or_insert(StageStat {
+        // Rows carry whole microseconds, so their exact sum rounded to 3
+        // decimals is what the running, rounded fold must reach.
+        let mut expected: BTreeMap<Stage, StageSummary> = BTreeMap::new();
+        for (stage, ms) in rows {
+            let stat = expected.entry(stage).or_insert(StageSummary {
                 stage,
                 runs: 0,
-                total: Duration::ZERO,
-                max: Duration::ZERO,
+                total_ms: 0.0,
+                max_ms: 0.0,
             });
             stat.runs += 1;
-            stat.total += elapsed;
-            stat.max = stat.max.max(elapsed);
+            stat.total_ms += ms;
+            stat.max_ms = stat.max_ms.max(ms);
         }
-        let expected: Vec<StageStat> = expected.into_values().collect();
+        let expected: Vec<StageSummary> = expected
+            .into_values()
+            .map(|stat| StageSummary {
+                total_ms: (stat.total_ms * 1e3).round() / 1e3,
+                ..stat
+            })
+            .collect();
         assert_eq!(expected[0].runs, 1, "lint ran in the batch job only");
         assert_eq!(expected[1].runs, 301);
-        assert_eq!(
-            state.stats().stages,
-            ServeStats::summarize_stages(&expected)
-        );
+        assert_eq!(state.stats().stages, expected);
     }
 }

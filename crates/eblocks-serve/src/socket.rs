@@ -7,21 +7,14 @@
 use crate::server::{Connections, Payload, ServerState, Sink, Work};
 use eblocks_farm::api::{
     Admission, AdmissionReply, ProgressEvent, ReplyEnvelope, RequestEnvelope, ServeReply,
-    ServeRequest,
+    ServeRequest, MAX_INPUT_BYTES,
 };
-use eblocks_farm::{BatchProgress, JobReport, JobSpec};
+use eblocks_farm::{BatchProgress, JobResponse, JobSpec};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// The longest request line a socket client may send: 4 MiB, newline not
-/// counted. A request line carries its netlists inline, and the largest
-/// shipped design is under 3 KB, so real batches sit far below it. A
-/// connection whose line grows past it gets one `error` reply and is
-/// closed, so an endless line costs the daemon at most this much buffer.
-pub const MAX_REQUEST_LINE: usize = 4 << 20;
 
 /// Serializes `envelope` as one JSON line and writes it under the
 /// writer lock. Write errors are ignored: a client that hung up stops
@@ -63,8 +56,8 @@ impl BatchProgress for ProgressStreamer {
         self.emit(ProgressEvent::started(index, job));
     }
 
-    fn job_finished(&self, index: usize, report: &JobReport) {
-        self.emit(ProgressEvent::finished(index, report));
+    fn job_finished(&self, index: usize, row: &JobResponse) {
+        self.emit(ProgressEvent::finished(index, row));
     }
 }
 
@@ -105,7 +98,9 @@ pub(crate) fn listen(
 /// One client connection: reads request lines until EOF or the drain,
 /// auto-assigning ids `r0`, `r1`, … to envelopes that carry none. Each
 /// byte read is scanned for a newline once; a line longer than
-/// [`MAX_REQUEST_LINE`] ends the connection with one `error` reply.
+/// [`MAX_INPUT_BYTES`] (newline not counted) ends the connection with one
+/// `error` reply, so an endless line costs the daemon at most that much
+/// buffer.
 fn connection(state: &Arc<ServerState>, stream: UnixStream) {
     // A short read timeout keeps the loop responsive to the drain flag
     // even while the client is idle.
@@ -127,13 +122,13 @@ fn connection(state: &Arc<ServerState>, stream: UnixStream) {
                         Some((b'\n', text)) => (text, true),
                         _ => (piece, false),
                     };
-                    if pending.len() + text.len() > MAX_REQUEST_LINE {
+                    if pending.len() + text.len() > MAX_INPUT_BYTES {
                         send(
                             &writer,
                             &ReplyEnvelope {
                                 id: None,
                                 reply: ServeReply::Error(format!(
-                                    "request line longer than {MAX_REQUEST_LINE} bytes; closing the connection"
+                                    "request line longer than {MAX_INPUT_BYTES} bytes; closing the connection"
                                 )),
                             },
                         );

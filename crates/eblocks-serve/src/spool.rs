@@ -7,7 +7,9 @@
 //! into place (so a reader never sees a partial response).
 
 use crate::server::{Payload, ServerState, Sink, Work};
-use eblocks_farm::api::{BatchRequest, ErrorReply, ServeReply, ServeRequest, ServeStats};
+use eblocks_farm::api::{
+    read_input, BatchRequest, ErrorReply, ServeReply, ServeRequest, ServeStats,
+};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -43,9 +45,11 @@ pub(crate) fn scan_once(state: &Arc<ServerState>) {
     }
 }
 
-/// Parses and dispatches one claimed request file.
+/// Parses and dispatches one claimed request file; one longer than
+/// [`MAX_INPUT_BYTES`](eblocks_farm::api::MAX_INPUT_BYTES) is rejected
+/// unparsed.
 fn process(state: &Arc<ServerState>, name: &str, claimed: &Path) {
-    let bytes = match std::fs::read(claimed) {
+    let bytes = match read_input(claimed) {
         Ok(bytes) => bytes,
         Err(e) => {
             reject(state, name, claimed, &format!("cannot read request: {e}"));

@@ -4,10 +4,10 @@
 #![cfg(unix)]
 
 use eblocks_farm::api::{
-    Admission, BatchRequest, BatchResponse, JobOutcome, ReplyEnvelope, ServeReply,
+    Admission, BatchRequest, BatchResponse, JobOutcome, ReplyEnvelope, ServeReply, MAX_INPUT_BYTES,
 };
 use eblocks_farm::{run_batch, FarmConfig, JsonOptions};
-use eblocks_serve::{spawn, ServeConfig, MAX_REQUEST_LINE};
+use eblocks_serve::{spawn, ServeConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -264,7 +264,7 @@ fn overlong_line_gets_one_error_reply_and_a_closed_connection() {
     let mut sender = flooded.try_clone().unwrap();
     let flood = std::thread::spawn(move || {
         let chunk = vec![b'x'; 64 << 10];
-        for _ in 0..2 * MAX_REQUEST_LINE / chunk.len() {
+        for _ in 0..2 * MAX_INPUT_BYTES / chunk.len() {
             if sender.write_all(&chunk).is_err() {
                 break;
             }

@@ -1,7 +1,7 @@
 //! Integration tests for the spool front door: round trips, structured
 //! rejection, config edge cases, and the seeded corrupt-file storm.
 
-use eblocks_farm::api::{BatchRequest, SynthRequest};
+use eblocks_farm::api::{BatchRequest, SynthRequest, MAX_INPUT_BYTES};
 use eblocks_farm::{run_batch, FarmConfig, JsonOptions};
 use eblocks_serve::{spawn, ServeConfig};
 use std::collections::BTreeMap;
@@ -152,6 +152,43 @@ fn rejects_malformed_inputs_with_structured_errors() {
         (summary.accepted, summary.rejected, summary.completed),
         (0, 4, 0)
     );
+}
+
+#[test]
+fn oversized_inputs_are_refused_and_the_daemon_keeps_serving() {
+    let spool = tempdir("oversized");
+    let handle = spawn(config(&spool)).unwrap();
+    let over = format!("over the limit of {MAX_INPUT_BYTES} bytes");
+
+    // A request file one byte over the limit is rejected unparsed.
+    spool_file(&spool, "big.json", vec![b' '; MAX_INPUT_BYTES + 1]);
+    let error = String::from_utf8(wait_for(&spool.join("rejected/big.json.error.json"))).unwrap();
+    assert!(error.contains(&over), "{error}");
+
+    // A job naming a netlist one byte over the limit fails with the
+    // limit error in its row; the batch is still answered.
+    let netlist = spool.join("big.netlist");
+    std::fs::write(&netlist, vec![b'#'; MAX_INPUT_BYTES + 1]).unwrap();
+    let request = format!(
+        r#"{{"jobs": [{{"source": {{"netlist": "{}"}}}}]}}"#,
+        netlist.display()
+    );
+    spool_file(&spool, "netlist.json", request);
+    let response = String::from_utf8(wait_for(&spool.join("outbox/netlist.json"))).unwrap();
+    assert!(response.contains(r#""status":"failed""#), "{response}");
+    assert!(response.contains(&over), "{response}");
+
+    // The daemon still answers the next request.
+    spool_file(&spool, "stats.json", "\"stats\"");
+    let stats = String::from_utf8(wait_for(&spool.join("outbox/stats.json"))).unwrap();
+    assert!(stats.contains("\"rejected\": 1"), "{stats}");
+    handle.shutdown();
+    let summary = handle.join().unwrap();
+    assert_eq!(
+        (summary.accepted, summary.rejected, summary.completed),
+        (1, 1, 1)
+    );
+    std::fs::remove_dir_all(&spool).ok();
 }
 
 #[test]

@@ -55,7 +55,7 @@ pub mod stimulus;
 
 pub use eblocks_lint::{DenyLevel, LintConfig, LintOutcome, LintReport};
 pub use error::SynthError;
-pub use observe::{Observer, Stage, StageAbort, StageReport, StageStat, StageTimings};
+pub use observe::{Observer, Stage, StageAbort, StageReport, StageTimings};
 pub use pipeline::{
     Merged, Partitioned, Pipeline, Rewritten, SynthesisResult, Verified, VerifyOptions,
 };

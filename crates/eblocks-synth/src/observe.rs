@@ -109,7 +109,7 @@ pub struct StageReport {
 /// Any `FnMut(&StageReport)` closure is an observer. Observers are `Send`
 /// so a pipeline (and the observer attached to it) can run on a worker
 /// thread — the batch-synthesis farm drives one pipeline per job across a
-/// thread pool and merges the collected [`StageTimings`] afterwards.
+/// thread pool and folds each job's collected [`StageTimings`] afterwards.
 pub trait Observer: Send {
     /// Called once per completed stage, in execution order.
     fn on_stage(&mut self, report: &StageReport);
@@ -158,58 +158,6 @@ impl StageTimings {
     /// Total wall-clock time across all observed stages.
     pub fn total(&self) -> Duration {
         self.reports.iter().map(|r| r.elapsed).sum()
-    }
-
-    /// Per-stage aggregates (run count, total and max elapsed) over every
-    /// collected report, in pipeline stage order. Stages that never ran are
-    /// omitted.
-    pub fn summarize(&self) -> Vec<StageStat> {
-        let mut stats = Vec::new();
-        for report in &self.reports {
-            StageStat::accumulate(&mut stats, StageStat::once(report.stage, report.elapsed));
-        }
-        stats
-    }
-}
-
-/// Aggregate timing for one stage across runs (see
-/// [`StageTimings::summarize`] and [`StageStat::accumulate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageStat {
-    /// The stage being summarized.
-    pub stage: Stage,
-    /// How many reports of this stage were collected.
-    pub runs: usize,
-    /// Elapsed time summed over all runs.
-    pub total: Duration,
-    /// The single slowest run.
-    pub max: Duration,
-}
-
-impl StageStat {
-    /// The aggregate of a single run of `stage` that took `elapsed`.
-    pub fn once(stage: Stage, elapsed: Duration) -> Self {
-        Self {
-            stage,
-            runs: 1,
-            total: elapsed,
-            max: elapsed,
-        }
-    }
-
-    /// Folds `stat` into `stats`, a running aggregate with at most one
-    /// entry per stage, kept in pipeline stage order: runs and totals add
-    /// up, and the maximum is the larger of the two.
-    pub fn accumulate(stats: &mut Vec<StageStat>, stat: StageStat) {
-        match stats.binary_search_by_key(&stat.stage, |s| s.stage) {
-            Ok(i) => {
-                let entry = &mut stats[i];
-                entry.runs += stat.runs;
-                entry.total += stat.total;
-                entry.max = entry.max.max(stat.max);
-            }
-            Err(i) => stats.insert(i, stat),
-        }
     }
 }
 
@@ -275,62 +223,6 @@ mod tests {
         assert_eq!(t.get(Stage::Partition).unwrap().detail, "2 partitions");
         assert!(t.get(Stage::Verify).is_none());
         assert_eq!(t.total(), Duration::from_millis(7));
-    }
-
-    #[test]
-    fn summarize_aggregates_per_stage() {
-        let report = |stage, ms| StageReport {
-            stage,
-            elapsed: Duration::from_millis(ms),
-            detail: String::new(),
-        };
-        let mut a = StageTimings::new();
-        a.on_stage(&report(Stage::Partition, 2));
-        a.on_stage(&report(Stage::Merge, 5));
-        a.on_stage(&report(Stage::Partition, 6));
-        assert!(StageTimings::new().summarize().is_empty());
-
-        let stats = a.summarize();
-        assert_eq!(stats.len(), 2, "verify/rewrite/emit-c never ran");
-        assert_eq!(stats[0].stage, Stage::Partition);
-        assert_eq!(stats[0].runs, 2);
-        assert_eq!(stats[0].total, Duration::from_millis(8));
-        assert_eq!(stats[0].max, Duration::from_millis(6));
-        assert_eq!(stats[1].stage, Stage::Merge);
-        assert_eq!(stats[1].runs, 1);
-        assert_eq!(stats[1].total, Duration::from_millis(5));
-        assert_eq!(stats[1].max, Duration::from_millis(5));
-    }
-
-    #[test]
-    fn accumulate_keeps_one_entry_per_stage_in_pipeline_order() {
-        let mut stats = Vec::new();
-        for (stage, ms) in [
-            (Stage::EmitC, 1),
-            (Stage::Partition, 4),
-            (Stage::EmitC, 3),
-            (Stage::Lint, 2),
-        ] {
-            StageStat::accumulate(
-                &mut stats,
-                StageStat::once(stage, Duration::from_millis(ms)),
-            );
-        }
-        let order: Vec<Stage> = stats.iter().map(|s| s.stage).collect();
-        assert_eq!(order, [Stage::Lint, Stage::Partition, Stage::EmitC]);
-        assert_eq!(stats[2].runs, 2);
-        assert_eq!(stats[2].total, Duration::from_millis(4));
-        assert_eq!(stats[2].max, Duration::from_millis(3));
-
-        // Folding whole aggregates adds runs and totals and keeps the max.
-        let other = stats.clone();
-        for stat in other {
-            StageStat::accumulate(&mut stats, stat);
-        }
-        assert_eq!(stats.len(), 3);
-        assert_eq!(stats[2].runs, 4);
-        assert_eq!(stats[2].total, Duration::from_millis(8));
-        assert_eq!(stats[2].max, Duration::from_millis(3));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --example batch`
 
-use eblocks::api::{BatchRequest, BatchResponse, JobSpec};
-use eblocks::farm::{run_batch_with_progress, BatchProgress, FarmConfig, JobReport, JsonOptions};
+use eblocks::api::{BatchRequest, JobOutcome, JobResponse, JobSpec};
+use eblocks::farm::{run_batch_with_progress, BatchProgress, FarmConfig, JsonOptions};
 
 /// A progress listener printing one line per job event as workers report.
 struct PrintProgress;
@@ -16,16 +16,16 @@ impl BatchProgress for PrintProgress {
         println!("[{index}] started  {}", job.display_name());
     }
 
-    fn job_finished(&self, index: usize, report: &JobReport) {
+    fn job_finished(&self, index: usize, row: &JobResponse) {
         println!(
             "[{index}] finished {} ({}, {} stage(s) timed)",
-            report.name,
-            if report.status.is_ok() {
+            row.name,
+            if row.status == JobOutcome::Ok {
                 "ok"
             } else {
                 "failed"
             },
-            report.stats.as_ref().map_or(0, |s| s.timings.reports.len()),
+            row.stages_ms.as_ref().map_or(0, Vec::len),
         );
     }
 }
@@ -48,17 +48,16 @@ fn main() {
 
     let report = run_batch_with_progress(&request, &FarmConfig::with_workers(2), &PrintProgress);
 
-    // The human-readable report, with per-stage totals from the merged
-    // pipeline observers.
+    // The human-readable report, with per-stage totals folded from every
+    // job's stage rows.
     print!("\n{}", report.render_text(true));
 
-    // The same report as deterministic JSON through the typed response
-    // (add `timings: true` for wall-clock fields).
-    let response = BatchResponse::from_report(&report, &JsonOptions::default());
-    println!("\n{}", serde::json::to_string_pretty(&response));
+    // The same report as deterministic JSON: the wall-clock fields are
+    // cleared (add `timings: true` to keep them).
+    println!("\n{}", report.to_json_pretty(&JsonOptions::default()));
 
     // Everything is also available programmatically.
-    for row in &response.results {
+    for row in &report.results {
         println!(
             "{}: {} -> {} inner block(s), {} bytes of C, verified: {}",
             row.name,

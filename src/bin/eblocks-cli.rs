@@ -342,7 +342,10 @@ fn batch_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
     if report.all_ok() {
         Ok(rendered)
     } else {
-        let mut message = format!("{} of {} job(s) failed", report.failed(), report.jobs.len());
+        let mut message = format!(
+            "{} of {} job(s) failed",
+            report.batch.failed, report.batch.jobs
+        );
         if let Some(seed) = chaos_seed {
             message.push_str(&format!("; reproduce with --chaos-seed {seed}"));
         }

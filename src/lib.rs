@@ -86,11 +86,13 @@
 //! let request: BatchRequest = serde::json::from_str(
 //!     r#"{"jobs": [{"source": {"library": "Carpool Alert"}}]}"#,
 //! ).unwrap();
-//! let report = run_batch(&request, &FarmConfig::with_workers(1));
-//! let response = BatchResponse::from_report(&report, &JsonOptions::default());
-//! assert_eq!(response.batch.succeeded, 1);
-//! let json = serde::json::to_string(&response); // deterministic bytes
+//! let report: BatchResponse = run_batch(&request, &FarmConfig::with_workers(1));
+//! assert_eq!(report.batch.succeeded, 1);
+//! // The deterministic view: wall-clock fields cleared, same bytes for
+//! // any worker count.
+//! let json = report.to_json(&JsonOptions::default());
 //! # assert!(json.contains("\"succeeded\":1"));
+//! # assert!(!json.contains("elapsed_ms"));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -13,7 +13,21 @@
 //!     batch tests/golden/batch-request.json --json \
 //!     > tests/golden/batch-report.json
 //! ```
+//!
+//! The text report is pinned under a seeded storm too: seed 42 panics one
+//! job (`batch-text-chaos42.txt`, exit 1), and a retry budget of 3
+//! recovers it (`batch-text-chaos42-retries3.txt`, exit 0). The first
+//! line holds the worker count and elapsed time, so the goldens leave it
+//! out:
+//!
+//! ```text
+//! cargo run --release --bin eblocks-cli -- \
+//!     batch tests/golden/batch-request.json --chaos-seed 42 \
+//!     | tail -n +2 > tests/golden/batch-text-chaos42.txt
+//! ```
 
+use eblocks::api::{BatchRequest, BatchResponse};
+use eblocks::farm::{run_batch, FarmConfig, JobOutcome, JsonOptions};
 use std::path::Path;
 use std::process::Command;
 
@@ -89,4 +103,78 @@ fn golden_request_parses_as_manifest_v2() {
     // The v1 twin parses to the same request.
     let text = std::fs::read_to_string(golden("batch-request.manifest")).unwrap();
     assert_eq!(eblocks::api::BatchRequest::parse(&text).unwrap(), batch);
+}
+
+#[test]
+fn text_reports_under_chaos_seed_42_match_the_committed_goldens() {
+    let request = golden("batch-request.json");
+    for (extra, code, name) in [
+        (&[][..], 1, "batch-text-chaos42.txt"),
+        (
+            &["--retries", "3"][..],
+            0,
+            "batch-text-chaos42-retries3.txt",
+        ),
+    ] {
+        let expected = std::fs::read_to_string(golden(name)).expect("committed text golden");
+        for jobs in ["1", "4"] {
+            let output = Command::new(env!("CARGO_BIN_EXE_eblocks-cli"))
+                .args(["batch", request.to_str().unwrap(), "--chaos-seed", "42"])
+                .args(["--jobs", jobs])
+                .args(extra)
+                .output()
+                .expect("spawn eblocks-cli");
+            assert_eq!(output.status.code(), Some(code), "{name}, --jobs {jobs}");
+            let text = String::from_utf8(output.stdout).unwrap();
+            // The first line holds the worker count and elapsed time.
+            let (first, body) = text.split_once('\n').unwrap();
+            assert!(first.starts_with("batch: 4 job(s), "), "{first}");
+            assert!(
+                body == expected,
+                "{name} drifted at --jobs {jobs}\ngot:\n{body}\nexpected:\n{expected}"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_deterministic_view_clears_exactly_the_wall_clock_fields() {
+    let text = std::fs::read_to_string(golden("batch-request.json")).unwrap();
+    let request = BatchRequest::from_json(&text).unwrap();
+    let full = run_batch(&request, &FarmConfig::with_workers(2));
+
+    // run_batch fills every field, wall-clock ones included.
+    assert_eq!(full.batch.workers, Some(2));
+    assert!(full.batch.elapsed_ms.is_some());
+    assert!(full.batch.stages.as_ref().is_some_and(|s| !s.is_empty()));
+    for row in &full.results {
+        assert_eq!(row.status, JobOutcome::Ok, "{row:?}");
+        assert!(
+            row.stages_ms.as_ref().is_some_and(|s| !s.is_empty()),
+            "{row:?}"
+        );
+        assert!(row.elapsed_ms.is_some(), "{row:?}");
+    }
+
+    // The default view is the response with exactly those fields cleared,
+    // and it is the committed golden report.
+    let view = BatchResponse::from_report(&full, &JsonOptions::default());
+    let mut expected = full.clone();
+    expected.batch.workers = None;
+    expected.batch.elapsed_ms = None;
+    expected.batch.stages = None;
+    for row in &mut expected.results {
+        row.stages_ms = None;
+        row.elapsed_ms = None;
+    }
+    assert_eq!(view, expected);
+    let golden_report = std::fs::read_to_string(golden("batch-report.json")).unwrap();
+    assert_eq!(
+        format!("{}\n", serde::json::to_string(&view)),
+        golden_report
+    );
+
+    // With timings the view is the response itself.
+    let timed = BatchResponse::from_report(&full, &JsonOptions { timings: true });
+    assert_eq!(timed, full);
 }
