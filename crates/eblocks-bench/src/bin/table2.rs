@@ -29,11 +29,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let scale: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(0.05);
     let limit_ms: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(10_000);
-    let workers: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    });
+    let workers = eblocks_core::pool::workers(args.next().and_then(|a| a.parse().ok()), usize::MAX);
 
     println!(
         "Table 2 — random designs, scale {scale} of the paper's counts, exhaustive limit {limit_ms} ms, {workers} farm worker(s)"

@@ -14,7 +14,8 @@
 //!   and the incremental form PareDown pares with,
 //! * [`BitSet`] / [`InnerIndex`] — compact node-set machinery and the dense
 //!   wiring tables shared by the partitioning algorithms,
-//! * a plain-text [`netlist`] format for serializing designs.
+//! * a plain-text [`netlist`] format for serializing designs,
+//! * [`input`], the bounded file read, and [`pool`], the one worker pool.
 //!
 //! # Example
 //!
@@ -51,9 +52,11 @@ pub mod cut;
 pub mod design;
 pub mod endpoint;
 pub mod error;
+pub mod input;
 pub mod kind;
 pub mod level;
 pub mod netlist;
+pub mod pool;
 pub mod truth_table;
 
 pub use bitset::{BitSet, InnerIndex};

@@ -54,7 +54,7 @@ use eblocks_lint::DenyLevel;
 use eblocks_partition::DEFAULT_PARTITIONER;
 use eblocks_synth::{Stage, StageTimings};
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// The largest `inner` a [`DesignSource::Generated`] may ask for: about
@@ -63,33 +63,9 @@ use std::time::Duration;
 /// from outside must not pick the size unchecked.
 pub const MAX_GENERATED_INNER: usize = 1_000;
 
-/// The most bytes the farm and the daemon take from one input: a job's
-/// netlist file, a spooled request file, or a socket request line. It is
-/// 4 MiB; every shipped netlist is under 3 KB, so real inputs sit far
-/// below it, and a path like `/dev/zero` costs at most this much memory.
-pub const MAX_INPUT_BYTES: usize = 4 << 20;
-
-/// Reads the file at `path`, refusing one longer than [`MAX_INPUT_BYTES`]
-/// after reading at most one byte past the limit.
-///
-/// # Errors
-///
-/// The I/O error, or a [`FileTooLarge`](std::io::ErrorKind::FileTooLarge)
-/// one whose message names the limit.
-pub fn read_input(path: &Path) -> std::io::Result<Vec<u8>> {
-    use std::io::Read;
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?
-        .take(MAX_INPUT_BYTES as u64 + 1)
-        .read_to_end(&mut bytes)?;
-    if bytes.len() > MAX_INPUT_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::FileTooLarge,
-            format!("file is over the limit of {MAX_INPUT_BYTES} bytes"),
-        ));
-    }
-    Ok(bytes)
-}
+/// The bounded reader every front end shares, re-exported for the daemon,
+/// which does not depend on `eblocks-core`.
+pub use eblocks_core::input::{read_input, MAX_INPUT_BYTES};
 
 /// Where a job's design comes from: `{"netlist": "path"}`,
 /// `{"library": "Name"}`, or `{"generated": {"inner": 20, "seed": 7}}`
@@ -129,11 +105,8 @@ impl DesignSource {
     pub fn load(&self) -> Result<Design, String> {
         match self {
             Self::Netlist(path) => {
-                let cannot_read = |e: &dyn std::fmt::Display| {
-                    format!("cannot read {}: {e}", path.display())
-                };
-                let bytes = read_input(path).map_err(|e| cannot_read(&e))?;
-                let text = String::from_utf8(bytes).map_err(|e| cannot_read(&e))?;
+                let text = eblocks_core::input::read_text(path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
                 eblocks_core::netlist::from_netlist(&text).map_err(|e| e.to_string())
             }
             Self::Library(name) => eblocks_designs::by_name(name)

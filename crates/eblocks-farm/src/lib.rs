@@ -4,7 +4,7 @@
 //! The paper's workflow synthesizes one design at a time; this crate scales
 //! that to production batches. A [`BatchRequest`] of [`JobSpec`]s (each job
 //! = a design source × a partitioning strategy × pipeline options) runs
-//! across a scoped-thread worker pool and comes back as one
+//! on the shared worker pool ([`eblocks_core::pool`]) and comes back as one
 //! [`BatchResponse`]: one [`JobResponse`] row per job (status, partition
 //! statistics, stage timings, emitted-C sizes) plus batch-level aggregates.
 //!
@@ -14,8 +14,9 @@
 //!   line-oriented manifest file ([`BatchRequest::parse`]) or a typed JSON
 //!   request — manifest format v2 ([`BatchRequest::from_json`];
 //!   [`BatchRequest::from_file`] sniffs the format);
-//! * the scheduler is a shared queue drained greedily by `--jobs N` workers
-//!   ([`run_batch`], [`FarmConfig`]); job panics are isolated per worker;
+//! * the scheduler hands the jobs to the pool, whose `--jobs N` workers
+//!   drain one shared queue greedily ([`run_batch`], [`FarmConfig`]); job
+//!   panics are isolated per worker;
 //!   [`run_batch_with_progress`] streams job started/finished callbacks to
 //!   a [`BatchProgress`] listener while the batch runs;
 //! * a lint admission gate ([`FarmConfig::lint`] engine-wide, a job's

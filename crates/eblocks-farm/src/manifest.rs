@@ -283,7 +283,7 @@ impl BatchRequest {
     /// error, or JSON shape error).
     pub fn from_file(path: impl AsRef<Path>) -> Result<Self, ManifestError> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
+        let text = eblocks_core::input::read_text(path)
             .map_err(|e| ManifestError::at_line(0, format!("cannot read: {e}")).with_path(path))?;
         // Strip a UTF-8 BOM (Windows tooling) before sniffing the format —
         // it is not whitespace, so trim_start() alone would misroute a

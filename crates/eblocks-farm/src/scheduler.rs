@@ -1,12 +1,12 @@
-//! The worker pool: a shared job queue drained by scoped threads.
+//! The farm's job runner: a batch fans out on the shared worker pool.
 //!
-//! Scheduling is a single shared cursor over the batch's job list — each
-//! worker claims the next unclaimed index, runs it start-to-finish, and
-//! writes the report into that job's slot. This is the work-stealing-style
-//! "shared queue, greedy workers" shape (cf. the dslab job schedulers):
-//! long jobs never block short ones behind a static round-robin split, and
-//! the report order is the submission order regardless of which worker
-//! finished what when.
+//! [`run_batch`] hands its jobs to [`eblocks_core::pool`]: each worker
+//! claims the next job in pickup order (submission order unless a
+//! [`FaultInjector`] permutes it), runs it start-to-finish, and its row
+//! lands in that job's slot. This is the "shared queue, greedy workers"
+//! shape (cf. the dslab job schedulers): long jobs never block short ones
+//! behind a static round-robin split, and the report order is the
+//! submission order regardless of which worker finished what when.
 //!
 //! A panicking job (a buggy strategy, a pathological design) is caught on
 //! the worker, reported as [`JobOutcome::Panicked`], and the worker moves
@@ -16,13 +16,13 @@ use crate::api::{
     ms, stage_ms_rows, BatchRequest, BatchResponse, DesignSource, JobMode, JobOutcome, JobResponse,
     JobSpec, SynthOptions,
 };
-use eblocks_core::{Design, ProgrammableSpec};
+use eblocks_core::{pool, Design, ProgrammableSpec};
 use eblocks_lint::{LintConfig, LintOutcome};
 use eblocks_partition::{PartitionConstraints, Partitioning, Registry, DEFAULT_PARTITIONER};
 use eblocks_synth::{Observer, Pipeline, Stage, StageAbort, StageReport, StageTimings, SynthError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A fault a [`FaultInjector`] can order at a stage boundary.
@@ -86,10 +86,9 @@ pub trait FaultInjector: Sync + Send {
 
 /// Engine configuration for [`run_batch`].
 pub struct FarmConfig {
-    /// Worker threads; `None` uses [`std::thread::available_parallelism`].
-    /// The pool never spawns more workers than there are jobs, and a
-    /// requested count of 0 is clamped to 1 (the pool always has at least
-    /// one worker; see [`FarmConfig::with_workers`]).
+    /// Worker threads; `None` uses the core count. The pool never runs
+    /// more workers than there are jobs, nor fewer than one (see
+    /// [`pool::workers`]).
     pub workers: Option<usize>,
     /// Overrides the batch's default strategy for jobs that set none
     /// (the CLI's `--partitioner` flag lands here). Per-job `partitioner=`
@@ -121,9 +120,9 @@ pub struct FarmConfig {
     /// here.
     pub faults: Option<Arc<dyn FaultInjector>>,
     /// Cooperative drain flag — the hook a service mode uses to cut a
-    /// running batch short. When the flag is set, workers stop claiming
-    /// new jobs; jobs already claimed run to completion, and every
-    /// never-claimed job is reported as [`JobOutcome::Failed`] with the
+    /// running batch short. When the flag is set, no further job starts;
+    /// jobs already started run to completion, and every job that never
+    /// started is reported as [`JobOutcome::Failed`] with the
     /// error `"cancelled: batch drain requested"`. The
     /// report still has one row per job in submission order. Default
     /// `None` (batches always run to completion). Note that a
@@ -152,13 +151,9 @@ impl Default for FarmConfig {
 }
 
 impl FarmConfig {
-    /// A config pinned to `workers` threads.
-    ///
-    /// The pool always runs at least one worker: a requested count of 0
-    /// is clamped to 1 rather than rejected, so `with_workers(0)` behaves
-    /// exactly like `with_workers(1)` (and the response's
-    /// [`workers`](crate::api::BatchSummary::workers) reports the clamped
-    /// count actually used).
+    /// A config pinned to `workers` threads. A count of 0 is clamped to 1,
+    /// and the response's [`workers`](crate::api::BatchSummary::workers)
+    /// reports the count actually used.
     pub fn with_workers(workers: usize) -> Self {
         Self {
             workers: Some(workers),
@@ -195,15 +190,6 @@ impl FarmConfig {
     pub fn stop_on(mut self, flag: Arc<std::sync::atomic::AtomicBool>) -> Self {
         self.stop = Some(flag);
         self
-    }
-
-    fn effective_workers(&self, jobs: usize) -> usize {
-        let requested = self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-        requested.clamp(1, jobs.max(1))
     }
 }
 
@@ -260,64 +246,47 @@ pub fn run_batch_with_progress(
     progress: &dyn BatchProgress,
 ) -> BatchResponse {
     let started = Instant::now();
-    let workers = config.effective_workers(batch.jobs.len());
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<JobResponse>>> = Mutex::new(vec![None; batch.jobs.len()]);
+    let workers = pool::workers(config.workers, batch.jobs.len());
     let faults = config.faults.as_deref();
     let order = pickup_order(faults, batch.jobs.len());
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // The drain hook: a set flag stops workers from claiming
-                // further jobs; claimed jobs always run to completion.
-                if config
-                    .stop
-                    .as_ref()
-                    .is_some_and(|flag| flag.load(Ordering::Relaxed))
-                {
-                    break;
-                }
-                let slot = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&index) = order.get(slot) else {
-                    break;
-                };
-                let job = &batch.jobs[index];
-                if let Some(delay) = faults.and_then(|f| f.pickup_delay(index)) {
-                    std::thread::sleep(delay);
-                }
-                // Listener panics are swallowed (they run outside
-                // run_job's catch) so a buggy hook cannot abort the
-                // scoped pool and lose the batch's results.
-                let _ = catch_unwind(AssertUnwindSafe(|| progress.job_started(index, job)));
-                let row = run_job(job, index, batch, config);
-                let _ = catch_unwind(AssertUnwindSafe(|| progress.job_finished(index, &row)));
-                slots.lock().expect("farm result lock")[index] = Some(row);
-            });
+    let rows = pool::run(workers, &order, |index| {
+        // The drain hook: once the flag is set no further job starts;
+        // claimed jobs always run to completion.
+        if config
+            .stop
+            .as_ref()
+            .is_some_and(|flag| flag.load(Ordering::Relaxed))
+        {
+            return None;
         }
+        let job = &batch.jobs[index];
+        if let Some(delay) = faults.and_then(|f| f.pickup_delay(index)) {
+            std::thread::sleep(delay);
+        }
+        // Listener panics are swallowed (they run outside run_job's
+        // catch) so a buggy hook cannot abort the pool and lose the
+        // batch's results.
+        let _ = catch_unwind(AssertUnwindSafe(|| progress.job_started(index, job)));
+        let row = run_job(job, index, batch, config);
+        let _ = catch_unwind(AssertUnwindSafe(|| progress.job_finished(index, &row)));
+        Some(row)
     });
 
-    // Without a drain every slot is filled (claimed jobs always report);
-    // under a drain the never-claimed jobs get a cancellation row so the
-    // report still has one row per job in submission order.
-    let results = slots
-        .into_inner()
-        .expect("farm result lock")
+    // Without a drain every job reports; under a drain the jobs that never
+    // started get a cancellation row so the report still has one row per
+    // job in submission order.
+    let results = rows
         .into_iter()
-        .enumerate()
-        .map(|(index, slot)| {
-            slot.unwrap_or_else(|| {
-                debug_assert!(config.stop.is_some(), "every claimed job reports");
-                let job = &batch.jobs[index];
-                JobResponse {
-                    elapsed_ms: Some(0.0),
-                    ..JobResponse::new(
-                        job.display_name(),
-                        partitioner_name(job, batch, config).to_string(),
-                        JobOutcome::Failed,
-                        Some("cancelled: batch drain requested".to_string()),
-                    )
-                }
+        .zip(&batch.jobs)
+        .map(|(row, job)| {
+            row.unwrap_or_else(|| JobResponse {
+                elapsed_ms: Some(0.0),
+                ..JobResponse::new(
+                    job.display_name(),
+                    partitioner_name(job, batch, config).to_string(),
+                    JobOutcome::Failed,
+                    Some("cancelled: batch drain requested".to_string()),
+                )
             })
         })
         .collect();
@@ -599,6 +568,7 @@ mod tests {
     use super::*;
     use crate::report::JsonOptions;
     use eblocks_partition::{Partitioner, Partitioning};
+    use std::sync::Mutex;
 
     /// The error of `row`, which must have ended with `status`.
     fn error(row: &JobResponse, status: JobOutcome) -> &str {

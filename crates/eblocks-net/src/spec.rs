@@ -289,7 +289,7 @@ impl FleetRequest {
                 .ok_or_else(|| NetError::spec(format!("unknown library design `{name}`"))),
             FleetSource::Netlist(path) => {
                 let full = base_dir.join(path);
-                let text = std::fs::read_to_string(&full).map_err(|e| {
+                let text = eblocks_core::input::read_text(&full).map_err(|e| {
                     NetError::spec(format!("cannot read `{}`: {e}", full.display()))
                 })?;
                 eblocks_core::netlist::from_netlist(&text)

@@ -20,12 +20,12 @@
 //! base seed and whose winner is selected by a deterministic tie-break.
 //!
 //! Setting [`AnnealConfig::restarts`] above one runs that many independent
-//! walks on scoped OS threads (the ROADMAP's "parallel annealing restarts"
-//! item) and returns the best-of-N by the paper's objective.
+//! walks on the shared worker pool ([`eblocks_core::pool`], at most one
+//! thread per core) and returns the best-of-N by the paper's objective.
 
 use crate::constraints::PartitionConstraints;
 use crate::result::Partitioning;
-use eblocks_core::{cut_cost, BitSet, Design, InnerIndex};
+use eblocks_core::{cut_cost, pool, BitSet, Design, InnerIndex};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -46,8 +46,9 @@ pub struct AnnealConfig {
     /// Default `true` — the annealer then acts as a stochastic refiner and
     /// can never end worse than its seed (the best-seen state is kept).
     pub seed_with_pare_down: bool,
-    /// Independent restarts to run in parallel (each on its own scoped
-    /// thread, with seed `seed + restart_index`); the best result by
+    /// Independent restarts to run in parallel on the worker pool (at
+    /// most one thread per core, each restart with seed
+    /// `seed + restart_index`); the best result by
     /// [`Partitioning::objective`] wins, ties broken by lowest restart
     /// index. Default `1` — a single, in-thread run.
     pub restarts: u32,
@@ -168,7 +169,7 @@ impl<'a> State<'a> {
 /// When [`AnnealConfig::seed_with_pare_down`] is set (the default) the
 /// result is never worse than plain [`pare_down`](fn@crate::pare_down) on the
 /// paper's objective. With [`AnnealConfig::restarts`] above one, the
-/// restarts run concurrently on scoped threads and the best-of-N wins.
+/// restarts run concurrently on the worker pool and the best-of-N wins.
 ///
 /// # Examples
 ///
@@ -198,40 +199,22 @@ pub fn anneal(
     constraints: &PartitionConstraints,
     config: &AnnealConfig,
 ) -> Partitioning {
-    let restarts = config.restarts.max(1);
-    if restarts == 1 {
-        return anneal_once(design, constraints, config);
-    }
-    // Bound concurrency to the hardware: an uncapped restarts value must
-    // queue work, not exhaust the process thread limit.
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
-    let mut results: Vec<Partitioning> = Vec::with_capacity(restarts as usize);
-    let mut next = 0u32;
-    while next < restarts {
-        let batch_end = next.saturating_add(workers).min(restarts);
-        let batch: Vec<Partitioning> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (next..batch_end)
-                .map(|i| {
-                    let cfg = AnnealConfig {
-                        seed: config.seed.wrapping_add(i as u64),
-                        restarts: 1,
-                        ..*config
-                    };
-                    scope.spawn(move || anneal_once(design, constraints, &cfg))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("anneal restart thread panicked"))
-                .collect()
-        });
-        results.extend(batch);
-        next = batch_end;
-    }
-    results
-        .into_iter()
-        .min_by_key(Partitioning::objective)
-        .expect("at least one restart ran")
+    // Restart `i` walks from seed `seed + i`; at most one worker per core,
+    // so an uncapped restarts value queues work instead of threads.
+    let restarts = config.restarts.max(1) as usize;
+    let order: Vec<usize> = (0..restarts).collect();
+    pool::run(pool::workers(None, restarts), &order, |i| {
+        let seed = config.seed.wrapping_add(i as u64);
+        Some(anneal_once(
+            design,
+            constraints,
+            &AnnealConfig { seed, ..*config },
+        ))
+    })
+    .into_iter()
+    .flatten()
+    .min_by_key(Partitioning::objective)
+    .expect("at least one restart ran")
 }
 
 /// One annealing walk (no restarts).

@@ -11,16 +11,17 @@
 //! The per-output *availability* — the fraction of trials in which that
 //! output still ends at its healthy value — tells a designer which outputs
 //! hang off single points of failure. Trials are deterministic for a fixed
-//! seed: every plan is sampled up front in trial order, then the trials run
-//! on per-thread runner arenas (exact per-output sums, so the worker count
-//! never changes the report).
+//! seed: every plan is sampled up front in trial order, then contiguous
+//! chunks of trials run on the shared worker pool
+//! ([`eblocks_core::pool`]), one runner arena per chunk (exact per-output
+//! sums, so the worker count never changes the report).
 
 use crate::fault::{Fault, FaultPlan};
 use crate::sim::{Runner, Simulator, Time};
 use crate::stimulus::Stimulus;
 use crate::trace::Trace;
 use crate::SimError;
-use eblocks_core::BlockKind;
+use eblocks_core::{pool, BlockKind};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -37,9 +38,10 @@ pub struct ReliabilityConfig {
     pub comm_failure_pm: u16,
     /// RNG seed; identical seeds give identical reports. Default `0x5EED`.
     pub seed: u64,
-    /// Worker threads for the trial sweep; `0` (the default) uses the
-    /// detected core count. The worker count never changes the report:
-    /// fault plans are sampled up front in trial order from the seed, and
+    /// Worker threads for the trial sweep on the worker pool; `0` (the
+    /// default) uses the core count, and there are never more workers
+    /// than trials. The worker count never changes the report: fault
+    /// plans are sampled up front in trial order from the seed, and
     /// per-output match counts are exact sums over trials.
     pub threads: usize,
 }
@@ -113,11 +115,7 @@ pub fn reliability(
     until: Time,
     config: &ReliabilityConfig,
 ) -> Result<ReliabilityReport, SimError> {
-    // One runner arena per thread for the whole sweep: every trial resets
-    // its arena in place instead of recompiling machines and reallocating
-    // queues per run; the stimulus is resolved and sorted once per arena
-    // and re-woven on each reset. This arena runs the baseline (and the
-    // whole sweep when only one worker is in play).
+    // The healthy run, whose settled outputs every trial is held to.
     let mut runner = Runner::new(sim, &FaultPlan::new())?;
     runner.load_stimulus(stimulus)?;
     runner.run(until)?;
@@ -162,45 +160,22 @@ pub fn reliability(
     }
     let fault_free = plans.iter().filter(|p| p.is_empty()).count() as u32;
 
-    let workers = match config.threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-    .min(plans.len().max(1));
-
+    // One runner arena per chunk: a worker builds its engine once and
+    // resets it in place across a contiguous chunk of trials, instead of
+    // recompiling machines and reallocating queues per run (the stimulus
+    // is resolved and sorted once per arena and re-woven on each reset).
+    // Match counts are exact per-output sums, so the chunk totals add up
+    // to the same numbers for any worker count.
+    let workers = pool::workers((config.threads > 0).then_some(config.threads), plans.len());
+    let chunks: Vec<&[FaultPlan]> = plans.chunks(plans.len().div_ceil(workers).max(1)).collect();
+    let order: Vec<usize> = (0..chunks.len()).collect();
+    let sweeps = pool::run(workers, &order, |i| {
+        Some(trial_sweep(sim, stimulus, chunks[i], until, &baseline))
+    });
     let mut matches = vec![0u32; baseline.len()];
-    if workers <= 1 {
-        trial_sweep(&mut runner, &plans, until, &baseline, &mut matches)?;
-    } else {
-        // One runner arena per worker: each thread builds its own engine
-        // once and resets it across its contiguous chunk of trials. Match
-        // counts are exact per-output sums, so merging chunk totals gives
-        // the same numbers as the sequential sweep.
-        let chunk_size = plans.len().div_ceil(workers);
-        let results: Vec<Result<Vec<u32>, SimError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = plans
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    let baseline = &baseline;
-                    scope.spawn(move || {
-                        let mut arena = Runner::new(sim, &FaultPlan::new())?;
-                        arena.load_stimulus(stimulus)?;
-                        let mut local = vec![0u32; baseline.len()];
-                        trial_sweep(&mut arena, chunk, until, baseline, &mut local)?;
-                        Ok(local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("reliability worker panicked"))
-                .collect()
-        });
-        for result in results {
-            let local = result?;
-            for (total, add) in matches.iter_mut().zip(&local) {
-                *total += add;
-            }
+    for local in sweeps.into_iter().flatten() {
+        for (total, add) in matches.iter_mut().zip(&local?) {
+            *total += add;
         }
     }
 
@@ -216,30 +191,27 @@ pub fn reliability(
     })
 }
 
-/// Runs `plans` on one arena, incrementing `matches[i]` for each trial in
-/// which output `i`'s settled value equals the baseline's.
+/// Runs `plans` on one fresh arena and counts, per output, the trials in
+/// which its settled value equals the baseline's.
 fn trial_sweep(
-    runner: &mut Runner<'_>,
+    sim: &Simulator,
+    stimulus: &Stimulus,
     plans: &[FaultPlan],
     until: Time,
     baseline: &[(String, bool)],
-    matches: &mut [u32],
-) -> Result<(), SimError> {
+) -> Result<Vec<u32>, SimError> {
+    let mut runner = Runner::new(sim, &FaultPlan::new())?;
+    runner.load_stimulus(stimulus)?;
+    let mut matches = vec![0u32; baseline.len()];
     for plan in plans {
         runner.reset(plan);
         runner.run(until)?;
         let outcome = settled(runner.trace());
-        for (i, (name, value)) in baseline.iter().enumerate() {
-            let same = outcome
-                .iter()
-                .find(|(n, _)| n == name)
-                .is_some_and(|(_, v)| v == value);
-            if same {
-                matches[i] += 1;
-            }
+        for (count, healthy) in matches.iter_mut().zip(baseline) {
+            *count += u32::from(outcome.contains(healthy));
         }
     }
-    Ok(())
+    Ok(matches)
 }
 
 /// Settled (final) value per output, idle-low default, sorted by name.
@@ -336,19 +308,28 @@ mod tests {
         let d = mixed();
         let sim = Simulator::new(&d).unwrap();
         let stim = Stimulus::new().set(20, "btn1", true).set(25, "btn2", true);
-        let report_at = |threads: usize| {
+        let report_at = |trials: u32, threads: usize| {
             let config = ReliabilityConfig {
-                trials: 120,
+                trials,
                 threads,
                 ..Default::default()
             };
             reliability(&sim, &stim, 100, &config).unwrap()
         };
-        let sequential = report_at(1);
-        assert_eq!(sequential, report_at(4));
-        assert_eq!(sequential, report_at(7));
+        let sequential = report_at(120, 1);
+        assert_eq!(sequential, report_at(120, 4));
+        assert_eq!(sequential, report_at(120, 7));
         // More workers than trials also degrades gracefully.
-        assert_eq!(sequential, report_at(1000));
+        assert_eq!(sequential, report_at(120, 1000));
+        // An empty sweep has no chunk to run on any worker count: every
+        // output reports zero availability over zero trials.
+        let empty = ReliabilityReport {
+            trials: 0,
+            fault_free_trials: 0,
+            availability: vec![("led1".to_string(), 0.0), ("led2".to_string(), 0.0)],
+        };
+        assert_eq!(report_at(0, 1), empty);
+        assert_eq!(report_at(0, 4), empty);
     }
 
     #[test]

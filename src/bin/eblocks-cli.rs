@@ -73,6 +73,7 @@
 
 use eblocks::api::{self, DesignSource, SynthRequest};
 use eblocks::chaos::{run_chaos, ChaosConfig};
+use eblocks::core::input::read_text;
 use eblocks::core::netlist::from_netlist;
 use eblocks::core::{Design, ProgrammableSpec};
 use eblocks::farm::{run_batch, BatchRequest, FarmConfig, JsonOptions};
@@ -260,7 +261,7 @@ fn run(args: &[String]) -> Result<String, Failure> {
 
 /// Reads a text file, naming it in the error.
 fn read(path: &Path) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+    read_text(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
 /// Reads and parses a netlist file.

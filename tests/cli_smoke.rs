@@ -235,3 +235,41 @@ fn commands_reject_flags_they_do_not_take() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Every input file goes through the one bounded reader: a file one byte
+/// over the limit fails, naming the limit, whether a command names it or a
+/// fleet spec's `netlist =` does. (A file rather than `/dev/zero`, so a
+/// regression fails here instead of exhausting memory.)
+#[test]
+fn input_files_over_the_limit_are_refused() {
+    let dir = scratch_dir("oversized");
+    let big = dir.join("big.netlist");
+    std::fs::write(&big, vec![b'#'; eblocks::api::MAX_INPUT_BYTES + 1]).unwrap();
+    let spec = dir.join("fleet.txt");
+    std::fs::write(&spec, "nodes = 2\ntopology = star\nnetlist = big.netlist\n").unwrap();
+
+    for (command, input) in [
+        ("check", &big),
+        ("batch", &big),
+        ("fleet", &big),
+        ("fleet", &spec),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_eblocks-cli"))
+            .arg(command)
+            .arg(input)
+            .output()
+            .expect("spawn eblocks-cli");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "{command} {input:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains("file is over the limit of 4194304 bytes"),
+            "{command} {input:?}: {stderr}"
+        );
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
