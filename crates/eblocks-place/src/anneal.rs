@@ -299,6 +299,31 @@ mod tests {
     }
 
     #[test]
+    fn library_placements_are_pinned() {
+        // The exact cost and block-to-site map of two 8-block library
+        // designs on 9 sites, so a change to the walk or its schedule shows.
+        let t = Topology::grid(3, 3);
+        let render = |d: &Design| {
+            let problem = PlacementProblem::new(d, &t).unwrap();
+            let p = anneal_place(&problem, &PlaceAnnealConfig::with_iterations(2_000)).unwrap();
+            let mut out = format!("cost={}", p.cost(&problem).unwrap());
+            for (&block, &site) in p.assignment() {
+                let block = d.block(block).unwrap().name();
+                out += &format!(" {block}@{}", t.site(site).unwrap().name());
+            }
+            out
+        };
+        assert_eq!(
+            render(&eblocks_designs::any_window_open_alarm()),
+            "cost=7 window1@r2c2 window2@r0c2 window3@r2c0 window4@r0c0 left@r1c2 right@r1c0 any@r1c1 buzzer@r0c1"
+        );
+        assert_eq!(
+            render(&eblocks_designs::two_button_light()),
+            "cost=7 button1@r2c2 button2@r0c2 toggle1@r2c1 toggle2@r0c1 either@r1c2 lamp1@r2c0 lamp2@r0c0 held@r1c1"
+        );
+    }
+
+    #[test]
     fn tight_capacity_swaps_only() {
         // Exactly as many slots as blocks: every move must be a swap.
         let d = chain(2); // 4 blocks

@@ -10,8 +10,8 @@
 //! * PareDown, with and without the §4.2 tie-breaks, and under the
 //!   convexity and the connectivity extension;
 //! * PareDown against [`BlockCatalog::three_tier`];
-//! * exhaustive search, plain and under both extensions, on designs of 11
-//!   inner blocks or fewer.
+//! * exhaustive search, plain and under both extensions, and a 2,000-step
+//!   simulated annealing walk, on designs of 15 inner blocks or fewer.
 //!
 //! One line per (design, strategy): the design's label, the strategy, the
 //! inner-block total, each partition's members in result order (with the
@@ -25,8 +25,8 @@
 use eblocks::core::{BlockId, Design};
 use eblocks::gen::{generate, GeneratorConfig};
 use eblocks::partition::{
-    exhaustive, pare_down, pare_down_multi, pare_down_no_tie_breaks, BlockCatalog,
-    ExhaustiveOptions, PartitionConstraints, Partitioning,
+    anneal, exhaustive, pare_down, pare_down_multi, pare_down_no_tie_breaks, AnnealConfig,
+    BlockCatalog, ExhaustiveOptions, PartitionConstraints, Partitioning,
 };
 use std::fmt::Write;
 use std::path::Path;
@@ -35,8 +35,10 @@ use std::path::Path;
 const TABLE2_SIZES: [usize; 17] = [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 20, 25, 35, 45];
 /// Designs drawn per Table 2 size.
 const PER_SIZE: u64 = 10;
-/// The largest design the exhaustive search runs on.
+/// The largest design the exhaustive search and the annealer run on.
 const EXHAUSTIVE_MAX: usize = 15;
+/// The annealer's step budget.
+const ANNEAL_STEPS: u32 = 2_000;
 
 fn corpus() -> Vec<(String, Design)> {
     let mut designs = Vec::new();
@@ -141,6 +143,12 @@ fn render() -> String {
                 let name = format!("exhaustive{suffix}");
                 line(&mut out, &label, &name, &design, &result);
             }
+            let annealed = anneal(
+                &design,
+                &plain,
+                &AnnealConfig::with_iterations(ANNEAL_STEPS),
+            );
+            line(&mut out, &label, "anneal", &design, &annealed);
         }
     }
     out
