@@ -7,12 +7,10 @@
 //! Usage: `cargo run --release -p eblocks-bench --bin energy`
 
 use eblocks_partition::strategy::PareDown;
-use eblocks_sim::{estimate_energy, EnergyModel, Simulator, Stimulus, Time};
+use eblocks_sim::{estimate_energy, Simulator, Stimulus, Time};
 use eblocks_synth::{exercise_all_sensors, Pipeline};
 
 fn main() {
-    let model = EnergyModel::default();
-
     println!("Per-design energy, same stimulus on both networks:");
     println!(
         "{:<26} | {:>7} {:>7} | {:>9} {:>9} | {:>7}",
@@ -35,12 +33,12 @@ fn main() {
 
         let before_sim = Simulator::new(&design).expect("library designs simulate");
         let before_trace = before_sim.run(&stim, until).expect("healthy run");
-        let before = estimate_energy(&design, &before_trace, &model, until);
+        let before = estimate_energy(&design, &before_trace, until);
 
         let after_sim = Simulator::with_programs(&result.synthesized, &result.programs)
             .expect("synthesized designs simulate");
         let after_trace = after_sim.run(&stim, until).expect("healthy run");
-        let after = estimate_energy(&result.synthesized, &after_trace, &model, until);
+        let after = estimate_energy(&result.synthesized, &after_trace, until);
 
         total_before += before.total_nj();
         total_after += after.total_nj();

@@ -48,7 +48,7 @@ impl CutCost {
 ///
 /// Signals are identified by `(block, output port)` pairs. Primary inputs and
 /// any non-member block count as "external".
-pub fn cut_cost(_design: &Design, index: &InnerIndex, members: &BitSet) -> CutCost {
+pub fn cut_cost(index: &InnerIndex, members: &BitSet) -> CutCost {
     CutState::new(index, members).cost()
 }
 
@@ -244,8 +244,8 @@ mod tests {
 
     #[test]
     fn whole_pipeline_costs_two_in_one_out() {
-        let (d, idx) = pipeline();
-        let cost = cut_cost(&d, &idx, &idx.full_set());
+        let (_, idx) = pipeline();
+        let cost = cut_cost(&idx, &idx.full_set());
         assert_eq!(
             cost,
             CutCost {
@@ -260,11 +260,11 @@ mod tests {
 
     #[test]
     fn single_member_counts_internal_edge_as_io() {
-        let (d, idx) = pipeline();
+        let (_, idx) = pipeline();
         let mut only_g1 = idx.empty_set();
         only_g1.insert(0);
         assert_eq!(
-            cut_cost(&d, &idx, &only_g1),
+            cut_cost(&idx, &only_g1),
             CutCost {
                 inputs: 2,
                 outputs: 1
@@ -273,7 +273,7 @@ mod tests {
         let mut only_g2 = idx.empty_set();
         only_g2.insert(1);
         assert_eq!(
-            cut_cost(&d, &idx, &only_g2),
+            cut_cost(&idx, &only_g2),
             CutCost {
                 inputs: 1,
                 outputs: 1
@@ -283,8 +283,8 @@ mod tests {
 
     #[test]
     fn empty_set_costs_nothing() {
-        let (d, idx) = pipeline();
-        assert_eq!(cut_cost(&d, &idx, &idx.empty_set()), CutCost::default());
+        let (_, idx) = pipeline();
+        assert_eq!(cut_cost(&idx, &idx.empty_set()), CutCost::default());
     }
 
     #[test]
@@ -300,7 +300,7 @@ mod tests {
         d.connect((g, 0), (o, 0)).unwrap();
         let idx = InnerIndex::new(&d);
         assert_eq!(
-            cut_cost(&d, &idx, &idx.full_set()),
+            cut_cost(&idx, &idx.full_set()),
             CutCost {
                 inputs: 1,
                 outputs: 1
@@ -321,7 +321,7 @@ mod tests {
         d.connect((g, 0), (o2, 0)).unwrap();
         let idx = InnerIndex::new(&d);
         assert_eq!(
-            cut_cost(&d, &idx, &idx.full_set()),
+            cut_cost(&idx, &idx.full_set()),
             CutCost {
                 inputs: 1,
                 outputs: 1
@@ -342,7 +342,7 @@ mod tests {
         d.connect((sp, 1), (o2, 0)).unwrap();
         let idx = InnerIndex::new(&d);
         assert_eq!(
-            cut_cost(&d, &idx, &idx.full_set()),
+            cut_cost(&idx, &idx.full_set()),
             CutCost {
                 inputs: 1,
                 outputs: 2

@@ -529,9 +529,9 @@ fn execute(
     );
     let lint = match (options.lint, options.lint_deny) {
         (Some(false), _) => None,
-        (Some(true), deny) | (None, deny @ Some(_)) => {
-            Some(LintConfig::denying(deny.unwrap_or_default()))
-        }
+        (Some(true), deny) | (None, deny @ Some(_)) => Some(LintConfig {
+            deny: deny.unwrap_or_default(),
+        }),
         (None, None) => config.lint,
     };
     let mut guard = StageGuard::new(config, index, attempt);
@@ -616,26 +616,30 @@ mod tests {
             assert_eq!(stages[0].stage, Stage::Lint, "{}: lint ran first", job.name);
         }
 
-        // A farm-level zero fan-out budget under deny-warnings rejects
-        // the job that sets no lint option; its sibling's `"lint": false`
-        // turns lint off for it whatever the farm default.
+        // The cross-block fixture lints to warnings only: a farm-level
+        // deny-warnings gate rejects the job that sets no lint option, and
+        // its sibling's `"lint": false` turns lint off for it whatever the
+        // farm default.
         let strict = LintConfig {
             deny: eblocks_lint::DenyLevel::Warnings,
-            max_fanout: 0,
-            ..LintConfig::default()
         };
-        let batch = BatchRequest::from_json(
-            r#"{"jobs": [
-                {"source": {"library": "Ignition Illuminator"}},
-                {"source": {"library": "Ignition Illuminator"},
-                 "options": {"lint": false}}
-            ]}"#,
-        )
+        let netlist = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/lint-crossblock.netlist"
+        );
+        let batch = BatchRequest::from_json(&format!(
+            r#"{{"jobs": [
+                {{"source": {{"netlist": "{netlist}"}},
+                  "options": {{"mode": "partition"}}}},
+                {{"source": {{"netlist": "{netlist}"}},
+                  "options": {{"mode": "partition", "lint": false}}}}
+            ]}}"#
+        ))
         .unwrap();
         let report = run_batch(&batch, &FarmConfig::with_workers(1).lint(strict));
         let message = error(&report.results[0], JobOutcome::Failed);
         assert!(message.contains("lint rejected the design"), "{message}");
-        assert!(message.contains("W008"), "{message}");
+        assert!(message.contains("W006"), "{message}");
         let row = &report.results[1];
         assert_eq!(row.status, JobOutcome::Ok, "{row:?}");
         assert!(

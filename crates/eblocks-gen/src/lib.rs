@@ -4,7 +4,9 @@
 //! eBlock networks of varying sizes." The paper sweeps designs whose inner
 //! block counts range from 3 to 45 (Table 2); this module generates
 //! structurally valid designs (every input driven, every compute output
-//! used, acyclic) of a requested inner size and approximate depth.
+//! used, acyclic) of a requested inner size. The inner blocks spread over
+//! `ceil(sqrt(n))` levels, which yields the mix of shallow and deep designs
+//! the paper describes.
 //!
 //! Generation is deterministic for a given seed, so sweeps are reproducible.
 //!
@@ -29,47 +31,24 @@ use eblocks_core::{BlockId, ComputeKind, Design, OutputKind, SensorKind, TruthTa
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+/// Probability that a non-first-level input is wired to a fresh sensor
+/// instead of an upstream block, per mille (25%).
+const SENSOR_BIAS_PM: u32 = 250;
+/// Probability that an upstream wiring reuses an already-consumed output
+/// port instead of an unused one, per mille (20%), creating fanout.
+const FANOUT_BIAS_PM: u32 = 200;
+
 /// Parameters for the random generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeneratorConfig {
     /// Number of inner (pre-defined compute) blocks to generate.
     pub inner_blocks: usize,
-    /// Approximate depth (maximum block level); the generator spreads inner
-    /// blocks across this many levels. Defaults to `ceil(sqrt(n))`, which
-    /// yields the mix of shallow/deep designs the paper describes.
-    pub depth: Option<usize>,
-    /// Probability that a non-first-level input is wired to a fresh sensor
-    /// instead of an upstream block (per mille). Default 250 (25%).
-    pub sensor_bias_pm: u16,
-    /// Probability that an upstream wiring reuses an already-consumed output
-    /// port instead of an unused one (per mille), creating fanout. Default
-    /// 200 (20%).
-    pub fanout_bias_pm: u16,
 }
 
 impl GeneratorConfig {
-    /// A configuration producing `inner_blocks` inner blocks with the
-    /// default structure parameters.
+    /// A configuration producing `inner_blocks` inner blocks.
     pub fn new(inner_blocks: usize) -> Self {
-        Self {
-            inner_blocks,
-            depth: None,
-            sensor_bias_pm: 250,
-            fanout_bias_pm: 200,
-        }
-    }
-
-    /// Sets the target depth.
-    pub fn with_depth(mut self, depth: usize) -> Self {
-        self.depth = Some(depth);
-        self
-    }
-
-    fn effective_depth(&self) -> usize {
-        let n = self.inner_blocks.max(1);
-        self.depth
-            .unwrap_or_else(|| (n as f64).sqrt().ceil() as usize)
-            .clamp(1, n)
+        Self { inner_blocks }
     }
 }
 
@@ -96,7 +75,8 @@ pub fn generate_with(config: &GeneratorConfig, rng: &mut impl RngExt) -> Design 
         design.connect((s, 0), (o, 0)).expect("fresh wire");
         return design;
     }
-    let depth = config.effective_depth();
+    // The deepest level; `ceil(sqrt(n))` lies in `1..=n` for every n ≥ 1.
+    let depth = (n as f64).sqrt().ceil() as usize;
 
     // Assign each inner block a level in 1..=depth. Level 1 is guaranteed
     // non-empty; others are sampled uniformly.
@@ -153,9 +133,8 @@ pub fn generate_with(config: &GeneratorConfig, rng: &mut impl RngExt) -> Design 
                 })
                 .map(|(i, _)| i)
                 .collect();
-            let use_sensor = level == 1
-                || upstream.is_empty()
-                || rng.random_range(0..1000u32) < config.sensor_bias_pm as u32;
+            let use_sensor =
+                level == 1 || upstream.is_empty() || rng.random_range(0..1000u32) < SENSOR_BIAS_PM;
             if use_sensor {
                 let s = fresh_sensor(&mut design, &mut sensor_count);
                 design.connect((s, 0), (id, port)).expect("sensor wire");
@@ -166,7 +145,7 @@ pub fn generate_with(config: &GeneratorConfig, rng: &mut impl RngExt) -> Design 
                     .copied()
                     .filter(|&i| !source_ports[i].2)
                     .collect();
-                let want_fanout = rng.random_range(0..1000u32) < config.fanout_bias_pm as u32;
+                let want_fanout = rng.random_range(0..1000u32) < FANOUT_BIAS_PM;
                 let pool = if !want_fanout && !unused.is_empty() {
                     &unused
                 } else {
@@ -273,12 +252,15 @@ mod tests {
     }
 
     #[test]
-    fn depth_request_respected() {
-        for seed in 0..10 {
-            let d = generate(&GeneratorConfig::new(20).with_depth(3), seed);
-            // Inner blocks sit on levels 1..=3, so with sensors at 0 and
-            // outputs one deeper, total depth is at most 4.
-            assert!(eblocks_core::level::depth(&d) <= 4, "seed={seed}");
+    fn depth_is_ceil_sqrt_of_inner_blocks() {
+        // Inner blocks sit on levels 1..=ceil(sqrt(n)) above the sensors
+        // at 0, and output blocks one deeper than their driver, so the
+        // deepest of these ten designs reaches ceil(sqrt(n)) + 1.
+        for (n, levels) in [(1, 1), (4, 2), (5, 3), (20, 5), (45, 7)] {
+            let deepest = (0..10)
+                .map(|seed| eblocks_core::level::depth(&generate(&GeneratorConfig::new(n), seed)))
+                .max();
+            assert_eq!(deepest, Some(levels + 1), "n={n}");
         }
     }
 

@@ -15,7 +15,7 @@
 
 use crate::dataflow::{analyze_program, CondFact, PathElem, ValueSet};
 use crate::fix::Fix;
-use crate::{rules, Diagnostic, LintConfig, LintReport};
+use crate::{rules, Diagnostic, LintReport};
 use eblocks_behavior::ast::output_port;
 use eblocks_behavior::{
     check, parse_spanned, CheckError, Handler, HandlerKind, Program, ProgramSpans, Span, Stmt,
@@ -34,7 +34,7 @@ struct Src<'a> {
 /// Lints behavior source text for a block with the given port arities:
 /// parse failures become `E100`; otherwise every program rule runs, with
 /// positions and machine-applicable fixes anchored to the source bytes.
-pub fn lint_behavior(text: &str, inputs: u8, outputs: u8, config: &LintConfig) -> LintReport {
+pub fn lint_behavior(text: &str, inputs: u8, outputs: u8) -> LintReport {
     match parse_spanned(text) {
         Ok((program, spans)) => lint_program_impl(
             &program,
@@ -44,7 +44,6 @@ pub fn lint_behavior(text: &str, inputs: u8, outputs: u8, config: &LintConfig) -
             }),
             inputs,
             outputs,
-            config,
         ),
         Err(error) => {
             let mut d = if error.line == 0 {
@@ -67,8 +66,8 @@ pub fn lint_behavior(text: &str, inputs: u8, outputs: u8, config: &LintConfig) -
 /// plus the lint-only dataflow warnings, in stable order. Position-free
 /// (the AST carries no spans); parse with [`lint_behavior`] to get
 /// `line`/`col` and fixes.
-pub fn lint_program(program: &Program, inputs: u8, outputs: u8, config: &LintConfig) -> LintReport {
-    lint_program_impl(program, None, inputs, outputs, config)
+pub fn lint_program(program: &Program, inputs: u8, outputs: u8) -> LintReport {
+    lint_program_impl(program, None, inputs, outputs)
 }
 
 fn lint_program_impl(
@@ -76,7 +75,6 @@ fn lint_program_impl(
     src: Option<&Src<'_>>,
     inputs: u8,
     outputs: u8,
-    _config: &LintConfig,
 ) -> LintReport {
     let mut out = Vec::new();
     for error in &check(program, inputs, outputs) {
@@ -641,7 +639,7 @@ mod tests {
     }
 
     fn lint_src(src: &str, ni: u8, no: u8) -> LintReport {
-        lint_behavior(src, ni, no, &LintConfig::default())
+        lint_behavior(src, ni, no)
     }
 
     #[test]

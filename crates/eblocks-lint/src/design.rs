@@ -18,10 +18,10 @@
 
 use crate::dataflow::{analyze_design, matched_values, DesignFacts, ValueSet};
 use crate::fix::Fix;
-use crate::{rules, Diagnostic, LintConfig, LintReport, TextEdit};
+use crate::{rules, Diagnostic, LintReport, TextEdit};
 use eblocks_behavior::{library, HandlerKind, Program};
 use eblocks_core::netlist::{from_netlist_spanned, NetlistSpans};
-use eblocks_core::{BlockId, BlockKind, Design, DesignError};
+use eblocks_core::{BlockId, BlockKind, Design, DesignError, ProgrammableSpec};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Netlist span table plus the text it indexes — present only on the
@@ -35,7 +35,7 @@ struct Src<'a> {
 /// Lints netlist text: parse/construction failures become `E003`–`E005`
 /// diagnostics; on success the design rules run, with line numbers and
 /// dead-island removal fixes anchored to the source lines.
-pub fn lint_netlist(text: &str, config: &LintConfig) -> LintReport {
+pub fn lint_netlist(text: &str) -> LintReport {
     match from_netlist_spanned(text) {
         Ok((design, spans)) => lint_impl(
             &design,
@@ -44,7 +44,6 @@ pub fn lint_netlist(text: &str, config: &LintConfig) -> LintReport {
                 spans: &spans,
                 text,
             }),
-            config,
         ),
         Err(error) => LintReport::new(vec![diagnose_design_error(&error)]),
     }
@@ -112,8 +111,8 @@ pub fn diagnose_design_error(error: &DesignError) -> Diagnostic {
 /// stable order. Programmable blocks have no attached behavior here and
 /// analyze as unconstrained; use [`lint_design_with_programs`] to make
 /// their value flow precise.
-pub fn lint_design(design: &Design, config: &LintConfig) -> LintReport {
-    lint_impl(design, &BTreeMap::new(), None, config)
+pub fn lint_design(design: &Design) -> LintReport {
+    lint_impl(design, &BTreeMap::new(), None)
 }
 
 /// [`lint_design`] with behavior programs attached to programmable
@@ -122,22 +121,20 @@ pub fn lint_design(design: &Design, config: &LintConfig) -> LintReport {
 pub fn lint_design_with_programs(
     design: &Design,
     programs: &BTreeMap<BlockId, Program>,
-    config: &LintConfig,
 ) -> LintReport {
-    lint_impl(design, programs, None, config)
+    lint_impl(design, programs, None)
 }
 
 fn lint_impl(
     design: &Design,
     programs: &BTreeMap<BlockId, Program>,
     src: Option<&Src<'_>>,
-    config: &LintConfig,
 ) -> LintReport {
     let mut out = Vec::new();
     connectivity(design, src, &mut out);
     let forward = reach(design, design.sensors().collect(), Direction::Forward);
-    reachability(design, src, &forward, config, &mut out);
-    budgets(design, src, config, &mut out);
+    reachability(design, src, &forward, &mut out);
+    budgets(design, src, &mut out);
     let facts = analyze_design(design, programs);
     dataflow_pass(design, programs, &facts, &forward, src, &mut out);
     LintReport::new(out)
@@ -215,7 +212,6 @@ fn reachability(
     design: &Design,
     src: Option<&Src<'_>>,
     forward: &BTreeSet<BlockId>,
-    config: &LintConfig,
     out: &mut Vec<Diagnostic>,
 ) {
     let backward = reach(design, design.outputs().collect(), Direction::Backward);
@@ -227,7 +223,7 @@ fn reachability(
         })
         .collect();
     let removal = src
-        .map(|s| removal_fixes(design, s, &dead, config))
+        .map(|s| removal_fixes(design, s, &dead))
         .unwrap_or_default();
 
     for id in design.blocks() {
@@ -275,7 +271,6 @@ fn removal_fixes(
     design: &Design,
     src: &Src<'_>,
     dead: &BTreeSet<BlockId>,
-    config: &LintConfig,
 ) -> BTreeMap<BlockId, Fix> {
     // Greatest sink-closed subset of the dead set.
     let mut closed = dead.clone();
@@ -328,7 +323,7 @@ fn removal_fixes(
 
     // Whole-surgery verification: simulate applying everything at once
     // and demote to advisory if any new error would appear.
-    if !removal_is_safe(design, src, &fixes, config) {
+    if !removal_is_safe(design, src, &fixes) {
         for fix in fixes.values_mut() {
             *fix = fix.clone().maybe_incorrect();
         }
@@ -340,12 +335,7 @@ fn removal_fixes(
 /// true when no (code, location) error pair appears that the original
 /// design did not already have. The candidate is linted as a bare
 /// design (no spans), so verification never re-enters fix construction.
-fn removal_is_safe(
-    design: &Design,
-    src: &Src<'_>,
-    fixes: &BTreeMap<BlockId, Fix>,
-    config: &LintConfig,
-) -> bool {
+fn removal_is_safe(design: &Design, src: &Src<'_>, fixes: &BTreeMap<BlockId, Fix>) -> bool {
     let scratch = LintReport::new(
         fixes
             .values()
@@ -358,8 +348,8 @@ fn removal_is_safe(
     let Ok(patched) = eblocks_core::netlist::from_netlist(&candidate) else {
         return false;
     };
-    let before = lint_design(design, config);
-    let after = lint_design(&patched, config);
+    let before = lint_design(design);
+    let after = lint_design(&patched);
     let known: BTreeSet<(&str, &str)> = before
         .diagnostics
         .iter()
@@ -396,21 +386,23 @@ fn reach(design: &Design, seeds: Vec<BlockId>, dir: Direction) -> BTreeSet<Block
 }
 
 /// W008/W009: fan-out and pin budgets against the partitioner's targets.
-fn budgets(design: &Design, src: Option<&Src<'_>>, config: &LintConfig, out: &mut Vec<Diagnostic>) {
+fn budgets(design: &Design, src: Option<&Src<'_>>, out: &mut Vec<Diagnostic>) {
+    // The eBlocks hardware fans out through splitter chains; 8 sinks admit
+    // every shipped design while catching pathological broadcast hubs.
+    const MAX_FANOUT: usize = 8;
+    // The partitioner's target: the paper's 2-in/2-out programmable block.
+    let budget = ProgrammableSpec::default();
     for id in design.blocks() {
         let block = design.block(id).expect("iterated id");
         let name = block.name();
         for port in 0..block.num_outputs() {
             let sinks = design.sinks_of(id, port).count();
-            if sinks > config.max_fanout {
+            if sinks > MAX_FANOUT {
                 out.push(at_block_line(
                     Diagnostic::new(
                         &rules::FANOUT_BUDGET,
                         format!("port `{name}.{port}`"),
-                        format!(
-                            "output port drives {sinks} sinks (budget {})",
-                            config.max_fanout
-                        ),
+                        format!("output port drives {sinks} sinks (budget {MAX_FANOUT})"),
                     )
                     .with_hint("fan out through a splitter tree"),
                     src,
@@ -422,14 +414,13 @@ fn budgets(design: &Design, src: Option<&Src<'_>>, config: &LintConfig, out: &mu
         // compute block with more pins than the target spec is fine (the
         // partitioner leaves it pre-defined or internalizes its wires).
         if let BlockKind::Programmable(spec) = block.kind() {
-            if spec.inputs > config.budget.inputs || spec.outputs > config.budget.outputs {
+            if spec.inputs > budget.inputs || spec.outputs > budget.outputs {
                 out.push(at_block_line(
                     Diagnostic::new(
                         &rules::PIN_BUDGET,
                         format!("block `{name}`"),
                         format!(
-                            "programmable block needs {spec} but the partitioner targets {}",
-                            config.budget
+                            "programmable block needs {spec} but the partitioner targets {budget}"
                         ),
                     )
                     .with_hint("raise the target spec or split the block"),
@@ -636,7 +627,7 @@ mod tests {
 
     #[test]
     fn clean_design_is_clean() {
-        let report = lint_design(&clean_chain(), &LintConfig::default());
+        let report = lint_design(&clean_chain());
         assert!(report.is_clean(), "{report}");
     }
 
@@ -648,7 +639,7 @@ mod tests {
         let o = d.add_block("o", OutputKind::Led);
         d.connect((s, 0), (g, 0)).unwrap();
         d.connect((g, 0), (o, 0)).unwrap();
-        let report = lint_design(&d, &LintConfig::default());
+        let report = lint_design(&d);
         assert_eq!(codes(&report), ["E001"]);
         assert_eq!(report.diagnostics[0].location, "port `g.1`");
         assert_eq!(report.diagnostics[0].severity, Severity::Error);
@@ -660,7 +651,7 @@ mod tests {
         let s = d.add_block("s", SensorKind::Button);
         let n = d.add_block("n", ComputeKind::Not);
         d.connect((s, 0), (n, 0)).unwrap();
-        let report = lint_design(&d, &LintConfig::default());
+        let report = lint_design(&d);
         // n.0 dangles (E002) and therefore n never reaches an output (W007).
         assert_eq!(codes(&report), ["E002", "W007", "W007"]);
         assert_eq!(report.diagnostics[0].location, "port `n.0`");
@@ -669,7 +660,7 @@ mod tests {
         let mut d = clean_chain();
         d.add_block("spare", SensorKind::Light);
         d.add_block("prog", ProgrammableSpec::default());
-        let report = lint_design(&d, &LintConfig::default());
+        let report = lint_design(&d);
         assert_eq!(codes(&report), ["W006", "W007", "W007"]); // reachability only
     }
 
@@ -681,7 +672,7 @@ mod tests {
         let g = d.add_block("island", ComputeKind::Not);
         let o2 = d.add_block("led2", OutputKind::Led);
         d.connect((g, 0), (o2, 0)).unwrap();
-        let report = lint_design(&d, &LintConfig::default());
+        let report = lint_design(&d);
         assert_eq!(codes(&report), ["E001", "W006", "W006"]);
         let dead: Vec<&str> = report
             .diagnostics
@@ -694,24 +685,23 @@ mod tests {
 
     #[test]
     fn w008_fanout_budget() {
-        let mut d = Design::new("t");
-        let s = d.add_block("s", SensorKind::Button);
-        for i in 0..3 {
-            let n = d.add_block(format!("n{i}"), ComputeKind::Not);
-            let o = d.add_block(format!("o{i}"), OutputKind::Led);
-            d.connect((s, 0), (n, 0)).unwrap();
-            d.connect((n, 0), (o, 0)).unwrap();
-        }
-        let tight = LintConfig {
-            max_fanout: 2,
-            ..LintConfig::default()
+        // One sensor fanning out to `n` gates, each driving its own LED.
+        let fan = |n: usize| {
+            let mut d = Design::new("t");
+            let s = d.add_block("s", SensorKind::Button);
+            for i in 0..n {
+                let g = d.add_block(format!("n{i}"), ComputeKind::Not);
+                let o = d.add_block(format!("o{i}"), OutputKind::Led);
+                d.connect((s, 0), (g, 0)).unwrap();
+                d.connect((g, 0), (o, 0)).unwrap();
+            }
+            d
         };
-        let report = lint_design(&d, &tight);
+        assert!(lint_design(&fan(8)).is_clean(), "8 sinks fit the budget");
+        let report = lint_design(&fan(9));
         assert_eq!(codes(&report), ["W008"]);
         assert_eq!(report.diagnostics[0].location, "port `s.0`");
-        assert!(report.diagnostics[0].message.contains("3 sinks (budget 2)"));
-        // Default budget admits it.
-        assert!(lint_design(&d, &LintConfig::default()).is_clean());
+        assert!(report.diagnostics[0].message.contains("9 sinks (budget 8)"));
     }
 
     #[test]
@@ -728,7 +718,7 @@ mod tests {
         let o2 = d.add_block("o2", OutputKind::Led);
         d.connect((s, 0), (big, 0)).unwrap();
         d.connect((big, 0), (o2, 0)).unwrap();
-        let report = lint_design(&d, &LintConfig::default());
+        let report = lint_design(&d);
         assert_eq!(codes(&report), ["W009"]);
         assert!(report.diagnostics[0].message.contains("4in/1out"));
         assert!(!report.rejects(DenyLevel::Errors));
@@ -745,18 +735,17 @@ mod tests {
         d.connect((b, 0), (g, 1)).unwrap();
         d.connect((c, 0), (g, 2)).unwrap();
         d.connect((g, 0), (o, 0)).unwrap();
-        assert!(lint_design(&d, &LintConfig::default()).is_clean());
+        assert!(lint_design(&d).is_clean());
     }
 
     #[test]
     fn e004_e005_netlist_failures() {
         let report = lint_netlist(
             "eblocks-netlist v1\ndesign d\nblock x sensor:button\nblock x sensor:motion\n",
-            &LintConfig::default(),
         );
         assert_eq!(codes(&report), ["E004"]);
 
-        let report = lint_netlist("not a netlist", &LintConfig::default());
+        let report = lint_netlist("not a netlist");
         assert_eq!(codes(&report), ["E005"]);
         assert_eq!(report.diagnostics[0].location, "line 1");
         assert_eq!(report.diagnostics[0].line, Some(1));
@@ -767,8 +756,7 @@ mod tests {
     fn e003_cycle_from_netlist() {
         let report = lint_netlist(
             "eblocks-netlist v1\ndesign d\nblock a compute:not\nblock b compute:not\nwire a.0 -> b.0\nwire b.0 -> a.0\n",
-            &LintConfig::default(),
-        );
+                    );
         assert_eq!(codes(&report), ["E003"]);
         assert!(report.diagnostics[0].message.contains("cycle"));
     }
@@ -777,8 +765,7 @@ mod tests {
     fn netlist_success_runs_design_rules() {
         let report = lint_netlist(
             "eblocks-netlist v1\ndesign d\nblock btn sensor:button\nblock gate compute:logic2:AND\nblock led output:led\nwire btn.0 -> gate.0\nwire gate.0 -> led.0\n",
-            &LintConfig::default(),
-        );
+                    );
         assert_eq!(codes(&report), ["E001"]);
         assert_eq!(report.diagnostics[0].location, "port `gate.1`");
         // The netlist path anchors the finding to the block's line.
@@ -796,7 +783,7 @@ mod tests {
         d.connect((s, 0), (g, 0)).unwrap();
         d.connect((g, 0), (o, 0)).unwrap();
         let _ = ghost;
-        let report = lint_design(&d, &LintConfig::default());
+        let report = lint_design(&d);
         // g.1 unconnected; ghost: input unconnected, output dangling, dead,
         // unused.
         assert_eq!(codes(&report), ["E001", "E001", "E002", "W006", "W007"]);
@@ -817,7 +804,7 @@ mod tests {
         d.connect((s, 0), (f, 1)).unwrap();
         d.connect((f, 0), (t, 0)).unwrap();
         d.connect((t, 0), (o, 0)).unwrap();
-        let report = lint_design(&d, &LintConfig::default());
+        let report = lint_design(&d);
         assert_eq!(
             codes(&report),
             ["W210", "W210", "W211", "W212", "W212"],
@@ -851,7 +838,7 @@ mod tests {
             rx,
             parse("on input { if (in0 == 3) { out0 = true; } else { out0 = false; } }").unwrap(),
         );
-        let report = lint_design_with_programs(&d, &programs, &LintConfig::default());
+        let report = lint_design_with_programs(&d, &programs);
         let cs = codes(&report);
         assert!(cs.contains(&"E201"), "{report}");
         let e = report
@@ -869,7 +856,7 @@ mod tests {
             rx,
             parse("on input { if (in0 == 2) { out0 = true; } else { out0 = false; } }").unwrap(),
         );
-        let report = lint_design_with_programs(&d, &programs, &LintConfig::default());
+        let report = lint_design_with_programs(&d, &programs);
         assert!(!codes(&report).contains(&"E201"), "{report}");
     }
 
@@ -888,7 +875,7 @@ mod tests {
             tx,
             parse("on input { if (in0 && false) { out0 = true; } }").unwrap(),
         );
-        let report = lint_design_with_programs(&d, &programs, &LintConfig::default());
+        let report = lint_design_with_programs(&d, &programs);
         let cs = codes(&report);
         assert!(cs.contains(&"W213"), "{report}");
         let w = report
@@ -915,7 +902,7 @@ mod tests {
             tx,
             parse("on input { if (in0 && false) { out0 = true; } }").unwrap(),
         );
-        let report = lint_design_with_programs(&d, &programs, &LintConfig::default());
+        let report = lint_design_with_programs(&d, &programs);
         let w213: Vec<&str> = report
             .diagnostics
             .iter()
@@ -937,7 +924,7 @@ mod tests {
         let f = d.add_block("isle", ComputeKind::Logic2(TruthTable2::FALSE));
         let o2 = d.add_block("led2", OutputKind::Led);
         d.connect((f, 0), (o2, 0)).unwrap();
-        let report = lint_design(&d, &LintConfig::default());
+        let report = lint_design(&d);
         let cs = codes(&report);
         assert!(!cs.contains(&"W210"), "{report}");
         assert!(cs.contains(&"W006"));
@@ -955,7 +942,7 @@ mod tests {
                     wire s.0 -> n.0\n\
                     wire n.0 -> o.0\n\
                     wire ghost.0 -> deadled.0\n";
-        let report = lint_netlist(text, &LintConfig::default());
+        let report = lint_netlist(text);
         let w006: Vec<&Diagnostic> = report
             .diagnostics
             .iter()
@@ -969,7 +956,7 @@ mod tests {
         let fixed = crate::apply_machine_fixes(text, &report).unwrap();
         assert!(!fixed.contains("ghost"), "{fixed}");
         assert!(!fixed.contains("deadled"), "{fixed}");
-        let relint = lint_netlist(&fixed, &LintConfig::default());
+        let relint = lint_netlist(&fixed);
         assert!(relint.is_clean(), "{relint}");
     }
 
@@ -986,7 +973,7 @@ mod tests {
                     wire s.0 -> g.0\n\
                     wire dead.0 -> g.1\n\
                     wire g.0 -> o.0\n";
-        let report = lint_netlist(text, &LintConfig::default());
+        let report = lint_netlist(text);
         let w006 = report
             .diagnostics
             .iter()

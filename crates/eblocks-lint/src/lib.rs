@@ -10,17 +10,21 @@
 //! [`diagnose_check`]), so the
 //! checker and the linter speak one language.
 //!
-//! Determinism contract: for a given input and [`LintConfig`], the
-//! diagnostics are byte-identical across runs, worker counts, and
-//! platforms — rules run in a fixed order, blocks are visited in insertion
-//! order, and the final report is sorted by (code, location, message).
+//! The analysis takes no configuration: the fan-out budget (8 sinks) and
+//! the pin budget (the paper's 2-in/2-out programmable block) are fixed.
+//! [`LintConfig`] holds only the deny level a gate applies to the report.
+//!
+//! Determinism contract: for a given input, the diagnostics are
+//! byte-identical across runs, worker counts, and platforms — rules run
+//! in a fixed order, blocks are visited in insertion order, and the final
+//! report is sorted by (code, location, message).
 //! Reports serialize through the vendored `serde` derives, so JSON output
 //! is deterministic too.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use eblocks_lint::{lint_netlist, LintConfig, Severity};
+//! use eblocks_lint::{lint_netlist, Severity};
 //!
 //! let report = lint_netlist(
 //!     "eblocks-netlist v1\n\
@@ -30,7 +34,6 @@
 //!      block led output:led\n\
 //!      wire btn.0 -> gate.0\n\
 //!      wire gate.0 -> led.0\n",
-//!     &LintConfig::default(),
 //! );
 //! // gate.1 has no driver: one error, reported with a stable code.
 //! assert_eq!(report.errors(), 1);
@@ -57,7 +60,6 @@ pub use behavior::{diagnose_check, lint_behavior, lint_program};
 pub use design::{lint_design, lint_design_with_programs, lint_netlist};
 pub use fix::{apply_machine_fixes, fix_to_fixpoint, Applicability, Fix, TextEdit};
 
-use eblocks_core::ProgrammableSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -115,39 +117,12 @@ impl fmt::Display for DenyLevel {
     }
 }
 
-/// Configuration for a lint pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A lint gate's setting: the deny level it rejects a design at. The
+/// analysis itself takes no configuration.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LintConfig {
     /// Which severities reject the input (see [`LintReport::rejects`]).
     pub deny: DenyLevel,
-    /// Fan-out budget: an output port driving more sinks than this trips
-    /// [`rules::FANOUT_BUDGET`]. The eBlocks hardware fans out through
-    /// splitter chains; 8 admits every shipped design while catching
-    /// pathological broadcast hubs.
-    pub max_fanout: usize,
-    /// Pin budget programmable blocks are checked against
-    /// ([`rules::PIN_BUDGET`]) — normally the partitioner's target spec.
-    pub budget: ProgrammableSpec,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        Self {
-            deny: DenyLevel::Errors,
-            max_fanout: 8,
-            budget: ProgrammableSpec::default(),
-        }
-    }
-}
-
-impl LintConfig {
-    /// A config with the given deny level, defaults otherwise.
-    pub fn denying(deny: DenyLevel) -> Self {
-        Self {
-            deny,
-            ..Self::default()
-        }
-    }
 }
 
 /// One finding: a stable rule code, severity, location, message, and an
@@ -487,14 +462,14 @@ pub mod rules {
         "W008",
         Warning,
         "fanout-budget",
-        "an output port drives more sinks than the fan-out budget"
+        "an output port drives more than 8 sinks (the fan-out budget)"
     );
     rule!(
         PIN_BUDGET,
         "W009",
         Warning,
         "pin-budget",
-        "a programmable block's pins exceed the partitioner's budget"
+        "a programmable block has more pins than the paper's 2-in/2-out block"
     );
 
     // Behavior layer.

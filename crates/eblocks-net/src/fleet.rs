@@ -45,8 +45,7 @@ use crate::{mix, SALT_LOSS};
 use eblocks_core::{BlockKind, Design, PortRef};
 use eblocks_sim::time as sim_time;
 use eblocks_sim::{
-    estimate_energy, CapturedPacket, EnergyModel, NodeRunner, SensorRef, Simulator, Stimulus,
-    TapId, Time, Trace,
+    estimate_energy, CapturedPacket, NodeRunner, SensorRef, Simulator, Stimulus, TapId, Time, Trace,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -538,13 +537,12 @@ impl Fleet {
         }
 
         // Finalize: fold node traces, energy, and link counters.
-        let model = EnergyModel::default();
         let mut node_stats = Vec::with_capacity(n);
         let mut node_traces = Vec::with_capacity(n);
         for (i, runner) in runners.into_iter().enumerate() {
             let trace = runner.finish();
             let design = &self.designs[self.nodes[i].design];
-            let energy = estimate_energy(design, &trace, &model, until);
+            let energy = estimate_energy(design, &trace, until);
             node_stats.push(NodeStats {
                 name: self.nodes[i].name.clone(),
                 site: site_names[sites[i].index()].clone(),

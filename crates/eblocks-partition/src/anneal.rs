@@ -7,7 +7,9 @@
 //! so the benchmark harness can ask: *how much optimality does PareDown
 //! leave on the table relative to a search that spends 1000× its runtime?*
 //!
-//! The annealer walks *relaxed* states in which partitions may temporarily
+//! The walk starts from PareDown's partitioning and keeps the best state it
+//! has seen, so it acts as a stochastic refiner and never ends worse than
+//! PareDown. It walks *relaxed* states in which partitions may temporarily
 //! violate the pin budget or the ≥2-block rule; violations are charged an
 //! energy penalty so the walk is driven back toward feasibility. The final
 //! state is repaired (infeasible partitions and singletons dissolve to
@@ -29,23 +31,20 @@ use eblocks_core::{cut_cost, pool, BitSet, Design, InnerIndex};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+/// Starting temperature: roughly the energy of undoing one good merge plus
+/// a pin violation.
+const INITIAL_TEMP: f64 = 2.5;
+/// Final temperature; the schedule decays geometrically from
+/// [`INITIAL_TEMP`] to this over the walk's steps.
+const FINAL_TEMP: f64 = 0.02;
+
 /// Tuning knobs for [`anneal`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealConfig {
     /// Total Metropolis steps. Default `20_000`.
     pub iterations: u32,
-    /// Starting temperature. Default `2.5` (roughly the energy of undoing
-    /// one good merge plus a pin violation).
-    pub initial_temp: f64,
-    /// Final temperature; the schedule decays geometrically from
-    /// [`initial_temp`](Self::initial_temp) to this. Default `0.02`.
-    pub final_temp: f64,
     /// RNG seed; identical seeds give identical results. Default `0xEB10C5`.
     pub seed: u64,
-    /// Start from the PareDown solution instead of the all-uncovered state.
-    /// Default `true` — the annealer then acts as a stochastic refiner and
-    /// can never end worse than its seed (the best-seen state is kept).
-    pub seed_with_pare_down: bool,
     /// Independent restarts to run in parallel on the worker pool (at
     /// most one thread per core, each restart with seed
     /// `seed + restart_index`); the best result by
@@ -58,10 +57,7 @@ impl Default for AnnealConfig {
     fn default() -> Self {
         Self {
             iterations: 20_000,
-            initial_temp: 2.5,
-            final_temp: 0.02,
             seed: 0xEB10C5,
-            seed_with_pare_down: true,
             restarts: 1,
         }
     }
@@ -105,7 +101,7 @@ impl<'a> State<'a> {
             // uncovered block.
             1 => 1.0,
             n => {
-                let cost = cut_cost(self.design, self.index, members);
+                let cost = cut_cost(self.index, members);
                 let spec = self.constraints.spec;
                 let overflow = cost.inputs.saturating_sub(spec.inputs as usize)
                     + cost.outputs.saturating_sub(spec.outputs as usize);
@@ -164,11 +160,11 @@ impl<'a> State<'a> {
     }
 }
 
-/// Runs simulated annealing and returns the repaired best-seen state.
+/// Runs simulated annealing from PareDown's partitioning and returns the
+/// repaired best-seen state.
 ///
-/// When [`AnnealConfig::seed_with_pare_down`] is set (the default) the
-/// result is never worse than plain [`pare_down`](fn@crate::pare_down) on the
-/// paper's objective. With [`AnnealConfig::restarts`] above one, the
+/// The result is never worse than plain [`pare_down`](fn@crate::pare_down)
+/// on the paper's objective. With [`AnnealConfig::restarts`] above one, the
 /// restarts run concurrently on the worker pool and the best-of-N wins.
 ///
 /// # Examples
@@ -239,15 +235,13 @@ fn anneal_once(
         energy: n as f64,
     };
 
-    if config.seed_with_pare_down {
-        let seed = crate::pare_down(design, constraints);
-        for partition in seed.partitions() {
-            let slot = state.fresh_slot();
-            for &block in partition {
-                let pos = index.position(block).expect("inner");
-                state.energy -= 1.0; // leaving the uncovered pool
-                state.attach(pos, Some(slot));
-            }
+    let seed = crate::pare_down(design, constraints);
+    for partition in seed.partitions() {
+        let slot = state.fresh_slot();
+        for &block in partition {
+            let pos = index.position(block).expect("inner");
+            state.energy -= 1.0; // leaving the uncovered pool
+            state.attach(pos, Some(slot));
         }
     }
 
@@ -256,10 +250,8 @@ fn anneal_once(
     let mut best_energy = state.energy;
 
     let steps = config.iterations.max(1);
-    let t0 = config.initial_temp.max(1e-9);
-    let t1 = config.final_temp.clamp(1e-9, t0);
-    let decay = (t1 / t0).powf(1.0 / steps as f64);
-    let mut temp = t0;
+    let decay = (FINAL_TEMP / INITIAL_TEMP).powf(1.0 / steps as f64);
+    let mut temp = INITIAL_TEMP;
 
     for _ in 0..steps {
         let pos = rng.random_range(0..n);
@@ -353,6 +345,7 @@ mod tests {
     use super::*;
     use crate::{exhaustive, pare_down, ExhaustiveOptions};
     use eblocks_core::{ComputeKind, OutputKind, SensorKind};
+    use eblocks_gen::{generate, GeneratorConfig};
 
     fn chain(n: usize) -> Design {
         let mut d = Design::new("chain");
@@ -403,19 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_start_still_verifies() {
-        let d = chain(5);
-        let c = PartitionConstraints::default();
-        let config = AnnealConfig {
-            seed_with_pare_down: false,
-            iterations: 5_000,
-            ..Default::default()
-        };
-        let r = anneal(&d, &c, &config);
-        r.verify(&d, &c).unwrap();
-    }
-
-    #[test]
     fn deterministic_for_fixed_seed() {
         let d = chain(7);
         let c = PartitionConstraints::default();
@@ -449,14 +429,9 @@ mod tests {
 
     #[test]
     fn restarts_pick_best_of_n_deterministically() {
-        let d = chain(9);
+        let d = generate(&GeneratorConfig::new(8), 6);
         let c = PartitionConstraints::default();
-        // Cold starts diverge per seed, so best-of-N is a real selection.
-        let base = AnnealConfig {
-            iterations: 400,
-            seed_with_pare_down: false,
-            ..Default::default()
-        };
+        let base = AnnealConfig::with_iterations(400);
         let multi = anneal(
             &d,
             &c,
@@ -466,20 +441,19 @@ mod tests {
             },
         );
         multi.verify(&d, &c).unwrap();
-        let best_single = (0..5)
+        let singles: Vec<_> = (0..5)
             .map(|i| {
-                anneal(
-                    &d,
-                    &c,
-                    &AnnealConfig {
-                        seed: base.seed.wrapping_add(i),
-                        ..base
-                    },
-                )
+                let seed = base.seed.wrapping_add(i);
+                anneal(&d, &c, &AnnealConfig { seed, ..base }).objective()
             })
-            .min_by_key(Partitioning::objective)
-            .unwrap();
-        assert_eq!(multi.objective(), best_single.objective());
+            .collect();
+        // The walks end apart on this design, so best-of-N is a real
+        // selection.
+        assert!(
+            singles.iter().any(|o| *o != singles[0]),
+            "restarts should diverge: {singles:?}"
+        );
+        assert_eq!(Some(multi.objective()), singles.into_iter().min());
         // Determinism: the parallel driver is reproducible run to run.
         let again = anneal(
             &d,

@@ -19,14 +19,14 @@ use std::cmp::Reverse;
 ///
 /// A nonempty candidate always has at least one border block (the
 /// topologically first member has no member predecessors).
-pub fn border_blocks(_design: &Design, index: &InnerIndex, members: &BitSet) -> Vec<usize> {
+pub fn border_blocks(index: &InnerIndex, members: &BitSet) -> Vec<usize> {
     let cut = CutState::new(index, members);
     members.iter().filter(|&pos| cut.is_border(pos)).collect()
 }
 
 /// The rank of member `pos` within `members`: the exact change in
 /// `inputs + outputs` of the candidate partition if the block were removed.
-pub fn rank_of(_design: &Design, index: &InnerIndex, members: &BitSet, pos: usize) -> i64 {
+pub fn rank_of(index: &InnerIndex, members: &BitSet, pos: usize) -> i64 {
     CutState::new(index, members).rank(pos)
 }
 
@@ -88,11 +88,11 @@ mod tests {
     use eblocks_core::{cut_cost, ComputeKind, OutputKind, SensorKind};
 
     /// Reference implementation: full recomputation.
-    fn rank_by_recompute(design: &Design, index: &InnerIndex, members: &BitSet, pos: usize) -> i64 {
-        let before = cut_cost(design, index, members).total() as i64;
+    fn rank_by_recompute(index: &InnerIndex, members: &BitSet, pos: usize) -> i64 {
+        let before = cut_cost(index, members).total() as i64;
         let mut without = members.clone();
         without.remove(pos);
-        let after = cut_cost(design, index, &without).total() as i64;
+        let after = cut_cost(index, &without).total() as i64;
         after - before
     }
 
@@ -119,7 +119,7 @@ mod tests {
     fn border_blocks_of_full_set() {
         let (d, idx) = diamond();
         let full = idx.full_set();
-        let borders: Vec<&str> = border_blocks(&d, &idx, &full)
+        let borders: Vec<&str> = border_blocks(&idx, &full)
             .into_iter()
             .map(|p| d.block(idx.block(p)).unwrap().name().to_string())
             .map(|s| Box::leak(s.into_boxed_str()) as &str)
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn every_nonempty_set_has_a_border_block() {
-        let (d, idx) = diamond();
+        let (_, idx) = diamond();
         // Check all non-empty subsets of the 4 inner blocks.
         for mask in 1u32..16 {
             let mut set = idx.empty_set();
@@ -141,7 +141,7 @@ mod tests {
                 }
             }
             assert!(
-                !border_blocks(&d, &idx, &set).is_empty(),
+                !border_blocks(&idx, &set).is_empty(),
                 "mask {mask:04b} has no border block"
             );
         }
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn rank_matches_full_recompute_exhaustively() {
-        let (d, idx) = diamond();
+        let (_, idx) = diamond();
         for mask in 1u32..16 {
             let mut set = idx.empty_set();
             for i in 0..4 {
@@ -159,8 +159,8 @@ mod tests {
             }
             for pos in set.iter() {
                 assert_eq!(
-                    rank_of(&d, &idx, &set, pos),
-                    rank_by_recompute(&d, &idx, &set, pos),
+                    rank_of(&idx, &set, pos),
+                    rank_by_recompute(&idx, &set, pos),
                     "mask {mask:04b} pos {pos}"
                 );
             }
@@ -213,8 +213,8 @@ mod tests {
         let full = idx.full_set();
         for pos in full.iter() {
             assert_eq!(
-                rank_of(&d, &idx, &full, pos),
-                rank_by_recompute(&d, &idx, &full, pos)
+                rank_of(&idx, &full, pos),
+                rank_by_recompute(&idx, &full, pos)
             );
         }
     }

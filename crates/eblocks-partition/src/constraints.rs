@@ -40,8 +40,7 @@ impl PartitionConstraints {
     /// the caller's decision point (a fitting singleton is handled specially
     /// by every algorithm).
     pub fn fits(&self, design: &Design, index: &InnerIndex, members: &BitSet) -> bool {
-        self.cost_fits(cut_cost(design, index, members))
-            && self.structure_fits(design, index, members)
+        self.cost_fits(cut_cost(index, members)) && self.structure_fits(design, index, members)
     }
 
     /// Whether a member set meets the enabled structural constraints

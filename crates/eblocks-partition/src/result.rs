@@ -116,7 +116,7 @@ impl Partitioning {
                 members.insert(pos);
             }
             if !constraints.fits(design, &index, &members) {
-                let cost = cut_cost(design, &index, &members);
+                let cost = cut_cost(&index, &members);
                 return Err(VerifyError::Infeasible {
                     index: i,
                     inputs: cost.inputs,

@@ -117,7 +117,7 @@ impl Partitioner for Refine {
 /// [`AnnealConfig::restarts`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Anneal {
-    /// Annealer configuration (iterations, schedule, seed, restarts).
+    /// Annealer configuration (iterations, seed, restarts).
     pub config: AnnealConfig,
 }
 

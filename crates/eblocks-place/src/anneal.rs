@@ -8,15 +8,17 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 
+/// Starting temperature, in cost units (hops).
+const INITIAL_TEMP: f64 = 4.0;
+/// Final temperature; the schedule decays geometrically from
+/// [`INITIAL_TEMP`] to this over the walk's steps.
+const FINAL_TEMP: f64 = 0.05;
+
 /// Tuning knobs for [`anneal_place`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlaceAnnealConfig {
     /// Metropolis steps. Default `10_000`.
     pub iterations: u32,
-    /// Starting temperature in cost units. Default `4.0`.
-    pub initial_temp: f64,
-    /// Final temperature. Default `0.05`.
-    pub final_temp: f64,
     /// RNG seed; identical seeds give identical results. Default `0x9A9B`.
     pub seed: u64,
 }
@@ -25,8 +27,6 @@ impl Default for PlaceAnnealConfig {
     fn default() -> Self {
         Self {
             iterations: 10_000,
-            initial_temp: 4.0,
-            final_temp: 0.05,
             seed: 0x9A9B,
         }
     }
@@ -117,10 +117,8 @@ pub fn anneal_place(
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let steps = config.iterations.max(1);
-    let t0 = config.initial_temp.max(1e-9);
-    let t1 = config.final_temp.clamp(1e-9, t0);
-    let decay = (t1 / t0).powf(1.0 / steps as f64);
-    let mut temp = t0;
+    let decay = (FINAL_TEMP / INITIAL_TEMP).powf(1.0 / steps as f64);
+    let mut temp = INITIAL_TEMP;
 
     for _ in 0..steps {
         let block = movable[rng.random_range(0..movable.len())];

@@ -75,6 +75,7 @@
 //! server.shutdown();
 //! let summary = server.join().unwrap();
 //! assert_eq!(summary.completed, 1);
+//! # std::fs::remove_dir_all(&spool).unwrap();
 //! ```
 
 #![deny(unsafe_code)]

@@ -164,7 +164,7 @@ impl ServerState {
             let Ok(design) = job.source.load() else {
                 continue;
             };
-            let report = lint_design(&design, &config);
+            let report = lint_design(&design);
             if report.rejects(config.deny) {
                 let name = job.display_name();
                 return Some(format!("job `{name}`: {}", report.outcome()));

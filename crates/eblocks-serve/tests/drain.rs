@@ -4,17 +4,16 @@
 //! many daemon workers race over the queue. A hardened drain cancels the
 //! jobs a running batch has not claimed yet, and still answers it.
 
+mod common;
+
+use common::TempDir;
 use eblocks_serve::{spawn, ServeConfig};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
-fn tempdir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("eblocks-serve-drain-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn tempdir(tag: &str) -> TempDir {
+    TempDir::new(&format!("eblocks-serve-drain-{tag}"))
 }
 
 fn dir_map(dir: &Path) -> BTreeMap<String, Vec<u8>> {

@@ -3,6 +3,9 @@
 //! client storm.
 #![cfg(unix)]
 
+mod common;
+
+use common::TempDir;
 use eblocks_farm::api::{
     Admission, BatchRequest, BatchResponse, JobOutcome, ReplyEnvelope, ServeReply, MAX_INPUT_BYTES,
 };
@@ -13,11 +16,8 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eblocks-serve-sock-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn tempdir(tag: &str) -> TempDir {
+    TempDir::new(&format!("eblocks-serve-sock-{tag}"))
 }
 
 /// Connects to `path`, retrying while the daemon finishes binding.

@@ -1,21 +1,18 @@
 //! Integration tests for the spool front door: round trips, structured
 //! rejection, config edge cases, and the seeded corrupt-file storm.
 
+mod common;
+
+use common::TempDir;
 use eblocks_farm::api::{BatchRequest, SynthRequest, MAX_INPUT_BYTES};
 use eblocks_farm::{run_batch, FarmConfig, JsonOptions};
 use eblocks_serve::{spawn, ServeConfig};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-fn tempdir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("eblocks-serve-spool-{tag}-{}", std::process::id()));
-    // A stale directory from a previous run would leak old spool files
-    // into the assertions.
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn tempdir(tag: &str) -> TempDir {
+    TempDir::new(&format!("eblocks-serve-spool-{tag}"))
 }
 
 /// A fast-polling config for tests.
@@ -188,7 +185,6 @@ fn oversized_inputs_are_refused_and_the_daemon_keeps_serving() {
         (summary.accepted, summary.rejected, summary.completed),
         (1, 1, 1)
     );
-    std::fs::remove_dir_all(&spool).ok();
 }
 
 #[test]

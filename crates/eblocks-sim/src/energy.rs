@@ -3,7 +3,7 @@
 //! The paper's abstract motivates synthesis with "reducing network size and
 //! hence network cost **and power**", but never quantifies the power half.
 //! This module does: a simulation run counts every physical packet
-//! transmission ([`Trace::transmissions`]), and an [`EnergyModel`] converts
+//! transmission ([`Trace::transmissions`]), and [`estimate_energy`] converts
 //! the activity plus each block's idle draw into an energy figure, so the
 //! before/after-synthesis comparison the paper argues for can be measured
 //! (see the `energy` bench binary).
@@ -15,7 +15,7 @@
 //!   packets that used to cross them disappear entirely;
 //! * **fewer blocks** — each block removed stops drawing idle current.
 //!
-//! The default constants are order-of-magnitude figures for a
+//! The constants are order-of-magnitude figures for a
 //! PIC16F628-class node (§3.3): tens of nanojoules to clock a packet out
 //! over a short wire, microjoules for a radio packet, and a sleepy idle
 //! draw between events. Absolute numbers are not the point — the *ratio*
@@ -26,31 +26,16 @@ use crate::sim::Time;
 use crate::trace::Trace;
 use eblocks_core::{BlockKind, Design};
 
-/// Energy constants for [`estimate_energy`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyModel {
-    /// Energy per packet transmitted over a wire, in nanojoules.
-    pub wire_packet_nj: f64,
-    /// Energy per packet transmitted by a communication block (radio/X10),
-    /// in nanojoules.
-    pub radio_packet_nj: f64,
-    /// Idle draw of one block per simulator tick, in nanojoules.
-    pub idle_nj_per_tick: f64,
-    /// Idle multiplier for programmable blocks (a clocked microcontroller
-    /// sleeps slightly hungrier than a fixed-function board).
-    pub programmable_idle_factor: f64,
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        Self {
-            wire_packet_nj: 50.0,
-            radio_packet_nj: 2_000.0,
-            idle_nj_per_tick: 10.0,
-            programmable_idle_factor: 1.2,
-        }
-    }
-}
+/// Energy per packet transmitted over a wire, in nanojoules.
+const WIRE_PACKET_NJ: f64 = 50.0;
+/// Energy per packet transmitted by a communication block (radio/X10), in
+/// nanojoules.
+const RADIO_PACKET_NJ: f64 = 2_000.0;
+/// Idle draw of one block per simulator tick, in nanojoules.
+const IDLE_NJ_PER_TICK: f64 = 10.0;
+/// Idle multiplier for programmable blocks (a clocked microcontroller
+/// sleeps slightly hungrier than a fixed-function board).
+const PROGRAMMABLE_IDLE_FACTOR: f64 = 1.2;
 
 /// The energy breakdown of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +67,7 @@ impl EnergyReport {
 ///
 /// ```
 /// use eblocks_core::{Design, OutputKind, SensorKind};
-/// use eblocks_sim::{estimate_energy, EnergyModel, Simulator, Stimulus};
+/// use eblocks_sim::{estimate_energy, Simulator, Stimulus};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut d = Design::new("bell");
@@ -92,24 +77,19 @@ impl EnergyReport {
 ///
 /// let sim = Simulator::new(&d)?;
 /// let trace = sim.run(&Stimulus::new().set(20, "btn", true), 100)?;
-/// let report = estimate_energy(&d, &trace, &EnergyModel::default(), 100);
+/// let report = estimate_energy(&d, &trace, 100);
 /// assert!(report.total_nj() > 0.0);
 /// assert_eq!(report.hottest().map(|(n, _)| n), Some("btn"));
 /// # Ok(())
 /// # }
 /// ```
-pub fn estimate_energy(
-    design: &Design,
-    trace: &Trace,
-    model: &EnergyModel,
-    duration: Time,
-) -> EnergyReport {
+pub fn estimate_energy(design: &Design, trace: &Trace, duration: Time) -> EnergyReport {
     let mut transmission_nj = 0.0;
     let mut by_block: Vec<(String, f64)> = Vec::new();
     for (name, packets) in trace.transmissions_by_block() {
         let per_packet = match design.block_by_name(name).and_then(|b| design.block(b)) {
-            Some(block) if matches!(block.kind(), BlockKind::Comm(_)) => model.radio_packet_nj,
-            _ => model.wire_packet_nj,
+            Some(block) if matches!(block.kind(), BlockKind::Comm(_)) => RADIO_PACKET_NJ,
+            _ => WIRE_PACKET_NJ,
         };
         let energy = packets as f64 * per_packet;
         transmission_nj += energy;
@@ -120,10 +100,10 @@ pub fn estimate_energy(
     let mut idle_nj = 0.0;
     for id in design.blocks() {
         let factor = match design.block(id).expect("iterating blocks").kind() {
-            BlockKind::Programmable(_) => model.programmable_idle_factor,
+            BlockKind::Programmable(_) => PROGRAMMABLE_IDLE_FACTOR,
             _ => 1.0,
         };
-        idle_nj += model.idle_nj_per_tick * factor * duration as f64;
+        idle_nj += IDLE_NJ_PER_TICK * factor * duration as f64;
     }
 
     EnergyReport {
@@ -181,9 +161,8 @@ mod tests {
                 100,
             )
             .unwrap();
-        let m = EnergyModel::default();
-        let eq = estimate_energy(&d, &quiet, &m, 100);
-        let eb = estimate_energy(&d, &busy, &m, 100);
+        let eq = estimate_energy(&d, &quiet, 100);
+        let eb = estimate_energy(&d, &busy, 100);
         assert!(eb.transmission_nj > eq.transmission_nj);
         assert_eq!(eb.idle_nj, eq.idle_nj, "same network, same idle");
     }
@@ -198,7 +177,7 @@ mod tests {
         d.connect((tx, 0), (o, 0)).unwrap();
         let sim = Simulator::new(&d).unwrap();
         let trace = sim.run(&Stimulus::new().set(10, "btn", true), 50).unwrap();
-        let report = estimate_energy(&d, &trace, &EnergyModel::default(), 50);
+        let report = estimate_energy(&d, &trace, 50);
         assert_eq!(report.hottest().map(|(n, _)| n), Some("radio"));
     }
 
@@ -223,9 +202,8 @@ mod tests {
         let d = garage();
         let sim = Simulator::new(&d).unwrap();
         let trace = sim.run(&Stimulus::new(), 100).unwrap();
-        let m = EnergyModel::default();
-        let short = estimate_energy(&d, &trace, &m, 100);
-        let long = estimate_energy(&d, &trace, &m, 1000);
+        let short = estimate_energy(&d, &trace, 100);
+        let long = estimate_energy(&d, &trace, 1000);
         assert!((long.idle_nj - 10.0 * short.idle_nj).abs() < 1e-6);
     }
 }

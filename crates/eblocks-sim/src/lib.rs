@@ -59,7 +59,7 @@ pub mod vcd;
 pub mod waveform;
 
 pub use cosim::{CapturedPacket, NodeRunner, SensorRef, TapId};
-pub use energy::{estimate_energy, EnergyModel, EnergyReport};
+pub use energy::{estimate_energy, EnergyReport};
 pub use equiv::{equivalence, EquivalenceReport};
 pub use error::SimError;
 pub use fault::{Fault, FaultPlan};

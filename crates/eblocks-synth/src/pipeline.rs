@@ -124,7 +124,7 @@ impl Ctx<'_> {
     fn lint_stage(&mut self, config: LintConfig) -> Result<(), SynthError> {
         self.begin(Stage::Lint)?;
         let started = Instant::now();
-        let report = lint_design(self.design, &config);
+        let report = lint_design(self.design);
         let outcome = report.outcome();
         self.report(Stage::Lint, started.elapsed(), outcome.to_string());
         if report.rejects(config.deny) {
@@ -1005,22 +1005,24 @@ mod tests {
     #[test]
     fn lint_stage_rejects_under_deny_level() {
         use eblocks_lint::DenyLevel;
-        let design = garage();
-        // max_fanout 0 makes every wired output port a W008 warning; only
-        // deny=warnings turns that into a rejection.
-        let warny = LintConfig {
-            max_fanout: 0,
-            ..LintConfig::default()
-        };
+        // One sensor fanning out to 9 gates trips W008 (budget 8 sinks);
+        // only deny=warnings turns that warning into a rejection.
+        let mut design = Design::new("fan");
+        let s = design.add_block("s", SensorKind::Button);
+        for i in 0..9 {
+            let g = design.add_block(format!("n{i}"), ComputeKind::Not);
+            let o = design.add_block(format!("o{i}"), OutputKind::Led);
+            design.connect((s, 0), (g, 0)).unwrap();
+            design.connect((g, 0), (o, 0)).unwrap();
+        }
         let ok = Pipeline::new(&design)
-            .lint(warny)
+            .lint(LintConfig::default())
             .partition_with(&strategy::PareDown)
             .unwrap();
         assert!(ok.partitioning().num_partitions() > 0);
 
         let strict = LintConfig {
             deny: DenyLevel::Warnings,
-            ..warny
         };
         let err = match Pipeline::new(&design)
             .lint(strict)

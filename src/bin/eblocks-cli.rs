@@ -219,7 +219,9 @@ fn lint_gate(lint: bool, deny: Option<DenyLevel>) -> Result<Option<LintConfig>, 
     if deny.is_some() && !lint {
         return Err("--deny requires --lint".into());
     }
-    Ok(lint.then(|| LintConfig::denying(deny.unwrap_or_default())))
+    Ok(lint.then(|| LintConfig {
+        deny: deny.unwrap_or_default(),
+    }))
 }
 
 /// The registered strategy names, one per line (`--list-partitioners`).
@@ -489,7 +491,7 @@ fn check_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
     );
     // Validation only rejects hard errors; the lint rules also catch
     // suspicious-but-legal structure, so surface their findings here.
-    let report = lint_design(&design, &LintConfig::default());
+    let report = lint_design(&design);
     if !report.is_clean() {
         out.push_str(&render_lint_report(&report));
         out.push_str(&format!("lint: {}\n", report.outcome()));
@@ -539,7 +541,7 @@ fn render_lint_report(report: &eblocks::lint::LintReport) -> String {
 /// `--fix --check` is the dry run — nothing is written, and the command
 /// exits non-zero if any file still has pending fixes.
 fn lint_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
-    let mut config = LintConfig::default();
+    let mut deny = DenyLevel::default();
     // The pin arities behavior programs are checked against.
     let mut arity = ProgrammableSpec::default();
     let mut json = false;
@@ -548,7 +550,7 @@ fn lint_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
     while let Some(flag) = flags.next() {
         match flag {
             "--json" => json = true,
-            "--deny" => config.deny = flags.deny()?,
+            "--deny" => deny = flags.deny()?,
             "--inputs" => arity.inputs = flags.value(flag)?,
             "--outputs" => arity.outputs = flags.value(flag)?,
             "--fix" => fix = true,
@@ -592,9 +594,9 @@ fn lint_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
         let is_netlist = is_netlist_text(&text);
         let lint_one = |t: &str| {
             if is_netlist {
-                lint_netlist(t, &config)
+                lint_netlist(t)
             } else {
-                lint_behavior(t, arity.inputs, arity.outputs, &config)
+                lint_behavior(t, arity.inputs, arity.outputs)
             }
         };
         let report = if fix {
@@ -657,7 +659,7 @@ fn lint_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
         out
     };
     let mut failures: Vec<String> = Vec::new();
-    if run.rejects(config.deny) {
+    if run.rejects(deny) {
         failures.push(format!(
             "lint: {} across {} file(s)",
             run.outcome(),
@@ -946,6 +948,39 @@ fn place_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
 }
 
 #[cfg(test)]
+/// A test's scratch directory, removed with its contents when the guard
+/// drops, whether the test passed or panicked.
+struct TempDir(PathBuf);
+
+#[cfg(test)]
+impl TempDir {
+    /// Creates an empty `<system temp>/<name>-<process id>`.
+    fn new(name: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        // Best effort: a panic here would abort an unwinding test.
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -967,11 +1002,8 @@ wire both.0 -> led.0
         path
     }
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("eblocks-cli-test-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tempdir(tag: &str) -> TempDir {
+        TempDir::new(&format!("eblocks-cli-test-{tag}"))
     }
 
     fn s(v: &[&str]) -> Vec<String> {
@@ -1663,11 +1695,8 @@ mod place_tests {
     use super::*;
     use std::path::Path;
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("eblocks-cli-place-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tempdir(tag: &str) -> TempDir {
+        TempDir::new(&format!("eblocks-cli-place-{tag}"))
     }
 
     fn write_garage(dir: &Path) -> PathBuf {
@@ -1800,11 +1829,8 @@ mod sim_tests {
     use super::*;
     use std::path::Path;
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("eblocks-cli-sim-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tempdir(tag: &str) -> TempDir {
+        TempDir::new(&format!("eblocks-cli-sim-{tag}"))
     }
 
     fn write_garage(dir: &Path) -> PathBuf {
@@ -1876,11 +1902,8 @@ wire both.0 -> led.0
 mod fleet_tests {
     use super::*;
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("eblocks-cli-fleet-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tempdir(tag: &str) -> TempDir {
+        TempDir::new(&format!("eblocks-cli-fleet-{tag}"))
     }
 
     fn s(v: &[&str]) -> Vec<String> {

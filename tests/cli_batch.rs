@@ -3,16 +3,14 @@
 //! (verification included) succeeds for every job, and the JSON report is
 //! byte-identical across worker counts.
 
+mod common;
+
+use common::TempDir;
 use std::path::PathBuf;
 use std::process::Command;
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eblocks-cli-batch-{tag}-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn scratch_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("eblocks-cli-batch-{tag}"))
 }
 
 fn write_table1_manifest(dir: &std::path::Path) -> PathBuf {
@@ -65,8 +63,6 @@ fn batch_synthesizes_all_15_table1_designs_on_a_pool() {
     let json = String::from_utf8_lossy(&sequential.stdout);
     assert!(json.contains(r#""succeeded":15"#), "{json}");
     assert!(json.contains(r#""verified":true"#), "{json}");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -100,6 +96,4 @@ fn batch_exits_nonzero_when_a_job_fails() {
         String::from_utf8_lossy(&output.stderr).contains("1 of 2 job(s) failed"),
         "summary on stderr"
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }

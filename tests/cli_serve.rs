@@ -4,6 +4,9 @@
 //! front doors (spool, socket, one-shot `batch`) answer the same
 //! request byte-identically.
 
+mod common;
+
+use common::TempDir;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -14,11 +17,8 @@ fn golden(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eblocks-cli-serve-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn tempdir(tag: &str) -> TempDir {
+    TempDir::new(&format!("eblocks-cli-serve-{tag}"))
 }
 
 /// Atomic inbox drop: write elsewhere, rename into place, so the

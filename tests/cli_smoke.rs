@@ -2,15 +2,13 @@
 //! garage-open-at-night flagship from a netlist file on disk, exactly as a
 //! user would, and check that C sources come out the other end.
 
+mod common;
+
+use common::TempDir;
 use std::process::Command;
 
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("eblocks-cli-smoke-{tag}-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn scratch_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("eblocks-cli-smoke-{tag}"))
 }
 
 #[test]
@@ -73,8 +71,6 @@ fn cli_synthesizes_garage_open_at_night_and_emits_c() {
             c_file.display()
         );
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -116,8 +112,6 @@ fn algorithm_flag_exits_non_zero_as_unknown() {
         "no warning for --partitioner: {}",
         String::from_utf8_lossy(&output.stderr)
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -151,8 +145,6 @@ fn cli_synth_json_emits_the_typed_response() {
     assert!(dir
         .join(format!("{}.netlist", response.synthesized))
         .exists());
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -169,8 +161,6 @@ fn cli_check_reports_flagship_as_valid() {
     assert!(output.status.success());
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("valid: yes"), "{stdout}");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Each command takes only its own flags: a flag it does not read fails
@@ -232,8 +222,6 @@ fn commands_reject_flags_they_do_not_take() {
         .collect();
     entries.sort();
     assert_eq!(entries, ["batch.manifest", "garage-open-at-night.netlist"]);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every input file goes through the one bounded reader: a file one byte
@@ -270,6 +258,4 @@ fn input_files_over_the_limit_are_refused() {
             "{command} {input:?}: {stderr}"
         );
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,7 @@
 //! fewer whenever a partition actually internalized a wire.
 
 use eblocks::partition::strategy::PareDown;
-use eblocks::sim::{estimate_energy, EnergyModel, Simulator};
+use eblocks::sim::{estimate_energy, Simulator};
 use eblocks::synth::{exercise_all_sensors, Pipeline};
 
 #[test]
@@ -53,15 +53,14 @@ fn energy_totals_follow_transmissions() {
     let result = Pipeline::new(&design).run(&PareDown, true).unwrap();
     let stim = exercise_all_sensors(&design, 64);
     let until = stim.end_time().unwrap_or(0) + 128;
-    let model = EnergyModel::default();
 
     let before_trace = Simulator::new(&design).unwrap().run(&stim, until).unwrap();
     let after_trace = Simulator::with_programs(&result.synthesized, &result.programs)
         .unwrap()
         .run(&stim, until)
         .unwrap();
-    let before = estimate_energy(&design, &before_trace, &model, until);
-    let after = estimate_energy(&result.synthesized, &after_trace, &model, until);
+    let before = estimate_energy(&design, &before_trace, until);
+    let after = estimate_energy(&result.synthesized, &after_trace, until);
 
     assert!(after.total_nj() < before.total_nj());
     assert!(after.idle_nj < before.idle_nj, "fewer blocks idle for less");

@@ -4,7 +4,9 @@
 //! and across repeated runs, the shipped netlists pass `--deny warnings`,
 //! and a lint-enabled batch report does not depend on the worker count.
 
-use std::path::PathBuf;
+mod common;
+
+use common::TempDir;
 use std::process::Command;
 
 const FIXTURE: &str = "tests/fixtures/lint-broken.netlist";
@@ -17,13 +19,8 @@ fn run_cli(args: &[&str]) -> std::process::Output {
         .expect("spawn eblocks-cli")
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eblocks-lint-cli-{tag}-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn scratch_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("eblocks-lint-cli-{tag}"))
 }
 
 #[test]
@@ -112,6 +109,4 @@ fn lint_enabled_batch_is_worker_count_independent() {
         sequential.stdout, unlinted.stdout,
         "a clean lint pass must not perturb the batch report"
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,11 +5,13 @@
 //! panics and never produces a rewrite that fails to re-parse, and the
 //! cross-block dataflow fixture matches its committed golden.
 
+mod common;
+
+use common::TempDir;
 use eblocks::chaos::corrupt::corrupt;
 use eblocks::core::netlist::from_netlist;
 use eblocks::lint::{
-    apply_machine_fixes, fix_to_fixpoint, lint_behavior, lint_netlist, LintConfig, LintReport,
-    Severity,
+    apply_machine_fixes, fix_to_fixpoint, lint_behavior, lint_netlist, LintReport, Severity,
 };
 use std::process::Command;
 
@@ -28,12 +30,8 @@ const DEAD_ISLAND: &str = "eblocks-netlist v1\n\
                            wire n.0 -> o.0\n\
                            wire ghost.0 -> deadled.0\n";
 
-fn lint_netlist_default(text: &str) -> LintReport {
-    lint_netlist(text, &LintConfig::default())
-}
-
 fn lint_behavior_11(text: &str) -> LintReport {
-    lint_behavior(text, 1, 1, &LintConfig::default())
+    lint_behavior(text, 1, 1)
 }
 
 fn error_codes(report: &LintReport) -> Vec<String> {
@@ -72,7 +70,7 @@ fn machine_applicable_rules_fix_to_their_fixpoint() {
     for (source, code, is_netlist) in cases {
         let lint = |t: &str| {
             if *is_netlist {
-                lint_netlist_default(t)
+                lint_netlist(t)
             } else {
                 lint_behavior_11(t)
             }
@@ -112,14 +110,14 @@ fn clean_inputs_have_no_machine_fixes() {
             continue;
         }
         let text = std::fs::read_to_string(&path).unwrap();
-        let report = lint_netlist_default(&text);
+        let report = lint_netlist(&text);
         assert_eq!(
             apply_machine_fixes(&text, &report),
             None,
             "{} must have nothing to fix",
             path.display()
         );
-        let (fixed, rounds) = fix_to_fixpoint(&text, lint_netlist_default);
+        let (fixed, rounds) = fix_to_fixpoint(&text, lint_netlist);
         assert_eq!(fixed, text);
         assert_eq!(rounds, 0);
     }
@@ -143,7 +141,7 @@ fn corrupt_storm_never_panics_and_rewrites_reparse() {
         let text = String::from_utf8_lossy(&bytes).into_owned();
         let (fixed, _rounds) = fix_to_fixpoint(&text, |t| {
             if as_netlist {
-                lint_netlist_default(t)
+                lint_netlist(t)
             } else {
                 lint_behavior_11(t)
             }
@@ -175,11 +173,7 @@ fn run_cli(args: &[&str]) -> std::process::Output {
 /// repeated runs, and `--fix --check` flips from failing to passing.
 #[test]
 fn cli_fix_is_idempotent_and_check_gates() {
-    let dir = std::env::temp_dir().join(format!("eblocks-lint-fix-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("eblocks-lint-fix");
     let file = dir.join("island.netlist");
     std::fs::write(&file, DEAD_ISLAND).unwrap();
     let path = file.to_str().unwrap();
@@ -215,8 +209,6 @@ fn cli_fix_is_idempotent_and_check_gates() {
     assert_eq!(std::fs::read(&file).unwrap(), once);
     let clean = run_cli(&["lint", path, "--fix", "--check"]);
     assert!(clean.status.success());
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The cross-block fixture's JSON report — dataflow findings plus the

@@ -1,10 +1,9 @@
 //! Every shipped artifact passes the linter: the committed `netlists/`
-//! goldens and the full design library produce zero diagnostics under the
-//! default configuration. A failure here means a new rule fires on a
+//! goldens and the full design library produce zero diagnostics. A failure here means a new rule fires on a
 //! shipped design — fix the design, adjust the rule, or allowlist the
 //! specific finding here with a comment explaining why it is acceptable.
 
-use eblocks::lint::{lint_design, lint_netlist, LintConfig};
+use eblocks::lint::{lint_design, lint_netlist};
 
 fn render(report: &eblocks::lint::LintReport) -> String {
     report
@@ -17,12 +16,11 @@ fn render(report: &eblocks::lint::LintReport) -> String {
 
 #[test]
 fn committed_netlists_lint_clean() {
-    let config = LintConfig::default();
     let mut checked = 0;
     for file in std::fs::read_dir("netlists").unwrap() {
         let path = file.unwrap().path();
         let text = std::fs::read_to_string(&path).unwrap();
-        let report = lint_netlist(&text, &config);
+        let report = lint_netlist(&text);
         assert!(
             report.is_clean(),
             "{} must lint clean but reported:\n{}",
@@ -36,14 +34,13 @@ fn committed_netlists_lint_clean() {
 
 #[test]
 fn library_designs_lint_clean() {
-    let config = LintConfig::default();
     let designs = eblocks::designs::all()
         .into_iter()
         .map(|e| e.design)
         .chain(eblocks::designs::all_intro().into_iter().map(|(_, d)| d));
     let mut checked = 0;
     for design in designs {
-        let report = lint_design(&design, &config);
+        let report = lint_design(&design);
         assert!(
             report.is_clean(),
             "library design `{}` must lint clean but reported:\n{}",

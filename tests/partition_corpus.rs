@@ -37,8 +37,6 @@ const TABLE2_SIZES: [usize; 17] = [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 
 const PER_SIZE: u64 = 10;
 /// The largest design the exhaustive search and the annealer run on.
 const EXHAUSTIVE_MAX: usize = 15;
-/// The annealer's step budget.
-const ANNEAL_STEPS: u32 = 2_000;
 
 fn corpus() -> Vec<(String, Design)> {
     let mut designs = Vec::new();
@@ -143,11 +141,7 @@ fn render() -> String {
                 let name = format!("exhaustive{suffix}");
                 line(&mut out, &label, &name, &design, &result);
             }
-            let annealed = anneal(
-                &design,
-                &plain,
-                &AnnealConfig::with_iterations(ANNEAL_STEPS),
-            );
+            let annealed = anneal(&design, &plain, &AnnealConfig::with_iterations(2_000));
             line(&mut out, &label, "anneal", &design, &annealed);
         }
     }

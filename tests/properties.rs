@@ -130,13 +130,13 @@ proptest! {
                 members.insert(i);
             }
         }
-        let before = cut_cost(&design, &index, &members);
+        let before = cut_cost(&index, &members);
         prop_assert_eq!(before, reference_cut_cost(&design, &index, &members));
         for pos in members.iter() {
             let mut without = members.clone();
             without.remove(pos);
-            let after = cut_cost(&design, &index, &without).total() as i64;
-            prop_assert_eq!(rank_of(&design, &index, &members, pos), after - before.total() as i64);
+            let after = cut_cost(&index, &without).total() as i64;
+            prop_assert_eq!(rank_of(&index, &members, pos), after - before.total() as i64);
         }
     }
 
@@ -338,7 +338,7 @@ proptest! {
         let greedy_cost = greedy.cost(&problem).expect("routable");
         let annealed = anneal_place(
             &problem,
-            &PlaceAnnealConfig { iterations: 1_000, seed, ..Default::default() },
+            &PlaceAnnealConfig { iterations: 1_000, seed },
         ).expect("seeded from greedy");
         prop_assert!(annealed.verify(&problem).is_ok());
         prop_assert!(annealed.cost(&problem).expect("routable") <= greedy_cost);
