@@ -13,6 +13,10 @@
 //! * exhaustive search, plain and under both extensions, and a 2,000-step
 //!   simulated annealing walk, on designs of 15 inner blocks or fewer.
 //!
+//! The `scaling` bin's 465-block design, the paper's largest, adds only its
+//! PareDown lines with and without the tie-breaks: the runs where a paring
+//! loop makes the most removal steps.
+//!
 //! One line per (design, strategy): the design's label, the strategy, the
 //! inner-block total, each partition's members in result order (with the
 //! catalog entry for the multi-type run), and the uncovered blocks.
@@ -37,6 +41,8 @@ const TABLE2_SIZES: [usize; 17] = [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 
 const PER_SIZE: u64 = 10;
 /// The largest design the exhaustive search and the annealer run on.
 const EXHAUSTIVE_MAX: usize = 15;
+/// The `scaling` bin's largest design: `(inner blocks, seed)`.
+const SCALING_LARGEST: (usize, u64) = (465, 4242 + 465);
 
 fn corpus() -> Vec<(String, Design)> {
     let mut designs = Vec::new();
@@ -145,6 +151,24 @@ fn render() -> String {
             line(&mut out, &label, "anneal", &design, &annealed);
         }
     }
+
+    let (inner, seed) = SCALING_LARGEST;
+    let label = format!("n{inner}-s{seed}");
+    let design = generate(&GeneratorConfig::new(inner), seed);
+    line(
+        &mut out,
+        &label,
+        "pare_down",
+        &design,
+        &pare_down(&design, &plain),
+    );
+    line(
+        &mut out,
+        &label,
+        "pare_down_no_tie_breaks",
+        &design,
+        &pare_down_no_tie_breaks(&design, &plain),
+    );
     out
 }
 
