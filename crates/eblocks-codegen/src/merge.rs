@@ -64,9 +64,9 @@ pub fn merge_partition(
 
     // Level-sorted member order (§3.3: "syntax trees are ordered in
     // non-decreasing order ... determined by the level of each block").
-    let level_map = levels(design);
+    let level = levels(design);
     let mut order: Vec<BlockId> = members.to_vec();
-    order.sort_by_key(|b| (level_map.get(b).copied().unwrap_or(0), *b));
+    order.sort_by_key(|&b| (level[b.index()], b));
     let member_pos = |b: BlockId| order.iter().position(|&m| m == b);
 
     // Pin assignment: distinct external sources in deterministic

@@ -8,19 +8,21 @@
 //! Sensor blocks have level 0. Blocks with no path from any sensor (possible
 //! in partially built designs) also get level 0.
 
-use crate::design::{BlockId, Design};
-use std::collections::HashMap;
+use crate::design::Design;
 
-/// Computes the level of every block.
+/// Computes the level of every block, indexed by
+/// [`BlockId::index`](crate::BlockId::index); the index of a removed block
+/// reads 0.
 ///
 /// Runs in `O(V + E)` over a topological order.
-pub fn levels(design: &Design) -> HashMap<BlockId, usize> {
-    let mut level: HashMap<BlockId, usize> = design.blocks().map(|b| (b, 0)).collect();
+pub fn levels(design: &Design) -> Vec<usize> {
+    let bound = design.blocks().map(|b| b.index() + 1).max().unwrap_or(0);
+    let mut level = vec![0; bound];
     for b in design.topo_order() {
-        let l = level[&b];
+        let l = level[b.index()];
         for w in design.out_wires(b) {
-            let entry = level.get_mut(&w.to).expect("wire to known block");
-            *entry = (*entry).max(l + 1);
+            let to = &mut level[w.to.index()];
+            *to = (*to).max(l + 1);
         }
     }
     level
@@ -28,7 +30,7 @@ pub fn levels(design: &Design) -> HashMap<BlockId, usize> {
 
 /// The maximum level in the design — the paper's "depth" of a design (§5.1).
 pub fn depth(design: &Design) -> usize {
-    levels(design).into_values().max().unwrap_or(0)
+    levels(design).into_iter().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -47,10 +49,10 @@ mod tests {
         d.connect((g1, 0), (g2, 0)).unwrap();
         d.connect((g2, 0), (o, 0)).unwrap();
         let lv = levels(&d);
-        assert_eq!(lv[&s], 0);
-        assert_eq!(lv[&g1], 1);
-        assert_eq!(lv[&g2], 2);
-        assert_eq!(lv[&o], 3);
+        assert_eq!(lv[s.index()], 0);
+        assert_eq!(lv[g1.index()], 1);
+        assert_eq!(lv[g2.index()], 2);
+        assert_eq!(lv[o.index()], 3);
         assert_eq!(depth(&d), 3);
     }
 
@@ -69,9 +71,9 @@ mod tests {
         d.connect((a, 0), (c, 1)).unwrap();
         d.connect((c, 0), (o, 0)).unwrap();
         let lv = levels(&d);
-        assert_eq!(lv[&sp], 1);
-        assert_eq!(lv[&a], 2);
-        assert_eq!(lv[&c], 3, "max distance, not min");
+        assert_eq!(lv[sp.index()], 1);
+        assert_eq!(lv[a.index()], 2);
+        assert_eq!(lv[c.index()], 3, "max distance, not min");
     }
 
     #[test]
@@ -80,8 +82,8 @@ mod tests {
         let s = d.add_block("s", SensorKind::Button);
         let lone = d.add_block("lone", ComputeKind::Toggle);
         let lv = levels(&d);
-        assert_eq!(lv[&s], 0);
-        assert_eq!(lv[&lone], 0);
+        assert_eq!(lv[s.index()], 0);
+        assert_eq!(lv[lone.index()], 0);
         assert_eq!(depth(&d), 0);
     }
 

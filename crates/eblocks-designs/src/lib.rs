@@ -667,7 +667,7 @@ mod tests {
         // The paper's level tie-break relies on n7 being deeper than n6.
         let lv = eblocks_core::levels(&d);
         let id = |n: &str| d.block_by_name(n).unwrap();
-        assert!(lv[&id("n7")] > lv[&id("n6")]);
+        assert!(lv[id("n7").index()] > lv[id("n6").index()]);
     }
 
     #[test]

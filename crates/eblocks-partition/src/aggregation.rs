@@ -18,14 +18,11 @@ use eblocks_core::{levels, BitSet, BlockId, Design, InnerIndex};
 /// inner block that keeps the cluster feasible, until no neighbor fits.
 pub fn aggregation(design: &Design, constraints: &PartitionConstraints) -> Partitioning {
     let index = InnerIndex::new(design);
-    let level_map = levels(design);
+    let level = levels(design);
 
     // Seed order: ascending level (sensor-adjacent first), then position.
     let mut order: Vec<usize> = (0..index.len()).collect();
-    order.sort_by_key(|&pos| {
-        let b = index.block(pos);
-        (level_map.get(&b).copied().unwrap_or(0), pos)
-    });
+    order.sort_by_key(|&pos| (level[index.block(pos).index()], pos));
 
     let mut assigned = BitSet::new(index.len());
     let mut partitions: Vec<Vec<BlockId>> = Vec::new();

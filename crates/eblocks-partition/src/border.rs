@@ -75,7 +75,7 @@ impl RankKey {
             .map(|(position, &block)| RankKey {
                 indegree: Reverse(design.indegree(block)),
                 outdegree: Reverse(design.outdegree(block)),
-                level: Reverse(level[&block]),
+                level: Reverse(level[block.index()]),
                 ..untied(position)
             })
             .collect()

@@ -42,14 +42,17 @@
 //! PareDown's partitioning with [`Partitioning::is_complete`] `== false`.
 //!
 //! **Cost.** Time and memory grow with the candidate sets and the memo's
-//! states, so the pin budget sets the reach. Under 2-in/2-out, in release
-//! builds on a shared 2-core x86-64 container: Timed Passage solves in about
-//! 5 ms; generated designs of 20 inner blocks (about 80 candidate sets) in
-//! about 3 ms on average, and of 25 blocks (about 120 sets, up to 140,000
-//! memo states) in 30–50 ms, the worst of 20 designs taking 0.3–0.5 s.
-//! Under 3-in/3-out the same 25-block designs have about 1,070 candidate
-//! sets and take about 10 s, and Timed Passage has 1,064 and takes about
-//! 2 s.
+//! states, so the pin budget sets the reach. A state costs one allocation,
+//! the memo's copy of its undecided set: the search changes one set in
+//! place and restores it after each branch, and hashes memo keys with a
+//! multiply-rotate hash over their words. Under 2-in/2-out, in release
+//! builds on a shared 2-core x86-64 container: Timed Passage (161
+//! candidate sets) solves in about 3 ms; the generated designs of seeds
+//! 31,000–31,019 at 20 inner blocks (about 100 sets) in 3–4 ms on average
+//! and 24–37 ms at worst, and at 25 blocks (about 115 sets) in 10–14 ms on
+//! average and 40–54 ms at worst. Under 3-in/3-out, Timed Passage has
+//! 1,064 candidate sets and takes about 1.3 s, and the first three of
+//! those 25-block designs have 900–1,400 and take 5–12 s.
 //!
 //! [`ExhaustiveOptions::paper_pruning_only`] runs the paper's own search
 //! instead, which is exponential in the number of blocks: the `scaling`
@@ -61,6 +64,7 @@ use crate::pare_down::pare_down_indexed;
 use crate::result::Partitioning;
 use eblocks_core::{BitSet, CutCost, Design, InnerIndex};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 /// Options for [`exhaustive`].
@@ -259,6 +263,39 @@ struct Choice {
     set: Option<usize>,
 }
 
+/// A multiply-rotate hash over 64-bit words, for the memo's keys: a few
+/// words of bits each, which SipHash costs several times as much to hash.
+/// SipHash resists keys chosen to collide, but these are the search's own
+/// states, which a design shapes only through its candidate sets, and a
+/// hostile design can already make the search exponential.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best bits high; the table indexes low.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        for &byte in words.remainder() {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
 /// The memoized cover search over one design's candidate sets.
 struct Cover<'a> {
     index: &'a InnerIndex,
@@ -268,7 +305,7 @@ struct Cover<'a> {
     /// `candidates[starts[i]..starts[i + 1]]`.
     starts: Vec<usize>,
     /// Every state solved so far, keyed by its undecided blocks.
-    memo: HashMap<BitSet, Choice>,
+    memo: HashMap<BitSet, Choice, BuildHasherDefault<WordHasher>>,
     deadline: &'a mut Deadline,
 }
 
@@ -286,7 +323,7 @@ impl<'a> Cover<'a> {
             index,
             candidates,
             starts,
-            memo: HashMap::new(),
+            memo: HashMap::default(),
             deadline,
         }
     }
@@ -294,8 +331,8 @@ impl<'a> Cover<'a> {
     /// Solves the whole design and reads the optimum off the memo, or
     /// returns `None` once the deadline passes.
     fn solve(mut self) -> Option<Partitioning> {
-        let all = self.index.full_set();
-        self.cost(&all)?;
+        let mut all = self.index.full_set();
+        self.cost(&mut all)?;
         let mut labels = Labels::new(&self, &all);
         let (mut partitions, mut uncovered): (Vec<Vec<_>>, _) = (Vec::new(), Vec::new());
         for p in 0..self.index.len() {
@@ -311,10 +348,12 @@ impl<'a> Cover<'a> {
     }
 
     /// The optimal cost of deciding `rest`, memoizing the choice of every
-    /// state solved on the way; `None` once the deadline passes. Ties are
-    /// compared only after both sides returned, so every state they read
-    /// is in the memo.
-    fn cost(&mut self, rest: &BitSet) -> Option<(usize, usize)> {
+    /// state solved on the way; `None` once the deadline passes. Each
+    /// branch takes its blocks out of `rest` and puts them back once it
+    /// returns, so the memo's copy is the one allocation per state. Ties
+    /// are compared only after both sides returned, so every state they
+    /// read is in the memo.
+    fn cost(&mut self, rest: &mut BitSet) -> Option<(usize, usize)> {
         let Some(lowest) = rest.iter().next() else {
             return Some((0, 0));
         };
@@ -324,9 +363,10 @@ impl<'a> Cover<'a> {
         if self.deadline.poll() {
             return None;
         }
-        let mut without = rest.clone();
-        without.remove(lowest);
-        let (total, uncovered) = self.cost(&without)?;
+        rest.remove(lowest);
+        let left_out = self.cost(rest);
+        rest.insert(lowest);
+        let (total, uncovered) = left_out?;
         let mut best = Choice {
             cost: (total + 1, uncovered + 1),
             set: None,
@@ -336,9 +376,10 @@ impl<'a> Cover<'a> {
             if !set.iter().all(|p| rest.contains(p)) {
                 continue;
             }
-            let mut without = rest.clone();
-            without.difference_with(set);
-            let (total, uncovered) = self.cost(&without)?;
+            rest.difference_with(set);
+            let taken = self.cost(rest);
+            rest.union_with(set);
+            let (total, uncovered) = taken?;
             let cost = (total + 1, uncovered);
             let wins = match best.set {
                 _ if cost != best.cost => cost < best.cost,

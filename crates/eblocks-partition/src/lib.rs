@@ -12,8 +12,8 @@
 //! * [`pare_down`](fn@pare_down) — the paper's contribution: a *decomposition*
 //!   heuristic that starts from all inner blocks as one candidate partition
 //!   and pares border blocks away by rank until the candidate fits (§4.2).
-//!   A removal step costs `O(m)` for a candidate of `m` blocks (one scan
-//!   for the least rank over incrementally kept counts); a run takes up to
+//!   A removal step costs one scan of `n` cached integer removal keys
+//!   plus re-ranking the removed block's neighbours; a run takes up to
 //!   `O(n²)` steps, about `n²/5` on generated designs, so `O(n³)` at worst,
 //! * [`exhaustive`](fn@exhaustive) — the optimum (§4.1), found as a min-cost
 //!   cover over the [`candidate_sets`] (sets of two or more blocks that fit

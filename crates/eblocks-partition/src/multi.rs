@@ -117,7 +117,7 @@ pub fn pare_down_multi(
     catalog: &BlockCatalog,
 ) -> MultiPartitioning {
     let index = InnerIndex::new(design);
-    let paring = Paring::new(design, &index, constraints, true);
+    let mut paring = Paring::new(design, &index, constraints, true);
     let mut remaining = index.full_set();
     let mut partitions: Vec<Vec<BlockId>> = Vec::new();
     let mut assignments: Vec<(ProgrammableSpec, f64)> = Vec::new();

@@ -3,8 +3,9 @@
 //!
 //! Every filesystem hand-off is a rename: inputs move atomically from
 //! `inbox/` to `claimed/` (so two scans never double-process a file),
-//! and responses are written to a temp file in `outbox/` and renamed
-//! into place (so a reader never sees a partial response).
+//! and responses and rejection errors are written to a temp file in the
+//! spool directory and renamed into place (so a reader of `outbox/` or
+//! `rejected/` never meets a partial file or a temp file).
 
 use crate::server::{Payload, ServerState, Sink, Work};
 use eblocks_farm::api::{
@@ -146,29 +147,40 @@ fn parse_request(text: &str) -> Result<ServeRequest, String> {
     }
 }
 
-/// Moves a claimed input to `rejected/<name>` and writes the structured
-/// error next to it as `rejected/<name>.error.json`.
+/// Moves a claimed input to `rejected/<name>` and publishes the
+/// structured error next to it as `rejected/<name>.error.json`.
 pub(crate) fn reject(state: &Arc<ServerState>, name: &str, claimed: &Path, error: &str) {
     let rejected = state.config.rejected();
     let _ = std::fs::rename(claimed, rejected.join(name));
     let reply = ErrorReply {
         error: error.to_string(),
     };
-    let _ = std::fs::write(
-        rejected.join(format!("{name}.error.json")),
-        format!("{}\n", serde::json::to_string(&reply)),
+    publish(
+        state,
+        &rejected,
+        &format!("{name}.error.json"),
+        &format!("{}\n", serde::json::to_string(&reply)),
     );
     state.count_rejected();
 }
 
-/// Writes `outbox/<name>` atomically (temp file + rename). Duplicate
-/// input filenames resolve last-wins, matching what a caller spooling
-/// the same name twice would expect.
+/// Publishes `outbox/<name>`. Duplicate input filenames resolve
+/// last-wins, matching what a caller spooling the same name twice would
+/// expect.
 pub(crate) fn write_response(state: &Arc<ServerState>, name: &str, text: &str) {
-    let outbox = state.config.outbox();
-    let tmp = outbox.join(format!(".tmp-{:06}-{name}", state.next_sequence()));
+    publish(state, &state.config.outbox(), name, text);
+}
+
+/// Writes `text` to a temp file in the spool directory and renames it to
+/// `dir/<name>`, so a reader of `dir` never meets the file half written,
+/// nor the temp file at all.
+fn publish(state: &Arc<ServerState>, dir: &Path, name: &str, text: &str) {
+    let tmp = state
+        .config
+        .spool
+        .join(format!(".tmp-{:06}-{name}", state.next_sequence()));
     if std::fs::write(&tmp, text).is_ok() {
-        let _ = std::fs::rename(&tmp, outbox.join(name));
+        let _ = std::fs::rename(&tmp, dir.join(name));
     }
 }
 

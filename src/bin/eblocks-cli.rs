@@ -947,44 +947,43 @@ fn place_command(input: &Path, mut flags: Flags) -> Result<String, Failure> {
     Ok(out)
 }
 
+/// The fixtures the command tests share.
 #[cfg(test)]
-/// A test's scratch directory, removed with its contents when the guard
-/// drops, whether the test passed or panicked.
-struct TempDir(PathBuf);
+mod test_support {
+    use std::path::{Path, PathBuf};
 
-#[cfg(test)]
-impl TempDir {
-    /// Creates an empty `<system temp>/<name>-<process id>`.
-    fn new(name: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
+    /// A test's scratch directory, removed with its contents when the
+    /// guard drops, whether the test passed or panicked.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        /// Creates an empty `<system temp>/<name>-<process id>`.
+        pub(crate) fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
     }
-}
 
-#[cfg(test)]
-impl std::ops::Deref for TempDir {
-    type Target = Path;
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
 
-    fn deref(&self) -> &Path {
-        &self.0
+        fn deref(&self) -> &Path {
+            &self.0
+        }
     }
-}
 
-#[cfg(test)]
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        // Best effort: a panic here would abort an unwinding test.
-        let _ = std::fs::remove_dir_all(&self.0);
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            // Best effort: a panic here would abort an unwinding test.
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn write_garage(dir: &Path) -> PathBuf {
+    /// Writes the garage design (two sensors, a NOT and an AND gate, one
+    /// LED) to `dir/garage.netlist` and returns its path.
+    pub(crate) fn write_garage(dir: &Path) -> PathBuf {
         let netlist = "\
 design garage
 block door sensor:contact
@@ -1002,12 +1001,19 @@ wire both.0 -> led.0
         path
     }
 
+    /// Owned command-line arguments.
+    pub(crate) fn s(v: &[&str]) -> Vec<String> {
+        v.iter().map(|x| x.to_string()).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::test_support::{s, write_garage, TempDir};
+    use super::*;
+
     fn tempdir(tag: &str) -> TempDir {
         TempDir::new(&format!("eblocks-cli-test-{tag}"))
-    }
-
-    fn s(v: &[&str]) -> Vec<String> {
-        v.iter().map(|x| x.to_string()).collect()
     }
 
     #[test]
@@ -1692,33 +1698,11 @@ wire light.0 -> ghost.0
 
 #[cfg(test)]
 mod place_tests {
+    use super::test_support::{s, write_garage, TempDir};
     use super::*;
-    use std::path::Path;
 
     fn tempdir(tag: &str) -> TempDir {
         TempDir::new(&format!("eblocks-cli-place-{tag}"))
-    }
-
-    fn write_garage(dir: &Path) -> PathBuf {
-        let netlist = "\
-design garage
-block door sensor:contact
-block light sensor:light
-block inv compute:not
-block both compute:logic2:AND
-block led output:led
-wire door.0 -> both.0
-wire light.0 -> inv.0
-wire inv.0 -> both.1
-wire both.0 -> led.0
-";
-        let path = dir.join("garage.netlist");
-        std::fs::write(&path, netlist).unwrap();
-        path
-    }
-
-    fn s(v: &[&str]) -> Vec<String> {
-        v.iter().map(|x| x.to_string()).collect()
     }
 
     #[test]
@@ -1826,33 +1810,11 @@ link a ghost
 
 #[cfg(test)]
 mod sim_tests {
+    use super::test_support::{s, write_garage, TempDir};
     use super::*;
-    use std::path::Path;
 
     fn tempdir(tag: &str) -> TempDir {
         TempDir::new(&format!("eblocks-cli-sim-{tag}"))
-    }
-
-    fn write_garage(dir: &Path) -> PathBuf {
-        let netlist = "\
-design garage
-block door sensor:contact
-block light sensor:light
-block inv compute:not
-block both compute:logic2:AND
-block led output:led
-wire door.0 -> both.0
-wire light.0 -> inv.0
-wire inv.0 -> both.1
-wire both.0 -> led.0
-";
-        let path = dir.join("garage.netlist");
-        std::fs::write(&path, netlist).unwrap();
-        path
-    }
-
-    fn s(v: &[&str]) -> Vec<String> {
-        v.iter().map(|x| x.to_string()).collect()
     }
 
     #[test]
@@ -1900,14 +1862,11 @@ wire both.0 -> led.0
 
 #[cfg(test)]
 mod fleet_tests {
+    use super::test_support::{s, TempDir};
     use super::*;
 
     fn tempdir(tag: &str) -> TempDir {
         TempDir::new(&format!("eblocks-cli-fleet-{tag}"))
-    }
-
-    fn s(v: &[&str]) -> Vec<String> {
-        v.iter().map(|x| x.to_string()).collect()
     }
 
     fn write_spec(dir: &Path) -> PathBuf {
