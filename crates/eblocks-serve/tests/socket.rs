@@ -9,7 +9,7 @@ use common::TempDir;
 use eblocks_farm::api::{
     Admission, BatchRequest, BatchResponse, JobOutcome, ReplyEnvelope, ServeReply, MAX_INPUT_BYTES,
 };
-use eblocks_farm::{run_batch, FarmConfig, JsonOptions};
+use eblocks_farm::{run_batch, DenyLevel, FarmConfig, JsonOptions, LintConfig};
 use eblocks_serve::{spawn, ServeConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -179,6 +179,83 @@ fn zero_deadline_times_out_synth_requests_on_both_doors() {
     stream.write_all(b"\"shutdown\"\n").unwrap();
     let summary = handle.join().unwrap();
     assert_eq!((summary.accepted, summary.completed), (3, 3));
+}
+
+#[test]
+fn lint_gate_refuses_on_both_doors_and_counts_each_refusal() {
+    let spool = tempdir("lint-gate");
+    let socket = spool.join("daemon.sock");
+    let mut config = ServeConfig::new(&spool)
+        .socket(&socket)
+        .poll_interval(Duration::from_millis(2));
+    config.admission_lint = Some(LintConfig {
+        deny: DenyLevel::Warnings,
+    });
+    let handle = spawn(config).unwrap();
+    // The cross-block fixture lints to warnings only, so the gate refuses
+    // it only because the deny level is `warnings`.
+    let netlist = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/lint-crossblock.netlist"
+    );
+    let synth = format!(r#"{{"synth": {{"source": {{"netlist": "{netlist}"}}}}}}"#);
+    let detail = "job `lint-crossblock`: 0 error(s), 7 warning(s)";
+
+    // The socket door: a `lint-rejected` verdict naming the job.
+    let mut stream = connect(&socket);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let line = format!("{{\"id\": \"lint-1\", \"request\": {synth}}}\n");
+    stream.write_all(line.as_bytes()).unwrap();
+    let verdict = read_reply(&mut reader);
+    assert_eq!(verdict.id.as_deref(), Some("lint-1"));
+    let ServeReply::Admission(verdict) = verdict.reply else {
+        panic!("expected an admission verdict, got {verdict:?}");
+    };
+    assert_eq!(verdict.status, Admission::LintRejected);
+    assert_eq!(verdict.detail.as_deref(), Some(detail));
+
+    // The spool door quarantines the same request with the same reason.
+    let staging = spool.join(".staging-lint");
+    std::fs::write(&staging, &synth).unwrap();
+    std::fs::rename(&staging, spool.join("inbox/lint.json")).unwrap();
+    let error = spool.join("rejected/lint.json.error.json");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let error = loop {
+        if let Ok(text) = std::fs::read_to_string(&error) {
+            break text;
+        }
+        assert!(Instant::now() < deadline, "the spool never refused it");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    assert_eq!(
+        error,
+        format!("{{\"error\":\"lint-rejected: {detail}\"}}\n")
+    );
+    assert_eq!(
+        std::fs::read_to_string(spool.join("rejected/lint.json")).unwrap(),
+        synth,
+        "the input is kept next to its error"
+    );
+
+    // A clean library design passes the same gate and is answered.
+    let clean = r#"{"synth": {"source": {"library": "Ignition Illuminator"}}}"#;
+    let line = format!("{{\"id\": \"clean\", \"request\": {clean}}}\n");
+    stream.write_all(line.as_bytes()).unwrap();
+    let verdict = read_reply(&mut reader);
+    assert!(
+        matches!(&verdict.reply, ServeReply::Admission(v) if v.status == Admission::Accepted),
+        "{verdict:?}"
+    );
+    let answer = read_reply(&mut reader);
+    assert_eq!(answer.id.as_deref(), Some("clean"));
+    assert!(matches!(answer.reply, ServeReply::Synth(_)), "{answer:?}");
+
+    stream.write_all(b"\"shutdown\"\n").unwrap();
+    let summary = handle.join().unwrap();
+    assert_eq!(
+        (summary.accepted, summary.rejected, summary.completed),
+        (1, 2, 1)
+    );
 }
 
 #[test]
