@@ -8,8 +8,9 @@ use std::time::Duration;
 ///
 /// Edge cases are clamped, not rejected, mirroring the farm's
 /// `with_workers(0)` behavior: a queue capacity of 0 becomes 1, a worker
-/// count of 0 becomes 1, and missing spool directories are created on
-/// startup.
+/// count of 0 becomes 1, a poll interval under 1ms becomes 1ms (at 0 the
+/// spool pump would spin on a core), and missing spool directories are
+/// created on startup.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// The spool root; `inbox/`, `outbox/`, `rejected/`, and `claimed/`
@@ -24,7 +25,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded work-queue capacity. 0 clamps to 1. Default 64.
     pub queue_capacity: usize,
-    /// How often the spool watcher scans `inbox/`. Default 20ms.
+    /// How often the spool watcher scans `inbox/`. Under 1ms clamps to
+    /// 1ms. Default 20ms.
     pub poll_interval: Duration,
     /// Lint every loadable design in a request at this deny level
     /// *before* enqueueing; rejections are turned away at admission
@@ -95,11 +97,13 @@ impl ServeConfig {
         self
     }
 
-    /// The config with its edge cases clamped (workers and queue
-    /// capacity at least 1).
+    /// The config with its edge cases clamped: workers and queue
+    /// capacity at least 1, and the poll interval at least 1ms, since the
+    /// spool pump sleeps that long between scans and would spin at 0.
     pub(crate) fn clamped(mut self) -> Self {
         self.workers = self.workers.max(1);
         self.queue_capacity = self.queue_capacity.max(1);
+        self.poll_interval = self.poll_interval.max(Duration::from_millis(1));
         self
     }
 
@@ -121,5 +125,29 @@ impl ServeConfig {
     /// `<spool>/claimed`.
     pub(crate) fn claimed(&self) -> PathBuf {
         self.spool.join("claimed")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn clamps_zero_counts_and_a_zero_poll_interval() {
+        let config = ServeConfig::new("spool")
+            .workers(0)
+            .queue_capacity(0)
+            .poll_interval(Duration::ZERO)
+            .clamped();
+        assert_eq!((config.workers, config.queue_capacity), (1, 1));
+        assert_eq!(config.poll_interval, Duration::from_millis(1));
+        // Settings already in range pass through.
+        let config = ServeConfig::new("spool")
+            .workers(3)
+            .queue_capacity(5)
+            .poll_interval(Duration::from_micros(1500))
+            .clamped();
+        assert_eq!((config.workers, config.queue_capacity), (3, 5));
+        assert_eq!(config.poll_interval, Duration::from_micros(1500));
     }
 }

@@ -27,13 +27,22 @@
 //!   than [`MAX_INPUT_BYTES`](eblocks_farm::api::MAX_INPUT_BYTES) gets
 //!   one `error` reply and closes the connection.
 //!
+//! The doors differ only in transport. Once a request is parsed, both
+//! take one path: one dispatch of the four request kinds, one admission
+//! (the lint gate, then a push that never blocks), and one renderer that
+//! writes each reply in the door's format.
+//!
 //! Production shape:
 //!
 //! * **Bounded queue, explicit backpressure** — the work queue holds at
 //!   most [`ServeConfig::queue_capacity`] requests. Socket clients get a
-//!   `queue-full` admission reply; the spool watcher simply stops
-//!   claiming files until a slot frees, so unclaimed inputs wait in
-//!   `inbox/` and are never dropped.
+//!   `queue-full` admission reply. The spool watcher stops claiming
+//!   files while the queue is full, so unclaimed inputs wait in `inbox/`
+//!   and are never dropped. A file it claims just as a socket client
+//!   takes the last slot is held: the watcher pushes it again on its
+//!   next scan, before it claims anything else, and quarantines it with
+//!   `server is draining` if the drain begins first. No push ever waits
+//!   for room, so only the workers wait on the queue.
 //! * **Lint before enqueue** — with [`ServeConfig::admission_lint`] set,
 //!   every loadable design in a request is linted at the configured deny
 //!   level *before* the request is queued, so garbage costs no

@@ -1,5 +1,6 @@
 //! The bounded work queue: a Mutex/Condvar MPMC channel with explicit
-//! backpressure and a close-for-drain protocol.
+//! backpressure and a close-for-drain protocol. Pushes never block; only
+//! the daemon's workers wait on it.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -7,9 +8,11 @@ use std::sync::{Condvar, Mutex};
 /// Why a push was refused.
 pub(crate) enum PushError<T> {
     /// The queue is at capacity; the item is handed back. Socket clients
-    /// surface this as a `queue-full` admission reply; the spool watcher
-    /// never sees it (it checks [`WorkQueue::has_room`] before
-    /// claiming).
+    /// surface this as a `queue-full` admission reply. The spool pump
+    /// checks [`WorkQueue::has_room`] before it claims a file, so it meets
+    /// this only when a socket push takes the last slot in between: it
+    /// then holds the claimed request and retries it on its next scan,
+    /// before claiming anything else.
     Full(T),
     /// The queue was closed for drain; nothing is admitted anymore.
     Closed(T),
@@ -26,6 +29,9 @@ struct Inner<T> {
 /// clamped to at least 1 by [`ServeConfig::clamped`](crate::ServeConfig)).
 pub(crate) struct WorkQueue<T> {
     inner: Mutex<Inner<T>>,
+    /// Wakes idle workers: one per push, all on close. Workers are the
+    /// only threads that wait on it, so a notification always reaches a
+    /// thread that can pop.
     ready: Condvar,
     capacity: usize,
 }
@@ -57,26 +63,6 @@ impl<T> WorkQueue<T> {
         Ok(())
     }
 
-    /// Enqueues, blocking until a slot frees; fails only when the queue
-    /// closes while waiting (the item is handed back). The spool
-    /// watcher's push: an already-claimed input must not be dropped on a
-    /// momentary full queue.
-    pub(crate) fn push_wait(&self, item: T) -> Result<(), T> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            if !inner.accepting {
-                return Err(item);
-            }
-            if inner.items.len() < self.capacity {
-                inner.items.push_back(item);
-                drop(inner);
-                self.ready.notify_one();
-                return Ok(());
-            }
-            inner = self.ready.wait(inner).expect("queue lock");
-        }
-    }
-
     /// Dequeues, blocking while the queue is empty but open. `None`
     /// means the queue closed and fully drained — the worker's exit
     /// signal.
@@ -84,10 +70,6 @@ impl<T> WorkQueue<T> {
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
             if let Some(item) = inner.items.pop_front() {
-                drop(inner);
-                // A pop frees a slot; wake one blocked pusher (or
-                // another worker when closing).
-                self.ready.notify_one();
                 return Some(item);
             }
             if !inner.accepting {
@@ -119,7 +101,6 @@ impl<T> WorkQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn capacity_is_enforced_and_pops_free_slots() {
@@ -149,29 +130,5 @@ mod tests {
         assert_eq!(queue.pop(), Some("a"));
         assert_eq!(queue.pop(), None);
         assert_eq!(queue.pop(), None, "stays closed");
-    }
-
-    #[test]
-    fn push_wait_blocks_until_space_or_close() {
-        let queue = Arc::new(WorkQueue::new(1));
-        queue.try_push(0).ok().unwrap();
-        let pusher = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push_wait(1))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(queue.pop(), Some(0), "pusher was blocked on a full queue");
-        pusher.join().unwrap().ok().unwrap();
-        assert_eq!(queue.pop(), Some(1));
-
-        // A close while blocked hands the item back.
-        queue.try_push(2).ok().unwrap();
-        let pusher = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push_wait(3))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        queue.close();
-        assert_eq!(pusher.join().unwrap(), Err(3));
     }
 }

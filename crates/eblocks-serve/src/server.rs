@@ -1,14 +1,19 @@
-//! The daemon itself: shared state, worker pool, admission control,
-//! lifecycle.
+//! The daemon itself: shared state, worker pool, lifecycle, and the one
+//! request path both front doors share once they have parsed a request:
+//! [`dispatch`], admission (the lint gate, then [`ServerState::admit`]),
+//! and the reply renderer [`Sink::deliver`].
 
 use crate::config::ServeConfig;
-use crate::queue::WorkQueue;
+use crate::queue::{PushError, WorkQueue};
 use crate::{signal, spool};
 use eblocks_farm::api::{
-    self, BatchRequest, JobSpec, ServeStats, StageMs, StageSummary, SynthRequest, SynthResponse,
+    self, BatchRequest, ErrorReply, JobSpec, ProgressEvent, ServeReply, ServeRequest, ServeStats,
+    StageMs, StageSummary, SynthRequest,
 };
 use eblocks_farm::scheduler::panic_message;
-use eblocks_farm::{run_batch, run_batch_with_progress, BatchResponse, FarmConfig, JsonOptions};
+use eblocks_farm::{
+    run_batch_with_progress, BatchProgress, BatchResponse, FarmConfig, JobResponse, JsonOptions,
+};
 use eblocks_lint::lint_design;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -25,7 +30,7 @@ pub(crate) enum Payload {
     Synth(SynthRequest),
 }
 
-/// Where a request's replies go.
+/// Where a request's replies go: the door it came through.
 pub(crate) enum Sink {
     /// Answer into `<spool>/outbox/<name>`; `claimed` is the in-flight
     /// copy of the input, deleted once the response is in place.
@@ -39,18 +44,95 @@ pub(crate) enum Sink {
     },
 }
 
+impl Sink {
+    /// Renders `reply` in this door's format and sends it: the answers
+    /// to `stats` and `shutdown`, every final reply and progress event,
+    /// and the socket's refusal verdicts. The spool publishes
+    /// `outbox/<name>` (a batch response as compact JSON, the bytes
+    /// `eblocks-cli batch --json` prints; a synth response and stats
+    /// pretty-printed; an error as `{"error": …}`; the shutdown ack as
+    /// `"shutdown"`) and then removes the claimed input. It has no
+    /// streamed replies, so it drops progress. The socket writes one
+    /// `ReplyEnvelope` line tagged with the request id.
+    pub(crate) fn deliver(&self, state: &ServerState, reply: ServeReply) {
+        match self {
+            Sink::Spool { name, claimed } => {
+                let text = match reply {
+                    ServeReply::Batch(response) => serde::json::to_string(&response),
+                    ServeReply::Synth(response) => serde::json::to_string_pretty(&response),
+                    ServeReply::Stats(stats) => serde::json::to_string_pretty(&stats),
+                    ServeReply::Error(error) => serde::json::to_string(&ErrorReply { error }),
+                    reply @ ServeReply::Shutdown => serde::json::to_string(&reply),
+                    ServeReply::Admission(_) | ServeReply::Progress(_) => return,
+                };
+                spool::publish(state, &state.config.outbox(), name, &format!("{text}\n"));
+                let _ = std::fs::remove_file(claimed);
+            }
+            #[cfg(unix)]
+            Sink::Socket { id, writer } => crate::socket::send(
+                writer,
+                &api::ReplyEnvelope {
+                    id: Some(id.clone()),
+                    reply,
+                },
+            ),
+        }
+    }
+
+    /// Answers a payload request that admission turned away, and counts
+    /// it as rejected. The spool quarantines the input with the reason;
+    /// the socket sends the verdict (`lint-rejected` or `queue-full`), or
+    /// an error once the daemon is draining.
+    pub(crate) fn refuse(&self, state: &ServerState, refusal: Refusal) {
+        state.count_rejected();
+        match self {
+            Sink::Spool { name, claimed } => {
+                let error = match refusal {
+                    Refusal::Lint(detail) => format!("lint-rejected: {detail}"),
+                    Refusal::Full => "queue-full".to_string(),
+                    Refusal::Draining => "server is draining".to_string(),
+                };
+                spool::quarantine(state, name, claimed, &error);
+            }
+            #[cfg(unix)]
+            Sink::Socket { .. } => {
+                use api::{Admission, AdmissionReply};
+                let verdict = |status, detail| {
+                    ServeReply::Admission(AdmissionReply {
+                        status,
+                        detail: Some(detail),
+                    })
+                };
+                let capacity = state.config.queue_capacity;
+                let reply = match refusal {
+                    Refusal::Lint(detail) => verdict(Admission::LintRejected, detail),
+                    Refusal::Full => verdict(
+                        Admission::QueueFull,
+                        format!("queue at capacity {capacity}"),
+                    ),
+                    Refusal::Draining => ServeReply::Error("server is draining".to_string()),
+                };
+                self.deliver(state, reply);
+            }
+        }
+    }
+}
+
+/// Why admission turned a payload request away.
+pub(crate) enum Refusal {
+    /// The lint gate rejected a design; the detail names the job and its
+    /// findings.
+    Lint(String),
+    /// The bounded queue is at capacity.
+    Full,
+    /// The queue closed for the drain.
+    Draining,
+}
+
 /// One queued unit of work.
 pub(crate) struct Work {
     pub(crate) payload: Payload,
     pub(crate) sink: Sink,
-}
-
-/// How a payload run ended, before delivery.
-enum RunOutcome {
-    Batch(BatchResponse),
-    Synth(SynthResponse),
-    /// A synth request's error, or a panic that escaped the farm.
-    Error(String),
 }
 
 /// State shared by the spool pump, the socket threads, and the workers.
@@ -75,7 +157,7 @@ pub(crate) struct ServerState {
 }
 
 impl ServerState {
-    fn new(config: ServeConfig) -> Self {
+    pub(crate) fn new(config: ServeConfig) -> Self {
         let capacity = config.queue_capacity;
         Self {
             config,
@@ -119,10 +201,6 @@ impl ServerState {
         self.draining.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn count_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn count_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
@@ -150,7 +228,7 @@ impl ServerState {
     /// rejects. Designs that fail to *load* pass — the farm reports
     /// those deterministically, keeping responses identical to the
     /// one-shot paths.
-    pub(crate) fn lint_reject_detail(&self, payload: &Payload) -> Option<String> {
+    fn lint_reject_detail(&self, payload: &Payload) -> Option<String> {
         let config = self.config.admission_lint?;
         let synth;
         let jobs = match payload {
@@ -171,6 +249,22 @@ impl ServerState {
             }
         }
         None
+    }
+
+    /// Admission's second half, after the lint gate in [`dispatch`]: a
+    /// push that never blocks, and the one place accepted work is
+    /// counted. Returns refused work with the reason; the door answers it
+    /// through [`Sink::refuse`], except that the spool pump holds work a
+    /// full queue turned away and pushes it again.
+    pub(crate) fn admit(&self, work: Work) -> Option<(Refusal, Work)> {
+        match self.queue.try_push(work) {
+            Ok(()) => {
+                self.accepted.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Err(PushError::Full(work)) => Some((Refusal::Full, work)),
+            Err(PushError::Closed(work)) => Some((Refusal::Draining, work)),
+        }
     }
 
     /// Folds stage rows, a batch's or a synth response's, into the
@@ -273,7 +367,8 @@ impl ServerHandle {
 
 /// Starts a daemon for `config` and returns its handle. Spool
 /// directories are created if missing; config edge cases (0 workers, 0
-/// queue capacity) are clamped, mirroring the farm's `with_workers(0)`.
+/// queue capacity, a poll interval under 1ms) are clamped, mirroring the
+/// farm's `with_workers(0)`.
 ///
 /// # Errors
 ///
@@ -356,8 +451,9 @@ pub fn serve(config: ServeConfig) -> Result<ServeSummary, String> {
 }
 
 /// The supervisor loop: scans the spool inbox and watches for signals
-/// until the drain begins.
+/// until the drain begins and no request is held.
 fn pump_loop(state: &Arc<ServerState>) {
+    let mut held = None;
     loop {
         if state.config.handle_signals {
             let signals = signal::count();
@@ -368,114 +464,105 @@ fn pump_loop(state: &Arc<ServerState>) {
                 state.begin_drain();
             }
         }
-        if state.draining() {
-            return;
-        }
-        spool::scan_once(state);
-        if state.draining() {
+        held = spool::scan_once(state, held);
+        // A request still held met the full queue before the drain
+        // closed it; the next scan's push quarantines it.
+        if held.is_none() && state.draining() {
             return;
         }
         std::thread::sleep(state.config.poll_interval);
     }
 }
 
+/// The one dispatch of a parsed request, whichever door it came through:
+/// `stats` and `shutdown` are answered at once (a shutdown then begins
+/// the drain), and a payload meets admission's first half, the lint gate
+/// ([`ServeConfig::admission_lint`]). A rejected design is refused
+/// through `sink`; work that passes comes back for the door to
+/// [`admit`](ServerState::admit).
+pub(crate) fn dispatch(state: &ServerState, request: ServeRequest, sink: Sink) -> Option<Work> {
+    let payload = match request {
+        ServeRequest::Stats => {
+            sink.deliver(state, ServeReply::Stats(state.stats()));
+            return None;
+        }
+        ServeRequest::Shutdown => {
+            // Acknowledge, then drain: the ack is the last admission this
+            // daemon makes.
+            sink.deliver(state, ServeReply::Shutdown);
+            state.begin_drain();
+            return None;
+        }
+        ServeRequest::Batch(request) => Payload::Batch(request),
+        ServeRequest::Synth(request) => Payload::Synth(request),
+    };
+    if let Some(detail) = state.lint_reject_detail(&payload) {
+        sink.refuse(state, Refusal::Lint(detail));
+        return None;
+    }
+    Some(Work { payload, sink })
+}
+
 /// One daemon worker: pops queued requests and answers them until the
 /// queue closes and drains.
-fn worker_loop(state: &Arc<ServerState>) {
-    while let Some(work) = state.queue.pop() {
+pub(crate) fn worker_loop(state: &ServerState) {
+    while let Some(Work { payload, sink }) = state.queue.pop() {
         state.in_flight.fetch_add(1, Ordering::Relaxed);
-        execute(state, work);
+        let reply = run_payload(state, payload, &sink);
+        sink.deliver(state, reply);
         state.in_flight.fetch_sub(1, Ordering::Relaxed);
         state.completed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Runs one request and delivers its final reply.
-fn execute(state: &Arc<ServerState>, work: Work) {
-    let Work { payload, sink } = work;
-    match sink {
-        Sink::Spool { name, claimed } => {
-            match run_payload(state, payload, None) {
-                RunOutcome::Batch(report) => {
-                    spool::write_response(
-                        state,
-                        &name,
-                        &format!("{}\n", report.to_json(&JsonOptions::default())),
-                    );
-                }
-                RunOutcome::Synth(response) => {
-                    spool::write_response(
-                        state,
-                        &name,
-                        &format!("{}\n", serde::json::to_string_pretty(&response)),
-                    );
-                }
-                RunOutcome::Error(error) => spool::write_error_response(state, &name, &error),
-            }
-            let _ = std::fs::remove_file(&claimed);
-        }
-        #[cfg(unix)]
-        Sink::Socket { id, writer } => {
-            use eblocks_farm::api::{ReplyEnvelope, ServeReply};
-            let reply = match run_payload(state, payload, Some((id.as_str(), &writer))) {
-                RunOutcome::Batch(report) => {
-                    ServeReply::Batch(BatchResponse::from_report(&report, &JsonOptions::default()))
-                }
-                RunOutcome::Synth(response) => ServeReply::Synth(response),
-                RunOutcome::Error(error) => ServeReply::Error(error),
-            };
-            crate::socket::send(
-                &writer,
-                &ReplyEnvelope {
-                    id: Some(id),
-                    reply,
-                },
-            );
-        }
+/// A batch's per-job progress, streamed through its request's sink.
+struct Progress<'a> {
+    state: &'a ServerState,
+    sink: &'a Sink,
+}
+
+impl BatchProgress for Progress<'_> {
+    fn job_started(&self, index: usize, job: &JobSpec) {
+        let event = ProgressEvent::started(index, job);
+        self.sink.deliver(self.state, ServeReply::Progress(event));
+    }
+
+    fn job_finished(&self, index: usize, row: &JobResponse) {
+        let event = ProgressEvent::finished(index, row);
+        self.sink.deliver(self.state, ServeReply::Progress(event));
     }
 }
 
-/// Runs the payload under the daemon's farm config: a batch through the
-/// farm (streaming progress to an attached socket), a synth request as
-/// one job of its attempt loop. The run sits inside `catch_unwind` — the
-/// farm already isolates job panics, but the daemon additionally
-/// guarantees that *nothing* a request does can take a worker down
-/// silently: a panic becomes an error reply and the input is still
-/// accounted for.
-fn run_payload(
-    state: &Arc<ServerState>,
-    payload: Payload,
-    stream: Option<(&str, &Arc<Mutex<std::os::unix::net::UnixStream>>)>,
-) -> RunOutcome {
+/// Runs the payload under the daemon's farm config and returns its final
+/// reply: a batch through the farm, streaming progress through `sink`,
+/// and a synth request as one job of its attempt loop. The run sits
+/// inside `catch_unwind` — the farm already isolates job panics, but the
+/// daemon additionally guarantees that *nothing* a request does can take
+/// a worker down silently: a panic becomes an error reply and the input
+/// is still accounted for.
+fn run_payload(state: &ServerState, payload: Payload, sink: &Sink) -> ServeReply {
+    let config = state.farm_config();
     let run = || match payload {
         Payload::Batch(request) => {
-            let config = state.farm_config();
-            let report = match stream {
-                #[cfg(unix)]
-                Some((id, writer)) => {
-                    let streamer = crate::socket::ProgressStreamer::new(id, writer);
-                    run_batch_with_progress(&request, &config, &streamer)
-                }
-                _ => run_batch(&request, &config),
-            };
+            let report = run_batch_with_progress(&request, &config, &Progress { state, sink });
             state.absorb(
                 report
                     .results
                     .iter()
                     .flat_map(|row| row.stages_ms.iter().flatten()),
             );
-            RunOutcome::Batch(report)
+            ServeReply::Batch(BatchResponse::from_report(&report, &JsonOptions::default()))
         }
-        Payload::Synth(request) => match api::synthesize_with(&request, &state.farm_config()) {
+        Payload::Synth(request) => match api::synthesize_with(&request, &config) {
             Ok(response) => {
                 state.absorb(&response.stages_ms);
-                RunOutcome::Synth(response)
+                ServeReply::Synth(response)
             }
-            Err(error) => RunOutcome::Error(error),
+            Err(error) => ServeReply::Error(error),
         },
     };
     catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
-        RunOutcome::Error(format!("internal panic: {}", panic_message(&panic)))
+        ServeReply::Error(format!("internal panic: {}", panic_message(&panic)))
     })
 }
 
@@ -483,7 +570,7 @@ fn run_payload(
 mod tests {
     use super::*;
     use eblocks_farm::api::DesignSource;
-    use eblocks_farm::LintConfig;
+    use eblocks_farm::{run_batch, LintConfig};
     use eblocks_synth::Stage;
     use std::collections::BTreeMap;
     use std::time::Duration;

@@ -4,12 +4,11 @@
 //! between the admission verdict and the final response.
 #![cfg(unix)]
 
-use crate::server::{Connections, Payload, ServerState, Sink, Work};
+use crate::server::{self, Connections, ServerState, Sink};
 use eblocks_farm::api::{
-    Admission, AdmissionReply, ProgressEvent, ReplyEnvelope, RequestEnvelope, ServeReply,
-    ServeRequest, MAX_INPUT_BYTES,
+    Admission, AdmissionReply, ReplyEnvelope, RequestEnvelope, ServeReply, ServeRequest,
+    MAX_INPUT_BYTES,
 };
-use eblocks_farm::{BatchProgress, JobResponse, JobSpec};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
@@ -23,42 +22,6 @@ pub(crate) fn send(writer: &Arc<Mutex<UnixStream>>, envelope: &ReplyEnvelope) {
     let line = format!("{}\n", serde::json::to_string(envelope));
     let mut stream = writer.lock().expect("socket writer lock");
     let _ = stream.write_all(line.as_bytes());
-}
-
-/// Forwards farm progress callbacks as `progress` reply lines tagged
-/// with the request id.
-pub(crate) struct ProgressStreamer {
-    id: String,
-    writer: Arc<Mutex<UnixStream>>,
-}
-
-impl ProgressStreamer {
-    pub(crate) fn new(id: &str, writer: &Arc<Mutex<UnixStream>>) -> Self {
-        Self {
-            id: id.to_string(),
-            writer: Arc::clone(writer),
-        }
-    }
-
-    fn emit(&self, event: ProgressEvent) {
-        send(
-            &self.writer,
-            &ReplyEnvelope {
-                id: Some(self.id.clone()),
-                reply: ServeReply::Progress(event),
-            },
-        );
-    }
-}
-
-impl BatchProgress for ProgressStreamer {
-    fn job_started(&self, index: usize, job: &JobSpec) {
-        self.emit(ProgressEvent::started(index, job));
-    }
-
-    fn job_finished(&self, index: usize, row: &JobResponse) {
-        self.emit(ProgressEvent::finished(index, row));
-    }
 }
 
 /// The accept loop: hands each connection to its own thread until the
@@ -152,9 +115,12 @@ fn connection(state: &Arc<ServerState>, stream: UnixStream) {
     }
 }
 
-/// Parses and dispatches one request line.
+/// Parses one request line and hands it to [`server::dispatch`]. A
+/// payload that passes the lint gate is admitted under the writer lock,
+/// held across the push and the `accepted` verdict, so the verdict
+/// reaches the client before any progress event a fast worker emits.
 fn handle_line(
-    state: &Arc<ServerState>,
+    state: &ServerState,
     writer: &Arc<Mutex<UnixStream>>,
     line: &[u8],
     next_id: &mut usize,
@@ -194,89 +160,27 @@ fn handle_line(
         *next_id += 1;
         id
     });
-    match envelope.request {
-        ServeRequest::Stats => {
-            send(
-                writer,
-                &ReplyEnvelope {
-                    id: Some(id),
-                    reply: ServeReply::Stats(state.stats()),
-                },
-            );
-        }
-        ServeRequest::Shutdown => {
-            send(
-                writer,
-                &ReplyEnvelope {
-                    id: Some(id),
-                    reply: ServeReply::Shutdown,
-                },
-            );
-            state.begin_drain();
-        }
-        ServeRequest::Batch(request) => {
-            admit(state, writer, id, Payload::Batch(request));
-        }
-        ServeRequest::Synth(request) => {
-            admit(state, writer, id, Payload::Synth(request));
-        }
-    }
-}
-
-/// Admission control for a socket payload: lint gate, then a
-/// non-blocking push — a full queue is an explicit `queue-full` verdict,
-/// never a silent wait.
-fn admit(state: &Arc<ServerState>, writer: &Arc<Mutex<UnixStream>>, id: String, payload: Payload) {
-    if let Some(detail) = state.lint_reject_detail(&payload) {
-        state.count_rejected();
-        send(
-            writer,
-            &ReplyEnvelope {
-                id: Some(id),
-                reply: ServeReply::Admission(AdmissionReply {
-                    status: Admission::LintRejected,
-                    detail: Some(detail),
-                }),
-            },
-        );
-        return;
-    }
-    let work = Work {
-        payload,
-        sink: Sink::Socket {
-            id: id.clone(),
-            writer: Arc::clone(writer),
-        },
+    let sink = Sink::Socket {
+        id: id.clone(),
+        writer: Arc::clone(writer),
     };
-    // Hold the writer lock across push + admission reply so the verdict
-    // reaches the client before any progress event a fast worker emits.
+    let Some(work) = server::dispatch(state, envelope.request, sink) else {
+        return;
+    };
     let mut stream = writer.lock().expect("socket writer lock");
-    let reply = match state.queue.try_push(work) {
-        Ok(()) => {
-            state.count_accepted();
-            ServeReply::Admission(AdmissionReply {
+    let Some((refusal, work)) = state.admit(work) else {
+        let accepted = ReplyEnvelope {
+            id: Some(id),
+            reply: ServeReply::Admission(AdmissionReply {
                 status: Admission::Accepted,
                 detail: None,
-            })
-        }
-        Err(crate::queue::PushError::Full(_)) => {
-            state.count_rejected();
-            ServeReply::Admission(AdmissionReply {
-                status: Admission::QueueFull,
-                detail: Some(format!("queue at capacity {}", state.config.queue_capacity)),
-            })
-        }
-        Err(crate::queue::PushError::Closed(_)) => {
-            state.count_rejected();
-            ServeReply::Error("server is draining".to_string())
-        }
+            }),
+        };
+        let line = format!("{}\n", serde::json::to_string(&accepted));
+        let _ = stream.write_all(line.as_bytes());
+        return;
     };
-    let line = format!(
-        "{}\n",
-        serde::json::to_string(&ReplyEnvelope {
-            id: Some(id),
-            reply,
-        })
-    );
-    let _ = stream.write_all(line.as_bytes());
+    // No progress follows a refusal, so its verdict needs no ordering.
+    drop(stream);
+    work.sink.refuse(state, refusal);
 }

@@ -7,21 +7,23 @@
 //! spool directory and renamed into place (so a reader of `outbox/` or
 //! `rejected/` never meets a partial file or a temp file).
 
-use crate::server::{Payload, ServerState, Sink, Work};
-use eblocks_farm::api::{
-    read_input, BatchRequest, ErrorReply, ServeReply, ServeRequest, ServeStats,
-};
+use crate::server::{self, Refusal, ServerState, Sink, Work};
+use eblocks_farm::api::{read_input, BatchRequest, ErrorReply, ServeRequest};
 use std::path::Path;
-use std::sync::Arc;
 
-/// One inbox scan: claims and dispatches every ready request file, in
-/// name order. Stops early when the drain begins or the queue has no
-/// room (backpressure: unclaimed files simply wait in `inbox/` for the
-/// next scan).
-pub(crate) fn scan_once(state: &Arc<ServerState>) {
+/// One inbox scan. A request the previous scan held (it met a full
+/// queue) is pushed first, and while it stays held nothing else is
+/// claimed. Then claims and dispatches every ready request file, in name
+/// order, until the drain begins or the queue has no room
+/// (backpressure: unclaimed files simply wait in `inbox/` for the next
+/// scan). Returns the request it holds.
+pub(crate) fn scan_once(state: &ServerState, held: Option<Work>) -> Option<Work> {
+    if let Some(work) = held.and_then(|work| push(state, work)) {
+        return Some(work);
+    }
     let inbox = state.config.inbox();
     let Ok(entries) = std::fs::read_dir(&inbox) else {
-        return;
+        return None;
     };
     let mut names: Vec<String> = entries
         .filter_map(|entry| entry.ok())
@@ -31,7 +33,7 @@ pub(crate) fn scan_once(state: &Arc<ServerState>) {
     names.sort();
     for name in names {
         if state.draining() || !state.queue.has_room() {
-            return;
+            return None;
         }
         // Atomic claim: a rename either wins the file or loses it to a
         // concurrent writer still producing it — either way, move on.
@@ -42,83 +44,50 @@ pub(crate) fn scan_once(state: &Arc<ServerState>) {
         if std::fs::rename(inbox.join(&name), &claimed).is_err() {
             continue;
         }
-        process(state, &name, &claimed);
+        let held = process(state, &name, &claimed);
+        if held.is_some() {
+            return held;
+        }
     }
+    None
 }
 
-/// Parses and dispatches one claimed request file; one longer than
-/// [`MAX_INPUT_BYTES`](eblocks_farm::api::MAX_INPUT_BYTES) is rejected
-/// unparsed.
-fn process(state: &Arc<ServerState>, name: &str, claimed: &Path) {
-    let bytes = match read_input(claimed) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            reject(state, name, claimed, &format!("cannot read request: {e}"));
-            return;
-        }
-    };
-    let text = match String::from_utf8(bytes) {
-        Ok(text) => text,
-        Err(_) => {
-            reject(state, name, claimed, "request is not valid UTF-8");
-            return;
-        }
-    };
-    let request = match parse_request(&text) {
+/// Reads, parses and dispatches one claimed request file; returns its
+/// work if a full queue turned it away. A file longer than
+/// [`MAX_INPUT_BYTES`](eblocks_farm::api::MAX_INPUT_BYTES) is
+/// quarantined unparsed.
+fn process(state: &ServerState, name: &str, claimed: &Path) -> Option<Work> {
+    let request = read_input(claimed)
+        .map_err(|e| format!("cannot read request: {e}"))
+        .and_then(|bytes| {
+            String::from_utf8(bytes).map_err(|_| "request is not valid UTF-8".to_string())
+        })
+        .and_then(|text| parse_request(&text));
+    let request = match request {
         Ok(request) => request,
         Err(error) => {
-            reject(state, name, claimed, &error);
-            return;
+            state.count_rejected();
+            quarantine(state, name, claimed, &error);
+            return None;
         }
     };
-    match request {
-        ServeRequest::Stats => {
-            let stats = state.stats();
-            write_response(state, name, &format!("{}\n", stats_json(&stats)));
-            let _ = std::fs::remove_file(claimed);
-        }
-        ServeRequest::Shutdown => {
-            // Acknowledge, then drain: the ack is the last admission
-            // this daemon makes.
-            write_response(
-                state,
-                name,
-                &format!("{}\n", serde::json::to_string(&ServeReply::Shutdown)),
-            );
-            let _ = std::fs::remove_file(claimed);
-            state.begin_drain();
-        }
-        ServeRequest::Batch(request) => {
-            admit(state, name, claimed, Payload::Batch(request));
-        }
-        ServeRequest::Synth(request) => {
-            admit(state, name, claimed, Payload::Synth(request));
-        }
-    }
+    let sink = Sink::Spool {
+        name: name.to_string(),
+        claimed: claimed.to_path_buf(),
+    };
+    server::dispatch(state, request, sink).and_then(|work| push(state, work))
 }
 
-/// Admits a payload request from the spool: lint gate, then a blocking
-/// push (the file is already claimed; backpressure happens before the
-/// claim, so blocking here is only a momentary race with socket
-/// clients).
-fn admit(state: &Arc<ServerState>, name: &str, claimed: &Path, payload: Payload) {
-    if let Some(detail) = state.lint_reject_detail(&payload) {
-        reject(state, name, claimed, &format!("lint-rejected: {detail}"));
-        return;
-    }
-    let work = Work {
-        payload,
-        sink: Sink::Spool {
-            name: name.to_string(),
-            claimed: claimed.to_path_buf(),
-        },
-    };
-    match state.queue.push_wait(work) {
-        Ok(()) => state.count_accepted(),
-        Err(_work) => {
-            // Closed while waiting: the daemon is draining. Still
-            // answer the input — every claimed file gets a verdict.
-            reject(state, name, claimed, "server is draining");
+/// Admits claimed work without blocking: the file is already claimed,
+/// so work a full queue turns away comes back for the pump to hold and
+/// push again on its next scan. Once the drain has closed the queue, the
+/// input is quarantined instead — every claimed file gets a verdict.
+fn push(state: &ServerState, work: Work) -> Option<Work> {
+    match state.admit(work)? {
+        (Refusal::Full, work) => Some(work),
+        (refusal, work) => {
+            work.sink.refuse(state, refusal);
+            None
         }
     }
 }
@@ -149,7 +118,7 @@ fn parse_request(text: &str) -> Result<ServeRequest, String> {
 
 /// Moves a claimed input to `rejected/<name>` and publishes the
 /// structured error next to it as `rejected/<name>.error.json`.
-pub(crate) fn reject(state: &Arc<ServerState>, name: &str, claimed: &Path, error: &str) {
+pub(crate) fn quarantine(state: &ServerState, name: &str, claimed: &Path, error: &str) {
     let rejected = state.config.rejected();
     let _ = std::fs::rename(claimed, rejected.join(name));
     let reply = ErrorReply {
@@ -161,20 +130,13 @@ pub(crate) fn reject(state: &Arc<ServerState>, name: &str, claimed: &Path, error
         &format!("{name}.error.json"),
         &format!("{}\n", serde::json::to_string(&reply)),
     );
-    state.count_rejected();
-}
-
-/// Publishes `outbox/<name>`. Duplicate input filenames resolve
-/// last-wins, matching what a caller spooling the same name twice would
-/// expect.
-pub(crate) fn write_response(state: &Arc<ServerState>, name: &str, text: &str) {
-    publish(state, &state.config.outbox(), name, text);
 }
 
 /// Writes `text` to a temp file in the spool directory and renames it to
 /// `dir/<name>`, so a reader of `dir` never meets the file half written,
-/// nor the temp file at all.
-fn publish(state: &Arc<ServerState>, dir: &Path, name: &str, text: &str) {
+/// nor the temp file at all. Duplicate names resolve last-wins, matching
+/// what a caller spooling the same name twice would expect.
+pub(crate) fn publish(state: &ServerState, dir: &Path, name: &str, text: &str) {
     let tmp = state
         .config
         .spool
@@ -184,21 +146,112 @@ fn publish(state: &Arc<ServerState>, dir: &Path, name: &str, text: &str) {
     }
 }
 
-/// Writes an [`ErrorReply`] response for `name` (a request that failed
-/// outside the farm: synth errors, internal panics).
-pub(crate) fn write_error_response(state: &Arc<ServerState>, name: &str, error: &str) {
-    let reply = ErrorReply {
-        error: error.to_string(),
-    };
-    write_response(
-        state,
-        name,
-        &format!("{}\n", serde::json::to_string(&reply)),
-    );
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{worker_loop, Payload};
+    use crate::ServeConfig;
+    use eblocks_farm::api::{DesignSource, SynthRequest};
+    use eblocks_farm::{run_batch, FarmConfig, JsonOptions};
+    use std::path::PathBuf;
 
-/// The stats response body: the bare [`ServeStats`] object,
-/// pretty-printed like the other human-facing spool responses.
-fn stats_json(stats: &ServeStats) -> String {
-    serde::json::to_string_pretty(stats)
+    const REQUEST: &str = r#"{"jobs": [{"source": {"library": "Carpool Alert"}}]}"#;
+
+    /// A spool tree in the system temp dir, removed when the test ends,
+    /// pass or panic.
+    struct TempSpool(PathBuf);
+
+    impl TempSpool {
+        fn new(tag: &str) -> Self {
+            let dir = std::env::temp_dir()
+                .join(format!("eblocks-serve-held-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            for sub in ["inbox", "outbox", "rejected", "claimed"] {
+                std::fs::create_dir_all(dir.join(sub)).unwrap();
+            }
+            Self(dir)
+        }
+    }
+
+    impl Drop for TempSpool {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A daemon's state with one queue slot and no threads, that slot
+    /// taken as if a socket push had won it after the pump's room check,
+    /// plus `req.json` claimed from the inbox.
+    fn full_queue_and_a_claim(spool: &Path) -> (ServerState, PathBuf) {
+        let state = ServerState::new(ServeConfig::new(spool).queue_capacity(1).clamped());
+        let other = Work {
+            payload: Payload::Synth(SynthRequest::new(DesignSource::Library(
+                "Carpool Alert".into(),
+            ))),
+            sink: Sink::Spool {
+                name: "other.json".into(),
+                claimed: spool.join("claimed/other.json"),
+            },
+        };
+        assert!(state.admit(other).is_none());
+        let claimed = spool.join("claimed/000000-req.json");
+        std::fs::write(&claimed, REQUEST).unwrap();
+        (state, claimed)
+    }
+
+    #[test]
+    fn a_request_held_on_a_full_queue_is_admitted_once_a_slot_frees() {
+        let spool = TempSpool::new("admit");
+        let (state, claimed) = full_queue_and_a_claim(&spool.0);
+        // No worker runs, so a push that waited for room would never
+        // return.
+        let held = process(&state, "req.json", &claimed);
+        assert!(held.is_some(), "the full queue hands the request back");
+        assert!(claimed.exists(), "a held request stays claimed");
+
+        // While it is held, a scan claims nothing else.
+        std::fs::write(spool.0.join("inbox/next.json"), REQUEST).unwrap();
+        let held = scan_once(&state, held);
+        assert!(held.is_some());
+        assert!(spool.0.join("inbox/next.json").exists());
+
+        // A worker takes the other request; the next scan admits the held
+        // one, and the queue is full again, so `next.json` still waits.
+        assert!(state.queue.pop().is_some());
+        assert!(scan_once(&state, held).is_none());
+        assert!(spool.0.join("inbox/next.json").exists());
+        assert_eq!((state.stats().accepted, state.stats().rejected), (2, 0));
+
+        // Its answer is the one-shot batch report, and the claim is gone.
+        state.begin_drain();
+        worker_loop(&state);
+        let request: BatchRequest = serde::json::from_str(REQUEST).unwrap();
+        let report = run_batch(&request, &FarmConfig::default());
+        assert_eq!(
+            std::fs::read_to_string(spool.0.join("outbox/req.json")).unwrap(),
+            format!("{}\n", report.to_json(&JsonOptions::default()))
+        );
+        assert!(!claimed.exists());
+    }
+
+    #[test]
+    fn a_request_held_when_the_drain_begins_is_quarantined() {
+        let spool = TempSpool::new("drain");
+        let (state, claimed) = full_queue_and_a_claim(&spool.0);
+        let held = process(&state, "req.json", &claimed);
+        assert!(held.is_some());
+
+        state.begin_drain();
+        assert!(scan_once(&state, held).is_none());
+        assert_eq!(
+            std::fs::read_to_string(spool.0.join("rejected/req.json.error.json")).unwrap(),
+            "{\"error\":\"server is draining\"}\n"
+        );
+        assert_eq!(
+            std::fs::read_to_string(spool.0.join("rejected/req.json")).unwrap(),
+            REQUEST
+        );
+        assert!(!claimed.exists());
+        assert_eq!((state.stats().accepted, state.stats().rejected), (1, 1));
+    }
 }

@@ -192,9 +192,16 @@ fn clamps_config_edge_cases_and_creates_missing_directories() {
     let root = tempdir("clamp");
     // The spool root itself does not exist yet — spawn creates the whole
     // tree. Zero workers and zero queue capacity clamp to 1, mirroring
-    // the farm's `with_workers(0)`.
+    // the farm's `with_workers(0)`, and a zero poll interval clamps to
+    // 1ms, so the pump still sleeps between scans.
     let spool = root.join("deep/never/made");
-    let handle = spawn(config(&spool).workers(0).queue_capacity(0)).unwrap();
+    let handle = spawn(
+        config(&spool)
+            .workers(0)
+            .queue_capacity(0)
+            .poll_interval(Duration::ZERO),
+    )
+    .unwrap();
     for dir in ["inbox", "outbox", "rejected", "claimed"] {
         assert!(spool.join(dir).is_dir(), "{dir} auto-created");
     }
