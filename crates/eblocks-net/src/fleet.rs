@@ -270,6 +270,17 @@ impl Fleet {
         record_trace: bool,
         faults: &dyn NetFaultInjector,
     ) -> Result<FleetOutcome, NetError> {
+        self.run_scheduled(until, record_trace, faults, Schedule::default())
+    }
+
+    /// [`run_with`](Fleet::run_with) under an explicit phase-2 `schedule`.
+    pub(crate) fn run_scheduled(
+        &self,
+        until: Time,
+        record_trace: bool,
+        faults: &dyn NetFaultInjector,
+        schedule: Schedule,
+    ) -> Result<FleetOutcome, NetError> {
         if self.nodes.is_empty() {
             return Err(NetError::EmptyFleet);
         }
@@ -418,6 +429,8 @@ impl Fleet {
             })
             .collect();
         let mut egress: Vec<(usize, CapturedPacket)> = Vec::new();
+        let mut order: Vec<usize> = Vec::new();
+        let mut crashes: Vec<usize> = Vec::new();
 
         loop {
             let nodes = next.iter().flatten().min().copied();
@@ -478,8 +491,17 @@ impl Fleet {
             // Every live node is polled for a crash, whether or not it has
             // work, so crash instants do not depend on node activity. A
             // node on its tick grid counts an event whether it steps or
-            // its ticks stay parked.
-            for i in 0..n {
+            // its ticks stay parked. Each node's work touches only its own
+            // state, so a schedule that visits them in another order and
+            // re-sorts the crashes and egress by rank changes nothing.
+            if let Some(seed) = schedule.shuffle {
+                order.clear();
+                order.extend(0..n);
+                shuffle(&mut order, seed, t);
+            }
+            let mut failed: Option<(usize, eblocks_sim::SimError)> = None;
+            for k in 0..n {
+                let i = order.get(k).copied().unwrap_or(k);
                 if crashed[i].is_some() {
                     continue;
                 }
@@ -489,24 +511,37 @@ impl Fleet {
                     if let Some(g) = grid_of[i] {
                         grids[g].live -= 1;
                     }
-                    if let Some(log) = &mut net.log {
-                        log.crash(t, node_names[i]);
-                    }
+                    crashes.push(i);
                     continue;
                 }
                 if next[i] == Some(t) {
                     net.events += 1;
-                    runners[i]
-                        .step_at(t, until)
-                        .map_err(|error| NetError::Sim {
-                            node: node_names[i].to_string(),
-                            error,
-                        })?;
+                    if let Err(error) = runners[i].step_at(t, until) {
+                        if failed.as_ref().is_none_or(|&(rank, _)| i < rank) {
+                            failed = Some((i, error));
+                        }
+                        continue;
+                    }
                     next[i] = runners[i].next_event_time();
                     runners[i].drain_captured(&mut captured);
                     egress.extend(captured.drain(..).map(|p| (i, p)));
                 } else if grid_of[i].is_some_and(|g| grids[g].next == Some(t)) {
                     net.events += 1;
+                }
+            }
+            if let Some((i, error)) = failed {
+                return Err(NetError::Sim {
+                    node: node_names[i].to_string(),
+                    error,
+                });
+            }
+            if schedule.shuffle.is_some() {
+                crashes.sort_unstable();
+                egress.sort_by_key(|&(i, _)| i);
+            }
+            for i in crashes.drain(..) {
+                if let Some(log) = &mut net.log {
+                    log.crash(t, node_names[i]);
                 }
             }
 
@@ -594,6 +629,24 @@ impl Fleet {
             trace: net.log.map(TraceLog::finish),
             node_traces,
         })
+    }
+}
+
+/// How phase 2 visits an instant's nodes. The default visits them in
+/// rank order.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Schedule {
+    /// A test seam: visit each instant's nodes in a permutation seeded by
+    /// this and the instant, then re-sort the crashes and egress by rank.
+    /// The outcome must not change.
+    pub(crate) shuffle: Option<u64>,
+}
+
+/// Permutes `order` (Fisher–Yates) as a pure function of `seed` and `t`.
+fn shuffle(order: &mut [usize], seed: u64, t: Time) {
+    for k in (1..order.len()).rev() {
+        let j = mix(&[seed, t, k as u64]) % (k as u64 + 1);
+        order.swap(k, j as usize);
     }
 }
 
@@ -1059,6 +1112,92 @@ mod tests {
             Fleet::new("empty", FleetTopology::chain(1)).run(10),
             Err(NetError::EmptyFleet)
         ));
+    }
+
+    /// Stands in for a chaos storm: crashes about a third of the nodes,
+    /// each at its own seeded instant before `until`, and drops or delays
+    /// one hop in ten.
+    struct Storm {
+        seed: u64,
+        until: Time,
+    }
+
+    impl NetFaultInjector for Storm {
+        fn packet_fate(&self, from: usize, to: usize, t: Time, seq: u64) -> PacketFate {
+            match mix(&[self.seed, from as u64, to as u64, t, seq]) % 20 {
+                0 => PacketFate::Drop,
+                1 => PacketFate::Delay(3),
+                _ => PacketFate::Deliver,
+            }
+        }
+
+        fn node_down(&self, node: usize, t: Time) -> bool {
+            let h = mix(&[self.seed, node as u64]);
+            h.is_multiple_of(3) && t >= (h / 3) % self.until
+        }
+    }
+
+    /// The committed golden fleet specs and a 1000-node grid, each with
+    /// its horizon.
+    fn schedule_fleets() -> Vec<(Fleet, Time)> {
+        let grid = "name = grid\nnodes = 1000\ntopology = grid\n\
+                    library = Night Lamp Controller\nuntil = 200\nseed = 7\n";
+        [
+            include_str!("../../../tests/golden/fleet-request.txt"),
+            include_str!("../../../tests/golden/fleet-parked-request.txt"),
+            grid,
+        ]
+        .into_iter()
+        .map(|text| {
+            let request = crate::FleetRequest::parse(text).unwrap();
+            let fleet = request.build(std::path::Path::new(".")).unwrap();
+            (fleet, request.until())
+        })
+        .collect()
+    }
+
+    /// Runs every fleet of [`schedule_fleets`], healthy and under a
+    /// [`Storm`], traced, in rank order and under each of `schedules`,
+    /// and requires the whole outcomes (report, trace, node traces) to
+    /// be equal.
+    fn assert_schedules_agree(schedules: &[Schedule]) {
+        for (fleet, until) in schedule_fleets() {
+            let storm = Storm { seed: 5, until };
+            for (faults, label) in [
+                (&NoFaults as &dyn NetFaultInjector, "healthy"),
+                (&storm, "storm"),
+            ] {
+                let reference = fleet.run_with(until, true, faults).unwrap();
+                if label == "storm" {
+                    assert!(
+                        reference.report.crashes > 0,
+                        "{}: the storm crashes nodes",
+                        fleet.name()
+                    );
+                }
+                for &schedule in schedules {
+                    let got = fleet.run_scheduled(until, true, faults, schedule).unwrap();
+                    let what = format!("{} {label} under {schedule:?}", fleet.name());
+                    assert_eq!(
+                        got.report.to_json(),
+                        reference.report.to_json(),
+                        "{what}: report"
+                    );
+                    assert_eq!(got.trace, reference.trace, "{what}: trace");
+                    assert!(
+                        got.node_traces == reference.node_traces,
+                        "{what}: node traces"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shuffled_node_visits_change_no_outcome() {
+        assert_schedules_agree(&[2, 9, 31].map(|seed| Schedule {
+            shuffle: Some(seed),
+        }));
     }
 
     #[test]
