@@ -9,6 +9,10 @@ use std::sync::Mutex;
 /// The worker count for `items` jobs: `requested`, or the core count when
 /// `None`, clamped to `1..=items` (one worker when there are no jobs).
 pub fn workers(requested: Option<usize>, items: usize) -> usize {
+    if items <= 1 {
+        // One worker whatever the request: skip the core-count query.
+        return 1;
+    }
     requested
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         .clamp(1, items.max(1))

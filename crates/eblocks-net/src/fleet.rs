@@ -7,16 +7,33 @@
 //! Nodes are [`eblocks_sim::NodeRunner`]s: the same arena a standalone
 //! simulation uses, stepped instant-by-instant.
 //!
+//! Phase 2 runs on *lanes*: rank-contiguous chunks of the nodes. A fleet
+//! of `n` nodes gets `pool::workers(None, n / MIN_LANE_NODES)` of them, so
+//! one per core from 256 nodes up, and a smaller fleet runs one lane and
+//! spawns no thread. The calling thread is lane 0 and runs phases 1 and 3
+//! alone; every other lane is a scoped thread, spawned once per run, that
+//! owns its chunk's runners for the run. At each instant the calling
+//! thread hands every lane its nodes' phase-1 deliveries and waits for the
+//! lanes by spinning, then yielding, on two counters per lane, so an
+//! instant allocates nothing. A node's phase-2 work (its crash poll, its
+//! deliveries, its step and its captures) touches only its own state, so
+//! a lane's crash list and egress come out in rank order, and the calling
+//! thread merges the lanes in lane order, which is rank order: the
+//! outcome is the serial rank-order loop's, whatever the lane count. The
+//! tests check this on the golden fleet specs and a 1000-node grid,
+//! healthy and under a crash storm, on 1, 2, 3 and 7 lanes and in seeded
+//! shuffled visit orders.
+//!
 //! A runner's next event time moves only when it steps or receives a
-//! delivery, so the loop keeps every live node's next event time in one
-//! dense table, by rank, and the per-instant scans (the earliest instant,
-//! phase 2's due check) read that table instead of every runner. Captures
-//! appear only during a step, so phase 2 drains each node's captures right
-//! after its step into one fleet-level egress buffer, in rank order, and
-//! phase 3 walks that buffer: no runner is touched twice in an instant,
-//! and sends keep their (rank, capture, channel) order. The sends stay in
-//! phase 3 so that every crash phase 2 logs at an instant precedes the
-//! instant's sends in the trace.
+//! delivery, so each lane keeps its nodes' next event times in one dense
+//! table and reports the earliest live one after each instant: the
+//! earliest-instant scan reads one value per lane. Captures appear only
+//! during a step, so a lane drains each node's captures right after its
+//! step into the lane's egress buffer, and phase 3 walks those buffers in
+//! lane order: no runner is touched twice in an instant, and sends keep
+//! their (rank, capture, channel) order. The sends stay in phase 3 so that
+//! every crash phase 2 logs at an instant precedes the instant's sends in
+//! the trace.
 //!
 //! Node runners park settled ticks (see [`eblocks_sim::cosim`]), so a
 //! node whose time-driven blocks have all settled reports only its next
@@ -42,12 +59,15 @@ use crate::stats::{FleetReport, LinkStats, NodeStats};
 use crate::topo::FleetTopology;
 use crate::trace::TraceLog;
 use crate::{mix, SALT_LOSS};
-use eblocks_core::{BlockKind, Design, PortRef};
+use eblocks_core::{pool, BlockKind, Design, PortRef};
 use eblocks_sim::time as sim_time;
 use eblocks_sim::{
-    estimate_energy, CapturedPacket, NodeRunner, SensorRef, Simulator, Stimulus, TapId, Time, Trace,
+    estimate_energy, CapturedPacket, NodeRunner, SensorRef, SimError, Simulator, Stimulus, TapId,
+    Time, Trace,
 };
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Handle to a design registered with [`Fleet::add_design`]. Designs are
 /// shared: any number of nodes may instantiate the same one.
@@ -403,11 +423,7 @@ impl Fleet {
         let mut crashed: Vec<Option<Time>> = vec![None; n];
         let mut sent_by_node = vec![0u64; n];
         let mut received_by_node = vec![0u64; n];
-        let mut captured: Vec<CapturedPacket> = Vec::new();
-        // Each live node's next event time by rank, `None` once crashed,
-        // its tick grid, and the instant's captures with their sender's
-        // rank, in step order (see the module docs).
-        let mut next: Vec<Option<Time>> = runners.iter().map(NodeRunner::next_event_time).collect();
+        // Each node's tick grid, and the grids' live counts.
         let mut grids: Vec<Grid> = Vec::new();
         let grid_of: Vec<Option<usize>> = runners
             .iter()
@@ -428,148 +444,166 @@ impl Fleet {
                 Some(at)
             })
             .collect();
-        let mut egress: Vec<(usize, CapturedPacket)> = Vec::new();
-        let mut order: Vec<usize> = Vec::new();
-        let mut crashes: Vec<usize> = Vec::new();
 
-        loop {
-            let nodes = next.iter().flatten().min().copied();
-            let grid = grids
-                .iter()
-                .filter(|g| g.live > 0)
-                .filter_map(|g| g.next)
-                .min();
-            let Some(t) = [nodes, grid, net.next_time()].into_iter().flatten().min() else {
-                break;
-            };
-            if t > until {
-                break;
-            }
+        // Phase 2's lanes: rank-contiguous chunks of the runners, lane `l`
+        // holding ranks `bounds[l]..bounds[l + 1]`.
+        let count = schedule
+            .lanes
+            .unwrap_or_else(|| pool::workers(None, n / MIN_LANE_NODES))
+            .clamp(1, n);
+        let bounds: Vec<usize> = (0..=count).map(|l| l * n / count).collect();
+        let mut rest: &mut [NodeRunner] = &mut runners;
+        let lanes: Vec<Handoff> = bounds
+            .windows(2)
+            .map(|chunk| {
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(chunk[1] - chunk[0]);
+                rest = tail;
+                Handoff::new(Lane::new(chunk[0], mine, &grid_of[chunk[0]..chunk[1]]))
+            })
+            .collect();
+        // Per lane: its phase-1 deliveries and crashes (by index in the
+        // lane), filled here and swapped into the lane each instant, and
+        // its live nodes' earliest next event time.
+        let mut deliveries: Vec<Vec<(usize, SensorRef, bool)>> = vec![Vec::new(); lanes.len()];
+        let mut killed: Vec<Vec<usize>> = vec![Vec::new(); lanes.len()];
+        let mut earliest: Vec<Option<Time>> = lanes.iter().map(|h| h.lock().earliest).collect();
 
-            // Phase 1: network events, in global packet-seq order.
-            // Deliveries inject before any node steps; hops only schedule
-            // strictly-future events, so draining the bucket is safe.
-            let mut bucket = net.calendar.remove(&t).unwrap_or_default();
-            bucket.sort_unstable_by_key(|&(seq, _)| seq);
-            for (seq, ev) in bucket {
-                net.events += 1;
-                match ev {
-                    NetEvent::Hop { chan, hop, value } => net.hop(t, chan, hop, seq, value),
-                    NetEvent::Deliver { chan, value } => {
-                        let dst = net.channels[chan].dst;
-                        let down = crashed[dst].is_some() || faults.node_down(dst, t);
-                        if down {
-                            if crashed[dst].is_none() {
-                                crashed[dst] = Some(t);
-                                next[dst] = None;
-                                if let Some(g) = grid_of[dst] {
-                                    grids[g].live -= 1;
-                                }
-                                if let Some(log) = &mut net.log {
-                                    log.crash(t, node_names[dst]);
-                                }
-                            }
-                            net.dropped += 1;
-                            if let Some(log) = &mut net.log {
-                                log.drop(t, chan, seq, node_names[dst], "crashed");
-                            }
-                        } else {
-                            let sensor = net.channels[chan].sensor;
-                            runners[dst].inject(t, sensor, value);
-                            next[dst] = Some(t);
-                            received_by_node[dst] += 1;
-                            net.delivered += 1;
-                            if let Some(log) = &mut net.log {
-                                log.deliver(t, node_names[dst], chan, seq, value);
-                            }
-                        }
-                    }
-                }
+        std::thread::scope(|scope| {
+            let _stop = StopLanes(&lanes[1..]);
+            for handoff in &lanes[1..] {
+                scope.spawn(move || handoff.serve(faults, until, schedule.shuffle));
             }
-
-            // Phase 2: step nodes with work at this instant, in rank order.
-            // Every live node is polled for a crash, whether or not it has
-            // work, so crash instants do not depend on node activity. A
-            // node on its tick grid counts an event whether it steps or
-            // its ticks stay parked. Each node's work touches only its own
-            // state, so a schedule that visits them in another order and
-            // re-sorts the crashes and egress by rank changes nothing.
-            if let Some(seed) = schedule.shuffle {
-                order.clear();
-                order.extend(0..n);
-                shuffle(&mut order, seed, t);
-            }
-            let mut failed: Option<(usize, eblocks_sim::SimError)> = None;
-            for k in 0..n {
-                let i = order.get(k).copied().unwrap_or(k);
-                if crashed[i].is_some() {
-                    continue;
-                }
-                if faults.node_down(i, t) {
-                    crashed[i] = Some(t);
-                    next[i] = None;
-                    if let Some(g) = grid_of[i] {
-                        grids[g].live -= 1;
-                    }
-                    crashes.push(i);
-                    continue;
-                }
-                if next[i] == Some(t) {
-                    net.events += 1;
-                    if let Err(error) = runners[i].step_at(t, until) {
-                        if failed.as_ref().is_none_or(|&(rank, _)| i < rank) {
-                            failed = Some((i, error));
-                        }
-                        continue;
-                    }
-                    next[i] = runners[i].next_event_time();
-                    runners[i].drain_captured(&mut captured);
-                    egress.extend(captured.drain(..).map(|p| (i, p)));
-                } else if grid_of[i].is_some_and(|g| grids[g].next == Some(t)) {
-                    net.events += 1;
-                }
-            }
-            if let Some((i, error)) = failed {
-                return Err(NetError::Sim {
-                    node: node_names[i].to_string(),
-                    error,
-                });
-            }
-            if schedule.shuffle.is_some() {
-                crashes.sort_unstable();
-                egress.sort_by_key(|&(i, _)| i);
-            }
-            for i in crashes.drain(..) {
-                if let Some(log) = &mut net.log {
-                    log.crash(t, node_names[i]);
-                }
-            }
-
-            // Phase 3: send the egress in (rank, capture, channel) order;
-            // each packet gets the next global seq and starts its first
-            // hop immediately.
-            for (i, p) in egress.drain(..) {
-                let Some(chans) = by_tap[i].get(p.tap as usize) else {
-                    continue;
+            let mut instant: u64 = 0;
+            loop {
+                let nodes = earliest.iter().flatten().min().copied();
+                let grid = grids
+                    .iter()
+                    .filter(|g| g.live > 0)
+                    .filter_map(|g| g.next)
+                    .min();
+                let Some(t) = [nodes, grid, net.next_time()].into_iter().flatten().min() else {
+                    break;
                 };
-                for &chan in chans {
-                    let seq = net.next_seq;
-                    net.next_seq += 1;
-                    net.sent += 1;
-                    sent_by_node[i] += 1;
-                    if let Some(log) = &mut net.log {
-                        log.send(t, node_names[i], chan, seq, p.value);
-                    }
-                    net.hop(t, chan, 0, seq, p.value);
+                if t > until {
+                    break;
                 }
-            }
 
-            for g in &mut grids {
-                if g.next == Some(t) {
-                    g.next = sim_time::after(t, g.period);
+                // Phase 1: network events, in global packet-seq order.
+                // Deliveries queue for their node's lane, which injects them
+                // before the node steps; hops only schedule strictly-future
+                // events, so draining the bucket is safe.
+                let mut bucket = net.calendar.remove(&t).unwrap_or_default();
+                bucket.sort_unstable_by_key(|&(seq, _)| seq);
+                for (seq, ev) in bucket {
+                    net.events += 1;
+                    match ev {
+                        NetEvent::Hop { chan, hop, value } => net.hop(t, chan, hop, seq, value),
+                        NetEvent::Deliver { chan, value } => {
+                            let dst = net.channels[chan].dst;
+                            let lane = bounds.partition_point(|&b| b <= dst) - 1;
+                            let down = crashed[dst].is_some() || faults.node_down(dst, t);
+                            if down {
+                                if crashed[dst].is_none() {
+                                    crashed[dst] = Some(t);
+                                    killed[lane].push(dst - bounds[lane]);
+                                    if let Some(g) = grid_of[dst] {
+                                        grids[g].live -= 1;
+                                    }
+                                    if let Some(log) = &mut net.log {
+                                        log.crash(t, node_names[dst]);
+                                    }
+                                }
+                                net.dropped += 1;
+                                if let Some(log) = &mut net.log {
+                                    log.drop(t, chan, seq, node_names[dst], "crashed");
+                                }
+                            } else {
+                                let sensor = net.channels[chan].sensor;
+                                deliveries[lane].push((dst - bounds[lane], sensor, value));
+                                received_by_node[dst] += 1;
+                                net.delivered += 1;
+                                if let Some(log) = &mut net.log {
+                                    log.deliver(t, node_names[dst], chan, seq, value);
+                                }
+                            }
+                        }
+                    }
+                }
+
+                // Phase 2: every lane steps its nodes with work at this
+                // instant (see `Lane::run`); this thread runs lane 0.
+                instant += 1;
+                for (l, handoff) in lanes.iter().enumerate() {
+                    let mut lane = handoff.lock();
+                    lane.t = t;
+                    std::mem::swap(&mut lane.deliveries, &mut deliveries[l]);
+                    std::mem::swap(&mut lane.killed, &mut killed[l]);
+                    lane.grid_due.clear();
+                    lane.grid_due
+                        .extend(grids.iter().map(|g| g.next == Some(t)));
+                    drop(lane);
+                    if l > 0 {
+                        handoff.posted.store(instant, Ordering::Release);
+                    }
+                }
+                lanes[0].lock().run(faults, until, schedule.shuffle);
+                for handoff in &lanes[1..] {
+                    wait_until(|| handoff.done.load(Ordering::Acquire) >= instant);
+                }
+                // Lane order is rank order: the lowest-rank failure wins,
+                // and crashes log by rank, all before any send.
+                for (l, handoff) in lanes.iter().enumerate() {
+                    let mut lane = handoff.lock();
+                    if let Some((i, error)) = lane.failed.take() {
+                        return Err(NetError::Sim {
+                            node: node_names[i].to_string(),
+                            error,
+                        });
+                    }
+                    net.events += lane.events;
+                    earliest[l] = lane.earliest;
+                    for &i in &lane.crashes {
+                        crashed[i] = Some(t);
+                        if let Some(g) = grid_of[i] {
+                            grids[g].live -= 1;
+                        }
+                        if let Some(log) = &mut net.log {
+                            log.crash(t, node_names[i]);
+                        }
+                    }
+                    lane.crashes.clear();
+                }
+
+                // Phase 3: send the egress in (rank, capture, channel)
+                // order; each packet gets the next global seq and starts
+                // its first hop immediately.
+                for handoff in &lanes {
+                    for (i, p) in handoff.lock().egress.drain(..) {
+                        let Some(chans) = by_tap[i].get(p.tap as usize) else {
+                            continue;
+                        };
+                        for &chan in chans {
+                            let seq = net.next_seq;
+                            net.next_seq += 1;
+                            net.sent += 1;
+                            sent_by_node[i] += 1;
+                            if let Some(log) = &mut net.log {
+                                log.send(t, node_names[i], chan, seq, p.value);
+                            }
+                            net.hop(t, chan, 0, seq, p.value);
+                        }
+                    }
+                }
+
+                for g in &mut grids {
+                    if g.next == Some(t) {
+                        g.next = sim_time::after(t, g.period);
+                    }
                 }
             }
-        }
+            Ok(())
+        })?;
+        drop(lanes);
 
         // Finalize: fold node traces, energy, and link counters.
         let mut node_stats = Vec::with_capacity(n);
@@ -632,21 +666,234 @@ impl Fleet {
     }
 }
 
-/// How phase 2 visits an instant's nodes. The default visits them in
-/// rank order.
+/// How phase 2 runs an instant's nodes. The default picks the lanes by
+/// the fleet size and core count and visits each lane's nodes in rank
+/// order.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Schedule {
-    /// A test seam: visit each instant's nodes in a permutation seeded by
-    /// this and the instant, then re-sort the crashes and egress by rank.
-    /// The outcome must not change.
+    /// The lane count, at most one per node; `None` gives
+    /// `pool::workers(None, n / MIN_LANE_NODES)` for `n` nodes.
+    pub(crate) lanes: Option<usize>,
+    /// A test seam: visit each instant's nodes of a lane in a permutation
+    /// seeded by this, the lane and the instant, then re-sort the lane's
+    /// crashes and egress by rank. The outcome must not change.
     pub(crate) shuffle: Option<u64>,
 }
 
-/// Permutes `order` (Fisher–Yates) as a pure function of `seed` and `t`.
-fn shuffle(order: &mut [usize], seed: u64, t: Time) {
+/// The fewest nodes per lane: a fleet of `n` nodes runs phase 2 on at
+/// most `n / MIN_LANE_NODES` lanes, so a fleet under 256 nodes, whose
+/// instants are too short to repay the hand-off, stays on one.
+const MIN_LANE_NODES: usize = 128;
+
+/// How many times a lane spins on a hand-off counter before it starts
+/// yielding its core.
+const SPINS: u32 = 1 << 12;
+
+/// One rank-contiguous chunk of the fleet's nodes, with everything phase 2
+/// needs to run them at an instant without touching another lane.
+struct Lane<'r, 's> {
+    /// The rank of `runners[0]`.
+    first: usize,
+    runners: &'r mut [NodeRunner<'s>],
+    /// Each node's tick grid.
+    grid_of: &'r [Option<usize>],
+    /// Each node's next event time; `None` once it crashed.
+    next: Vec<Option<Time>>,
+    /// Whether each node has crashed.
+    down: Vec<bool>,
+    // Set by the calling thread before each instant: the instant, whether
+    // each grid has an instant there, the phase-1 deliveries
+    // `(node, sensor, value)` in delivery order, and the nodes phase 1
+    // found down (nodes by index in the lane).
+    t: Time,
+    grid_due: Vec<bool>,
+    deliveries: Vec<(usize, SensorRef, bool)>,
+    killed: Vec<usize>,
+    // Read back after the instant: its events, the ranks found down, the
+    // captures with their sender's rank, the earliest next event time of
+    // a live node, and the lowest-rank step error.
+    events: u64,
+    crashes: Vec<usize>,
+    egress: Vec<(usize, CapturedPacket)>,
+    earliest: Option<Time>,
+    failed: Option<(usize, SimError)>,
+    /// Scratch: one node's captures, and the shuffled visit order.
+    captured: Vec<CapturedPacket>,
+    order: Vec<usize>,
+}
+
+impl<'r, 's> Lane<'r, 's> {
+    fn new(first: usize, runners: &'r mut [NodeRunner<'s>], grid_of: &'r [Option<usize>]) -> Self {
+        let next: Vec<Option<Time>> = runners.iter().map(NodeRunner::next_event_time).collect();
+        Self {
+            first,
+            down: vec![false; runners.len()],
+            grid_of,
+            t: 0,
+            grid_due: Vec::new(),
+            deliveries: Vec::new(),
+            killed: Vec::new(),
+            events: 0,
+            crashes: Vec::new(),
+            egress: Vec::new(),
+            earliest: next.iter().flatten().min().copied(),
+            failed: None,
+            captured: Vec::new(),
+            order: Vec::new(),
+            next,
+            runners,
+        }
+    }
+
+    /// Phase 2 of instant `t` for this lane's nodes, in rank order. Every
+    /// live node is polled for a crash, whether or not it has work, so
+    /// crash instants do not depend on node activity. A node with work
+    /// steps, and its captures join the egress right away. A node on its
+    /// tick grid counts an event whether it steps or its ticks stay
+    /// parked. Each node's work touches only its own state, so the lane
+    /// count and the visit order change nothing once the crashes and the
+    /// egress are in rank order.
+    fn run(&mut self, faults: &dyn NetFaultInjector, until: Time, shuffle: Option<u64>) {
+        let t = self.t;
+        for (i, sensor, value) in self.deliveries.drain(..) {
+            self.runners[i].inject(t, sensor, value);
+            self.next[i] = Some(t);
+        }
+        for i in self.killed.drain(..) {
+            self.down[i] = true;
+            self.next[i] = None;
+        }
+        if let Some(seed) = shuffle {
+            self.order.clear();
+            self.order.extend(0..self.runners.len());
+            permute(&mut self.order, mix(&[seed, self.first as u64, t]));
+        }
+        let mut events = 0;
+        let mut earliest: Option<Time> = None;
+        for k in 0..self.runners.len() {
+            let i = self.order.get(k).copied().unwrap_or(k);
+            if self.down[i] {
+                continue;
+            }
+            let rank = self.first + i;
+            if faults.node_down(rank, t) {
+                self.down[i] = true;
+                self.next[i] = None;
+                self.crashes.push(rank);
+                continue;
+            }
+            if self.next[i] == Some(t) {
+                events += 1;
+                let runner = &mut self.runners[i];
+                if let Err(error) = runner.step_at(t, until) {
+                    if self.failed.as_ref().is_none_or(|&(at, _)| rank < at) {
+                        self.failed = Some((rank, error));
+                    }
+                    continue;
+                }
+                self.next[i] = runner.next_event_time();
+                runner.drain_captured(&mut self.captured);
+                self.egress
+                    .extend(self.captured.drain(..).map(|p| (rank, p)));
+            } else if self.grid_of[i].is_some_and(|g| self.grid_due[g]) {
+                events += 1;
+            }
+            if let Some(at) = self.next[i] {
+                earliest = Some(earliest.map_or(at, |e: Time| e.min(at)));
+            }
+        }
+        if shuffle.is_some() {
+            self.crashes.sort_unstable();
+            self.egress.sort_by_key(|&(rank, _)| rank);
+        }
+        self.events = events;
+        self.earliest = earliest;
+    }
+}
+
+/// Permutes `order` (Fisher–Yates) as a pure function of `seed`.
+fn permute(order: &mut [usize], seed: u64) {
     for k in (1..order.len()).rev() {
-        let j = mix(&[seed, t, k as u64]) % (k as u64 + 1);
+        let j = mix(&[seed, k as u64]) % (k as u64 + 1);
         order.swap(k, j as usize);
+    }
+}
+
+/// A lane and its hand-off with the calling thread, which posts each
+/// instant to a helper lane's thread and waits for it to finish, both by
+/// spinning and then yielding on a counter: no allocation and no blocking
+/// primitive per instant. Aligned so two lanes' counters never share a
+/// cache line.
+#[repr(align(128))]
+struct Handoff<'r, 's> {
+    lane: Mutex<Lane<'r, 's>>,
+    /// Instants posted to the lane; `u64::MAX` tells its thread to stop.
+    posted: AtomicU64,
+    /// Instants the lane finished; `u64::MAX` once its thread has exited.
+    done: AtomicU64,
+}
+
+impl<'r, 's> Handoff<'r, 's> {
+    fn new(lane: Lane<'r, 's>) -> Self {
+        Self {
+            lane: Mutex::new(lane),
+            posted: AtomicU64::new(0),
+            done: AtomicU64::new(0),
+        }
+    }
+
+    /// The lane, between instants (its thread holds it only while it runs
+    /// one).
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lane<'r, 's>> {
+        self.lane.lock().expect("a fleet lane panicked")
+    }
+
+    /// A helper lane's thread: runs each posted instant until told to
+    /// stop. Marks itself exited however it ends, so the calling thread
+    /// never waits on a lane that panicked.
+    fn serve(&self, faults: &dyn NetFaultInjector, until: Time, shuffle: Option<u64>) {
+        struct Exited<'a>(&'a AtomicU64);
+        impl Drop for Exited<'_> {
+            fn drop(&mut self) {
+                self.0.store(u64::MAX, Ordering::Release);
+            }
+        }
+        let _exited = Exited(&self.done);
+        let mut instant: u64 = 0;
+        loop {
+            instant += 1;
+            wait_until(|| self.posted.load(Ordering::Acquire) >= instant);
+            if self.posted.load(Ordering::Acquire) == u64::MAX {
+                return;
+            }
+            self.lock().run(faults, until, shuffle);
+            self.done.store(instant, Ordering::Release);
+        }
+    }
+}
+
+/// Tells every helper lane's thread to stop when the run ends, however it
+/// ends.
+struct StopLanes<'a, 'r, 's>(&'a [Handoff<'r, 's>]);
+
+impl Drop for StopLanes<'_, '_, '_> {
+    fn drop(&mut self) {
+        for handoff in self.0 {
+            handoff.posted.store(u64::MAX, Ordering::Release);
+        }
+    }
+}
+
+/// Spins, then yields, until `ready` holds.
+fn wait_until(ready: impl Fn() -> bool) {
+    let mut spins = 0;
+    while !ready() {
+        if spins < SPINS {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -1157,32 +1404,30 @@ mod tests {
     }
 
     /// Runs every fleet of [`schedule_fleets`], healthy and under a
-    /// [`Storm`], traced, in rank order and under each of `schedules`,
-    /// and requires the whole outcomes (report, trace, node traces) to
-    /// be equal.
+    /// [`Storm`], traced, serially in rank order and under each of
+    /// `schedules`, and requires the whole outcomes (report, trace, node
+    /// traces) to be equal.
     fn assert_schedules_agree(schedules: &[Schedule]) {
+        let serial = Schedule {
+            lanes: Some(1),
+            shuffle: None,
+        };
         for (fleet, until) in schedule_fleets() {
             let storm = Storm { seed: 5, until };
-            for (faults, label) in [
+            let injectors = [
                 (&NoFaults as &dyn NetFaultInjector, "healthy"),
                 (&storm, "storm"),
-            ] {
-                let reference = fleet.run_with(until, true, faults).unwrap();
+            ];
+            for (faults, label) in injectors {
+                let reference = fleet.run_scheduled(until, true, faults, serial).unwrap();
                 if label == "storm" {
-                    assert!(
-                        reference.report.crashes > 0,
-                        "{}: the storm crashes nodes",
-                        fleet.name()
-                    );
+                    assert!(reference.report.crashes > 0, "{}: no crash", fleet.name());
                 }
                 for &schedule in schedules {
                     let got = fleet.run_scheduled(until, true, faults, schedule).unwrap();
                     let what = format!("{} {label} under {schedule:?}", fleet.name());
-                    assert_eq!(
-                        got.report.to_json(),
-                        reference.report.to_json(),
-                        "{what}: report"
-                    );
+                    let report = got.report.to_json();
+                    assert_eq!(report, reference.report.to_json(), "{what}: report");
                     assert_eq!(got.trace, reference.trace, "{what}: trace");
                     assert!(
                         got.node_traces == reference.node_traces,
@@ -1196,8 +1441,51 @@ mod tests {
     #[test]
     fn shuffled_node_visits_change_no_outcome() {
         assert_schedules_agree(&[2, 9, 31].map(|seed| Schedule {
+            lanes: Some(1),
             shuffle: Some(seed),
         }));
+    }
+
+    #[test]
+    fn lane_counts_change_no_outcome() {
+        let schedules: Vec<Schedule> = [1, 2, 3, 7]
+            .into_iter()
+            .flat_map(|lanes| {
+                [None, Some(lanes as u64)].map(|shuffle| Schedule {
+                    lanes: Some(lanes),
+                    shuffle,
+                })
+            })
+            .collect();
+        assert_schedules_agree(&schedules);
+    }
+
+    #[test]
+    fn a_panicking_lane_ends_the_run_with_its_panic() {
+        // Rank 0 runs on the calling thread's lane and rank 3 on a helper
+        // lane's thread; either panic must reach the caller, not hang it.
+        struct PanicOn(usize);
+        impl NetFaultInjector for PanicOn {
+            fn node_down(&self, node: usize, t: Time) -> bool {
+                assert!(node != self.0 || t < 20, "node {node} fails");
+                false
+            }
+        }
+        let mut fleet = Fleet::new("four", FleetTopology::chain(4));
+        let d = fleet.add_design(relay_design());
+        for k in 0..4 {
+            fleet.add_node(format!("n{k}"), d);
+        }
+        fleet.set_stimulus(NodeId(0), Stimulus::new().set(30, "rx", true));
+        let two = Schedule {
+            lanes: Some(2),
+            shuffle: None,
+        };
+        for node in [0, 3] {
+            let run =
+                std::panic::catch_unwind(|| fleet.run_scheduled(40, false, &PanicOn(node), two));
+            assert!(run.is_err(), "node {node}'s panic reaches the caller");
+        }
     }
 
     #[test]

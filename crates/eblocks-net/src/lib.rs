@@ -29,9 +29,13 @@
 //!
 //! 1. **network** — hop and delivery events in global packet-`seq` order;
 //!    deliveries inject into their destination node *before* it steps,
-//! 2. **nodes** — every node with work at the instant steps, in node-rank
-//!    (index) order; inside a node, injected packets apply after its own
-//!    scripted stimulus, in phase-1 delivery order,
+//! 2. **nodes** — every live node is polled for a crash, and every node
+//!    with work at the instant steps; inside a node, injected packets apply
+//!    after its own scripted stimulus, in phase-1 delivery order. Steps may
+//!    run in parallel on *lanes* (rank-contiguous chunks of the nodes, one
+//!    per core for large fleets), since a node's step touches only its own
+//!    state; the crashes are logged, and the captures collected, in
+//!    node-rank (index) order whatever the lane count,
 //! 3. **egress** — captured transmissions are collected in (node rank,
 //!    capture order, channel order) and each gets the next global `seq`;
 //!    its first hop is processed immediately.
@@ -39,7 +43,8 @@
 //! Every hop advances time by at least one tick, so no packet re-enters
 //! the instant that produced it, and `seq` assignment — hence the whole
 //! run — is a pure function of the fleet spec and seeds. Fleet traces and
-//! reports are byte-identical across runs regardless of fleet size.
+//! reports are byte-identical across runs regardless of fleet size, lane
+//! count or core count.
 //!
 //! # Example
 //!
