@@ -51,8 +51,9 @@ impl Sink {
     /// `outbox/<name>` (a batch response as compact JSON, the bytes
     /// `eblocks-cli batch --json` prints; a synth response and stats
     /// pretty-printed; an error as `{"error": …}`; the shutdown ack as
-    /// `"shutdown"`) and then removes the claimed input. It has no
-    /// streamed replies, so it drops progress. The socket writes one
+    /// `"shutdown"`) and then removes the claimed input, or, if the answer
+    /// cannot be published, quarantines the input with the reason. It has
+    /// no streamed replies, so it drops progress. The socket writes one
     /// `ReplyEnvelope` line tagged with the request id.
     pub(crate) fn deliver(&self, state: &ServerState, reply: ServeReply) {
         match self {
@@ -65,8 +66,16 @@ impl Sink {
                     reply @ ServeReply::Shutdown => serde::json::to_string(&reply),
                     ServeReply::Admission(_) | ServeReply::Progress(_) => return,
                 };
-                spool::publish(state, &state.config.outbox(), name, &format!("{text}\n"));
-                let _ = std::fs::remove_file(claimed);
+                let outbox = state.config.outbox();
+                match spool::publish(state, &outbox, name, &format!("{text}\n")) {
+                    Ok(()) => {
+                        let _ = std::fs::remove_file(claimed);
+                    }
+                    Err(e) => {
+                        let error = format!("cannot publish the answer to outbox/{name}: {e}");
+                        spool::quarantine(state, name, claimed, &error);
+                    }
+                }
             }
             #[cfg(unix)]
             Sink::Socket { id, writer } => crate::socket::send(

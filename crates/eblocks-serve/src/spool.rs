@@ -124,7 +124,8 @@ pub(crate) fn quarantine(state: &ServerState, name: &str, claimed: &Path, error:
     let reply = ErrorReply {
         error: error.to_string(),
     };
-    publish(
+    // With `rejected/` unwritable too, the input stays in `claimed/`.
+    let _ = publish(
         state,
         &rejected,
         &format!("{name}.error.json"),
@@ -136,14 +137,25 @@ pub(crate) fn quarantine(state: &ServerState, name: &str, claimed: &Path, error:
 /// `dir/<name>`, so a reader of `dir` never meets the file half written,
 /// nor the temp file at all. Duplicate names resolve last-wins, matching
 /// what a caller spooling the same name twice would expect.
-pub(crate) fn publish(state: &ServerState, dir: &Path, name: &str, text: &str) {
+///
+/// # Errors
+///
+/// The failed write or rename; the temp file is removed first.
+pub(crate) fn publish(
+    state: &ServerState,
+    dir: &Path,
+    name: &str,
+    text: &str,
+) -> std::io::Result<()> {
     let tmp = state
         .config
         .spool
         .join(format!(".tmp-{:06}-{name}", state.next_sequence()));
-    if std::fs::write(&tmp, text).is_ok() {
-        let _ = std::fs::rename(&tmp, dir.join(name));
+    let published = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, dir.join(name)));
+    if published.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
+    published
 }
 
 #[cfg(test)]

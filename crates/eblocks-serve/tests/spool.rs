@@ -188,6 +188,36 @@ fn oversized_inputs_are_refused_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn a_request_whose_answer_cannot_be_published_is_quarantined() {
+    // With `outbox/` replaced by a plain file, no answer can be renamed
+    // into place. The request must not vanish: it lands in `rejected/`
+    // with the publish error, and no temp file stays in the spool root.
+    let spool = tempdir("unpublishable");
+    let handle = spawn(config(&spool)).unwrap();
+    std::fs::remove_dir(spool.join("outbox")).unwrap();
+    std::fs::write(spool.join("outbox"), "not a directory").unwrap();
+
+    spool_file(&spool, "stats.json", "\"stats\"");
+    let error = wait_for(&spool.join("rejected/stats.json.error.json"));
+    let error = String::from_utf8(error).unwrap();
+    assert!(
+        error.contains("cannot publish the answer to outbox/stats.json"),
+        "{error}"
+    );
+    let input = std::fs::read(spool.join("rejected/stats.json")).unwrap();
+    assert_eq!(input, b"\"stats\"");
+    assert!(dir_map(&spool.join("claimed")).is_empty());
+    let temps: Vec<String> = std::fs::read_dir(&*spool)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with(".tmp-"))
+        .collect();
+    assert!(temps.is_empty(), "{temps:?}");
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
+#[test]
 fn clamps_config_edge_cases_and_creates_missing_directories() {
     let root = tempdir("clamp");
     // The spool root itself does not exist yet — spawn creates the whole
