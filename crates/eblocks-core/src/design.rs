@@ -170,8 +170,16 @@ impl Design {
                 port: to_port,
             });
         }
-        // A new edge src -> dst closes a cycle iff dst already reaches src.
-        if src == dst || petgraph::algo::has_path_connecting(&self.graph, dst.0, src.0, None) {
+        // A new edge src -> dst closes a cycle iff dst already reaches src,
+        // which a block that drives nothing yet cannot.
+        let dst_drives = self
+            .graph
+            .edges_directed(dst.0, Direction::Outgoing)
+            .next()
+            .is_some();
+        if src == dst
+            || (dst_drives && petgraph::algo::has_path_connecting(&self.graph, dst.0, src.0, None))
+        {
             return Err(DesignError::WouldCycle {
                 from: src_block.name().to_string(),
                 to: dst_block.name().to_string(),

@@ -101,20 +101,26 @@ pub fn to_netlist(design: &Design) -> String {
 /// input, an unsupported format version, or the underlying construction
 /// error (duplicate names, bad ports, cycles) wrapped in context.
 pub fn from_netlist(text: &str) -> Result<Design, DesignError> {
-    from_netlist_spanned(text).map(|(design, _)| design)
+    parse(text, None)
 }
 
 /// Parses netlist text into a design, also returning the byte span of every
 /// `block` and `wire` line (see [`NetlistSpans`]).
 ///
-/// [`from_netlist`] is a thin wrapper that discards the span table.
+/// [`from_netlist`] is the same parse without the span table.
 ///
 /// # Errors
 ///
 /// Same as [`from_netlist`].
 pub fn from_netlist_spanned(text: &str) -> Result<(Design, NetlistSpans), DesignError> {
-    let mut design = Design::new("unnamed");
     let mut spans = NetlistSpans::default();
+    let design = parse(text, Some(&mut spans))?;
+    Ok((design, spans))
+}
+
+/// The one netlist parser: fills `spans` when given one.
+fn parse(text: &str, mut spans: Option<&mut NetlistSpans>) -> Result<Design, DesignError> {
+    let mut design = Design::new("unnamed");
     let err = |line: usize, message: String| DesignError::Parse { line, message };
     let mut before_directives = true;
     let mut offset = 0usize;
@@ -180,7 +186,9 @@ pub fn from_netlist_spanned(text: &str) -> Result<(Design, NetlistSpans), Design
                 design
                     .try_add_block(name, kind)
                     .map_err(|e| err(lineno, e.to_string()))?;
-                spans.blocks.insert(name.to_string(), span);
+                if let Some(spans) = spans.as_deref_mut() {
+                    spans.blocks.insert(name.to_string(), span);
+                }
             }
             Some("wire") => {
                 let from = words
@@ -206,22 +214,24 @@ pub fn from_netlist_spanned(text: &str) -> Result<(Design, NetlistSpans), Design
                 design
                     .connect((src, from_port), (dst, to_port))
                     .map_err(|e| err(lineno, e.to_string()))?;
-                spans.wires.insert(
-                    (
-                        from_name.to_string(),
-                        from_port,
-                        to_name.to_string(),
-                        to_port,
-                    ),
-                    span,
-                );
+                if let Some(spans) = spans.as_deref_mut() {
+                    spans.wires.insert(
+                        (
+                            from_name.to_string(),
+                            from_port,
+                            to_name.to_string(),
+                            to_port,
+                        ),
+                        span,
+                    );
+                }
             }
             Some(other) => return Err(err(lineno, format!("unknown directive `{other}`"))),
             None => unreachable!("empty lines filtered above"),
         }
         before_directives = false;
     }
-    Ok((design, spans))
+    Ok(design)
 }
 
 fn parse_endpoint(s: &str) -> Option<(&str, u8)> {
