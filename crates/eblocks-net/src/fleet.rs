@@ -822,8 +822,10 @@ fn permute(order: &mut [usize], seed: u64) {
 /// A lane and its hand-off with the calling thread, which posts each
 /// instant to a helper lane's thread and waits for it to finish, both by
 /// spinning and then yielding on a counter: no allocation and no blocking
-/// primitive per instant. Aligned so two lanes' counters never share a
-/// cache line.
+/// primitive per instant. The lane's data is touched only under its
+/// mutex, taken after the counter's `Acquire` load and released before
+/// the other side's `Release` store, so each side sees the other's
+/// writes. Aligned so two lanes' counters never share a cache line.
 #[repr(align(128))]
 struct Handoff<'r, 's> {
     lane: Mutex<Lane<'r, 's>>,
