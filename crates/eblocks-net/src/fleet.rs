@@ -717,7 +717,7 @@ struct Lane<'r, 's> {
     egress: Vec<(usize, CapturedPacket)>,
     earliest: Option<Time>,
     failed: Option<(usize, SimError)>,
-    /// Scratch: one node's captures, and the shuffled visit order.
+    // Scratch: one node's captures, and the shuffled visit order.
     captured: Vec<CapturedPacket>,
     order: Vec<usize>,
 }
