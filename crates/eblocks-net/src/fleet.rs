@@ -470,11 +470,14 @@ impl Fleet {
         let mut killed: Vec<Vec<usize>> = vec![Vec::new(); lanes.len()];
         let mut earliest: Vec<Option<Time>> = lanes.iter().map(|h| h.lock().earliest).collect();
 
-        std::thread::scope(|scope| {
-            let _stop = StopLanes(&lanes[1..]);
-            for handoff in &lanes[1..] {
+        std::thread::scope(|scope| -> Result<(), NetError> {
+            let (own, helpers) = lanes.split_first().expect("a fleet has a lane");
+            let _stop = StopLanes(helpers);
+            for handoff in helpers {
                 scope.spawn(move || handoff.serve(faults, until, schedule.shuffle));
             }
+            // Lane 0 is this thread's alone, so it holds it for the run.
+            let mut own = own.lock();
             let mut instant: u64 = 0;
             loop {
                 let nodes = earliest.iter().flatten().min().copied();
@@ -535,29 +538,22 @@ impl Fleet {
                 // Phase 2: every lane steps its nodes with work at this
                 // instant (see `Lane::run`); this thread runs lane 0.
                 instant += 1;
-                for (l, handoff) in lanes.iter().enumerate() {
-                    let mut lane = handoff.lock();
-                    lane.t = t;
-                    std::mem::swap(&mut lane.deliveries, &mut deliveries[l]);
-                    std::mem::swap(&mut lane.killed, &mut killed[l]);
-                    lane.grid_due.clear();
-                    lane.grid_due
-                        .extend(grids.iter().map(|g| g.next == Some(t)));
-                    drop(lane);
-                    if l > 0 {
-                        handoff.posted.store(instant, Ordering::Release);
-                    }
+                own.prepare(t, &grids, &mut deliveries[0], &mut killed[0]);
+                for (l, handoff) in (1..).zip(helpers) {
+                    handoff
+                        .lock()
+                        .prepare(t, &grids, &mut deliveries[l], &mut killed[l]);
+                    handoff.posted.store(instant, Ordering::Release);
                 }
-                lanes[0].lock().run(faults, until, schedule.shuffle);
-                for handoff in &lanes[1..] {
+                own.run(faults, until, schedule.shuffle);
+                for handoff in helpers {
                     if !handoff.take_over(instant, faults, until, schedule.shuffle) {
                         wait_until(|| handoff.done.load(Ordering::Acquire) >= instant);
                     }
                 }
                 // Lane order is rank order: the lowest-rank failure wins,
                 // and crashes log by rank, all before any send.
-                for (l, handoff) in lanes.iter().enumerate() {
-                    let mut lane = handoff.lock();
+                let mut merge = |l: usize, lane: &mut Lane| -> Result<(), NetError> {
                     if let Some((i, error)) = lane.failed.take() {
                         return Err(NetError::Sim {
                             node: node_names[i].to_string(),
@@ -576,13 +572,18 @@ impl Fleet {
                         }
                     }
                     lane.crashes.clear();
+                    Ok(())
+                };
+                merge(0, &mut own)?;
+                for (l, handoff) in (1..).zip(helpers) {
+                    merge(l, &mut handoff.lock())?;
                 }
 
                 // Phase 3: send the egress in (rank, capture, channel)
                 // order; each packet gets the next global seq and starts
                 // its first hop immediately.
-                for handoff in &lanes {
-                    for (i, p) in handoff.lock().egress.drain(..) {
+                let mut send = |lane: &mut Lane| {
+                    for (i, p) in lane.egress.drain(..) {
                         let Some(chans) = by_tap[i].get(p.tap as usize) else {
                             continue;
                         };
@@ -597,6 +598,10 @@ impl Fleet {
                             net.hop(t, chan, 0, seq, p.value);
                         }
                     }
+                };
+                send(&mut own);
+                for handoff in helpers {
+                    send(&mut handoff.lock());
                 }
 
                 for g in &mut grids {
@@ -752,6 +757,25 @@ impl<'r, 's> Lane<'r, 's> {
         }
     }
 
+    /// Takes instant `t`'s inputs from the calling thread: its phase-1
+    /// deliveries and crashes, swapped with `deliveries` and `killed`
+    /// (which come back empty), and whether each grid has an instant at
+    /// `t`.
+    fn prepare(
+        &mut self,
+        t: Time,
+        grids: &[Grid],
+        deliveries: &mut Vec<(usize, SensorRef, bool)>,
+        killed: &mut Vec<usize>,
+    ) {
+        self.t = t;
+        std::mem::swap(&mut self.deliveries, deliveries);
+        std::mem::swap(&mut self.killed, killed);
+        self.grid_due.clear();
+        self.grid_due
+            .extend(grids.iter().map(|g| g.next == Some(t)));
+    }
+
     /// [`run`](Lane::run) for hand-off `instant`, unless the lane already
     /// ran it (its thread and the calling thread may both try).
     fn run_once(
@@ -791,9 +815,9 @@ impl<'r, 's> Lane<'r, 's> {
             permute(&mut self.order, mix(&[seed, self.first as u64, t]));
         }
         let mut events = 0;
-        let mut earliest: Option<Time> = None;
-        for k in 0..self.runners.len() {
-            let i = self.order.get(k).copied().unwrap_or(k);
+        let shuffled = shuffle.is_some();
+        for k in 0..self.next.len() {
+            let i = if shuffled { self.order[k] } else { k };
             if self.down[i] {
                 continue;
             }
@@ -820,16 +844,13 @@ impl<'r, 's> Lane<'r, 's> {
             } else if self.grid_of[i].is_some_and(|g| self.grid_due[g]) {
                 events += 1;
             }
-            if let Some(at) = self.next[i] {
-                earliest = Some(earliest.map_or(at, |e: Time| e.min(at)));
-            }
         }
-        if shuffle.is_some() {
+        if shuffled {
             self.crashes.sort_unstable();
             self.egress.sort_by_key(|&(rank, _)| rank);
         }
         self.events = events;
-        self.earliest = earliest;
+        self.earliest = self.next.iter().flatten().min().copied();
     }
 }
 
