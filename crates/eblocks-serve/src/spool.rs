@@ -124,7 +124,8 @@ pub(crate) fn quarantine(state: &ServerState, name: &str, claimed: &Path, error:
     let reply = ErrorReply {
         error: error.to_string(),
     };
-    // With `rejected/` unwritable too, the input stays in `claimed/`.
+    // If `rejected/` is unwritable too, the rename above failed as well
+    // and the input stays in `claimed/`.
     let _ = publish(
         state,
         &rejected,
