@@ -274,29 +274,46 @@ impl Expr {
         }
     }
 
-    fn fmt_prec(&self, f: &mut fmt::Formatter<'_>, parent: u8) -> fmt::Result {
+    /// Writes the expression with the language's operator symbols and
+    /// precedence (C's), parenthesizing only where precedence needs it, and
+    /// each leaf (a literal or a variable) through `leaf`.
+    /// [`Display`](fmt::Display) is this with every leaf as written; the C
+    /// emitter prints ports as array elements and booleans as `1`/`0`.
+    pub fn write_with<W, F>(&self, out: &mut W, leaf: &mut F) -> fmt::Result
+    where
+        W: fmt::Write + ?Sized,
+        F: FnMut(&mut W, &Expr) -> fmt::Result,
+    {
+        self.write_prec(out, 0, leaf)
+    }
+
+    fn write_prec<W, F>(&self, out: &mut W, parent: u8, leaf: &mut F) -> fmt::Result
+    where
+        W: fmt::Write + ?Sized,
+        F: FnMut(&mut W, &Expr) -> fmt::Result,
+    {
         match self {
-            Self::Bool(v) => write!(f, "{v}"),
-            Self::Int(v) => write!(f, "{v}"),
-            Self::Var(name) => f.write_str(name),
+            Self::Bool(_) | Self::Int(_) | Self::Var(_) => leaf(out, self),
             Self::Unary(op, e) => {
-                f.write_str(op.symbol())?;
+                out.write_str(op.symbol())?;
                 // Unary binds tighter than any binary operator.
-                e.fmt_prec(f, 7)
+                e.write_prec(out, 7, leaf)
             }
             Self::Binary(op, l, r) => {
                 let prec = op.precedence();
                 let needs_parens = prec < parent;
                 if needs_parens {
-                    f.write_str("(")?;
+                    out.write_str("(")?;
                 }
-                l.fmt_prec(f, prec)?;
-                write!(f, " {} ", op.symbol())?;
+                l.write_prec(out, prec, leaf)?;
+                out.write_str(" ")?;
+                out.write_str(op.symbol())?;
+                out.write_str(" ")?;
                 // Left-associative: the right operand needs strictly higher
                 // precedence to avoid parentheses.
-                r.fmt_prec(f, prec + 1)?;
+                r.write_prec(out, prec + 1, leaf)?;
                 if needs_parens {
-                    f.write_str(")")?;
+                    out.write_str(")")?;
                 }
                 Ok(())
             }
@@ -306,7 +323,12 @@ impl Expr {
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_prec(f, 0)
+        self.write_with(f, &mut |f, leaf| match leaf {
+            Self::Bool(v) => write!(f, "{v}"),
+            Self::Int(v) => write!(f, "{v}"),
+            Self::Var(name) => f.write_str(name),
+            Self::Unary(..) | Self::Binary(..) => unreachable!("leaves only"),
+        })
     }
 }
 

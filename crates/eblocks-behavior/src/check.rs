@@ -6,7 +6,7 @@
 //! duplicate handlers, and non-constant state initializers.
 
 use crate::ast::{input_port, output_port, Expr, HandlerKind, Program, Stmt};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -116,7 +116,7 @@ pub fn check(program: &Program, num_inputs: u8, num_outputs: u8) -> Vec<CheckErr
     }
 
     // State declarations: unique names, constant initializers.
-    let mut declared: BTreeSet<&str> = BTreeSet::new();
+    let mut declared: HashSet<&str> = HashSet::with_capacity(program.states.len());
     for st in &program.states {
         if !declared.insert(&st.name) {
             errors.push(CheckError::DuplicateState {
@@ -133,22 +133,113 @@ pub fn check(program: &Program, num_inputs: u8, num_outputs: u8) -> Vec<CheckErr
         }
     }
 
+    // Defined set: states plus names assigned so far (outputs may be read
+    // back after assignment); inputs are implicitly defined in the input
+    // handler.
+    let mut checker = Checker {
+        defined: Assigned::new(declared),
+        kind: HandlerKind::Input,
+        num_inputs,
+        num_outputs,
+        errors,
+    };
     for handler in &program.handlers {
-        // Defined set: states plus outputs assigned so far (outputs may be
-        // read back after assignment); inputs are implicitly defined in the
-        // input handler.
-        let mut defined: BTreeSet<&str> = program.states.iter().map(|s| s.name.as_str()).collect();
-        check_body(
-            &handler.body,
-            &mut defined,
-            handler.kind,
-            num_inputs,
-            num_outputs,
-            &mut errors,
-        );
+        checker.kind = handler.kind;
+        checker.body(&handler.body);
+        checker.defined.reset();
+    }
+    checker.errors
+}
+
+/// The names definitely assigned at a program point: the state variables,
+/// then every name assigned on all paths so far. [`check`] reports a read
+/// of any other name, and the optimizer keeps an expression that reads one.
+///
+/// An `if` is walked as [`branch`](Self::branch), the then-branch,
+/// [`otherwise`](Self::otherwise), the else-branch, [`join`](Self::join):
+/// only names assigned on both paths stay. The set logs the names each
+/// insert added, so a branch is undone from the log rather than by copying
+/// the set.
+#[derive(Debug)]
+pub(crate) struct Assigned<'p> {
+    set: HashSet<&'p str>,
+    /// Every name inserted since the start (or the last reset), in order;
+    /// none of the initial names.
+    log: Vec<&'p str>,
+}
+
+/// An open `if`: where its then-branch and else-branch begin in the log.
+pub(crate) struct Branch {
+    start: usize,
+    otherwise: usize,
+}
+
+impl<'p> Assigned<'p> {
+    /// Starts from `initial`, the state variables.
+    pub(crate) fn new(initial: HashSet<&'p str>) -> Self {
+        Self {
+            set: initial,
+            log: Vec::new(),
+        }
     }
 
-    errors
+    pub(crate) fn contains(&self, name: &str) -> bool {
+        self.set.contains(name)
+    }
+
+    pub(crate) fn insert(&mut self, name: &'p str) {
+        if self.set.insert(name) {
+            self.log.push(name);
+        }
+    }
+
+    /// Back to the initial names, for the next handler.
+    pub(crate) fn reset(&mut self) {
+        for name in self.log.drain(..) {
+            self.set.remove(name);
+        }
+    }
+
+    /// Opens an `if`: the then-branch follows.
+    pub(crate) fn branch(&self) -> Branch {
+        Branch {
+            start: self.log.len(),
+            otherwise: self.log.len(),
+        }
+    }
+
+    /// Ends the then-branch and starts the else-branch from the names
+    /// assigned before the `if`.
+    pub(crate) fn otherwise(&mut self, branch: &mut Branch) {
+        for name in &self.log[branch.start..] {
+            self.set.remove(name);
+        }
+        branch.otherwise = self.log.len();
+    }
+
+    /// Closes the `if`: a name either branch assigned stays assigned only
+    /// if the other branch assigned it too.
+    pub(crate) fn join(&mut self, branch: Branch) {
+        let end = self.log.len();
+        for i in branch.otherwise..end {
+            let name = self.log[i];
+            if self.log[branch.start..branch.otherwise].contains(&name) {
+                self.log.push(name);
+            } else {
+                self.set.remove(name);
+            }
+        }
+        self.log.drain(branch.start..end);
+    }
+}
+
+/// One [`check`] call's walk over the handlers.
+struct Checker<'p> {
+    defined: Assigned<'p>,
+    kind: HandlerKind,
+    num_inputs: u8,
+    num_outputs: u8,
+    errors: Vec<CheckError>,
 }
 
 /// The names `e` reads, sorted and deduplicated, borrowed from `e`.
@@ -171,78 +262,88 @@ fn reads(e: &Expr) -> BTreeSet<&str> {
     into
 }
 
-fn check_expr(
-    e: &Expr,
-    defined: &BTreeSet<&str>,
-    kind: HandlerKind,
-    num_inputs: u8,
-    num_outputs: u8,
-    errors: &mut Vec<CheckError>,
-) {
-    for name in reads(e) {
+impl<'p> Checker<'p> {
+    /// Whether reading `name` here is an error.
+    fn bad_read(&self, name: &str) -> bool {
         if let Some(port) = input_port(name) {
-            if kind == HandlerKind::Tick {
-                errors.push(CheckError::InputReadInTick { port });
-            } else if port >= num_inputs {
-                errors.push(CheckError::InputOutOfRange {
-                    port,
-                    arity: num_inputs,
-                });
-            }
+            self.kind == HandlerKind::Tick || port >= self.num_inputs
         } else if let Some(port) = output_port(name) {
-            if port >= num_outputs {
-                errors.push(CheckError::OutputOutOfRange {
-                    port,
-                    arity: num_outputs,
-                });
-            } else if !defined.contains(name) {
-                errors.push(CheckError::PossiblyUndefined { name: name.into() });
-            }
-        } else if !defined.contains(name) {
-            errors.push(CheckError::PossiblyUndefined { name: name.into() });
+            port >= self.num_outputs || !self.defined.contains(name)
+        } else {
+            !self.defined.contains(name)
         }
     }
-}
 
-fn check_body<'p>(
-    body: &'p [Stmt],
-    defined: &mut BTreeSet<&'p str>,
-    kind: HandlerKind,
-    num_inputs: u8,
-    num_outputs: u8,
-    errors: &mut Vec<CheckError>,
-) {
-    for stmt in body {
-        match stmt {
-            Stmt::Let(name, e) | Stmt::Assign(name, e) => {
-                check_expr(e, defined, kind, num_inputs, num_outputs, errors);
-                if let Some(port) = input_port(name) {
-                    errors.push(CheckError::AssignToInput { port });
-                } else if let Some(port) = output_port(name) {
-                    if port >= num_outputs {
-                        errors.push(CheckError::OutputOutOfRange {
-                            port,
-                            arity: num_outputs,
-                        });
-                    }
+    /// Whether `e` reads any name [`bad_read`](Self::bad_read) rejects.
+    fn any_bad_read(&self, e: &Expr) -> bool {
+        match e {
+            Expr::Bool(_) | Expr::Int(_) => false,
+            Expr::Var(name) => self.bad_read(name),
+            Expr::Unary(_, x) => self.any_bad_read(x),
+            Expr::Binary(_, l, r) => self.any_bad_read(l) || self.any_bad_read(r),
+        }
+    }
+
+    /// Reports each bad name `e` reads once, in name order. A clean
+    /// expression (the usual case) is only walked.
+    fn expr(&mut self, e: &Expr) {
+        if !self.any_bad_read(e) {
+            return;
+        }
+        for name in reads(e) {
+            if let Some(port) = input_port(name) {
+                if self.kind == HandlerKind::Tick {
+                    self.errors.push(CheckError::InputReadInTick { port });
+                } else if port >= self.num_inputs {
+                    self.errors.push(CheckError::InputOutOfRange {
+                        port,
+                        arity: self.num_inputs,
+                    });
                 }
-                defined.insert(name);
+            } else if let Some(port) = output_port(name) {
+                if port >= self.num_outputs {
+                    self.errors.push(CheckError::OutputOutOfRange {
+                        port,
+                        arity: self.num_outputs,
+                    });
+                } else if !self.defined.contains(name) {
+                    self.errors
+                        .push(CheckError::PossiblyUndefined { name: name.into() });
+                }
+            } else if !self.defined.contains(name) {
+                self.errors
+                    .push(CheckError::PossiblyUndefined { name: name.into() });
             }
-            Stmt::If(cond, then_body, else_body) => {
-                check_expr(cond, defined, kind, num_inputs, num_outputs, errors);
-                // Definite assignment: only names assigned on *both* branches
-                // are defined afterwards.
-                let mut then_defined = defined.clone();
-                check_body(
-                    then_body,
-                    &mut then_defined,
-                    kind,
-                    num_inputs,
-                    num_outputs,
-                    errors,
-                );
-                check_body(else_body, defined, kind, num_inputs, num_outputs, errors);
-                defined.retain(|name| then_defined.contains(name));
+        }
+    }
+
+    fn body(&mut self, body: &'p [Stmt]) {
+        for stmt in body {
+            match stmt {
+                Stmt::Let(name, e) | Stmt::Assign(name, e) => {
+                    self.expr(e);
+                    if let Some(port) = input_port(name) {
+                        self.errors.push(CheckError::AssignToInput { port });
+                    } else if let Some(port) = output_port(name) {
+                        if port >= self.num_outputs {
+                            self.errors.push(CheckError::OutputOutOfRange {
+                                port,
+                                arity: self.num_outputs,
+                            });
+                        }
+                    }
+                    self.defined.insert(name);
+                }
+                Stmt::If(cond, then_body, else_body) => {
+                    self.expr(cond);
+                    // Definite assignment: only names assigned on *both*
+                    // branches are defined afterwards.
+                    let mut branch = self.defined.branch();
+                    self.body(then_body);
+                    self.defined.otherwise(&mut branch);
+                    self.body(else_body);
+                    self.defined.join(branch);
+                }
             }
         }
     }

@@ -105,7 +105,7 @@ impl Compiled {
         // binds knows to look for the local.
         for name in program.handlers.iter().flat_map(Handler::locals) {
             let next = c.locals.len() as u32;
-            c.locals.entry(name.to_string()).or_insert(next);
+            c.locals.entry(name).or_insert(next);
         }
         let inits = program
             .states
@@ -131,28 +131,29 @@ impl Compiled {
     }
 }
 
-/// Name resolution state for one [`Compiled::new`].
+/// Name resolution state for one [`Compiled::new`], keyed by names
+/// borrowed from the program.
 #[derive(Default)]
-struct Compiler {
+struct Compiler<'p> {
     names: Vec<String>,
-    slots: HashMap<String, Slot>,
-    locals: HashMap<String, u32>,
+    slots: HashMap<&'p str, Slot>,
+    locals: HashMap<&'p str, u32>,
     outputs: usize,
 }
 
-impl Compiler {
-    fn slot(&mut self, name: &str) -> Slot {
+impl<'p> Compiler<'p> {
+    fn slot(&mut self, name: &'p str) -> Slot {
         if let Some(&slot) = self.slots.get(name) {
             return slot;
         }
         let slot = self.names.len() as Slot;
         self.names.push(name.to_string());
-        self.slots.insert(name.to_string(), slot);
+        self.slots.insert(name, slot);
         slot
     }
 
     /// A plain name: its state slot, shadowed by a local if a `let` binds it.
-    fn name(&mut self, name: &str) -> Var {
+    fn name(&mut self, name: &'p str) -> Var {
         let slot = self.slot(name);
         match self.locals.get(name) {
             Some(&local) => Var::Scoped { local, slot },
@@ -160,7 +161,7 @@ impl Compiler {
         }
     }
 
-    fn output(&mut self, port: u8, name: &str) -> Var {
+    fn output(&mut self, port: u8, name: &'p str) -> Var {
         self.outputs = self.outputs.max(usize::from(port) + 1);
         Var::Output {
             port,
@@ -169,7 +170,7 @@ impl Compiler {
     }
 
     /// A name read inside a handler.
-    fn read(&mut self, name: &str) -> Var {
+    fn read(&mut self, name: &'p str) -> Var {
         if let Some(port) = input_port(name) {
             Var::Input(port)
         } else if let Some(port) = output_port(name) {
@@ -182,7 +183,7 @@ impl Compiler {
     /// A name assigned inside a handler. Input ports are not special here:
     /// assigning `inK` writes a variable of that name, which reads of `inK`
     /// never see.
-    fn write(&mut self, name: &str) -> Var {
+    fn write(&mut self, name: &'p str) -> Var {
         match output_port(name) {
             Some(port) => self.output(port, name),
             None => self.name(name),
@@ -191,14 +192,14 @@ impl Compiler {
 
     /// A name read by a state initializer: only prior states are in scope,
     /// and no input has been supplied yet.
-    fn init_read(&mut self, name: &str) -> Var {
+    fn init_read(&mut self, name: &'p str) -> Var {
         match input_port(name) {
             Some(port) => Var::Input(port),
             None => Var::State(self.slot(name)),
         }
     }
 
-    fn expr(&mut self, e: &Expr, resolve: fn(&mut Self, &str) -> Var) -> Node {
+    fn expr(&mut self, e: &'p Expr, resolve: fn(&mut Self, &'p str) -> Var) -> Node {
         match e {
             Expr::Bool(b) => Node::Const(Value::Bool(*b)),
             Expr::Int(v) => Node::Const(Value::Int(*v)),
@@ -212,7 +213,7 @@ impl Compiler {
         }
     }
 
-    fn body(&mut self, body: &[Stmt]) -> Vec<Step> {
+    fn body(&mut self, body: &'p [Stmt]) -> Vec<Step> {
         body.iter()
             .map(|stmt| match stmt {
                 Stmt::Let(name, e) => {

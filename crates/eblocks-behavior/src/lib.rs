@@ -64,6 +64,7 @@ pub mod library;
 pub mod optimize;
 pub mod parser;
 pub mod span;
+pub mod types;
 pub mod value;
 
 pub use ast::{BinOp, Expr, Handler, HandlerKind, Program, StateDecl, Stmt, UnOp};
@@ -73,4 +74,5 @@ pub use lexer::LexError;
 pub use optimize::optimize;
 pub use parser::{parse, parse_spanned, ParseError};
 pub use span::{HandlerSpans, ProgramSpans, Span, StmtSpans};
+pub use types::VarTypes;
 pub use value::{EvalError, Ty, Value};

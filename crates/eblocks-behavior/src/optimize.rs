@@ -21,14 +21,16 @@
 //! faults (see the equivalence property test in
 //! `tests/proptest_roundtrip.rs`).
 
-use crate::ast::{input_port, output_port, BinOp, Expr, Handler, Program, Stmt, UnOp};
+use crate::ast::{input_port, BinOp, Expr, Handler, HandlerKind, Program, Stmt, UnOp};
+use crate::check::Assigned;
+use crate::types::VarTypes;
 use crate::value::Ty;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Variable types plus handler context (input ports are unreadable inside
 /// `on tick` handlers, where referencing `inK` faults).
 struct Ctx<'a> {
-    env: &'a TypeEnv,
+    env: &'a VarTypes<'a>,
     inputs_ok: bool,
     /// Variables *definitely assigned* at the current program point: state
     /// declarations plus every name assigned on all paths so far in this
@@ -36,113 +38,38 @@ struct Ctx<'a> {
     /// `UndefinedVariable` (plain names and `outK` alike), so only
     /// definitely-assigned variables count as total when an expression is
     /// considered for discarding.
-    defined: HashSet<&'a str>,
+    defined: Assigned<'a>,
 }
-
-/// Each variable's conservative static type: `None` when conflicting or
-/// unknowable, treated as "could fault anywhere".
-type TypeEnv = HashMap<String, Option<Ty>>;
 
 /// Optimizes a whole program (handlers only; state initializers are already
 /// literals after checking).
 pub fn optimize(program: &Program) -> Program {
-    let env = infer_types(program);
+    let env = VarTypes::infer(program);
     let state_names: HashSet<&str> = program.states.iter().map(|st| st.name.as_str()).collect();
+    let mut ctx = Ctx {
+        env: &env,
+        inputs_ok: true,
+        defined: Assigned::new(state_names),
+    };
     Program {
         states: program.states.clone(),
         handlers: program
             .handlers
             .iter()
             .map(|h| {
-                let mut ctx = Ctx {
-                    env: &env,
-                    inputs_ok: h.kind == crate::ast::HandlerKind::Input,
-                    defined: state_names.clone(),
-                };
-                Handler {
-                    kind: h.kind,
-                    body: optimize_body(&h.body, &mut ctx),
-                }
+                ctx.inputs_ok = h.kind == HandlerKind::Input;
+                let body = optimize_body(&h.body, &mut ctx);
+                ctx.defined.reset();
+                Handler { kind: h.kind, body }
             })
             .collect(),
     }
 }
 
-/// Infers variable types from state initializers and assignments; variables
-/// assigned both types become unknown (`None`). Ports are boolean (packets
-/// carry booleans).
-fn infer_types(program: &Program) -> TypeEnv {
-    let mut env = TypeEnv::new();
-
-    fn note(env: &mut TypeEnv, name: &str, ty: Option<Ty>) {
-        match env.get(name) {
-            None => {
-                env.insert(name.to_string(), ty);
-            }
-            Some(&existing) if existing != ty => {
-                env.insert(name.to_string(), None);
-            }
-            _ => {}
-        }
-    }
-
-    fn walk(body: &[Stmt], env: &mut TypeEnv) {
-        for stmt in body {
-            match stmt {
-                Stmt::Let(name, e) | Stmt::Assign(name, e) => {
-                    let ctx = Ctx {
-                        env,
-                        inputs_ok: true,
-                        defined: HashSet::new(),
-                    };
-                    let ty = expr_type(e, &ctx);
-                    note(env, name, ty);
-                }
-                Stmt::If(_, a, b) => {
-                    walk(a, env);
-                    walk(b, env);
-                }
-            }
-        }
-    }
-
-    for st in &program.states {
-        let ctx = Ctx {
-            env: &env,
-            inputs_ok: true,
-            defined: HashSet::new(),
-        };
-        let ty = expr_type(&st.init, &ctx);
-        env.insert(st.name.clone(), ty);
-    }
-    // Two passes let forward references (nets assigned later) resolve.
-    for _ in 0..2 {
-        for h in &program.handlers {
-            walk(&h.body, &mut env);
-        }
-    }
-    env
-}
-
 /// The type an expression evaluates to, or `None` when it is ill-typed or
 /// involves unknowns — in which case it may fault at run time.
 fn expr_type(e: &Expr, ctx: &Ctx) -> Option<Ty> {
-    match e {
-        Expr::Bool(_) => Some(Ty::Bool),
-        Expr::Int(_) => Some(Ty::Int),
-        Expr::Var(name) => {
-            if input_port(name).is_some() {
-                // Reading inK faults inside `on tick`.
-                return ctx.inputs_ok.then_some(Ty::Bool);
-            }
-            if output_port(name).is_some() {
-                return Some(Ty::Bool);
-            }
-            ctx.env.get(name).copied().flatten()
-        }
-        Expr::Unary(op, x) => (expr_type(x, ctx)? == op.ty()).then_some(op.ty()),
-        Expr::Binary(op, l, r) => op.result_type(expr_type(l, ctx)?, expr_type(r, ctx)?),
-    }
+    ctx.env.expr_checked(e, ctx.inputs_ok)
 }
 
 /// Whether evaluating `e` can never fault: well-typed, no division or
@@ -180,7 +107,7 @@ fn is_total(e: &Expr, ctx: &Ctx) -> bool {
                 } else {
                     // Plain names and `outK` fault unless assigned: only a
                     // definitely-assigned variable is safe to discard.
-                    ctx.defined.contains(name.as_str())
+                    ctx.defined.contains(name)
                 }
             }
             Expr::Unary(_, x) => vars_defined(x, ctx),
@@ -212,13 +139,13 @@ fn optimize_body<'a>(body: &'a [Stmt], ctx: &mut Ctx<'a>) -> Vec<Stmt> {
                     Expr::Bool(true) => out.extend(optimize_body(then_body, ctx)),
                     Expr::Bool(false) => out.extend(optimize_body(else_body, ctx)),
                     cond => {
-                        let before = ctx.defined.clone();
-                        let then_body = optimize_body(then_body, ctx);
-                        let after_then = std::mem::replace(&mut ctx.defined, before);
-                        let else_body = optimize_body(else_body, ctx);
                         // Either branch may run: only names assigned on
                         // both paths are definitely assigned afterwards.
-                        ctx.defined.retain(|name| after_then.contains(name));
+                        let mut branch = ctx.defined.branch();
+                        let then_body = optimize_body(then_body, ctx);
+                        ctx.defined.otherwise(&mut branch);
+                        let else_body = optimize_body(else_body, ctx);
+                        ctx.defined.join(branch);
                         // Dropping the branch requires the condition to be
                         // fault-free AND boolean-typed: `if (-0) {}` faults.
                         if then_body.is_empty()

@@ -13,60 +13,82 @@
 //!
 //! each writing the output pin values to transmit (the firmware applies the
 //! change-detection transmit rule).
+//!
+//! Each variable is declared `int16_t` when it ever holds an integer and
+//! `eb_bool` otherwise, by the one type inference the optimizer also reads
+//! ([`VarTypes::storage`]). The source is written straight into one
+//! `String`: no statement or expression is copied or printed to a
+//! temporary first.
 
-use eblocks_behavior::{Expr, HandlerKind, Program, Stmt, Ty};
-use std::collections::BTreeMap;
-use std::fmt::Write;
+use eblocks_behavior::ast::{input_port, output_port};
+use eblocks_behavior::{Expr, HandlerKind, Program, Stmt, Ty, VarTypes};
+use std::fmt::{self, Write};
 
 /// Emits freestanding C for a behavior program (typically a merged
 /// partition program, but any checked program works).
 ///
 /// `name` labels the generated functions' header comment.
 pub fn emit_c(name: &str, program: &Program, num_inputs: u8, num_outputs: u8) -> String {
-    let types = infer_types(program);
-    let mut out = String::new();
-    let _ = writeln!(out, "/* Generated eBlock program: {name} */");
-    let _ = writeln!(
-        out,
-        "/* Target: Microchip PIC16F628 (2 KB program memory) */"
-    );
+    let types = VarTypes::infer(program);
+    // About a kilobyte is the median program's source.
+    let mut out = String::with_capacity(1024);
+    // Writing to a `String` cannot fail.
+    let _ = write_c(&mut out, name, program, &types, num_inputs, num_outputs);
+    out
+}
+
+fn write_c(
+    out: &mut String,
+    name: &str,
+    program: &Program,
+    types: &VarTypes,
+    num_inputs: u8,
+    num_outputs: u8,
+) -> fmt::Result {
+    writeln!(out, "/* Generated eBlock program: {name} */")?;
+    out.push_str("/* Target: Microchip PIC16F628 (2 KB program memory) */\n");
     out.push_str("#include <stdint.h>\n\n");
     out.push_str("typedef uint8_t eb_bool;\n\n");
 
     for st in &program.states {
-        let ty = c_type(types.get(&st.name).copied().unwrap_or(Ty::Bool));
-        let _ = writeln!(out, "static {ty} {} = {};", st.name, emit_expr(&st.init));
+        out.push_str("static ");
+        out.push_str(c_type(types.storage(&st.name)));
+        out.push(' ');
+        out.push_str(&st.name);
+        out.push_str(" = ");
+        write_expr(out, &st.init)?;
+        out.push_str(";\n");
     }
     if !program.states.is_empty() {
         out.push('\n');
     }
 
-    let input_sig = format!(
-        "void eblock_on_input(const eb_bool in[{}], eb_bool out[{}])",
-        num_inputs.max(1),
-        num_outputs.max(1)
-    );
-    let tick_sig = format!("void eblock_on_tick(eb_bool out[{}])", num_outputs.max(1));
-
-    for (kind, sig) in [
-        (HandlerKind::Input, input_sig),
-        (HandlerKind::Tick, tick_sig),
-    ] {
-        let _ = writeln!(out, "{sig} {{");
+    let (ins, outs) = (num_inputs.max(1), num_outputs.max(1));
+    for kind in [HandlerKind::Input, HandlerKind::Tick] {
+        match kind {
+            HandlerKind::Input => writeln!(
+                out,
+                "void eblock_on_input(const eb_bool in[{ins}], eb_bool out[{outs}]) {{"
+            )?,
+            HandlerKind::Tick => writeln!(out, "void eblock_on_tick(eb_bool out[{outs}]) {{")?,
+        }
         if let Some(handler) = program.handler(kind) {
             // Handler-local `let` variables, declared up front (C89-friendly
             // for ancient PIC toolchains).
             for local in handler.locals() {
-                let ty = c_type(types.get(local).copied().unwrap_or(Ty::Bool));
-                let _ = writeln!(out, "    {ty} {local};");
+                out.push_str("    ");
+                out.push_str(c_type(types.storage(local)));
+                out.push(' ');
+                out.push_str(local);
+                out.push_str(";\n");
             }
             for stmt in &handler.body {
-                emit_stmt(&mut out, stmt, 1);
+                write_stmt(out, stmt, 1)?;
             }
         }
         out.push_str("}\n\n");
     }
-    out
+    Ok(())
 }
 
 fn c_type(t: Ty) -> &'static str {
@@ -76,108 +98,69 @@ fn c_type(t: Ty) -> &'static str {
     }
 }
 
-/// Infers variable types from initializers and assignments: anything ever
-/// assigned an integer-typed expression is `int16_t`, everything else is
-/// `eb_bool`.
-fn infer_types(program: &Program) -> BTreeMap<String, Ty> {
-    let mut types: BTreeMap<String, Ty> = BTreeMap::new();
-    for st in &program.states {
-        types.insert(st.name.clone(), expr_type(&st.init, &types));
-    }
-    // Two passes let later reads of earlier-typed variables resolve.
-    for _ in 0..2 {
-        for handler in &program.handlers {
-            infer_body(&handler.body, &mut types);
+fn write_stmt(out: &mut String, stmt: &Stmt, indent: usize) -> fmt::Result {
+    let pad = |out: &mut String| {
+        for _ in 0..indent {
+            out.push_str("    ");
         }
-    }
-    types
-}
-
-fn infer_body(body: &[Stmt], types: &mut BTreeMap<String, Ty>) {
-    for stmt in body {
-        match stmt {
-            Stmt::Let(name, e) | Stmt::Assign(name, e) => {
-                let t = expr_type(e, types);
-                // Int is sticky: a variable that ever holds an int is int.
-                let entry = types.entry(name.clone()).or_insert(t);
-                if t == Ty::Int {
-                    *entry = Ty::Int;
-                }
-            }
-            Stmt::If(_, a, b) => {
-                infer_body(a, types);
-                infer_body(b, types);
-            }
-        }
-    }
-}
-
-/// The type an expression yields, by the operator table's result types;
-/// a variable of no known type is boolean.
-fn expr_type(e: &Expr, types: &BTreeMap<String, Ty>) -> Ty {
-    match e {
-        Expr::Bool(_) => Ty::Bool,
-        Expr::Int(_) => Ty::Int,
-        Expr::Var(name) => types.get(name).copied().unwrap_or(Ty::Bool),
-        Expr::Unary(op, _) => op.ty(),
-        Expr::Binary(op, _, _) => op.result(),
-    }
-}
-
-fn emit_stmt(out: &mut String, stmt: &Stmt, indent: usize) {
-    let pad = "    ".repeat(indent);
+    };
+    pad(out);
     match stmt {
         Stmt::Let(name, e) | Stmt::Assign(name, e) => {
-            let target = port_lvalue(name);
-            let _ = writeln!(out, "{pad}{target} = {};", emit_expr(e));
+            // `outK` becomes an array element; everything else is a plain
+            // variable.
+            match output_port(name) {
+                Some(port) => write!(out, "out[{port}]")?,
+                None => out.push_str(name),
+            }
+            out.push_str(" = ");
+            write_expr(out, e)?;
+            out.push_str(";\n");
         }
         Stmt::If(cond, then_body, else_body) => {
-            let _ = writeln!(out, "{pad}if ({}) {{", emit_expr(cond));
+            out.push_str("if (");
+            write_expr(out, cond)?;
+            out.push_str(") {\n");
             for s in then_body {
-                emit_stmt(out, s, indent + 1);
+                write_stmt(out, s, indent + 1)?;
             }
+            pad(out);
             if else_body.is_empty() {
-                let _ = writeln!(out, "{pad}}}");
+                out.push_str("}\n");
             } else {
-                let _ = writeln!(out, "{pad}}} else {{");
+                out.push_str("} else {\n");
                 for s in else_body {
-                    emit_stmt(out, s, indent + 1);
+                    write_stmt(out, s, indent + 1)?;
                 }
-                let _ = writeln!(out, "{pad}}}");
+                pad(out);
+                out.push_str("}\n");
             }
         }
     }
+    Ok(())
 }
 
-/// `inK`/`outK` become array accesses; everything else is a plain variable.
-fn port_lvalue(name: &str) -> String {
-    if let Some(port) = eblocks_behavior::ast::output_port(name) {
-        return format!("out[{port}]");
-    }
-    name.to_string()
-}
-
-fn emit_expr(e: &Expr) -> String {
-    // The behavior language's Display uses C precedence and C operators, so
-    // only port references and bool literals need rewriting.
-    fn rewrite(e: &Expr) -> Expr {
-        match e {
-            Expr::Var(name) => {
-                if let Some(port) = eblocks_behavior::ast::input_port(name) {
-                    Expr::Var(format!("in[{port}]"))
-                } else if let Some(port) = eblocks_behavior::ast::output_port(name) {
-                    Expr::Var(format!("out[{port}]"))
-                } else {
-                    e.clone()
-                }
-            }
-            Expr::Bool(b) => Expr::Int(i64::from(*b)),
-            Expr::Int(_) => e.clone(),
-            Expr::Unary(op, inner) => Expr::Unary(*op, Box::new(rewrite(inner))),
-            Expr::Binary(op, l, r) => Expr::Binary(*op, Box::new(rewrite(l)), Box::new(rewrite(r))),
+/// The behavior language prints with C precedence and C operators, so only
+/// port references and bool literals need rewriting.
+fn write_expr(out: &mut String, e: &Expr) -> fmt::Result {
+    e.write_with(out, &mut |out: &mut String, leaf| match leaf {
+        Expr::Bool(b) => {
+            out.push(if *b { '1' } else { '0' });
+            Ok(())
         }
-    }
-    rewrite(e).to_string()
+        Expr::Int(v) => write!(out, "{v}"),
+        Expr::Var(name) => {
+            if let Some(port) = input_port(name) {
+                write!(out, "in[{port}]")
+            } else if let Some(port) = output_port(name) {
+                write!(out, "out[{port}]")
+            } else {
+                out.push_str(name);
+                Ok(())
+            }
+        }
+        Expr::Unary(..) | Expr::Binary(..) => unreachable!("leaves only"),
+    })
 }
 
 #[cfg(test)]

@@ -30,5 +30,5 @@ pub mod size;
 
 pub use c_emit::emit_c;
 pub use error::CodegenError;
-pub use merge::{merge_partition, MergedProgram};
+pub use merge::{merge_partition, MergedProgram, Merger};
 pub use size::{estimate_size, SizeEstimate, PIC16F628_PROGRAM_WORDS};

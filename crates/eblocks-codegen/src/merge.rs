@@ -1,8 +1,15 @@
 //! Syntax-tree merging: one behavior program per partition (§3.3).
+//!
+//! A [`Merger`] reads a design's levels once and merges any number of its
+//! partitions. Each member's library program is read in place: its
+//! statements are copied into the merged program once, renamed as they are
+//! copied, from names rendered once per member (`net{j}_{port}`,
+//! `latch_in{pin}`, `m{j}_{name}`).
 
 use crate::error::CodegenError;
-use eblocks_behavior::Expr as BExpr;
-use eblocks_behavior::{check, library, Handler, HandlerKind, Program, StateDecl, Stmt};
+use eblocks_behavior::ast::{input_port, output_port};
+use eblocks_behavior::{check, library, Expr, Handler, HandlerKind, Program, StateDecl, Stmt};
+use eblocks_core::design::Wire;
 use eblocks_core::{levels, BlockId, BlockKind, Design, ProgrammableSpec};
 
 /// The program generated for one partition, plus the pin assignment needed
@@ -21,206 +28,307 @@ pub struct MergedProgram {
 }
 
 /// Merges the behavior trees of `members` into a single program for a
-/// programmable block with pin budget `spec`.
-///
-/// Members are merged in non-decreasing level order, internal wires become
-/// `net*` state variables, partition inputs are latched into `latch_in*`
-/// state variables (so the `on tick` handler may re-evaluate the whole tree
-/// without touching physical pins), and member-local names are prefixed
-/// uniquely.
-///
-/// The merged `on tick` handler re-evaluates every member (its tick body,
-/// then its input body) in level order: in the network a tick-driven output
-/// change propagates packets downstream, and re-evaluation reproduces that.
-/// Library block behaviors are idempotent under repeated evaluation with
-/// unchanged inputs, which makes this sound.
+/// programmable block with pin budget `spec`; [`Merger::merge`] on a
+/// fresh [`Merger`].
 ///
 /// # Errors
 ///
-/// * [`CodegenError::EmptyPartition`] / [`CodegenError::NotInner`] on
-///   malformed member lists,
-/// * [`CodegenError::TooManyInputs`] / [`CodegenError::TooManyOutputs`] when
-///   the partition's signals exceed the pin budget,
-/// * [`CodegenError::MergedProgramInvalid`] if the merged program fails its
-///   static checks (defensive; indicates a code generation bug).
+/// As for [`Merger::merge`].
 pub fn merge_partition(
     design: &Design,
     members: &[BlockId],
     spec: ProgrammableSpec,
 ) -> Result<MergedProgram, CodegenError> {
-    if members.is_empty() {
-        return Err(CodegenError::EmptyPartition);
-    }
-    for &m in members {
-        let inner = design.block(m).is_some_and(|b| b.is_inner());
-        if !inner {
-            return Err(CodegenError::NotInner {
-                block: design
-                    .block(m)
-                    .map_or_else(|| m.to_string(), |b| b.name().to_string()),
-            });
+    Merger::new(design).merge(members, spec)
+}
+
+/// Merges partitions of one design. The design's levels, which order every
+/// partition's members, are computed once, here.
+#[derive(Debug, Clone)]
+pub struct Merger<'d> {
+    design: &'d Design,
+    /// Every block's level, by [`BlockId::index`].
+    level: Vec<usize>,
+}
+
+impl<'d> Merger<'d> {
+    /// A merger over `design`.
+    pub fn new(design: &'d Design) -> Self {
+        Self {
+            design,
+            level: levels(design),
         }
     }
 
-    // Level-sorted member order (§3.3: "syntax trees are ordered in
-    // non-decreasing order ... determined by the level of each block").
-    let level = levels(design);
-    let mut order: Vec<BlockId> = members.to_vec();
-    order.sort_by_key(|&b| (level[b.index()], b));
-    let member_pos = |b: BlockId| order.iter().position(|&m| m == b);
-
-    // Pin assignment: distinct external sources in deterministic
-    // (member-order, port-order) first-encounter order.
-    let mut input_map: Vec<(BlockId, u8)> = Vec::new();
-    for &m in &order {
-        let mut wires: Vec<_> = design.in_wires(m).collect();
-        wires.sort_by_key(|w| w.to_port);
-        for w in wires {
-            let external = member_pos(w.from).is_none();
-            if external && !input_map.contains(&(w.from, w.from_port)) {
-                input_map.push((w.from, w.from_port));
-            }
+    /// Merges the behavior trees of `members` into a single program for a
+    /// programmable block with pin budget `spec`.
+    ///
+    /// Members are merged in non-decreasing level order, internal wires
+    /// become `net*` state variables, partition inputs are latched into
+    /// `latch_in*` state variables (so the `on tick` handler may
+    /// re-evaluate the whole tree without touching physical pins), and
+    /// member-local names are prefixed uniquely.
+    ///
+    /// The merged `on tick` handler re-evaluates every member (its tick
+    /// body, then its input body) in level order: in the network a
+    /// tick-driven output change propagates packets downstream, and
+    /// re-evaluation reproduces that. Library block behaviors are
+    /// idempotent under repeated evaluation with unchanged inputs, which
+    /// makes this sound.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodegenError::EmptyPartition`] / [`CodegenError::NotInner`] on
+    ///   malformed member lists,
+    /// * [`CodegenError::TooManyInputs`] / [`CodegenError::TooManyOutputs`]
+    ///   when the partition's signals exceed the pin budget,
+    /// * [`CodegenError::MergedProgramInvalid`] if the merged program fails
+    ///   its static checks (defensive; indicates a code generation bug).
+    pub fn merge(
+        &self,
+        members: &[BlockId],
+        spec: ProgrammableSpec,
+    ) -> Result<MergedProgram, CodegenError> {
+        let design = self.design;
+        if members.is_empty() {
+            return Err(CodegenError::EmptyPartition);
         }
-    }
-    if input_map.len() > spec.inputs as usize {
-        return Err(CodegenError::TooManyInputs {
-            need: input_map.len(),
-            have: spec.inputs,
-        });
-    }
-
-    let mut output_map: Vec<(BlockId, u8)> = Vec::new();
-    for &m in &order {
-        let mut wires: Vec<_> = design.out_wires(m).collect();
-        wires.sort_by_key(|w| w.from_port);
-        for w in wires {
-            let exposed = member_pos(w.to).is_none();
-            if exposed && !output_map.contains(&(w.from, w.from_port)) {
-                output_map.push((w.from, w.from_port));
-            }
-        }
-    }
-    if output_map.len() > spec.outputs as usize {
-        return Err(CodegenError::TooManyOutputs {
-            need: output_map.len(),
-            have: spec.outputs,
-        });
-    }
-
-    // Per-member renamed programs.
-    let mut merged = Program::default();
-    let mut input_bodies: Vec<Vec<Stmt>> = Vec::new();
-    let mut tick_bodies: Vec<Vec<Stmt>> = Vec::new();
-    let mut any_tick = false;
-
-    for (j, &m) in order.iter().enumerate() {
-        let BlockKind::Compute(kind) = design.block(m).expect("validated member").kind() else {
-            unreachable!("members are inner blocks");
-        };
-        let mut program = library::code_for(kind).program().clone();
-
-        let rename = |name: &str| -> Option<String> {
-            if let Some(port) = eblocks_behavior::ast::input_port(name) {
-                let wire = design
-                    .driver_of(m, port)
-                    .expect("validated designs drive every compute input");
-                return Some(match member_pos(wire.from) {
-                    Some(src_idx) => format!("net{src_idx}_{}", wire.from_port),
-                    None => {
-                        let pin = input_map
-                            .iter()
-                            .position(|&(b, p)| (b, p) == (wire.from, wire.from_port))
-                            .expect("external sources were pinned above");
-                        format!("latch_in{pin}")
-                    }
+        for &m in members {
+            let inner = design.block(m).is_some_and(|b| b.is_inner());
+            if !inner {
+                return Err(CodegenError::NotInner {
+                    block: design
+                        .block(m)
+                        .map_or_else(|| m.to_string(), |b| b.name().to_string()),
                 });
             }
-            if let Some(port) = eblocks_behavior::ast::output_port(name) {
-                return Some(format!("net{j}_{port}"));
-            }
-            Some(format!("m{j}_{name}"))
-        };
-        program.rename_vars(rename);
+        }
 
-        merged.states.append(&mut program.states);
-        // Library programs pass `check`, so each has at most one handler
-        // of each kind.
-        let (mut input_body, mut tick_body) = (Vec::new(), Vec::new());
-        for handler in program.handlers {
-            match handler.kind {
-                HandlerKind::Input => input_body = handler.body,
-                HandlerKind::Tick => tick_body = handler.body,
+        // Level-sorted member order (§3.3: "syntax trees are ordered in
+        // non-decreasing order ... determined by the level of each block").
+        let mut order: Vec<BlockId> = members.to_vec();
+        order.sort_by_key(|&b| (self.level[b.index()], b));
+        let member_pos = |b: BlockId| order.iter().position(|&m| m == b);
+
+        // Pin assignment: distinct external sources in deterministic
+        // (member-order, port-order) first-encounter order.
+        let mut wires: Vec<Wire> = Vec::new();
+        let mut input_map: Vec<(BlockId, u8)> = Vec::new();
+        for &m in &order {
+            wires.clear();
+            wires.extend(design.in_wires(m));
+            wires.sort_by_key(|w| w.to_port);
+            for w in &wires {
+                let external = member_pos(w.from).is_none();
+                if external && !input_map.contains(&(w.from, w.from_port)) {
+                    input_map.push((w.from, w.from_port));
+                }
             }
         }
-        any_tick |= !tick_body.is_empty();
-        input_bodies.push(input_body);
-        tick_bodies.push(tick_body);
-    }
-
-    // Net and latch state declarations (all idle-low, like eBlock lines).
-    for (j, &m) in order.iter().enumerate() {
-        let outs = design.block(m).expect("member").num_outputs();
-        for port in 0..outs {
-            merged.states.push(StateDecl {
-                name: format!("net{j}_{port}"),
-                init: BExpr::Bool(false),
+        if input_map.len() > spec.inputs as usize {
+            return Err(CodegenError::TooManyInputs {
+                need: input_map.len(),
+                have: spec.inputs,
             });
         }
-    }
-    for pin in 0..input_map.len() {
-        merged.states.push(StateDecl {
-            name: format!("latch_in{pin}"),
-            init: BExpr::Bool(false),
-        });
-    }
 
-    // Epilogue: copy exposed nets to physical output pins.
-    let epilogue: Vec<Stmt> = output_map
-        .iter()
-        .enumerate()
-        .map(|(pin, &(b, port))| {
-            let j = member_pos(b).expect("output map holds members");
-            Stmt::Assign(format!("out{pin}"), BExpr::var(format!("net{j}_{port}")))
-        })
-        .collect();
-
-    // on input: latch pins, evaluate members in level order, drive pins.
-    let mut on_input: Vec<Stmt> = (0..input_map.len())
-        .map(|pin| Stmt::Assign(format!("latch_in{pin}"), BExpr::var(format!("in{pin}"))))
-        .collect();
-    for body in &input_bodies {
-        on_input.extend(body.iter().cloned());
-    }
-    on_input.extend(epilogue.iter().cloned());
-    merged.handlers.push(Handler {
-        kind: HandlerKind::Input,
-        body: on_input,
-    });
-
-    // on tick: advance timers and re-evaluate the whole tree.
-    if any_tick {
-        let mut on_tick: Vec<Stmt> = Vec::new();
-        for (tick_body, input_body) in tick_bodies.iter().zip(&input_bodies) {
-            on_tick.extend(tick_body.iter().cloned());
-            on_tick.extend(input_body.iter().cloned());
+        let mut output_map: Vec<(BlockId, u8)> = Vec::new();
+        for &m in &order {
+            wires.clear();
+            wires.extend(design.out_wires(m));
+            wires.sort_by_key(|w| w.from_port);
+            for w in &wires {
+                let exposed = member_pos(w.to).is_none();
+                if exposed && !output_map.contains(&(w.from, w.from_port)) {
+                    output_map.push((w.from, w.from_port));
+                }
+            }
         }
-        on_tick.extend(epilogue.iter().cloned());
-        merged.handlers.push(Handler {
-            kind: HandlerKind::Tick,
-            body: on_tick,
+        if output_map.len() > spec.outputs as usize {
+            return Err(CodegenError::TooManyOutputs {
+                need: output_map.len(),
+                have: spec.outputs,
+            });
+        }
+
+        // Every name the merged program gives a port, rendered once: each
+        // member's output nets, and the latched partition inputs.
+        let nets: Vec<Vec<String>> = order
+            .iter()
+            .enumerate()
+            .map(|(j, &m)| {
+                let outs = design.block(m).expect("member").num_outputs();
+                (0..outs).map(|port| format!("net{j}_{port}")).collect()
+            })
+            .collect();
+        let latches: Vec<String> = (0..input_map.len())
+            .map(|pin| format!("latch_in{pin}"))
+            .collect();
+
+        let codes: Vec<_> = order
+            .iter()
+            .map(|&m| {
+                let BlockKind::Compute(kind) = design.block(m).expect("validated member").kind()
+                else {
+                    unreachable!("members are inner blocks");
+                };
+                library::code_for(kind)
+            })
+            .collect();
+        // Library programs pass `check`, so each has at most one handler of
+        // each kind.
+        let any_tick = codes.iter().any(|code| {
+            code.program()
+                .handler(HandlerKind::Tick)
+                .is_some_and(|h| !h.body.is_empty())
         });
+
+        // Per-member renamed states and bodies, in level order.
+        let mut merged = Program::default();
+        let mut on_input: Vec<Stmt> = latches
+            .iter()
+            .enumerate()
+            .map(|(pin, latch)| Stmt::Assign(latch.clone(), Expr::var(format!("in{pin}"))))
+            .collect();
+        let mut on_tick: Vec<Stmt> = Vec::new();
+        for (j, (&m, code)) in order.iter().zip(&codes).enumerate() {
+            let program = code.program();
+            let mut names = MemberNames {
+                j,
+                inputs: (0..design.block(m).expect("member").num_inputs())
+                    .map(|port| {
+                        let wire = design.driver_of(m, port)?;
+                        Some(match member_pos(wire.from) {
+                            Some(src) => &nets[src][usize::from(wire.from_port)],
+                            None => {
+                                let pin = input_map
+                                    .iter()
+                                    .position(|&(b, p)| (b, p) == (wire.from, wire.from_port))
+                                    .expect("external sources were pinned above");
+                                &latches[pin]
+                            }
+                        })
+                    })
+                    .collect(),
+                outputs: &nets[j],
+                locals: Vec::new(),
+            };
+            for st in &program.states {
+                merged.states.push(StateDecl {
+                    name: names.rename(&st.name),
+                    init: names.expr(&st.init),
+                });
+            }
+            let body = |kind| program.handler(kind).map_or(&[][..], |h| &h.body[..]);
+            let input_body = names.body(body(HandlerKind::Input));
+            if any_tick {
+                // on tick: advance timers and re-evaluate the whole tree.
+                on_tick.extend(names.body(body(HandlerKind::Tick)));
+                on_tick.extend(input_body.iter().cloned());
+            }
+            // on input: latch pins, evaluate members in level order, drive
+            // pins.
+            on_input.extend(input_body);
+        }
+
+        // Net and latch state declarations (all idle-low, like eBlock lines).
+        for name in nets.iter().flatten().chain(&latches) {
+            merged.states.push(StateDecl {
+                name: name.clone(),
+                init: Expr::Bool(false),
+            });
+        }
+
+        // Epilogue: copy exposed nets to physical output pins.
+        for (pin, &(b, port)) in output_map.iter().enumerate() {
+            let j = member_pos(b).expect("output map holds members");
+            let copy = || {
+                Stmt::Assign(
+                    format!("out{pin}"),
+                    Expr::var(nets[j][usize::from(port)].clone()),
+                )
+            };
+            if any_tick {
+                on_tick.push(copy());
+            }
+            on_input.push(copy());
+        }
+        merged.handlers.push(Handler {
+            kind: HandlerKind::Input,
+            body: on_input,
+        });
+        if any_tick {
+            merged.handlers.push(Handler {
+                kind: HandlerKind::Tick,
+                body: on_tick,
+            });
+        }
+
+        let errors = check(&merged, spec.inputs, spec.outputs);
+        if !errors.is_empty() {
+            return Err(CodegenError::MergedProgramInvalid { errors });
+        }
+
+        Ok(MergedProgram {
+            program: merged,
+            input_map,
+            output_map,
+        })
+    }
+}
+
+/// How member `j`'s library program names map into the merged program:
+/// `inK` to the net or latch that drives its input `K`, `outK` to its own
+/// net, and every other name to `m{j}_{name}`.
+struct MemberNames<'a> {
+    j: usize,
+    /// The name of the signal driving each input port (`None` when the
+    /// port is undriven).
+    inputs: Vec<Option<&'a String>>,
+    outputs: &'a [String],
+    /// The prefixed names rendered so far.
+    locals: Vec<(&'a str, String)>,
+}
+
+impl<'a> MemberNames<'a> {
+    fn rename(&mut self, name: &'a str) -> String {
+        if let Some(port) = input_port(name) {
+            return self.inputs[usize::from(port)]
+                .expect("validated designs drive every compute input")
+                .clone();
+        }
+        if let Some(port) = output_port(name) {
+            return self.outputs[usize::from(port)].clone();
+        }
+        if let Some((_, renamed)) = self.locals.iter().find(|(n, _)| *n == name) {
+            return renamed.clone();
+        }
+        let renamed = format!("m{}_{name}", self.j);
+        self.locals.push((name, renamed.clone()));
+        renamed
     }
 
-    let errors = check(&merged, spec.inputs, spec.outputs);
-    if !errors.is_empty() {
-        return Err(CodegenError::MergedProgramInvalid { errors });
+    fn expr(&mut self, e: &'a Expr) -> Expr {
+        match e {
+            Expr::Bool(b) => Expr::Bool(*b),
+            Expr::Int(v) => Expr::Int(*v),
+            Expr::Var(name) => Expr::Var(self.rename(name)),
+            Expr::Unary(op, x) => Expr::unary(*op, self.expr(x)),
+            Expr::Binary(op, l, r) => Expr::binary(*op, self.expr(l), self.expr(r)),
+        }
     }
 
-    Ok(MergedProgram {
-        program: merged,
-        input_map,
-        output_map,
-    })
+    fn body(&mut self, body: &'a [Stmt]) -> Vec<Stmt> {
+        body.iter()
+            .map(|stmt| match stmt {
+                Stmt::Let(name, e) => Stmt::Let(self.rename(name), self.expr(e)),
+                Stmt::Assign(name, e) => Stmt::Assign(self.rename(name), self.expr(e)),
+                Stmt::If(cond, then_body, else_body) => {
+                    Stmt::If(self.expr(cond), self.body(then_body), self.body(else_body))
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,6 @@
 
 use crate::bitset::{BitSet, InnerIndex};
 use crate::design::{BlockId, Design};
-use std::collections::HashSet;
 
 /// The pin demand of a candidate partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -197,23 +196,30 @@ impl<'a> CutState<'a> {
 /// `eblocks_partition::PartitionConstraints`).
 pub fn is_convex(design: &Design, index: &InnerIndex, members: &BitSet) -> bool {
     // BFS forward from every edge that leaves the set, through external
-    // nodes only; if we can reach a member, the set is non-convex.
+    // nodes only; if we can reach a member, the set is non-convex. `seen`
+    // is indexed by raw block index and grows on demand.
     let inside = |b: BlockId| index.position(b).is_some_and(|p| members.contains(p));
+    let mut seen: Vec<bool> = Vec::new();
+    let mut first_visit = |b: BlockId| {
+        if seen.len() <= b.index() {
+            seen.resize(b.index() + 1, false);
+        }
+        !std::mem::replace(&mut seen[b.index()], true)
+    };
     let mut frontier: Vec<BlockId> = Vec::new();
     for pos in members.iter() {
         for w in design.out_wires(index.block(pos)) {
-            if !inside(w.to) {
+            if !inside(w.to) && first_visit(w.to) {
                 frontier.push(w.to);
             }
         }
     }
-    let mut seen: HashSet<BlockId> = frontier.iter().copied().collect();
     while let Some(b) = frontier.pop() {
         for w in design.out_wires(b) {
             if inside(w.to) {
                 return false;
             }
-            if seen.insert(w.to) {
+            if first_visit(w.to) {
                 frontier.push(w.to);
             }
         }

@@ -2,7 +2,6 @@
 
 use crate::constraints::PartitionConstraints;
 use eblocks_core::{cut_cost, BlockId, Design, InnerIndex};
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -100,7 +99,8 @@ impl Partitioning {
         constraints: &PartitionConstraints,
     ) -> Result<(), VerifyError> {
         let index = InnerIndex::new(design);
-        let mut seen: HashSet<BlockId> = HashSet::new();
+        // Every block placed so far, by index position.
+        let mut seen = index.empty_set();
         for (i, partition) in self.partitions.iter().enumerate() {
             if partition.len() < 2 {
                 return Err(VerifyError::UndersizedPartition { index: i });
@@ -110,7 +110,7 @@ impl Partitioning {
                 let Some(pos) = index.position(b) else {
                     return Err(VerifyError::NotInner { block: b });
                 };
-                if !seen.insert(b) {
+                if !seen.insert(pos) {
                     return Err(VerifyError::Overlap { block: b });
                 }
                 members.insert(pos);
@@ -125,21 +125,20 @@ impl Partitioning {
             }
         }
         for &b in &self.uncovered {
-            if index.position(b).is_none() {
+            let Some(pos) = index.position(b) else {
                 return Err(VerifyError::NotInner { block: b });
-            }
-            if !seen.insert(b) {
+            };
+            if !seen.insert(pos) {
                 return Err(VerifyError::Overlap { block: b });
             }
         }
         if seen.len() != index.len() {
-            let missing = index
-                .blocks()
-                .iter()
-                .find(|b| !seen.contains(b))
-                .copied()
+            let missing = (0..index.len())
+                .find(|&pos| !seen.contains(pos))
                 .expect("count mismatch implies a missing block");
-            return Err(VerifyError::Unaccounted { block: missing });
+            return Err(VerifyError::Unaccounted {
+                block: index.block(missing),
+            });
         }
         Ok(())
     }

@@ -24,7 +24,7 @@ use crate::observe::{Observer, Stage, StageReport};
 use crate::rewrite::rewrite_network;
 use crate::stimulus::exercise_all_sensors;
 use eblocks_behavior::Program;
-use eblocks_codegen::{emit_c, estimate_size, merge_partition, MergedProgram, SizeEstimate};
+use eblocks_codegen::{emit_c, estimate_size, MergedProgram, Merger, SizeEstimate};
 use eblocks_core::{BlockId, Design};
 use eblocks_lint::{lint_design, LintConfig, LintOutcome};
 use eblocks_partition::{PartitionConstraints, Partitioner, Partitioning};
@@ -347,9 +347,11 @@ impl<'a> Partitioned<'a> {
     pub fn merge(mut self) -> Result<Merged<'a>, SynthError> {
         self.ctx.begin(Stage::Merge)?;
         let started = Instant::now();
+        let merger = Merger::new(self.ctx.design);
         let mut merged: Vec<MergedProgram> = Vec::new();
         for (i, partition) in self.partitioning.partitions().iter().enumerate() {
-            let m = merge_partition(self.ctx.design, partition, self.ctx.constraints.spec)
+            let m = merger
+                .merge(partition, self.ctx.constraints.spec)
                 .map_err(|error| SynthError::Codegen {
                     partition: i,
                     error,
