@@ -399,6 +399,7 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, String> {
     }
 
     let state = Arc::new(ServerState::new(config));
+    spool::sweep_claimed(&state);
     let connections = Arc::new(Mutex::new(Connections::default()));
     let mut threads = Vec::new();
 

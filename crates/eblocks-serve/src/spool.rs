@@ -6,6 +6,16 @@
 //! and responses and rejection errors are written to a temp file in the
 //! spool directory and renamed into place (so a reader of `outbox/` or
 //! `rejected/` never meets a partial file or a temp file).
+//!
+//! A daemon that stops with a request claimed (killed, or aborted by the
+//! request itself) leaves the input in `claimed/`. At start-up, before the
+//! first scan, [`sweep_claimed`] moves every such file to
+//! `rejected/<name>` with an error saying the daemon stopped while the
+//! request was in flight, and counts it as rejected. It never re-queues
+//! one: a request that brought the daemon down would bring it down again.
+//! The sweep is also why a restarted daemon's claim sequence, which starts
+//! again at 0, can never rename a new claim onto an old one: `claimed/` is
+//! empty before the first claim.
 
 use crate::server::{self, Refusal, ServerState, Sink, Work};
 use eblocks_farm::api::{read_input, BatchRequest, ErrorReply, ServeRequest};
@@ -50,6 +60,36 @@ pub(crate) fn scan_once(state: &ServerState, held: Option<Work>) -> Option<Work>
         }
     }
     None
+}
+
+/// Quarantines every file a previous daemon left in `claimed/`, in name
+/// order, under its inbox name (the claim's sequence prefix dropped).
+pub(crate) fn sweep_claimed(state: &ServerState) {
+    let claimed = state.config.claimed();
+    let Ok(entries) = std::fs::read_dir(&claimed) else {
+        return;
+    };
+    let mut names: Vec<String> = entries
+        .filter_map(|entry| entry.ok())
+        .filter(|entry| entry.file_type().is_ok_and(|t| t.is_file()))
+        .filter_map(|entry| entry.file_name().into_string().ok())
+        .collect();
+    names.sort();
+    for claim in names {
+        let name = claim
+            .split_once('-')
+            .filter(|(seq, rest)| {
+                !seq.is_empty() && seq.bytes().all(|b| b.is_ascii_digit()) && !rest.is_empty()
+            })
+            .map_or(claim.as_str(), |(_, rest)| rest);
+        state.count_rejected();
+        quarantine(
+            state,
+            name,
+            &claimed.join(&claim),
+            "the daemon stopped while the request was in flight; it was not re-run",
+        );
+    }
 }
 
 /// Reads, parses and dispatches one claimed request file; returns its

@@ -347,3 +347,42 @@ fn corrupt_spool_storm_accounts_for_every_input() {
     assert_eq!(outbox_a, outbox_b, "responses replay byte-identically");
     assert_eq!(rejected_a, rejected_b, "rejections replay byte-identically");
 }
+
+#[test]
+fn a_claim_left_by_a_stopped_daemon_is_quarantined_at_start_up() {
+    let spool = tempdir("stale-claim");
+    // A daemon stopped mid-request leaves its claimed input behind.
+    std::fs::create_dir_all(spool.join("claimed")).unwrap();
+    let stale = r#"{"jobs": [{"source": {"library": "Carpool Alert"}}]}"#;
+    std::fs::write(spool.join("claimed/000000-slow.json"), stale).unwrap();
+
+    let handle = spawn(config(&spool)).unwrap();
+    let error = String::from_utf8(wait_for(&spool.join("rejected/slow.json.error.json"))).unwrap();
+    assert!(
+        error.contains("stopped while the request was in flight"),
+        "{error}"
+    );
+    assert_eq!(
+        wait_for(&spool.join("rejected/slow.json")),
+        stale.as_bytes()
+    );
+
+    // A new request of the same name claims `000000-slow.json` again and
+    // gets its own answer.
+    let synth = r#"{"synth": {"source": {"library": "Carpool Alert"}}}"#;
+    spool_file(&spool, "slow.json", synth);
+    let answer = String::from_utf8(wait_for(&spool.join("outbox/slow.json"))).unwrap();
+    assert!(answer.contains("\"c_sources\""), "{answer}");
+    assert_eq!(
+        wait_for(&spool.join("rejected/slow.json")),
+        stale.as_bytes()
+    );
+
+    handle.shutdown();
+    let summary = handle.join().unwrap();
+    assert_eq!(
+        (summary.accepted, summary.rejected, summary.completed),
+        (1, 1, 1)
+    );
+    assert!(dir_map(&spool.join("claimed")).is_empty());
+}

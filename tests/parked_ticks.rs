@@ -17,6 +17,7 @@ use eblocks::behavior::{library, Program};
 use eblocks::core::{BlockId, BlockKind, Design};
 use eblocks::gen::{generate, GeneratorConfig};
 use eblocks::partition::strategy::PareDown;
+use eblocks::partition::Registry;
 use eblocks::sim::{Fault, FaultPlan, NodeRunner, Simulator, Stimulus, Time, Trace};
 use eblocks::synth::{exercise_all_sensors, Pipeline, SynthError};
 use proptest::prelude::*;
@@ -207,4 +208,41 @@ fn known_divergent_design_still_mismatches_at_55_of_97_samples() {
     };
     assert_eq!(report.sample_times.len(), 97);
     assert_eq!(report.mismatches.len(), 55);
+}
+
+/// A second design that verify rejects, under four of the five strategies:
+/// each leaves `out6` differing at 11 of 25 samples, and only aggregation's
+/// partitions (15 inner blocks to 9) verify. A repair must serve every
+/// strategy, not PareDown alone. Parking, or any change to what a
+/// simulation computes, must not move these verdicts.
+#[test]
+fn second_divergent_design_fails_under_four_strategies_at_11_of_25_samples() {
+    let design = generate(&GeneratorConfig::new(15), 15008);
+    let registry = Registry::builtin();
+    for name in ["pare-down", "exhaustive", "refine", "anneal"] {
+        let strategy = registry.from_str(name).expect("a built-in strategy");
+        let err = Pipeline::new(&design)
+            .run(strategy.as_ref(), true)
+            .expect_err("verify rejects this design");
+        let SynthError::VerificationFailed { report } = err else {
+            panic!("{name}: expected a verification failure, got {err}");
+        };
+        assert_eq!(report.sample_times.len(), 25, "{name}");
+        assert_eq!(report.mismatches.len(), 11, "{name}");
+        assert!(
+            report
+                .mismatches
+                .iter()
+                .all(|(output, ..)| output == "out6"),
+            "{name}: {:?}",
+            report.mismatches
+        );
+    }
+    let strategy = registry
+        .from_str("aggregation")
+        .expect("a built-in strategy");
+    let result = Pipeline::new(&design)
+        .run(strategy.as_ref(), true)
+        .expect("aggregation's partitions verify");
+    assert_eq!((result.inner_before(), result.inner_after()), (15, 9));
 }
