@@ -16,6 +16,12 @@
 //!   typed, so `1 && false` faults at run time and must not fold away),
 //! * branch elimination for `if` on a constant condition.
 //!
+//! Variable types come from [`VarTypes`], the one inference the C emitter
+//! reads too, and definitely-assigned names from the checker's
+//! `Assigned` set, which undoes a branch from its log instead of copying
+//! the set at every `if`. Both key names borrowed from the input program;
+//! the optimized program is the pass's only copy.
+//!
 //! The pass is semantics-preserving: an optimized program produces the same
 //! outputs and the same state evolution, and faults whenever the original
 //! faults (see the equivalence property test in

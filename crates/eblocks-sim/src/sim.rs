@@ -117,7 +117,10 @@
 //! relay program is compiled once per process too.
 //! [`Simulator::with_programs`] checks and compiles only the programmable
 //! blocks' programs: names resolve to port indices and dense slots (see
-//! [`eblocks_behavior::Compiled`]). Each run's engine then gives every
+//! [`eblocks_behavior::Compiled`]), through maps keyed by names borrowed
+//! from the program, so the program text is read in place and only the
+//! compiled form is kept. The simulator does keep its own copy of the
+//! design, for block names and stimulus, fault and tap lookups. Each run's engine then gives every
 //! block a [`Machine`] that borrows its compilation and owns only its
 //! slots, and a handler call hands back a port-indexed view of the
 //! machine's output buffer. Together with the flat tables above, the hot
