@@ -33,9 +33,11 @@
 //!   owning only its slots,
 //! * [`library`] holds the canonical behavior program of every pre-defined
 //!   compute block, generated from its [`eblocks_core::ComputeKind`],
-//! * the AST supports systematic variable renaming
-//!   ([`Program::rename_vars`]) — the primitive the code generator uses to
-//!   merge the trees of a partition into one programmable-block program.
+//! * [`VarTypes`] infers every variable's type once, for the optimizer
+//!   and the C emitter alike,
+//! * the AST supports systematic variable renaming in place
+//!   ([`Program::rename_vars`]); the code generator's merge renames each
+//!   member's tree as it copies it into the partition's program instead.
 //!
 //! # Example
 //!
